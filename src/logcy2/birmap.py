@@ -229,7 +229,8 @@ def _arc_substitute(p: Poly2, pexp: int, qexp: int, n: Vec) -> LPoly:
     out: LPoly = {}
     for (i, j), c in p.terms.items():
         key = (pexp * i + qexp * j, n[0] * i + n[1] * j)
-        assert key not in out  # exponent map is unimodular, no collisions
+        if key in out:
+            raise AssertionError(f"arc exponents collide at {key}; the exponent map must be unimodular")
         out[key] = c
     return out
 
@@ -307,7 +308,8 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     ray = (a, b)
     if math.gcd(a, b) != 1:
         raise NonGenericArcError(f"image exponents {ray} of {w} at {n} are imprimitive")
-    assert ray == pl_apply(tropicalize(w), n), "boundary limit disagrees with tropicalization"
+    if ray != pl_apply(tropicalize(w), n):
+        raise AssertionError("boundary limit disagrees with tropicalization")
     # lambda' equals the transverse monomial x'^{b} y'^{-a} at leading order.
     fn, fd = _lam_pow(fnum, fden, b)
     gn, gd = _lam_pow(gnum, gden, -a)

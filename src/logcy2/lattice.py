@@ -122,14 +122,16 @@ def complement_matrix(n: Vec) -> Mat:
         c, d = n1, 0
     else:
         g, c0, d0 = _xgcd(n1, n2)
-        assert g == 1
+        if g != 1:
+            raise AssertionError(f"gcd of the primitive vector {n} came out {g}")
         # General solution: (c0 + k n2, d0 - k n1).  |c| is minimized within
         # one step of k = -c0/n2, so scanning a small window suffices.
         kf = -c0 // n2
         candidates = [(c0 + k * n2, d0 - k * n1) for k in range(kf - 1, kf + 3)]
         c, d = min(candidates, key=lambda cd: (abs(cd[0]), cd[0] < 0, abs(cd[1]), cd[1] < 0))
     a = ((n2, -n1), (c, d))
-    assert mat_det(a) == 1 and mat_vec(a, n) == (0, 1)
+    if mat_det(a) != 1 or mat_vec(a, n) != (0, 1):
+        raise AssertionError(f"complement {a} of {n} is not in SL2(Z) with a n = (0, 1)")
     return a
 
 
@@ -236,22 +238,27 @@ class PLMap:
 
 
 def pl_validate(p: PLMap) -> None:
-    """Assert the structural invariants: ccw rays, continuity, uniform det sign."""
+    """Check the structural invariants: ccw rays, continuity, uniform det sign.
+
+    Raises AssertionError on the first violation, also under ``python -O``.
+    """
     dets = {mat_det(m) for m in p.mats}
-    assert dets <= {1} or dets <= {-1}, f"mixed determinant signs: {dets}"
+    if not (dets <= {1} or dets <= {-1}):
+        raise AssertionError(f"mixed determinant signs: {dets}")
     k = len(p.rays)
     for i in range(k):
         require_primitive(p.rays[i])
-        assert angle_cmp(p.rays[i], p.rays[(i + 1) % k]) != 0, "repeated ray"
+        if angle_cmp(p.rays[i], p.rays[(i + 1) % k]) == 0:
+            raise AssertionError("repeated ray")
         prev = p.mats[i - 1]
         here = p.mats[i]
-        assert mat_vec(prev, p.rays[i]) == mat_vec(here, p.rays[i]), (
-            f"discontinuous at ray {p.rays[i]}"
-        )
+        if mat_vec(prev, p.rays[i]) != mat_vec(here, p.rays[i]):
+            raise AssertionError(f"discontinuous at ray {p.rays[i]}")
     if k:
         order = ccw_sorted(list(p.rays))
         start = order.index(p.rays[0])
-        assert list(p.rays) == order[start:] + order[:start], "rays not ccw"
+        if list(p.rays) != order[start:] + order[:start]:
+            raise AssertionError("rays not ccw")
 
 
 def pl_apply(p: PLMap, v: Vec) -> Vec:

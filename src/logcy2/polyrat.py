@@ -9,9 +9,10 @@ valid equality test for rational functions, which is what the word-problem
 oracle relies on.
 
 GCDs are computed by a primitive-part pseudo-remainder sequence in x with
-content recursion over y, entirely in integer arithmetic.  Negative powers
-never appear: monomial maps with negative exponents are represented with
-explicit denominators.
+content recursion over y, entirely in integer arithmetic; ``normalize`` and
+``substitute`` also run on integer coefficients, and Fractions appear only in
+the polynomials they return.  Negative powers never appear: monomial maps
+with negative exponents are represented with explicit denominators.
 
 Textual form (round-trip parseable):
 
@@ -29,11 +30,11 @@ A rational function prints as ``num`` when the denominator is 1, otherwise
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 Term = tuple[int, int]
 
@@ -150,14 +151,9 @@ class Poly2:
         # Plain-int accumulation is several times faster than Fraction
         # arithmetic and covers almost everything this library multiplies.
         if self._is_integral() and other._is_integral():
-            iout: dict[Term, int] = {}
-            a = [(i, j, c.numerator) for (i, j), c in self.terms.items()]
-            b = [(i, j, c.numerator) for (i, j), c in other.terms.items()]
-            for i1, j1, c1 in a:
-                for i2, j2, c2 in b:
-                    t = (i1 + i2, j1 + j2)
-                    iout[t] = iout.get(t, 0) + c1 * c2
-            return Poly2._raw({t: Fraction(c) for t, c in iout.items() if c})
+            a = {t: c.numerator for t, c in self.terms.items()}
+            b = {t: c.numerator for t, c in other.terms.items()}
+            return _int_to_poly(_ip_mul(a, b))
         out: dict[Term, Fraction] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
@@ -212,11 +208,16 @@ class Poly2:
         return f"Poly2({format_poly(self)!r})"
 
 
-# --- integer-level gcd machinery ---------------------------------------------
+# --- integer-level machinery -------------------------------------------------
 #
-# During gcd computation polynomials are plain dicts with int coefficients:
+# The gcd, exact division and substitution work on plain dicts with int
+# coefficients; Fraction coefficients appear only where a Poly2 is built:
 #   ypoly:  dict[j -> int]       an element of Z[y]
 #   ipoly:  dict[(i, j) -> int]  an element of Z[x, y]
+
+
+class InexactDivisionError(ArithmeticError):
+    """An exact polynomial division left a nonzero remainder."""
 
 
 def _yp_degree(p: dict[int, int]) -> int:
@@ -248,7 +249,7 @@ def _yp_sub(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
 
 
 def _yp_content(p: dict[int, int]) -> int:
-    return reduce(math.gcd, p.values(), 0)
+    return math.gcd(*p.values())
 
 
 def _yp_primitive(p: dict[int, int]) -> dict[int, int]:
@@ -266,15 +267,14 @@ def _yp_shift_mul(p: dict[int, int], c: int, k: int) -> dict[int, int]:
 
 
 def _yp_gcd(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    """Gcd in Z[y], primitive with positive leading coefficient.
+    """Gcd in Z[y], with positive leading coefficient.
 
     Primitive PRS with the content stripped after every reduction step,
     which keeps intermediate coefficients near-minimal.
     """
-    if not p:
-        return _yp_primitive(q)
-    if not q:
-        return _yp_primitive(p)
+    if not p or not q:
+        r = p or q
+        return {j: -c for j, c in r.items()} if r and r[_yp_degree(r)] < 0 else dict(r)
     cont = math.gcd(_yp_content(p), _yp_content(q))
     f, g = _yp_primitive(p), _yp_primitive(q)
     if _yp_degree(f) < _yp_degree(g):
@@ -294,7 +294,7 @@ def _yp_gcd(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
 
 
 def _yp_divexact(p: dict[int, int], d: dict[int, int]) -> dict[int, int]:
-    """Exact division in Z[y]; asserts exactness."""
+    """Exact division in Z[y]; raises InexactDivisionError otherwise."""
     if not d:
         raise ZeroDivisionError
     out: dict[int, int] = {}
@@ -303,7 +303,8 @@ def _yp_divexact(p: dict[int, int], d: dict[int, int]) -> dict[int, int]:
     while r:
         dr = _yp_degree(r)
         q, rem = divmod(r[dr], ld)
-        assert dr >= dd and rem == 0, "inexact division in Z[y]"
+        if dr < dd or rem:
+            raise InexactDivisionError("inexact division in Z[y]")
         out[dr - dd] = q
         r = _yp_sub(r, _yp_shift_mul(d, q, dr - dd))
     return out
@@ -325,9 +326,14 @@ def _xp_degree(p: dict[int, dict[int, int]]) -> int:
 
 
 def _xp_content(p: dict[int, dict[int, int]]) -> dict[int, int]:
+    """Gcd in Z[y] of the x-coefficients, with positive leading coefficient."""
     g: dict[int, int] = {}
     for yp in p.values():
         g = _yp_gcd(g, yp)
+        if _yp_degree(g) == 0:
+            # No y-content is left, so the content is the integer gcd
+            # (of a list, for the reason given in _cleared).
+            return {0: math.gcd(*[c for row in p.values() for c in row.values()])}
     return g
 
 
@@ -380,10 +386,6 @@ def _xp_reduce(f, g) -> dict[int, dict[int, int]]:
     return r
 
 
-def _ip_univariate_in_x(p: dict[Term, int]) -> dict[int, int]:
-    return {i: c for (i, j), c in p.items()}
-
-
 def _specialized_coprime_x(fp, gp) -> bool:
     """True if specializing y proves the gcd has x-degree zero.
 
@@ -413,27 +415,81 @@ def _grlex_max(p: dict[Term, int]) -> Term:
     return max(p, key=lambda t: (t[0] + t[1], t[0]))
 
 
-def _ip_divexact_or_none(p: dict[Term, int], g: dict[Term, int]) -> dict[Term, int] | None:
-    """Quotient p/g over Z if the division is exact, else None."""
-    gt = _grlex_max(g)
-    gc = g[gt]
-    r = dict(p)
-    out: dict[Term, int] = {}
-    while r:
-        rt = _grlex_max(r)
-        i, j = rt[0] - gt[0], rt[1] - gt[1]
-        if i < 0 or j < 0 or r[rt] % gc:
-            return None
-        qc = r[rt] // gc
-        out[(i, j)] = qc
-        for (gi, gj), c in g.items():
-            t = (gi + i, gj + j)
-            s = r.get(t, 0) - qc * c
-            if s:
-                r[t] = s
+def _ip_mul(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
+    """Product in Z[x, y].
+
+    A monomial (i, j) is keyed by the int i * base + j, with base above
+    every y-degree of the product, so the key of a product is the sum of
+    the keys and no tuple is built per term pair.
+    """
+    if not p or not q:
+        return {}
+    base = 1 + max(j for _, j in p) + max(j for _, j in q)
+    b = [(i * base + j, c) for (i, j), c in q.items()]
+    out: dict[int, int] = {}
+    get = out.get
+    for (i, j), c1 in p.items():
+        k1 = i * base + j
+        for k2, c2 in b:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return {divmod(k, base): c for k, c in out.items() if c}
+
+
+def _ip_add_scaled(acc: dict[Term, int], p: dict[Term, int], c: int) -> None:
+    """acc += c * p in place; cancelled terms stay as zeros."""
+    get = acc.get
+    for t, v in p.items():
+        acc[t] = get(t, 0) + c * v
+
+
+def _ip_divexact(p: dict[Term, int], d: dict[Term, int]) -> dict[Term, int]:
+    """Exact quotient p/d in Z[x, y]; raises InexactDivisionError otherwise.
+
+    The remainder's grlex-leading term comes off a max-heap of its
+    monomials, and entries whose term has since cancelled are skipped when
+    popped.  A monomial (i, j) is keyed by the int (i + j) * base + i, with
+    base above every total degree involved, so integer order is grlex order
+    and the key of a product is the sum of the keys.
+    """
+    if not d:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not p:
+        return {}
+    base = 1 + max(i + j for i, j in [*p, *d])
+    dk = {(i + j) * base + i: c for (i, j), c in d.items()}
+    lead = max(dk)
+    lc = dk.pop(lead)
+    lead_deg, lead_i = divmod(lead, base)
+    rest = list(dk.items())
+    r = {(i + j) * base + i: c for (i, j), c in p.items()}
+    heap = [-k for k in r]
+    heapq.heapify(heap)
+    out: dict[int, int] = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = r.pop(k, 0)
+        if not c:
+            continue
+        qc, rem = divmod(c, lc)
+        deg, i = divmod(k, base)
+        if rem or i < lead_i or deg - i < lead_deg - lead_i:
+            raise InexactDivisionError("inexact division in Z[x, y]")
+        k -= lead
+        out[k] = qc
+        for kd, cd in rest:
+            t = k + kd
+            v = r.get(t)
+            if v is None:
+                r[t] = -qc * cd
+                heapq.heappush(heap, -t)
             else:
-                r.pop(t, None)
-    return out
+                v -= qc * cd
+                if v:
+                    r[t] = v
+                else:
+                    del r[t]
+    return {(k % base, k // base - k % base): c for k, c in out.items()}
 
 
 def _balanced_digits(value: int, xi: int):
@@ -471,28 +527,36 @@ def _ip_gcd_heuristic(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]
         qe = {i: c for i, c in qe.items() if c}
         if pe and qe:
             gamma = _yp_gcd(pe, qe)
-            cand: dict[Term, int] = {}
-            for i, a in gamma.items():
-                for k, digit in _balanced_digits(a, xi):
-                    cand[(i, k)] = digit
-            cont = reduce(math.gcd, cand.values())
+            cand = {(i, k): digit for i, a in gamma.items() for k, digit in _balanced_digits(a, xi) if digit}
+            cont = math.gcd(*cand.values())
             cand = {t: c // cont for t, c in cand.items()}
-            if _ip_divexact_or_none(p, cand) is not None and _ip_divexact_or_none(q, cand) is not None:
+            try:
+                _ip_divexact(p, cand)
+                _ip_divexact(q, cand)
                 return cand
+            except InexactDivisionError:
+                pass
         xi = xi * 73794 // 27011 + 1
     return None
 
 
 def _ip_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
-    """Gcd in Z[x, y], primitive, positive grlex-leading coefficient.
+    """Gcd in Z[x, y] of primitive inputs: primitive, positive grlex-leading coefficient.
 
-    The remainder sequence runs in whichever variable gives the shorter
-    chain; the other variable is handled by content recursion.
+    A monomial input settles the gcd at once.  Otherwise the remainder
+    sequence runs in whichever variable gives the shorter chain; the other
+    variable is handled by content recursion.
     """
     if not p:
         return q
     if not q:
         return p
+    if len(p) == 1 or len(q) == 1:
+        mono, other = (p, q) if len(p) == 1 else (q, p)
+        (mi, mj), mc = next(iter(mono.items()))
+        gi = min([mi] + [i for i, _ in other])
+        gj = min([mj] + [j for _, j in other])
+        return {(gi, gj): math.gcd(mc, *other.values())}
     degx = max(max(i for i, _ in p), max(i for i, _ in q))
     degy = max(max(j for _, j in p), max(j for _, j in q))
     swapped = degy < degx
@@ -502,8 +566,9 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
     if _xp_degree(fp) == 0 and _xp_degree(gp) == 0:
         result = {(0, j): c for j, c in _yp_gcd(fp[0], gp[0]).items()}
         return _ip_swap(result) if swapped else result
-    cont = _yp_gcd(_xp_content(fp), _xp_content(gp))
-    f, g = _xp_primitive(fp), _xp_primitive(gp)
+    cf, cg = _xp_content(fp), _xp_content(gp)
+    cont = _yp_gcd(cf, cg)
+    f, g = _xp_divexact_y(fp, cf), _xp_divexact_y(gp, cg)
     if _xp_degree(f) == 0 or _xp_degree(g) == 0 or _specialized_coprime_x(f, g):
         main: dict[int, dict[int, int]] = {0: {0: 1}}
     else:
@@ -520,60 +585,52 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
     result = _x_to_ip(_xp_scale(main, cont))
     if swapped:
         result = _ip_swap(result)
-    lead = max(result, key=lambda t: (t[0] + t[1], t[0]))
-    if result[lead] < 0:
+    if result[_grlex_max(result)] < 0:
         result = {t: -c for t, c in result.items()}
     return result
 
 
-def _poly_to_int(p: Poly2) -> dict[Term, int]:
-    """Clear denominators and the integer content (unit-normalize over Z)."""
-    if p.is_zero():
-        return {}
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = {t: int(c * lcm) for t, c in p.terms.items()}
-    g = reduce(math.gcd, ints.values())
-    return {t: c // g for t, c in ints.items()}
+def _cleared(*polys: Poly2) -> tuple[int, list[dict[Term, int]]]:
+    """(m, [m * p, ...]) with m the lcm of every coefficient denominator."""
+    # A list, not a generator: CPython unpacks a generator into a tuple it
+    # resizes, and the freed tuples pile up on the per-size free lists.
+    m = math.lcm(*[c.denominator for p in polys for c in p.terms.values()])
+    if m == 1:
+        return 1, [{t: c.numerator for t, c in p.terms.items()} for p in polys]
+    return m, [{t: c.numerator * (m // c.denominator) for t, c in p.terms.items()} for p in polys]
 
 
-def _int_to_poly(p: dict[Term, int]) -> Poly2:
-    return Poly2({t: Fraction(c) for t, c in p.items()})
+def _split(p: Poly2) -> tuple[Fraction, dict[Term, int]]:
+    """(s, h) with p = s * h, s > 0 rational and h primitive in Z[x, y]."""
+    if not p.terms:
+        return Fraction(0), {}
+    m, (ints,) = _cleared(p)
+    g = math.gcd(*ints.values())
+    if g != 1:
+        ints = {t: c // g for t, c in ints.items()}
+    return Fraction(g, m), ints
+
+
+def _int_to_poly(p: dict[Term, int], scale: Fraction = Fraction(1)) -> Poly2:
+    """The Poly2 scale * p, for a zero-free p and a nonzero scale."""
+    a, b = scale.numerator, scale.denominator
+    if b == 1:  # Fraction(n) costs about two thirds of Fraction(n, 1)
+        return Poly2._raw({t: Fraction(c * a) for t, c in p.items()})
+    return Poly2._raw({t: Fraction(c * a, b) for t, c in p.items()})
 
 
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Gcd up to units, returned primitive over Z with positive leading coeff."""
-    ip, iq = _poly_to_int(p), _poly_to_int(q)
-    if not ip:
-        return _int_to_poly(iq)
-    if not iq:
-        return _int_to_poly(ip)
-    if len(ip) == 1 or len(iq) == 1:
-        mono, other = (ip, iq) if len(ip) == 1 else (iq, ip)
-        (mi, mj), mc = next(iter(mono.items()))
-        gi = min([mi] + [i for i, _ in other])
-        gj = min([mj] + [j for _, j in other])
-        gc = reduce(math.gcd, other.values(), abs(mc))
-        return _int_to_poly({(gi, gj): gc})
-    return _int_to_poly(_ip_gcd(ip, iq))
+    return _int_to_poly(_ip_gcd(_split(p)[1], _split(q)[1]))
 
 
 def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
-    """Exact division p/d by grlex leading-term reduction; asserts exactness."""
+    """Exact quotient p/d; raises InexactDivisionError when d does not divide p."""
     if d.is_zero():
         raise ZeroDivisionError
-    (di, dj), dc = d.leading_term()
-    out: dict[Term, Fraction] = {}
-    r = p
-    while r.terms:
-        (ri, rj), rc = r.leading_term()
-        i, j = ri - di, rj - dj
-        assert i >= 0 and j >= 0, "inexact polynomial division"
-        c = rc / dc
-        out[(i, j)] = c
-        r = r - d * Poly2.monomial(i, j, c)
-    return Poly2(out)
+    sp, ip = _split(p)
+    sd, idd = _split(d)
+    return _int_to_poly(_ip_divexact(ip, idd), sp / sd)
 
 
 # --- RatFunc2 ----------------------------------------------------------------
@@ -652,76 +709,90 @@ class RatFunc2:
         return f"RatFunc2({format_ratfunc(self)!r})"
 
 
+_ONE = {(0, 0): 1}
+
+
 def normalize(num: Poly2, den: Poly2) -> RatFunc2:
-    """Reduced canonical fraction num/den."""
+    """Reduced canonical fraction num/den.
+
+    Each side splits into a rational scalar and a primitive integer
+    polynomial; the gcd and the exact divisions run on the integer parts,
+    and one final scaling makes the denominator grlex-monic.
+    """
     if den.is_zero():
         raise ZeroDenominatorError("denominator is identically zero")
     if num.is_zero():
         return RatFunc2(Poly2.zero(), Poly2.const(1))
-    g = poly_gcd(num, den)
-    if g.total_degree() > 0 or g.leading_term()[1] != 1:
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
-    _, lc = den.leading_term()
-    if lc != 1:
-        num = num.scale(Fraction(1) / lc)
-        den = den.scale(Fraction(1) / lc)
-    return RatFunc2(num, den)
+    sn, ip = _split(num)
+    sd, iq = _split(den)
+    g = _ip_gcd(ip, iq)
+    if g != _ONE:
+        ip, iq = _ip_divexact(ip, g), _ip_divexact(iq, g)
+    elif den.leading_term()[1] == 1:
+        return RatFunc2(num, den)
+    lc = iq[_grlex_max(iq)]
+    return RatFunc2(_int_to_poly(ip, sn / (sd * lc)), _int_to_poly(iq, Fraction(1, lc)))
 
 
 class _Powers:
-    """Lazy powers of a polynomial, square-and-multiply with memoization.
+    """Lazy powers of an integer polynomial, square-and-multiply with memoization.
 
     Monomial words drive exponents into the hundreds; computing only the
     requested powers keeps composition cost proportional to the sparse data.
     """
 
-    def __init__(self, base: Poly2):
-        self.cache = {0: Poly2.const(1), 1: base}
+    def __init__(self, base: dict[Term, int]):
+        self.cache = {0: _ONE, 1: base}
 
-    def __getitem__(self, k: int) -> Poly2:
+    def __getitem__(self, k: int) -> dict[Term, int]:
         if k not in self.cache:
             half = self[k // 2]
-            self.cache[k] = half * half if k % 2 == 0 else half * half * self.cache[1]
+            square = _ip_mul(half, half)
+            self.cache[k] = square if k % 2 == 0 else _ip_mul(square, self.cache[1])
         return self.cache[k]
 
 
-def _compose_cleared(p: Poly2, dx: int, dy: int, fn, fd, gn, gd, gprod: dict) -> Poly2:
+def _compose_cleared(p: dict[Term, int], dx: int, dy: int, fn, fd, gn, gd, gprod: dict) -> dict[Term, int]:
     """p(f, g) times the clearing factor fd^dx gd^dy.
 
     Terms are grouped by x-exponent so only one large product is taken per
     distinct exponent; the y-factor products are shared via ``gprod``.
     """
-    by_i: dict[int, list[tuple[int, Fraction]]] = {}
-    for (i, j), c in p.terms.items():
+    by_i: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), c in p.items():
         by_i.setdefault(i, []).append((j, c))
-    total = Poly2.zero()
+    total: dict[Term, int] = {}
     for i, row in by_i.items():
-        inner = Poly2.zero()
+        inner: dict[Term, int] = {}
         for j, c in row:
             if j not in gprod:
-                gprod[j] = gn[j] * gd[dy - j]
-            inner = inner + gprod[j].scale(c)
-        total = total + fn[i] * (fd[dx - i] * inner)
-    return total
+                gprod[j] = _ip_mul(gn[j], gd[dy - j])
+            _ip_add_scaled(inner, gprod[j], c)
+        inner = {t: c for t, c in inner.items() if c}
+        _ip_add_scaled(total, _ip_mul(fn[i], _ip_mul(fd[dx - i], inner)), 1)
+    return {t: c for t, c in total.items() if c}
 
 
 def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     """r(f, g) in canonical form."""
     if r.num.is_zero():
         return RatFunc2(Poly2.zero(), Poly2.const(1))
-    fn, fd = _Powers(f.num), _Powers(f.den)
-    gn, gd = _Powers(g.num), _Powers(g.den)
-    gprod: dict[int, Poly2] = {}
-    dx = max(i for i, _ in list(r.num.terms) + list(r.den.terms))
-    dy = max(j for _, j in list(r.num.terms) + list(r.den.terms))
+    # Each fraction's numerator and denominator are scaled by one common
+    # factor, which leaves its value alone and makes both integral.
+    _, (rn, rd) = _cleared(r.num, r.den)
+    _, (fn, fd) = _cleared(f.num, f.den)
+    _, (gn, gd) = _cleared(g.num, g.den)
+    fn, fd, gn, gd = _Powers(fn), _Powers(fd), _Powers(gn), _Powers(gd)
+    gprod: dict[int, dict[Term, int]] = {}
+    dx = max(i for i, _ in [*rn, *rd])
+    dy = max(j for _, j in [*rn, *rd])
     # A common clearing factor fd^dx gd^dy multiplies top and bottom,
     # so the fraction below is r(f, g) on the nose.
-    num = _compose_cleared(r.num, dx, dy, fn, fd, gn, gd, gprod)
-    den = _compose_cleared(r.den, dx, dy, fn, fd, gn, gd, gprod)
-    if den.is_zero():
+    num = _compose_cleared(rn, dx, dy, fn, fd, gn, gd, gprod)
+    den = _compose_cleared(rd, dx, dy, fn, fd, gn, gd, gprod)
+    if not den:
         raise IdenticallySingularError("denominator vanishes identically under substitution")
-    return normalize(num, den)
+    return normalize(_int_to_poly(num), _int_to_poly(den))
 
 
 def partial_derivative(r: RatFunc2, var: str) -> RatFunc2:

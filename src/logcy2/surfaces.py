@@ -161,7 +161,8 @@ def toric_self_intersections(s: Surface) -> tuple[int, ...]:
     for i in range(k):
         w = vadd(s.rays[i - 1], s.rays[(i + 1) % k])
         a = -cross(w, s.rays[(i + 1) % k])
-        assert vadd(w, (a * s.rays[i][0], a * s.rays[i][1])) == (0, 0)
+        if vadd(w, (a * s.rays[i][0], a * s.rays[i][1])) != (0, 0):
+            raise AssertionError(f"neighbours of ray {s.rays[i]} do not sum to a multiple of it")
         out.append(a)
     return tuple(out)
 

@@ -36,7 +36,6 @@ from .lattice import (
     Mat,
     Vec,
     mat_det,
-    mat_inv,
     mat_transpose,
     require_primitive,
     require_unimodular,
@@ -303,7 +302,3 @@ def word_to_text(w: Word) -> str:
 def generator_determinant(gen: Generator) -> int:
     """det of the linear part: +-1 for Linear, +1 for Elementary."""
     return mat_det(gen.mat) if isinstance(gen, Linear) else 1
-
-
-def linear_inverse(gen: Linear) -> Linear:
-    return Linear(mat_inv(gen.mat))

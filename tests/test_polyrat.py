@@ -4,6 +4,7 @@ import pytest
 
 from logcy2.polyrat import (
     IdenticallySingularError,
+    InexactDivisionError,
     PoleAtPointError,
     Poly2,
     RatFunc2,
@@ -99,6 +100,13 @@ def test_divexact_roundtrip(srng):
         if p.is_zero() or q.is_zero():
             continue
         assert poly_divexact(p * q, q) == p
+
+
+def test_divexact_rejects_inexact_division():
+    with pytest.raises(InexactDivisionError):
+        poly_divexact(X + ONE, X)
+    with pytest.raises(InexactDivisionError):
+        poly_divexact(ONE, X)
 
 
 # --- substitute ----------------------------------------------------------------

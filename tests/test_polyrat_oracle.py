@@ -1,0 +1,163 @@
+"""Differential tests of the polynomial core against sympy.
+
+sympy is a test-only oracle: the module is skipped where it is missing.
+Each gcd route of ``polyrat._ip_gcd`` gets inputs that reach it: a monomial
+side for the shortcut, a shared factor of positive degree in both variables
+for the evaluation heuristic, and one explicit input whose coefficients are
+too tall for the heuristic, so the remainder sequence runs.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from logcy2 import polyrat
+from logcy2.polyrat import (
+    IdenticallySingularError,
+    Poly2,
+    RatFunc2,
+    normalize,
+    poly_divexact,
+    poly_gcd,
+    substitute,
+)
+
+sympy = pytest.importorskip("sympy")
+
+SX, SY = sympy.symbols("x y")
+ORACLE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def polys(max_deg: int = 3, max_terms: int = 4, integral: bool = False):
+    coeffs = (st.integers(-6, 6) if integral
+              else st.fractions(min_value=-6, max_value=6, max_denominator=4))
+    monos = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
+    return st.dictionaries(monos, coeffs, min_size=1, max_size=max_terms).map(Poly2).filter(bool)
+
+
+def monomials(max_deg: int = 3):
+    return st.builds(Poly2.monomial, st.integers(0, max_deg), st.integers(0, max_deg),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool))
+
+
+def to_sympy(p: Poly2):
+    return sum((sympy.Rational(c.numerator, c.denominator) * SX**i * SY**j
+                for (i, j), c in p.terms.items()), sympy.Integer(0))
+
+
+def from_sympy(expr) -> Poly2:
+    poly = sympy.Poly(expr, SX, SY, domain="QQ")
+    return Poly2({m: Fraction(int(c.p), int(c.q)) for m, c in poly.as_dict().items()})
+
+
+def canonical(expr) -> RatFunc2:
+    """sympy's reduced fraction, scaled so the denominator is grlex-monic."""
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    num, den = from_sympy(num), from_sympy(den)
+    lc = den.leading_term()[1]
+    return RatFunc2(num.scale(1 / lc), den.scale(1 / lc))
+
+
+def same_up_to_scalar(a: Poly2, b: Poly2) -> bool:
+    return a.scale(b.leading_term()[1]) == b.scale(a.leading_term()[1])
+
+
+# --- normalize --------------------------------------------------------------------
+
+
+@ORACLE
+@given(polys(), polys(), polys(2, 3))
+def test_normalize_matches_cancel(p, q, h):
+    assert normalize(p * h, q * h) == canonical(to_sympy(p) / to_sympy(q))
+
+
+@ORACLE
+@given(polys(), monomials(), polys(2, 3))
+def test_normalize_matches_cancel_monomial_side(p, m, h):
+    assert normalize(p, m) == canonical(to_sympy(p) / to_sympy(m))
+    assert normalize(m * h, p * h) == canonical(to_sympy(m) / to_sympy(p))
+
+
+# --- gcd routes -------------------------------------------------------------------
+
+
+@ORACLE
+@given(polys(), monomials())
+def test_gcd_monomial_shortcut_matches_sympy(p, m):
+    ours = poly_gcd(p, m)
+    assert same_up_to_scalar(ours, from_sympy(sympy.gcd(to_sympy(p), to_sympy(m))))
+    assert ours == poly_gcd(m, p)
+
+
+def shared_factors():
+    """Integral polynomials with a factor x + a*y + b, so the gcd has both variables."""
+    return st.builds(lambda p, a, b: p * Poly2({(1, 0): 1, (0, 1): a, (0, 0): b}),
+                     polys(1, 2, integral=True), st.integers(-4, 4).filter(bool), st.integers(-4, 4))
+
+
+@ORACLE
+@given(polys(2, 3, integral=True), polys(2, 3, integral=True), shared_factors())
+def test_gcd_heuristic_route_matches_sympy(a, b, h):
+    p, q = a * h, b * h
+    ours = poly_gcd(p, q)
+    assert same_up_to_scalar(ours, from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))))
+    assert all(c.denominator == 1 for c in ours.terms.values())
+    assert ours.leading_term()[1] > 0
+
+
+def test_gcd_heuristic_candidate_has_no_zero_digits():
+    # x + y^2 evaluates to x + xi^2, whose base-xi digits include zeros.
+    h = {(1, 0): 1, (0, 2): 1}
+    p = polyrat._ip_mul(h, {(1, 0): 1, (0, 0): 1})
+    q = polyrat._ip_mul(h, {(1, 0): 1, (0, 0): -1})
+    assert polyrat._ip_gcd_heuristic(p, q) == h
+
+
+def test_gcd_prs_fallback_matches_sympy(monkeypatch):
+    reductions = []
+    original = polyrat._xp_reduce
+
+    def spy(f, g):
+        reductions.append(1)
+        return original(f, g)
+
+    monkeypatch.setattr(polyrat, "_xp_reduce", spy)
+    tall = 3**20000  # heights past the heuristic's size limit
+    h = Poly2({(1, 1): 1, (1, 0): tall, (0, 0): 1})
+    p = h * Poly2({(1, 0): 1, (0, 1): 2, (0, 0): 3})
+    q = h * Poly2({(1, 0): 2, (0, 1): 1, (0, 0): 5})
+    ours = poly_gcd(p, q)
+    assert reductions, "the remainder sequence did not run"
+    assert ours == h
+    assert same_up_to_scalar(ours, from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))))
+    assert normalize(p, q) == canonical(to_sympy(p) / to_sympy(q))
+
+
+# --- exact division ---------------------------------------------------------------
+
+
+@ORACLE
+@given(polys(), polys())
+def test_divexact_matches_sympy_quotient(p, d):
+    assert poly_divexact(p * d, d) == from_sympy(sympy.exquo(to_sympy(p * d), to_sympy(d), SX, SY))
+
+
+# --- substitute -------------------------------------------------------------------
+
+
+def small_ratfuncs():
+    return st.builds(normalize, polys(2, 3), polys(2, 2))
+
+
+@ORACLE
+@given(small_ratfuncs(), small_ratfuncs(), small_ratfuncs())
+def test_substitute_matches_subs_then_cancel(r, f, g):
+    point = {SX: to_sympy(f.num) / to_sympy(f.den), SY: to_sympy(g.num) / to_sympy(g.den)}
+    den = sympy.cancel(to_sympy(r.den).subs(point, simultaneous=True))
+    if den == 0:
+        with pytest.raises(IdenticallySingularError):
+            substitute(r, f, g)
+        return
+    expected = canonical(to_sympy(r.num).subs(point, simultaneous=True) / den)
+    assert substitute(r, f, g) == expected
