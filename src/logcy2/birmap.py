@@ -36,7 +36,7 @@ from .lattice import (
     pl_inverse,
     require_primitive,
 )
-from .polyrat import Poly2, RatFunc2, normalize, substitute
+from .polyrat import Poly2, RatFunc2, normalize, substitute, univariate_gcd
 from .words import Elementary, Generator, Letter, Linear, Word, generator_determinant
 
 
@@ -248,13 +248,9 @@ def _lam_reduce(num: dict[int, Fraction], den: dict[int, Fraction]) -> tuple[Fra
     nde = {e - min(den): c for e, c in den.items()}
     scale_n = reduce(lambda a, c: a * c.denominator // math.gcd(a, c.denominator), nun.values(), 1)
     scale_d = reduce(lambda a, c: a * c.denominator // math.gcd(a, c.denominator), nde.values(), 1)
-    from .polyrat import _yp_divexact, _yp_gcd
-
     ni = {e: int(c * scale_n) for e, c in nun.items()}
     di = {e: int(c * scale_d) for e, c in nde.items()}
-    g = _yp_gcd(ni, di)
-    ni = _yp_divexact(ni, g)
-    di = _yp_divexact(di, g)
+    _, ni, di = univariate_gcd(ni, di)
     if len(ni) != 1 or len(di) != 1:
         return None
     (en, cn), (ed, cd) = next(iter(ni.items())), next(iter(di.items()))

@@ -8,11 +8,15 @@ first, then x-degree).  That canonical form makes structural equality a
 valid equality test for rational functions, which is what the word-problem
 oracle relies on.
 
-GCDs are computed by a primitive-part pseudo-remainder sequence in x with
-content recursion over y, entirely in integer arithmetic; ``normalize`` and
-``substitute`` also run on integer coefficients, and Fractions appear only in
-the polynomials they return.  Negative powers never appear: monomial maps
-with negative exponents are represented with explicit denominators.
+GCDs run in integer arithmetic and return the cofactors with the gcd.  A
+monomial input settles the gcd at once; otherwise a two-level heuristic gcd
+(GCDHEU) evaluates y and then x at xi >= 2 * min(height) + 29, takes the
+integer gcd and reads the answer back in balanced base xi, verified by exact
+division; what it gives up on goes to a specialization probe and a
+primitive pseudo-remainder sequence.  ``normalize`` and ``substitute`` also
+run on integer coefficients, and Fractions appear only in the polynomials
+they return.  Negative powers never appear: monomial maps with negative
+exponents are represented with explicit denominators.
 
 Textual form (round-trip parseable):
 
@@ -214,6 +218,9 @@ class Poly2:
 # coefficients; Fraction coefficients appear only where a Poly2 is built:
 #   ypoly:  dict[j -> int]       an element of Z[y]
 #   ipoly:  dict[(i, j) -> int]  an element of Z[x, y]
+
+
+_ONE = {(0, 0): 1}
 
 
 class InexactDivisionError(ArithmeticError):
@@ -504,59 +511,91 @@ def _balanced_digits(value: int, xi: int):
         k += 1
 
 
-def _ip_gcd_heuristic(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int] | None:
-    """Evaluation-reconstruction gcd in Z[x, y] (verified, so always sound).
+def _yp_eval(p: dict[int, int], xi: int) -> int:
+    value = 0
+    for j in range(_yp_degree(p), -1, -1):
+        value = value * xi + p.get(j, 0)
+    return value
 
-    Evaluates y at a large integer, takes the univariate gcd, reconstructs a
-    bivariate candidate from balanced base-xi digits and accepts it only if
-    it exactly divides both inputs.  Returns None when no attempt verifies;
-    the caller falls back to the remainder-sequence path.
+
+# The heuristic gcds below evaluate at xi >= 2 * min(height) + 29 and only
+# ever raise xi.  Every root of the input of smaller height is below
+# 1 + height in absolute value (Cauchy), so once xi > 2 * height + 2 a
+# nonconstant common factor G, in either variable, has |G(xi)| > xi / 2 and
+# its value never fits in one balanced digit.  A candidate equal to 1 is then
+# the true gcd, with no division to check it.  Lowering either starting
+# point loses that guarantee.
+
+
+def univariate_gcd(p: dict[int, int], q: dict[int, int]) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """(g, p/g, q/g) in Z[t] with g the gcd, positive leading coefficient.
+
+    GCDHEU (Char, Geddes and Gonnet 1989): the integer gcd of the values at
+    a large xi, read back in balanced base xi and verified by exact
+    division, whose quotients are the cofactors.  After six misses the
+    primitive remainder sequence decides.
     """
-    height = min(max(abs(c) for c in p.values()), max(abs(c) for c in q.values()))
+    if p and q:
+        c = math.gcd(_yp_content(p), _yp_content(q))
+        f = p if c == 1 else {j: a // c for j, a in p.items()}
+        g = q if c == 1 else {j: a // c for j, a in q.items()}
+        xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+        for _ in range(6):
+            fv, gv = _yp_eval(f, xi), _yp_eval(g, xi)
+            if fv and gv:
+                h = _yp_primitive({k: d for k, d in _balanced_digits(math.gcd(fv, gv), xi) if d})
+                if h == {0: 1}:
+                    return {0: c}, f, g
+                try:
+                    return {j: a * c for j, a in h.items()}, _yp_divexact(f, h), _yp_divexact(g, h)
+                except InexactDivisionError:
+                    pass
+            xi = xi * 73794 // 27011 + 1
+    h = _yp_gcd(p, q)
+    return h, _yp_divexact(p, h), _yp_divexact(q, h)
+
+
+def _ip_heugcd(p: dict[Term, int], q: dict[Term, int]):
+    """(g, p/g, q/g) by two-level GCDHEU for primitive p, q, or None.
+
+    y is evaluated at a large xi, ``univariate_gcd`` takes the gcd in Z[x],
+    and its coefficients are read back in balanced base xi; the primitive
+    candidate is verified by exact division, whose quotients are returned.
+    Gives up after six attempts, or once xi is too tall for the y-degree.
+    """
+    height = min(max(map(abs, p.values())), max(map(abs, q.values())))
+    deg_y = max(j for _, j in [*p, *q])
+    fp, gp = _ip_to_x(p), _ip_to_x(q)
     xi = 2 * height + 29
     for _ in range(6):
-        if xi.bit_length() * (1 + max(j for _, j in list(p) + list(q))) > 60000:
+        if xi.bit_length() * (1 + deg_y) > 60000:
             return None
-        pe: dict[int, int] = {}
-        for (i, j), c in p.items():
-            pe[i] = pe.get(i, 0) + c * xi**j
-        qe: dict[int, int] = {}
-        for (i, j), c in q.items():
-            qe[i] = qe.get(i, 0) + c * xi**j
-        pe = {i: c for i, c in pe.items() if c}
-        qe = {i: c for i, c in qe.items() if c}
+        pe = {i: v for i, row in fp.items() if (v := _yp_eval(row, xi))}
+        qe = {i: v for i, row in gp.items() if (v := _yp_eval(row, xi))}
         if pe and qe:
-            gamma = _yp_gcd(pe, qe)
-            cand = {(i, k): digit for i, a in gamma.items() for k, digit in _balanced_digits(a, xi) if digit}
+            gamma = univariate_gcd(pe, qe)[0]
+            cand = {(i, k): d for i, a in gamma.items() for k, d in _balanced_digits(a, xi) if d}
             cont = math.gcd(*cand.values())
+            if cand[_grlex_max(cand)] < 0:
+                cont = -cont
             cand = {t: c // cont for t, c in cand.items()}
+            if cand == _ONE:
+                return _ONE, p, q
             try:
-                _ip_divexact(p, cand)
-                _ip_divexact(q, cand)
-                return cand
+                return cand, _ip_divexact(p, cand), _ip_divexact(q, cand)
             except InexactDivisionError:
                 pass
         xi = xi * 73794 // 27011 + 1
     return None
 
 
-def _ip_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
-    """Gcd in Z[x, y] of primitive inputs: primitive, positive grlex-leading coefficient.
+def _ip_gcd_prs(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
+    """Gcd of primitive p, q by a primitive remainder sequence.
 
-    A monomial input settles the gcd at once.  Otherwise the remainder
-    sequence runs in whichever variable gives the shorter chain; the other
-    variable is handled by content recursion.
+    The sequence runs in whichever variable gives the shorter chain; the
+    other variable is handled by content recursion, and a specialization
+    of y that proves the x-degree zero skips the sequence.
     """
-    if not p:
-        return q
-    if not q:
-        return p
-    if len(p) == 1 or len(q) == 1:
-        mono, other = (p, q) if len(p) == 1 else (q, p)
-        (mi, mj), mc = next(iter(mono.items()))
-        gi = min([mi] + [i for i, _ in other])
-        gj = min([mj] + [j for _, j in other])
-        return {(gi, gj): math.gcd(mc, *other.values())}
     degx = max(max(i for i, _ in p), max(i for i, _ in q))
     degy = max(max(j for _, j in p), max(j for _, j in q))
     swapped = degy < degx
@@ -572,22 +611,44 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
     if _xp_degree(f) == 0 or _xp_degree(g) == 0 or _specialized_coprime_x(f, g):
         main: dict[int, dict[int, int]] = {0: {0: 1}}
     else:
-        heuristic = _ip_gcd_heuristic(_x_to_ip(f), _x_to_ip(g))
-        if heuristic is not None:
-            main = _ip_to_x(heuristic)
-        else:
-            if _xp_degree(f) < _xp_degree(g):
-                f, g = g, f
-            while g and _xp_degree(g) > 0:
-                r = _xp_reduce(f, g)
-                f, g = g, r
-            main = {0: {0: 1}} if g else f
+        if _xp_degree(f) < _xp_degree(g):
+            f, g = g, f
+        while g and _xp_degree(g) > 0:
+            r = _xp_reduce(f, g)
+            f, g = g, r
+        main = {0: {0: 1}} if g else f
     result = _x_to_ip(_xp_scale(main, cont))
     if swapped:
         result = _ip_swap(result)
     if result[_grlex_max(result)] < 0:
         result = {t: -c for t, c in result.items()}
     return result
+
+
+def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
+    """(g, p/g, q/g) for primitive p, q in Z[x, y].
+
+    g is primitive with a positive grlex-leading coefficient.  The routes,
+    in order: a monomial input settles g at once; two-level GCDHEU returns
+    verified cofactors; the remainder sequence decides what GCDHEU gives
+    up on.  Cofactors of the first and last route come from exact division.
+    """
+    if not p or not q:
+        return p or q, (_ONE if p else {}), (_ONE if q else {})
+    if len(p) == 1 or len(q) == 1:
+        mono, other = (p, q) if len(p) == 1 else (q, p)
+        (mi, mj), mc = next(iter(mono.items()))
+        gi = min([mi] + [i for i, _ in other])
+        gj = min([mj] + [j for _, j in other])
+        g = {(gi, gj): math.gcd(mc, *other.values())}
+    else:
+        found = _ip_heugcd(p, q)
+        if found is not None:
+            return found
+        g = _ip_gcd_prs(p, q)
+    if g == _ONE:
+        return g, p, q
+    return g, _ip_divexact(p, g), _ip_divexact(q, g)
 
 
 def _cleared(*polys: Poly2) -> tuple[int, list[dict[Term, int]]]:
@@ -621,7 +682,7 @@ def _int_to_poly(p: dict[Term, int], scale: Fraction = Fraction(1)) -> Poly2:
 
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Gcd up to units, returned primitive over Z with positive leading coeff."""
-    return _int_to_poly(_ip_gcd(_split(p)[1], _split(q)[1]))
+    return _int_to_poly(_ip_gcd(_split(p)[1], _split(q)[1])[0])
 
 
 def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
@@ -709,15 +770,12 @@ class RatFunc2:
         return f"RatFunc2({format_ratfunc(self)!r})"
 
 
-_ONE = {(0, 0): 1}
-
-
 def normalize(num: Poly2, den: Poly2) -> RatFunc2:
     """Reduced canonical fraction num/den.
 
     Each side splits into a rational scalar and a primitive integer
-    polynomial; the gcd and the exact divisions run on the integer parts,
-    and one final scaling makes the denominator grlex-monic.
+    polynomial; the gcd and its cofactors come from the integer parts in
+    one call, and one final scaling makes the denominator grlex-monic.
     """
     if den.is_zero():
         raise ZeroDenominatorError("denominator is identically zero")
@@ -725,10 +783,8 @@ def normalize(num: Poly2, den: Poly2) -> RatFunc2:
         return RatFunc2(Poly2.zero(), Poly2.const(1))
     sn, ip = _split(num)
     sd, iq = _split(den)
-    g = _ip_gcd(ip, iq)
-    if g != _ONE:
-        ip, iq = _ip_divexact(ip, g), _ip_divexact(iq, g)
-    elif den.leading_term()[1] == 1:
+    g, ip, iq = _ip_gcd(ip, iq)
+    if g == _ONE and den.leading_term()[1] == 1:
         return RatFunc2(num, den)
     lc = iq[_grlex_max(iq)]
     return RatFunc2(_int_to_poly(ip, sn / (sd * lc)), _int_to_poly(iq, Fraction(1, lc)))

@@ -14,7 +14,7 @@ every downstream formula matrix-times-vector).
 Grammar (whitespace insignificant)::
 
     word := term ("*" term)*
-    term := atom ("^" int)?
+    term := atom ("^" int)?                      at most MAX_POWER_LETTERS letters
     atom := "E" | "E[" int "," int "]" | "A[" int "," int ";" int "," int "]"
           | "P" | "r1" | "r2" | "r3" | "id" | "(" word ")"
 
@@ -103,10 +103,8 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
-        return out
+        # One free-reduction pass over the k-fold concatenation.
+        return Word(self.letters * k) if self.letters else self
 
     def is_empty(self) -> bool:
         return not self.letters
@@ -145,6 +143,9 @@ class WordSyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+# The longest word a power in the grammar may expand to.
+MAX_POWER_LETTERS = 100_000
 
 _TOKEN = re.compile(r"\s*(E|A|P|r1|r2|r3|id|\[|\]|,|;|\*|\^|\(|\)|-?\d+)")
 
@@ -250,7 +251,11 @@ def _parse_term(tk: _Tokens) -> Word:
     w = _parse_atom(tk)
     if tk.peek() == "^":
         tk.take()
-        return w ** tk.take_int()
+        pos = tk.pos()
+        k = tk.take_int()
+        if len(w) * abs(k) > MAX_POWER_LETTERS:
+            raise WordSyntaxError(f"power has more than {MAX_POWER_LETTERS} letters", pos)
+        return w**k
     return w
 
 

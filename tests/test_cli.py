@@ -62,6 +62,12 @@ def test_word_syntax_error_exits_2(capsys):
     assert "word grammar" in err
 
 
+def test_oversized_power_exits_2(capsys):
+    code, out, err = run(capsys, "word", "trop", "E^10000000", "--vector", "1,0")
+    assert code == 2 and out == ""
+    assert "letters" in err
+
+
 def test_surface_validate(capsys, tmp_path, pxp_file):
     code, out, _ = run(capsys, "surface", "validate", pxp_file)
     assert code == 0 and out.strip() == "ok"

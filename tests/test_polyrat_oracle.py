@@ -3,14 +3,14 @@
 sympy is a test-only oracle: the module is skipped where it is missing.
 Each gcd route of ``polyrat._ip_gcd`` gets inputs that reach it: a monomial
 side for the shortcut, a shared factor of positive degree in both variables
-for the evaluation heuristic, and one explicit input whose coefficients are
-too tall for the heuristic, so the remainder sequence runs.
+and coprime pairs for the two-level GCDHEU, and one explicit input whose
+coefficients are too tall for GCDHEU, so the remainder sequence runs.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from logcy2 import polyrat
 from logcy2.polyrat import (
@@ -111,7 +111,41 @@ def test_gcd_heuristic_candidate_has_no_zero_digits():
     h = {(1, 0): 1, (0, 2): 1}
     p = polyrat._ip_mul(h, {(1, 0): 1, (0, 0): 1})
     q = polyrat._ip_mul(h, {(1, 0): 1, (0, 0): -1})
-    assert polyrat._ip_gcd_heuristic(p, q) == h
+    assert polyrat._ip_heugcd(p, q)[0] == h
+
+
+@ORACLE
+@given(polys(3, 4, integral=True), polys(3, 4, integral=True))
+def test_gcd_of_coprime_pair_returns_the_inputs_as_cofactors(a, b):
+    assume(sympy.gcd(to_sympy(a), to_sympy(b)) == 1)
+    p, q = polyrat._split(a)[1], polyrat._split(b)[1]
+    g, cp, cq = polyrat._ip_gcd(p, q)
+    assert g == {(0, 0): 1}
+    assert cp == p and cq == q
+
+
+@ORACLE
+@given(polys(2, 3, integral=True), polys(2, 3, integral=True), shared_factors())
+def test_gcd_cofactors_multiply_back(a, b, h):
+    p, q = polyrat._split(a * h)[1], polyrat._split(b * h)[1]
+    g, cp, cq = polyrat._ip_gcd(p, q)
+    assert polyrat._ip_mul(g, cp) == p
+    assert polyrat._ip_mul(g, cq) == q
+
+
+def univariates():
+    return st.dictionaries(st.integers(0, 4), st.integers(-9, 9).filter(bool), min_size=1, max_size=4)
+
+
+@ORACLE
+@given(univariates(), univariates(), univariates())
+def test_univariate_gcd_matches_sympy(a, b, h):
+    p, q = polyrat._yp_mul(a, h), polyrat._yp_mul(b, h)
+    g, cp, cq = polyrat.univariate_gcd(p, q)
+    as_x = lambda d: Poly2({(i, 0): c for i, c in d.items()})
+    expected = sympy.gcd(to_sympy(as_x(p)), to_sympy(as_x(q)))
+    assert as_x(g) == from_sympy(expected if sympy.Poly(expected, SX).LC() > 0 else -expected)
+    assert polyrat._yp_mul(g, cp) == p and polyrat._yp_mul(g, cq) == q
 
 
 def test_gcd_prs_fallback_matches_sympy(monkeypatch):

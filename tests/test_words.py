@@ -2,6 +2,8 @@ import pytest
 
 from logcy2.sampling import random_word
 from logcy2.words import (
+    MAX_POWER_LETTERS,
+    E,
     Elementary,
     Linear,
     Word,
@@ -43,6 +45,23 @@ def test_parentheses_and_id():
 def test_negative_exponents_and_powers():
     assert parse_word("E^-2") == parse_word("E^2").inverse()
     assert parse_word("E^0").is_empty()
+
+
+def test_power_equals_explicit_product():
+    w = parse_word("E * A[0,1;1,0] * E^-1")
+    explicit = Word()
+    for _ in range(7):
+        explicit = explicit * w
+    assert w**7 == explicit
+    assert w**-7 == explicit.inverse()
+    assert parse_word("E^8000").letters == ((Elementary((0, 1)), 1),) * 8000
+
+
+def test_power_past_letter_limit_is_a_syntax_error():
+    assert len(parse_word(f"E^{MAX_POWER_LETTERS}")) == MAX_POWER_LETTERS
+    with pytest.raises(WordSyntaxError):
+        parse_word(f"(E*A[0,1;1,0])^{MAX_POWER_LETTERS // 2 + 1}")
+    assert parse_word("id^99999999999999999999") == Word() == (E * E.inverse()) ** 10**20
 
 
 def test_syntax_error_reports_position():
