@@ -9,6 +9,7 @@ from .birmap import (
     boundary_limit,
     equal,
     realize,
+    tropical_image,
     tropicalize,
     volume_character,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "resolve",
     "substitute",
     "toric_self_intersections",
+    "tropical_image",
     "tropicalize",
     "validate",
     "vanishing_cycles",

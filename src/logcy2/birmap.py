@@ -40,6 +40,11 @@ from .polyrat import Poly2, RatFunc2, normalize, substitute, univariate_gcd
 from .words import Elementary, Generator, Letter, Linear, Word, generator_determinant
 
 
+# Entries kept by each word- and letter-keyed cache below; a long session
+# evicts the least recently used word instead of growing without limit.
+CACHE_SIZE = 1024
+
+
 class NotVolumePreservingError(ArithmeticError):
     """The Jacobian character came out non-constant; indicates an internal bug."""
 
@@ -118,7 +123,7 @@ def elementary_realization(n: Vec, exponent: int = 1, second_row: tuple[int, int
     return compose(monomial_map(mat_inv(c)), compose(base, monomial_map(c)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _letter_map(letter: Letter) -> BirationalMap:
     gen, e = letter
     if isinstance(gen, Linear):
@@ -126,7 +131,7 @@ def _letter_map(letter: Letter) -> BirationalMap:
     return elementary_realization(gen.n, e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def realize(w: Word) -> BirationalMap:
     """Compose the letter realizations, leftmost letter applied last."""
     acc = IDENTITY_MAP
@@ -185,7 +190,7 @@ def character_from_letters(w: Word) -> int:
     return reduce(lambda s, l: s * generator_determinant(l[0]), w.letters, 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _letter_trop(letter: Letter) -> PLMap:
     gen, e = letter
     if isinstance(gen, Linear):
@@ -194,13 +199,24 @@ def _letter_trop(letter: Letter) -> PLMap:
     return base if e == 1 else pl_inverse(base)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def tropicalize(w: Word) -> PLMap:
     """The piecewise-linear shadow: which boundary ray goes where."""
     acc = PLMap.identity()
     for letter in reversed(w.letters):
         acc = pl_compose(_letter_trop(letter), acc)
     return acc
+
+
+def tropical_image(w: Word, v: Vec) -> Vec:
+    """``pl_apply(tropicalize(w), v)``, applying the letters one at a time.
+
+    PL composition is exact, so this equals the image under the composite
+    map; it never builds that map, whose piece count grows with the word.
+    """
+    for letter in reversed(w.letters):
+        v = pl_apply(_letter_trop(letter), v)
+    return v
 
 
 # --- boundary limits ----------------------------------------------------------

@@ -1,19 +1,21 @@
 """Command-line surface over the word algebra, surfaces, diagrams and catalogs.
 
 Exit codes: 0 on success, 1 on domain errors (non-regular words, poles,
-invalid input files, failed checks), 2 on usage errors (bad flags or word
-syntax; the word grammar is reprinted on stderr).
+unreadable or invalid input files, failed checks), 2 on usage errors (bad
+flags or flag values, word syntax; the word grammar is reprinted on stderr).
+Any other exception is a bug in the library and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import birmap, catalog, diagrams, sampling, surfaces
-from .lattice import NonPrimitiveError, NonUnimodularError, pl_apply
+from .lattice import NonPrimitiveError, NonUnimodularError
 from .polyrat import Poly2, PoleAtPointError, RatFunc2, evaluate, normalize
 from .surfaces import (
     InvalidSurfaceError,
@@ -30,33 +32,40 @@ GRAMMAR = """word grammar:
   atom := "E" | "E[n1,n2]" | "A[a,b;c,d]" | "P" | "r1" | "r2" | "r3" | "id" | "(" word ")"
 A[a,b;c,d] acts by (x, y) -> (x^a y^c, x^b y^d); E[n1,n2] needs gcd(n1,n2) = 1."""
 
+# Faults of the input; the library's own bugs are not listed, so they propagate.
 DOMAIN_ERRORS = (
+    OSError,  # an input file that is missing or cannot be opened
+    UnicodeDecodeError,  # an input file that is not UTF-8 text
     NotRegularError,
     InvalidSurfaceError,
     RayAbsentError,
     PoleAtPointError,
     NonPrimitiveError,
     NonUnimodularError,
+    diagrams.InvalidDiagramError,
     diagrams.PreconditionFailedError,
     diagrams.BlockedError,
     diagrams.OffEigenlineError,
     surfaces.TooFewRaysError,
-    ValueError,
 )
 
 
 def _parse_int_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'a,b', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    """argparse type for 'a,b'; a malformed value is a usage error (exit 2)."""
+    try:
+        a, b = text.split(",")
+        return int(a), int(b)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two integers 'a,b', got {text!r}") from None
 
 
 def _parse_fraction_pair(text: str) -> tuple[Fraction, Fraction]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'p,q', got {text!r}")
-    return Fraction(parts[0]), Fraction(parts[1])
+    """argparse type for 'p,q'; a malformed value is a usage error (exit 2)."""
+    try:
+        p, q = text.split(",")
+        return Fraction(p), Fraction(q)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected two rationals 'p,q', got {text!r}") from None
 
 
 def _load_surface(path: str) -> Surface:
@@ -90,16 +99,14 @@ def cmd_word_character(args) -> int:
 
 
 def cmd_word_trop(args) -> int:
-    v = _parse_int_pair(args.vector)
-    image = pl_apply(birmap.tropicalize(parse_word(args.word)), v)
+    image = birmap.tropical_image(parse_word(args.word), args.vector)
     print(f"{image[0]},{image[1]}")
     return 0
 
 
 def cmd_word_eval(args) -> int:
-    p = _parse_fraction_pair(args.point)
     m = birmap.realize(parse_word(args.word))
-    vx, vy = evaluate(m.f, p), evaluate(m.g, p)
+    vx, vy = evaluate(m.f, args.point), evaluate(m.g, args.point)
     print(f"{vx},{vy}")
     return 0
 
@@ -165,8 +172,7 @@ def cmd_atf_diagram(args) -> int:
 
 def cmd_atf_move(args) -> int:
     d = _load_diagram(args.file)
-    n = _parse_int_pair(args.elementary)
-    print(diagrams.to_json(diagrams.elementary_move(d, n)))
+    print(diagrams.to_json(diagrams.elementary_move(d, args.elementary)))
     return 0
 
 
@@ -279,7 +285,13 @@ def cmd_verify_relations(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and then shared.
+
+    ``parse_args`` reads the parser and never changes it, so ``main`` can
+    reuse one parser for every call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="logcy2",
         description="Exact word algebra and surface combinatorics for "
@@ -304,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     ch.set_defaults(func=cmd_word_character)
     tr = word.add_parser("trop", help="apply the tropicalization to a vector")
     tr.add_argument("word")
-    tr.add_argument("--vector", required=True, metavar="a,b")
+    tr.add_argument("--vector", required=True, metavar="a,b", type=_parse_int_pair)
     tr.set_defaults(func=cmd_word_trop)
     ev = word.add_parser("eval", help="evaluate the map at an exact point")
     ev.add_argument("word")
-    ev.add_argument("--point", required=True, metavar="p,q")
+    ev.add_argument("--point", required=True, metavar="p,q", type=_parse_fraction_pair)
     ev.set_defaults(func=cmd_word_eval)
 
     surf = sub.add_parser("surface", help="toric surface data").add_subparsers(
@@ -336,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     dg.set_defaults(func=cmd_atf_diagram)
     mv = atf.add_parser("move", help="elementary move on a diagram file")
     mv.add_argument("file")
-    mv.add_argument("--elementary", required=True, metavar="a,b")
+    mv.add_argument("--elementary", required=True, metavar="a,b", type=_parse_int_pair)
     mv.set_defaults(func=cmd_atf_move)
 
     hms = sub.add_parser("hms", help="mirror bookkeeping").add_subparsers(
@@ -362,17 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except WordSyntaxError as err:
         print(f"error: {err}", file=sys.stderr)
         print(GRAMMAR, file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except DOMAIN_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .lattice import (
     Mat,
+    NonPrimitiveError,
     Vec,
     complement_matrix,
     mat_inv,
@@ -37,6 +38,10 @@ from .surfaces import Surface, require_valid
 Point = tuple[Fraction, Fraction]
 
 MONODROMY_SHEAR: Mat = ((1, 0), (1, 1))
+
+
+class InvalidDiagramError(ValueError):
+    """A diagram or one of its node records is malformed."""
 
 
 class OffEigenlineError(ValueError):
@@ -82,7 +87,7 @@ def make_node(position: Point, direction: Vec, cut_sign: int) -> Node:
     """Build a node, canonicalizing the direction sign."""
     pos = (Fraction(position[0]), Fraction(position[1]))
     if cut_sign not in (1, -1):
-        raise ValueError(f"cut_sign must be +-1, got {cut_sign}")
+        raise InvalidDiagramError(f"cut_sign must be +-1, got {cut_sign}")
     direction, flip = canonical_direction(direction)
     if pos[0] * direction[1] - pos[1] * direction[0] != 0:
         raise OffEigenlineError(f"position {pos} not on line through {direction}")
@@ -99,7 +104,7 @@ class BaseDiagram:
         nodes = tuple(sorted(self.nodes))
         positions = [n.position for n in nodes]
         if len(set(positions)) != len(positions):
-            raise ValueError("two nodes share a position")
+            raise InvalidDiagramError("two nodes share a position")
         object.__setattr__(self, "nodes", nodes)
 
     def node_at(self, point: Point) -> int:
@@ -298,19 +303,34 @@ def to_json(d: BaseDiagram) -> str:
 
 
 def from_json(text: str) -> BaseDiagram:
+    """Parse ``to_json`` output; every malformed input raises InvalidDiagramError."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or set(data) != {"nodes"}:
-        raise ValueError("expected an object with exactly the key 'nodes'")
+        raise InvalidDiagramError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict) or set(data) != {"nodes"} or not isinstance(data["nodes"], list):
+        raise InvalidDiagramError("expected an object with exactly the key 'nodes', holding a list")
     nodes = []
     for item in data["nodes"]:
-        if set(item) != {"position", "direction", "cut_sign"}:
-            raise ValueError(f"bad node record: {item}")
-        px, py = (Fraction(v) for v in item["position"])
-        dx, dy = item["direction"]
-        nodes.append(make_node((px, py), (dx, dy), item["cut_sign"]))
+        if not isinstance(item, dict) or set(item) != {"position", "direction", "cut_sign"}:
+            raise InvalidDiagramError(f"bad node record: {item}")
+        position, direction, cut_sign = item["position"], item["direction"], item["cut_sign"]
+        if (
+            not isinstance(position, list)
+            or len(position) != 2
+            or not isinstance(direction, list)
+            or len(direction) != 2
+            or not all(isinstance(x, int) for x in (*direction, cut_sign))
+        ):
+            raise InvalidDiagramError(f"bad node record: {item}")
+        try:
+            point = (Fraction(position[0]), Fraction(position[1]))
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise InvalidDiagramError(f"bad position {position}: {exc}") from exc
+        try:
+            nodes.append(make_node(point, (direction[0], direction[1]), cut_sign))
+        except (NonPrimitiveError, OffEigenlineError) as exc:
+            raise InvalidDiagramError(str(exc)) from exc
     return BaseDiagram(tuple(nodes))
 
 

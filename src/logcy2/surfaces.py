@@ -16,24 +16,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cmp_to_key
 from typing import NamedTuple
 
-from .birmap import tropicalize
+from .birmap import tropical_image, tropicalize
 from .lattice import (
     NonPrimitiveError,
     Vec,
     angle_cmp,
     cross,
     is_primitive,
+    mat_det,
     neg,
     pl_apply,
     vadd,
 )
 from .words import Elementary, Letter, Word
-
-_RAY_ORDER = cmp_to_key(angle_cmp)
 
 
 class InvalidSurfaceError(ValueError):
@@ -200,22 +197,29 @@ def _negative_definite(mat: tuple[tuple[int, ...], ...]) -> bool:
     return True
 
 
-def _det(rows: list) -> Fraction:
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+def _det(rows: list) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
+
+    Every entry it writes is a minor of the row-swapped input, so each
+    division by the previous pivot is exact and all arithmetic stays in Z.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        pk, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            rk = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pk - rk * row_k[j]) // prev
+        prev = pk
+    return sign * a[-1][-1] if n else 1
 
 
 class NumericInvariants(NamedTuple):
@@ -283,10 +287,13 @@ def _push_letter(letter: Letter, s: Surface, applied: int) -> Surface:
         src = n if e == 1 else neg(n)
         if s.multiplicity(src) < 1:
             raise NotRegularError("zero multiplicity", applied, src)
-    mapped = [(pl_apply(trop, r), mm) for r, mm in zip(s.rays, s.m)]
-    mapped.sort(key=lambda pair: _RAY_ORDER(pair[0]))
-    rays = tuple(r for r, _ in mapped)
-    m = list(mm for _, mm in mapped)
+    # A letter's tropicalization is a PL homeomorphism, so it keeps the
+    # cyclic order of the rays, reversed when it reverses orientation;
+    # Surface rotates the result to its canonical start.
+    rays = tuple(pl_apply(trop, r) for r in s.rays)
+    m = list(s.m)
+    if mat_det(trop.mats[0]) < 0:
+        rays, m = rays[::-1], m[::-1]
     if isinstance(gen, Elementary):
         src = gen.n if e == 1 else neg(gen.n)
         dst = neg(src)
@@ -321,8 +328,7 @@ def resolve(w: Word, s0: Surface) -> Surface:
             return candidate
         except NotRegularError as err:
             applied_word = Word(w.letters[len(w.letters) - err.applied_count:])
-            back = tropicalize(applied_word.inverse())
-            r0 = pl_apply(back, err.ray)
+            r0 = tropical_image(applied_word.inverse(), err.ray)
             if err.reason == "missing ray":
                 candidate = insert_ray(candidate, r0)
             else:

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from logcy2.birmap import (
+    CACHE_SIZE,
     BirationalMap,
     NotVolumePreservingError,
     boundary_limit,
@@ -10,13 +12,16 @@ from logcy2.birmap import (
     compose,
     elementary_realization,
     equal,
+    _letter_map,
+    _letter_trop,
     realize,
+    tropical_image,
     tropicalize,
     volume_character,
 )
 from logcy2.lattice import pl_apply, pl_compose, pl_elementary, PLMap
 from logcy2.polyrat import Poly2, RatFunc2, normalize
-from logcy2.sampling import random_primitive, random_word
+from logcy2.sampling import random_letter, random_primitive, random_word
 from logcy2.words import Word, parse_word
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
@@ -139,6 +144,30 @@ def test_tropicalization_is_bijection_on_lattice(srng):
     for _ in range(100):
         v = (srng.randint(-25, 25), srng.randint(-25, 25))
         assert pl_apply(backward, pl_apply(forward, v)) == v
+
+
+def test_tropical_image_matches_composite_map(srng):
+    words = [Word(), parse_word("A[0,1;1,0]")]
+    words += [Word(tuple(random_letter(srng) for _ in range(srng.randint(1, 12)))) for _ in range(30)]
+    for w in words:
+        trop = tropicalize(w)
+        vectors = [(0, 0), (2, -4), (-7, 2)]
+        vectors += [(srng.randint(-9, 9), srng.randint(-9, 9)) for _ in range(10)]
+        for v in vectors:
+            assert tropical_image(w, v) == pl_apply(trop, v)
+
+
+# --- caches -----------------------------------------------------------------------
+
+
+def test_word_caches_are_bounded():
+    for cached in (realize, tropicalize, _letter_map, _letter_trop):
+        assert cached.cache_info().maxsize == CACHE_SIZE
+    k = math.isqrt(CACHE_SIZE) + 2  # k * k distinct two-letter words
+    for a in range(k):
+        for b in range(k):
+            realize(parse_word(f"A[1,{a};0,1] * A[1,0;{b},1]"))
+    assert realize.cache_info().currsize == CACHE_SIZE
 
 
 # --- boundary limits --------------------------------------------------------------

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from logcy2.cli import main
+from logcy2.birmap import tropicalize
+from logcy2.cli import build_parser, main
+from logcy2.lattice import pl_apply
 from logcy2.surfaces import cubic_surface, p1xp1, to_json
+from logcy2.words import parse_word
 
 
 @pytest.fixture
@@ -167,3 +170,72 @@ def test_unknown_flag_rejected():
 def test_missing_file_is_domain_error(capsys):
     code, _, err = run(capsys, "surface", "invariants", "/nonexistent/s.json")
     assert code == 1
+
+
+def test_malformed_vector_or_point_is_usage_error(capsys):
+    for argv in (
+        ["word", "trop", "E", "--vector", "1"],
+        ["word", "trop", "E", "--vector", "1,x"],
+        ["word", "eval", "E", "--point", "1,2,3"],
+        ["word", "eval", "E", "--point", "1/0,1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected two" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"not json",
+        b"\xff\xfe not UTF-8",
+        b'{"nodes": [{"position": ["1/0", "0"], "direction": [1, 0], "cut_sign": 1}]}',
+        b'{"nodes": [{"position": ["1", "0"], "direction": [1, 0], "cut_sign": 2}]}',
+    ],
+)
+def test_malformed_diagram_file_is_domain_error(capsys, tmp_path, data):
+    path = tmp_path / "d.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "atf", "move", str(path), "--elementary", "0,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+def test_internal_value_error_is_not_a_domain_error(monkeypatch, pxp_file):
+    # A ValueError from inside the library is a bug, not bad input.
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("logcy2.surfaces.numeric_invariants", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["surface", "invariants", pxp_file])
+
+
+def test_word_trop_builds_no_composite_map(capsys):
+    text = "(E * A[0,-1;1,0])^60"
+    w = parse_word(text)
+    assert len(w) == 120
+    before = tropicalize.cache_info().currsize
+    code, out, _ = run(capsys, "word", "trop", text, "--vector", "1,0")
+    assert tropicalize.cache_info().currsize == before
+    assert code == 0
+    assert out.strip() == "{},{}".format(*pl_apply(tropicalize(w), (1, 0)))
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, pxp_file, tmp_path):
+    svg = tmp_path / "out.svg"
+    first = run(capsys, "atf", "diagram", pxp_file, "--svg", str(svg))
+    trop = run(capsys, "word", "trop", "E", "--vector=-1,0")
+    svg.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(["atf", "diagram", pxp_file, "--svg"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "atf", "diagram", pxp_file) == first
+    assert not svg.exists()  # --svg from an earlier call does not carry over
+    assert run(capsys, "word", "trop", "E", "--vector=-1,0") == trop

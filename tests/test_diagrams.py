@@ -5,6 +5,7 @@ import pytest
 from logcy2.diagrams import (
     BaseDiagram,
     BlockedError,
+    InvalidDiagramError,
     OffEigenlineError,
     PreconditionFailedError,
     apply_linear,
@@ -206,6 +207,35 @@ def test_json_roundtrip():
     assert from_json(to_json(d)) == d
     moved = elementary_move(diagram(insert_rays_for_cubic()), (1, 0))
     assert from_json(to_json(moved)) == moved
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[]",
+        '{"nodes": 3}',
+        '{"nodes": [3]}',
+        '{"nodes": [], "extra": 1}',
+        '{"nodes": [{"position": ["1", "0"], "direction": [1, 0]}]}',
+        '{"nodes": [{"position": "10", "direction": [1, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": ["x", "0"], "direction": [1, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": ["1/0", "0"], "direction": [1, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": [Infinity, 0], "direction": [1, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": [null, 0], "direction": [1, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": ["1", "0"], "direction": [1.0, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": ["1", "0"], "direction": [1, 0, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": ["2", "0"], "direction": [2, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": ["1", "1"], "direction": [1, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": ["1", "0"], "direction": [1, 0], "cut_sign": 0}]}',
+        '{"nodes": [{"position": ["1", "0"], "direction": [1, 0], "cut_sign": 1.0}]}',
+        '{"nodes": [{"position": ["1", "0"], "direction": [1, 0], "cut_sign": 1},'
+        ' {"position": ["1", "0"], "direction": [1, 0], "cut_sign": -1}]}',
+    ],
+)
+def test_json_rejects_malformed_input(text):
+    with pytest.raises(InvalidDiagramError):
+        from_json(text)
 
 
 def test_svg_deterministic_and_structured():

@@ -1,4 +1,4 @@
-"""Source checks that keep the library safe to run under ``python -O``."""
+"""Source checks on the library: safe under ``python -O``, no private reach-ins."""
 
 import ast
 import os
@@ -56,3 +56,58 @@ def test_library_checks_run_under_optimize():
         env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     assert result.returncode == 0, result.stderr
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reach_ins(tree: ast.AST) -> list[str]:
+    """Underscore names a module imports from, or reads off, another package module."""
+    modules: set[str] = set()  # local names bound to package modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "logcy2"):
+            for alias in node.names:
+                if node.module in (None, "logcy2"):  # from . import birmap
+                    modules.add(alias.asname or alias.name)
+                elif _is_private(alias.name):
+                    found.append(f"{node.lineno}: from {node.module} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "logcy2":
+                    modules.add(alias.asname or "logcy2")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_private_name_check_sees_both_forms():
+    source = (
+        "from .birmap import _letter_trop, tropicalize\n"
+        "from . import birmap\n"
+        "import logcy2.surfaces\n"
+        "def f(self):\n"
+        "    return birmap._letter_map, logcy2.surfaces._det, self._cache, birmap.__name__\n"
+    )
+    assert _private_reach_ins(ast.parse(source)) == [
+        "1: from birmap import _letter_trop",
+        "5: birmap._letter_map",
+        "5: logcy2.surfaces._det",
+    ]
+
+
+def test_no_module_reaches_into_private_names():
+    # A module uses only the public names of its siblings, so each module's
+    # private helpers can change without breaking another.
+    found = [
+        f"{path.name}:{item}"
+        for path in sorted(SRC.glob("*.py"))
+        for item in _private_reach_ins(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert not found, f"private names used across modules: {found}"

@@ -1,13 +1,16 @@
+from functools import cmp_to_key
+
 import pytest
 
-from logcy2.lattice import NonPrimitiveError, pl_apply
+from logcy2.lattice import NonPrimitiveError, angle_cmp, neg, pl_apply
 from logcy2.birmap import tropicalize
-from logcy2.sampling import random_surface, random_word
+from logcy2.sampling import random_letter, random_surface, random_word
 from logcy2.surfaces import (
     InvalidSurfaceError,
     NotRegularError,
     RayAbsentError,
     Surface,
+    _det,
     boundary_intersection_matrix,
     cubic_surface,
     from_json,
@@ -21,10 +24,11 @@ from logcy2.surfaces import (
     pushforward,
     resolve,
     to_json,
+    require_valid,
     toric_self_intersections,
     validate,
 )
-from logcy2.words import Word, parse_word
+from logcy2.words import Elementary, Word, parse_word
 
 
 def test_validate_plane_with_any_multiplicities():
@@ -181,6 +185,46 @@ def test_pushforward_monotone(srng):
         assert leq(s, t)
         ps, pt = pushforward(w, s), pushforward(w, t)
         assert leq(ps, pt)
+
+
+def _pushforward_by_sorting(w: Word, s: Surface) -> Surface:
+    """Reference pushforward: map every ray, then sort the images by angle."""
+    for letter in reversed(w.letters):
+        gen, e = letter
+        trop = tropicalize(Word((letter,)))
+        mapped = sorted(
+            ((pl_apply(trop, r), mm) for r, mm in zip(s.rays, s.m)),
+            key=lambda pair: cmp_to_key(angle_cmp)(pair[0]),
+        )
+        rays = tuple(r for r, _ in mapped)
+        m = [mm for _, mm in mapped]
+        if isinstance(gen, Elementary):
+            src = gen.n if e == 1 else neg(gen.n)
+            m[rays.index(src)] -= 1
+            m[rays.index(neg(src))] += 1
+        s = require_valid(Surface(rays, tuple(m)))
+    return s
+
+
+def test_pushforward_matches_sorting_reference(srng):
+    flip = parse_word("A[0,1;1,0]")  # det -1: reverses the cyclic order
+    for i in range(40):
+        w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 6))))
+        if i % 2:
+            w = w * flip * Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3))))
+        s = resolve(w, random_surface(srng))
+        assert pushforward(w, s) == _pushforward_by_sorting(w, s)
+    s = p2((1, 2, 3))
+    assert pushforward(flip, s) == _pushforward_by_sorting(flip, s)
+
+
+def test_det_matches_sympy(srng):
+    sympy = pytest.importorskip("sympy")
+    for _ in range(120):
+        n = srng.randint(1, 8)
+        bound = srng.choice([1, 2, 9, 10**6])
+        rows = [[srng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        assert _det(rows) == sympy.Matrix(rows).det()
 
 
 def test_resolve_identity_and_elementary():
