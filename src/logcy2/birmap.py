@@ -36,7 +36,7 @@ from .lattice import (
     pl_inverse,
     require_primitive,
 )
-from .polyrat import Poly2, RatFunc2, normalize, substitute, univariate_gcd
+from .polyrat import Poly2, RatFunc2, normalize, substitute, univariate_gcd, univariate_mul
 from .words import Elementary, Generator, Letter, Linear, Word, generator_determinant
 
 
@@ -59,9 +59,6 @@ class BirationalMap:
 
     f: RatFunc2
     g: RatFunc2
-
-    def as_pair(self) -> tuple[RatFunc2, RatFunc2]:
-        return (self.f, self.g)
 
     def __str__(self) -> str:
         return f"({self.f}, {self.g})"
@@ -238,7 +235,7 @@ class BoundaryAction:
         return self.apply(Fraction(-1)) == Fraction(-1)
 
 
-LPoly = dict[tuple[int, int], Fraction]  # Laurent polynomial in (lambda, t)
+LPoly = dict[tuple[int, int], int | Fraction]  # Laurent polynomial in (lambda, t)
 
 
 def _arc_substitute(p: Poly2, pexp: int, qexp: int, n: Vec) -> LPoly:
@@ -251,21 +248,21 @@ def _arc_substitute(p: Poly2, pexp: int, qexp: int, n: Vec) -> LPoly:
     return out
 
 
-def _leading(lp: LPoly) -> tuple[int, dict[int, Fraction]]:
+def _leading(lp: LPoly) -> tuple[int, dict[int, int | Fraction]]:
     """(t-order, coefficient Laurent polynomial in lambda)."""
     t0 = min(e[1] for e in lp)
     return t0, {e[0]: c for e, c in lp.items() if e[1] == t0}
 
 
-def _lam_reduce(num: dict[int, Fraction], den: dict[int, Fraction]) -> tuple[Fraction, int] | None:
+def _lam_reduce(num: dict[int, int | Fraction], den: dict[int, int | Fraction]) -> tuple[Fraction, int] | None:
     """Reduce a Laurent fraction in lambda; (c, e) if it equals c*lambda^e."""
     shift = min(num) - min(den)
     nun = {e - min(num): c for e, c in num.items()}
     nde = {e - min(den): c for e, c in den.items()}
-    scale_n = reduce(lambda a, c: a * c.denominator // math.gcd(a, c.denominator), nun.values(), 1)
-    scale_d = reduce(lambda a, c: a * c.denominator // math.gcd(a, c.denominator), nde.values(), 1)
-    ni = {e: int(c * scale_n) for e, c in nun.items()}
-    di = {e: int(c * scale_d) for e, c in nde.items()}
+    scale_n = math.lcm(*[c.denominator for c in nun.values()])
+    scale_d = math.lcm(*[c.denominator for c in nde.values()])
+    ni = {e: c.numerator * (scale_n // c.denominator) for e, c in nun.items()}
+    di = {e: c.numerator * (scale_d // c.denominator) for e, c in nde.items()}
     _, ni, di = univariate_gcd(ni, di)
     if len(ni) != 1 or len(di) != 1:
         return None
@@ -278,24 +275,11 @@ def _lam_pow(base_num, base_den, k: int):
     """(num, den) of (base_num/base_den)^k for k of either sign."""
     if k < 0:
         base_num, base_den, k = base_den, base_num, -k
-    num = {0: Fraction(1)}
-    den = {0: Fraction(1)}
+    num = den = {0: 1}
     for _ in range(k):
-        num = _lam_mul(num, base_num)
-        den = _lam_mul(den, base_den)
+        num = univariate_mul(num, base_num)
+        den = univariate_mul(den, base_den)
     return num, den
-
-
-def _lam_mul(p: dict[int, Fraction], q: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            s = out.get(e1 + e2, 0) + c1 * c2
-            if s:
-                out[e1 + e2] = s
-            else:
-                out.pop(e1 + e2, None)
-    return out
 
 
 def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
@@ -310,7 +294,7 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     cc, dd = complement_matrix(n)[1]
     pexp, qexp = dd, -cc  # x = lam^p t^n1, y = lam^q t^n2, with p n2 - q n1 = 1
 
-    def leading_pair(r: RatFunc2) -> tuple[int, dict[int, Fraction], dict[int, Fraction]]:
+    def leading_pair(r: RatFunc2) -> tuple[int, dict[int, int | Fraction], dict[int, int | Fraction]]:
         tn, ln = _leading(_arc_substitute(r.num, pexp, qexp, n))
         td, ld = _leading(_arc_substitute(r.den, pexp, qexp, n))
         return tn - td, ln, ld
@@ -325,7 +309,7 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     # lambda' equals the transverse monomial x'^{b} y'^{-a} at leading order.
     fn, fd = _lam_pow(fnum, fden, b)
     gn, gd = _lam_pow(gnum, gden, -a)
-    result = _lam_reduce(_lam_mul(fn, gn), _lam_mul(fd, gd))
+    result = _lam_reduce(univariate_mul(fn, gn), univariate_mul(fd, gd))
     if result is None:
         raise NonGenericArcError(f"boundary action of {w} at {n} is not monomial")
     coeff, expo = result

@@ -1,7 +1,8 @@
 """Exact sparse bivariate polynomials and rational functions over Q.
 
 A polynomial is a map from exponent pairs (i, j), both nonnegative, to
-nonzero Fraction coefficients; the zero polynomial is the empty map.
+nonzero rational coefficients, each stored as an int when it is integral
+and as a Fraction otherwise; the zero polynomial is the empty map.
 A rational function is a reduced fraction of two such polynomials whose
 denominator is monic in the graded-lexicographic leading term (total degree
 first, then x-degree).  That canonical form makes structural equality a
@@ -13,10 +14,12 @@ monomial input settles the gcd at once; otherwise a two-level heuristic gcd
 (GCDHEU) evaluates y and then x at xi >= 2 * min(height) + 29, takes the
 integer gcd and reads the answer back in balanced base xi, verified by exact
 division; what it gives up on goes to a specialization probe and a
-primitive pseudo-remainder sequence.  ``normalize`` and ``substitute`` also
-run on integer coefficients, and Fractions appear only in the polynomials
-they return.  Negative powers never appear: monomial maps with negative
-exponents are represented with explicit denominators.
+primitive pseudo-remainder sequence.  Products, powers, ``normalize`` and
+``substitute`` also run on integer coefficients, taking the terms of an
+integral polynomial as they stand and clearing denominators otherwise.
+``leading_term``, ``constant_value`` and ``evaluate`` return Fractions.
+Negative powers never appear: monomial maps with negative exponents are
+represented with explicit denominators.
 
 Textual form (round-trip parseable):
 
@@ -42,29 +45,41 @@ from fractions import Fraction
 
 Term = tuple[int, int]
 
+
+def _coeff(c: int | Fraction) -> int | Fraction:
+    """The stored form of a coefficient: an int when integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
 # --- Poly2 -------------------------------------------------------------------
 
 
 class Poly2:
-    """Sparse bivariate polynomial with Fraction coefficients."""
+    """Sparse bivariate polynomial over Q.
+
+    ``terms`` maps (i, j) to a nonzero coefficient, stored as an ``int``
+    when it is integral and as a ``Fraction`` otherwise, so the integer
+    routines below run on ``terms`` as it stands.  The dict is shared, not
+    copied, and must not be mutated.
+    """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[Term, Fraction] | None = None):
-        clean: dict[Term, Fraction] = {}
+    def __init__(self, terms: dict[Term, int | Fraction] | None = None):
+        clean: dict[Term, int | Fraction] = {}
         if terms:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative exponent in term {(i, j)}")
                 c = Fraction(c)
                 if c:
-                    clean[(i, j)] = c
+                    clean[(i, j)] = _coeff(c)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
     @staticmethod
-    def _raw(terms: dict[Term, Fraction]) -> "Poly2":
-        """Internal constructor: terms already coerced and zero-free."""
+    def _raw(terms: dict[Term, int | Fraction]) -> "Poly2":
+        """Internal constructor: terms already in stored form and zero-free."""
         p = object.__new__(Poly2)
         object.__setattr__(p, "terms", terms)
         object.__setattr__(p, "_hash", None)
@@ -78,11 +93,11 @@ class Poly2:
 
     @staticmethod
     def const(c) -> "Poly2":
-        return Poly2({(0, 0): Fraction(c)})
+        return Poly2({(0, 0): c})
 
     @staticmethod
     def monomial(i: int, j: int, c=1) -> "Poly2":
-        return Poly2({(i, j): Fraction(c)})
+        return Poly2({(i, j): c})
 
     @staticmethod
     def x() -> "Poly2":
@@ -103,14 +118,14 @@ class Poly2:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((0, 0), Fraction(0))
+        return Fraction(self.terms.get((0, 0), 0))
 
     def leading_term(self) -> tuple[Term, Fraction]:
         """Greatest term in graded-lex order (total degree, then x-degree)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms, key=lambda t: (t[0] + t[1], t[0]))
-        return key, self.terms[key]
+        key = _grlex_max(self.terms)
+        return key, Fraction(self.terms[key])
 
     def total_degree(self) -> int:
         return max((i + j for i, j in self.terms), default=-1)
@@ -137,7 +152,7 @@ class Poly2:
             else:
                 s = cur + c
                 if s:
-                    out[t] = s
+                    out[t] = _coeff(s)
                 else:
                     del out[t]
         return Poly2._raw(out)
@@ -148,57 +163,29 @@ class Poly2:
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
 
-    def _is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
     def __mul__(self, other: "Poly2") -> "Poly2":
-        # Plain-int accumulation is several times faster than Fraction
-        # arithmetic and covers almost everything this library multiplies.
-        if self._is_integral() and other._is_integral():
-            a = {t: c.numerator for t, c in self.terms.items()}
-            b = {t: c.numerator for t, c in other.terms.items()}
-            return _int_to_poly(_ip_mul(a, b))
-        out: dict[Term, Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                t = (i1 + i2, j1 + j2)
-                cur = out.get(t)
-                prod = c1 * c2
-                if cur is None:
-                    out[t] = prod
-                else:
-                    s = cur + prod
-                    if s:
-                        out[t] = s
-                    else:
-                        del out[t]
-        return Poly2._raw(out)
+        m, (a, b) = _cleared(self, other)
+        return _int_to_poly(_ip_mul(a, b), Fraction(1, m * m))
 
     def scale(self, c) -> "Poly2":
         c = Fraction(c)
-        return Poly2._raw({t: v * c for t, v in self.terms.items()}) if c else Poly2._raw({})
+        return Poly2._raw({t: _coeff(v * c) for t, v in self.terms.items()}) if c else Poly2._raw({})
 
     def __pow__(self, k: int) -> "Poly2":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly2.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        m, (p,) = _cleared(self)
+        return _int_to_poly(_Powers(p)[k], Fraction(1, m**k))
 
     def derivative(self, var: str) -> "Poly2":
         if var not in ("x", "y"):
             raise ValueError("var must be 'x' or 'y'")
-        out: dict[Term, Fraction] = {}
+        out: dict[Term, int | Fraction] = {}
         for (i, j), c in self.terms.items():
             if var == "x" and i:
-                out[(i - 1, j)] = c * i
+                out[(i - 1, j)] = _coeff(c * i)
             elif var == "y" and j:
-                out[(i, j - 1)] = c * j
+                out[(i, j - 1)] = _coeff(c * j)
         return Poly2._raw(out)
 
     def evaluate(self, a, b) -> Fraction:
@@ -214,8 +201,8 @@ class Poly2:
 
 # --- integer-level machinery -------------------------------------------------
 #
-# The gcd, exact division and substitution work on plain dicts with int
-# coefficients; Fraction coefficients appear only where a Poly2 is built:
+# The product, gcd, exact division and substitution work on plain dicts
+# with int coefficients, which is what the terms of an integral Poly2 are:
 #   ypoly:  dict[j -> int]       an element of Z[y]
 #   ipoly:  dict[(i, j) -> int]  an element of Z[x, y]
 
@@ -231,7 +218,8 @@ def _yp_degree(p: dict[int, int]) -> int:
     return max(p, default=-1)
 
 
-def _yp_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+def univariate_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """Product in Z[t]; any exact coefficients (Fractions too) work."""
     out: dict[int, int] = {}
     for j1, c1 in p.items():
         for j2, c2 in q.items():
@@ -345,7 +333,7 @@ def _xp_content(p: dict[int, dict[int, int]]) -> dict[int, int]:
 
 
 def _xp_scale(p, yc: dict[int, int]) -> dict[int, dict[int, int]]:
-    return {i: _yp_mul(yp, yc) for i, yp in p.items()}
+    return {i: univariate_mul(yp, yc) for i, yp in p.items()}
 
 
 def _xp_divexact_y(p, yc: dict[int, int]) -> dict[int, dict[int, int]]:
@@ -387,7 +375,7 @@ def _xp_reduce(f, g) -> dict[int, dict[int, int]]:
         a = _yp_divexact(lg, s)
         b = _yp_divexact(lr, s)
         scaled_r = _xp_scale(r, a)
-        shift_g = {i + dr - dg: _yp_mul(yp, b) for i, yp in g.items()}
+        shift_g = {i + dr - dg: univariate_mul(yp, b) for i, yp in g.items()}
         r = _xp_sub(scaled_r, shift_g)
         r = _xp_primitive(r)
     return r
@@ -652,12 +640,15 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
 
 
 def _cleared(*polys: Poly2) -> tuple[int, list[dict[Term, int]]]:
-    """(m, [m * p, ...]) with m the lcm of every coefficient denominator."""
+    """(m, [m * p, ...]) with m the lcm of every coefficient denominator.
+
+    When m is 1 the terms dicts themselves are returned, not copies.
+    """
     # A list, not a generator: CPython unpacks a generator into a tuple it
     # resizes, and the freed tuples pile up on the per-size free lists.
     m = math.lcm(*[c.denominator for p in polys for c in p.terms.values()])
     if m == 1:
-        return 1, [{t: c.numerator for t, c in p.terms.items()} for p in polys]
+        return 1, [p.terms for p in polys]
     return m, [{t: c.numerator * (m // c.denominator) for t, c in p.terms.items()} for p in polys]
 
 
@@ -672,12 +663,12 @@ def _split(p: Poly2) -> tuple[Fraction, dict[Term, int]]:
     return Fraction(g, m), ints
 
 
-def _int_to_poly(p: dict[Term, int], scale: Fraction = Fraction(1)) -> Poly2:
+def _int_to_poly(p: dict[Term, int], scale: int | Fraction = 1) -> Poly2:
     """The Poly2 scale * p, for a zero-free p and a nonzero scale."""
     a, b = scale.numerator, scale.denominator
-    if b == 1:  # Fraction(n) costs about two thirds of Fraction(n, 1)
-        return Poly2._raw({t: Fraction(c * a) for t, c in p.items()})
-    return Poly2._raw({t: Fraction(c * a, b) for t, c in p.items()})
+    if b == 1:
+        return Poly2._raw(p if a == 1 else {t: c * a for t, c in p.items()})
+    return Poly2._raw({t: _coeff(Fraction(c * a, b)) for t, c in p.items()})
 
 
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
@@ -760,9 +751,6 @@ class RatFunc2:
     def __neg__(self) -> "RatFunc2":
         return RatFunc2(-self.num, self.den)
 
-    def reciprocal(self) -> "RatFunc2":
-        return normalize(self.den, self.num)
-
     def __str__(self) -> str:
         return format_ratfunc(self)
 
@@ -784,7 +772,7 @@ def normalize(num: Poly2, den: Poly2) -> RatFunc2:
     sn, ip = _split(num)
     sd, iq = _split(den)
     g, ip, iq = _ip_gcd(ip, iq)
-    if g == _ONE and den.leading_term()[1] == 1:
+    if g == _ONE and den.terms[_grlex_max(den.terms)] == 1:
         return RatFunc2(num, den)
     lc = iq[_grlex_max(iq)]
     return RatFunc2(_int_to_poly(ip, sn / (sd * lc)), _int_to_poly(iq, Fraction(1, lc)))
@@ -848,7 +836,7 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     den = _compose_cleared(rd, dx, dy, fn, fd, gn, gd, gprod)
     if not den:
         raise IdenticallySingularError("denominator vanishes identically under substitution")
-    return normalize(_int_to_poly(num), _int_to_poly(den))
+    return normalize(Poly2._raw(num), Poly2._raw(den))
 
 
 def partial_derivative(r: RatFunc2, var: str) -> RatFunc2:
@@ -908,8 +896,8 @@ class PolyParseError(ValueError):
 class _Tokens:
     def __init__(self, text: str):
         self.toks: list[str] = []
-        pos = 0
-        while pos < len(text):
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
             m = _TOKEN.match(text, pos)
             if not m:
                 raise PolyParseError(f"bad character at position {pos}: {text[pos:]!r}")
@@ -929,6 +917,12 @@ class _Tokens:
         self.i += 1
         return t
 
+    def take_int(self) -> int:
+        t = self.take()
+        if not t.isdigit():
+            raise PolyParseError(f"expected digits, got {t!r}")
+        return int(t)
+
 
 def _parse_varpow(tk: _Tokens) -> Poly2:
     v = tk.take()
@@ -937,7 +931,7 @@ def _parse_varpow(tk: _Tokens) -> Poly2:
     e = 1
     if tk.peek() == "^":
         tk.take()
-        e = int(tk.take())
+        e = tk.take_int()
     return Poly2.monomial(e, 0) if v == "x" else Poly2.monomial(0, e)
 
 
@@ -949,15 +943,17 @@ def _parse_term(tk: _Tokens) -> Poly2:
         if tk.peek() == "-":
             tk.take()
             sign = -1
-        numer = int(tk.take())
+        numer = tk.take_int()
         denom = 1
         if tk.peek() == "/":
             tk.take()
-            denom = int(tk.take())
+            denom = tk.take_int()
+            if not denom:
+                raise PolyParseError("zero denominator in a coefficient")
         tk.take(")")
         acc = Poly2.const(Fraction(sign * numer, denom))
     elif t is not None and t.isdigit():
-        acc = Poly2.const(int(tk.take()))
+        acc = Poly2.const(tk.take_int())
     else:
         acc = _parse_varpow(tk)
     while tk.peek() == "*":

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from logcy2 import polyrat
 from logcy2.polyrat import (
     IdenticallySingularError,
     InexactDivisionError,
     PoleAtPointError,
     Poly2,
+    PolyParseError,
     RatFunc2,
     ZeroDenominatorError,
     evaluate,
@@ -35,6 +37,49 @@ def random_poly(rng, deg=3, terms=4):
             rng.randint(-6, 6), rng.randint(1, 3)
         )
     return Poly2(d)
+
+
+# --- coefficient storage ------------------------------------------------------
+
+
+def stored_as_int_when_integral(p: Poly2) -> bool:
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values())
+
+
+def test_integral_coefficients_are_stored_as_int(srng):
+    half = Poly2.const(Fraction(1, 2))
+    h = X.scale(Fraction(1, 2)) + Y.scale(Fraction(3, 2))
+    r = normalize(h, X.scale(Fraction(1, 3)))
+    f = normalize(h * Poly2.const(2), ONE + Y)
+    results = [
+        h * Poly2.const(2), half * half * Poly2.const(4), h**2 * Poly2.const(4), h**0,
+        h + h, h - half, h.scale(2), (h * X).derivative("x"),
+        r.num, r.den, f.num, f.den,
+        substitute(f, r, f).num, substitute(f, r, f).den,
+        parse_poly("(4/2)*x + (1/2)*y + (-6/3)"),
+    ]
+    for _ in range(20):
+        n, d = random_poly(srng), random_poly(srng)
+        if d.is_zero():
+            continue
+        r = normalize(n, d)
+        results += [n * d, n**3, r.num, r.den, substitute(r, r, r).num, substitute(r, r, r).den]
+    assert results[0].terms == {(1, 0): 1, (0, 1): 3}
+    assert all(stored_as_int_when_integral(p) for p in results)
+
+
+def test_public_values_are_fractions():
+    assert type((X + ONE).leading_term()[1]) is Fraction
+    assert type(Poly2.const(3).constant_value()) is Fraction
+    assert type(Poly2.zero().constant_value()) is Fraction
+    assert type(RatFunc2.const(3).constant_value()) is Fraction
+    assert type(evaluate(rf(X), (2, 3))) is Fraction
+
+
+def test_integral_fraction_equals_int_coefficient():
+    p = Poly2({(0, 0): Fraction(2)})
+    assert p == Poly2.const(2) and hash(p) == hash(Poly2.const(2))
+    assert type(p.terms[(0, 0)]) is int
 
 
 # --- normalize -----------------------------------------------------------------
@@ -100,6 +145,30 @@ def test_divexact_roundtrip(srng):
         if p.is_zero() or q.is_zero():
             continue
         assert poly_divexact(p * q, q) == p
+
+
+def test_gcd_prs_fallback_probe_settles_coprime_pair(monkeypatch):
+    # Heights past the heuristic's size limit send the pair to the
+    # remainder-sequence route; the specialization probe must settle it
+    # there, since the sequence itself takes minutes on these heights.
+    probes = []
+    probe = polyrat._specialized_coprime_x
+
+    def probe_spy(f, g):
+        probes.append(probe(f, g))
+        return probes[-1]
+
+    def reduce_spy(f, g):
+        raise AssertionError("the remainder sequence ran")
+
+    monkeypatch.setattr(polyrat, "_specialized_coprime_x", probe_spy)
+    monkeypatch.setattr(polyrat, "_xp_reduce", reduce_spy)
+    tall = 3**20000
+    h = Poly2({(1, 1): 1, (1, 0): tall, (0, 0): 1})
+    p = h * Poly2({(1, 0): 1, (0, 1): 2, (0, 0): 3})
+    q = (h + ONE) * Poly2({(1, 0): 2, (0, 1): 1, (0, 0): 5})
+    assert poly_gcd(p, q) == ONE
+    assert probes == [True]
 
 
 def test_divexact_rejects_inexact_division():
@@ -210,6 +279,18 @@ def test_format_zero_and_constants():
     assert format_poly(Poly2.zero()) == "0"
     assert format_poly(Poly2.const(Fraction(1, 2))) == "(1/2)"
     assert format_poly(ONE + X) == "x + 1"
+
+
+@pytest.mark.parametrize("text", ["(1/0)*x", "x^y", "x^-1", "(1/-2)*x"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(PolyParseError):
+        parse_poly(text)
+
+
+def test_parse_ignores_surrounding_whitespace():
+    assert parse_poly("x ") == X
+    assert parse_poly(" x + 1\t") == X + ONE
+    assert parse_ratfunc("(x + 1 ) / (y)") == rf(X + ONE, Y)
 
 
 def test_poly_text_roundtrip(srng):

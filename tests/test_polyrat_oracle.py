@@ -140,12 +140,12 @@ def univariates():
 @ORACLE
 @given(univariates(), univariates(), univariates())
 def test_univariate_gcd_matches_sympy(a, b, h):
-    p, q = polyrat._yp_mul(a, h), polyrat._yp_mul(b, h)
+    p, q = polyrat.univariate_mul(a, h), polyrat.univariate_mul(b, h)
     g, cp, cq = polyrat.univariate_gcd(p, q)
     as_x = lambda d: Poly2({(i, 0): c for i, c in d.items()})
     expected = sympy.gcd(to_sympy(as_x(p)), to_sympy(as_x(q)))
     assert as_x(g) == from_sympy(expected if sympy.Poly(expected, SX).LC() > 0 else -expected)
-    assert polyrat._yp_mul(g, cp) == p and polyrat._yp_mul(g, cq) == q
+    assert polyrat.univariate_mul(g, cp) == p and polyrat.univariate_mul(g, cq) == q
 
 
 def test_gcd_prs_fallback_matches_sympy(monkeypatch):
