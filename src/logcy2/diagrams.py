@@ -320,7 +320,8 @@ def from_json(text: str) -> BaseDiagram:
             or len(position) != 2
             or not isinstance(direction, list)
             or len(direction) != 2
-            or not all(isinstance(x, int) for x in (*direction, cut_sign))
+            or not all(type(x) is int for x in (*direction, cut_sign))
+            or any(isinstance(x, bool) for x in position)
         ):
             raise InvalidDiagramError(f"bad node record: {item}")
         try:

@@ -7,9 +7,9 @@ boundary component.  Corner blow-ups insert rays with multiplicity zero and
 do not change the interior; interior blow-ups increment a multiplicity.
 
 ``pushforward`` transports a surface along a word when every letter is
-regular; ``resolve`` augments the starting surface (ray insertions and
-interior blow-ups pulled back through the applied prefix) until the whole
-word becomes regular.
+regular; ``resolve`` makes one pass over the word, augmenting the starting
+surface (ray insertions and interior blow-ups pulled back through the applied
+suffix) and the surface reached so far alike until the whole word is regular.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def validate(s: Surface) -> list[str]:
     if len(set(s.rays)) != k:
         out.append("rays are not pairwise distinct")
     for mm in s.m:
-        if not isinstance(mm, int) or mm < 0:
+        if type(mm) is not int or mm < 0:
             out.append(f"multiplicity {mm} is not a nonnegative integer")
     if out:
         return out
@@ -314,26 +314,32 @@ def pushforward(w: Word, s: Surface) -> Surface:
 def resolve(w: Word, s0: Surface) -> Surface:
     """A surface above s0 on which every prefix of w is regular.
 
-    On failure, the offending ray is pulled back through the inverse
-    tropicalization of the already-applied suffix and grafted onto the
-    candidate (ray insertion or one extra interior blow-up), then the run
-    restarts.  Each augmentation is strict, so this terminates after at most
-    3 * len(w) restarts.
+    The push keeps ``current``, the candidate transported through the letters
+    applied so far.  When a letter fails, the offending ray is pulled back
+    through the inverse tropicalization of that suffix and grafted onto the
+    candidate (ray insertion or one extra interior blow-up); the same
+    augmentation at the ray itself goes on ``current``, and the letter is
+    retried there.  The applied letters are linear on every cone, so the two
+    augmentations commute with the push.  A letter fails at most three times
+    (missing n, missing -n, zero multiplicity), so the run makes at most
+    4 * len(w) letter pushes.
     """
     require_valid(s0)
-    candidate = s0
-    for _ in range(3 * len(w.letters) + 2):
-        try:
-            pushforward(w, candidate)
-            return candidate
-        except NotRegularError as err:
-            applied_word = Word(w.letters[len(w.letters) - err.applied_count:])
-            r0 = tropical_image(applied_word.inverse(), err.ray)
-            if err.reason == "missing ray":
-                candidate = insert_ray(candidate, r0)
-            else:
-                candidate = interior_blowup(candidate, r0)
-    raise AssertionError("resolve failed to terminate")
+    candidate = current = s0
+    for applied, letter in enumerate(reversed(w.letters)):
+        for _ in range(4):
+            try:
+                current = _push_letter(letter, current, applied)
+                break
+            except NotRegularError as err:
+                r0 = tropical_image(Word(w.letters[len(w.letters) - applied:]).inverse(), err.ray)
+                if err.reason == "missing ray":
+                    candidate, current = insert_ray(candidate, r0), insert_ray(current, err.ray)
+                else:
+                    candidate, current = interior_blowup(candidate, r0), interior_blowup(current, err.ray)
+        else:
+            raise AssertionError(f"letter {applied} failed a fourth time in resolve")
+    return candidate
 
 
 # --- serialization ------------------------------------------------------------
@@ -356,8 +362,8 @@ def from_json(text: str) -> Surface:
     if (
         not isinstance(rays, list)
         or not isinstance(m, list)
-        or not all(isinstance(r, list) and len(r) == 2 and all(isinstance(x, int) for x in r) for r in rays)
-        or not all(isinstance(x, int) for x in m)
+        or not all(isinstance(r, list) and len(r) == 2 and all(type(x) is int for x in r) for r in rays)
+        or not all(type(x) is int for x in m)
     ):
         raise InvalidSurfaceError(["rays must be integer pairs and m a list of integers"])
     s = Surface(tuple((r[0], r[1]) for r in rays), tuple(m))

@@ -202,6 +202,24 @@ def test_malformed_diagram_file_is_domain_error(capsys, tmp_path, data):
     assert err.startswith("error:")
 
 
+def test_boolean_surface_file_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text('{"rays": [[true, false], [false, true], [-1, -1]], "m": [0, false, 0]}')
+    code, out, err = run(capsys, "surface", "pushforward", "id", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+
+
+def test_boolean_diagram_file_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text('{"nodes": [{"position": ["0", "1"], "direction": [false, true], "cut_sign": true}]}')
+    code, out, err = run(capsys, "atf", "move", str(path), "--elementary", "0,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+    path.write_text('{"nodes": [{"position": ["0", "1"], "direction": [0, 1], "cut_sign": 1}]}')
+    assert run(capsys, "atf", "move", str(path), "--elementary", "0,1")[0] == 0
+
+
 def test_internal_value_error_is_not_a_domain_error(monkeypatch, pxp_file):
     # A ValueError from inside the library is a bug, not bad input.
     def broken(*args):

@@ -1,9 +1,11 @@
+from collections import Counter
 from functools import cmp_to_key
 
 import pytest
 
 from logcy2.lattice import NonPrimitiveError, angle_cmp, neg, pl_apply
-from logcy2.birmap import tropicalize
+from logcy2 import surfaces
+from logcy2.birmap import tropical_image, tropicalize
 from logcy2.sampling import random_letter, random_surface, random_word
 from logcy2.surfaces import (
     InvalidSurfaceError,
@@ -249,8 +251,79 @@ def test_resolve_soundness(srng):
         s = resolve(w, p2())
         assert leq(p2(), s)
         current = s
-        for i, letter in enumerate(reversed(w.letters)):
+        for letter in reversed(w.letters):
             current = pushforward(Word((letter,)), current)
+            assert validate(current) == []
+        assert current == pushforward(w, s)
+
+
+def _resolve_by_restarting(w: Word, s0: Surface) -> tuple[Surface, list[tuple[int, Surface]]]:
+    """Reference resolve: restart the push from the first letter after every augmentation.
+
+    Also returns, per augmentation, the number of letters applied before the
+    failure and the augmented candidate.
+    """
+    candidate, steps = require_valid(s0), []
+    for _ in range(3 * len(w.letters) + 2):
+        try:
+            pushforward(w, candidate)
+            return candidate, steps
+        except NotRegularError as err:
+            applied_word = Word(w.letters[len(w.letters) - err.applied_count:])
+            r0 = tropical_image(applied_word.inverse(), err.ray)
+            if err.reason == "missing ray":
+                candidate = insert_ray(candidate, r0)
+            else:
+                candidate = interior_blowup(candidate, r0)
+            steps.append((err.applied_count, candidate))
+    raise AssertionError("reference resolve failed to terminate")
+
+
+def _spy_push_letter(monkeypatch) -> list[tuple[int, Surface]]:
+    """Record (applied, surface) for every _push_letter call resolve makes."""
+    calls = []
+    push = surfaces._push_letter
+
+    def spy(letter, s, applied):
+        calls.append((applied, s))
+        return push(letter, s, applied)
+
+    monkeypatch.setattr(surfaces, "_push_letter", spy)
+    return calls
+
+
+def test_resolve_matches_restarting_reference(srng, monkeypatch):
+    flip = parse_word("A[0,1;1,0]")  # det -1: reverses the cyclic order
+    for i in range(200):
+        if i % 4 == 3:
+            w = random_word(srng, 5)
+        else:
+            w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 6))))
+        if i % 2:
+            w = w * flip * Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3))))
+        s0 = random_surface(srng)
+        with monkeypatch.context() as mp:
+            calls = _spy_push_letter(mp)
+            got = resolve(w, s0)
+        want, steps = _resolve_by_restarting(w, s0)
+        assert got == want
+        # A call at the same applied count as the one before it is the retry
+        # after an augmentation; it receives the augmented current surface.
+        retries = [after for before, after in zip(calls, calls[1:]) if before[0] == after[0]]
+        assert [applied for applied, _ in retries] == [applied for applied, _ in steps]
+        for (applied, current), (_, candidate) in zip(retries, steps):
+            suffix = Word(w.letters[len(w.letters) - applied:])
+            assert current == pushforward(suffix, candidate)
+
+
+def test_resolve_pushes_each_letter_plus_each_augmentation_once(monkeypatch):
+    w = parse_word("(E*E[1,0])^200")
+    calls = _spy_push_letter(monkeypatch)
+    r = resolve(w, p2())
+    augmentations = len(r.rays) - 3 + r.total_m()
+    assert len(calls) == len(w.letters) + augmentations == 400 + 402
+    per_letter = Counter(applied for applied, _ in calls)
+    assert max(per_letter.values()) <= 4
 
 
 def test_group_action_consistency():
@@ -287,3 +360,20 @@ def test_json_strict_validation():
         from_json('not json')
     with pytest.raises(InvalidSurfaceError):
         from_json('{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, 0, 0], "extra": 1}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rays": [[true, false], [false, true], [-1, -1]], "m": [0, 0, 0]}',
+        '{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, false, 0]}',
+        '{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [true, 0, 0]}',
+    ],
+)
+def test_json_rejects_booleans(text):
+    with pytest.raises(InvalidSurfaceError):
+        from_json(text)
+
+
+def test_validate_rejects_boolean_multiplicity():
+    assert any("multiplicity" in v for v in validate(Surface(p2().rays, (0, True, 0))))
