@@ -138,8 +138,27 @@ def realize(w: Word) -> BirationalMap:
 
 
 def equal(w1: Word, w2: Word) -> bool:
-    """The word-problem oracle: equality of canonical rational components."""
-    return realize(w1) == realize(w2)
+    """The word-problem oracle: equality of canonical rational components.
+
+    ``realize`` is a homomorphism, so u a v and u b v are equal exactly when
+    a and b are: the longest common prefix and then suffix of the two
+    reduced words cancel, and only the differing middles are realized.
+    Subwords of reduced words are reduced, so the middles need no pass.
+    """
+    a, b = w1.letters, w2.letters
+    short = min(len(a), len(b))
+    i = 0
+    while i < short and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < short - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    if i == j == 0:
+        return realize(w1) == realize(w2)
+    a, b = a[i : len(a) - j], b[i : len(b) - j]
+    if not a and not b:
+        return True
+    return realize(Word(a)) == realize(Word(b))
 
 
 def volume_character(w: Word) -> int:

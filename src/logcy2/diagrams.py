@@ -321,7 +321,7 @@ def from_json(text: str) -> BaseDiagram:
             or not isinstance(direction, list)
             or len(direction) != 2
             or not all(type(x) is int for x in (*direction, cut_sign))
-            or any(isinstance(x, bool) for x in position)
+            or not all(type(x) in (int, str) for x in position)
         ):
             raise InvalidDiagramError(f"bad node record: {item}")
         try:

@@ -22,7 +22,7 @@ from logcy2.birmap import (
 from logcy2.lattice import pl_apply, pl_compose, pl_elementary, PLMap
 from logcy2.polyrat import Poly2, RatFunc2, normalize
 from logcy2.sampling import random_letter, random_primitive, random_word
-from logcy2.words import Word, parse_word
+from logcy2.words import E, Word, parse_word
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
@@ -52,6 +52,64 @@ def test_equal_trivial_and_pentagon():
     assert equal(parse_word("P^5"), Word())
     for k in range(1, 5):
         assert not equal(parse_word(f"P^{k}"), Word())
+
+
+RELATORS = [
+    parse_word(text)
+    for text in ("P^5", "r1^2", "r2^2", "r3^2", "A[-1,0;0,1] * E * A[-1,0;0,1] * (A[1,1;0,1] * E)^-1")
+]
+
+
+def _insert(w: Word, relator: Word, i: int) -> Word:
+    return Word(w.letters[:i]) * relator * Word(w.letters[i:])
+
+
+def test_equal_agrees_with_full_realization(srng):
+    ends_in_e_inverse = [parse_word("E^-1"), parse_word("E[1,0] * A[1,1;0,1] * E^-1"), parse_word("P^2 * E^-1")]
+    pairs = [(w, w * E) for w in ends_in_e_inverse]
+    for _ in range(10):
+        w = random_word(srng, 4)
+        pairs.append((w, random_word(srng, 4)))
+        pairs.append((w, w * E))
+    for relator in RELATORS * 2:
+        w = random_word(srng, 4)
+        inserted = _insert(w, relator, srng.randint(0, len(w)))
+        assert equal(w, inserted)
+        pairs.append((w, inserted))
+    for w1, w2 in pairs:
+        expected = realize(w1) == realize(w2)
+        assert equal(w1, w2) == equal(w2, w1) == expected
+    for w in ends_in_e_inverse:
+        assert len(w * E) == len(w) - 1
+
+
+def test_equal_cancels_shared_ends(srng):
+    # Realizing u a v in full is out of reach for some samples, so the
+    # reference is the homomorphism itself: u a v = u b v iff a = b.
+    for _ in range(20):
+        u, v = random_word(srng, 3), random_word(srng, 3)
+        a = random_word(srng, 3)
+        b = a if srng.random() < 0.3 else random_word(srng, 3)
+        assert equal(u * a * v, u * b * v) == (realize(a) == realize(b))
+
+
+def test_equal_realizes_only_the_differing_middle(monkeypatch):
+    w = parse_word("P^5*E^3*A[1,1;0,1]*E[1,0]^2*E[-1,2]")
+    assert len(w) == 17
+    realize.cache_clear()
+    lengths = []
+
+    def spy(word):
+        lengths.append(len(word))
+        return realize(word)
+
+    monkeypatch.setattr("logcy2.birmap.realize", spy)
+    assert equal(w, w)
+    assert lengths == []
+    assert not equal(w, w * E)  # common prefix: id against E
+    assert not equal(E * w, w)  # E cancels w's leading E^-1; common suffix: id against E^-1
+    assert sorted(lengths) == [0, 0, 1, 1]
+    assert realize.cache_info().currsize == 3
 
 
 def test_oracle_soundness(srng):

@@ -220,6 +220,16 @@ def test_boolean_diagram_file_is_domain_error(capsys, tmp_path):
     assert run(capsys, "atf", "move", str(path), "--elementary", "0,1")[0] == 0
 
 
+def test_float_diagram_position_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text('{"nodes": [{"position": [0.1, 0], "direction": [1, 0], "cut_sign": 1}]}')
+    code, out, err = run(capsys, "atf", "move", str(path), "--elementary", "1,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
+    path.write_text('{"nodes": [{"position": [1, 0], "direction": [1, 0], "cut_sign": 1}]}')
+    assert run(capsys, "atf", "move", str(path), "--elementary", "1,0")[0] == 0
+
+
 def test_internal_value_error_is_not_a_domain_error(monkeypatch, pxp_file):
     # A ValueError from inside the library is a bug, not bad input.
     def broken(*args):

@@ -232,6 +232,8 @@ def test_json_roundtrip():
         '{"nodes": [{"position": ["0", "1"], "direction": [false, true], "cut_sign": 1}]}',
         '{"nodes": [{"position": ["0", "1"], "direction": [0, 1], "cut_sign": true}]}',
         '{"nodes": [{"position": [false, true], "direction": [0, 1], "cut_sign": 1}]}',
+        '{"nodes": [{"position": [0.1, 0], "direction": [1, 0], "cut_sign": 1}]}',
+        '{"nodes": [{"position": ["1", 0.0], "direction": [1, 0], "cut_sign": 1}]}',
         '{"nodes": [{"position": ["1", "0"], "direction": [1, 0], "cut_sign": 1},'
         ' {"position": ["1", "0"], "direction": [1, 0], "cut_sign": -1}]}',
     ],

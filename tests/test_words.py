@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from logcy2.sampling import random_word
 from logcy2.words import (
@@ -106,3 +109,29 @@ def test_text_roundtrip_random(srng):
     for _ in range(30):
         w = random_word(srng, 5)
         assert parse_word(word_to_text(w)) == w
+
+
+primitive_vectors = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda v: math.gcd(*v) == 1)
+unimodular_literals = st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda m: abs(m[0] * m[3] - m[1] * m[2]) == 1)
+generators = st.one_of(
+    st.just(Elementary((0, 1))),
+    primitive_vectors.map(Elementary),
+    unimodular_literals.map(lambda m: linear_from_literal(*m)),
+)
+# Runs of one letter, so that word_to_text writes powers; an empty list is id.
+words = st.lists(st.tuples(generators, st.sampled_from([1, -1]), st.integers(1, 4)), max_size=6).map(
+    lambda runs: Word(tuple((gen, e) for gen, e, k in runs for _ in range(k)))
+)
+
+
+@given(words)
+def test_text_roundtrip_property(w):
+    text = word_to_text(w)
+    assert parse_word(text) == w
+    assert (text == "id") == w.is_empty()
+
+
+@given(words, st.integers(-3, 3))
+def test_power_text_roundtrip_property(w, k):
+    assert parse_word(f"({word_to_text(w)})^{k}") == w**k
+    assert parse_word(word_to_text(w**k)) == w**k
