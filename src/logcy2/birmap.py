@@ -143,7 +143,9 @@ def equal(w1: Word, w2: Word) -> bool:
     ``realize`` is a homomorphism, so u a v and u b v are equal exactly when
     a and b are: the longest common prefix and then suffix of the two
     reduced words cancel, and only the differing middles are realized.
-    Subwords of reduced words are reduced, so the middles need no pass.
+    Subwords of reduced words are reduced, so a middle is never longer
+    than its word.  Words with nothing in common are realized whole, so
+    cached words keep hitting.
     """
     a, b = w1.letters, w2.letters
     short = min(len(a), len(b))
