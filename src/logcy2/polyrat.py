@@ -17,6 +17,10 @@ division; what it gives up on goes to a specialization probe and a
 primitive pseudo-remainder sequence.  Products, powers, ``normalize`` and
 ``substitute`` also run on integer coefficients, taking the terms of an
 integral polynomial as they stand and clearing denominators otherwise.
+A product with a one-term factor shifts and scales the other factor, and a
+factor 1 returns the other one as it stands.  ``substitute`` keeps the power
+tables of the last inner map it saw, so the two calls of a composition, and
+consecutive substitutions into the same map objects, build them once.
 ``leading_term``, ``constant_value`` and ``evaluate`` return Fractions.
 Negative powers never appear: monomial maps with negative exponents are
 represented with explicit denominators.
@@ -413,12 +417,25 @@ def _grlex_max(p: dict[Term, int]) -> Term:
 def _ip_mul(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
     """Product in Z[x, y].
 
-    A monomial (i, j) is keyed by the int i * base + j, with base above
-    every y-degree of the product, so the key of a product is the sum of
-    the keys and no tuple is built per term pair.
+    When either factor has one term, the other factor's exponents are
+    shifted and its coefficients scaled, and a factor equal to 1 gives the
+    other factor back as it stands, so the result may be an argument's own
+    dict; like every terms dict here, it is shared and never mutated.
+    Otherwise a monomial (i, j) is keyed by the int i * base + j, with base
+    above every y-degree of the product, so the key of a product is the sum
+    of the keys and no tuple is built per term pair.
     """
     if not p or not q:
         return {}
+    if q == _ONE:
+        return p
+    if p == _ONE:
+        return q
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:
+        [((a, b), c)] = p.items()
+        return {(i + a, j + b): c * v for (i, j), v in q.items()}
     base = 1 + max(j for _, j in p) + max(j for _, j in q)
     b = [(i * base + j, c) for (i, j), c in q.items()]
     out: dict[int, int] = {}
@@ -817,19 +834,38 @@ def _compose_cleared(p: dict[Term, int], dx: int, dy: int, fn, fd, gn, gd, gprod
     return {t: c for t, c in total.items() if c}
 
 
+# (f, g, fn, fd, gn, gd, gprods) for the inner map of the last substitute:
+# the power tables of its cleared parts and, per clearing degree dy, the
+# y-factor products.  ``compose`` substitutes into one inner map twice, and
+# an enumeration often extends by the same map again, so the next call with
+# the same f and g reuses them.  The slot holds f and g themselves, so an
+# identity match can never come from a recycled id, and at most one inner
+# map's tables stay alive.
+_inner_slot: tuple | None = None
+
+
 def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
-    """r(f, g) in canonical form."""
+    """r(f, g) in canonical form.
+
+    The tables built from f and g are kept for the next call with the same
+    f and g objects (see ``_inner_slot``), which is how ``compose`` reuses
+    them for its second coordinate.
+    """
+    global _inner_slot
     if r.num.is_zero():
         return RatFunc2(Poly2.zero(), Poly2.const(1))
     # Each fraction's numerator and denominator are scaled by one common
     # factor, which leaves its value alone and makes both integral.
     _, (rn, rd) = _cleared(r.num, r.den)
-    _, (fn, fd) = _cleared(f.num, f.den)
-    _, (gn, gd) = _cleared(g.num, g.den)
-    fn, fd, gn, gd = _Powers(fn), _Powers(fd), _Powers(gn), _Powers(gd)
-    gprod: dict[int, dict[Term, int]] = {}
+    slot = _inner_slot
+    if slot is None or slot[0] is not f or slot[1] is not g:
+        _, (fn, fd) = _cleared(f.num, f.den)
+        _, (gn, gd) = _cleared(g.num, g.den)
+        slot = _inner_slot = (f, g, _Powers(fn), _Powers(fd), _Powers(gn), _Powers(gd), {})
+    _, _, fn, fd, gn, gd, gprods = slot
     dx = max(i for i, _ in [*rn, *rd])
     dy = max(j for _, j in [*rn, *rd])
+    gprod = gprods.setdefault(dy, {})
     # A common clearing factor fd^dx gd^dy multiplies top and bottom,
     # so the fraction below is r(f, g) on the nose.
     num = _compose_cleared(rn, dx, dy, fn, fd, gn, gd, gprod)

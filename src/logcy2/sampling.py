@@ -58,7 +58,19 @@ def random_letter(rng: random.Random) -> tuple:
     return (Linear(random_unimodular(rng)), e)
 
 
-def random_word(rng: random.Random, max_len: int, degree_cap: int = 24) -> Word:
+# The largest realized degree ``random_word`` lets a word reach.
+DEGREE_CAP = 24
+
+
+def realized_degree(w: Word) -> int:
+    """The largest total degree of the four polynomials of ``realize(w)``."""
+    from .birmap import realize
+
+    m = realize(w)
+    return max(p.total_degree() for p in (m.f.num, m.f.den, m.g.num, m.g.den))
+
+
+def random_word(rng: random.Random, max_len: int, degree_cap: int = DEGREE_CAP) -> Word:
     """A word of at most ``max_len`` letters whose realization stays desk-scale.
 
     Letters are appended while the realized degree stays under the cap;
@@ -66,19 +78,11 @@ def random_word(rng: random.Random, max_len: int, degree_cap: int = 24) -> Word:
     occasionally produces compositions far beyond what exact expansion
     handles in reasonable time.
     """
-    from .birmap import realize
-
     target = rng.randint(0, max_len)
     letters: list = []
     for _ in range(target):
         candidate = letters + [random_letter(rng)]
-        w = Word(tuple(candidate))
-        m = realize(w)
-        degree = max(
-            m.f.num.total_degree(), m.f.den.total_degree(),
-            m.g.num.total_degree(), m.g.den.total_degree(),
-        )
-        if degree > degree_cap:
+        if realized_degree(Word(tuple(candidate))) > degree_cap:
             break
         letters = candidate
     return Word(tuple(letters))

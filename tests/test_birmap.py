@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -20,8 +23,8 @@ from logcy2.birmap import (
     volume_character,
 )
 from logcy2.lattice import pl_apply, pl_compose, pl_elementary, PLMap
-from logcy2.polyrat import Poly2, RatFunc2, normalize
-from logcy2.sampling import random_letter, random_primitive, random_word
+from logcy2.polyrat import Poly2, RatFunc2, normalize, substitute
+from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_word, realized_degree
 from logcy2.words import E, Word, parse_word
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
@@ -124,6 +127,51 @@ def test_realize_is_homomorphism(srng):
         assert realize(w1 * w2) == compose(realize(w1), realize(w2))
 
 
+def test_compose_substitutes_exactly_twice(monkeypatch):
+    # One substitute per coordinate, both into the same inner objects: the
+    # benchmark traces substitute, and the second call reuses the inner
+    # map's tables only when it gets the very same f and g.
+    outer, inner = realize(parse_word("r1")), realize(parse_word("r3"))
+    calls = []
+
+    def spy(r, f, g):
+        calls.append((r, f, g))
+        return substitute(r, f, g)
+
+    monkeypatch.setattr("logcy2.birmap.substitute", spy)
+    compose(outer, inner)
+    assert [r for r, _, _ in calls] == [outer.f, outer.g]
+    assert all(f is inner.f and g is inner.g for _, f, g in calls)
+
+
+def test_compose_is_safe_across_threads():
+    # Every thread shares the inner-map tables substitute keeps; a thread
+    # switch between finding them and using them must not mix two inner maps.
+    maps = [realize(parse_word(t)) for t in ("r1", "r2", "r3", "E", "P", "r1*r2")]
+    expected = {(a, b): compose(outer, inner) for a, outer in enumerate(maps) for b, inner in enumerate(maps)}
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(250):
+            a, b = rng.randrange(len(maps)), rng.randrange(len(maps))
+            if compose(maps[a], maps[b]) != expected[a, b]:
+                wrong.append((a, b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
 def test_conjugation_identity_holds_as_stated():
     lhs = parse_word("A[-1,0;0,1] * E * A[-1,0;0,1]")
     rhs = parse_word("A[1,1;0,1] * E")
@@ -140,7 +188,15 @@ def test_volume_character_multiplicative(srng):
     for _ in range(25):
         w = random_word(srng, 6)
         assert volume_character(w) == character_from_letters(w)
-        w2 = random_word(srng, 2)
+        # Letters join w2 only while w * w2 stays under the sampler's degree
+        # cap: two capped words can multiply to a degree in the hundreds,
+        # whose realization took most of a minute.
+        w2 = Word()
+        for _ in range(srng.randint(0, 2)):
+            longer = w2 * Word((random_letter(srng),))
+            if realized_degree(w * longer) > DEGREE_CAP:
+                break
+            w2 = longer
         assert volume_character(w * w2) == volume_character(w) * volume_character(w2)
 
 

@@ -11,8 +11,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "logcy2"
 # Run under ``python -O``; every check raises SystemExit, none is an assert.
 OPTIMIZED_CHECKS = """
 import sys
+from logcy2.birmap import compose, realize
 from logcy2.lattice import MAT_ID, PLMap, pl_validate
 from logcy2.polyrat import InexactDivisionError, Poly2, normalize, parse_poly, poly_divexact
+from logcy2.words import parse_word
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
@@ -31,6 +33,14 @@ else:
 text = str(normalize(parse_poly("x^2 + x*y + x + y"), parse_poly("2*x^2 + (-2)*x*y + 2*x + (-2)*y")))
 if text != "((1/2)*x + (1/2)*y) / (x + (-1)*y)":
     raise SystemExit(f"normalize gave {text}")
+# r1 after r3 runs the one-term product path and the second substitute
+# reuses the inner map's tables.
+text = str(compose(realize(parse_word("r1")), realize(parse_word("r3"))))
+if text != (
+    "((x^4 + 4*x^3*y + 6*x^2*y^2 + 4*x*y^3 + y^4 + 2*x^2*y + 4*x*y^2 + 2*y^3 + y^2)"
+    " / (x^3 + 2*x^2*y + x*y^2), (y) / (x^2 + 2*x*y + y^2))"
+):
+    raise SystemExit(f"r1 after r3 gave {text}")
 """
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from logcy2 import polyrat
+from logcy2.birmap import BirationalMap, compose, realize
 from logcy2.polyrat import (
     IdenticallySingularError,
     Poly2,
@@ -22,6 +23,7 @@ from logcy2.polyrat import (
     poly_gcd,
     substitute,
 )
+from logcy2.words import parse_word
 
 sympy = pytest.importorskip("sympy")
 
@@ -166,6 +168,97 @@ def test_gcd_prs_fallback_matches_sympy(monkeypatch):
     assert ours == h
     assert same_up_to_scalar(ours, from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))))
     assert normalize(p, q) == canonical(to_sympy(p) / to_sympy(q))
+
+
+# --- one-term products -----------------------------------------------------------
+
+
+def one_term_factors():
+    """The constant 1, monomials with coefficient 1 or -1, and Fraction monomials."""
+    return st.one_of(
+        st.just(Poly2.const(1)),
+        st.builds(Poly2.monomial, st.integers(0, 3), st.integers(0, 3), st.sampled_from([1, -1])),
+        monomials(),
+    )
+
+
+@ORACLE
+@given(one_term_factors(), polys())
+def test_one_term_product_matches_sympy(m, p):
+    before = (dict(m.terms), dict(p.terms))
+    expected = from_sympy(sympy.expand(to_sympy(m) * to_sympy(p)))
+    assert m * p == expected
+    assert p * m == expected
+    assert (m.terms, p.terms) == before
+
+
+@ORACLE
+@given(one_term_factors(), polys(2, 3), st.integers(0, 5))
+def test_one_term_power_matches_sympy(m, p, k):
+    before = (dict(m.terms), dict(p.terms))
+    assert m**k == from_sympy(sympy.expand(to_sympy(m) ** k))
+    assert (m * p) ** k == from_sympy(sympy.expand((to_sympy(m) * to_sympy(p)) ** k))
+    assert (m.terms, p.terms) == before
+
+
+@ORACLE
+@given(polys(integral=True))
+def test_integer_product_by_one_is_the_other_factor(p):
+    ints, one = polyrat._split(p)[1], {(0, 0): 1}
+    before = dict(ints)
+    for product in (polyrat._ip_mul(one, ints), polyrat._ip_mul(ints, one)):
+        assert product is ints or (product is one and ints == one)
+    assert polyrat._ip_mul({(0, 0): -1}, ints) == {t: -c for t, c in ints.items()}
+    assert ints == before
+
+
+# --- inner tables shared across substitute calls --------------------------------
+
+
+def rebuilt(m: BirationalMap) -> BirationalMap:
+    """A map equal to m made of new objects, down to the terms dicts."""
+
+    def copy(r: RatFunc2) -> RatFunc2:
+        return RatFunc2(Poly2(dict(r.num.terms)), Poly2(dict(r.den.terms)))
+
+    return BirationalMap(copy(m.f), copy(m.g))
+
+
+def sympy_substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
+    point = {SX: to_sympy(f.num) / to_sympy(f.den), SY: to_sympy(g.num) / to_sympy(g.den)}
+    return canonical((to_sympy(r.num) / to_sympy(r.den)).subs(point, simultaneous=True))
+
+
+LETTERS = ("r1", "r2", "r3", "E", "E^-1", "E[1,0]", "A[0,1;-1,-1]", "A[2,1;1,1]^-1", "P")
+LONGER = ("r1*r2", "r3*r1*r2", "E^2*A[1,1;0,1]", "P^2*r2")
+
+
+def test_compose_tables_never_leak_between_inners(srng):
+    inners = [realize(parse_word(t)) for t in LETTERS]
+    outers = inners + [realize(parse_word(t)) for t in LONGER]
+    # Each reference substitutes into a new copy of the inner map, which no
+    # earlier call has seen.
+    expected = {}
+    for a, outer in enumerate(outers):
+        for b, inner in enumerate(inners):
+            fresh = rebuilt(inner)
+            expected[a, b] = BirationalMap(substitute(outer.f, fresh.f, fresh.g),
+                                           substitute(outer.g, fresh.f, fresh.g))
+            if a < len(LETTERS):
+                assert expected[a, b] == BirationalMap(sympy_substitute(outer.f, inner.f, inner.g),
+                                                       sympy_substitute(outer.g, inner.f, inner.g))
+    # Runs of one inner against outers of different degrees, alternating the
+    # original objects, long-lived equal copies and short-lived copies whose
+    # ids can be recycled.
+    copies = [rebuilt(m) for m in inners]
+    b = 0
+    for _ in range(120):
+        if srng.random() < 0.6:
+            b = srng.randrange(len(inners))
+        a = srng.randrange(len(outers))
+        form = srng.random()
+        inner = inners[b] if form < 0.4 else copies[b] if form < 0.7 else rebuilt(inners[b])
+        assert compose(outers[a], inner) == expected[a, b], (a, b)
 
 
 # --- exact division ---------------------------------------------------------------
