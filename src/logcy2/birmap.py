@@ -130,11 +130,9 @@ def _letter_map(letter: Letter) -> BirationalMap:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def realize(w: Word) -> BirationalMap:
-    """Compose the letter realizations, leftmost letter applied last."""
-    acc = IDENTITY_MAP
-    for letter in reversed(w.letters):
-        acc = compose(_letter_map(letter), acc)
-    return acc
+    """l1 after ... after ln, folded from l1 as ``compose(acc, letter)``: each
+    step substitutes a letter into the accumulated map, not the reverse."""
+    return reduce(compose, map(_letter_map, w.letters)) if w.letters else IDENTITY_MAP
 
 
 def equal(w1: Word, w2: Word) -> bool:
@@ -219,11 +217,8 @@ def _letter_trop(letter: Letter) -> PLMap:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def tropicalize(w: Word) -> PLMap:
-    """The piecewise-linear shadow: which boundary ray goes where."""
-    acc = PLMap.identity()
-    for letter in reversed(w.letters):
-        acc = pl_compose(_letter_trop(letter), acc)
-    return acc
+    """The piecewise-linear shadow, folded as ``realize`` is: ``pl_compose(acc, letter)``."""
+    return reduce(pl_compose, map(_letter_trop, w.letters)) if w.letters else PLMap.identity()
 
 
 def tropical_image(w: Word, v: Vec) -> Vec:

@@ -260,11 +260,13 @@ def _parse_term(tk: _Tokens) -> Word:
 
 
 def _parse_word(tk: _Tokens) -> Word:
-    w = _parse_term(tk)
+    # One free reduction over all the terms' letters: reducing at each "*"
+    # would re-reduce the whole prefix, quadratic in a long literal product.
+    letters = list(_parse_term(tk).letters)
     while tk.peek() == "*":
         tk.take()
-        w = w * _parse_term(tk)
-    return w
+        letters += _parse_term(tk).letters
+    return Word(tuple(letters))
 
 
 def parse_word(text: str) -> Word:

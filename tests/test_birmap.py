@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from logcy2.birmap import (
     CACHE_SIZE,
+    IDENTITY_MAP,
     BirationalMap,
     NotVolumePreservingError,
     boundary_limit,
@@ -25,7 +27,7 @@ from logcy2.birmap import (
 from logcy2.lattice import pl_apply, pl_compose, pl_elementary, PLMap
 from logcy2.polyrat import Poly2, RatFunc2, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_word, realized_degree
-from logcy2.words import E, Word, parse_word
+from logcy2.words import E, Elementary, Word, linear_from_literal, parse_word
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
@@ -48,6 +50,68 @@ def test_realize_pentagon():
 def test_realize_conjugated_elementary():
     m = realize(parse_word("E[0,-1]"))
     assert m == BirationalMap(RatFunc2.x(), normalize(Y * (ONE + X), X))
+
+
+# --- the realize fold ---------------------------------------------------------------
+
+
+def _realize_right_fold(w: Word) -> BirationalMap:
+    """The former fold: letter after accumulated map, from the identity."""
+    acc = IDENTITY_MAP
+    for letter in reversed(w.letters):
+        acc = compose(_letter_map(letter), acc)
+    return acc
+
+
+def _tropicalize_right_fold(w: Word) -> PLMap:
+    acc = PLMap.identity()
+    for letter in reversed(w.letters):
+        acc = pl_compose(_letter_trop(letter), acc)
+    return acc
+
+
+MACRO_17 = "P^5*E^3*A[1,1;0,1]*E[1,0]^2*E[-1,2]"
+
+
+def _one_letter_words() -> list[Word]:
+    """Both signs of E[n] for primitive n in [-2, 2]^2 and of A[...] with entries in [-1, 1]."""
+    gens = [Elementary(n) for n in itertools.product(range(-2, 3), repeat=2) if math.gcd(*n) == 1]
+    literals = itertools.product(range(-1, 2), repeat=4)
+    gens += [linear_from_literal(a, b, c, d) for a, b, c, d in literals if abs(a * d - b * c) == 1]
+    return [Word(((gen, e),)) for gen in gens for e in (1, -1)]
+
+
+def test_realize_and_tropicalize_match_right_fold_reference(srng):
+    words = [random_word(srng, 5) for _ in range(30)]
+    words += [parse_word(t) for t in ("P", "r1", "r2", "r3", MACRO_17, "id")]
+    words += _one_letter_words()
+    for w in words:
+        got, want = realize(w), _realize_right_fold(w)
+        assert got == want and str(got) == str(want), str(w)
+        got_trop, want_trop = tropicalize(w), _tropicalize_right_fold(w)
+        assert got_trop == want_trop and str(got_trop) == str(want_trop), str(w)
+
+
+def test_realize_folds_from_the_first_letter(monkeypatch):
+    w = parse_word(MACRO_17)
+    expected = realize(w)
+    letter_maps = [_letter_map(letter) for letter in w.letters]  # built before the spy
+    one_letter = Word(w.letters[:1])
+    realize.cache_clear()
+    inners = []
+
+    def spy(outer, inner):
+        inners.append(inner)
+        return compose(outer, inner)
+
+    monkeypatch.setattr("logcy2.birmap.compose", spy)
+    assert realize(w) == expected
+    assert len(inners) == len(w) - 1 == 16
+    assert all(inner is m for inner, m in zip(inners, letter_maps[1:]))
+    inners.clear()
+    assert realize(one_letter) is letter_maps[0]
+    assert realize(Word()) is IDENTITY_MAP
+    assert inners == []
 
 
 def test_equal_trivial_and_pentagon():

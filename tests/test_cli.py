@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -40,6 +41,18 @@ def test_word_realize_reflection(capsys):
     code, out, _ = run(capsys, "word", "realize", "r2")
     assert code == 0
     assert out.strip() == "(x, (x^2 + 2*x + 1) / (y))"
+
+
+def test_word_equal_long_word_against_id(capsys):
+    code, out, _ = run(capsys, "word", "equal", "(r1*r2*r3)^2*r1", "id")
+    assert code == 0 and out.strip() == "false"
+
+
+def test_word_realize_short_word_of_high_degree(capsys):
+    code, out, _ = run(capsys, "word", "realize", "A[1,0;0,1]^-1*E[1,0]*E[1,-1]*E[1,2]*E[-1,2]*E[1,2]")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "ede78fa06ee8e01af895da987367ddfa5abf4edf943eea89abe345d27d16e787"
 
 
 def test_word_character(capsys):

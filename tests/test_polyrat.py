@@ -3,6 +3,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from logcy2 import polyrat
 from logcy2.polyrat import (
@@ -323,3 +324,23 @@ def test_ratfunc_text_roundtrip(srng):
             continue
         r = normalize(n, d)
         assert parse_ratfunc(format_ratfunc(r)) == r
+
+
+# Negative, integral and Fraction coefficients; an empty or all-zero dict is
+# the zero polynomial.
+coefficients = st.one_of(st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=12))
+polys = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), coefficients, max_size=6).map(Poly2)
+constants = coefficients.filter(bool).map(Poly2.const)
+
+
+@given(polys)
+def test_poly_text_roundtrip_property(p):
+    text = format_poly(p)
+    assert parse_poly(text) == p
+    assert (text == "0") == p.is_zero()
+
+
+@given(polys, st.one_of(constants, polys.filter(bool)))
+def test_ratfunc_text_roundtrip_property(n, d):
+    r = normalize(n, d)
+    assert parse_ratfunc(format_ratfunc(r)) == r

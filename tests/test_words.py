@@ -60,6 +60,24 @@ def test_power_equals_explicit_product():
     assert parse_word("E^8000").letters == ((Elementary((0, 1)), 1),) * 8000
 
 
+def test_literal_product_is_reduced_once(monkeypatch):
+    # A long product reduces its letters in one pass, not once per "*".
+    text = "*".join(["E", "E[1,0]"] * 1000)
+    reduced = []
+    post_init = Word.__post_init__
+
+    def spy(self):
+        reduced.append(len(self.letters))
+        post_init(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Word, "__post_init__", spy)
+        w = parse_word(text)
+    assert sum(reduced) <= 3 * 2000
+    assert w == parse_word("(E*E[1,0])^1000")
+    assert parse_word("E * E[1,0] * (E[1,0]^-1 * E^-1) * A[0,1;1,0]") == parse_word("A[0,1;1,0]")
+
+
 def test_power_past_letter_limit_is_a_syntax_error():
     assert len(parse_word(f"E^{MAX_POWER_LETTERS}")) == MAX_POWER_LETTERS
     with pytest.raises(WordSyntaxError):
