@@ -36,7 +36,7 @@ from .lattice import (
     pl_inverse,
     require_primitive,
 )
-from .polyrat import Poly2, RatFunc2, normalize, substitute, univariate_gcd, univariate_mul
+from .polyrat import Poly2, RatFunc2, dlog_ratio, normalize, substitute, univariate_gcd, univariate_mul
 from .words import Elementary, Generator, Letter, Linear, Word, generator_determinant
 
 
@@ -46,7 +46,7 @@ CACHE_SIZE = 1024
 
 
 class NotVolumePreservingError(ArithmeticError):
-    """The Jacobian character came out non-constant; indicates an internal bug."""
+    """The volume character came out non-constant or other than +-1; indicates an internal bug."""
 
 
 class NonGenericArcError(ArithmeticError):
@@ -164,41 +164,18 @@ def equal(w1: Word, w2: Word) -> bool:
 def volume_character(w: Word) -> int:
     """The constant +-1 scaling the form dlog x ^ dlog y.
 
-    The Jacobian is assembled as a single unreduced fraction and constancy is
-    decided by direct proportionality of numerator and denominator, which
-    avoids reducing a fraction that cancels completely.  Every word must come
-    out exactly +1 or -1; anything else raises NotVolumePreservingError.
+    ``polyrat.dlog_ratio`` proves the realized map's dlog f ^ dlog g a
+    constant multiple of dlog x ^ dlog y in exact integer arithmetic, or
+    shows that it is not.  Every word must come out exactly +1 or -1;
+    anything else raises NotVolumePreservingError.
     """
     m = realize(w)
-    fn, fd = m.f.num, m.f.den
-    gn, gd = m.g.num, m.g.den
-    fx_num = fn.derivative("x") * fd - fn * fd.derivative("x")
-    fy_num = fn.derivative("y") * fd - fn * fd.derivative("y")
-    gx_num = gn.derivative("x") * gd - gn * gd.derivative("x")
-    gy_num = gn.derivative("y") * gd - gn * gd.derivative("y")
-    # (x y / (f g)) * (f_x g_y - f_y g_x), with one power of fd gd cancelled.
-    num = Poly2.x() * Poly2.y() * (fx_num * gy_num - fy_num * gx_num)
-    den = fn * gn * fd * gd
-    value = _constant_ratio(num, den)
+    value = dlog_ratio(m.f, m.g)
     if value is None:
         raise NotVolumePreservingError(f"character of {w} is non-constant")
     if value not in (1, -1):
         raise NotVolumePreservingError(f"character of {w} is {value}")
     return int(value)
-
-
-def _constant_ratio(num: Poly2, den: Poly2):
-    """c with num = c * den, or None if the ratio is non-constant."""
-    if den.is_zero():
-        return None
-    if num.is_zero():
-        return Fraction(0)
-    t, dc = den.leading_term()
-    nc = num.terms.get(t)
-    if nc is None:
-        return None
-    c = nc / dc
-    return c if num == den.scale(c) else None
 
 
 def character_from_letters(w: Word) -> int:

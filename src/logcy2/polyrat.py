@@ -21,6 +21,8 @@ A product with a one-term factor shifts and scales the other factor, and a
 factor 1 returns the other one as it stands.  ``substitute`` keeps the power
 tables of the last inner map it saw, so the two calls of a composition, and
 consecutive substitutions into the same map objects, build them once.
+``dlog_ratio`` decides exactly, in two integer passes over term pairs,
+whether dlog f ^ dlog g is a constant multiple of dlog x ^ dlog y.
 ``leading_term``, ``constant_value`` and ``evaluate`` return Fractions.
 Negative powers never appear: monomial maps with negative exponents are
 represented with explicit denominators.
@@ -879,6 +881,70 @@ def partial_derivative(r: RatFunc2, var: str) -> RatFunc2:
     """Exact quotient-rule derivative."""
     n, d = r.num, r.den
     return normalize(n.derivative(var) * d - n * d.derivative(var), d * d)
+
+
+def _euler_parts(num: dict[Term, int], den: dict[Term, int], base: int) -> dict[int, list[int]]:
+    """{key: [v, vx, vy]}: v = num den, vx = Dx(num) den - num Dx(den), vy alike.
+
+    A term pair c1 x^i1 y^j1, c2 x^i2 y^j2 adds c1 c2, c1 c2 (i1 - i2) and
+    c1 c2 (j1 - j2); (i, j) is keyed (i + j) * base + i, as in ``_ip_divexact``.
+    """
+    dl = [(i, j, (i + j) * base + i, c) for (i, j), c in den.items()]
+    out: dict[int, list[int]] = {}
+    get = out.get
+    for (i1, j1), c1 in num.items():
+        k1 = (i1 + j1) * base + i1
+        for i2, j2, k2, c2 in dl:
+            c = c1 * c2
+            k = k1 + k2
+            e = get(k)
+            if e is None:
+                out[k] = [c, c * (i1 - i2), c * (j1 - j2)]
+            else:
+                e[0] += c
+                e[1] += c * (i1 - i2)
+                e[2] += c * (j1 - j2)
+    return out
+
+
+def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
+    """c with dlog f ^ dlog g = c dlog x ^ dlog y, or None when no constant c does.
+
+    With Dx = x d/dx, F = fn fd, Px = Dx(fn) fd - fn Dx(fd), Py alike, and G,
+    Qx, Qy from g, the claim is Px Qy - Py Qx = c F G.  c = n / d is read at
+    the grlex-leading monomial of F G, and one pass over the term pairs then
+    proves d (Px Qy - Py Qx) = n F G in Z[x, y].  f and g need not be
+    reduced; a zero f or g gives None.
+    """
+    if not f.den or not g.den:
+        raise ZeroDenominatorError("denominator is identically zero")
+    if not f.num or not g.num:
+        return None
+    _, (fn, fd) = _cleared(f.num, f.den)
+    _, (gn, gd) = _cleared(g.num, g.den)
+    # The x-degree of every product monomial stays below base, so keys add.
+    base = 1 + sum(max(i for i, _ in p) for p in (fn, fd, gn, gd))
+    fp = _euler_parts(fn, fd, base)
+    gp = _euler_parts(gn, gd, base)
+    lf = max(k for k, e in fp.items() if e[0])
+    lg = max(k for k, e in gp.items() if e[0])
+    top = lf + lg
+    n = 0
+    for k, (_, px, py) in fp.items():
+        q = gp.get(top - k)
+        if q is not None:
+            n += px * q[2] - py * q[1]
+    c = Fraction(n, fp[lf][0] * gp[lg][0])
+    n, d = c.numerator, c.denominator
+    gl = [(k, v, qx, qy) for k, (v, qx, qy) in gp.items()]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k1, (v, px, py) in fp.items():
+        a, b, e = d * px, d * py, n * v
+        for k2, w, qx, qy in gl:
+            k = k1 + k2
+            acc[k] = get(k, 0) + a * qy - b * qx - e * w
+    return None if any(acc.values()) else c
 
 
 def evaluate(r: RatFunc2, point) -> Fraction:

@@ -248,6 +248,28 @@ def test_volume_character_examples():
     assert volume_character(Word()) == 1
 
 
+@pytest.mark.parametrize(
+    "f, g, expected",
+    [
+        (X * X, Y, "is 2"),
+        (X + ONE, Y, "is non-constant"),
+        (Y, X, -1),
+        (X * Y, Y, 1),
+    ],
+)
+def test_volume_character_of_a_given_map(monkeypatch, f, g, expected):
+    # Words only realize to volume-preserving maps, so the error path is
+    # reached by standing in another map for the realization.
+    m = BirationalMap(RatFunc2.from_poly(f), RatFunc2.from_poly(g))
+    monkeypatch.setattr("logcy2.birmap.realize", lambda w: m)
+    w = parse_word("E")
+    if isinstance(expected, int):
+        assert volume_character(w) == expected
+    else:
+        with pytest.raises(NotVolumePreservingError, match=f"character of E {expected}$"):
+            volume_character(w)
+
+
 def test_volume_character_multiplicative(srng):
     for _ in range(25):
         w = random_word(srng, 6)

@@ -13,7 +13,7 @@ OPTIMIZED_CHECKS = """
 import sys
 from logcy2.birmap import compose, realize
 from logcy2.lattice import MAT_ID, PLMap, pl_validate
-from logcy2.polyrat import InexactDivisionError, Poly2, normalize, parse_poly, poly_divexact
+from logcy2.polyrat import InexactDivisionError, Poly2, RatFunc2, dlog_ratio, normalize, parse_poly, poly_divexact
 from logcy2.words import parse_word
 
 if not sys.flags.optimize:
@@ -41,6 +41,13 @@ if text != (
     " / (x^3 + 2*x^2*y + x*y^2), (y) / (x^2 + 2*x*y + y^2))"
 ):
     raise SystemExit(f"r1 after r3 gave {text}")
+# The second pass of dlog_ratio decides both: (x^2, y) scales the form by
+# 2 and (x + 1, y) by a non-constant.
+x2, y = RatFunc2.from_poly(parse_poly("x^2")), RatFunc2.y()
+if dlog_ratio(x2, y) != 2:
+    raise SystemExit(f"dlog_ratio(x^2, y) gave {dlog_ratio(x2, y)}")
+if dlog_ratio(RatFunc2.from_poly(parse_poly("x + 1")), y) is not None:
+    raise SystemExit("dlog_ratio(x + 1, y) gave a constant")
 """
 
 

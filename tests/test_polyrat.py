@@ -14,6 +14,7 @@ from logcy2.polyrat import (
     PolyParseError,
     RatFunc2,
     ZeroDenominatorError,
+    dlog_ratio,
     evaluate,
     format_poly,
     format_ratfunc,
@@ -230,6 +231,55 @@ def test_partial_derivative_quotient_rule():
 def test_partial_derivative_trivial():
     assert partial_derivative(rf(X), "y") == rf(Poly2.zero())
     assert partial_derivative(rf(X * X), "x") == rf(X.scale(2))
+
+
+def jacobian_dlog_ratio(f: RatFunc2, g: RatFunc2):
+    """Reference for dlog_ratio: (x y / (f g)) (f_x g_y - f_y g_x) by the quotient rule."""
+    if f.is_zero() or g.is_zero():
+        return None
+    fx, fy = partial_derivative(f, "x"), partial_derivative(f, "y")
+    gx, gy = partial_derivative(g, "x"), partial_derivative(g, "y")
+    j = rf(X * Y) / (f * g) * (fx * gy - fy * gx)
+    return j.constant_value() if j.is_constant() else None
+
+
+def test_dlog_ratio_examples():
+    assert dlog_ratio(rf(X * X), rf(Y)) == 2
+    assert dlog_ratio(rf(X + ONE), rf(Y)) is None
+    # -x / (x + y^2): constant along x = t^2, y = t, so colliding keys would show.
+    assert dlog_ratio(rf(Y), rf(X + Y * Y)) is None
+    assert dlog_ratio(rf(Y), rf(X)) == -1
+    assert dlog_ratio(rf(X * Y), rf(Y)) == 1
+    assert dlog_ratio(rf(X.scale(3)), rf(ONE, Y.scale(Fraction(1, 2)))) == -1
+    assert dlog_ratio(rf(X), rf(Poly2.const(5))) == 0
+    assert dlog_ratio(RatFunc2(X * X, X), rf(Y)) == 1  # unreduced input
+    assert dlog_ratio(rf(Poly2.zero()), rf(Y)) is None
+    with pytest.raises(ZeroDenominatorError):
+        dlog_ratio(RatFunc2(X, Poly2.zero()), rf(Y))
+
+
+def test_dlog_ratio_matches_quotient_rule_jacobian(srng):
+    # Fraction coefficients reach the denominator-clearing path.  A map
+    # g = c x^a y^b h(f), with f a monomial map, has dlog f ^ dlog g a
+    # constant multiple of dlog x ^ dlog y, so constants other than 0 and
+    # +-1 come up alongside the generic non-constant case.
+    seen = set()
+    for _ in range(60):
+        if srng.random() < 0.5:
+            f = rf(random_poly(srng), random_poly(srng) or ONE)
+            g = rf(random_poly(srng), random_poly(srng) or ONE)
+        else:
+            a, b, c, d = (srng.randint(-2, 2) for _ in range(4))
+            f = rf(X ** max(a, 0) * Y ** max(b, 0), X ** max(-a, 0) * Y ** max(-b, 0))
+            f = f * rf(Poly2.const(Fraction(srng.randint(1, 5), srng.randint(1, 3))))
+            g = rf(X ** max(c, 0) * Y ** max(d, 0), X ** max(-c, 0) * Y ** max(-d, 0))
+            h = random_poly(srng, 2, 3)
+            if h:
+                g = g * substitute(rf(h), f, f)
+        got = dlog_ratio(f, g)
+        assert got == jacobian_dlog_ratio(f, g), (f, g)
+        seen.add("none" if got is None else "unit" if got in (1, -1) else "zero" if got == 0 else "other")
+    assert seen == {"none", "unit", "zero", "other"}
 
 
 def test_mixed_partials_commute(srng):

@@ -18,6 +18,7 @@ from logcy2.polyrat import (
     IdenticallySingularError,
     Poly2,
     RatFunc2,
+    dlog_ratio,
     normalize,
     poly_divexact,
     poly_gcd,
@@ -210,6 +211,36 @@ def test_integer_product_by_one_is_the_other_factor(p):
         assert product is ints or (product is one and ints == one)
     assert polyrat._ip_mul({(0, 0): -1}, ints) == {t: -c for t, c in ints.items()}
     assert ints == before
+
+
+# --- dlog ratio ------------------------------------------------------------------
+
+
+def sympy_dlog_ratio(f: RatFunc2, g: RatFunc2):
+    """(x y / (f g)) (f_x g_y - f_y g_x) as a Fraction when sympy finds it constant."""
+    sf, sg = to_sympy(f.num) / to_sympy(f.den), to_sympy(g.num) / to_sympy(g.den)
+    if sf == 0 or sg == 0:
+        return None
+    jac = sympy.diff(sf, SX) * sympy.diff(sg, SY) - sympy.diff(sf, SY) * sympy.diff(sg, SX)
+    ratio = sympy.cancel(SX * SY * jac / (sf * sg))
+    return Fraction(int(ratio.p), int(ratio.q)) if ratio.is_Rational else None
+
+
+def monomial_ratfunc(a: int, b: int) -> RatFunc2:
+    return normalize(Poly2.monomial(max(a, 0), max(b, 0)), Poly2.monomial(max(-a, 0), max(-b, 0)))
+
+
+@ORACLE
+@given(polys(2, 3), polys(2, 3), polys(2, 3), st.tuples(*[st.integers(-2, 2)] * 4))
+def test_dlog_ratio_matches_sympy(p, q, h, exps):
+    # A generic pair, and f = x^a y^b p with g = x^c y^d h(f, f), whose
+    # ratio is the constant a d - b c whenever p has one term.
+    a, b, c, d = exps
+    f = monomial_ratfunc(a, b) * normalize(p, Poly2.const(1))
+    g = monomial_ratfunc(c, d) * substitute(normalize(h, Poly2.const(1)), f, f)
+    pairs = [(normalize(p, q), normalize(h, p)), (f, g)]
+    for f, g in pairs:
+        assert dlog_ratio(f, g) == sympy_dlog_ratio(f, g)
 
 
 # --- inner tables shared across substitute calls --------------------------------
