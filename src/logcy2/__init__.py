@@ -8,6 +8,7 @@ from .birmap import (
     BoundaryAction,
     boundary_limit,
     equal,
+    extend,
     realize,
     tropical_image,
     tropicalize,
@@ -72,6 +73,7 @@ __all__ = [
     "equal",
     "evaluate",
     "exceptional_collection",
+    "extend",
     "insert_ray",
     "interior_blowup",
     "leq",

@@ -10,6 +10,14 @@ elementary transformation at ray n is the conjugate of E by the canonical
 complement of n.  Words realize to reduced rational-function pairs, where
 structural equality of canonical forms decides the word problem.
 
+``realize`` (through ``extend``) pulls the map back through one letter at a
+time with ``polyrat.pullback`` and takes no gcd.  A monomial map is an
+automorphism of Z[x^+-1, y^+-1] and E^+-1 one of Z[x^+-1, y^+-1, (1 + x)^-1],
+so a reduced fraction pulled back through a letter can only gain monomials
+and powers of 1 + x as common factors, and the kernels divide those out
+exactly.  ``compose`` of two arbitrary maps still substitutes and reduces
+by gcd.
+
 ``boundary_limit`` computes the induced map between boundary components:
 substituting the arc x = lambda^p t^n1, y = lambda^q t^n2 (with p n2 - q n1
 = 1, so lambda is the boundary coordinate; the distinguished point sits at
@@ -25,18 +33,20 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .lattice import (
+    MAT_ID,
     Mat,
     PLMap,
     Vec,
     complement_matrix,
     mat_inv,
+    mat_mul,
     pl_apply,
     pl_compose,
     pl_elementary,
     pl_inverse,
     require_primitive,
 )
-from .polyrat import Poly2, RatFunc2, dlog_ratio, normalize, substitute, univariate_gcd, univariate_mul
+from .polyrat import Poly2, RatFunc2, dlog_ratio, normalize, pullback, substitute, univariate_gcd, univariate_mul
 from .words import Elementary, Generator, Letter, Linear, Word, generator_determinant
 
 
@@ -121,18 +131,43 @@ def elementary_realization(n: Vec, exponent: int = 1, second_row: tuple[int, int
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _letter_map(letter: Letter) -> BirationalMap:
+def _letter_steps(letter: Letter) -> tuple[Mat | int, ...]:
+    """The ``polyrat.pullback`` steps of one letter.
+
+    A linear letter is its matrix; E[n]^e is the conjugate mat_inv(c), e, c,
+    with c the canonical complement of n.
+    """
     gen, e = letter
     if isinstance(gen, Linear):
-        return monomial_map(gen.mat if e == 1 else mat_inv(gen.mat))
-    return elementary_realization(gen.n, e)
+        return (gen.mat if e == 1 else mat_inv(gen.mat),)
+    c = complement_matrix(gen.n)
+    return (mat_inv(c), e, c)
+
+
+def extend(m: BirationalMap, w: Word) -> BirationalMap:
+    """m after realize(w): m pulled back through the letters of w in order.
+
+    Adjacent monomial steps merge into one by their matrix product and
+    adjacent powers of E add up, so E[n]^k costs one E-step; an identity
+    matrix or E^0 is dropped.  The empty word gives m itself.
+    """
+    if not w.letters:
+        return m
+    steps: list[Mat | int] = []
+    for letter in w.letters:
+        for step in _letter_steps(letter):
+            if steps and isinstance(step, int) == isinstance(steps[-1], int):
+                prev = steps.pop()
+                step = prev + step if isinstance(step, int) else mat_mul(prev, step)
+            if step != 0 and step != MAT_ID:
+                steps.append(step)
+    return BirationalMap(pullback(m.f, steps), pullback(m.g, steps))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def realize(w: Word) -> BirationalMap:
-    """l1 after ... after ln, folded from l1 as ``compose(acc, letter)``: each
-    step substitutes a letter into the accumulated map, not the reverse."""
-    return reduce(compose, map(_letter_map, w.letters)) if w.letters else IDENTITY_MAP
+    """l1 after ... after ln, as ``extend(IDENTITY_MAP, w)``."""
+    return extend(IDENTITY_MAP, w)
 
 
 def equal(w1: Word, w2: Word) -> bool:
@@ -194,7 +229,7 @@ def _letter_trop(letter: Letter) -> PLMap:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def tropicalize(w: Word) -> PLMap:
-    """The piecewise-linear shadow, folded as ``realize`` is: ``pl_compose(acc, letter)``."""
+    """The piecewise-linear shadow, folded from the first letter as ``pl_compose(acc, letter)``."""
     return reduce(pl_compose, map(_letter_trop, w.letters)) if w.letters else PLMap.identity()
 
 

@@ -23,6 +23,10 @@ tables of the last inner map it saw, so the two calls of a composition, and
 consecutive substitutions into the same map objects, build them once.
 ``dlog_ratio`` decides exactly, in two integer passes over term pairs,
 whether dlog f ^ dlog g is a constant multiple of dlog x ^ dlog y.
+``pullback`` pulls a fraction back through monomial maps and powers of
+E = (x, y (1 + x)^-1) with no substitution and no gcd: the only common
+factors such a step can create are monomials and powers of 1 + x, and its
+kernel divides them out exactly (see "pullbacks through the generators").
 ``leading_term``, ``constant_value`` and ``evaluate`` return Fractions.
 Negative powers never appear: monomial maps with negative exponents are
 represented with explicit denominators.
@@ -44,7 +48,9 @@ A rational function prints as ``num`` when the denominator is 1, otherwise
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -875,6 +881,134 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     if not den:
         raise IdenticallySingularError("denominator vanishes identically under substitution")
     return normalize(Poly2._raw(num), Poly2._raw(den))
+
+
+# --- pullbacks through the generators ----------------------------------------
+#
+# A monomial map with matrix B, (x, y) -> (x^B11 y^B12, x^B21 y^B22), is an
+# automorphism of Z[x^+-1, y^+-1], and E^e = (x, y (1 + x)^-e) one of
+# Z[x^+-1, y^+-1, (1 + x)^-1].  Pulling a reduced fraction num/den back
+# through either keeps num and den coprime in that ring, so over Q[x, y]
+# the only common factors they can gain are monomials and, for E^e, powers
+# of 1 + x.  Each kernel removes exactly those, and no gcd is taken.  Both
+# steps only relabel exponents and multiply or divide rows by powers of the
+# primitive 1 + x, so by Gauss's lemma the integer content of each side is
+# unchanged; ``pullback`` clears denominators once on entry and makes the
+# denominator grlex-monic once on exit.
+
+
+def monomial_pullback(num: dict[Term, int], den: dict[Term, int], mat: tuple[Term, Term]):
+    """num/den pulled back through the monomial map with matrix ``mat``.
+
+    x^i y^j becomes x^(B11 i + B21 j) y^(B12 i + B22 j).  The relabelled
+    pair is a reduced pair of Laurent polynomials, so one shift by the
+    smallest x- and y-exponents over both sides clears the negative
+    exponents and removes the only common factor a reduced num/den can gain.
+    """
+    (a, b), (c, d) = mat
+    num = {(a * i + c * j, b * i + d * j): v for (i, j), v in num.items()}
+    den = {(a * i + c * j, b * i + d * j): v for (i, j), v in den.items()}
+    keys = [*num, *den]
+    si = min(i for i, _ in keys)
+    sj = min(j for _, j in keys)
+    if si or sj:
+        num = {(i - si, j - sj): v for (i, j), v in num.items()}
+        den = {(i - si, j - sj): v for (i, j), v in den.items()}
+    return num, den
+
+
+def _alternating_rows(p: dict[Term, int]) -> dict[int, tuple[int, list[int]]]:
+    """{j: (lo, b)} with b[t] = (-1)^i c for the coefficient c of x^i y^j, i = lo + t.
+
+    In these signs a product by 1 + x is a difference, b[t] - b[t - 1], and a
+    quotient by 1 + x a running sum, exact when the whole sum is 0.
+    """
+    by_j: dict[int, dict[int, int]] = {}
+    for (i, j), c in p.items():
+        row = by_j.get(j)
+        if row is None:
+            row = by_j[j] = {}
+        row[i] = -c if i & 1 else c
+    out = {}
+    for j, row in by_j.items():
+        lo = min(row)
+        b = [0] * (max(row) - lo + 1)
+        for i, c in row.items():
+            b[i - lo] = c
+        out[j] = (lo, b)
+    return out
+
+
+def _one_plus_x_valuation(b: list[int], cap: float) -> int:
+    """How many times 1 + x divides the row b (alternating signs), counting up to ``cap``."""
+    v = 0
+    while v < cap and not sum(b):
+        b = list(itertools.accumulate(b))
+        b.pop()
+        v += 1
+    return v
+
+
+def _times_one_plus_x(b: list[int], t: int) -> list[int]:
+    """The row b (alternating signs) times (1 + x)^t; for t < 0 an exact synthetic division."""
+    for _ in range(t):
+        b = list(map(operator.sub, [*b, 0], [0, *b]))
+    for _ in range(-t):
+        b = list(itertools.accumulate(b))
+        if b.pop():
+            raise InexactDivisionError("1 + x does not divide the row")
+    return b
+
+
+def elementary_pullback(num: dict[Term, int], den: dict[Term, int], e: int):
+    """num/den pulled back through E^e = (x, y (1 + x)^-e), for a reduced num/den.
+
+    Row j, the coefficient R_j(x) of y^j, becomes y^j (1 + x)^(-e j) R_j.
+    With v the (1 + x)-valuation, k = min over both sides and all rows of
+    v(R_j) - e j, and each row is rebuilt as y^j (1 + x)^(-e j - k) R_j:
+    that is both sides times (1 + x)^-k, which leaves the fraction's value
+    alone and makes the smallest valuation over both sides 0.  Every
+    exponent -e j - k is at least -v(R_j), so a negative one is an exact
+    synthetic division at x = -1.  The rows keep their y-degrees and lowest
+    x-degrees, so no monomial factor is gained.
+    """
+    rows = (_alternating_rows(num), _alternating_rows(den))
+    k = math.inf
+    # Rows in increasing -e j: once -e j reaches k, no later row lowers it,
+    # and a row's valuation is only counted as far as it could.
+    by_base = sorted(((-e * j, b) for side in rows for j, (_, b) in side.items()), key=operator.itemgetter(0))
+    for base, b in by_base:
+        if base >= k:
+            break
+        k = min(k, base + _one_plus_x_valuation(b, k - base))
+    out = []
+    for side in rows:
+        terms = {}
+        for j, (lo, b) in side.items():
+            b = _times_one_plus_x(b, -e * j - k)
+            terms.update({(i, j): -c if i & 1 else c for i, c in enumerate(b, lo) if c})
+        out.append(terms)
+    return out[0], out[1]
+
+
+def pullback(r: RatFunc2, steps: list[int | tuple[Term, Term]]) -> RatFunc2:
+    """r pulled back through each step in turn, in canonical form.
+
+    A step is an int e, for E^e (``elementary_pullback``), or a 2x2 integer
+    matrix, for the monomial map (``monomial_pullback``).  Denominators are
+    cleared once here, and one scaling on the way out makes the denominator
+    grlex-monic; integer content never changes in between (see above).
+    """
+    if r.num.is_zero():
+        return r
+    _, (num, den) = _cleared(r.num, r.den)
+    for step in steps:
+        if isinstance(step, int):
+            num, den = elementary_pullback(num, den, step)
+        else:
+            num, den = monomial_pullback(num, den, step)
+    lc = Fraction(1, den[_grlex_max(den)])
+    return RatFunc2(_int_to_poly(num, lc), _int_to_poly(den, lc))
 
 
 def partial_derivative(r: RatFunc2, var: str) -> RatFunc2:

@@ -17,17 +17,19 @@ from logcy2.birmap import (
     compose,
     elementary_realization,
     equal,
-    _letter_map,
+    extend,
+    _letter_steps,
     _letter_trop,
+    monomial_map,
     realize,
     tropical_image,
     tropicalize,
     volume_character,
 )
-from logcy2.lattice import pl_apply, pl_compose, pl_elementary, PLMap
+from logcy2.lattice import mat_inv, pl_apply, pl_compose, pl_elementary, PLMap
 from logcy2.polyrat import Poly2, RatFunc2, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_word, realized_degree
-from logcy2.words import E, Elementary, Word, linear_from_literal, parse_word
+from logcy2.words import E, Elementary, Letter, Linear, Word, linear_from_literal, parse_word
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
@@ -55,11 +57,19 @@ def test_realize_conjugated_elementary():
 # --- the realize fold ---------------------------------------------------------------
 
 
+def letter_map(letter: Letter) -> BirationalMap:
+    """One letter's map, from the public constructors."""
+    gen, e = letter
+    if isinstance(gen, Linear):
+        return monomial_map(gen.mat if e == 1 else mat_inv(gen.mat))
+    return elementary_realization(gen.n, e)
+
+
 def _realize_right_fold(w: Word) -> BirationalMap:
-    """The former fold: letter after accumulated map, from the identity."""
+    """An earlier fold: letter after accumulated map, from the identity."""
     acc = IDENTITY_MAP
     for letter in reversed(w.letters):
-        acc = compose(_letter_map(letter), acc)
+        acc = compose(letter_map(letter), acc)
     return acc
 
 
@@ -93,25 +103,40 @@ def test_realize_and_tropicalize_match_right_fold_reference(srng):
 
 
 def test_realize_folds_from_the_first_letter(monkeypatch):
+    # realize pulls back through the letters in order by exact kernels: no
+    # composition, substitution, normalization or gcd runs.
     w = parse_word(MACRO_17)
-    expected = realize(w)
-    letter_maps = [_letter_map(letter) for letter in w.letters]  # built before the spy
+    expected = _realize_right_fold(w)
     one_letter = Word(w.letters[:1])
+    first = letter_map(w.letters[0])
     realize.cache_clear()
-    inners = []
+    calls = []
 
-    def spy(outer, inner):
-        inners.append(inner)
-        return compose(outer, inner)
+    def spy(name):
+        def record(*args):
+            calls.append(name)
+            raise AssertionError(f"realize called {name}")
 
-    monkeypatch.setattr("logcy2.birmap.compose", spy)
-    assert realize(w) == expected
-    assert len(inners) == len(w) - 1 == 16
-    assert all(inner is m for inner, m in zip(inners, letter_maps[1:]))
-    inners.clear()
-    assert realize(one_letter) is letter_maps[0]
+        return record
+
+    for target in ("birmap.compose", "birmap.substitute", "birmap.normalize",
+                   "polyrat.substitute", "polyrat.normalize", "polyrat._ip_gcd"):
+        monkeypatch.setattr(f"logcy2.{target}", spy(target))
+    assert realize(w) == expected and str(realize(w)) == str(expected)
+    assert realize(one_letter) == first
     assert realize(Word()) is IDENTITY_MAP
-    assert inners == []
+    assert calls == []
+
+
+def test_extend_is_compose_after_realize(srng):
+    x2 = normalize(Poly2({(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 3)}), Poly2({(0, 1): 3, (1, 1): 1}))
+    maps = [realize(parse_word(t)) for t in ("r1", "P", "E^-2*E[1,1]")]
+    maps += [BirationalMap(x2, RatFunc2.const(Fraction(5, 7))), BirationalMap(RatFunc2.const(0), x2)]
+    for m in maps:
+        for w in [random_word(srng, 3) for _ in range(6)] + [Word()]:
+            got = extend(m, w)
+            assert got == compose(m, realize(w)) and str(got) == str(compose(m, realize(w))), str(w)
+    assert extend(maps[0], Word()) is maps[0]
 
 
 def test_equal_trivial_and_pentagon():
@@ -361,7 +386,7 @@ def test_tropical_image_matches_composite_map(srng):
 
 
 def test_word_caches_are_bounded():
-    for cached in (realize, tropicalize, _letter_map, _letter_trop):
+    for cached in (realize, tropicalize, _letter_steps, _letter_trop):
         assert cached.cache_info().maxsize == CACHE_SIZE
     k = math.isqrt(CACHE_SIZE) + 2  # k * k distinct two-letter words
     for a in range(k):

@@ -11,10 +11,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "logcy2"
 # Run under ``python -O``; every check raises SystemExit, none is an assert.
 OPTIMIZED_CHECKS = """
 import sys
-from logcy2.birmap import compose, realize
-from logcy2.lattice import MAT_ID, PLMap, pl_validate
+from logcy2 import polyrat
+from logcy2.birmap import IDENTITY_MAP, compose, elementary_realization, monomial_map, realize
+from logcy2.lattice import MAT_ID, PLMap, mat_inv, pl_validate
 from logcy2.polyrat import InexactDivisionError, Poly2, RatFunc2, dlog_ratio, normalize, parse_poly, poly_divexact
-from logcy2.words import parse_word
+from logcy2.words import Linear, parse_word
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
@@ -24,6 +25,14 @@ except InexactDivisionError:
     pass
 else:
     raise SystemExit("poly_divexact(x + 1, x) did not raise")
+# The synthetic division of the E-step kernel: 1 + 2x, in alternating signs
+# [1, -2], is not divisible by 1 + x.
+try:
+    polyrat._times_one_plus_x([1, -2], -1)
+except InexactDivisionError:
+    pass
+else:
+    raise SystemExit("dividing 1 + 2x by 1 + x did not raise")
 try:
     pl_validate(PLMap(((0, 1), (0, -1)), (((1, 1), (0, 1)), MAT_ID)))
 except AssertionError:
@@ -41,6 +50,16 @@ if text != (
     " / (x^3 + 2*x^2*y + x*y^2), (y) / (x^2 + 2*x*y + y^2))"
 ):
     raise SystemExit(f"r1 after r3 gave {text}")
+# realize runs the pullback kernels; a fold of compose gives the same text.
+w = parse_word("E^-3*E[1,0]^2*A[0,1;1,0]")
+folded = IDENTITY_MAP
+for gen, e in w.letters:
+    if isinstance(gen, Linear):
+        folded = compose(folded, monomial_map(gen.mat if e == 1 else mat_inv(gen.mat)))
+    else:
+        folded = compose(folded, elementary_realization(gen.n, e))
+if str(realize(w)) != str(folded):
+    raise SystemExit(f"realize gave {realize(w)}, the compose fold {folded}")
 # The second pass of dlog_ratio decides both: (x^2, y) scales the form by
 # 2 and (x + 1, y) by a non-constant.
 x2, y = RatFunc2.from_poly(parse_poly("x^2")), RatFunc2.y()

@@ -4,27 +4,35 @@ sympy is a test-only oracle: the module is skipped where it is missing.
 Each gcd route of ``polyrat._ip_gcd`` gets inputs that reach it: a monomial
 side for the shortcut, a shared factor of positive degree in both variables
 and coprime pairs for the two-level GCDHEU, and one explicit input whose
-coefficients are too tall for GCDHEU, so the remainder sequence runs.
+coefficients are too tall for GCDHEU, so the remainder sequence runs.  The
+two pullback kernels, which take no gcd, are checked against sympy's
+``cancel`` of the substituted fraction, and ``realize``, which runs on them,
+against a fold of ``compose``.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from logcy2 import polyrat
-from logcy2.birmap import BirationalMap, compose, realize
+from logcy2.birmap import IDENTITY_MAP, BirationalMap, compose, elementary_realization, monomial_map, realize
+from logcy2.lattice import mat_inv
 from logcy2.polyrat import (
     IdenticallySingularError,
     Poly2,
     RatFunc2,
     dlog_ratio,
+    elementary_pullback,
+    monomial_pullback,
     normalize,
     poly_divexact,
     poly_gcd,
+    pullback,
     substitute,
 )
-from logcy2.words import parse_word
+from logcy2.sampling import realized_degree
+from logcy2.words import Elementary, Linear, Word, parse_word
 
 sympy = pytest.importorskip("sympy")
 
@@ -319,3 +327,116 @@ def test_substitute_matches_subs_then_cancel(r, f, g):
         return
     expected = canonical(to_sympy(r.num).subs(point, simultaneous=True) / den)
     assert substitute(r, f, g) == expected
+
+
+# --- pullbacks through the generators ---------------------------------------------
+
+ONE_PLUS_X = Poly2({(0, 0): 1, (1, 0): 1})
+
+
+def reduced_fractions():
+    """Reduced fractions with Fraction coefficients, constant sides and (1 + x)-powers.
+
+    A side is a constant or a random polynomial; each side is multiplied by
+    (1 + x)^a y^b, so valuations up to 6 on either side are common.
+    """
+    constants = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool).map(Poly2.const)
+    side = st.one_of(polys(2, 4), constants)
+    powers = st.tuples(st.integers(0, 6), st.integers(0, 2))
+
+    def build(p, q, pa, qa):
+        return normalize(p * ONE_PLUS_X ** pa[0] * Poly2.monomial(0, pa[1]),
+                         q * ONE_PLUS_X ** qa[0] * Poly2.monomial(0, qa[1]))
+
+    return st.builds(build, side, side, powers, powers)
+
+
+def sympy_ratfunc(r: RatFunc2):
+    return to_sympy(r.num) / to_sympy(r.den)
+
+
+UNIMODULAR = st.sampled_from([((1, 0), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((1, 1), (0, 1)),
+                              ((1, -2), (0, 1)), ((2, 1), (1, 1)), ((0, -1), (1, -1)), ((-3, 2), (-2, 1))])
+
+
+@ORACLE
+@given(reduced_fractions(), UNIMODULAR)
+def test_monomial_pullback_matches_cancel(r, mat):
+    (a, b), (c, d) = mat
+    point = {SX: SX**a * SY**b, SY: SX**c * SY**d}
+    assert pullback(r, [mat]) == canonical(sympy_ratfunc(r).subs(point, simultaneous=True))
+
+
+@ORACLE
+@given(reduced_fractions(), st.integers(-4, 4).filter(bool))
+def test_elementary_pullback_matches_cancel(r, e):
+    point = {SY: SY * (1 + SX) ** -e}
+    assert pullback(r, [e]) == canonical(sympy_ratfunc(r).subs(point, simultaneous=True))
+
+
+@ORACLE
+@given(reduced_fractions(), st.lists(st.one_of(UNIMODULAR, st.integers(-3, 3).filter(bool)), max_size=3))
+def test_kernels_keep_integer_pairs_reduced(r, steps):
+    # On cleared integer sides the kernels return a pair with no common
+    # factor at all, which pullback then only scales.
+    num, den = polyrat._cleared(r.num, r.den)[1]
+    for step in steps:
+        num, den = (elementary_pullback if isinstance(step, int) else monomial_pullback)(num, den, step)
+    assert all(isinstance(c, int) for c in [*num.values(), *den.values()])
+    assert polyrat._ip_gcd(polyrat._split(Poly2(num))[1], polyrat._split(Poly2(den))[1])[0] == {(0, 0): 1}
+    assert pullback(r, steps) == normalize(Poly2(num), Poly2(den))
+
+
+def test_elementary_pullback_cancels_a_high_power_of_one_plus_x():
+    # y / (1 + x)^12 pulled back through E^-12 is y, and through E^12 gains
+    # twelve more powers.
+    r = normalize(Poly2.y(), ONE_PLUS_X**12)
+    assert pullback(r, [-12]) == RatFunc2.y()
+    assert pullback(r, [12]) == normalize(Poly2.y(), ONE_PLUS_X**24)
+
+
+def test_inexact_synthetic_division_raises():
+    # 1 + 2x (signs alternate: [1, -2]) is not divisible by 1 + x.
+    with pytest.raises(polyrat.InexactDivisionError):
+        polyrat._times_one_plus_x([1, -2], -1)
+    assert polyrat._times_one_plus_x([1, 0, -1], -1) == [1, 1]
+
+
+def letter_map(letter) -> BirationalMap:
+    gen, e = letter
+    if isinstance(gen, Linear):
+        return monomial_map(gen.mat if e == 1 else mat_inv(gen.mat))
+    return elementary_realization(gen.n, e)
+
+
+def compose_fold(w: Word) -> BirationalMap:
+    acc = IDENTITY_MAP
+    for letter in w.letters:
+        acc = compose(acc, letter_map(letter))
+    return acc
+
+
+RAYS = [(0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 2), (2, 1)]
+LINEARS = [Linear(((0, 1), (1, 0))), Linear(((1, 1), (0, 1))), Linear(((0, -1), (1, -1))), Linear(((-1, 0), (0, 1)))]
+
+
+def powered_words():
+    """Products of up to four generator powers: E[n]^k with |k| <= 12, linear letters to +-2.
+
+    Every prefix stays within degree 60, so the reference fold stays fast.
+    """
+    elementary = st.tuples(st.sampled_from(RAYS).map(Elementary), st.integers(-12, 12).filter(bool))
+    linear = st.tuples(st.sampled_from(LINEARS), st.sampled_from([1, -1, 2, -2]))
+    atom = st.one_of(elementary, linear).map(lambda gk: Word(((gk[0], 1 if gk[1] > 0 else -1),)) ** abs(gk[1]))
+    words = st.lists(atom, min_size=1, max_size=4).map(lambda ws: Word(tuple(l for w in ws for l in w.letters)))
+    return words.filter(lambda w: all(realized_degree(Word(w.letters[:n])) <= 60 for n in range(1, len(w) + 1)))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(powered_words())
+@example(parse_word("E^12*A[0,1;1,0]*E^-7"))
+@example(parse_word("E^-12*E[1,0]^12"))
+@example(parse_word("E[1,1]^12*E[-1,0]^-3"))
+def test_realize_matches_compose_fold(w):
+    got, want = realize(w), compose_fold(w)
+    assert got == want and str(got) == str(want)
