@@ -46,7 +46,7 @@ from .lattice import (
     pl_inverse,
     require_primitive,
 )
-from .polyrat import Poly2, RatFunc2, dlog_ratio, normalize, pullback, substitute, univariate_gcd, univariate_mul
+from .polyrat import Poly2, RatFunc2, dlog_ratio, normalize, pullback, substitute, univariate_mul
 from .words import Elementary, Generator, Letter, Linear, Word, generator_determinant
 
 
@@ -283,20 +283,13 @@ def _leading(lp: LPoly) -> tuple[int, dict[int, int | Fraction]]:
 
 
 def _lam_reduce(num: dict[int, int | Fraction], den: dict[int, int | Fraction]) -> tuple[Fraction, int] | None:
-    """Reduce a Laurent fraction in lambda; (c, e) if it equals c*lambda^e."""
-    shift = min(num) - min(den)
-    nun = {e - min(num): c for e, c in num.items()}
-    nde = {e - min(den): c for e, c in den.items()}
-    scale_n = math.lcm(*[c.denominator for c in nun.values()])
-    scale_d = math.lcm(*[c.denominator for c in nde.values()])
-    ni = {e: c.numerator * (scale_n // c.denominator) for e, c in nun.items()}
-    di = {e: c.numerator * (scale_d // c.denominator) for e, c in nde.items()}
-    _, ni, di = univariate_gcd(ni, di)
-    if len(ni) != 1 or len(di) != 1:
-        return None
-    (en, cn), (ed, cd) = next(iter(ni.items())), next(iter(di.items()))
-    coeff = Fraction(cn * scale_d, cd * scale_n)
-    return coeff, shift + en - ed
+    """(c, e) if the Laurent fraction num/den in lambda equals c*lambda^e, else None.
+
+    Only the leading terms can give c and e, and num == c*lambda^e*den decides.
+    """
+    e = max(num) - max(den)
+    c = Fraction(num[max(num)]) / den[max(den)]
+    return (c, e) if num == {k + e: c * v for k, v in den.items()} else None
 
 
 def _lam_pow(base_num, base_den, k: int):

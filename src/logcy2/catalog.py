@@ -16,7 +16,7 @@ from .surfaces import (
     TooFewRaysError,
     numeric_invariants,
     require_valid,
-    toric_self_intersections,
+    toric_intersection_matrix,
 )
 
 
@@ -74,31 +74,14 @@ def exceptional_collection(s: Surface) -> list[ExceptionalItem]:
     return items
 
 
-def _pairing_matrix(s: Surface) -> list[list[int]]:
-    """Products of the toric boundary components: self = a_i, adjacent = 1."""
-    k = len(s.rays)
-    selfints = toric_self_intersections(s)
-    mat = [[0] * k for _ in range(k)]
-    for i in range(k):
-        mat[i][i] = selfints[i]
-        mat[i][(i + 1) % k] += 1
-        mat[(i + 1) % k][i] += 1
-    if k == 3:
-        mat = [[1 if i != j else mat[i][i] for j in range(k)] for i in range(k)]
-    return mat
-
-
 def vanishing_cycles(s: Surface) -> list[VanishingCycleItem]:
     """Meridians mirroring the exceptional sheaves one-for-one, then longitudes.
 
     Longitude ``ell`` carries the twist vector whose i-th entry is the product
     of boundary component i with the sum of the first ``ell`` components.
     """
-    require_valid(s)
+    pairing = toric_intersection_matrix(s)  # validates s and needs 3 rays
     k = len(s.rays)
-    if k < 3:
-        raise TooFewRaysError(f"need at least 3 rays, got {k}")
-    pairing = _pairing_matrix(s)
     items: list[VanishingCycleItem] = []
     for i in range(k, 0, -1):
         for j in range(s.m[i - 1], 0, -1):

@@ -30,6 +30,8 @@ from .lattice import (
     complement_matrix,
     mat_inv,
     mat_mul,
+    mat_vec,
+    neg,
     require_primitive,
     require_unimodular,
 )
@@ -128,13 +130,7 @@ def diagram(s: Surface) -> BaseDiagram:
 
 
 def _transform_node(node: Node, mat: Mat) -> Node:
-    x, y = node.position
-    pos = (mat[0][0] * x + mat[0][1] * y, mat[1][0] * x + mat[1][1] * y)
-    direction = (
-        mat[0][0] * node.direction[0] + mat[0][1] * node.direction[1],
-        mat[1][0] * node.direction[0] + mat[1][1] * node.direction[1],
-    )
-    return make_node(pos, direction, node.cut_sign)
+    return make_node(mat_vec(mat, node.position), mat_vec(mat, node.direction), node.cut_sign)
 
 
 def apply_linear(d: BaseDiagram, mat: Mat) -> BaseDiagram:
@@ -224,12 +220,8 @@ def _line_profile(d: BaseDiagram, n: Vec) -> tuple[int, int]:
     if plus != [Fraction(j) for j in range(1, len(plus) + 1)]:
         raise PreconditionFailedError(f"nodes on ray {n} not at consecutive multiples: {plus}")
     if minus != [Fraction(j) for j in range(1, len(minus) + 1)]:
-        raise PreconditionFailedError(f"nodes on ray {neg_vec(n)} not at consecutive multiples")
+        raise PreconditionFailedError(f"nodes on ray {neg(n)} not at consecutive multiples")
     return len(plus), len(minus)
-
-
-def neg_vec(v: Vec) -> Vec:
-    return (-v[0], -v[1])
 
 
 def _scaled(n: Vec, t: int) -> Point:
@@ -262,7 +254,7 @@ def elementary_move_inverse(d: BaseDiagram, n: Vec) -> BaseDiagram:
     require_primitive(n)
     a, b = _line_profile(d, n)
     if b < 1:
-        raise PreconditionFailedError(f"no node at {neg_vec(n)} to move back")
+        raise PreconditionFailedError(f"no node at {neg(n)} to move back")
     d = cut_transfer(d, d.node_at(_scaled(n, -1)))
     for j in range(a, 0, -1):
         d = nodal_slide(d, d.node_at(_scaled(n, j)), _scaled(n, j + 1))

@@ -13,8 +13,9 @@ GCDs run in integer arithmetic and return the cofactors with the gcd.  A
 monomial input settles the gcd at once; otherwise a two-level heuristic gcd
 (GCDHEU) evaluates y and then x at xi >= 2 * min(height) + 29, takes the
 integer gcd and reads the answer back in balanced base xi, verified by exact
-division; what it gives up on goes to a specialization probe and a
-primitive pseudo-remainder sequence.  Products, powers, ``normalize`` and
+division; what it gives up on goes to one primitive pseudo-remainder
+sequence in x on the same term dicts, which also backs ``univariate_gcd``
+on x-only dicts.  Products, powers, ``normalize`` and
 ``substitute`` also run on integer coefficients, taking the terms of an
 integral polynomial as they stand and clearing denominators otherwise.
 A product with a one-term factor shifts and scales the other factor, and a
@@ -226,10 +227,6 @@ class InexactDivisionError(ArithmeticError):
     """An exact polynomial division left a nonzero remainder."""
 
 
-def _yp_degree(p: dict[int, int]) -> int:
-    return max(p, default=-1)
-
-
 def univariate_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     """Product in Z[t]; any exact coefficients (Fractions too) work."""
     out: dict[int, int] = {}
@@ -244,182 +241,24 @@ def univariate_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _yp_sub(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    out = dict(p)
-    for j, c in q.items():
-        s = out.get(j, 0) - c
-        if s:
-            out[j] = s
-        else:
-            out.pop(j, None)
-    return out
-
-
-def _yp_content(p: dict[int, int]) -> int:
-    return math.gcd(*p.values())
-
-
-def _yp_primitive(p: dict[int, int]) -> dict[int, int]:
-    """Divide out the integer content; make the leading coefficient positive."""
-    if not p:
-        return {}
-    g = _yp_content(p)
-    if p[_yp_degree(p)] < 0:
-        g = -g
-    return {j: c // g for j, c in p.items()}
-
-
-def _yp_shift_mul(p: dict[int, int], c: int, k: int) -> dict[int, int]:
-    return {j + k: v * c for j, v in p.items()} if c else {}
-
-
-def _yp_gcd(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    """Gcd in Z[y], with positive leading coefficient.
-
-    Primitive PRS with the content stripped after every reduction step,
-    which keeps intermediate coefficients near-minimal.
-    """
-    if not p or not q:
-        r = p or q
-        return {j: -c for j, c in r.items()} if r and r[_yp_degree(r)] < 0 else dict(r)
-    cont = math.gcd(_yp_content(p), _yp_content(q))
-    f, g = _yp_primitive(p), _yp_primitive(q)
-    if _yp_degree(f) < _yp_degree(g):
-        f, g = g, f
-    while g:
-        r = dict(f)
-        dg = _yp_degree(g)
-        lg = g[dg]
-        while r and _yp_degree(r) >= dg:
-            dr = _yp_degree(r)
-            lr = r[dr]
-            s = math.gcd(lg, lr)
-            r = _yp_sub(_yp_shift_mul(r, lg // s, 0), _yp_shift_mul(g, lr // s, dr - dg))
-            r = _yp_primitive(r)
-        f, g = g, r
-    return {j: c * cont for j, c in f.items()}
-
-
-def _yp_divexact(p: dict[int, int], d: dict[int, int]) -> dict[int, int]:
-    """Exact division in Z[y]; raises InexactDivisionError otherwise."""
-    if not d:
-        raise ZeroDivisionError
-    out: dict[int, int] = {}
-    r = dict(p)
-    dd, ld = _yp_degree(d), d[_yp_degree(d)]
-    while r:
-        dr = _yp_degree(r)
-        q, rem = divmod(r[dr], ld)
-        if dr < dd or rem:
-            raise InexactDivisionError("inexact division in Z[y]")
-        out[dr - dd] = q
-        r = _yp_sub(r, _yp_shift_mul(d, q, dr - dd))
-    return out
-
-
 def _ip_to_x(p: dict[Term, int]) -> dict[int, dict[int, int]]:
+    """{i: the coefficient of x^i in p, a ypoly}."""
     out: dict[int, dict[int, int]] = {}
     for (i, j), c in p.items():
         out.setdefault(i, {})[j] = c
     return out
 
 
-def _x_to_ip(p: dict[int, dict[int, int]]) -> dict[Term, int]:
-    return {(i, j): c for i, yp in p.items() for j, c in yp.items() if c}
-
-
-def _xp_degree(p: dict[int, dict[int, int]]) -> int:
-    return max((i for i, yp in p.items() if yp), default=-1)
-
-
-def _xp_content(p: dict[int, dict[int, int]]) -> dict[int, int]:
-    """Gcd in Z[y] of the x-coefficients, with positive leading coefficient."""
-    g: dict[int, int] = {}
-    for yp in p.values():
-        g = _yp_gcd(g, yp)
-        if _yp_degree(g) == 0:
-            # No y-content is left, so the content is the integer gcd
-            # (of a list, for the reason given in _cleared).
-            return {0: math.gcd(*[c for row in p.values() for c in row.values()])}
-    return g
-
-
-def _xp_scale(p, yc: dict[int, int]) -> dict[int, dict[int, int]]:
-    return {i: univariate_mul(yp, yc) for i, yp in p.items()}
-
-
-def _xp_divexact_y(p, yc: dict[int, int]) -> dict[int, dict[int, int]]:
-    return {i: _yp_divexact(yp, yc) for i, yp in p.items()}
-
-
-def _xp_primitive(p) -> dict[int, dict[int, int]]:
-    p = {i: yp for i, yp in p.items() if yp}
-    if not p:
-        return {}
-    c = _xp_content(p)
-    return _xp_divexact_y(p, c)
-
-
-def _xp_sub(p, q) -> dict[int, dict[int, int]]:
-    out = {i: dict(yp) for i, yp in p.items()}
-    for i, yp in q.items():
-        out[i] = _yp_sub(out.get(i, {}), yp)
-        if not out[i]:
-            del out[i]
-    return out
-
-
-def _xp_reduce(f, g) -> dict[int, dict[int, int]]:
-    """Remainder of f by g in x over Z[y], valid for gcd purposes.
-
-    Each step subtracts a Z[y]-scaled shift of g and re-primitivizes, so it
-    differs from the textbook pseudo-remainder only by y-content, which the
-    primitive PRS strips anyway; this keeps both the y-degrees and the
-    integer coefficients of the intermediates from compounding.
-    """
-    dg = _xp_degree(g)
-    lg = g[dg]
-    r = {i: dict(yp) for i, yp in f.items()}
-    while r and _xp_degree(r) >= dg:
-        dr = _xp_degree(r)
-        lr = r[dr]
-        s = _yp_gcd(lg, lr)
-        a = _yp_divexact(lg, s)
-        b = _yp_divexact(lr, s)
-        scaled_r = _xp_scale(r, a)
-        shift_g = {i + dr - dg: univariate_mul(yp, b) for i, yp in g.items()}
-        r = _xp_sub(scaled_r, shift_g)
-        r = _xp_primitive(r)
-    return r
-
-
-def _specialized_coprime_x(fp, gp) -> bool:
-    """True if specializing y proves the gcd has x-degree zero.
-
-    Valid whenever the x-leading coefficients of both inputs survive the
-    specialization; returns False (inconclusive) otherwise.
-    """
-    df, dg = _xp_degree(fp), _xp_degree(gp)
-    for y0 in (1, -1, 2, -2, 3, 5):
-        lf = sum(c * y0**j for j, c in fp[df].items())
-        lg = sum(c * y0**j for j, c in gp[dg].items())
-        if lf == 0 or lg == 0:
-            continue
-        uf = {i: sum(c * y0**j for j, c in yp.items()) for i, yp in fp.items()}
-        ug = {i: sum(c * y0**j for j, c in yp.items()) for i, yp in gp.items()}
-        uf = {i: c for i, c in uf.items() if c}
-        ug = {i: c for i, c in ug.items() if c}
-        g = _yp_gcd(uf, ug)  # same routine works for Z[x] dicts
-        return _yp_degree(g) == 0
-    return False
-
-
-def _ip_swap(p: dict[Term, int]) -> dict[Term, int]:
-    return {(j, i): c for (i, j), c in p.items()}
-
-
 def _grlex_max(p: dict[Term, int]) -> Term:
     return max(p, key=lambda t: (t[0] + t[1], t[0]))
+
+
+def _ip_primitive(p: dict[Term, int]) -> dict[Term, int]:
+    """p over its integer content, with a positive grlex-leading coefficient."""
+    c = math.gcd(*p.values())
+    if p[_grlex_max(p)] < 0:
+        c = -c
+    return p if c == 1 else {t: v // c for t, v in p.items()}
 
 
 def _ip_mul(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
@@ -526,7 +365,7 @@ def _balanced_digits(value: int, xi: int):
 
 def _yp_eval(p: dict[int, int], xi: int) -> int:
     value = 0
-    for j in range(_yp_degree(p), -1, -1):
+    for j in range(max(p), -1, -1):
         value = value * xi + p.get(j, 0)
     return value
 
@@ -544,28 +383,34 @@ def univariate_gcd(p: dict[int, int], q: dict[int, int]) -> tuple[dict[int, int]
     """(g, p/g, q/g) in Z[t] with g the gcd, positive leading coefficient.
 
     GCDHEU (Char, Geddes and Gonnet 1989): the integer gcd of the values at
-    a large xi, read back in balanced base xi and verified by exact
-    division, whose quotients are the cofactors.  After six misses the
-    primitive remainder sequence decides.
+    a large xi, read back in balanced base xi and checked by exact division
+    of the x-only term dicts {(i, 0): c}, whose quotients are the cofactors.
+    After six misses ``_ip_prs_gcd`` decides on the same dicts.
     """
+
+    xp, xq = {(i, 0): a for i, a in p.items()}, {(i, 0): a for i, a in q.items()}
+
+    def split(h: dict[Term, int]):
+        """(h, p/h, q/h) read back into Z[t]; InexactDivisionError when h does not divide both."""
+        return tuple({i: a for (i, _), a in d.items()} for d in (h, _ip_divexact(xp, h), _ip_divexact(xq, h)))
+
     if p and q:
-        c = math.gcd(_yp_content(p), _yp_content(q))
+        c = math.gcd(*p.values(), *q.values())
         f = p if c == 1 else {j: a // c for j, a in p.items()}
         g = q if c == 1 else {j: a // c for j, a in q.items()}
         xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
         for _ in range(6):
             fv, gv = _yp_eval(f, xi), _yp_eval(g, xi)
             if fv and gv:
-                h = _yp_primitive({k: d for k, d in _balanced_digits(math.gcd(fv, gv), xi) if d})
-                if h == {0: 1}:
+                h = _ip_primitive({(k, 0): d for k, d in _balanced_digits(math.gcd(fv, gv), xi) if d})
+                if h == _ONE:
                     return {0: c}, f, g
                 try:
-                    return {j: a * c for j, a in h.items()}, _yp_divexact(f, h), _yp_divexact(g, h)
+                    return split({t: a * c for t, a in h.items()})
                 except InexactDivisionError:
                     pass
             xi = xi * 73794 // 27011 + 1
-    h = _yp_gcd(p, q)
-    return h, _yp_divexact(p, h), _yp_divexact(q, h)
+    return split(_ip_prs_gcd(xp, xq))
 
 
 def _ip_heugcd(p: dict[Term, int], q: dict[Term, int]):
@@ -587,11 +432,7 @@ def _ip_heugcd(p: dict[Term, int], q: dict[Term, int]):
         qe = {i: v for i, row in gp.items() if (v := _yp_eval(row, xi))}
         if pe and qe:
             gamma = univariate_gcd(pe, qe)[0]
-            cand = {(i, k): d for i, a in gamma.items() for k, d in _balanced_digits(a, xi) if d}
-            cont = math.gcd(*cand.values())
-            if cand[_grlex_max(cand)] < 0:
-                cont = -cont
-            cand = {t: c // cont for t, c in cand.items()}
+            cand = _ip_primitive({(i, k): d for i, a in gamma.items() for k, d in _balanced_digits(a, xi) if d})
             if cand == _ONE:
                 return _ONE, p, q
             try:
@@ -602,40 +443,54 @@ def _ip_heugcd(p: dict[Term, int], q: dict[Term, int]):
     return None
 
 
-def _ip_gcd_prs(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
-    """Gcd of primitive p, q by a primitive remainder sequence.
+def _y_gcd(rows: list[dict[int, int]]) -> dict[int, int]:
+    """Gcd in Z[y] of nonzero rows.
 
-    The sequence runs in whichever variable gives the shorter chain; the
-    other variable is handled by content recursion, and a specialization
-    of y that proves the x-degree zero skips the sequence.
+    ``univariate_gcd`` folds over the rows until the gcd is a constant; from
+    then on, or when the first row is a constant, it is the integer gcd of
+    every coefficient, taken with no further call.
     """
-    degx = max(max(i for i, _ in p), max(i for i, _ in q))
-    degy = max(max(j for _, j in p), max(j for _, j in q))
-    swapped = degy < degx
-    if swapped:
-        p, q = _ip_swap(p), _ip_swap(q)
-    fp, gp = _ip_to_x(p), _ip_to_x(q)
-    if _xp_degree(fp) == 0 and _xp_degree(gp) == 0:
-        result = {(0, j): c for j, c in _yp_gcd(fp[0], gp[0]).items()}
-        return _ip_swap(result) if swapped else result
-    cf, cg = _xp_content(fp), _xp_content(gp)
-    cont = _yp_gcd(cf, cg)
-    f, g = _xp_divexact_y(fp, cf), _xp_divexact_y(gp, cg)
-    if _xp_degree(f) == 0 or _xp_degree(g) == 0 or _specialized_coprime_x(f, g):
-        main: dict[int, dict[int, int]] = {0: {0: 1}}
-    else:
-        if _xp_degree(f) < _xp_degree(g):
+    g = rows[0]
+    for row in rows[1:]:
+        if not max(g):
+            break
+        g = univariate_gcd(g, row)[0]
+    return {0: math.gcd(*[c for row in rows for c in row.values()])} if not max(g) else g
+
+
+def _ip_prs_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
+    """Gcd in Z[x, y] by a primitive pseudo-remainder sequence in x.
+
+    The y-content of a polynomial is the gcd in Z[y] of its x-coefficients,
+    taken by ``_y_gcd``.  Each side is divided by its y-content with
+    ``_ip_divexact``, each pseudo-remainder is built with ``_ip_mul`` and
+    divided by its own y-content in the same way, and the gcd is the gcd of
+    the two contents times the last nonzero remainder, with a positive
+    grlex-leading coefficient.  ``univariate_gcd`` falls back here on x-only
+    dicts {(i, 0): c}: their y-contents are integer constants, which
+    ``_y_gcd`` takes with no call back to ``univariate_gcd``, so the
+    recursion stops after one level.
+    """
+
+    def primitive(d: dict[Term, int]) -> tuple[dict[int, int], dict[Term, int]]:
+        c = _y_gcd(list(_ip_to_x(d).values()))
+        return c, _ip_divexact(d, {(0, j): a for j, a in c.items()})
+
+    r = p or q
+    if p and q:
+        (cp, f), (cq, g) = primitive(p), primitive(q)
+        if max(i for i, _ in f) < max(i for i, _ in g):
             f, g = g, f
-        while g and _xp_degree(g) > 0:
-            r = _xp_reduce(f, g)
-            f, g = g, r
-        main = {0: {0: 1}} if g else f
-    result = _x_to_ip(_xp_scale(main, cont))
-    if swapped:
-        result = _ip_swap(result)
-    if result[_grlex_max(result)] < 0:
-        result = {t: -c for t, c in result.items()}
-    return result
+        while g and (dg := max(i for i, _ in g)):
+            lg = {(0, j): c for (i, j), c in g.items() if i == dg}
+            while f and (df := max(i for i, _ in f)) >= dg:
+                lf = {(df - dg, j): c for (i, j), c in f.items() if i == df}
+                acc = dict(_ip_mul(lg, f))
+                _ip_add_scaled(acc, _ip_mul(lf, g), -1)
+                f = {t: c for t, c in acc.items() if c}
+            f, g = g, (primitive(f)[1] if f else {})
+        r = _ip_mul(_ONE if g else f, {(0, j): c for j, c in _y_gcd([cp, cq]).items()})
+    return {t: -c for t, c in r.items()} if r and r[_grlex_max(r)] < 0 else r
 
 
 def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
@@ -643,8 +498,9 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
 
     g is primitive with a positive grlex-leading coefficient.  The routes,
     in order: a monomial input settles g at once; two-level GCDHEU returns
-    verified cofactors; the remainder sequence decides what GCDHEU gives
-    up on.  Cofactors of the first and last route come from exact division.
+    verified cofactors; what GCDHEU gives up on goes to ``_ip_prs_gcd``, the
+    one remainder sequence, which ``univariate_gcd`` shares.  Cofactors of
+    the first and last route come from exact division.
     """
     if not p or not q:
         return p or q, (_ONE if p else {}), (_ONE if q else {})
@@ -658,7 +514,7 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
         found = _ip_heugcd(p, q)
         if found is not None:
             return found
-        g = _ip_gcd_prs(p, q)
+        g = _ip_prs_gcd(p, q)
     if g == _ONE:
         return g, p, q
     return g, _ip_divexact(p, g), _ip_divexact(q, g)

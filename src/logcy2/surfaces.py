@@ -164,11 +164,10 @@ def toric_self_intersections(s: Surface) -> tuple[int, ...]:
     return tuple(out)
 
 
-def boundary_intersection_matrix(s: Surface) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Intersection matrix of the boundary components, and negative-definiteness.
+def toric_intersection_matrix(s: Surface) -> tuple[tuple[int, ...], ...]:
+    """Intersection matrix of the toric boundary components, before the blow-ups.
 
-    Diagonal a_i - m_i, off-diagonal 1 for cyclically adjacent rays; the
-    verdict comes from exact leading principal minors.
+    Diagonal a_i, off-diagonal 1 for cyclically adjacent rays.
     """
     require_valid(s)
     k = len(s.rays)
@@ -177,15 +176,22 @@ def boundary_intersection_matrix(s: Surface) -> tuple[tuple[tuple[int, ...], ...
     selfints = toric_self_intersections(s)
     mat = [[0] * k for _ in range(k)]
     for i in range(k):
-        mat[i][i] = selfints[i] - s.m[i]
-        mat[i][(i + 1) % k] += 1
-        mat[(i + 1) % k][i] += 1
-    if k == 3:
-        # The three components pairwise meet once; the cyclic rule would
-        # double-count the shared corners.
-        mat = [[1 if i != j else mat[i][i] for j in range(k)] for i in range(k)]
-    frozen = tuple(tuple(row) for row in mat)
-    return frozen, _negative_definite(frozen)
+        mat[i][i] = selfints[i]
+        mat[i][(i + 1) % k] = mat[(i + 1) % k][i] = 1
+    return tuple(tuple(row) for row in mat)
+
+
+def boundary_intersection_matrix(s: Surface) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Intersection matrix of the boundary components, and negative-definiteness.
+
+    ``toric_intersection_matrix`` with m_i subtracted on the diagonal; the
+    verdict comes from exact leading principal minors.
+    """
+    mat = tuple(
+        tuple(v - s.m[i] if i == j else v for j, v in enumerate(row))
+        for i, row in enumerate(toric_intersection_matrix(s))
+    )
+    return mat, _negative_definite(mat)
 
 
 def _negative_definite(mat: tuple[tuple[int, ...], ...]) -> bool:

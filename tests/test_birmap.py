@@ -18,6 +18,7 @@ from logcy2.birmap import (
     elementary_realization,
     equal,
     extend,
+    _lam_reduce,
     _letter_steps,
     _letter_trop,
     monomial_map,
@@ -416,6 +417,21 @@ def test_boundary_limit_elementary_moved_ray():
     act = boundary_limit(parse_word("E"), (-1, 0))
     assert act.ray == (-1, 1)
     assert act.apply(Fraction(-1)) == -1
+
+
+def test_lam_reduce_reads_a_monomial_ratio():
+    # (-3/2 lam^2 + 3 lam^-1) / (lam^-1 - 2 lam^-4) is -3/2 lam^3.
+    num = {2: Fraction(-3, 2), -1: 3}
+    den = {-1: 1, -4: -2}
+    assert _lam_reduce(num, den) == (Fraction(-3, 2), 3)
+    assert _lam_reduce({-2: 5}, {0: Fraction(1, 3)}) == (15, -2)
+
+
+def test_lam_reduce_rejects_a_non_monomial_ratio():
+    # (lam + 1) / (lam - 1): same leading terms, different tails.
+    assert _lam_reduce({1: 1, 0: 1}, {1: 1, 0: -1}) is None
+    # lam^2 + 1 over lam: the leading terms alone would say lam.
+    assert _lam_reduce({2: 1, 0: 1}, {1: 1}) is None
 
 
 def test_boundary_limit_matches_tropicalization(srng):

@@ -147,3 +147,55 @@ def test_no_module_reaches_into_private_names():
         for item in _private_reach_ins(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert not found, f"private names used across modules: {found}"
+
+
+def _unused_private_names(tree: ast.Module) -> list[str]:
+    """Module-level private functions, classes and constants the module never refers to.
+
+    A function's or class's own body does not count as a use of its name.
+    """
+    defined: dict[str, int] = {}
+    bindings: set[int] = set()  # ids of the Name nodes that define or self-refer
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == node.name]
+            bound = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            bound = [(n.id, n.lineno) for n in names]
+        else:
+            continue
+        bindings.update(map(id, names))
+        for name, line in bound:
+            if _is_private(name):
+                defined.setdefault(name, line)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and id(n) not in bindings}
+    return [f"{line}: {name}" for name, line in defined.items() if name not in used]
+
+
+def test_unused_private_name_check_sees_functions_classes_and_constants():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper()\n"
+    )
+    assert _unused_private_names(ast.parse(source)) == ["2: _UNUSED", "5: _recursive", "7: _Gone"]
+
+
+def test_no_module_keeps_an_unused_private_name():
+    # A private helper nothing in its own module calls is dead code: no
+    # other module may reach it either (see the check above).
+    found = [
+        f"{path.name}:{item}"
+        for path in sorted(SRC.glob("*.py"))
+        for item in _unused_private_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert not found, f"private names their module never uses: {found}"

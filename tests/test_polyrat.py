@@ -151,28 +151,23 @@ def test_divexact_roundtrip(srng):
         assert poly_divexact(p * q, q) == p
 
 
-def test_gcd_prs_fallback_probe_settles_coprime_pair(monkeypatch):
+def test_gcd_prs_fallback_settles_tall_coprime_pair(monkeypatch):
     # Heights past the heuristic's size limit send the pair to the
-    # remainder-sequence route; the specialization probe must settle it
-    # there, since the sequence itself takes minutes on these heights.
-    probes = []
-    probe = polyrat._specialized_coprime_x
+    # remainder sequence, which must find the gcd 1 there.
+    results = []
+    prs = polyrat._ip_prs_gcd
 
-    def probe_spy(f, g):
-        probes.append(probe(f, g))
-        return probes[-1]
+    def prs_spy(p, q):
+        results.append(prs(p, q))
+        return results[-1]
 
-    def reduce_spy(f, g):
-        raise AssertionError("the remainder sequence ran")
-
-    monkeypatch.setattr(polyrat, "_specialized_coprime_x", probe_spy)
-    monkeypatch.setattr(polyrat, "_xp_reduce", reduce_spy)
+    monkeypatch.setattr(polyrat, "_ip_prs_gcd", prs_spy)
     tall = 3**20000
     h = Poly2({(1, 1): 1, (1, 0): tall, (0, 0): 1})
     p = h * Poly2({(1, 0): 1, (0, 1): 2, (0, 0): 3})
     q = (h + ONE) * Poly2({(1, 0): 2, (0, 1): 1, (0, 0): 5})
     assert poly_gcd(p, q) == ONE
-    assert probes == [True]
+    assert results == [{(0, 0): 1}]
 
 
 def test_divexact_rejects_inexact_division():

@@ -3,13 +3,15 @@
 sympy is a test-only oracle: the module is skipped where it is missing.
 Each gcd route of ``polyrat._ip_gcd`` gets inputs that reach it: a monomial
 side for the shortcut, a shared factor of positive degree in both variables
-and coprime pairs for the two-level GCDHEU, and one explicit input whose
-coefficients are too tall for GCDHEU, so the remainder sequence runs.  The
+and coprime pairs for the two-level GCDHEU, and for the remainder sequence
+one explicit input whose coefficients are too tall for GCDHEU plus random
+pairs with GCDHEU made to give up, in two variables and in one.  The
 two pullback kernels, which take no gcd, are checked against sympy's
 ``cancel`` of the substituted fraction, and ``realize``, which runs on them,
 against a fold of ``compose``.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -151,6 +153,10 @@ def univariates():
 @ORACLE
 @given(univariates(), univariates(), univariates())
 def test_univariate_gcd_matches_sympy(a, b, h):
+    check_univariate_gcd(a, b, h)
+
+
+def check_univariate_gcd(a, b, h):
     p, q = polyrat.univariate_mul(a, h), polyrat.univariate_mul(b, h)
     g, cp, cq = polyrat.univariate_gcd(p, q)
     as_x = lambda d: Poly2({(i, 0): c for i, c in d.items()})
@@ -160,23 +166,52 @@ def test_univariate_gcd_matches_sympy(a, b, h):
 
 
 def test_gcd_prs_fallback_matches_sympy(monkeypatch):
-    reductions = []
-    original = polyrat._xp_reduce
+    calls = []
+    original = polyrat._ip_prs_gcd
 
-    def spy(f, g):
-        reductions.append(1)
-        return original(f, g)
+    def spy(p, q):
+        calls.append(1)
+        return original(p, q)
 
-    monkeypatch.setattr(polyrat, "_xp_reduce", spy)
+    monkeypatch.setattr(polyrat, "_ip_prs_gcd", spy)
     tall = 3**20000  # heights past the heuristic's size limit
     h = Poly2({(1, 1): 1, (1, 0): tall, (0, 0): 1})
     p = h * Poly2({(1, 0): 1, (0, 1): 2, (0, 0): 3})
     q = h * Poly2({(1, 0): 2, (0, 1): 1, (0, 0): 5})
     ours = poly_gcd(p, q)
-    assert reductions, "the remainder sequence did not run"
+    assert calls, "the remainder sequence did not run"
     assert ours == h
     assert same_up_to_scalar(ours, from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))))
     assert normalize(p, q) == canonical(to_sympy(p) / to_sympy(q))
+
+
+@ORACLE
+@given(polys(2, 3, integral=True), polys(2, 3, integral=True), shared_factors())
+def test_gcd_forced_remainder_sequence_matches_sympy(a, b, h):
+    # Two-level GCDHEU gives up on every pair, so the remainder sequence
+    # decides; the second pass makes every univariate_gcd of a y-content
+    # give up too, so the sequence also runs on x-only dicts.
+    p, q = polyrat._split(a * h)[1], polyrat._split(b * h)[1]
+    expected = from_sympy(sympy.gcd(to_sympy(a * h), to_sympy(b * h)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyrat, "_ip_heugcd", lambda p, q: None)
+        for patch_eval in (False, True):
+            if patch_eval:
+                mp.setattr(polyrat, "_yp_eval", lambda p, xi: 0)
+            g, cp, cq = polyrat._ip_gcd(p, q)
+            assert same_up_to_scalar(Poly2(g), expected)
+            assert math.gcd(*g.values()) == 1 and g[max(g, key=lambda t: (t[0] + t[1], t[0]))] > 0
+            assert polyrat._ip_mul(g, cp) == p and polyrat._ip_mul(g, cq) == q
+
+
+@ORACLE
+@given(univariates(), univariates(), univariates())
+def test_univariate_gcd_forced_remainder_sequence_matches_sympy(a, b, h):
+    # GCDHEU in Z[t] gives up at every evaluation, so the remainder
+    # sequence decides on the x-only dicts.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyrat, "_yp_eval", lambda p, xi: 0)
+        check_univariate_gcd(a, b, h)
 
 
 # --- one-term products -----------------------------------------------------------
