@@ -263,7 +263,7 @@ class BoundaryAction:
         return self.apply(Fraction(-1)) == Fraction(-1)
 
 
-LPoly = dict[tuple[int, int], int | Fraction]  # Laurent polynomial in (lambda, t)
+LPoly = dict[tuple[int, int], int]  # Laurent polynomial in (lambda, t)
 
 
 def _arc_substitute(p: Poly2, pexp: int, qexp: int, n: Vec) -> LPoly:
@@ -276,13 +276,13 @@ def _arc_substitute(p: Poly2, pexp: int, qexp: int, n: Vec) -> LPoly:
     return out
 
 
-def _leading(lp: LPoly) -> tuple[int, dict[int, int | Fraction]]:
+def _leading(lp: LPoly) -> tuple[int, dict[int, int]]:
     """(t-order, coefficient Laurent polynomial in lambda)."""
     t0 = min(e[1] for e in lp)
     return t0, {e[0]: c for e, c in lp.items() if e[1] == t0}
 
 
-def _lam_reduce(num: dict[int, int | Fraction], den: dict[int, int | Fraction]) -> tuple[Fraction, int] | None:
+def _lam_reduce(num: dict[int, int], den: dict[int, int]) -> tuple[Fraction, int] | None:
     """(c, e) if the Laurent fraction num/den in lambda equals c*lambda^e, else None.
 
     Only the leading terms can give c and e, and num == c*lambda^e*den decides.
@@ -315,7 +315,7 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     cc, dd = complement_matrix(n)[1]
     pexp, qexp = dd, -cc  # x = lam^p t^n1, y = lam^q t^n2, with p n2 - q n1 = 1
 
-    def leading_pair(r: RatFunc2) -> tuple[int, dict[int, int | Fraction], dict[int, int | Fraction]]:
+    def leading_pair(r: RatFunc2) -> tuple[int, dict[int, int], dict[int, int]]:
         tn, ln = _leading(_arc_substitute(r.num, pexp, qexp, n))
         td, ld = _leading(_arc_substitute(r.den, pexp, qexp, n))
         return tn - td, ln, ld
@@ -328,12 +328,15 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     if ray != pl_apply(tropicalize(w), n):
         raise AssertionError("boundary limit disagrees with tropicalization")
     # lambda' equals the transverse monomial x'^{b} y'^{-a} at leading order.
+    # The leading pairs come from the integer terms; the sides' contents
+    # scale the result by one constant.
     fn, fd = _lam_pow(fnum, fden, b)
     gn, gd = _lam_pow(gnum, gden, -a)
     result = _lam_reduce(univariate_mul(fn, gn), univariate_mul(fd, gd))
     if result is None:
         raise NonGenericArcError(f"boundary action of {w} at {n} is not monomial")
     coeff, expo = result
+    coeff *= Fraction(m.f.num.content, m.f.den.content) ** b * Fraction(m.g.num.content, m.g.den.content) ** -a
     if expo not in (1, -1):
         raise NonGenericArcError(f"boundary action of {w} at {n} has degree {expo}")
     return BoundaryAction(ray, coeff, expo)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .diagrams import visible_spheres
 from .surfaces import (
     Surface,
-    TooFewRaysError,
     numeric_invariants,
     require_valid,
     toric_intersection_matrix,
@@ -62,8 +61,6 @@ def exceptional_collection(s: Surface) -> list[ExceptionalItem]:
     """Exceptional sheaves (descending through the blow-ups), O, then line bundles."""
     require_valid(s)
     k = len(s.rays)
-    if k < 3:
-        raise TooFewRaysError(f"need at least 3 rays, got {k}")
     items: list[ExceptionalItem] = []
     for i in range(k, 0, -1):
         for j in range(s.m[i - 1], 0, -1):

@@ -46,7 +46,6 @@ DOMAIN_ERRORS = (
     diagrams.PreconditionFailedError,
     diagrams.BlockedError,
     diagrams.OffEigenlineError,
-    surfaces.TooFewRaysError,
 )
 
 

@@ -1,8 +1,10 @@
 """Exact sparse bivariate polynomials and rational functions over Q.
 
-A polynomial is a map from exponent pairs (i, j), both nonnegative, to
-nonzero rational coefficients, each stored as an int when it is integral
-and as a Fraction otherwise; the zero polynomial is the empty map.
+A polynomial is one rational content times a primitive integer polynomial:
+a map from exponent pairs (i, j), both nonnegative, to nonzero ints with gcd
+1 and a positive graded-lexicographic leading coefficient.  The content is
+an int when it is integral; the zero polynomial is the empty map with
+content 0.
 A rational function is a reduced fraction of two such polynomials whose
 denominator is monic in the graded-lexicographic leading term (total degree
 first, then x-degree).  That canonical form makes structural equality a
@@ -15,11 +17,13 @@ monomial input settles the gcd at once; otherwise a two-level heuristic gcd
 integer gcd and reads the answer back in balanced base xi, verified by exact
 division; what it gives up on goes to one primitive pseudo-remainder
 sequence in x on the same term dicts, which also backs ``univariate_gcd``
-on x-only dicts.  Products, powers, ``normalize`` and
-``substitute`` also run on integer coefficients, taking the terms of an
-integral polynomial as they stand and clearing denominators otherwise.
-A product with a one-term factor shifts and scales the other factor, and a
-factor 1 returns the other one as it stands.  ``substitute`` keeps the power
+on x-only dicts.  Every other routine runs on the integer terms as well.
+By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
+``normalize`` and the pullback kernels keep the terms primitive, so they
+only multiply or divide contents; sums, derivatives and the result of
+``substitute`` take one content gcd.  A product with a one-term factor
+shifts and scales the other factor, and a factor 1 returns the other one as
+it stands.  ``substitute`` keeps the power
 tables of the last inner map it saw, so the two calls of a composition, and
 consecutive substitutions into the same map objects, build them once.
 ``dlog_ratio`` decides exactly, in two integer passes over term pairs,
@@ -59,43 +63,41 @@ from fractions import Fraction
 Term = tuple[int, int]
 
 
-def _coeff(c: int | Fraction) -> int | Fraction:
-    """The stored form of a coefficient: an int when integral."""
-    return c.numerator if c.denominator == 1 else c
-
-
 # --- Poly2 -------------------------------------------------------------------
 
 
 class Poly2:
-    """Sparse bivariate polynomial over Q.
+    """Sparse bivariate polynomial over Q, stored as ``content * terms``.
 
-    ``terms`` maps (i, j) to a nonzero coefficient, stored as an ``int``
-    when it is integral and as a ``Fraction`` otherwise, so the integer
-    routines below run on ``terms`` as it stands.  The dict is shared, not
-    copied, and must not be mutated.
+    ``terms`` maps (i, j) to a nonzero ``int``; the dict is primitive (its
+    coefficients have gcd 1) with a positive grlex-leading coefficient, so
+    the integer routines below run on it as it stands.  ``content`` is one
+    nonzero rational, an ``int`` when it is integral; the zero polynomial is
+    ``{}`` with content 0.  The dict is shared, not copied, and must not be
+    mutated.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "content", "_hash")
 
     def __init__(self, terms: dict[Term, int | Fraction] | None = None):
-        clean: dict[Term, int | Fraction] = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in term {(i, j)}")
-                c = Fraction(c)
-                if c:
-                    clean[(i, j)] = _coeff(c)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        clean: dict[Term, Fraction] = {}
+        for (i, j), c in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in term {(i, j)}")
+            c = Fraction(c)
+            if c:
+                clean[(i, j)] = c
+        m = math.lcm(*[c.denominator for c in clean.values()])
+        p = _canonical({t: c.numerator * (m // c.denominator) for t, c in clean.items()}, Fraction(1, m))
+        self.terms, self.content, self._hash = p.terms, p.content, None
 
     @staticmethod
-    def _raw(terms: dict[Term, int | Fraction]) -> "Poly2":
-        """Internal constructor: terms already in stored form and zero-free."""
+    def _raw(terms: dict[Term, int], content: int | Fraction) -> "Poly2":
+        """Internal constructor: terms already primitive with a positive leading coefficient."""
         p = object.__new__(Poly2)
-        object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
+        p.terms = terms
+        p.content = content.numerator if content.denominator == 1 else content  # an int when integral
+        p._hash = None
         return p
 
     # Construction helpers.
@@ -131,14 +133,14 @@ class Poly2:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return Fraction(self.terms.get((0, 0), 0))
+        return Fraction(self.content)
 
     def leading_term(self) -> tuple[Term, Fraction]:
         """Greatest term in graded-lex order (total degree, then x-degree)."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         key = _grlex_max(self.terms)
-        return key, Fraction(self.terms[key])
+        return key, Fraction(self.content * self.terms[key])
 
     def total_degree(self) -> int:
         return max((i + j for i, j in self.terms), default=-1)
@@ -147,63 +149,56 @@ class Poly2:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.terms == other.terms
+        return isinstance(other, Poly2) and self.content == other.content and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash(frozenset(self.terms.items())))
+            self._hash = hash((self.content, frozenset(self.terms.items())))
         return self._hash
 
-    # Arithmetic.
+    # Arithmetic.  Products, powers and exact quotients of primitive dicts
+    # with positive leading coefficients are again such dicts (Gauss's
+    # lemma), so only sums and derivatives take a content gcd.
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            cur = out.get(t)
-            if cur is None:
-                out[t] = c
-            else:
-                s = cur + c
-                if s:
-                    out[t] = _coeff(s)
-                else:
-                    del out[t]
-        return Poly2._raw(out)
+        m = math.lcm(self.content.denominator, other.content.denominator)
+        out: dict[Term, int] = {}
+        for p in (self, other):
+            _ip_add_scaled(out, p.terms, p.content.numerator * (m // p.content.denominator))
+        return _canonical({t: c for t, c in out.items() if c}, Fraction(1, m))
 
     def __neg__(self) -> "Poly2":
-        return Poly2._raw({t: -c for t, c in self.terms.items()})
+        return Poly2._raw(self.terms, -self.content)
 
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        m, (a, b) = _cleared(self, other)
-        return _int_to_poly(_ip_mul(a, b), Fraction(1, m * m))
+        return Poly2._raw(_ip_mul(self.terms, other.terms), self.content * other.content)
 
     def scale(self, c) -> "Poly2":
         c = Fraction(c)
-        return Poly2._raw({t: _coeff(v * c) for t, v in self.terms.items()}) if c else Poly2._raw({})
+        return Poly2._raw(self.terms if c else {}, self.content * c)
 
     def __pow__(self, k: int) -> "Poly2":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        m, (p,) = _cleared(self)
-        return _int_to_poly(_Powers(p)[k], Fraction(1, m**k))
+        return Poly2._raw(_Powers(self.terms)[k], self.content**k)
 
     def derivative(self, var: str) -> "Poly2":
         if var not in ("x", "y"):
             raise ValueError("var must be 'x' or 'y'")
-        out: dict[Term, int | Fraction] = {}
+        out: dict[Term, int] = {}
         for (i, j), c in self.terms.items():
             if var == "x" and i:
-                out[(i - 1, j)] = _coeff(c * i)
+                out[(i - 1, j)] = c * i
             elif var == "y" and j:
-                out[(i, j - 1)] = _coeff(c * j)
-        return Poly2._raw(out)
+                out[(i, j - 1)] = c * j
+        return _canonical(out, self.content)
 
     def evaluate(self, a, b) -> Fraction:
         a, b = Fraction(a), Fraction(b)
-        return sum((c * a**i * b**j for (i, j), c in self.terms.items()), Fraction(0))
+        return self.content * sum((c * a**i * b**j for (i, j), c in self.terms.items()), Fraction(0))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -215,7 +210,7 @@ class Poly2:
 # --- integer-level machinery -------------------------------------------------
 #
 # The product, gcd, exact division and substitution work on plain dicts
-# with int coefficients, which is what the terms of an integral Poly2 are:
+# with int coefficients, which is what the terms of a Poly2 are:
 #   ypoly:  dict[j -> int]       an element of Z[y]
 #   ipoly:  dict[(i, j) -> int]  an element of Z[x, y]
 
@@ -228,7 +223,7 @@ class InexactDivisionError(ArithmeticError):
 
 
 def univariate_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    """Product in Z[t]; any exact coefficients (Fractions too) work."""
+    """Product in Z[t]."""
     out: dict[int, int] = {}
     for j1, c1 in p.items():
         for j2, c2 in q.items():
@@ -253,12 +248,23 @@ def _grlex_max(p: dict[Term, int]) -> Term:
     return max(p, key=lambda t: (t[0] + t[1], t[0]))
 
 
-def _ip_primitive(p: dict[Term, int]) -> dict[Term, int]:
-    """p over its integer content, with a positive grlex-leading coefficient."""
+def _canonical(p: dict[Term, int], factor: int | Fraction = 1) -> Poly2:
+    """The Poly2 factor * p, for a zero-free p and a nonzero rational factor.
+
+    p is divided by its integer content, signed so that the grlex-leading
+    coefficient is positive, and what it is divided by goes into ``content``.
+    """
+    if not p:
+        return Poly2._raw({}, 0)
     c = math.gcd(*p.values())
     if p[_grlex_max(p)] < 0:
         c = -c
-    return p if c == 1 else {t: v // c for t, v in p.items()}
+    return Poly2._raw(p if c == 1 else {t: v // c for t, v in p.items()}, factor * c)
+
+
+def _ip_scale(p: dict[Term, int], c: int) -> dict[Term, int]:
+    """c * p for a nonzero int c; p itself when c is 1."""
+    return p if c == 1 else {t: v * c for t, v in p.items()}
 
 
 def _ip_mul(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
@@ -402,7 +408,7 @@ def univariate_gcd(p: dict[int, int], q: dict[int, int]) -> tuple[dict[int, int]
         for _ in range(6):
             fv, gv = _yp_eval(f, xi), _yp_eval(g, xi)
             if fv and gv:
-                h = _ip_primitive({(k, 0): d for k, d in _balanced_digits(math.gcd(fv, gv), xi) if d})
+                h = _canonical({(k, 0): d for k, d in _balanced_digits(math.gcd(fv, gv), xi) if d}).terms
                 if h == _ONE:
                     return {0: c}, f, g
                 try:
@@ -432,7 +438,7 @@ def _ip_heugcd(p: dict[Term, int], q: dict[Term, int]):
         qe = {i: v for i, row in gp.items() if (v := _yp_eval(row, xi))}
         if pe and qe:
             gamma = univariate_gcd(pe, qe)[0]
-            cand = _ip_primitive({(i, k): d for i, a in gamma.items() for k, d in _balanced_digits(a, xi) if d})
+            cand = _canonical({(i, k): d for i, a in gamma.items() for k, d in _balanced_digits(a, xi) if d}).terms
             if cand == _ONE:
                 return _ONE, p, q
             try:
@@ -497,7 +503,8 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
     """(g, p/g, q/g) for primitive p, q in Z[x, y].
 
     g is primitive with a positive grlex-leading coefficient.  The routes,
-    in order: a monomial input settles g at once; two-level GCDHEU returns
+    in order: a monomial input, whose coefficient is 1 since it is
+    primitive, settles g as a monomial at once; two-level GCDHEU returns
     verified cofactors; what GCDHEU gives up on goes to ``_ip_prs_gcd``, the
     one remainder sequence, which ``univariate_gcd`` shares.  Cofactors of
     the first and last route come from exact division.
@@ -506,10 +513,10 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
         return p or q, (_ONE if p else {}), (_ONE if q else {})
     if len(p) == 1 or len(q) == 1:
         mono, other = (p, q) if len(p) == 1 else (q, p)
-        (mi, mj), mc = next(iter(mono.items()))
+        ((mi, mj),) = mono
         gi = min([mi] + [i for i, _ in other])
         gj = min([mj] + [j for _, j in other])
-        g = {(gi, gj): math.gcd(mc, *other.values())}
+        g = {(gi, gj): 1}
     else:
         found = _ip_heugcd(p, q)
         if found is not None:
@@ -520,50 +527,26 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
     return g, _ip_divexact(p, g), _ip_divexact(q, g)
 
 
-def _cleared(*polys: Poly2) -> tuple[int, list[dict[Term, int]]]:
-    """(m, [m * p, ...]) with m the lcm of every coefficient denominator.
+def _int_pair(r: RatFunc2) -> tuple[dict[Term, int], dict[Term, int]]:
+    """(a * num.terms, b * den.terms): integer sides of r, with a / b the ratio of r's contents.
 
-    When m is 1 the terms dicts themselves are returned, not copies.
+    When the ratio is 1 the terms dicts themselves are returned, not copies.
     """
-    # A list, not a generator: CPython unpacks a generator into a tuple it
-    # resizes, and the freed tuples pile up on the per-size free lists.
-    m = math.lcm(*[c.denominator for p in polys for c in p.terms.values()])
-    if m == 1:
-        return 1, [p.terms for p in polys]
-    return m, [{t: c.numerator * (m // c.denominator) for t, c in p.terms.items()} for p in polys]
-
-
-def _split(p: Poly2) -> tuple[Fraction, dict[Term, int]]:
-    """(s, h) with p = s * h, s > 0 rational and h primitive in Z[x, y]."""
-    if not p.terms:
-        return Fraction(0), {}
-    m, (ints,) = _cleared(p)
-    g = math.gcd(*ints.values())
-    if g != 1:
-        ints = {t: c // g for t, c in ints.items()}
-    return Fraction(g, m), ints
-
-
-def _int_to_poly(p: dict[Term, int], scale: int | Fraction = 1) -> Poly2:
-    """The Poly2 scale * p, for a zero-free p and a nonzero scale."""
-    a, b = scale.numerator, scale.denominator
-    if b == 1:
-        return Poly2._raw(p if a == 1 else {t: c * a for t, c in p.items()})
-    return Poly2._raw({t: _coeff(Fraction(c * a, b)) for t, c in p.items()})
+    c = Fraction(r.num.content, r.den.content)
+    return _ip_scale(r.num.terms, c.numerator), _ip_scale(r.den.terms, c.denominator)
 
 
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Gcd up to units, returned primitive over Z with positive leading coeff."""
-    return _int_to_poly(_ip_gcd(_split(p)[1], _split(q)[1])[0])
+    g = _ip_gcd(p.terms, q.terms)[0]
+    return Poly2._raw(g, 1 if g else 0)
 
 
 def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
     """Exact quotient p/d; raises InexactDivisionError when d does not divide p."""
     if d.is_zero():
         raise ZeroDivisionError
-    sp, ip = _split(p)
-    sd, idd = _split(d)
-    return _int_to_poly(_ip_divexact(ip, idd), sp / sd)
+    return Poly2._raw(_ip_divexact(p.terms, d.terms), Fraction(p.content, d.content))
 
 
 # --- RatFunc2 ----------------------------------------------------------------
@@ -642,21 +625,20 @@ class RatFunc2:
 def normalize(num: Poly2, den: Poly2) -> RatFunc2:
     """Reduced canonical fraction num/den.
 
-    Each side splits into a rational scalar and a primitive integer
-    polynomial; the gcd and its cofactors come from the integer parts in
-    one call, and one final scaling makes the denominator grlex-monic.
+    The gcd and its cofactors come from the two primitive terms dicts in
+    one call; the cofactors are primitive again, so the contents and the
+    denominator's leading coefficient only set the two new contents, which
+    make the denominator grlex-monic.
     """
     if den.is_zero():
         raise ZeroDenominatorError("denominator is identically zero")
     if num.is_zero():
         return RatFunc2(Poly2.zero(), Poly2.const(1))
-    sn, ip = _split(num)
-    sd, iq = _split(den)
-    g, ip, iq = _ip_gcd(ip, iq)
-    if g == _ONE and den.terms[_grlex_max(den.terms)] == 1:
-        return RatFunc2(num, den)
+    g, ip, iq = _ip_gcd(num.terms, den.terms)
     lc = iq[_grlex_max(iq)]
-    return RatFunc2(_int_to_poly(ip, sn / (sd * lc)), _int_to_poly(iq, Fraction(1, lc)))
+    if g == _ONE and den.content * lc == 1:
+        return RatFunc2(num, den)
+    return RatFunc2(Poly2._raw(ip, Fraction(num.content, den.content * lc)), Poly2._raw(iq, Fraction(1, lc)))
 
 
 class _Powers:
@@ -699,7 +681,7 @@ def _compose_cleared(p: dict[Term, int], dx: int, dy: int, fn, fd, gn, gd, gprod
 
 
 # (f, g, fn, fd, gn, gd, gprods) for the inner map of the last substitute:
-# the power tables of its cleared parts and, per clearing degree dy, the
+# the power tables of its integer sides and, per clearing degree dy, the
 # y-factor products.  ``compose`` substitutes into one inner map twice, and
 # an enumeration often extends by the same map again, so the next call with
 # the same f and g reuses them.  The slot holds f and g themselves, so an
@@ -718,13 +700,13 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     global _inner_slot
     if r.num.is_zero():
         return RatFunc2(Poly2.zero(), Poly2.const(1))
-    # Each fraction's numerator and denominator are scaled by one common
-    # factor, which leaves its value alone and makes both integral.
-    _, (rn, rd) = _cleared(r.num, r.den)
+    # Each fraction's contents are folded into its integer sides, which
+    # leaves its value alone.
+    rn, rd = _int_pair(r)
     slot = _inner_slot
     if slot is None or slot[0] is not f or slot[1] is not g:
-        _, (fn, fd) = _cleared(f.num, f.den)
-        _, (gn, gd) = _cleared(g.num, g.den)
+        fn, fd = _int_pair(f)
+        gn, gd = _int_pair(g)
         slot = _inner_slot = (f, g, _Powers(fn), _Powers(fd), _Powers(gn), _Powers(gd), {})
     _, _, fn, fd, gn, gd, gprods = slot
     dx = max(i for i, _ in [*rn, *rd])
@@ -736,7 +718,7 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     den = _compose_cleared(rd, dx, dy, fn, fd, gn, gd, gprod)
     if not den:
         raise IdenticallySingularError("denominator vanishes identically under substitution")
-    return normalize(Poly2._raw(num), Poly2._raw(den))
+    return normalize(_canonical(num), _canonical(den))
 
 
 # --- pullbacks through the generators ----------------------------------------
@@ -748,9 +730,10 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
 # the only common factors they can gain are monomials and, for E^e, powers
 # of 1 + x.  Each kernel removes exactly those, and no gcd is taken.  Both
 # steps only relabel exponents and multiply or divide rows by powers of the
-# primitive 1 + x, so by Gauss's lemma the integer content of each side is
-# unchanged; ``pullback`` clears denominators once on entry and makes the
-# denominator grlex-monic once on exit.
+# primitive 1 + x, so by Gauss's lemma each side stays primitive; only the
+# sign of its grlex-leading coefficient can change.  ``pullback`` runs the
+# kernels on the terms dicts as they stand and, once on exit, fixes the signs
+# and sets the two contents so the denominator is grlex-monic.
 
 
 def monomial_pullback(num: dict[Term, int], den: dict[Term, int], mat: tuple[Term, Term]):
@@ -851,20 +834,22 @@ def pullback(r: RatFunc2, steps: list[int | tuple[Term, Term]]) -> RatFunc2:
     """r pulled back through each step in turn, in canonical form.
 
     A step is an int e, for E^e (``elementary_pullback``), or a 2x2 integer
-    matrix, for the monomial map (``monomial_pullback``).  Denominators are
-    cleared once here, and one scaling on the way out makes the denominator
-    grlex-monic; integer content never changes in between (see above).
+    matrix, for the monomial map (``monomial_pullback``).  The kernels run on
+    the primitive terms dicts, and the contents only come back in on the way
+    out, where they make the denominator grlex-monic (see above).
     """
     if r.num.is_zero():
         return r
-    _, (num, den) = _cleared(r.num, r.den)
+    num, den = r.num.terms, r.den.terms
     for step in steps:
         if isinstance(step, int):
             num, den = elementary_pullback(num, den, step)
         else:
             num, den = monomial_pullback(num, den, step)
-    lc = Fraction(1, den[_grlex_max(den)])
-    return RatFunc2(_int_to_poly(num, lc), _int_to_poly(den, lc))
+    ln, ld = num[_grlex_max(num)], den[_grlex_max(den)]
+    sn, sd = (1 if ln > 0 else -1), (1 if ld > 0 else -1)
+    return RatFunc2(Poly2._raw(_ip_scale(num, sn), Fraction(sn * r.num.content, r.den.content * ld)),
+                    Poly2._raw(_ip_scale(den, sd), Fraction(1, sd * ld)))
 
 
 def partial_derivative(r: RatFunc2, var: str) -> RatFunc2:
@@ -910,8 +895,8 @@ def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
         raise ZeroDenominatorError("denominator is identically zero")
     if not f.num or not g.num:
         return None
-    _, (fn, fd) = _cleared(f.num, f.den)
-    _, (gn, gd) = _cleared(g.num, g.den)
+    # Constants have dlog 0, so the contents drop out.
+    fn, fd, gn, gd = f.num.terms, f.den.terms, g.num.terms, g.den.terms
     # The x-degree of every product monomial stays below base, so keys add.
     base = 1 + sum(max(i for i, _ in p) for p in (fn, fd, gn, gd))
     fp = _euler_parts(fn, fd, base)
@@ -960,7 +945,7 @@ def format_poly(p: Poly2) -> str:
     keys = sorted(p.terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
     parts = []
     for i, j in keys:
-        c = p.terms[(i, j)]
+        c = p.content * p.terms[(i, j)]
         factors = []
         if i:
             factors.append("x" if i == 1 else f"x^{i}")
@@ -1056,13 +1041,19 @@ def _parse_term(tk: _Tokens) -> Poly2:
 
 def parse_poly(text: str) -> Poly2:
     tk = _Tokens(text)
-    acc = _parse_term(tk)
-    while tk.peek() == "+":
+    # The terms' coefficients are summed first and canonicalized once, so a
+    # long polynomial parses in linear time.
+    coeffs: dict[Term, int | Fraction] = {}
+    while True:
+        term = _parse_term(tk)
+        for t, c in term.terms.items():
+            coeffs[t] = coeffs.get(t, 0) + term.content * c
+        if tk.peek() != "+":
+            break
         tk.take()
-        acc = acc + _parse_term(tk)
     if tk.peek() is not None:
         raise PolyParseError(f"trailing input: {tk.toks[tk.i:]}")
-    return acc
+    return Poly2(coeffs)
 
 
 def parse_ratfunc(text: str) -> RatFunc2:

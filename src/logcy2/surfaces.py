@@ -43,10 +43,6 @@ class RayAbsentError(ValueError):
     pass
 
 
-class TooFewRaysError(ValueError):
-    pass
-
-
 class NotRegularError(ValueError):
     """A word letter failed its regularity precondition on a surface.
 
@@ -169,11 +165,8 @@ def toric_intersection_matrix(s: Surface) -> tuple[tuple[int, ...], ...]:
 
     Diagonal a_i, off-diagonal 1 for cyclically adjacent rays.
     """
-    require_valid(s)
-    k = len(s.rays)
-    if k < 3:
-        raise TooFewRaysError(f"need at least 3 rays, got {k}")
     selfints = toric_self_intersections(s)
+    k = len(s.rays)
     mat = [[0] * k for _ in range(k)]
     for i in range(k):
         mat[i][i] = selfints[i]

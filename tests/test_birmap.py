@@ -419,6 +419,16 @@ def test_boundary_limit_elementary_moved_ray():
     assert act.apply(Fraction(-1)) == -1
 
 
+def test_boundary_limit_folds_in_the_contents(monkeypatch):
+    # Realized words have contents 1, so a stand-in map x' = 2x, y' = y/3
+    # shows the fold: at n = (1, 1) the ray stays (1, 1), and
+    # lambda' = x' / y' = 6 x / y, which is 6 lambda on the arc.
+    scaled = BirationalMap(normalize(X.scale(2), ONE), normalize(Y, Poly2.const(3)))
+    monkeypatch.setattr("logcy2.birmap.realize", lambda w: scaled)
+    act = boundary_limit(Word(), (1, 1))
+    assert (act.ray, act.coeff, act.exponent) == ((1, 1), 6, 1)
+
+
 def test_lam_reduce_reads_a_monomial_ratio():
     # (-3/2 lam^2 + 3 lam^-1) / (lam^-1 - 2 lam^-4) is -3/2 lam^3.
     num = {2: Fraction(-3, 2), -1: 3}

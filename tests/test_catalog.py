@@ -15,7 +15,6 @@ from logcy2.catalog import (
 )
 from logcy2.sampling import random_surface, random_word
 from logcy2.surfaces import (
-    TooFewRaysError,
     cubic_surface,
     interior_blowup,
     numeric_invariants,

@@ -14,7 +14,9 @@ import sys
 from logcy2 import polyrat
 from logcy2.birmap import IDENTITY_MAP, compose, elementary_realization, monomial_map, realize
 from logcy2.lattice import MAT_ID, PLMap, mat_inv, pl_validate
-from logcy2.polyrat import InexactDivisionError, Poly2, RatFunc2, dlog_ratio, normalize, parse_poly, poly_divexact
+from logcy2.polyrat import (
+    InexactDivisionError, Poly2, RatFunc2, dlog_ratio, normalize, parse_poly, parse_ratfunc, poly_divexact,
+)
 from logcy2.words import Linear, parse_word
 
 if not sys.flags.optimize:
@@ -42,6 +44,13 @@ else:
 text = str(normalize(parse_poly("x^2 + x*y + x + y"), parse_poly("2*x^2 + (-2)*x*y + 2*x + (-2)*y")))
 if text != "((1/2)*x + (1/2)*y) / (x + (-1)*y)":
     raise SystemExit(f"normalize gave {text}")
+# A numerator whose content is not an integer prints content times each term
+# and reads back to the same fraction.
+r = normalize(parse_poly("(1/2)*x + (3/2)*y"), parse_poly("(1/3)*x + 1"))
+if str(r) != "((3/2)*x + (9/2)*y) / (x + 3)":
+    raise SystemExit(f"normalize gave {r}")
+if parse_ratfunc(str(r)) != r:
+    raise SystemExit(f"{r} did not read back to itself")
 # r1 after r3 runs the one-term product path and the second substitute
 # reuses the inner map's tables.
 text = str(compose(realize(parse_word("r1")), realize(parse_word("r3"))))

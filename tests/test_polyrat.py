@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from logcy2.polyrat import (
     partial_derivative,
     poly_divexact,
     poly_gcd,
+    pullback,
     substitute,
 )
 
@@ -43,24 +45,36 @@ def random_poly(rng, deg=3, terms=4):
     return Poly2(d)
 
 
-# --- coefficient storage ------------------------------------------------------
+# --- representation: content times primitive integer terms --------------------
 
 
-def stored_as_int_when_integral(p: Poly2) -> bool:
-    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values())
+def is_canonical(p: Poly2) -> bool:
+    """Primitive int terms, positive grlex-leading coefficient, content an int when integral, 0 only for zero."""
+    if not p.terms:
+        return p.content == 0 and type(p.content) is int
+    return (all(type(c) is int for c in p.terms.values())
+            and math.gcd(*p.terms.values()) == 1
+            and p.terms[max(p.terms, key=lambda t: (t[0] + t[1], t[0]))] > 0
+            and p.content != 0
+            and type(p.content) is (int if p.content.denominator == 1 else Fraction))
 
 
-def test_integral_coefficients_are_stored_as_int(srng):
+def test_every_result_is_content_times_primitive_terms(srng):
     half = Poly2.const(Fraction(1, 2))
     h = X.scale(Fraction(1, 2)) + Y.scale(Fraction(3, 2))
     r = normalize(h, X.scale(Fraction(1, 3)))
     f = normalize(h * Poly2.const(2), ONE + Y)
+    pulled = pullback(r, [1, ((0, 1), (1, 0)), -2])
+    flipped = pullback(rf(X - Y, ONE + X), [((0, 1), (1, 0))])  # x - y becomes y - x
     results = [
         h * Poly2.const(2), half * half * Poly2.const(4), h**2 * Poly2.const(4), h**0,
         h + h, h - half, h.scale(2), (h * X).derivative("x"),
         r.num, r.den, f.num, f.den,
         substitute(f, r, f).num, substitute(f, r, f).den,
-        parse_poly("(4/2)*x + (1/2)*y + (-6/3)"),
+        parse_poly("(4/2)*x + (1/2)*y + (-6/3)"), parse_poly("(-3/4)*x^2 + (9/2)*y"),
+        poly_gcd(h * X, h * Y), poly_divexact(h * (X - Y), X - Y), -h, -(X + ONE),
+        pulled.num, pulled.den, flipped.num, flipped.den,
+        Poly2.zero(), h - h, X.scale(0), h * Poly2.zero(), Poly2.zero() ** 2,
     ]
     for _ in range(20):
         n, d = random_poly(srng), random_poly(srng)
@@ -69,7 +83,7 @@ def test_integral_coefficients_are_stored_as_int(srng):
         r = normalize(n, d)
         results += [n * d, n**3, r.num, r.den, substitute(r, r, r).num, substitute(r, r, r).den]
     assert results[0].terms == {(1, 0): 1, (0, 1): 3}
-    assert all(stored_as_int_when_integral(p) for p in results)
+    assert all(is_canonical(p) for p in results)
 
 
 def test_public_values_are_fractions():
@@ -83,7 +97,10 @@ def test_public_values_are_fractions():
 def test_integral_fraction_equals_int_coefficient():
     p = Poly2({(0, 0): Fraction(2)})
     assert p == Poly2.const(2) and hash(p) == hash(Poly2.const(2))
-    assert type(p.terms[(0, 0)]) is int
+    q = X.scale(Fraction(1, 2)).scale(4)  # content 1/2 times 4, an integral Fraction
+    assert q == X.scale(2) and hash(q) == hash(X.scale(2)) and type(q.content) is int
+    assert X.scale(2) != X
+    assert p.terms == {(0, 0): 1}
 
 
 # --- normalize -----------------------------------------------------------------
@@ -354,6 +371,12 @@ def test_parse_ignores_surrounding_whitespace():
     assert parse_poly("x ") == X
     assert parse_poly(" x + 1\t") == X + ONE
     assert parse_ratfunc("(x + 1 ) / (y)") == rf(X + ONE, Y)
+
+
+def test_parse_sums_repeated_monomials():
+    assert parse_poly("x*y + (1/2)*y*x + 1") == (X * Y).scale(Fraction(3, 2)) + ONE
+    assert parse_poly("x + 2*x + (-3)*x^1 + y") == Y
+    assert parse_poly("x + (-1)*x").is_zero()
 
 
 def test_poly_text_roundtrip(srng):

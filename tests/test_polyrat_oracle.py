@@ -55,8 +55,8 @@ def monomials(max_deg: int = 3):
 
 
 def to_sympy(p: Poly2):
-    return sum((sympy.Rational(c.numerator, c.denominator) * SX**i * SY**j
-                for (i, j), c in p.terms.items()), sympy.Integer(0))
+    content = sympy.Rational(p.content.numerator, p.content.denominator)
+    return content * sum((c * SX**i * SY**j for (i, j), c in p.terms.items()), sympy.Integer(0))
 
 
 def from_sympy(expr) -> Poly2:
@@ -131,7 +131,7 @@ def test_gcd_heuristic_candidate_has_no_zero_digits():
 @given(polys(3, 4, integral=True), polys(3, 4, integral=True))
 def test_gcd_of_coprime_pair_returns_the_inputs_as_cofactors(a, b):
     assume(sympy.gcd(to_sympy(a), to_sympy(b)) == 1)
-    p, q = polyrat._split(a)[1], polyrat._split(b)[1]
+    p, q = a.terms, b.terms
     g, cp, cq = polyrat._ip_gcd(p, q)
     assert g == {(0, 0): 1}
     assert cp == p and cq == q
@@ -140,7 +140,7 @@ def test_gcd_of_coprime_pair_returns_the_inputs_as_cofactors(a, b):
 @ORACLE
 @given(polys(2, 3, integral=True), polys(2, 3, integral=True), shared_factors())
 def test_gcd_cofactors_multiply_back(a, b, h):
-    p, q = polyrat._split(a * h)[1], polyrat._split(b * h)[1]
+    p, q = (a * h).terms, (b * h).terms
     g, cp, cq = polyrat._ip_gcd(p, q)
     assert polyrat._ip_mul(g, cp) == p
     assert polyrat._ip_mul(g, cq) == q
@@ -191,7 +191,7 @@ def test_gcd_forced_remainder_sequence_matches_sympy(a, b, h):
     # Two-level GCDHEU gives up on every pair, so the remainder sequence
     # decides; the second pass makes every univariate_gcd of a y-content
     # give up too, so the sequence also runs on x-only dicts.
-    p, q = polyrat._split(a * h)[1], polyrat._split(b * h)[1]
+    p, q = (a * h).terms, (b * h).terms
     expected = from_sympy(sympy.gcd(to_sympy(a * h), to_sympy(b * h)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyrat, "_ip_heugcd", lambda p, q: None)
@@ -248,7 +248,7 @@ def test_one_term_power_matches_sympy(m, p, k):
 @ORACLE
 @given(polys(integral=True))
 def test_integer_product_by_one_is_the_other_factor(p):
-    ints, one = polyrat._split(p)[1], {(0, 0): 1}
+    ints, one = p.terms, {(0, 0): 1}
     before = dict(ints)
     for product in (polyrat._ip_mul(one, ints), polyrat._ip_mul(ints, one)):
         assert product is ints or (product is one and ints == one)
@@ -293,7 +293,7 @@ def rebuilt(m: BirationalMap) -> BirationalMap:
     """A map equal to m made of new objects, down to the terms dicts."""
 
     def copy(r: RatFunc2) -> RatFunc2:
-        return RatFunc2(Poly2(dict(r.num.terms)), Poly2(dict(r.den.terms)))
+        return RatFunc2(Poly2(dict(r.num.terms)).scale(r.num.content), Poly2(dict(r.den.terms)).scale(r.den.content))
 
     return BirationalMap(copy(m.f), copy(m.g))
 
@@ -412,13 +412,13 @@ def test_elementary_pullback_matches_cancel(r, e):
 @ORACLE
 @given(reduced_fractions(), st.lists(st.one_of(UNIMODULAR, st.integers(-3, 3).filter(bool)), max_size=3))
 def test_kernels_keep_integer_pairs_reduced(r, steps):
-    # On cleared integer sides the kernels return a pair with no common
+    # On integer sides the kernels return a pair with no common
     # factor at all, which pullback then only scales.
-    num, den = polyrat._cleared(r.num, r.den)[1]
+    num, den = polyrat._int_pair(r)
     for step in steps:
         num, den = (elementary_pullback if isinstance(step, int) else monomial_pullback)(num, den, step)
     assert all(isinstance(c, int) for c in [*num.values(), *den.values()])
-    assert polyrat._ip_gcd(polyrat._split(Poly2(num))[1], polyrat._split(Poly2(den))[1])[0] == {(0, 0): 1}
+    assert polyrat._ip_gcd(Poly2(num).terms, Poly2(den).terms)[0] == {(0, 0): 1}
     assert pullback(r, steps) == normalize(Poly2(num), Poly2(den))
 
 
