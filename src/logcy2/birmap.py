@@ -10,13 +10,12 @@ elementary transformation at ray n is the conjugate of E by the canonical
 complement of n.  Words realize to reduced rational-function pairs, where
 structural equality of canonical forms decides the word problem.
 
-``realize`` (through ``extend``) pulls the map back through one letter at a
-time with ``polyrat.pullback`` and takes no gcd.  A monomial map is an
-automorphism of Z[x^+-1, y^+-1] and E^+-1 one of Z[x^+-1, y^+-1, (1 + x)^-1],
-so a reduced fraction pulled back through a letter can only gain monomials
-and powers of 1 + x as common factors, and the kernels divide those out
-exactly.  ``compose`` of two arbitrary maps still substitutes and reduces
-by gcd.
+``realize`` (through ``extend``) and ``compose`` pull a map back through
+the inner map's ``polyrat.pullback`` steps and take no gcd.  A monomial map
+is an automorphism of Z[x^+-1, y^+-1] and E^e one of Z[x^+-1, y^+-1,
+(1 + x)^-1], so a reduced fraction pulled back through a step can only gain
+monomials and powers of 1 + x as common factors, which the kernels divide
+out exactly.  Only a hand-built inner map without steps is substituted.
 
 ``boundary_limit`` computes the induced map between boundary components:
 substituting the arc x = lambda^p t^n1, y = lambda^q t^n2 (with p n2 - q n1
@@ -28,7 +27,8 @@ with the coordinate action lambda -> c lambda^(+-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -38,6 +38,7 @@ from .lattice import (
     PLMap,
     Vec,
     complement_matrix,
+    mat_det,
     mat_inv,
     mat_mul,
     pl_apply,
@@ -45,8 +46,9 @@ from .lattice import (
     pl_elementary,
     pl_inverse,
     require_primitive,
+    require_unimodular,
 )
-from .polyrat import Poly2, RatFunc2, dlog_ratio, normalize, pullback, substitute, univariate_mul
+from .polyrat import Poly2, RatFunc2, dlog_ratio, pullback, substitute, univariate_mul
 from .words import Elementary, Generator, Letter, Linear, Word, generator_determinant
 
 
@@ -65,78 +67,68 @@ class NonGenericArcError(ArithmeticError):
 
 @dataclass(frozen=True)
 class BirationalMap:
-    """A pair of reduced rational functions: the semantic group element."""
+    """A pair of reduced rational functions: the semantic group element.
+
+    ``steps``, which ``==`` and ``hash`` ignore, build the map from the
+    identity by ``polyrat.pullback``; None for a map given by f and g alone.
+    """
 
     f: RatFunc2
     g: RatFunc2
+    steps: tuple[Mat | int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return f"({self.f}, {self.g})"
 
 
-IDENTITY_MAP = BirationalMap(RatFunc2.x(), RatFunc2.y())
+IDENTITY_MAP = BirationalMap(RatFunc2.x(), RatFunc2.y(), ())
+
+
+def _pull(m: BirationalMap, steps: Iterable[Mat | int]) -> BirationalMap:
+    """m after the map that ``steps`` build, recording m's steps and then the merged ones.
+
+    Adjacent monomial steps merge by their matrix product and adjacent
+    powers of E add up, so E[n]^k costs one E-step; MAT_ID and E^0 drop out.
+    """
+    merged: list[Mat | int] = []
+    for step in steps:
+        if merged and isinstance(step, int) == isinstance(merged[-1], int):
+            prev = merged.pop()
+            step = prev + step if isinstance(step, int) else mat_mul(prev, step)
+        if step != 0 and step != MAT_ID:
+            merged.append(step)
+    return BirationalMap(pullback(m.f, merged), pullback(m.g, merged),
+                         None if m.steps is None else m.steps + tuple(merged))
 
 
 def compose(outer: BirationalMap, inner: BirationalMap) -> BirationalMap:
-    """outer after inner."""
-    return BirationalMap(
-        substitute(outer.f, inner.f, inner.g),
-        substitute(outer.g, inner.f, inner.g),
-    )
+    """outer after inner: pulled back through inner's steps, or substituted when inner has none."""
+    if inner.steps is not None:
+        return _pull(outer, inner.steps)
+    return BirationalMap(substitute(outer.f, inner.f, inner.g), substitute(outer.g, inner.f, inner.g))
 
 
 def monomial_map(mat: Mat) -> BirationalMap:
-    """The torus map acting on boundary rays by ``mat``."""
-
-    def coord(row: tuple[int, int]) -> RatFunc2:
-        num, den = Poly2.const(1), Poly2.const(1)
-        for e, mono in zip(row, (Poly2.x(), Poly2.y())):
-            if e > 0:
-                num = num * mono**e
-            elif e < 0:
-                den = den * mono ** (-e)
-        return normalize(num, den)
-
-    return BirationalMap(coord(mat[0]), coord(mat[1]))
-
-
-_E_PLUS = BirationalMap(
-    RatFunc2.x(),
-    normalize(Poly2.y(), Poly2.const(1) + Poly2.x()),
-)
-_E_MINUS = BirationalMap(
-    RatFunc2.x(),
-    normalize(Poly2.y() * (Poly2.const(1) + Poly2.x()), Poly2.const(1)),
-)
+    """The torus map acting on boundary rays by the unimodular ``mat``."""
+    return _pull(IDENTITY_MAP, [require_unimodular(mat)])
 
 
 def elementary_realization(n: Vec, exponent: int = 1, second_row: tuple[int, int] | None = None) -> BirationalMap:
-    """The elementary transformation at ray n as a torus map.
+    """E[n]^exponent as a torus map, by the steps mat_inv(c), exponent, c for the complement c of n.
 
     ``second_row`` overrides the canonical complement's second row, for
     probing whether the conjugate depends on the complement choice; it must
     satisfy c n1 + d n2 = 1.
     """
-    require_primitive(n)
-    base = _E_PLUS if exponent == 1 else _E_MINUS
-    if n == (0, 1) and second_row is None:
-        return base
-    c = complement_matrix(n)
-    if second_row is not None:
-        cc, dd = second_row
-        if cc * n[0] + dd * n[1] != 1:
-            raise ValueError(f"row {second_row} does not complement {n}")
-        c = ((n[1], -n[0]), (cc, dd))
-    return compose(monomial_map(mat_inv(c)), compose(base, monomial_map(c)))
+    c = complement_matrix(n) if second_row is None else ((n[1], -n[0]), second_row)
+    if mat_det(c) != 1:
+        raise ValueError(f"row {second_row} does not complement {n}")
+    return _pull(IDENTITY_MAP, [mat_inv(c), exponent, c])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _letter_steps(letter: Letter) -> tuple[Mat | int, ...]:
-    """The ``polyrat.pullback`` steps of one letter.
-
-    A linear letter is its matrix; E[n]^e is the conjugate mat_inv(c), e, c,
-    with c the canonical complement of n.
-    """
+    """The ``polyrat.pullback`` steps of one letter: its matrix, or those of ``elementary_realization``."""
     gen, e = letter
     if isinstance(gen, Linear):
         return (gen.mat if e == 1 else mat_inv(gen.mat),)
@@ -145,23 +137,10 @@ def _letter_steps(letter: Letter) -> tuple[Mat | int, ...]:
 
 
 def extend(m: BirationalMap, w: Word) -> BirationalMap:
-    """m after realize(w): m pulled back through the letters of w in order.
-
-    Adjacent monomial steps merge into one by their matrix product and
-    adjacent powers of E add up, so E[n]^k costs one E-step; an identity
-    matrix or E^0 is dropped.  The empty word gives m itself.
-    """
+    """m after realize(w): ``_pull`` through the letters of w in order; m itself for the empty word."""
     if not w.letters:
         return m
-    steps: list[Mat | int] = []
-    for letter in w.letters:
-        for step in _letter_steps(letter):
-            if steps and isinstance(step, int) == isinstance(steps[-1], int):
-                prev = steps.pop()
-                step = prev + step if isinstance(step, int) else mat_mul(prev, step)
-            if step != 0 and step != MAT_ID:
-                steps.append(step)
-    return BirationalMap(pullback(m.f, steps), pullback(m.g, steps))
+    return _pull(m, (step for letter in w.letters for step in _letter_steps(letter)))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import birmap, catalog, diagrams, sampling, surfaces
 from .lattice import NonPrimitiveError, NonUnimodularError
-from .polyrat import Poly2, PoleAtPointError, RatFunc2, evaluate, normalize
+from .polyrat import Poly2, PoleAtPointError, RatFunc2, TermBudgetError, evaluate, normalize
 from .surfaces import (
     InvalidSurfaceError,
     NotRegularError,
@@ -40,6 +40,7 @@ DOMAIN_ERRORS = (
     InvalidSurfaceError,
     RayAbsentError,
     PoleAtPointError,
+    TermBudgetError,
     NonPrimitiveError,
     NonUnimodularError,
     diagrams.InvalidDiagramError,

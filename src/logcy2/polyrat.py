@@ -23,15 +23,15 @@ By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
 only multiply or divide contents; sums, derivatives and the result of
 ``substitute`` take one content gcd.  A product with a one-term factor
 shifts and scales the other factor, and a factor 1 returns the other one as
-it stands.  ``substitute`` keeps the power
-tables of the last inner map it saw, so the two calls of a composition, and
-consecutive substitutions into the same map objects, build them once.
+it stands.  ``substitute`` keeps the power tables of the last inner map it
+saw, so a composition's two calls build them once.
 ``dlog_ratio`` decides exactly, in two integer passes over term pairs,
 whether dlog f ^ dlog g is a constant multiple of dlog x ^ dlog y.
 ``pullback`` pulls a fraction back through monomial maps and powers of
 E = (x, y (1 + x)^-1) with no substitution and no gcd: the only common
 factors such a step can create are monomials and powers of 1 + x, and its
-kernel divides them out exactly (see "pullbacks through the generators").
+kernel divides them out exactly (see "pullbacks through the generators");
+an E-step that would build more than ``TERM_BUDGET`` terms raises first.
 ``leading_term``, ``constant_value`` and ``evaluate`` return Fractions.
 Negative powers never appear: monomial maps with negative exponents are
 represented with explicit denominators.
@@ -161,11 +161,17 @@ class Poly2:
     # lemma), so only sums and derivatives take a content gcd.
 
     def __add__(self, other: "Poly2") -> "Poly2":
+        if self.content == other.content:
+            # Both grlex-leading coefficients are positive, so the sum's is too.
+            out = self.terms.copy()
+            _ip_add_scaled(out, other.terms, 1)
+            c = math.gcd(*out.values())
+            return Poly2._raw(out if c == 1 else {t: v // c for t, v in out.items()}, self.content * c)
         m = math.lcm(self.content.denominator, other.content.denominator)
-        out: dict[Term, int] = {}
+        out = {}
         for p in (self, other):
             _ip_add_scaled(out, p.terms, p.content.numerator * (m // p.content.denominator))
-        return _canonical({t: c for t, c in out.items() if c}, Fraction(1, m))
+        return _canonical(out, Fraction(1, m))
 
     def __neg__(self) -> "Poly2":
         return Poly2._raw(self.terms, -self.content)
@@ -302,10 +308,13 @@ def _ip_mul(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
 
 
 def _ip_add_scaled(acc: dict[Term, int], p: dict[Term, int], c: int) -> None:
-    """acc += c * p in place; cancelled terms stay as zeros."""
+    """acc += c * p in place; cancelled terms are deleted."""
     get = acc.get
     for t, v in p.items():
-        acc[t] = get(t, 0) + c * v
+        if s := get(t, 0) + c * v:
+            acc[t] = s
+        else:
+            del acc[t]
 
 
 def _ip_divexact(p: dict[Term, int], d: dict[Term, int]) -> dict[Term, int]:
@@ -491,9 +500,8 @@ def _ip_prs_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
             lg = {(0, j): c for (i, j), c in g.items() if i == dg}
             while f and (df := max(i for i, _ in f)) >= dg:
                 lf = {(df - dg, j): c for (i, j), c in f.items() if i == df}
-                acc = dict(_ip_mul(lg, f))
-                _ip_add_scaled(acc, _ip_mul(lf, g), -1)
-                f = {t: c for t, c in acc.items() if c}
+                f = dict(_ip_mul(lg, f))
+                _ip_add_scaled(f, _ip_mul(lf, g), -1)
             f, g = g, (primitive(f)[1] if f else {})
         r = _ip_mul(_ONE if g else f, {(0, j): c for j, c in _y_gcd([cp, cq]).items()})
     return {t: -c for t, c in r.items()} if r and r[_grlex_max(r)] < 0 else r
@@ -675,18 +683,16 @@ def _compose_cleared(p: dict[Term, int], dx: int, dy: int, fn, fd, gn, gd, gprod
             if j not in gprod:
                 gprod[j] = _ip_mul(gn[j], gd[dy - j])
             _ip_add_scaled(inner, gprod[j], c)
-        inner = {t: c for t, c in inner.items() if c}
         _ip_add_scaled(total, _ip_mul(fn[i], _ip_mul(fd[dx - i], inner)), 1)
-    return {t: c for t, c in total.items() if c}
+    return total
 
 
 # (f, g, fn, fd, gn, gd, gprods) for the inner map of the last substitute:
 # the power tables of its integer sides and, per clearing degree dy, the
-# y-factor products.  ``compose`` substitutes into one inner map twice, and
-# an enumeration often extends by the same map again, so the next call with
-# the same f and g reuses them.  The slot holds f and g themselves, so an
-# identity match can never come from a recycled id, and at most one inner
-# map's tables stay alive.
+# y-factor products.  ``birmap.compose`` substitutes into an inner map
+# without steps once per coordinate, and the second call reuses them.  The
+# slot holds f and g, so a match never comes from a recycled id, and keeps
+# one inner map's tables alive at most.
 _inner_slot: tuple | None = None
 
 
@@ -734,6 +740,15 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
 # sign of its grlex-leading coefficient can change.  ``pullback`` runs the
 # kernels on the terms dicts as they stand and, once on exit, fixes the signs
 # and sets the two contents so the denominator is grlex-monic.
+
+
+# The most terms one side of an E-step may build.  (r1*r2*r3)^3 needs 11925;
+# (r1*r2*r3)^4 would need 216401 and (r1*r2*r3)^5 ran out of memory.
+TERM_BUDGET = 12_000
+
+
+class TermBudgetError(ArithmeticError):
+    """A pullback would build more terms than ``TERM_BUDGET`` allows."""
 
 
 def monomial_pullback(num: dict[Term, int], den: dict[Term, int], mat: tuple[Term, Term]):
@@ -820,6 +835,10 @@ def elementary_pullback(num: dict[Term, int], den: dict[Term, int], e: int):
         if base >= k:
             break
         k = min(k, base + _one_plus_x_valuation(b, k - base))
+    # Row j is rebuilt with len(b) - e j - k coefficients, zeros included.
+    size = max(sum(len(b) - e * j - k for j, (_, b) in side.items()) for side in rows)
+    if size > TERM_BUDGET:
+        raise TermBudgetError(f"a pullback through E^{e} would build {size} terms, over {TERM_BUDGET}")
     out = []
     for side in rows:
         terms = {}

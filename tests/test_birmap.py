@@ -27,8 +27,9 @@ from logcy2.birmap import (
     tropicalize,
     volume_character,
 )
-from logcy2.lattice import mat_inv, pl_apply, pl_compose, pl_elementary, PLMap
-from logcy2.polyrat import Poly2, RatFunc2, normalize, substitute
+from logcy2 import polyrat
+from logcy2.lattice import NonUnimodularError, mat_inv, pl_apply, pl_compose, pl_elementary, PLMap
+from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_word, realized_degree
 from logcy2.words import E, Elementary, Letter, Linear, Word, linear_from_literal, parse_word
 
@@ -66,9 +67,14 @@ def letter_map(letter: Letter) -> BirationalMap:
     return elementary_realization(gen.n, e)
 
 
+def coordinates_only(m: BirationalMap) -> BirationalMap:
+    """m without its steps, so ``compose`` takes it as inner by substitution."""
+    return BirationalMap(m.f, m.g)
+
+
 def _realize_right_fold(w: Word) -> BirationalMap:
-    """An earlier fold: letter after accumulated map, from the identity."""
-    acc = IDENTITY_MAP
+    """An earlier fold: letter after accumulated map, from the identity, by substitution."""
+    acc = coordinates_only(IDENTITY_MAP)
     for letter in reversed(w.letters):
         acc = compose(letter_map(letter), acc)
     return acc
@@ -120,7 +126,7 @@ def test_realize_folds_from_the_first_letter(monkeypatch):
 
         return record
 
-    for target in ("birmap.compose", "birmap.substitute", "birmap.normalize",
+    for target in ("birmap.compose", "birmap.substitute",
                    "polyrat.substitute", "polyrat.normalize", "polyrat._ip_gcd"):
         monkeypatch.setattr(f"logcy2.{target}", spy(target))
     assert realize(w) == expected and str(realize(w)) == str(expected)
@@ -135,8 +141,8 @@ def test_extend_is_compose_after_realize(srng):
     maps += [BirationalMap(x2, RatFunc2.const(Fraction(5, 7))), BirationalMap(RatFunc2.const(0), x2)]
     for m in maps:
         for w in [random_word(srng, 3) for _ in range(6)] + [Word()]:
-            got = extend(m, w)
-            assert got == compose(m, realize(w)) and str(got) == str(compose(m, realize(w))), str(w)
+            got, want = extend(m, w), compose(m, coordinates_only(realize(w)))
+            assert got == want and str(got) == str(want), str(w)
     assert extend(maps[0], Word()) is maps[0]
 
 
@@ -214,14 +220,14 @@ def test_oracle_soundness(srng):
 def test_realize_is_homomorphism(srng):
     for _ in range(15):
         w1, w2 = random_word(srng, 2), random_word(srng, 2)
-        assert realize(w1 * w2) == compose(realize(w1), realize(w2))
+        assert realize(w1 * w2) == compose(realize(w1), coordinates_only(realize(w2)))
 
 
 def test_compose_substitutes_exactly_twice(monkeypatch):
     # One substitute per coordinate, both into the same inner objects: the
     # benchmark traces substitute, and the second call reuses the inner
     # map's tables only when it gets the very same f and g.
-    outer, inner = realize(parse_word("r1")), realize(parse_word("r3"))
+    outer, inner = realize(parse_word("r1")), coordinates_only(realize(parse_word("r3")))
     calls = []
 
     def spy(r, f, g):
@@ -237,7 +243,7 @@ def test_compose_substitutes_exactly_twice(monkeypatch):
 def test_compose_is_safe_across_threads():
     # Every thread shares the inner-map tables substitute keeps; a thread
     # switch between finding them and using them must not mix two inner maps.
-    maps = [realize(parse_word(t)) for t in ("r1", "r2", "r3", "E", "P", "r1*r2")]
+    maps = [coordinates_only(realize(parse_word(t))) for t in ("r1", "r2", "r3", "E", "P", "r1*r2")]
     expected = {(a, b): compose(outer, inner) for a, outer in enumerate(maps) for b, inner in enumerate(maps)}
     wrong = []
 
@@ -260,6 +266,61 @@ def test_compose_is_safe_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_compose_pulls_back_through_steps_as_substitution_would():
+    # The 93 alternating r1/r2/r3 words up to depth 5, each extended on the right.
+    refl = [realize(parse_word(f"r{i}")) for i in (1, 2, 3)]
+    maps, level = {"": IDENTITY_MAP}, [""]
+    for _ in range(5):
+        level = [key + i for key in level for i in "123" if not key.endswith(i)]
+        for key in level:
+            outer, inner = maps[key[:-1]], refl[int(key[-1]) - 1]
+            maps[key] = m = compose(outer, inner)
+            assert str(m) == str(compose(outer, coordinates_only(inner))), key
+            assert m.steps == outer.steps + inner.steps, key
+            assert m == realize(parse_word("*".join(f"r{i}" for i in key))), key
+    assert len(maps) == 94
+
+
+def test_compose_of_realized_maps_takes_no_substitution_or_gcd(monkeypatch):
+    outer, inner = realize(parse_word("r1*r2")), realize(parse_word(MACRO_17))
+    expected = compose(outer, coordinates_only(inner))
+
+    def refuse(*args):
+        raise AssertionError("compose substituted or took a gcd")
+
+    for target in ("birmap.substitute", "polyrat.substitute", "polyrat.normalize", "polyrat._ip_gcd"):
+        monkeypatch.setattr(f"logcy2.{target}", refuse)
+    got = compose(outer, inner)
+    assert got == expected and str(got) == str(expected)
+    assert compose(coordinates_only(outer), inner) == expected
+    assert compose(coordinates_only(outer), inner).steps is None
+
+
+def test_steps_stay_out_of_equality_and_hash():
+    m = realize(parse_word("r1*E"))
+    plain = coordinates_only(m)
+    assert m.steps and plain.steps is None
+    assert m == plain and hash(m) == hash(plain) and repr(m) == repr(plain)
+    assert IDENTITY_MAP.steps == ()
+
+
+def test_term_budget_stops_realize_and_compose_before_building(monkeypatch):
+    monkeypatch.setattr("logcy2.polyrat.TERM_BUDGET", 50)
+    realize.cache_clear()
+    assert realize(E**49).g == normalize(Y, (ONE + X) ** 49)
+    half = realize(E**25)
+    # Only the x-coordinate's rows, multiplied by (1 + x)^0, get built.
+    powers = []
+    times = polyrat._times_one_plus_x
+    monkeypatch.setattr(polyrat, "_times_one_plus_x", lambda b, t: powers.append(t) or times(b, t))
+    with pytest.raises(TermBudgetError, match="E\\^50 would build 51 terms"):
+        realize(E**50)
+    with pytest.raises(TermBudgetError):
+        compose(half, half)
+    assert powers and not any(powers)
+    realize.cache_clear()
 
 
 def test_conjugation_identity_holds_as_stated():
@@ -323,9 +384,25 @@ def test_elementary_realization_complement_independent(srng):
         assert elementary_realization(n) == elementary_realization(n, second_row=alt)
 
 
+def test_elementary_realization_is_the_letter_power():
+    for n in [(0, 1), (1, 0), (0, -1), (1, 1), (-1, 2), (2, -3), (3, 4)]:
+        for e in range(-3, 4):
+            m = elementary_realization(n, e)
+            assert m == realize(Word(((Elementary(n), 1 if e > 0 else -1),)) ** abs(e)), (n, e)
+    assert elementary_realization((1, 2), 0) == IDENTITY_MAP
+
+
+def test_monomial_map_rejects_a_singular_matrix():
+    with pytest.raises(NonUnimodularError):
+        monomial_map(((2, 0), (0, 1)))
+    assert monomial_map(((0, 1), (1, 0))) == BirationalMap(RatFunc2.y(), RatFunc2.x())
+
+
 def test_elementary_realization_rejects_bad_row():
     with pytest.raises(ValueError):
         elementary_realization((0, 1), second_row=(1, 2))
+    with pytest.raises(ValueError):  # c n1 + d n2 = -1: unimodular, but not a complement
+        elementary_realization((0, 1), second_row=(0, -1))
 
 
 # --- tropicalization -------------------------------------------------------------

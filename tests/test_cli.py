@@ -84,6 +84,13 @@ def test_oversized_power_exits_2(capsys):
     assert "letters" in err
 
 
+@pytest.mark.parametrize("word", ["(r1*r2*r3)^5", "E^100000"])
+def test_word_over_the_term_budget_exits_1(capsys, word):
+    code, out, err = run(capsys, "word", "realize", word)
+    assert code == 1 and out == ""
+    assert "over 12000" in err
+
+
 def test_surface_validate(capsys, tmp_path, pxp_file):
     code, out, _ = run(capsys, "surface", "validate", pxp_file)
     assert code == 0 and out.strip() == "ok"

@@ -12,7 +12,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "logcy2"
 OPTIMIZED_CHECKS = """
 import sys
 from logcy2 import polyrat
-from logcy2.birmap import IDENTITY_MAP, compose, elementary_realization, monomial_map, realize
+from logcy2.birmap import IDENTITY_MAP, BirationalMap, compose, elementary_realization, monomial_map, realize
 from logcy2.lattice import MAT_ID, PLMap, mat_inv, pl_validate
 from logcy2.polyrat import (
     InexactDivisionError, Poly2, RatFunc2, dlog_ratio, normalize, parse_poly, parse_ratfunc, poly_divexact,
@@ -51,22 +51,27 @@ if str(r) != "((3/2)*x + (9/2)*y) / (x + 3)":
     raise SystemExit(f"normalize gave {r}")
 if parse_ratfunc(str(r)) != r:
     raise SystemExit(f"{r} did not read back to itself")
-# r1 after r3 runs the one-term product path and the second substitute
-# reuses the inner map's tables.
-text = str(compose(realize(parse_word("r1")), realize(parse_word("r3"))))
-if text != (
-    "((x^4 + 4*x^3*y + 6*x^2*y^2 + 4*x*y^3 + y^4 + 2*x^2*y + 4*x*y^2 + 2*y^3 + y^2)"
-    " / (x^3 + 2*x^2*y + x*y^2), (y) / (x^2 + 2*x*y + y^2))"
-):
-    raise SystemExit(f"r1 after r3 gave {text}")
-# realize runs the pullback kernels; a fold of compose gives the same text.
+# r1 after r3 gives one text on both routes: pulled back through r3's steps,
+# and substituted into r3 without them, which runs the one-term product path
+# and the second substitute's reuse of the inner map's tables.
+r1, r3 = realize(parse_word("r1")), realize(parse_word("r3"))
+for inner in (r3, BirationalMap(r3.f, r3.g)):
+    text = str(compose(r1, inner))
+    if text != (
+        "((x^4 + 4*x^3*y + 6*x^2*y^2 + 4*x*y^3 + y^4 + 2*x^2*y + 4*x*y^2 + 2*y^3 + y^2)"
+        " / (x^3 + 2*x^2*y + x*y^2), (y) / (x^2 + 2*x*y + y^2))"
+    ):
+        raise SystemExit(f"r1 after r3 gave {text} with inner steps {inner.steps}")
+# realize runs the pullback kernels; a fold of compose by substitution gives
+# the same text.
 w = parse_word("E^-3*E[1,0]^2*A[0,1;1,0]")
 folded = IDENTITY_MAP
 for gen, e in w.letters:
     if isinstance(gen, Linear):
-        folded = compose(folded, monomial_map(gen.mat if e == 1 else mat_inv(gen.mat)))
+        m = monomial_map(gen.mat if e == 1 else mat_inv(gen.mat))
     else:
-        folded = compose(folded, elementary_realization(gen.n, e))
+        m = elementary_realization(gen.n, e)
+    folded = compose(folded, BirationalMap(m.f, m.g))
 if str(realize(w)) != str(folded):
     raise SystemExit(f"realize gave {realize(w)}, the compose fold {folded}")
 # The second pass of dlog_ratio decides both: (x^2, y) scales the form by

@@ -308,7 +308,8 @@ LONGER = ("r1*r2", "r3*r1*r2", "E^2*A[1,1;0,1]", "P^2*r2")
 
 
 def test_compose_tables_never_leak_between_inners(srng):
-    inners = [realize(parse_word(t)) for t in LETTERS]
+    # Inner maps without steps, so compose substitutes into them.
+    inners = [rebuilt(realize(parse_word(t))) for t in LETTERS]
     outers = inners + [realize(parse_word(t)) for t in LONGER]
     # Each reference substitutes into a new copy of the inner map, which no
     # earlier call has seen.
@@ -445,9 +446,11 @@ def letter_map(letter) -> BirationalMap:
 
 
 def compose_fold(w: Word) -> BirationalMap:
+    """The letter maps substituted one by one: each inner map goes in without its steps."""
     acc = IDENTITY_MAP
     for letter in w.letters:
-        acc = compose(acc, letter_map(letter))
+        m = letter_map(letter)
+        acc = compose(acc, BirationalMap(m.f, m.g))
     return acc
 
 
