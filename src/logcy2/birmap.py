@@ -198,7 +198,8 @@ def character_from_letters(w: Word) -> int:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _letter_trop(letter: Letter) -> PLMap:
+def letter_trop(letter: Letter) -> PLMap:
+    """The piecewise-linear shadow of one letter."""
     gen, e = letter
     if isinstance(gen, Linear):
         return PLMap.linear(gen.mat if e == 1 else mat_inv(gen.mat))
@@ -209,7 +210,7 @@ def _letter_trop(letter: Letter) -> PLMap:
 @lru_cache(maxsize=CACHE_SIZE)
 def tropicalize(w: Word) -> PLMap:
     """The piecewise-linear shadow, folded from the first letter as ``pl_compose(acc, letter)``."""
-    return reduce(pl_compose, map(_letter_trop, w.letters)) if w.letters else PLMap.identity()
+    return reduce(pl_compose, map(letter_trop, w.letters)) if w.letters else PLMap.identity()
 
 
 def tropical_image(w: Word, v: Vec) -> Vec:
@@ -219,7 +220,7 @@ def tropical_image(w: Word, v: Vec) -> Vec:
     map; it never builds that map, whose piece count grows with the word.
     """
     for letter in reversed(w.letters):
-        v = pl_apply(_letter_trop(letter), v)
+        v = pl_apply(letter_trop(letter), v)
     return v
 
 

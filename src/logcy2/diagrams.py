@@ -298,7 +298,7 @@ def from_json(text: str) -> BaseDiagram:
     """Parse ``to_json`` output; every malformed input raises InvalidDiagramError."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integers past int's digit limit, and deep nesting
         raise InvalidDiagramError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or set(data) != {"nodes"} or not isinstance(data["nodes"], list):
         raise InvalidDiagramError("expected an object with exactly the key 'nodes', holding a list")
@@ -331,11 +331,12 @@ def from_json(text: str) -> BaseDiagram:
 
 
 def _fmt(x: Fraction) -> str:
-    """Deterministic fixed-point rendering with up to 6 decimals, no floats."""
-    scaled = x * 10**6
-    q = scaled.numerator // scaled.denominator
-    if 2 * (scaled - q) >= 1:
-        q += 1
+    """Deterministic fixed-point rendering with up to 6 decimals, no floats.
+
+    x * 10^6 rounds half up, in integers: q + r/den with 0 <= r < den.
+    """
+    q, r = divmod(x.numerator * 10**6, x.denominator)
+    q += 2 * r >= x.denominator
     sign = "-" if q < 0 else ""
     whole, frac = divmod(abs(q), 10**6)
     text = f"{sign}{whole}.{frac:06d}".rstrip("0").rstrip(".")

@@ -67,10 +67,6 @@ def cross(u: Vec, v: Vec) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def dot(u: Vec, v: Vec) -> int:
-    return u[0] * v[0] + u[1] * v[1]
-
-
 def rot90(v: Vec) -> Vec:
     """Counterclockwise quarter turn."""
     return (-v[1], v[0])
@@ -178,18 +174,14 @@ def in_sector(a: Vec, b: Vec, v: Vec) -> bool:
     """
     if v == (0, 0):
         return True
-    # Position of a direction w relative to a: 0 on a itself, then strictly
-    # increasing counterclockwise.
-    def key(w: Vec) -> tuple[int, int]:
-        c = cross(a, w)
-        if c == 0:
-            return (0, 0) if dot(a, w) > 0 else (2, 0)
-        return (1, 0) if c > 0 else (3, 0)
-
-    kv, kb = key(v), key(b)
-    if kv == kb and kv[0] in (1, 3):
-        c = cross(v, b)
-        return c > 0
+    # Position of a direction relative to a: 0 on a itself, 1 in the open
+    # half-plane ccw of a, 2 on -a, 3 in the other open half-plane.
+    c = a[0] * v[1] - a[1] * v[0]
+    kv = (1 if c > 0 else 3) if c else (0 if a[0] * v[0] + a[1] * v[1] > 0 else 2)
+    c = a[0] * b[1] - a[1] * b[0]
+    kb = (1 if c > 0 else 3) if c else (0 if a[0] * b[0] + a[1] * b[1] > 0 else 2)
+    if kv == kb and kv & 1:
+        return v[0] * b[1] - v[1] * b[0] > 0
     return kv < kb
 
 

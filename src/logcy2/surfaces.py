@@ -10,6 +10,10 @@ do not change the interior; interior blow-ups increment a multiplicity.
 regular; ``resolve`` makes one pass over the word, augmenting the starting
 surface (ray insertions and interior blow-ups pulled back through the applied
 suffix) and the surface reached so far alike until the whole word is regular.
+
+Validation: the public operations validate the surfaces they are given; a
+surface that ``pushforward`` or ``resolve`` creates on the way is validated
+once, when it is created, and is passed on without being validated again.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .birmap import tropical_image, tropicalize
+from .birmap import letter_trop
 from .lattice import (
     NonPrimitiveError,
     Vec,
@@ -109,9 +113,30 @@ def cubic_surface() -> Surface:
 
 
 def validate(s: Surface) -> list[str]:
-    """All fan/surface invariant violations, as data; empty means valid."""
+    """All fan/surface invariant violations, as data; empty means valid.
+
+    A valid surface passes one accept pass over its adjacent pairs: a
+    determinant of 1 already makes both rays primitive and turns ccw by less
+    than pi, so the fan winds once exactly when one step goes from y < 0 to
+    y >= 0, and then its rays are distinct.  Any other surface gets the full
+    list of violations below.
+    """
+    rays, m = s.rays, s.m
+    k = len(rays)
+    if k >= 3 and len(m) == k:
+        ax, ay = rays[-1][0], rays[-1][1]
+        ups = 0
+        for r, mm in zip(rays, m):
+            bx, by = r[0], r[1]
+            d = ax * by - ay * bx
+            if d != 1 or type(d) is not int or type(mm) is not int or mm < 0:
+                break
+            ups += ay < 0 <= by
+            ax, ay = bx, by
+        else:
+            if ups == 1:
+                return []
     out: list[str] = []
-    k = len(s.rays)
     if k < 3:
         out.append(f"fan needs at least 3 rays, has {k}")
     if len(s.m) != k:
@@ -237,7 +262,11 @@ def numeric_invariants(s: Surface) -> NumericInvariants:
 
 def insert_ray(s: Surface, v: Vec) -> Surface:
     """Stellar-subdivide until v is a ray (corner blow-ups; new rays get m = 0)."""
-    require_valid(s)
+    return _insert_ray(require_valid(s), v)
+
+
+def _insert_ray(s: Surface, v: Vec) -> Surface:
+    """``insert_ray`` on a surface already validated; validates only the result."""
     if not is_primitive(v):
         raise NonPrimitiveError(f"ray {v} is not primitive")
     rays, m = list(s.rays), list(s.m)
@@ -257,13 +286,17 @@ def _in_cone(a: Vec, b: Vec, v: Vec) -> bool:
 
 
 def interior_blowup(s: Surface, n: Vec) -> Surface:
-    require_valid(s)
+    return _interior_blowup(require_valid(s), n)
+
+
+def _interior_blowup(s: Surface, n: Vec) -> Surface:
+    """``interior_blowup`` on a surface already validated; validates only the result."""
     if n not in s.rays:
         raise RayAbsentError(f"ray {n} not in fan; insert it first")
     i = s.rays.index(n)
     m = list(s.m)
     m[i] += 1
-    return Surface(s.rays, tuple(m))
+    return require_valid(Surface(s.rays, tuple(m)))
 
 
 def leq(s: Surface, t: Surface) -> bool:
@@ -277,7 +310,7 @@ def leq(s: Surface, t: Surface) -> bool:
 
 def _push_letter(letter: Letter, s: Surface, applied: int) -> Surface:
     gen, e = letter
-    trop = tropicalize(Word((letter,)))
+    trop = letter_trop(letter)
     if isinstance(gen, Elementary):
         n = gen.n
         for needed in (n, neg(n)):
@@ -331,11 +364,13 @@ def resolve(w: Word, s0: Surface) -> Surface:
                 current = _push_letter(letter, current, applied)
                 break
             except NotRegularError as err:
-                r0 = tropical_image(Word(w.letters[len(w.letters) - applied:]).inverse(), err.ray)
+                r0 = err.ray
+                for gen, e in w.letters[len(w.letters) - applied:]:
+                    r0 = pl_apply(letter_trop((gen, -e)), r0)
                 if err.reason == "missing ray":
-                    candidate, current = insert_ray(candidate, r0), insert_ray(current, err.ray)
+                    candidate, current = _insert_ray(candidate, r0), _insert_ray(current, err.ray)
                 else:
-                    candidate, current = interior_blowup(candidate, r0), interior_blowup(current, err.ray)
+                    candidate, current = _interior_blowup(candidate, r0), _interior_blowup(current, err.ray)
         else:
             raise AssertionError(f"letter {applied} failed a fourth time in resolve")
     return candidate
@@ -352,7 +387,7 @@ def to_json(s: Surface) -> str:
 def from_json(text: str) -> Surface:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also integers past int's digit limit, and deep nesting
         raise InvalidSurfaceError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(data, dict) or set(data) != {"rays", "m"}:
         raise InvalidSurfaceError(["expected an object with exactly the keys 'rays' and 'm'"])

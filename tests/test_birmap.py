@@ -20,7 +20,7 @@ from logcy2.birmap import (
     extend,
     _lam_reduce,
     _letter_steps,
-    _letter_trop,
+    letter_trop,
     monomial_map,
     realize,
     tropical_image,
@@ -83,7 +83,7 @@ def _realize_right_fold(w: Word) -> BirationalMap:
 def _tropicalize_right_fold(w: Word) -> PLMap:
     acc = PLMap.identity()
     for letter in reversed(w.letters):
-        acc = pl_compose(_letter_trop(letter), acc)
+        acc = pl_compose(letter_trop(letter), acc)
     return acc
 
 
@@ -464,7 +464,7 @@ def test_tropical_image_matches_composite_map(srng):
 
 
 def test_word_caches_are_bounded():
-    for cached in (realize, tropicalize, _letter_steps, _letter_trop):
+    for cached in (realize, tropicalize, _letter_steps, letter_trop):
         assert cached.cache_info().maxsize == CACHE_SIZE
     k = math.isqrt(CACHE_SIZE) + 2  # k * k distinct two-letter words
     for a in range(k):

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from logcy2 import diagrams
 from logcy2.diagrams import (
     BaseDiagram,
     BlockedError,
@@ -236,6 +238,8 @@ def test_json_roundtrip():
         '{"nodes": [{"position": ["1", 0.0], "direction": [1, 0], "cut_sign": 1}]}',
         '{"nodes": [{"position": ["1", "0"], "direction": [1, 0], "cut_sign": 1},'
         ' {"position": ["1", "0"], "direction": [1, 0], "cut_sign": -1}]}',
+        "[" * 100000,
+        '{"nodes": [' + "1" * 5000 + "]}",
     ],
 )
 def test_json_rejects_malformed_input(text):
@@ -251,3 +255,28 @@ def test_svg_deterministic_and_structured():
     assert svg1.count("stroke-dasharray") == len(d.nodes)
     empty = render_svg(BaseDiagram())
     assert "circle" in empty and "<line" not in empty
+
+
+def _fmt_by_fractions(x: Fraction) -> str:
+    """Reference ``diagrams._fmt``: round x * 10^6 half up in Fraction arithmetic."""
+    scaled = x * 10**6
+    q = scaled.numerator // scaled.denominator
+    if 2 * (scaled - q) >= 1:
+        q += 1
+    sign = "-" if q < 0 else ""
+    whole, frac = divmod(abs(q), 10**6)
+    text = f"{sign}{whole}.{frac:06d}".rstrip("0").rstrip(".")
+    return text if text not in ("", "-") else "0"
+
+
+# Exact half-ties at the seventh decimal, of both signs.
+half_ties = st.integers(-(10**9), 10**9).map(lambda k: Fraction(2 * k + 1, 2 * 10**6))
+
+
+@given(st.one_of(st.fractions(max_denominator=10**8), half_ties))
+@example(Fraction(-1, 2 * 10**6))
+@example(Fraction(1, 2 * 10**6))
+@example(Fraction(-3, 10**7))
+@example(Fraction(0))
+def test_fmt_matches_fraction_rounding(x):
+    assert diagrams._fmt(x) == _fmt_by_fractions(x)

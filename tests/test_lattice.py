@@ -8,6 +8,8 @@ from logcy2.lattice import (
     NonPrimitiveError,
     PLMap,
     complement_matrix,
+    cross,
+    in_sector,
     mat_det,
     mat_mul,
     mat_vec,
@@ -44,6 +46,31 @@ def test_complement_property(n):
     a = complement_matrix(n)
     assert mat_vec(a, n) == (0, 1)
     assert mat_det(a) == 1
+
+
+def _in_sector_by_keys(a, b, v) -> bool:
+    """Reference ``in_sector``: rank v and b by their position ccw from a."""
+    if v == (0, 0):
+        return True
+
+    def key(w):
+        c = cross(a, w)
+        if c == 0:
+            return 0 if a[0] * w[0] + a[1] * w[1] > 0 else 2
+        return 1 if c > 0 else 3
+
+    kv, kb = key(v), key(b)
+    if kv == kb and kv in (1, 3):
+        return cross(v, b) > 0
+    return kv < kb
+
+
+small_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@given(small_vectors, small_vectors, small_vectors)
+def test_in_sector_matches_reference(a, b, v):
+    assert in_sector(a, b, v) == _in_sector_by_keys(a, b, v)
 
 
 def test_pl_identity():

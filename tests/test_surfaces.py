@@ -1,7 +1,10 @@
+import math
+import random
 from collections import Counter
 from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logcy2.lattice import NonPrimitiveError, angle_cmp, neg, pl_apply
 from logcy2 import surfaces
@@ -360,6 +363,10 @@ def test_json_strict_validation():
         from_json('not json')
     with pytest.raises(InvalidSurfaceError):
         from_json('{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, 0, 0], "extra": 1}')
+    with pytest.raises(InvalidSurfaceError):
+        from_json("[" * 100000)
+    with pytest.raises(InvalidSurfaceError):
+        from_json('{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [' + "1" * 5000 + ", 0, 0]}")
 
 
 @pytest.mark.parametrize(
@@ -377,3 +384,120 @@ def test_json_rejects_booleans(text):
 
 def test_validate_rejects_boolean_multiplicity():
     assert any("multiplicity" in v for v in validate(Surface(p2().rays, (0, True, 0))))
+
+
+def _validate_reference(s: Surface) -> list[str]:
+    """Every check of ``validate`` made one by one: the diagnostic its accept pass must reproduce."""
+    out: list[str] = []
+    k = len(s.rays)
+    if k < 3:
+        out.append(f"fan needs at least 3 rays, has {k}")
+    if len(s.m) != k:
+        out.append(f"{len(s.m)} multiplicities for {k} rays")
+    for r in s.rays:
+        if math.gcd(r[0], r[1]) != 1:
+            out.append(f"ray {r} is not primitive")
+    if len(set(s.rays)) != k:
+        out.append("rays are not pairwise distinct")
+    for mm in s.m:
+        if type(mm) is not int or mm < 0:
+            out.append(f"multiplicity {mm} is not a nonnegative integer")
+    if out:
+        return out
+    descents = 0
+    for i in range(k):
+        a, b = s.rays[i], s.rays[(i + 1) % k]
+        d = a[0] * b[1] - a[1] * b[0]
+        if d != 1:
+            out.append(f"det({a}, {b}) = {d}, expected 1")
+        if angle_cmp(a, b) > 0:
+            descents += 1
+    if not out and descents != 1:
+        out.append(f"rays wind {descents} times around the origin")
+    return out
+
+
+# Seven distinct rays, every adjacent determinant 1, winding twice.
+WOUND_TWICE = ((1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1))
+
+
+valid_surfaces = st.integers(0, 2**32).map(
+    lambda seed: random_surface(random.Random(seed), extra_rays=6, blowups=6)
+)
+
+
+@st.composite
+def mutated_surfaces(draw) -> Surface:
+    """A valid surface with one ray or multiplicity broken."""
+    s = draw(valid_surfaces)
+    rays, m = list(s.rays), list(s.m)
+    i, j = draw(st.integers(0, len(rays) - 1)), draw(st.integers(0, len(rays) - 1))
+    kind = draw(st.sampled_from(["swap", "repeat", "negate", "scale", "drop", "drop_m", "m", "double"]))
+    if kind == "swap":
+        rays[i], rays[j] = rays[j], rays[i]
+    elif kind == "repeat":
+        rays[i] = rays[j]
+    elif kind == "negate":
+        rays[i] = neg(rays[i])
+    elif kind == "scale":
+        rays[i] = (draw(st.integers(-3, 3)) * rays[i][0], draw(st.integers(-3, 3)) * rays[i][1])
+    elif kind == "drop":
+        del rays[i], m[i]
+    elif kind == "drop_m":
+        del m[i]
+    elif kind == "m":
+        m[i] = draw(st.sampled_from([-1, -(10**20), True, False]))
+    else:
+        rays, m = rays * 2, m * 2
+    return Surface(tuple(rays), tuple(m))
+
+
+hostile_surfaces = st.one_of(
+    st.builds(
+        Surface,
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12).map(tuple),
+        st.lists(st.one_of(st.integers(-2, 3), st.booleans()), max_size=12).map(tuple),
+    ),
+    st.lists(st.one_of(st.integers(0, 2), st.booleans()), min_size=7, max_size=7).map(
+        lambda m: Surface(WOUND_TWICE, tuple(m))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(valid_surfaces, mutated_surfaces(), hostile_surfaces))
+def test_validate_matches_reference_diagnostic(s):
+    assert validate(s) == _validate_reference(s)
+
+
+def _spy_validate(monkeypatch) -> tuple[list[Surface], list[Surface]]:
+    """Record every surface ``surfaces.validate`` sees, and every Surface the module creates."""
+    validated, created = [], []
+    real = surfaces.validate
+
+    def spy(s):
+        validated.append(s)
+        return real(s)
+
+    class Recorded(Surface):
+        def __post_init__(self) -> None:
+            super().__post_init__()
+            created.append(self)
+
+    monkeypatch.setattr(surfaces, "validate", spy)
+    monkeypatch.setattr(surfaces, "Surface", Recorded)
+    return validated, created
+
+
+def test_resolve_and_pushforward_validate_each_surface_once(srng, monkeypatch):
+    cases = [(parse_word("(E*E[1,0])^20"), p2())]
+    cases += [(random_word(srng, 4), random_surface(srng)) for _ in range(40)]
+    for w, s0 in cases:
+        regular = resolve(w, s0)  # every letter of w is regular on it
+        for call, s in ((resolve, s0), (pushforward, regular)):
+            with monkeypatch.context() as mp:
+                validated, created = _spy_validate(mp)
+                call(w, s)
+            # The lists keep every surface alive, so ids are not reused.
+            assert len({id(x) for x in validated}) == len(validated)
+            assert {id(x) for x in validated} == {id(s)} | {id(x) for x in created}
