@@ -18,9 +18,11 @@ from . import birmap, catalog, diagrams, sampling, surfaces
 from .lattice import NonPrimitiveError, NonUnimodularError
 from .polyrat import Poly2, PoleAtPointError, RatFunc2, TermBudgetError, evaluate, normalize
 from .surfaces import (
+    DigitLimitError,
     InvalidSurfaceError,
     NotRegularError,
     RayAbsentError,
+    RayBudgetError,
     Surface,
     cubic_surface,
 )
@@ -39,6 +41,8 @@ DOMAIN_ERRORS = (
     NotRegularError,
     InvalidSurfaceError,
     RayAbsentError,
+    RayBudgetError,
+    DigitLimitError,
     PoleAtPointError,
     TermBudgetError,
     NonPrimitiveError,

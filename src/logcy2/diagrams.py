@@ -35,7 +35,7 @@ from .lattice import (
     require_primitive,
     require_unimodular,
 )
-from .surfaces import Surface, require_valid
+from .surfaces import DigitLimitError, Surface, require_valid
 
 Point = tuple[Fraction, Fraction]
 
@@ -280,18 +280,21 @@ def visible_spheres(s: Surface) -> list[tuple[Vec, Vec]]:
 
 
 def to_json(d: BaseDiagram) -> str:
-    return json.dumps(
-        {
-            "nodes": [
-                {
-                    "position": [str(n.position[0]), str(n.position[1])],
-                    "direction": list(n.direction),
-                    "cut_sign": n.cut_sign,
-                }
-                for n in d.nodes
-            ]
-        }
-    )
+    try:
+        return json.dumps(
+            {
+                "nodes": [
+                    {
+                        "position": [str(n.position[0]), str(n.position[1])],
+                        "direction": list(n.direction),
+                        "cut_sign": n.cut_sign,
+                    }
+                    for n in d.nodes
+                ]
+            }
+        )
+    except ValueError as exc:  # an int past the int-to-str digit limit
+        raise DigitLimitError() from exc
 
 
 def from_json(text: str) -> BaseDiagram:

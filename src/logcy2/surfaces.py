@@ -14,11 +14,14 @@ suffix) and the surface reached so far alike until the whole word is regular.
 Validation: the public operations validate the surfaces they are given; a
 surface that ``pushforward`` or ``resolve`` creates on the way is validated
 once, when it is created, and is passed on without being validated again.
+A surface that ``from_json`` returns was validated as it was read, and no
+operation validates it again.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +48,26 @@ class InvalidSurfaceError(ValueError):
 
 class RayAbsentError(ValueError):
     pass
+
+
+# The most rays one ``insert_ray`` may add.  A corner blow-up adds the sum of
+# two adjacent rays, so a ray deep in a cone whose rays have entries near N
+# takes about N of them, and the loop is quadratic in the rays it adds.  On a
+# 2-core machine with CPython 3.11, one call adding 1000 rays takes about
+# 0.25 s, and ``resolve`` on one letter, which may insert four such rays, about
+# 1 s.
+RAY_BUDGET = 1000
+
+
+class RayBudgetError(ValueError):
+    """Inserting a ray would add more than ``RAY_BUDGET`` rays."""
+
+
+class DigitLimitError(ValueError):
+    """An integer in the output has more digits than Python writes as text."""
+
+    def __init__(self) -> None:
+        super().__init__(f"an output integer has more than {sys.get_int_max_str_digits()} digits")
 
 
 class NotRegularError(ValueError):
@@ -165,9 +188,15 @@ def validate(s: Surface) -> list[str]:
 
 
 def require_valid(s: Surface) -> Surface:
-    violations = validate(s)
-    if violations:
-        raise InvalidSurfaceError(violations)
+    """s itself, or ``InvalidSurfaceError`` with every violation ``validate`` finds.
+
+    A surface that ``from_json`` returned is passed as it is: it was
+    validated as it was read.
+    """
+    if not vars(s).get("_validated_on_read"):
+        violations = validate(s)
+        if violations:
+            raise InvalidSurfaceError(violations)
     return s
 
 
@@ -270,7 +299,11 @@ def _insert_ray(s: Surface, v: Vec) -> Surface:
     if not is_primitive(v):
         raise NonPrimitiveError(f"ray {v} is not primitive")
     rays, m = list(s.rays), list(s.m)
+    added = 0
     while v not in rays:
+        if added == RAY_BUDGET:
+            raise RayBudgetError(f"inserting ray {v} adds more than {RAY_BUDGET} rays")
+        added += 1
         k = len(rays)
         i = next(
             i for i in range(k) if _in_cone(rays[i], rays[(i + 1) % k], v)
@@ -381,7 +414,10 @@ def resolve(w: Word, s0: Surface) -> Surface:
 
 def to_json(s: Surface) -> str:
     """Canonical JSON; rays ccw starting at the lexicographically least ray."""
-    return json.dumps({"rays": [list(r) for r in s.rays], "m": list(s.m)})
+    try:
+        return json.dumps({"rays": [list(r) for r in s.rays], "m": list(s.m)})
+    except ValueError as exc:  # an int past the int-to-str digit limit
+        raise DigitLimitError() from exc
 
 
 def from_json(text: str) -> Surface:
@@ -400,5 +436,6 @@ def from_json(text: str) -> Surface:
         or not all(type(x) is int for x in m)
     ):
         raise InvalidSurfaceError(["rays must be integer pairs and m a list of integers"])
-    s = Surface(tuple((r[0], r[1]) for r in rays), tuple(m))
-    return require_valid(s)
+    s = require_valid(Surface(tuple((r[0], r[1]) for r in rays), tuple(m)))
+    object.__setattr__(s, "_validated_on_read", True)
+    return s

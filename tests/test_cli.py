@@ -1,8 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
+from logcy2 import surfaces
 from logcy2.birmap import tropicalize
 from logcy2.cli import build_parser, main
 from logcy2.lattice import pl_apply
@@ -166,6 +168,46 @@ def test_hms_counts(capsys, cubic_file):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True and data["chi_y"] == 9
+
+
+def test_hms_counts_validates_its_surface_once(capsys, monkeypatch, tmp_path):
+    # Read and validated by from_json; no operation under check_counts
+    # validates it again.
+    path = tmp_path / "s.json"
+    path.write_text(to_json(surfaces.insert_ray(cubic_surface(), (1, 1))))
+    calls = []
+    real = surfaces.validate
+
+    def spy(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(surfaces, "validate", spy)
+    code, out, _ = run(capsys, "hms", "counts", str(path))
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert len(calls) == 1
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_output_past_the_digit_limit_exits_1(capsys, tmp_path):
+    n = 10 ** (sys.get_int_max_str_digits() - 1)  # read back as it is
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"rays": [[1, 0], [n, 1], [-1 - n, -1]], "m": [0, 0, 0]}))
+    code, out, err = run(capsys, "surface", "pushforward", "A[10,1;9,1]", str(path))
+    assert code == 1 and out == "" and _one_error_line(err)
+    path.write_text(json.dumps({"rays": [[1, 0], [n, 1], [-1 - n, -1]], "m": [0, 10, 0]}))
+    code, out, err = run(capsys, "atf", "diagram", str(path))  # a node at 10 * (n, 1)
+    assert code == 1 and out == "" and _one_error_line(err)
+
+
+def test_insertion_past_the_ray_budget_exits_1(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"rays": [[1, 0], [10**7, 1], [-1 - 10**7, -1]], "m": [0, 0, 0]}))
+    code, out, err = run(capsys, "surface", "resolve", "E", str(path))
+    assert code == 1 and out == "" and _one_error_line(err)
 
 
 def test_verify_relations(capsys):

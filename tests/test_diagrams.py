@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from logcy2.diagrams import (
 )
 from logcy2.lattice import mat_vec
 from logcy2.sampling import random_elementary_setup, random_surface, random_unimodular
-from logcy2.surfaces import cubic_surface, interior_blowup, p1xp1, p2, pushforward
+from logcy2.surfaces import DigitLimitError, cubic_surface, interior_blowup, p1xp1, p2, pushforward
 from logcy2.words import Elementary, Linear, Word
 
 
@@ -280,3 +281,10 @@ half_ties = st.integers(-(10**9), 10**9).map(lambda k: Fraction(2 * k + 1, 2 * 1
 @example(Fraction(0))
 def test_fmt_matches_fraction_rounding(x):
     assert diagrams._fmt(x) == _fmt_by_fractions(x)
+
+
+def test_to_json_past_the_digit_limit_is_a_domain_error():
+    big = 10 ** sys.get_int_max_str_digits()
+    d = diagrams.BaseDiagram((diagrams.make_node((Fraction(big), Fraction(0)), (1, 0), 1),))
+    with pytest.raises(DigitLimitError, match="digits"):
+        diagrams.to_json(d)

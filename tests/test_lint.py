@@ -229,3 +229,50 @@ def test_no_module_keeps_an_unused_private_name():
         for item in _unused_private_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert not found, f"private names their module never uses: {found}"
+
+
+def _root_name_imports(tree: ast.AST, submodules: set[str]) -> list[str]:
+    """Names a module imports from the package root that are not submodules.
+
+    The root resolves its public names lazily from the submodules, so a
+    submodule that imported one back would import in a cycle.
+    """
+    return [
+        f"{node.lineno}: from {node.module or '.'} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and ((node.level == 1 and node.module is None) or (node.level == 0 and node.module == "logcy2"))
+        for alias in node.names
+        if alias.name not in submodules
+    ]
+
+
+def test_root_name_check_sees_both_forms():
+    source = (
+        "from . import birmap, realize\n"
+        "from logcy2 import surfaces, Surface\n"
+        "from .birmap import realize\n"
+        "from logcy2.words import Word\n"
+    )
+    assert _root_name_imports(ast.parse(source), {"birmap", "surfaces"}) == [
+        "1: from . import realize",
+        "2: from logcy2 import Surface",
+    ]
+
+
+def test_no_module_imports_a_name_from_the_package_root():
+    submodules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    found = [
+        f"{path.name}:{item}"
+        for path in sorted(SRC.glob("*.py"))
+        for item in _root_name_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), submodules)
+    ]
+    assert not found, f"names imported from the package root: {found}"
+
+
+def test_lazy_table_matches_all():
+    import logcy2
+
+    assert sorted(logcy2._HOME) == logcy2.__all__
+    submodules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert set(logcy2._HOME.values()) <= submodules

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from functools import cmp_to_key
 
@@ -103,6 +104,27 @@ def test_insert_ray_deep_subdivision():
     s = insert_ray(p2(), (3, 2))
     assert (3, 2) in s.rays
     assert validate(s) == []
+
+
+def test_insert_ray_stops_at_the_ray_budget():
+    # Inserting (0, -1) into the cone of (-1 - n, -1) and (1, 0) takes n + 1
+    # corner blow-ups, each adding the sum of the cone's two rays.
+    def fan(n):
+        return Surface(((1, 0), (n, 1), (-1 - n, -1)), (0, 0, 0))
+
+    n = surfaces.RAY_BUDGET - 1
+    s = insert_ray(fan(n), (0, -1))
+    assert len(s.rays) == 3 + surfaces.RAY_BUDGET and validate(s) == []
+    with pytest.raises(surfaces.RayBudgetError, match="more than"):
+        insert_ray(fan(surfaces.RAY_BUDGET), (0, -1))
+    with pytest.raises(surfaces.RayBudgetError):
+        resolve(parse_word("E"), fan(10**7))
+
+
+def test_to_json_past_the_digit_limit_is_a_domain_error():
+    big = 10 ** sys.get_int_max_str_digits()
+    with pytest.raises(surfaces.DigitLimitError, match="digits"):
+        to_json(Surface(((1, 0), (big, 1), (-1 - big, -1)), (0, 0, 0)))
 
 
 def test_interior_blowup():
