@@ -15,7 +15,9 @@ the inner map's ``polyrat.pullback`` steps and take no gcd.  A monomial map
 is an automorphism of Z[x^+-1, y^+-1] and E^e one of Z[x^+-1, y^+-1,
 (1 + x)^-1], so a reduced fraction pulled back through a step can only gain
 monomials and powers of 1 + x as common factors, which the kernels divide
-out exactly.  Only a hand-built inner map without steps is substituted.
+out exactly.  Only a hand-built inner map without steps goes through
+``polyrat.substitute``, the plain reference route the pullbacks are tested
+against; each coordinate is one call and nothing is kept between them.
 
 ``boundary_limit`` computes the induced map between boundary components:
 substituting the arc x = lambda^p t^n1, y = lambda^q t^n2 (with p n2 - q n1

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import birmap, catalog, diagrams, sampling, surfaces
 from .lattice import NonPrimitiveError, NonUnimodularError
-from .polyrat import Poly2, PoleAtPointError, RatFunc2, TermBudgetError, evaluate, normalize
+from .polyrat import EvalBudgetError, Poly2, PoleAtPointError, RatFunc2, TermBudgetError, evaluate, normalize
 from .surfaces import (
     DigitLimitError,
     InvalidSurfaceError,
@@ -45,6 +45,7 @@ DOMAIN_ERRORS = (
     DigitLimitError,
     PoleAtPointError,
     TermBudgetError,
+    EvalBudgetError,
     NonPrimitiveError,
     NonUnimodularError,
     diagrams.InvalidDiagramError,
@@ -82,6 +83,14 @@ def _load_diagram(path: str) -> diagrams.BaseDiagram:
         return diagrams.from_json(fh.read())
 
 
+def _text(template: str, *values) -> str:
+    """template filled with values; an integer past the int-to-text digit limit raises DigitLimitError."""
+    try:
+        return template.format(*values)
+    except ValueError as exc:
+        raise DigitLimitError() from exc
+
+
 # --- word subcommands ---------------------------------------------------------
 
 
@@ -92,7 +101,7 @@ def cmd_word_equal(args) -> int:
 
 
 def cmd_word_realize(args) -> int:
-    print(birmap.realize(parse_word(args.word)))
+    print(_text("{}", birmap.realize(parse_word(args.word))))
     return 0
 
 
@@ -104,14 +113,14 @@ def cmd_word_character(args) -> int:
 
 def cmd_word_trop(args) -> int:
     image = birmap.tropical_image(parse_word(args.word), args.vector)
-    print(f"{image[0]},{image[1]}")
+    print(_text("{},{}", *image))
     return 0
 
 
 def cmd_word_eval(args) -> int:
     m = birmap.realize(parse_word(args.word))
     vx, vy = evaluate(m.f, args.point), evaluate(m.g, args.point)
-    print(f"{vx},{vy}")
+    print(_text("{},{}", vx, vy))
     return 0
 
 

@@ -23,16 +23,18 @@ By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
 only multiply or divide contents; sums, derivatives and the result of
 ``substitute`` take one content gcd.  A product with a one-term factor
 shifts and scales the other factor, and a factor 1 returns the other one as
-it stands.  ``substitute`` keeps the power tables of the last inner map it
-saw, so a composition's two calls build them once.
+it stands.  ``substitute`` is the plain reference route for a composition:
+it clears denominators, expands, takes one ``normalize`` and keeps no state.
 ``dlog_ratio`` decides exactly, in two integer passes over term pairs,
-whether dlog f ^ dlog g is a constant multiple of dlog x ^ dlog y.
+whether dlog f ^ dlog g is a constant multiple of dlog x ^ dlog y; a pass
+over more than ``PAIR_BUDGET`` pairs raises first.
 ``pullback`` pulls a fraction back through monomial maps and powers of
 E = (x, y (1 + x)^-1) with no substitution and no gcd: the only common
 factors such a step can create are monomials and powers of 1 + x, and its
 kernel divides them out exactly (see "pullbacks through the generators");
 an E-step that would build more than ``TERM_BUDGET`` terms raises first.
-``leading_term``, ``constant_value`` and ``evaluate`` return Fractions.
+``leading_term``, ``constant_value`` and ``evaluate`` return Fractions;
+``evaluate`` refuses powers of more than ``EVAL_BIT_BUDGET`` bits in all.
 Negative powers never appear: monomial maps with negative exponents are
 represented with explicit denominators.
 
@@ -667,61 +669,35 @@ class _Powers:
         return self.cache[k]
 
 
-def _compose_cleared(p: dict[Term, int], dx: int, dy: int, fn, fd, gn, gd, gprod: dict) -> dict[Term, int]:
-    """p(f, g) times the clearing factor fd^dx gd^dy.
-
-    Terms are grouped by x-exponent so only one large product is taken per
-    distinct exponent; the y-factor products are shared via ``gprod``.
-    """
-    by_i: dict[int, list[tuple[int, int]]] = {}
-    for (i, j), c in p.items():
-        by_i.setdefault(i, []).append((j, c))
-    total: dict[Term, int] = {}
-    for i, row in by_i.items():
-        inner: dict[Term, int] = {}
-        for j, c in row:
-            if j not in gprod:
-                gprod[j] = _ip_mul(gn[j], gd[dy - j])
-            _ip_add_scaled(inner, gprod[j], c)
-        _ip_add_scaled(total, _ip_mul(fn[i], _ip_mul(fd[dx - i], inner)), 1)
-    return total
-
-
-# (f, g, fn, fd, gn, gd, gprods) for the inner map of the last substitute:
-# the power tables of its integer sides and, per clearing degree dy, the
-# y-factor products.  ``birmap.compose`` substitutes into an inner map
-# without steps once per coordinate, and the second call reuses them.  The
-# slot holds f and g, so a match never comes from a recycled id, and keeps
-# one inner map's tables alive at most.
-_inner_slot: tuple | None = None
-
-
 def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     """r(f, g) in canonical form.
 
-    The tables built from f and g are kept for the next call with the same
-    f and g objects (see ``_inner_slot``), which is how ``compose`` reuses
-    them for its second coordinate.
+    Both sides of r(f, g) are multiplied by fd^dx gd^dy, with dx and dy r's
+    degrees in x and y, so each becomes a polynomial; terms are grouped by
+    x-exponent, so one large product is taken per distinct exponent.
     """
-    global _inner_slot
     if r.num.is_zero():
         return RatFunc2(Poly2.zero(), Poly2.const(1))
     # Each fraction's contents are folded into its integer sides, which
     # leaves its value alone.
     rn, rd = _int_pair(r)
-    slot = _inner_slot
-    if slot is None or slot[0] is not f or slot[1] is not g:
-        fn, fd = _int_pair(f)
-        gn, gd = _int_pair(g)
-        slot = _inner_slot = (f, g, _Powers(fn), _Powers(fd), _Powers(gn), _Powers(gd), {})
-    _, _, fn, fd, gn, gd, gprods = slot
+    fn, fd = map(_Powers, _int_pair(f))
+    gn, gd = map(_Powers, _int_pair(g))
     dx = max(i for i, _ in [*rn, *rd])
     dy = max(j for _, j in [*rn, *rd])
-    gprod = gprods.setdefault(dy, {})
-    # A common clearing factor fd^dx gd^dy multiplies top and bottom,
-    # so the fraction below is r(f, g) on the nose.
-    num = _compose_cleared(rn, dx, dy, fn, fd, gn, gd, gprod)
-    den = _compose_cleared(rd, dx, dy, fn, fd, gn, gd, gprod)
+    # The y-factor of each y-exponent of r, shared by both sides.
+    gy = {j: _ip_mul(gn[j], gd[dy - j]) for j in {j for _, j in [*rn, *rd]}}
+
+    def cleared(p: dict[Term, int]) -> dict[Term, int]:
+        by_i: dict[int, dict[Term, int]] = {}
+        for (i, j), c in p.items():
+            _ip_add_scaled(by_i.setdefault(i, {}), gy[j], c)
+        total: dict[Term, int] = {}
+        for i, inner in by_i.items():
+            _ip_add_scaled(total, _ip_mul(fn[i], _ip_mul(fd[dx - i], inner)), 1)
+        return total
+
+    num, den = cleared(rn), cleared(rd)
     if not den:
         raise IdenticallySingularError("denominator vanishes identically under substitution")
     return normalize(_canonical(num), _canonical(den))
@@ -748,7 +724,7 @@ TERM_BUDGET = 12_000
 
 
 class TermBudgetError(ArithmeticError):
-    """A pullback would build more terms than ``TERM_BUDGET`` allows."""
+    """A pullback or ``dlog_ratio`` would go over ``TERM_BUDGET`` or ``PAIR_BUDGET``."""
 
 
 def monomial_pullback(num: dict[Term, int], den: dict[Term, int], mat: tuple[Term, Term]):
@@ -901,6 +877,12 @@ def _euler_parts(num: dict[Term, int], den: dict[Term, int], base: int) -> dict[
     return out
 
 
+# The most term pairs one pass of ``dlog_ratio`` may visit, at about 1.3 us a
+# pair (CPython 3.11).  (r1*r2*r3)^2 needs 621045; the 6-letter
+# P*r3*r2*r1*E[0,1]*E[-3,2] would need 12.9 million, 19 s.
+PAIR_BUDGET = 1_000_000
+
+
 def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
     """c with dlog f ^ dlog g = c dlog x ^ dlog y, or None when no constant c does.
 
@@ -918,8 +900,12 @@ def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
     fn, fd, gn, gd = f.num.terms, f.den.terms, g.num.terms, g.den.terms
     # The x-degree of every product monomial stays below base, so keys add.
     base = 1 + sum(max(i for i, _ in p) for p in (fn, fd, gn, gd))
-    fp = _euler_parts(fn, fd, base)
-    gp = _euler_parts(gn, gd, base)
+    pairs = max(len(fn) * len(fd), len(gn) * len(gd))
+    if pairs <= PAIR_BUDGET:
+        fp, gp = _euler_parts(fn, fd, base), _euler_parts(gn, gd, base)
+        pairs = len(fp) * len(gp)
+    if pairs > PAIR_BUDGET:
+        raise TermBudgetError(f"dlog_ratio would visit {pairs} term pairs, over {PAIR_BUDGET}")
     lf = max(k for k, e in fp.items() if e[0])
     lg = max(k for k, e in gp.items() if e[0])
     top = lf + lg
@@ -941,8 +927,24 @@ def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
     return None if any(acc.values()) else c
 
 
+# The most bits the powers built by one ``evaluate`` may take in total, a^i
+# for a = p/q counted as i (floor(log2 |p|) + floor(log2 q)) bits.  E^-3000
+# at (-2, 1) needs 4.5 million; one power of 8.4 million bits takes about 4 s
+# (CPython 3.11, 2 cores), and A[2,1;1,1]^30 at (2, 1) would need 2.5 * 10^12.
+EVAL_BIT_BUDGET = 1 << 23
+
+
+class EvalBudgetError(ArithmeticError):
+    """An evaluation would build more bits of powers than ``EVAL_BIT_BUDGET`` allows."""
+
+
 def evaluate(r: RatFunc2, point) -> Fraction:
-    a, b = point
+    """r at an exact point; raises EvalBudgetError before building powers over the budget."""
+    a, b = map(Fraction, point)
+    ha, hb = (max(v.numerator.bit_length(), 1) + v.denominator.bit_length() - 2 for v in (a, b))
+    size = sum(i * ha + j * hb for p in (r.num, r.den) for i, j in p.terms)
+    if size > EVAL_BIT_BUDGET:
+        raise EvalBudgetError(f"an evaluation would build {size} bits of powers, over {EVAL_BIT_BUDGET}")
     dv = r.den.evaluate(a, b)
     if dv == 0:
         raise PoleAtPointError(f"pole at ({a}, {b})")

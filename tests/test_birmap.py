@@ -224,9 +224,9 @@ def test_realize_is_homomorphism(srng):
 
 
 def test_compose_substitutes_exactly_twice(monkeypatch):
-    # One substitute per coordinate, both into the same inner objects: the
-    # benchmark traces substitute, and the second call reuses the inner
-    # map's tables only when it gets the very same f and g.
+    # One substitute per coordinate, both into the inner map's own f and g:
+    # the benchmark traces substitute, and each call is the reference route
+    # that the pullback tests compare against.
     outer, inner = realize(parse_word("r1")), coordinates_only(realize(parse_word("r3")))
     calls = []
 
@@ -241,8 +241,8 @@ def test_compose_substitutes_exactly_twice(monkeypatch):
 
 
 def test_compose_is_safe_across_threads():
-    # Every thread shares the inner-map tables substitute keeps; a thread
-    # switch between finding them and using them must not mix two inner maps.
+    # Threads compose into different inner maps at once, with a thread switch
+    # every microsecond; no call may see another call's inner map.
     maps = [coordinates_only(realize(parse_word(t))) for t in ("r1", "r2", "r3", "E", "P", "r1*r2")]
     expected = {(a, b): compose(outer, inner) for a, outer in enumerate(maps) for b, inner in enumerate(maps)}
     wrong = []

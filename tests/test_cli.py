@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 
 import pytest
 
@@ -201,6 +202,33 @@ def test_output_past_the_digit_limit_exits_1(capsys, tmp_path):
     path.write_text(json.dumps({"rays": [[1, 0], [n, 1], [-1 - n, -1]], "m": [0, 10, 0]}))
     code, out, err = run(capsys, "atf", "diagram", str(path))  # a node at 10 * (n, 1)
     assert code == 1 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["word", "trop", "A[2,1;1,1]^12000", "--vector", "1,0"],
+    ["word", "eval", "A[2,1;1,1]^12", "--point", "2,1"],  # f = x^75025 y^46368
+    ["word", "realize", "A[2,1;1,1]^12000"],
+])
+def test_word_output_past_the_digit_limit_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and _one_error_line(err)
+
+
+def test_evaluation_past_the_bit_budget_exits_1(capsys):
+    # A[2,1;1,1]^30 realizes to x^2504730781961 y^1548008755920.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "word", "eval", "A[2,1;1,1]^30", "--point", "2,1")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and _one_error_line(err) and "bits" in err
+    # Terms near 3^3000 cancel down to the answer, within the budget.
+    code, out, _ = run(capsys, "word", "eval", "E^-3000", "--point=-2,1")
+    assert code == 0 and out.strip() == "-2,1"
+
+
+def test_character_past_the_pair_budget_exits_1(capsys):
+    # dlog_ratio's second pass would visit 12.9 million term pairs, about 19 s.
+    code, out, err = run(capsys, "word", "character", "P*r3*r2*r1*E[0,1]*E[-3,2]")
+    assert code == 1 and out == "" and _one_error_line(err) and "term pairs" in err
 
 
 def test_insertion_past_the_ray_budget_exits_1(capsys, tmp_path):

@@ -1,7 +1,9 @@
-"""Contract fuzz for ``surface validate|intersections|pushforward|resolve``.
+"""Contract fuzz for ``surface validate|intersections|pushforward|resolve``
+and ``word realize|equal|character|trop|eval``.
 
-Whatever the surface file and the word, ``cli.main`` exits 0, 1 or 2, and no
-exception other than argparse's ``SystemExit`` leaves it.
+Whatever the surface file, the words, the vector and the point, ``cli.main``
+exits 0, 1 or 2, and no exception other than argparse's ``SystemExit`` leaves
+it.
 """
 
 import contextlib
@@ -102,5 +104,45 @@ def test_surface_commands_exit_cleanly(surface_path, command, text, word):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
+            code = exc.code
+    assert code in (0, 1, 2)
+
+
+# --- word commands -----------------------------------------------------------
+
+small = st.integers(-3, 3)
+letters = st.one_of(
+    st.sampled_from(["E", "P", "r1", "r2", "r3", "id"]),
+    st.tuples(small, small).map(lambda n: f"E[{n[0]},{n[1]}]"),
+    st.tuples(small, small, small, small).map(lambda a: f"A[{a[0]},{a[1]};{a[2]},{a[3]}]"),
+)
+# At most 8 letters and no "^", so every word stays short.
+short_words = st.one_of(
+    st.lists(letters, min_size=1, max_size=8).map("*".join),
+    st.text(alphabet="EAPr123[],;*()-x ", max_size=12),
+)
+vectors = st.one_of(st.tuples(small, small).map(lambda v: f"{v[0]},{v[1]}"), st.text(alphabet="0123,-/ ", max_size=5))
+points = st.one_of(
+    st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * 2).map(lambda p: f"{p[0]},{p[1]}"),
+    st.text(alphabet="0123,-/ ", max_size=5),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["realize", "equal", "character", "trop", "eval"]), short_words, short_words, vectors, points)
+@example("eval", "E", "id", "1,0", "-1,1")
+@example("equal", "E[2,2]", "A[1,1;1,1]", "1,0", "0,0")
+def test_word_commands_exit_cleanly(command, word, word2, vector, point):
+    argv = ["word", command, word]
+    if command == "equal":
+        argv.append(word2)
+    elif command == "trop":
+        argv.append(f"--vector={vector}")
+    elif command == "eval":
+        argv.append(f"--point={point}")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors exit 2
             code = exc.code
     assert code in (0, 1, 2)

@@ -54,7 +54,7 @@ if parse_ratfunc(str(r)) != r:
     raise SystemExit(f"{r} did not read back to itself")
 # r1 after r3 gives one text on both routes: pulled back through r3's steps,
 # and substituted into r3 without them, which runs the one-term product path
-# and the second substitute's reuse of the inner map's tables.
+# and the plain substitute once per coordinate.
 r1, r3 = realize(parse_word("r1")), realize(parse_word("r3"))
 for inner in (r3, BirationalMap(r3.f, r3.g)):
     text = str(compose(r1, inner))
@@ -111,6 +111,18 @@ def test_library_has_no_assert_statements():
     ]
     assert sorted(SRC.glob("*.py")), f"no sources under {SRC}"
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_library_has_no_global_statements():
+    # A ``global`` rebinds module state between calls; the library keeps
+    # state across calls only in its function caches.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert not found, f"global statements in the library: {found}"
 
 
 def test_library_checks_run_under_optimize():

@@ -1,6 +1,4 @@
-import gc
 import math
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -215,21 +213,6 @@ def test_substitute_identically_singular():
     r = rf(ONE, X - Y)
     with pytest.raises(IdenticallySingularError):
         substitute(r, rf(X), rf(X))
-
-
-def test_substitute_keeps_only_the_last_inner_map_alive():
-    # While substitute keeps an inner map's tables it keeps f and g too, so
-    # their ids cannot be recycled for another map; the next inner map
-    # releases them.
-    f, g = rf(X + ONE, Y), rf(Y, X)
-    refs = [weakref.ref(f), weakref.ref(g)]
-    assert substitute(rf(X * Y + ONE, X), f, g) == rf(Y * (X + X + ONE), X * (X + ONE))
-    del f, g
-    gc.collect()
-    assert all(ref() is not None for ref in refs)
-    substitute(rf(X), rf(Y), rf(X))
-    gc.collect()
-    assert all(ref() is None for ref in refs)
 
 
 # --- derivatives ----------------------------------------------------------------

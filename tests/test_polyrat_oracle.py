@@ -286,7 +286,7 @@ def test_dlog_ratio_matches_sympy(p, q, h, exps):
         assert dlog_ratio(f, g) == sympy_dlog_ratio(f, g)
 
 
-# --- inner tables shared across substitute calls --------------------------------
+# --- compose into inner maps without steps -------------------------------------
 
 
 def rebuilt(m: BirationalMap) -> BirationalMap:
