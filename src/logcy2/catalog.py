@@ -11,12 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .diagrams import visible_spheres
-from .surfaces import (
-    Surface,
-    numeric_invariants,
-    require_valid,
-    toric_intersection_matrix,
-)
+from .surfaces import Surface, check_blowup_budget, numeric_invariants, toric_intersection_matrix
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ VanishingCycleItem = Meridian | Longitude
 
 def exceptional_collection(s: Surface) -> list[ExceptionalItem]:
     """Exceptional sheaves (descending through the blow-ups), O, then line bundles."""
-    require_valid(s)
+    check_blowup_budget(s)
     k = len(s.rays)
     items: list[ExceptionalItem] = []
     for i in range(k, 0, -1):
@@ -77,7 +72,8 @@ def vanishing_cycles(s: Surface) -> list[VanishingCycleItem]:
     Longitude ``ell`` carries the twist vector whose i-th entry is the product
     of boundary component i with the sum of the first ``ell`` components.
     """
-    pairing = toric_intersection_matrix(s)  # validates s and needs 3 rays
+    check_blowup_budget(s)
+    pairing = toric_intersection_matrix(s)
     k = len(s.rays)
     items: list[VanishingCycleItem] = []
     for i in range(k, 0, -1):

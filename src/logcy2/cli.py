@@ -18,6 +18,7 @@ from . import birmap, catalog, diagrams, sampling, surfaces
 from .lattice import NonPrimitiveError, NonUnimodularError
 from .polyrat import EvalBudgetError, Poly2, PoleAtPointError, RatFunc2, TermBudgetError, evaluate, normalize
 from .surfaces import (
+    BlowupBudgetError,
     DigitLimitError,
     InvalidSurfaceError,
     NotRegularError,
@@ -42,6 +43,7 @@ DOMAIN_ERRORS = (
     InvalidSurfaceError,
     RayAbsentError,
     RayBudgetError,
+    BlowupBudgetError,
     DigitLimitError,
     PoleAtPointError,
     TermBudgetError,
@@ -68,6 +70,8 @@ def _parse_fraction_pair(text: str) -> tuple[Fraction, Fraction]:
     """argparse type for 'p,q'; a malformed value is a usage error (exit 2)."""
     try:
         p, q = text.split(",")
+        if "e" in text.lower():  # Fraction("1e10000000") would build 10^(10^7)
+            raise ValueError(text)
         return Fraction(p), Fraction(q)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected two rationals 'p,q', got {text!r}") from None

@@ -35,7 +35,7 @@ from .lattice import (
     require_primitive,
     require_unimodular,
 )
-from .surfaces import DigitLimitError, Surface, require_valid
+from .surfaces import DigitLimitError, Surface, check_blowup_budget
 
 Point = tuple[Fraction, Fraction]
 
@@ -119,7 +119,7 @@ class BaseDiagram:
 
 def diagram(s: Surface) -> BaseDiagram:
     """One node at j*n for each ray with m_n >= 1, cut away from the origin."""
-    require_valid(s)
+    check_blowup_budget(s)
     nodes = []
     for ray, m in s.blown_up_rays():
         for j in range(1, m + 1):
@@ -266,7 +266,7 @@ def elementary_move_inverse(d: BaseDiagram, n: Vec) -> BaseDiagram:
 
 def visible_spheres(s: Surface) -> list[tuple[Vec, Vec]]:
     """Segments between consecutive nodes on a ray: one per (-2) class."""
-    require_valid(s)
+    check_blowup_budget(s)
     out = []
     for ray, m in s.blown_up_rays():
         for i in range(1, m):
@@ -320,6 +320,9 @@ def from_json(text: str) -> BaseDiagram:
         ):
             raise InvalidDiagramError(f"bad node record: {item}")
         try:
+            # Fraction("1e10000000") would build 10^(10^7).
+            if any(type(x) is str and "e" in x.lower() for x in position):
+                raise ValueError("exponent notation is not accepted")
             point = (Fraction(position[0]), Fraction(position[1]))
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise InvalidDiagramError(f"bad position {position}: {exc}") from exc

@@ -13,8 +13,11 @@ from logcy2.catalog import (
     exceptional_collection,
     vanishing_cycles,
 )
+from logcy2.diagrams import diagram
 from logcy2.sampling import random_surface, random_word
 from logcy2.surfaces import (
+    BLOWUP_BUDGET,
+    BlowupBudgetError,
     cubic_surface,
     interior_blowup,
     numeric_invariants,
@@ -101,6 +104,14 @@ def test_counts_invariant_under_pushforward(srng):
         assert before.vanishing_count == after.vanishing_count
         assert before.chi_y == after.chi_y
         assert before.ok and after.ok
+
+
+def test_blowups_past_the_budget_build_nothing():
+    at, past = p2((0, BLOWUP_BUDGET, 0)), p1xp1((BLOWUP_BUDGET, 0, 0, 1))
+    assert check_counts(at).ok
+    for build in (check_counts, exceptional_collection, vanishing_cycles, diagram):
+        with pytest.raises(BlowupBudgetError):
+            build(past)
 
 
 def test_json_dump_shape():

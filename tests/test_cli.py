@@ -238,6 +238,16 @@ def test_insertion_past_the_ray_budget_exits_1(capsys, tmp_path):
     assert code == 1 and out == "" and _one_error_line(err)
 
 
+def test_blowups_past_the_budget_exit_1(capsys, tmp_path):
+    # atf diagram would build 10^40 nodes; hms counts as many sheaves.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, 10**40, 0]}))
+    for argv in (["atf", "diagram"], ["hms", "counts"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1 and out == "" and _one_error_line(err) and "blow-ups" in err
+    assert run(capsys, "surface", "invariants", str(path))[0] == 0
+
+
 def test_verify_relations(capsys):
     code, out, _ = run(capsys, "verify", "relations")
     assert code == 0
@@ -290,6 +300,27 @@ def test_malformed_diagram_file_is_domain_error(capsys, tmp_path, data):
     code, out, err = run(capsys, "atf", "move", str(path), "--elementary", "0,1")
     assert code == 1 and out == ""
     assert err.startswith("error:")
+
+
+def test_exponent_notation_is_refused_at_once(capsys, tmp_path):
+    # Fraction("1e10000000") builds 10^(10^7): about 8 s, and a node there
+    # then failed to format its own error message.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["word", "eval", "id", "--point", "1e10000000,1"])
+    assert exc.value.code == 2 and "expected two" in capsys.readouterr().err
+    path = tmp_path / "d.json"
+    path.write_text('{"nodes": [{"position": ["1e10000000", "0"], "direction": [1, 0], "cut_sign": 1}]}')
+    code, out, err = run(capsys, "atf", "move", str(path), "--elementary", "1,0")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and _one_error_line(err) and "exponent" in err
+    # Integers, p/q and decimals are still read.
+    code, out, _ = run(capsys, "word", "eval", "id", "--point=-3,1/2")
+    assert code == 0 and out.strip() == "-3,1/2"
+    code, out, _ = run(capsys, "word", "eval", "id", "--point", "0.25,-1.5")
+    assert code == 0 and out.strip() == "1/4,-3/2"
+    path.write_text('{"nodes": [{"position": ["1.0", "0/7"], "direction": [1, 0], "cut_sign": 1}]}')
+    assert run(capsys, "atf", "move", str(path), "--elementary", "1,0")[0] == 0
 
 
 def test_boolean_surface_file_is_domain_error(capsys, tmp_path):

@@ -1,9 +1,11 @@
-"""Contract fuzz for ``surface validate|intersections|pushforward|resolve``
-and ``word realize|equal|character|trop|eval``.
+"""Contract fuzz for ``surface validate|invariants|intersections|pushforward|resolve``,
+``hms counts``, ``atf diagram|move`` and ``word realize|equal|character|trop|eval``.
 
-Whatever the surface file, the words, the vector and the point, ``cli.main``
-exits 0, 1 or 2, and no exception other than argparse's ``SystemExit`` leaves
-it.
+Whatever the surface or diagram file, the words, the vector and the point,
+``cli.main`` exits 0, 1 or 2, and no exception other than argparse's
+``SystemExit`` leaves it.  The surface and diagram files are valid, valid
+with one part mutated, or hostile; a ``Surface`` validates itself when it
+is read, and the commands that consume it check nothing again.
 """
 
 import contextlib
@@ -14,6 +16,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from logcy2 import diagrams
 from logcy2.cli import main
 from logcy2.sampling import random_surface
 from logcy2.surfaces import to_json
@@ -87,25 +90,100 @@ surface_texts = st.one_of(
 
 
 @pytest.fixture(scope="module")
-def surface_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("contract") / "surface.json"
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "input.json"
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["validate", "intersections", "pushforward", "resolve"]), surface_texts, words)
-@example("resolve", "[" * 100000, "E")
-@example("validate", '{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [' + "1" * 5000 + ", 0, 0]}", "E")
-@example("resolve", to_json(random_surface(random.Random(0))), "E[2,2]")
-@example("pushforward", to_json(random_surface(random.Random(0))), "--help")
-def test_surface_commands_exit_cleanly(surface_path, command, text, word):
-    surface_path.write_text(text, encoding="utf-8")
-    argv = ["surface", command] + ([word] if command in ("pushforward", "resolve") else []) + [str(surface_path)]
+def _exit_code(argv: list[str]) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            code = main(argv)
+            return main(argv)
         except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
-            code = exc.code
-    assert code in (0, 1, 2)
+            return exc.code
+
+
+SURFACE_COMMANDS = ["surface validate", "surface invariants", "surface intersections", "surface pushforward",
+                    "surface resolve", "hms counts", "atf diagram"]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(SURFACE_COMMANDS), surface_texts, words)
+@example("surface resolve", "[" * 100000, "E")
+@example("surface validate", '{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [' + "1" * 5000 + ", 0, 0]}", "E")
+@example("surface resolve", to_json(random_surface(random.Random(0))), "E[2,2]")
+@example("surface pushforward", to_json(random_surface(random.Random(0))), "--help")
+@example("hms counts", to_json(random_surface(random.Random(0))), "E")
+@example("atf diagram", '{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, 10000000, 0]}', "E")
+def test_surface_commands_exit_cleanly(input_path, command, text, word):
+    input_path.write_text(text, encoding="utf-8")
+    with_word = command in ("surface pushforward", "surface resolve")
+    assert _exit_code(command.split() + ([word] if with_word else []) + [str(input_path)]) in (0, 1, 2)
+
+
+# --- atf move ----------------------------------------------------------------
+
+
+def _valid_diagram(seed: int) -> dict:
+    s = random_surface(random.Random(seed), extra_rays=8, blowups=6)
+    return json.loads(diagrams.to_json(diagrams.diagram(s)))
+
+
+rationals = st.one_of(
+    st.fractions(-4, 4, max_denominator=4).map(str),
+    st.sampled_from(["1e10000000", "-2E3", "1.5e-3", "0.25", " 1 ", "1/0", "", "x", "1" * 5000]),
+)
+node_entries = st.one_of(entries, rationals)
+
+
+@st.composite
+def mutated_diagram(draw) -> dict:
+    """A valid diagram's JSON with one entry, node or key changed."""
+    data = _valid_diagram(draw(seeds))
+    nodes = data["nodes"]
+    if not nodes:
+        return data
+    node = nodes[draw(st.integers(0, len(nodes) - 1))]
+    kind = draw(st.sampled_from(["position", "direction", "cut_sign", "drop_key", "drop_node", "repeat", "key"]))
+    if kind == "position":
+        node["position"][draw(st.integers(0, 1))] = draw(node_entries)
+    elif kind == "direction":
+        node["direction"][draw(st.integers(0, 1))] = draw(node_entries)
+    elif kind == "cut_sign":
+        node["cut_sign"] = draw(node_entries)
+    elif kind == "drop_key":
+        del node[draw(st.sampled_from(["position", "direction", "cut_sign"]))]
+    elif kind == "drop_node":
+        nodes.remove(node)
+    elif kind == "repeat":
+        nodes.append(dict(node))
+    else:
+        data[draw(st.sampled_from(["extra", "nodes"]))] = draw(entries)
+    return data
+
+
+hostile_diagram = st.fixed_dictionaries({
+    "nodes": st.lists(st.fixed_dictionaries({
+        "position": st.lists(rationals | st.integers(-3, 3), min_size=2, max_size=2),
+        "direction": st.lists(st.integers(-3, 3) | st.integers(-(10**40), 10**40), min_size=2, max_size=2),
+        "cut_sign": st.sampled_from([1, -1, 0, 2, True]),
+    }), max_size=6),
+})
+
+diagram_texts = st.one_of(
+    seeds.map(_valid_diagram).map(json.dumps),
+    mutated_diagram().map(json.dumps),
+    hostile_diagram.map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(diagram_texts, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+@example('{"nodes": [{"position": ["1e10000000", "0"], "direction": [1, 0], "cut_sign": 1}]}', (1, 0))
+def test_atf_move_exits_cleanly(input_path, text, n):
+    input_path.write_text(text, encoding="utf-8")
+    assert _exit_code(["atf", "move", str(input_path), f"--elementary={n[0]},{n[1]}"]) in (0, 1, 2)
 
 
 # --- word commands -----------------------------------------------------------
@@ -140,9 +218,4 @@ def test_word_commands_exit_cleanly(command, word, word2, vector, point):
         argv.append(f"--vector={vector}")
     elif command == "eval":
         argv.append(f"--point={point}")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse: usage errors exit 2
-            code = exc.code
-    assert code in (0, 1, 2)
+    assert _exit_code(argv) in (0, 1, 2)

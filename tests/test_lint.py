@@ -17,7 +17,7 @@ from logcy2.lattice import MAT_ID, PLMap, mat_inv, pl_validate
 from logcy2.polyrat import (
     InexactDivisionError, Poly2, RatFunc2, dlog_ratio, normalize, parse_poly, parse_ratfunc, poly_divexact,
 )
-from logcy2.surfaces import InvalidSurfaceError, Surface, require_valid, validate
+from logcy2.surfaces import InvalidSurfaceError, Surface
 from logcy2.words import Linear, parse_word
 
 if not sys.flags.optimize:
@@ -83,20 +83,21 @@ if dlog_ratio(x2, y) != 2:
 if dlog_ratio(RatFunc2.from_poly(parse_poly("x + 1")), y) is not None:
     raise SystemExit("dlog_ratio(x + 1, y) gave a constant")
 # validate's accept pass passes neither a determinant-2 pair nor seven
-# distinct rays with every adjacent determinant 1 that wind twice.
-bad_det = Surface(((1, 0), (0, 1), (-2, -1)), (0, 0, 0))
-if validate(bad_det) != ["det((0, 1), (-2, -1)) = 2, expected 1"]:
-    raise SystemExit(f"validate gave {validate(bad_det)} on a determinant-2 pair")
-twice = Surface(((1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1)), (0,) * 7)
-if validate(twice) != ["rays wind 2 times around the origin"]:
-    raise SystemExit(f"validate gave {validate(twice)} on a fan that winds twice")
-for s in (bad_det, twice):
+# distinct rays with every adjacent determinant 1 that wind twice, so
+# constructing either surface raises.
+bad_det = (((1, 0), (0, 1), (-2, -1)), (0, 0, 0))
+twice = (((1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1)), (0,) * 7)
+for data, expected in (
+    (bad_det, ["det((0, 1), (-2, -1)) = 2, expected 1"]),
+    (twice, ["rays wind 2 times around the origin"]),
+):
     try:
-        require_valid(s)
-    except InvalidSurfaceError:
-        pass
+        Surface(*data)
+    except InvalidSurfaceError as err:
+        if err.violations != expected:
+            raise SystemExit(f"Surface{data} raised {err.violations}")
     else:
-        raise SystemExit(f"require_valid passed {s}")
+        raise SystemExit(f"Surface{data} constructed")
 """
 
 

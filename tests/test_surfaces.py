@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from logcy2.lattice import NonPrimitiveError, angle_cmp, neg, pl_apply
 from logcy2 import surfaces
 from logcy2.birmap import tropical_image, tropicalize
+from logcy2.catalog import check_counts
+from logcy2.diagrams import diagram, visible_spheres
 from logcy2.sampling import random_letter, random_surface, random_word
 from logcy2.surfaces import (
     InvalidSurfaceError,
@@ -42,14 +44,21 @@ def test_validate_plane_with_any_multiplicities():
     assert validate(p2((0, 5, 1))) == []
 
 
+def _violations(rays, m) -> list[str]:
+    """The violations ``Surface(rays, m)`` raises, or [] when it constructs."""
+    try:
+        Surface(rays, m)
+    except InvalidSurfaceError as err:
+        return err.violations
+    return []
+
+
 def test_validate_flags_bad_determinant():
-    s = Surface(((1, 0), (0, 1), (-2, -1)), (0, 0, 0))
-    assert any("det" in v for v in validate(s))
+    assert any("det" in v for v in _violations(((1, 0), (0, 1), (-2, -1)), (0, 0, 0)))
 
 
 def test_validate_flags_incomplete_fan():
-    s = Surface(((1, 0), (0, 1)), (0, 0))
-    assert any("at least 3" in v for v in validate(s))
+    assert any("at least 3" in v for v in _violations(((1, 0), (0, 1)), (0, 0)))
 
 
 def test_self_intersections_examples():
@@ -405,30 +414,37 @@ def test_json_rejects_booleans(text):
 
 
 def test_validate_rejects_boolean_multiplicity():
-    assert any("multiplicity" in v for v in validate(Surface(p2().rays, (0, True, 0))))
+    assert any("multiplicity" in v for v in _violations(p2().rays, (0, True, 0)))
 
 
-def _validate_reference(s: Surface) -> list[str]:
-    """Every check of ``validate`` made one by one: the diagnostic its accept pass must reproduce."""
+def _validate_reference(rays, m) -> list[str]:
+    """Every check of ``validate`` made one by one: the diagnostic its accept pass must reproduce.
+
+    The data is first rotated to its least ray, as ``Surface`` rotates it.
+    """
+    rays, m = tuple(rays), tuple(m)
+    if rays and len(rays) == len(m):
+        start = rays.index(min(rays))
+        rays, m = rays[start:] + rays[:start], m[start:] + m[:start]
     out: list[str] = []
-    k = len(s.rays)
+    k = len(rays)
     if k < 3:
         out.append(f"fan needs at least 3 rays, has {k}")
-    if len(s.m) != k:
-        out.append(f"{len(s.m)} multiplicities for {k} rays")
-    for r in s.rays:
+    if len(m) != k:
+        out.append(f"{len(m)} multiplicities for {k} rays")
+    for r in rays:
         if math.gcd(r[0], r[1]) != 1:
             out.append(f"ray {r} is not primitive")
-    if len(set(s.rays)) != k:
+    if len(set(rays)) != k:
         out.append("rays are not pairwise distinct")
-    for mm in s.m:
+    for mm in m:
         if type(mm) is not int or mm < 0:
             out.append(f"multiplicity {mm} is not a nonnegative integer")
     if out:
         return out
     descents = 0
     for i in range(k):
-        a, b = s.rays[i], s.rays[(i + 1) % k]
+        a, b = rays[i], rays[(i + 1) % k]
         d = a[0] * b[1] - a[1] * b[0]
         if d != 1:
             out.append(f"det({a}, {b}) = {d}, expected 1")
@@ -446,11 +462,12 @@ WOUND_TWICE = ((1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1))
 valid_surfaces = st.integers(0, 2**32).map(
     lambda seed: random_surface(random.Random(seed), extra_rays=6, blowups=6)
 )
+valid_data = valid_surfaces.map(lambda s: (s.rays, s.m))
 
 
 @st.composite
-def mutated_surfaces(draw) -> Surface:
-    """A valid surface with one ray or multiplicity broken."""
+def mutated_data(draw) -> tuple:
+    """A valid surface's rays and multiplicities with one ray or multiplicity broken."""
     s = draw(valid_surfaces)
     rays, m = list(s.rays), list(s.m)
     i, j = draw(st.integers(0, len(rays) - 1)), draw(st.integers(0, len(rays) - 1))
@@ -471,25 +488,24 @@ def mutated_surfaces(draw) -> Surface:
         m[i] = draw(st.sampled_from([-1, -(10**20), True, False]))
     else:
         rays, m = rays * 2, m * 2
-    return Surface(tuple(rays), tuple(m))
+    return tuple(rays), tuple(m)
 
 
-hostile_surfaces = st.one_of(
-    st.builds(
-        Surface,
+hostile_data = st.one_of(
+    st.tuples(
         st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12).map(tuple),
         st.lists(st.one_of(st.integers(-2, 3), st.booleans()), max_size=12).map(tuple),
     ),
     st.lists(st.one_of(st.integers(0, 2), st.booleans()), min_size=7, max_size=7).map(
-        lambda m: Surface(WOUND_TWICE, tuple(m))
+        lambda m: (WOUND_TWICE, tuple(m))
     ),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(valid_surfaces, mutated_surfaces(), hostile_surfaces))
-def test_validate_matches_reference_diagnostic(s):
-    assert validate(s) == _validate_reference(s)
+@given(st.one_of(valid_data, mutated_data(), hostile_data))
+def test_validate_matches_reference_diagnostic(data):
+    assert _violations(*data) == _validate_reference(*data)
 
 
 def _spy_validate(monkeypatch) -> tuple[list[Surface], list[Surface]]:
@@ -522,4 +538,16 @@ def test_resolve_and_pushforward_validate_each_surface_once(srng, monkeypatch):
                 call(w, s)
             # The lists keep every surface alive, so ids are not reused.
             assert len({id(x) for x in validated}) == len(validated)
-            assert {id(x) for x in validated} == {id(s)} | {id(x) for x in created}
+            assert {id(x) for x in validated} == {id(x) for x in created}
+
+
+def test_operations_on_a_surface_never_validate_it_again(monkeypatch):
+    s, t = cubic_surface(), insert_ray(cubic_surface(), (1, 1))
+    validated, created = _spy_validate(monkeypatch)
+    check_counts(s)
+    diagram(s)
+    visible_spheres(s)
+    numeric_invariants(s)
+    toric_self_intersections(s)
+    leq(s, t)
+    assert validated == [] and created == []
