@@ -79,9 +79,10 @@ def vanishing_cycles(s: Surface) -> list[VanishingCycleItem]:
     for i in range(k, 0, -1):
         for j in range(s.m[i - 1], 0, -1):
             items.append(Meridian(i, j))
+    twists = (0,) * k
     for ell in range(k):
-        twists = tuple(sum(pairing[i][jj] for jj in range(ell)) for i in range(k))
         items.append(Longitude(ell, twists))
+        twists = tuple(t + row[ell] for t, row in zip(twists, pairing))
     return items
 
 

@@ -32,18 +32,18 @@ def random_primitive(rng: random.Random, bound: int = 4) -> Vec:
             return v
 
 
-def random_unimodular(rng: random.Random, steps: int = 2, allow_reflection: bool = True) -> Mat:
-    """A product of elementary shears, optionally reflected (det -1).
+def random_unimodular(rng: random.Random) -> Mat:
+    """A product of at most two elementary shears, reflected (det -1) with probability 0.3.
 
     Entries stay small on purpose: words built from these feed exact
     composition, where monomial exponents multiply along the word.
     """
     m: Mat = ((1, 0), (0, 1))
-    for _ in range(rng.randint(0, steps)):
+    for _ in range(rng.randint(0, 2)):
         t = rng.choice([-1, 1])
         shear = ((1, t), (0, 1)) if rng.random() < 0.5 else ((1, 0), (t, 1))
         m = mat_mul(m, shear)
-    if allow_reflection and rng.random() < 0.3:
+    if rng.random() < 0.3:
         m = mat_mul(m, ((0, 1), (1, 0)))
     return m
 
@@ -70,10 +70,10 @@ def realized_degree(w: Word) -> int:
     return max(p.total_degree() for p in (m.f.num, m.f.den, m.g.num, m.g.den))
 
 
-def random_word(rng: random.Random, max_len: int, degree_cap: int = DEGREE_CAP) -> Word:
+def random_word(rng: random.Random, max_len: int) -> Word:
     """A word of at most ``max_len`` letters whose realization stays desk-scale.
 
-    Letters are appended while the realized degree stays under the cap;
+    Letters are appended while the realized degree stays at most ``DEGREE_CAP``;
     monomial exponents multiply along a word, so an uncapped sampler
     occasionally produces compositions far beyond what exact expansion
     handles in reasonable time.
@@ -82,7 +82,7 @@ def random_word(rng: random.Random, max_len: int, degree_cap: int = DEGREE_CAP) 
     letters: list = []
     for _ in range(target):
         candidate = letters + [random_letter(rng)]
-        if realized_degree(Word(tuple(candidate))) > degree_cap:
+        if realized_degree(Word(tuple(candidate))) > DEGREE_CAP:
             break
         letters = candidate
     return Word(tuple(letters))

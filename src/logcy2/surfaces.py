@@ -254,37 +254,25 @@ def boundary_intersection_matrix(s: Surface) -> tuple[tuple[tuple[int, ...], ...
 
 
 def _negative_definite(mat: tuple[tuple[int, ...], ...]) -> bool:
-    k = len(mat)
-    for i in range(1, k + 1):
-        minor = _det([row[:i] for row in mat[:i]])
-        if (minor if i % 2 else -minor) >= 0:
-            return False
-    return True
+    """Sylvester's criterion, (-1)^i D_i > 0 for every leading minor D_i, in one pass.
 
-
-def _det(rows: list) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
-
-    Every entry it writes is a minor of the row-swapped input, so each
-    division by the previous pivot is exact and all arithmetic stays in Z.
+    Fraction-free Bareiss elimination without row swaps leaves the leading
+    minor D_i as pivot i, and every entry it writes is a minor of the input,
+    so each division by the previous pivot is exact.  A zero pivot is a zero
+    minor, which already fails the criterion, so no row swap is ever needed.
     """
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        pk, row_k = a[k][k], a[k]
-        for row in a[k + 1:]:
-            rk = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pk - rk * row_k[j]) // prev
-        prev = pk
-    return sign * a[-1][-1] if n else 1
+    a = [list(row) for row in mat]
+    prev = 1
+    for i, row_i in enumerate(a):
+        pivot = row_i[i]
+        if (pivot if i % 2 else -pivot) <= 0:
+            return False
+        for row in a[i + 1:]:
+            r = row[i]
+            for j in range(i + 1, len(a)):
+                row[j] = (row[j] * pivot - r * row_i[j]) // prev
+        prev = pivot
+    return True
 
 
 class NumericInvariants(NamedTuple):

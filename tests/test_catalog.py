@@ -18,6 +18,7 @@ from logcy2.sampling import random_surface, random_word
 from logcy2.surfaces import (
     BLOWUP_BUDGET,
     BlowupBudgetError,
+    Surface,
     cubic_surface,
     interior_blowup,
     numeric_invariants,
@@ -25,6 +26,7 @@ from logcy2.surfaces import (
     p2,
     pushforward,
     resolve,
+    toric_intersection_matrix,
 )
 
 
@@ -74,6 +76,21 @@ def test_longitude_twists_quadric():
     cycles = vanishing_cycles(p1xp1())
     longitudes = {c.index: c.twist_vector for c in cycles if isinstance(c, Longitude)}
     assert longitudes[1] == (0, 1, 0, 1)
+
+
+def _twists_by_prefix_sums(s) -> list[tuple[int, ...]]:
+    """Longitude ell's twist vector summed from scratch over the first ell columns."""
+    pairing = toric_intersection_matrix(s)
+    k = len(s.rays)
+    return [tuple(sum(pairing[i][j] for j in range(ell)) for i in range(k)) for ell in range(k)]
+
+
+def test_longitude_twists_match_prefix_sums(srng):
+    fan = Surface(tuple((1, j) for j in range(101)) + ((0, 1), (-1, -1)), (0,) * 103)
+    for s in [random_surface(srng, extra_rays=8, blowups=6) for _ in range(40)] + [fan]:
+        longitudes = [c for c in vanishing_cycles(s) if isinstance(c, Longitude)]
+        assert [c.index for c in longitudes] == list(range(len(s.rays)))
+        assert [c.twist_vector for c in longitudes] == _twists_by_prefix_sums(s)
 
 
 def test_check_counts_examples():

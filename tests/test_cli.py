@@ -120,6 +120,16 @@ def test_surface_intersections(capsys, tmp_path):
     assert sorted(data["self_intersections"]) == [1, 1, 1]
 
 
+def test_surface_intersections_on_a_103_ray_fan(capsys, tmp_path):
+    rays = [[1, j] for j in range(101)] + [[0, 1], [-1, -1]]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"rays": rays, "m": [3] * 103}))
+    code, out, _ = run(capsys, "surface", "intersections", str(path))
+    assert code == 0 and json.loads(out)["negative_definite"] is True
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "3ececa6718dfe9bfeb87589c7ffd285fb5a682a81fb02384028fabcf3dcc01b6"
+
+
 def test_surface_pushforward_worked_example(capsys, pxp_file):
     code, out, _ = run(capsys, "surface", "pushforward", "E", pxp_file)
     assert code == 0
@@ -202,6 +212,20 @@ def test_output_past_the_digit_limit_exits_1(capsys, tmp_path):
     path.write_text(json.dumps({"rays": [[1, 0], [n, 1], [-1 - n, -1]], "m": [0, 10, 0]}))
     code, out, err = run(capsys, "atf", "diagram", str(path))  # a node at 10 * (n, 1)
     assert code == 1 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("exponent", [1, 2999])
+def test_diagram_message_past_the_digit_limit_exits_1(capsys, tmp_path, exponent):
+    # The node's line coordinate 1/(a(a + 1)) is not a consecutive multiple.
+    a = 10**exponent
+    b = a + 1
+    node = {"position": [f"1/{b}", f"1/{a}"], "direction": [a, b], "cut_sign": 1}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"nodes": [node]}))
+    code, out, err = run(capsys, "atf", "move", str(path), f"--elementary={a},{b}")
+    assert code == 1 and out == "" and _one_error_line(err)
+    if a == 10:  # numbers within the limit keep their text
+        assert err == "error: nodes on ray (10, 11) not at consecutive multiples: [Fraction(1, 110)]\n"
 
 
 @pytest.mark.parametrize("argv", [

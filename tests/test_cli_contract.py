@@ -1,9 +1,10 @@
 """Contract fuzz for ``surface validate|invariants|intersections|pushforward|resolve``,
-``hms counts``, ``atf diagram|move`` and ``word realize|equal|character|trop|eval``.
+``hms counts``, ``atf diagram|move``, ``word realize|equal|character|trop|eval``,
+``demo`` and ``verify``.
 
-Whatever the surface or diagram file, the words, the vector and the point,
-``cli.main`` exits 0, 1 or 2, and no exception other than argparse's
-``SystemExit`` leaves it.  The surface and diagram files are valid, valid
+Whatever the surface or diagram file, the words, the vector, the point and
+any extra arguments, ``cli.main`` exits 0, 1 or 2, and no exception other
+than argparse's ``SystemExit`` leaves it.  The surface and diagram files are valid, valid
 with one part mutated, or hostile; a ``Surface`` validates itself when it
 is read, and the commands that consume it check nothing again.
 """
@@ -219,3 +220,23 @@ def test_word_commands_exit_cleanly(command, word, word2, vector, point):
     elif command == "eval":
         argv.append(f"--point={point}")
     assert _exit_code(argv) in (0, 1, 2)
+
+
+# --- demo and verify -----------------------------------------------------------
+
+# Each valid call takes about 0.1 s; nearly every generated argv is a usage error.
+arguments = st.lists(
+    st.sampled_from(["cubic", "relations", "word", "--help", "-h", "--", "-", "--vector=1,0", "x", ""])
+    | st.text(max_size=6),
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["demo", "verify"]), arguments)
+@example("demo", ["cubic"])
+@example("verify", ["relations"])
+@example("demo", ["cubic", "relations"])
+@example("verify", [])
+def test_demo_and_verify_exit_cleanly(command, args):
+    assert _exit_code([command, *args]) in (0, 1, 2)

@@ -172,12 +172,12 @@ def test_private_name_check_sees_both_forms():
         "from . import birmap\n"
         "import logcy2.surfaces\n"
         "def f(self):\n"
-        "    return birmap._letter_map, logcy2.surfaces._det, self._cache, birmap.__name__\n"
+        "    return birmap._letter_map, logcy2.surfaces._negative_definite, self._cache, birmap.__name__\n"
     )
     assert _private_reach_ins(ast.parse(source)) == [
         "1: from birmap import _letter_trop",
         "5: birmap._letter_map",
-        "5: logcy2.surfaces._det",
+        "5: logcy2.surfaces._negative_definite",
     ]
 
 

@@ -18,7 +18,7 @@ from logcy2.surfaces import (
     NotRegularError,
     RayAbsentError,
     Surface,
-    _det,
+    _negative_definite,
     boundary_intersection_matrix,
     cubic_surface,
     from_json,
@@ -254,13 +254,27 @@ def test_pushforward_matches_sorting_reference(srng):
     assert pushforward(flip, s) == _pushforward_by_sorting(flip, s)
 
 
-def test_det_matches_sympy(srng):
+def test_negative_definite_matches_sympy(srng):
     sympy = pytest.importorskip("sympy")
-    for _ in range(120):
+    verdicts, zero_minors = Counter(), 0
+    for _ in range(150):
         n = srng.randint(1, 8)
-        bound = srng.choice([1, 2, 9, 10**6])
-        rows = [[srng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        assert _det(rows) == sympy.Matrix(rows).det()
+        if srng.random() < 0.5:
+            bound = srng.choice([1, 2, 9, 10**6])
+            rows = [[srng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        else:
+            # -B^T B for an r x n matrix B: negative definite when B has rank n,
+            # and every leading minor larger than B's rank is 0.
+            bound = srng.choice([1, 2, 9, 350])
+            b = [[srng.randint(-bound, bound) for _ in range(n)] for _ in range(srng.randint(1, n + 1))]
+            rows = [[-sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        m = sympy.Matrix(rows)
+        zero_minors += any(m[:i, :i].det() == 0 for i in range(1, n + 1))
+        verdict = _negative_definite(tuple(map(tuple, rows)))
+        assert verdict is m.is_negative_definite
+        verdicts[verdict] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 10 and zero_minors > 10
 
 
 def test_resolve_identity_and_elementary():
