@@ -1,9 +1,11 @@
 """Command-line surface over the word algebra, surfaces, diagrams and catalogs.
 
-Exit codes: 0 on success, 1 on domain errors (non-regular words, poles,
-unreadable or invalid input files, failed checks), 2 on usage errors (bad
-flags or flag values, word syntax; the word grammar is reprinted on stderr).
-Any other exception is a bug in the library and propagates.
+Exit codes: 0 on success; 1 on every ``errors.DomainError`` (non-regular
+words, poles, budgets, output past the digit limit, invalid input files)
+and on unreadable input files, each with one ``error:`` line on stderr, and
+on failed checks; 2 on usage errors (bad flags or flag values, word syntax;
+the word grammar is reprinted on stderr).  Any other exception is a bug in
+the library and propagates.
 """
 
 from __future__ import annotations
@@ -15,18 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import birmap, catalog, diagrams, sampling, surfaces
-from .lattice import NonPrimitiveError, NonUnimodularError
-from .polyrat import EvalBudgetError, Poly2, PoleAtPointError, RatFunc2, TermBudgetError, evaluate, normalize
-from .surfaces import (
-    BlowupBudgetError,
-    DigitLimitError,
-    InvalidSurfaceError,
-    NotRegularError,
-    RayAbsentError,
-    RayBudgetError,
-    Surface,
-    cubic_surface,
-)
+from .errors import DomainError, output
+from .polyrat import Poly2, RatFunc2, evaluate, normalize
+from .surfaces import InvalidSurfaceError, Surface, cubic_surface
 from .words import Word, WordSyntaxError, parse_word, word_to_text
 
 GRAMMAR = """word grammar:
@@ -35,25 +28,11 @@ GRAMMAR = """word grammar:
   atom := "E" | "E[n1,n2]" | "A[a,b;c,d]" | "P" | "r1" | "r2" | "r3" | "id" | "(" word ")"
 A[a,b;c,d] acts by (x, y) -> (x^a y^c, x^b y^d); E[n1,n2] needs gcd(n1,n2) = 1."""
 
-# Faults of the input; the library's own bugs are not listed, so they propagate.
+# Faults of the input; any other exception is a library bug and propagates.
 DOMAIN_ERRORS = (
     OSError,  # an input file that is missing or cannot be opened
     UnicodeDecodeError,  # an input file that is not UTF-8 text
-    NotRegularError,
-    InvalidSurfaceError,
-    RayAbsentError,
-    RayBudgetError,
-    BlowupBudgetError,
-    DigitLimitError,
-    PoleAtPointError,
-    TermBudgetError,
-    EvalBudgetError,
-    NonPrimitiveError,
-    NonUnimodularError,
-    diagrams.InvalidDiagramError,
-    diagrams.PreconditionFailedError,
-    diagrams.BlockedError,
-    diagrams.OffEigenlineError,
+    DomainError,
 )
 
 
@@ -87,14 +66,6 @@ def _load_diagram(path: str) -> diagrams.BaseDiagram:
         return diagrams.from_json(fh.read())
 
 
-def _text(template: str, *values) -> str:
-    """template filled with values; an integer past the int-to-text digit limit raises DigitLimitError."""
-    try:
-        return template.format(*values)
-    except ValueError as exc:
-        raise DigitLimitError() from exc
-
-
 # --- word subcommands ---------------------------------------------------------
 
 
@@ -105,7 +76,7 @@ def cmd_word_equal(args) -> int:
 
 
 def cmd_word_realize(args) -> int:
-    print(_text("{}", birmap.realize(parse_word(args.word))))
+    print(output(str, birmap.realize(parse_word(args.word))))
     return 0
 
 
@@ -117,14 +88,14 @@ def cmd_word_character(args) -> int:
 
 def cmd_word_trop(args) -> int:
     image = birmap.tropical_image(parse_word(args.word), args.vector)
-    print(_text("{},{}", *image))
+    print(output("{},{}".format, *image))
     return 0
 
 
 def cmd_word_eval(args) -> int:
     m = birmap.realize(parse_word(args.word))
     vx, vy = evaluate(m.f, args.point), evaluate(m.g, args.point)
-    print(_text("{},{}", vx, vy))
+    print(output("{},{}".format, vx, vy))
     return 0
 
 

@@ -20,7 +20,6 @@ elementary transformation, and is tested against the surface pushforward.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,37 +35,30 @@ from .lattice import (
     require_primitive,
     require_unimodular,
 )
-from .surfaces import DigitLimitError, Surface, check_blowup_budget
+from .errors import DomainError, output, shown
+from .surfaces import Surface, check_blowup_budget
 
 Point = tuple[Fraction, Fraction]
 
 MONODROMY_SHEAR: Mat = ((1, 0), (1, 1))
 
 
-class InvalidDiagramError(ValueError):
+class InvalidDiagramError(DomainError, ValueError):
     """A diagram or one of its node records is malformed."""
 
 
-class OffEigenlineError(ValueError):
+class OffEigenlineError(DomainError, ValueError):
     pass
 
 
-class BlockedError(ValueError):
+class BlockedError(DomainError, ValueError):
     def __init__(self, message: str, blocker: int | None = None):
         super().__init__(message)
         self.blocker = blocker
 
 
-class PreconditionFailedError(ValueError):
+class PreconditionFailedError(DomainError, ValueError):
     pass
-
-
-def _shown(value) -> str:
-    """``str(value)`` for an error message; a stand-in if it holds an integer past the int-to-text digit limit."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"<a value with an integer of more than {sys.get_int_max_str_digits()} digits>"
 
 
 def monodromy_for(direction: Vec) -> Mat:
@@ -101,7 +93,7 @@ def make_node(position: Point, direction: Vec, cut_sign: int) -> Node:
         raise InvalidDiagramError(f"cut_sign must be +-1, got {cut_sign}")
     direction, flip = canonical_direction(direction)
     if pos[0] * direction[1] - pos[1] * direction[0] != 0:
-        raise OffEigenlineError(f"position {_shown(pos)} not on line through {_shown(direction)}")
+        raise OffEigenlineError(f"position {shown(pos)} not on line through {shown(direction)}")
     return Node(pos, direction, cut_sign * flip, monodromy_for(direction))
 
 
@@ -123,7 +115,7 @@ class BaseDiagram:
         for i, n in enumerate(self.nodes):
             if n.position == pos:
                 return i
-        raise PreconditionFailedError(f"no node at {_shown(pos)}")
+        raise PreconditionFailedError(f"no node at {shown(pos)}")
 
 
 def diagram(s: Surface) -> BaseDiagram:
@@ -158,7 +150,7 @@ def nodal_slide(d: BaseDiagram, index: int, target: Point) -> BaseDiagram:
     tgt = (Fraction(target[0]), Fraction(target[1]))
     dx, dy = node.direction
     if tgt[0] * dy - tgt[1] * dx != 0:
-        raise OffEigenlineError(f"target {_shown(tgt)} off the line through {_shown(node.direction)}")
+        raise OffEigenlineError(f"target {shown(tgt)} off the line through {shown(node.direction)}")
     if tgt == (0, 0):
         raise BlockedError("cannot park a node on the origin")
     lo, hi = sorted([_line_coordinate(node.position, node.direction), _line_coordinate(tgt, node.direction)])
@@ -221,15 +213,15 @@ def _line_profile(d: BaseDiagram, n: Vec) -> tuple[int, int]:
             u = node.cut_vector()
             if node.position[0] * u[0] + node.position[1] * u[1] <= 0:
                 raise PreconditionFailedError(
-                    f"node at {_shown(node.position)} has its cut toward the origin"
+                    f"node at {shown(node.position)} has its cut toward the origin"
                 )
             ts.append(t)
     plus = sorted(t for t in ts if t > 0)
     minus = sorted(-t for t in ts if t < 0)
     if plus != [Fraction(j) for j in range(1, len(plus) + 1)]:
-        raise PreconditionFailedError(f"nodes on ray {_shown(n)} not at consecutive multiples: {_shown(plus)}")
+        raise PreconditionFailedError(f"nodes on ray {shown(n)} not at consecutive multiples: {shown(plus)}")
     if minus != [Fraction(j) for j in range(1, len(minus) + 1)]:
-        raise PreconditionFailedError(f"nodes on ray {_shown(neg(n))} not at consecutive multiples")
+        raise PreconditionFailedError(f"nodes on ray {shown(neg(n))} not at consecutive multiples")
     return len(plus), len(minus)
 
 
@@ -249,7 +241,7 @@ def elementary_move(d: BaseDiagram, n: Vec) -> BaseDiagram:
     require_primitive(n)
     a, b = _line_profile(d, n)
     if a < 1:
-        raise PreconditionFailedError(f"no node at {_shown(n)} to move")
+        raise PreconditionFailedError(f"no node at {shown(n)} to move")
     for j in range(b, 0, -1):
         d = nodal_slide(d, d.node_at(_scaled(n, -j)), _scaled(n, -(j + 1)))
     d = nodal_slide(d, d.node_at(_scaled(n, 1)), _scaled(n, -1))
@@ -263,7 +255,7 @@ def elementary_move_inverse(d: BaseDiagram, n: Vec) -> BaseDiagram:
     require_primitive(n)
     a, b = _line_profile(d, n)
     if b < 1:
-        raise PreconditionFailedError(f"no node at {_shown(neg(n))} to move back")
+        raise PreconditionFailedError(f"no node at {shown(neg(n))} to move back")
     d = cut_transfer(d, d.node_at(_scaled(n, -1)))
     for j in range(a, 0, -1):
         d = nodal_slide(d, d.node_at(_scaled(n, j)), _scaled(n, j + 1))
@@ -289,21 +281,19 @@ def visible_spheres(s: Surface) -> list[tuple[Vec, Vec]]:
 
 
 def to_json(d: BaseDiagram) -> str:
-    try:
-        return json.dumps(
-            {
-                "nodes": [
-                    {
-                        "position": [str(n.position[0]), str(n.position[1])],
-                        "direction": list(n.direction),
-                        "cut_sign": n.cut_sign,
-                    }
-                    for n in d.nodes
-                ]
-            }
-        )
-    except ValueError as exc:  # an int past the int-to-str digit limit
-        raise DigitLimitError() from exc
+    # The positions are written by str() while the dict is built, so the guard takes the whole build.
+    return output(lambda: json.dumps(
+        {
+            "nodes": [
+                {
+                    "position": [str(n.position[0]), str(n.position[1])],
+                    "direction": list(n.direction),
+                    "cut_sign": n.cut_sign,
+                }
+                for n in d.nodes
+            ]
+        }
+    ))
 
 
 def from_json(text: str) -> BaseDiagram:

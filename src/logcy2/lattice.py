@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import cmp_to_key
 
+from .errors import DomainError
+
 Vec = tuple[int, int]
 Mat = tuple[tuple[int, int], tuple[int, int]]
 
@@ -28,11 +30,11 @@ MAT_ID: Mat = ((1, 0), (0, 1))
 SHEAR_LEFT_UP: Mat = ((1, 0), (-1, 1))
 
 
-class NonPrimitiveError(ValueError):
+class NonPrimitiveError(DomainError, ValueError):
     """A vector required to be primitive has a common factor (or is zero)."""
 
 
-class NonUnimodularError(ValueError):
+class NonUnimodularError(DomainError, ValueError):
     """A matrix required to lie in GL2(Z) has determinant outside {+1, -1}."""
 
 

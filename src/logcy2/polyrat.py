@@ -62,6 +62,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DomainError, shown
+
 Term = tuple[int, int]
 
 
@@ -570,7 +572,7 @@ class IdenticallySingularError(ZeroDivisionError):
     """Substitution produced an identically vanishing denominator."""
 
 
-class PoleAtPointError(ZeroDivisionError):
+class PoleAtPointError(DomainError, ZeroDivisionError):
     pass
 
 
@@ -723,7 +725,7 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
 TERM_BUDGET = 12_000
 
 
-class TermBudgetError(ArithmeticError):
+class TermBudgetError(DomainError, ArithmeticError):
     """A pullback or ``dlog_ratio`` would go over ``TERM_BUDGET`` or ``PAIR_BUDGET``."""
 
 
@@ -769,7 +771,7 @@ def _alternating_rows(p: dict[Term, int]) -> dict[int, tuple[int, list[int]]]:
     return out
 
 
-def _one_plus_x_valuation(b: list[int], cap: float) -> int:
+def _one_plus_x_valuation(b: list[int], cap: int) -> int:
     """How many times 1 + x divides the row b (alternating signs), counting up to ``cap``."""
     v = 0
     while v < cap and not sum(b):
@@ -803,10 +805,12 @@ def elementary_pullback(num: dict[Term, int], den: dict[Term, int], e: int):
     x-degrees, so no monomial factor is gained.
     """
     rows = (_alternating_rows(num), _alternating_rows(den))
-    k = math.inf
     # Rows in increasing -e j: once -e j reaches k, no later row lowers it,
-    # and a row's valuation is only counted as far as it could.
+    # and a row's valuation is only counted as far as it could.  k starts
+    # above the first row's -e j + v, as v is below the row's length, and is
+    # an integer, as -e j can be past float range.
     by_base = sorted(((-e * j, b) for side in rows for j, (_, b) in side.items()), key=operator.itemgetter(0))
+    k = by_base[0][0] + len(by_base[0][1])
     for base, b in by_base:
         if base >= k:
             break
@@ -814,7 +818,7 @@ def elementary_pullback(num: dict[Term, int], den: dict[Term, int], e: int):
     # Row j is rebuilt with len(b) - e j - k coefficients, zeros included.
     size = max(sum(len(b) - e * j - k for j, (_, b) in side.items()) for side in rows)
     if size > TERM_BUDGET:
-        raise TermBudgetError(f"a pullback through E^{e} would build {size} terms, over {TERM_BUDGET}")
+        raise TermBudgetError(f"a pullback through E^{e} would build {shown(size)} terms, over {TERM_BUDGET}")
     out = []
     for side in rows:
         terms = {}
@@ -934,7 +938,7 @@ def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
 EVAL_BIT_BUDGET = 1 << 23
 
 
-class EvalBudgetError(ArithmeticError):
+class EvalBudgetError(DomainError, ArithmeticError):
     """An evaluation would build more bits of powers than ``EVAL_BIT_BUDGET`` allows."""
 
 
@@ -944,7 +948,7 @@ def evaluate(r: RatFunc2, point) -> Fraction:
     ha, hb = (max(v.numerator.bit_length(), 1) + v.denominator.bit_length() - 2 for v in (a, b))
     size = sum(i * ha + j * hb for p in (r.num, r.den) for i, j in p.terms)
     if size > EVAL_BIT_BUDGET:
-        raise EvalBudgetError(f"an evaluation would build {size} bits of powers, over {EVAL_BIT_BUDGET}")
+        raise EvalBudgetError(f"an evaluation would build {shown(size)} bits of powers, over {EVAL_BIT_BUDGET}")
     dv = r.den.evaluate(a, b)
     if dv == 0:
         raise PoleAtPointError(f"pole at ({a}, {b})")

@@ -19,11 +19,11 @@ that exists is valid, so no operation validates its arguments again.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .birmap import letter_trop
+from .errors import DomainError, output, shown
 from .lattice import (
     NonPrimitiveError,
     Vec,
@@ -38,13 +38,13 @@ from .lattice import (
 from .words import Elementary, Letter, Word
 
 
-class InvalidSurfaceError(ValueError):
+class InvalidSurfaceError(DomainError, ValueError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
 
 
-class RayAbsentError(ValueError):
+class RayAbsentError(DomainError, ValueError):
     pass
 
 
@@ -57,7 +57,7 @@ class RayAbsentError(ValueError):
 RAY_BUDGET = 1000
 
 
-class RayBudgetError(ValueError):
+class RayBudgetError(DomainError, ValueError):
     """Inserting a ray would add more than ``RAY_BUDGET`` rays."""
 
 
@@ -67,18 +67,11 @@ class RayBudgetError(ValueError):
 BLOWUP_BUDGET = 10_000
 
 
-class BlowupBudgetError(ValueError):
+class BlowupBudgetError(DomainError, ValueError):
     """A surface has more interior blow-ups than ``BLOWUP_BUDGET``."""
 
 
-class DigitLimitError(ValueError):
-    """An integer in the output has more digits than Python writes as text."""
-
-    def __init__(self) -> None:
-        super().__init__(f"an output integer has more than {sys.get_int_max_str_digits()} digits")
-
-
-class NotRegularError(ValueError):
+class NotRegularError(DomainError, ValueError):
     """A word letter failed its regularity precondition on a surface.
 
     ``applied_count`` letters (from the right end of the word) were already
@@ -179,7 +172,7 @@ def validate(s: Surface) -> list[str]:
         out.append(f"{len(s.m)} multiplicities for {k} rays")
     for r in s.rays:
         if not is_primitive(r):
-            out.append(f"ray {r} is not primitive")
+            out.append(f"ray {shown(r)} is not primitive")
     if len(set(s.rays)) != k:
         out.append("rays are not pairwise distinct")
     for mm in s.m:
@@ -192,7 +185,7 @@ def validate(s: Surface) -> list[str]:
         a, b = s.rays[i], s.rays[(i + 1) % k]
         d = cross(a, b)
         if d != 1:
-            out.append(f"det({a}, {b}) = {d}, expected 1")
+            out.append(f"det({shown(a)}, {shown(b)}) = {shown(d)}, expected 1")
         if angle_cmp(a, b) > 0:
             descents += 1
     if not out and descents != 1:
@@ -296,7 +289,7 @@ def insert_ray(s: Surface, v: Vec) -> Surface:
     added = 0
     while v not in rays:
         if added == RAY_BUDGET:
-            raise RayBudgetError(f"inserting ray {v} adds more than {RAY_BUDGET} rays")
+            raise RayBudgetError(f"inserting ray {shown(v)} adds more than {RAY_BUDGET} rays")
         added += 1
         k = len(rays)
         i = next(
@@ -399,10 +392,7 @@ def resolve(w: Word, s0: Surface) -> Surface:
 
 def to_json(s: Surface) -> str:
     """Canonical JSON; rays ccw starting at the lexicographically least ray."""
-    try:
-        return json.dumps({"rays": [list(r) for r in s.rays], "m": list(s.m)})
-    except ValueError as exc:  # an int past the int-to-str digit limit
-        raise DigitLimitError() from exc
+    return output(json.dumps, {"rays": [list(r) for r in s.rays], "m": list(s.m)})
 
 
 def from_json(text: str) -> Surface:

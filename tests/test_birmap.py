@@ -29,7 +29,7 @@ from logcy2.birmap import (
 )
 from logcy2 import polyrat
 from logcy2.lattice import NonUnimodularError, mat_inv, pl_apply, pl_compose, pl_elementary, PLMap
-from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, normalize, substitute
+from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, evaluate, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_word, realized_degree
 from logcy2.words import E, Elementary, Letter, Linear, Word, linear_from_literal, parse_word
 
@@ -526,6 +526,21 @@ def test_boundary_limit_matches_tropicalization(srng):
         w = random_word(srng, 3)
         n = random_primitive(srng, 3)
         assert boundary_limit(w, n).ray == pl_apply(tropicalize(w), n)
+
+
+def test_pl_data_do_not_decide_equality():
+    # The tropicalization and the boundary actions of this word are those of
+    # the identity, yet the map is not: equal may not answer true from them.
+    w = parse_word("E[1,0]^-1*E^-1*E[1,0]*E^-1*A[1,-1;0,1]*E[1,0]^-1*E*E[1,0]*A[1,-1;0,1]^-1*E")
+    assert tropicalize(w) == PLMap.identity()
+    rays = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if math.gcd(a, b) == 1]
+    assert len(rays) == 80
+    for n in rays:
+        act = boundary_limit(w, n)
+        assert (act.ray, act.coeff, act.exponent) == (n, 1, 1)
+    m = realize(w)
+    assert (evaluate(m.f, (1, 1)), evaluate(m.g, (1, 1))) == (Fraction(3014, 3071), Fraction(415, 407))
+    assert not equal(w, Word())
 
 
 def test_generators_fix_distinguished_points(srng):

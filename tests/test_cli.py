@@ -228,14 +228,45 @@ def test_diagram_message_past_the_digit_limit_exits_1(capsys, tmp_path, exponent
         assert err == "error: nodes on ray (10, 11) not at consecutive multiples: [Fraction(1, 110)]\n"
 
 
+# Within the int-to-text digit limit, but a product of two is past it.
+N = "9" * 4000
+M = "9" * 2500
+
+
 @pytest.mark.parametrize("argv", [
     ["word", "trop", "A[2,1;1,1]^12000", "--vector", "1,0"],
     ["word", "eval", "A[2,1;1,1]^12", "--point", "2,1"],  # f = x^75025 y^46368
     ["word", "realize", "A[2,1;1,1]^12000"],
+    # The term and bit counts in the budget errors' messages are past the limit.
+    ["word", "realize", f"A[{N},1;-1,0]^3*E"],
+    ["word", "eval", f"A[{N},1;-1,0]^3", "--point", "2,1"],
 ])
 def test_word_output_past_the_digit_limit_exits_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("word", [f"E[{N},1]*E[1,{N}]", f"E[{N},1]"], ids=["E[N,1]*E[1,N]", "E[N,1]"])
+def test_pullback_row_past_float_range_exits_1(capsys, word):
+    # An E-step row whose exponent is past float range; the term budget refuses it.
+    code, out, err = run(capsys, "word", "realize", word)
+    assert code == 1 and out == "" and _one_error_line(err) and "terms" in err
+
+
+def test_surface_message_past_the_digit_limit_exits_1(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"rays": [[{N}, 1], [1, {N}], [-1, -1]], "m": [0, 0, 0]}}')
+    code, out, err = run(capsys, "surface", "validate", str(path))  # det((N, 1), (1, N)) = N^2 - 1
+    lines = out.splitlines()
+    assert code == 1 and err == "" and len(lines) == 3 and all(line.startswith("violation: det(") for line in lines)
+    assert "digits>, expected 1" in out
+    for argv in (["surface", "invariants"], ["surface", "intersections"], ["hms", "counts"], ["atf", "diagram"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1 and out == "" and _one_error_line(err)
+    # resolve inserts E's ray pulled back through A^2, which is past the limit.
+    path.write_text(to_json(surfaces.p2()))
+    code, out, err = run(capsys, "surface", "resolve", f"E*A[{M},1;-1,0]^2", str(path))
+    assert code == 1 and out == "" and _one_error_line(err) and "more than 1000 rays" in err
 
 
 def test_evaluation_past_the_bit_budget_exits_1(capsys):

@@ -5,7 +5,8 @@
 Whatever the surface or diagram file, the words, the vector, the point and
 any extra arguments, ``cli.main`` exits 0, 1 or 2, and no exception other
 than argparse's ``SystemExit`` leaves it.  The surface and diagram files are valid, valid
-with one part mutated, or hostile; a ``Surface`` validates itself when it
+with one part mutated, or hostile, some with ray entries whose products
+are past the int-to-text digit limit; a ``Surface`` validates itself when it
 is read, and the commands that consume it check nothing again.
 """
 
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from logcy2 import diagrams
 from logcy2.cli import main
 from logcy2.sampling import random_surface
-from logcy2.surfaces import to_json
+from logcy2.surfaces import p2, to_json
 
 ATOMS = ["E", "E[1,0]", "E[0,-1]", "E[2,1]", "E[-1,3]", "A[0,1;1,0]", "A[1,1;0,1]", "A[0,-1;1,0]",
          "P", "r1", "r2", "r3", "id"]
@@ -75,9 +76,12 @@ json_values = st.recursive(
     max_leaves=12,
 )
 
+# Entries within the int-to-text digit limit whose pairwise products are past it.
+near_limit = st.integers(2200, 4299).map(lambda k: 10**k - 1)
+
 hostile = st.fixed_dictionaries({
-    "rays": st.lists(st.lists(st.integers(-3, 3) | st.integers(-(10**40), 10**40), min_size=2, max_size=2),
-                     max_size=12),
+    "rays": st.lists(st.lists(st.integers(-3, 3) | st.integers(-(10**40), 10**40) | near_limit,
+                              min_size=2, max_size=2), max_size=12),
     "m": st.lists(st.integers(-2, 3) | st.integers(0, 10**40) | st.booleans(), max_size=12),
 })
 
@@ -103,6 +107,12 @@ def _exit_code(argv: list[str]) -> int:
             return exc.code
 
 
+# A[N,...] and A[M,...] letters stay in explicit examples: ``insert_ray`` on the huge rays they
+# make is slow.
+N = "9" * 4000
+M = "9" * 2500
+NEAR_LIMIT_FAN = f'{{"rays": [[{N}, 1], [1, {N}], [-1, -1]], "m": [0, 0, 0]}}'
+
 SURFACE_COMMANDS = ["surface validate", "surface invariants", "surface intersections", "surface pushforward",
                     "surface resolve", "hms counts", "atf diagram"]
 
@@ -115,6 +125,12 @@ SURFACE_COMMANDS = ["surface validate", "surface invariants", "surface intersect
 @example("surface pushforward", to_json(random_surface(random.Random(0))), "--help")
 @example("hms counts", to_json(random_surface(random.Random(0))), "E")
 @example("atf diagram", '{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, 10000000, 0]}', "E")
+@example("surface validate", NEAR_LIMIT_FAN, "E")
+@example("surface invariants", NEAR_LIMIT_FAN, "E")
+@example("surface intersections", NEAR_LIMIT_FAN, "E")
+@example("hms counts", NEAR_LIMIT_FAN, "E")
+@example("atf diagram", NEAR_LIMIT_FAN, "E")
+@example("surface resolve", to_json(p2()), f"E*A[{M},1;-1,0]^2")
 def test_surface_commands_exit_cleanly(input_path, command, text, word):
     input_path.write_text(text, encoding="utf-8")
     with_word = command in ("surface pushforward", "surface resolve")
@@ -211,6 +227,10 @@ points = st.one_of(
 @given(st.sampled_from(["realize", "equal", "character", "trop", "eval"]), short_words, short_words, vectors, points)
 @example("eval", "E", "id", "1,0", "-1,1")
 @example("equal", "E[2,2]", "A[1,1;1,1]", "1,0", "0,0")
+@example("eval", f"A[{N},1;-1,0]^3", "id", "1,0", "2,1")
+@example("realize", f"A[{N},1;-1,0]^3*E", "id", "1,0", "0,0")
+@example("realize", f"E[{N},1]*E[1,{N}]", "id", "1,0", "0,0")
+@example("realize", f"E[{N},1]", "id", "1,0", "0,0")
 def test_word_commands_exit_cleanly(command, word, word2, vector, point):
     argv = ["word", command, word]
     if command == "equal":

@@ -24,9 +24,10 @@ from logcy2.diagrams import (
     to_json,
     visible_spheres,
 )
+from logcy2.errors import DigitLimitError
 from logcy2.lattice import mat_vec
 from logcy2.sampling import random_elementary_setup, random_surface, random_unimodular
-from logcy2.surfaces import DigitLimitError, cubic_surface, interior_blowup, p1xp1, p2, pushforward
+from logcy2.surfaces import cubic_surface, interior_blowup, p1xp1, p2, pushforward
 from logcy2.words import Elementary, Linear, Word
 
 

@@ -1,10 +1,14 @@
-"""Source checks on the library: safe under ``python -O``, no private reach-ins."""
+"""Source checks on the library: safe under ``python -O``, no private reach-ins, every
+input fault a ``DomainError``."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from logcy2.errors import DomainError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "logcy2"
 
@@ -289,3 +293,69 @@ def test_lazy_table_matches_all():
     assert sorted(logcy2._HOME) == logcy2.__all__
     submodules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
     assert set(logcy2._HOME.values()) <= submodules
+
+
+# The library's exception classes that are not a ``DomainError``, each with its reason.
+NOT_DOMAIN_ERRORS = {
+    "logcy2.words.WordSyntaxError": "a usage error: the CLI exits 2 and reprints the grammar",
+    "logcy2.polyrat.InexactDivisionError": "library API that no CLI command reaches",
+    "logcy2.polyrat.ZeroDenominatorError": "library API that no CLI command reaches",
+    "logcy2.polyrat.IdenticallySingularError": "library API that no CLI command reaches",
+    "logcy2.polyrat.PolyParseError": "library API that no CLI command reaches",
+    "logcy2.birmap.NotVolumePreservingError": "an internal invariant: raising it is a bug",
+    "logcy2.birmap.NonGenericArcError": "an internal invariant: raising it is a bug",
+}
+
+
+def _exception_classes(prefix: str) -> dict[str, type]:
+    """Every exception class defined in a module whose name starts with prefix, by qualified name."""
+    found, todo = {}, [BaseException]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith(prefix):
+            found[f"{cls.__module__}.{cls.__qualname__}"] = cls
+    return found
+
+
+def _non_domain_errors(prefix: str, listed) -> list[str]:
+    """The exception classes under prefix that are neither a ``DomainError`` nor listed."""
+    return sorted(
+        name for name, cls in _exception_classes(prefix).items()
+        if not issubclass(cls, DomainError) and name not in listed
+    )
+
+
+def test_domain_error_check_sees_every_other_exception_class():
+    namespace = {"__name__": "lint_sample", "DomainError": DomainError}
+    exec(
+        "class Good(DomainError, ValueError): pass\n"
+        "class Indirect(Good): pass\n"
+        "class Bad(ValueError): pass\n"
+        "class AlsoBad(Bad): pass\n"
+        "class Listed(ArithmeticError): pass\n"
+        "class NotAnError: pass\n"
+        "def make():\n"
+        "    class Nested(KeyError): pass\n"
+        "    return Nested\n"
+        "nested = make()\n",
+        namespace,
+    )
+    assert _non_domain_errors("lint_sample", {"lint_sample.Listed"}) == [
+        "lint_sample.AlsoBad",
+        "lint_sample.Bad",
+        "lint_sample.make.<locals>.Nested",
+    ]
+
+
+def test_every_library_exception_is_a_domain_error_or_listed():
+    # The CLI exits 1 on every DomainError, so a new exception class for a
+    # fault of the input gets exit 1 without a second list to extend; any
+    # other class has to be listed above with its reason.
+    for path in SRC.glob("*.py"):
+        importlib.import_module("logcy2" if path.stem == "__init__" else f"logcy2.{path.stem}")
+    found = _non_domain_errors("logcy2.", NOT_DOMAIN_ERRORS)
+    assert not found, f"exception classes neither a DomainError nor listed: {found}"
+    classes = _exception_classes("logcy2.")
+    stale = [name for name in NOT_DOMAIN_ERRORS if name not in classes or issubclass(classes[name], DomainError)]
+    assert not stale, f"listed classes that are gone or are a DomainError: {stale}"

@@ -26,7 +26,7 @@ if {LOADED}:
     "one_name_loads_its_home_and_its_imports": f"""
 import sys
 from logcy2 import realize
-if {LOADED} != ["logcy2.birmap", "logcy2.lattice", "logcy2.polyrat", "logcy2.words"]:
+if {LOADED} != ["logcy2.birmap", "logcy2.errors", "logcy2.lattice", "logcy2.polyrat", "logcy2.words"]:
     raise SystemExit(f"from logcy2 import realize loaded {{{LOADED}}}")
 """,
     "every_public_name_is_its_home_modules_object": """

@@ -7,6 +7,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logcy2.errors import DigitLimitError
 from logcy2.lattice import NonPrimitiveError, angle_cmp, neg, pl_apply
 from logcy2 import surfaces
 from logcy2.birmap import tropical_image, tropicalize
@@ -132,7 +133,7 @@ def test_insert_ray_stops_at_the_ray_budget():
 
 def test_to_json_past_the_digit_limit_is_a_domain_error():
     big = 10 ** sys.get_int_max_str_digits()
-    with pytest.raises(surfaces.DigitLimitError, match="digits"):
+    with pytest.raises(DigitLimitError, match="digits"):
         to_json(Surface(((1, 0), (big, 1), (-1 - big, -1)), (0, 0, 0)))
 
 
