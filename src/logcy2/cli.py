@@ -11,6 +11,7 @@ the library and propagates.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -20,7 +21,7 @@ from . import birmap, catalog, diagrams, sampling, surfaces
 from .errors import DomainError, output
 from .polyrat import Poly2, RatFunc2, evaluate, normalize
 from .surfaces import InvalidSurfaceError, Surface, cubic_surface
-from .words import Word, WordSyntaxError, parse_word, word_to_text
+from .words import Word, WordSyntaxError, parse_word
 
 GRAMMAR = """word grammar:
   word := term ("*" term)*
@@ -117,8 +118,7 @@ def cmd_surface_validate(args) -> int:
 
 def cmd_surface_invariants(args) -> int:
     inv = surfaces.numeric_invariants(_load_surface(args.file))
-    print(json.dumps({"k": inv.k, "total_m": inv.total_m, "b2": inv.b2,
-                      "chi_y": inv.chi_y, "chi_u": inv.chi_u}))
+    print(json.dumps(inv._asdict()))
     return 0
 
 
@@ -169,14 +169,7 @@ def cmd_atf_move(args) -> int:
 
 def cmd_hms_counts(args) -> int:
     report = catalog.check_counts(_load_surface(args.file))
-    print(json.dumps({
-        "exceptional_count": report.exceptional_count,
-        "vanishing_count": report.vanishing_count,
-        "chi_y": report.chi_y,
-        "sphere_count": report.sphere_count,
-        "expected_spheres": report.expected_spheres,
-        "ok": report.ok,
-    }))
+    print(json.dumps({**dataclasses.asdict(report), "ok": report.ok}))
     return 0 if report.ok else 1
 
 

@@ -11,13 +11,14 @@ first, then x-degree).  That canonical form makes structural equality a
 valid equality test for rational functions, which is what the word-problem
 oracle relies on.
 
-GCDs run in integer arithmetic and return the cofactors with the gcd.  A
-monomial input settles the gcd at once; otherwise a two-level heuristic gcd
-(GCDHEU) evaluates y and then x at xi >= 2 * min(height) + 29, takes the
-integer gcd and reads the answer back in balanced base xi, verified by exact
-division; what it gives up on goes to one primitive pseudo-remainder
-sequence in x on the same term dicts, which also backs ``univariate_gcd``
-on x-only dicts.  Every other routine runs on the integer terms as well.
+GCDs run in integer arithmetic and return the cofactors with the gcd, from
+one exact division.  A monomial input settles the gcd at once; otherwise
+one heuristic gcd (GCDHEU) sets y, and then x, to xi >= 2 * min(height) + 29,
+calls itself on the images down to an integer gcd, and reads each level back
+in balanced base xi, verified by exact division; what it gives up on goes to
+one primitive pseudo-remainder sequence in x on the same term dicts, whose
+y-contents are gcds of x-only dicts by the same two routes.  Every other
+routine runs on the integer terms as well.
 By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
 ``normalize`` and the pullback kernels keep the terms primitive, so they
 only multiply or divide contents; sums, derivatives and the result of
@@ -49,7 +50,9 @@ Textual form (round-trip parseable):
 A positive integer coefficient prints bare, 1 is omitted before variables,
 anything negative or fractional is parenthesized: ``(-1)*x^2*y + 3*x``.
 A rational function prints as ``num`` when the denominator is 1, otherwise
-``(num) / (den)``.
+``(num) / (den)``.  "+" and "*" occur only as separators, so ``parse_poly``
+splits the text at them; it also reads whitespace between tokens, any
+exponent, and repeated monomials, whose coefficients it sums.
 """
 
 from __future__ import annotations
@@ -382,98 +385,79 @@ def _balanced_digits(value: int, xi: int):
         k += 1
 
 
-def _yp_eval(p: dict[int, int], xi: int) -> int:
-    value = 0
-    for j in range(max(p), -1, -1):
-        value = value * xi + p.get(j, 0)
-    return value
+# GCDHEU evaluates at xi >= 2 * min(height) + 29 and only ever raises xi.
+# Every root of the input of smaller height is below 1 + height in absolute
+# value (Cauchy), so once xi > 2 * height + 2 a nonconstant common factor G,
+# in either variable, has |G(xi)| > xi / 2 and its value never fits in one
+# balanced digit.  A candidate equal to 1 is then the true gcd, with no
+# division to check it.  Lowering the starting point loses that guarantee.
 
 
-# The heuristic gcds below evaluate at xi >= 2 * min(height) + 29 and only
-# ever raise xi.  Every root of the input of smaller height is below
-# 1 + height in absolute value (Cauchy), so once xi > 2 * height + 2 a
-# nonconstant common factor G, in either variable, has |G(xi)| > xi / 2 and
-# its value never fits in one balanced digit.  A candidate equal to 1 is then
-# the true gcd, with no division to check it.  Lowering either starting
-# point loses that guarantee.
+def _heugcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int] | None:
+    """Gcd of nonzero p, q in Z[x, y], content included, or None.
 
-
-def univariate_gcd(p: dict[int, int], q: dict[int, int]) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """(g, p/g, q/g) in Z[t] with g the gcd, positive leading coefficient.
-
-    GCDHEU (Char, Geddes and Gonnet 1989): the integer gcd of the values at
-    a large xi, read back in balanced base xi and checked by exact division
-    of the x-only term dicts {(i, 0): c}, whose quotients are the cofactors.
-    After six misses ``_ip_prs_gcd`` decides on the same dicts.
-    """
-
-    xp, xq = {(i, 0): a for i, a in p.items()}, {(i, 0): a for i, a in q.items()}
-
-    def split(h: dict[Term, int]):
-        """(h, p/h, q/h) read back into Z[t]; InexactDivisionError when h does not divide both."""
-        return tuple({i: a for (i, _), a in d.items()} for d in (h, _ip_divexact(xp, h), _ip_divexact(xq, h)))
-
-    if p and q:
-        c = math.gcd(*p.values(), *q.values())
-        f = p if c == 1 else {j: a // c for j, a in p.items()}
-        g = q if c == 1 else {j: a // c for j, a in q.items()}
-        xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
-        for _ in range(6):
-            fv, gv = _yp_eval(f, xi), _yp_eval(g, xi)
-            if fv and gv:
-                h = _canonical({(k, 0): d for k, d in _balanced_digits(math.gcd(fv, gv), xi) if d}).terms
-                if h == _ONE:
-                    return {0: c}, f, g
-                try:
-                    return split({t: a * c for t, a in h.items()})
-                except InexactDivisionError:
-                    pass
-            xi = xi * 73794 // 27011 + 1
-    return split(_ip_prs_gcd(xp, xq))
-
-
-def _ip_heugcd(p: dict[Term, int], q: dict[Term, int]):
-    """(g, p/g, q/g) by two-level GCDHEU for primitive p, q, or None.
-
-    y is evaluated at a large xi, ``univariate_gcd`` takes the gcd in Z[x],
-    and its coefficients are read back in balanced base xi; the primitive
-    candidate is verified by exact division, whose quotients are returned.
+    GCDHEU (Char, Geddes and Gonnet 1989).  Two constants give their integer
+    gcd.  Otherwise the top variable, y if either side has a y and else x,
+    is set to a large xi, the gcd of the two images comes from a call on
+    them, and its values are read back in balanced base xi as coefficients
+    of that variable; the primitive candidate is checked by exact division.
     Gives up after six attempts, or once xi is too tall for the y-degree.
     """
-    height = min(max(map(abs, p.values())), max(map(abs, q.values())))
-    deg_y = max(j for _, j in [*p, *q])
-    fp, gp = _ip_to_x(p), _ip_to_x(q)
-    xi = 2 * height + 29
+    c = math.gcd(*p.values(), *q.values())
+    v = 1 if any(j for _, j in [*p, *q]) else 0
+    deg = max(t[v] for t in [*p, *q])
+    if not deg:
+        return {(0, 0): c}
+    f, g = (d if c == 1 else {t: a // c for t, a in d.items()} for d in (p, q))
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(6):
-        if xi.bit_length() * (1 + deg_y) > 60000:
+        if v and xi.bit_length() * (1 + deg) > 60000:
             return None
-        pe = {i: v for i, row in fp.items() if (v := _yp_eval(row, xi))}
-        qe = {i: v for i, row in gp.items() if (v := _yp_eval(row, xi))}
-        if pe and qe:
-            gamma = univariate_gcd(pe, qe)[0]
-            cand = _canonical({(i, k): d for i, a in gamma.items() for k, d in _balanced_digits(a, xi) if d}).terms
-            if cand == _ONE:
-                return _ONE, p, q
+        fe, ge = _image(f, v, xi), _image(g, v, xi)
+        if fe and ge and (gamma := _heugcd(fe, ge)) is not None:
+            h = _canonical({(i, k) if v else (k, i): d
+                            for (i, _), a in gamma.items() for k, d in _balanced_digits(a, xi) if d}).terms
+            if h == _ONE:
+                return {(0, 0): c}
             try:
-                return cand, _ip_divexact(p, cand), _ip_divexact(q, cand)
+                _ip_divexact(f, h)
+                _ip_divexact(g, h)
+                return _ip_scale(h, c)
             except InexactDivisionError:
                 pass
         xi = xi * 73794 // 27011 + 1
     return None
 
 
+def _image(p: dict[Term, int], v: int, xi: int) -> dict[Term, int]:
+    """p at x = xi (v = 0, p x-only) or y = xi (v = 1), as {(i, 0): value} without zero values."""
+    rows: dict[int, dict[int, int]] = {}
+    for t, c in p.items():
+        rows.setdefault(t[1 - v], {})[t[v]] = c
+    out = {}
+    for i, row in rows.items():
+        value = 0
+        for k in range(max(row), -1, -1):
+            value = value * xi + row.get(k, 0)
+        if value:
+            out[(i, 0)] = value
+    return out
+
+
 def _y_gcd(rows: list[dict[int, int]]) -> dict[int, int]:
     """Gcd in Z[y] of nonzero rows.
 
-    ``univariate_gcd`` folds over the rows until the gcd is a constant; from
-    then on, or when the first row is a constant, it is the integer gcd of
-    every coefficient, taken with no further call.
+    ``_heugcd``, or ``_ip_prs_gcd`` where it gives up, folds over the rows as
+    x-only dicts {(j, 0): c} until the gcd is a constant; from then on, or
+    when the first row is a constant, it is the integer gcd of every
+    coefficient, taken with no further call.
     """
     g = rows[0]
     for row in rows[1:]:
         if not max(g):
             break
-        g = univariate_gcd(g, row)[0]
+        a, b = {(j, 0): c for j, c in g.items()}, {(j, 0): c for j, c in row.items()}
+        g = {j: c for (j, _), c in (_heugcd(a, b) or _ip_prs_gcd(a, b)).items()}
     return {0: math.gcd(*[c for row in rows for c in row.values()])} if not max(g) else g
 
 
@@ -485,10 +469,9 @@ def _ip_prs_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
     ``_ip_divexact``, each pseudo-remainder is built with ``_ip_mul`` and
     divided by its own y-content in the same way, and the gcd is the gcd of
     the two contents times the last nonzero remainder, with a positive
-    grlex-leading coefficient.  ``univariate_gcd`` falls back here on x-only
-    dicts {(i, 0): c}: their y-contents are integer constants, which
-    ``_y_gcd`` takes with no call back to ``univariate_gcd``, so the
-    recursion stops after one level.
+    grlex-leading coefficient.  ``_y_gcd`` calls back here on x-only dicts
+    {(i, 0): c}: their y-contents are integer constants, which it takes with
+    no further call, so the recursion stops after one level.
     """
 
     def primitive(d: dict[Term, int]) -> tuple[dict[int, int], dict[Term, int]]:
@@ -516,10 +499,9 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
 
     g is primitive with a positive grlex-leading coefficient.  The routes,
     in order: a monomial input, whose coefficient is 1 since it is
-    primitive, settles g as a monomial at once; two-level GCDHEU returns
-    verified cofactors; what GCDHEU gives up on goes to ``_ip_prs_gcd``, the
-    one remainder sequence, which ``univariate_gcd`` shares.  Cofactors of
-    the first and last route come from exact division.
+    primitive, settles g as a monomial at once; otherwise ``_heugcd``, and
+    what it gives up on goes to ``_ip_prs_gcd``, the one remainder sequence.
+    The cofactors come from one exact division.
     """
     if not p or not q:
         return p or q, (_ONE if p else {}), (_ONE if q else {})
@@ -530,10 +512,7 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
         gj = min([mj] + [j for _, j in other])
         g = {(gi, gj): 1}
     else:
-        found = _ip_heugcd(p, q)
-        if found is not None:
-            return found
-        g = _ip_prs_gcd(p, q)
+        g = _heugcd(p, q) or _ip_prs_gcd(p, q)
     if g == _ONE:
         return g, p, q
     return g, _ip_divexact(p, g), _ip_divexact(q, g)
@@ -988,96 +967,40 @@ def format_ratfunc(r: RatFunc2) -> str:
     return f"({format_poly(r.num)}) / ({format_poly(r.den)})"
 
 
-_TOKEN = re.compile(r"\s*(\d+|[xy]|\^|\*|\+|\(|\)|/|-)")
+# The factors of a term: a coefficient, first in its term only, and powers.
+_COEFF = re.compile(r"\s*(?:(\d+)|\(\s*(-)?\s*(\d+)\s*(?:/\s*(\d+)\s*)?\))\s*")
+_POWER = re.compile(r"\s*([xy])\s*(?:\^\s*(\d+)\s*)?")
 
 
 class PolyParseError(ValueError):
     pass
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks: list[str] = []
-        pos, end = 0, len(text.rstrip())
-        while pos < end:
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise PolyParseError(f"bad character at position {pos}: {text[pos:]!r}")
-            self.toks.append(m.group(1))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expected: str | None = None) -> str:
-        if self.i >= len(self.toks):
-            raise PolyParseError("unexpected end of input")
-        t = self.toks[self.i]
-        if expected is not None and t != expected:
-            raise PolyParseError(f"expected {expected!r}, got {t!r}")
-        self.i += 1
-        return t
-
-    def take_int(self) -> int:
-        t = self.take()
-        if not t.isdigit():
-            raise PolyParseError(f"expected digits, got {t!r}")
-        return int(t)
-
-
-def _parse_varpow(tk: _Tokens) -> Poly2:
-    v = tk.take()
-    if v not in ("x", "y"):
-        raise PolyParseError(f"expected variable, got {v!r}")
-    e = 1
-    if tk.peek() == "^":
-        tk.take()
-        e = tk.take_int()
-    return Poly2.monomial(e, 0) if v == "x" else Poly2.monomial(0, e)
-
-
-def _parse_term(tk: _Tokens) -> Poly2:
-    t = tk.peek()
-    if t == "(":
-        tk.take()
-        sign = 1
-        if tk.peek() == "-":
-            tk.take()
-            sign = -1
-        numer = tk.take_int()
-        denom = 1
-        if tk.peek() == "/":
-            tk.take()
-            denom = tk.take_int()
-            if not denom:
-                raise PolyParseError("zero denominator in a coefficient")
-        tk.take(")")
-        acc = Poly2.const(Fraction(sign * numer, denom))
-    elif t is not None and t.isdigit():
-        acc = Poly2.const(tk.take_int())
-    else:
-        acc = _parse_varpow(tk)
-    while tk.peek() == "*":
-        tk.take()
-        acc = acc * _parse_varpow(tk)
-    return acc
-
-
 def parse_poly(text: str) -> Poly2:
-    tk = _Tokens(text)
-    # The terms' coefficients are summed first and canonicalized once, so a
-    # long polynomial parses in linear time.
+    """The polynomial a text in the textual form stands for.
+
+    "+" and "*" occur in the grammar only between terms and between factors,
+    so the text is split at them.  Whitespace may stand between any two
+    tokens.  The terms' coefficients are summed per monomial and
+    canonicalized once, so a long polynomial parses in linear time.
+    """
     coeffs: dict[Term, int | Fraction] = {}
-    while True:
-        term = _parse_term(tk)
-        for t, c in term.terms.items():
-            coeffs[t] = coeffs.get(t, 0) + term.content * c
-        if tk.peek() != "+":
-            break
-        tk.take()
-    if tk.peek() is not None:
-        raise PolyParseError(f"trailing input: {tk.toks[tk.i:]}")
+    for term in text.split("+"):
+        factors = term.split("*")
+        c, i, j = 1, 0, 0
+        if m := _COEFF.fullmatch(factors[0]):
+            whole, minus, numer, denom = m.groups()
+            try:
+                c = Fraction(int(whole or numer) * (-1 if minus else 1), int(denom or 1))
+            except ZeroDivisionError:
+                raise PolyParseError("zero denominator in a coefficient") from None
+            factors.pop(0)
+        for factor in factors:
+            if not (m := _POWER.fullmatch(factor)):
+                raise PolyParseError(f"malformed factor {factor!r}")
+            e = int(m[2] or 1)
+            i, j = (i + e, j) if m[1] == "x" else (i, j + e)
+        coeffs[(i, j)] = coeffs.get((i, j), 0) + c
     return Poly2(coeffs)
 
 

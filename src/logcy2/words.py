@@ -274,7 +274,10 @@ def parse_word(text: str) -> Word:
     if text.strip() == "":
         return Word()
     tk = _Tokens(text)
-    w = _parse_word(tk)
+    try:
+        w = _parse_word(tk)
+    except RecursionError:  # the parser recurses once per "("
+        raise WordSyntaxError("parentheses nested too deeply", tk.pos()) from None
     if tk.peek() is not None:
         raise WordSyntaxError(f"trailing input {tk.peek()!r}", tk.pos())
     return w

@@ -81,6 +81,12 @@ def test_word_syntax_error_exits_2(capsys):
     assert "word grammar" in err
 
 
+def test_deeply_nested_word_exits_2(capsys):
+    code, out, err = run(capsys, "word", "realize", "(" * 2000 + "E" + ")" * 2000)
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err
+
+
 def test_oversized_power_exits_2(capsys):
     code, out, err = run(capsys, "word", "trop", "E^10000000", "--vector", "1,0")
     assert code == 2 and out == ""

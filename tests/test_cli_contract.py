@@ -211,10 +211,12 @@ letters = st.one_of(
     st.tuples(small, small).map(lambda n: f"E[{n[0]},{n[1]}]"),
     st.tuples(small, small, small, small).map(lambda a: f"A[{a[0]},{a[1]};{a[2]},{a[3]}]"),
 )
-# At most 8 letters and no "^", so every word stays short.
+# At most 8 letters and no "^", so every word stays short; one letter may sit
+# in more levels of parentheses than the recursion limit allows.
 short_words = st.one_of(
     st.lists(letters, min_size=1, max_size=8).map("*".join),
     st.text(alphabet="EAPr123[],;*()-x ", max_size=12),
+    st.builds(lambda depth, letter: "(" * depth + letter + ")" * depth, st.integers(0, 3000), letters),
 )
 vectors = st.one_of(st.tuples(small, small).map(lambda v: f"{v[0]},{v[1]}"), st.text(alphabet="0123,-/ ", max_size=5))
 points = st.one_of(
@@ -231,6 +233,7 @@ points = st.one_of(
 @example("realize", f"A[{N},1;-1,0]^3*E", "id", "1,0", "0,0")
 @example("realize", f"E[{N},1]*E[1,{N}]", "id", "1,0", "0,0")
 @example("realize", f"E[{N},1]", "id", "1,0", "0,0")
+@example("equal", "E", "(" * 2000 + "E" + ")" * 2000, "1,0", "0,0")
 def test_word_commands_exit_cleanly(command, word, word2, vector, point):
     argv = ["word", command, word]
     if command == "equal":

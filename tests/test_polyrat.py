@@ -344,7 +344,8 @@ def test_format_zero_and_constants():
     assert format_poly(ONE + X) == "x + 1"
 
 
-@pytest.mark.parametrize("text", ["(1/0)*x", "x^y", "x^-1", "(1/-2)*x"])
+@pytest.mark.parametrize("text", ["(1/0)*x", "x^y", "x^-1", "(1/-2)*x", "", "x +", "+x", "2x", "x*2", "2*3",
+                                  "x y", "x*", "(1/2)x", "x^"])
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(PolyParseError):
         parse_poly(text)
@@ -354,6 +355,7 @@ def test_parse_ignores_surrounding_whitespace():
     assert parse_poly("x ") == X
     assert parse_poly(" x + 1\t") == X + ONE
     assert parse_ratfunc("(x + 1 ) / (y)") == rf(X + ONE, Y)
+    assert parse_poly(" ( - 3 / 4 ) * x ^ 2 * y ") == (X * X * Y).scale(Fraction(-3, 4))
 
 
 def test_parse_sums_repeated_monomials():

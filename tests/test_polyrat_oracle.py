@@ -124,7 +124,7 @@ def test_gcd_heuristic_candidate_has_no_zero_digits():
     h = {(1, 0): 1, (0, 2): 1}
     p = polyrat._ip_mul(h, {(1, 0): 1, (0, 0): 1})
     q = polyrat._ip_mul(h, {(1, 0): 1, (0, 0): -1})
-    assert polyrat._ip_heugcd(p, q)[0] == h
+    assert polyrat._heugcd(p, q) == h
 
 
 @ORACLE
@@ -157,12 +157,12 @@ def test_univariate_gcd_matches_sympy(a, b, h):
 
 
 def check_univariate_gcd(a, b, h):
+    # The gcd in Z[y] of two rows, integer content included.
     p, q = polyrat.univariate_mul(a, h), polyrat.univariate_mul(b, h)
-    g, cp, cq = polyrat.univariate_gcd(p, q)
+    g = polyrat._y_gcd([p, q])
     as_x = lambda d: Poly2({(i, 0): c for i, c in d.items()})
     expected = sympy.gcd(to_sympy(as_x(p)), to_sympy(as_x(q)))
     assert as_x(g) == from_sympy(expected if sympy.Poly(expected, SX).LC() > 0 else -expected)
-    assert polyrat.univariate_mul(g, cp) == p and polyrat.univariate_mul(g, cq) == q
 
 
 def test_gcd_prs_fallback_matches_sympy(monkeypatch):
@@ -188,29 +188,24 @@ def test_gcd_prs_fallback_matches_sympy(monkeypatch):
 @ORACLE
 @given(polys(2, 3, integral=True), polys(2, 3, integral=True), shared_factors())
 def test_gcd_forced_remainder_sequence_matches_sympy(a, b, h):
-    # Two-level GCDHEU gives up on every pair, so the remainder sequence
-    # decides; the second pass makes every univariate_gcd of a y-content
-    # give up too, so the sequence also runs on x-only dicts.
+    # GCDHEU gives up on every pair, so the remainder sequence decides, and
+    # it also takes the gcd of each y-content on x-only dicts.
     p, q = (a * h).terms, (b * h).terms
     expected = from_sympy(sympy.gcd(to_sympy(a * h), to_sympy(b * h)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyrat, "_ip_heugcd", lambda p, q: None)
-        for patch_eval in (False, True):
-            if patch_eval:
-                mp.setattr(polyrat, "_yp_eval", lambda p, xi: 0)
-            g, cp, cq = polyrat._ip_gcd(p, q)
-            assert same_up_to_scalar(Poly2(g), expected)
-            assert math.gcd(*g.values()) == 1 and g[max(g, key=lambda t: (t[0] + t[1], t[0]))] > 0
-            assert polyrat._ip_mul(g, cp) == p and polyrat._ip_mul(g, cq) == q
+        mp.setattr(polyrat, "_heugcd", lambda p, q: None)
+        g, cp, cq = polyrat._ip_gcd(p, q)
+    assert same_up_to_scalar(Poly2(g), expected)
+    assert math.gcd(*g.values()) == 1 and g[max(g, key=lambda t: (t[0] + t[1], t[0]))] > 0
+    assert polyrat._ip_mul(g, cp) == p and polyrat._ip_mul(g, cq) == q
 
 
 @ORACLE
 @given(univariates(), univariates(), univariates())
 def test_univariate_gcd_forced_remainder_sequence_matches_sympy(a, b, h):
-    # GCDHEU in Z[t] gives up at every evaluation, so the remainder
-    # sequence decides on the x-only dicts.
+    # GCDHEU gives up, so the remainder sequence decides on the x-only dicts.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyrat, "_yp_eval", lambda p, xi: 0)
+        mp.setattr(polyrat, "_heugcd", lambda p, q: None)
         check_univariate_gcd(a, b, h)
 
 
