@@ -8,7 +8,7 @@ is what the consistency checks exercise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .diagrams import visible_spheres
 from .surfaces import Surface, check_blowup_budget, numeric_invariants, toric_intersection_matrix
@@ -115,18 +115,17 @@ def check_counts(s: Surface) -> CountReport:
     )
 
 
+_KIND = {
+    SheafOnException: "sheaf_on_exception",
+    StructureSheaf: "structure_sheaf",
+    LineBundle: "line_bundle",
+    Meridian: "meridian",
+    Longitude: "longitude",
+}
+
+
 def _item_dict(item) -> dict:
-    if isinstance(item, SheafOnException):
-        return {"kind": "sheaf_on_exception", "ray_index": item.ray_index, "blowup_index": item.blowup_index}
-    if isinstance(item, StructureSheaf):
-        return {"kind": "structure_sheaf"}
-    if isinstance(item, LineBundle):
-        return {"kind": "line_bundle", "prefix_length": item.prefix_length}
-    if isinstance(item, Meridian):
-        return {"kind": "meridian", "ray_index": item.ray_index, "blowup_index": item.blowup_index}
-    if isinstance(item, Longitude):
-        return {"kind": "longitude", "index": item.index, "twist_vector": list(item.twist_vector)}
-    raise TypeError(f"unknown item {item!r}")
+    return {"kind": _KIND[type(item)], **asdict(item)}
 
 
 def collections_to_json(s: Surface) -> str:

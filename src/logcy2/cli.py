@@ -21,13 +21,7 @@ from . import birmap, catalog, diagrams, sampling, surfaces
 from .errors import DomainError, output
 from .polyrat import Poly2, RatFunc2, evaluate, normalize
 from .surfaces import InvalidSurfaceError, Surface, cubic_surface
-from .words import Word, WordSyntaxError, parse_word
-
-GRAMMAR = """word grammar:
-  word := term ("*" term)*
-  term := atom ("^" int)?
-  atom := "E" | "E[n1,n2]" | "A[a,b;c,d]" | "P" | "r1" | "r2" | "r3" | "id" | "(" word ")"
-A[a,b;c,d] acts by (x, y) -> (x^a y^c, x^b y^d); E[n1,n2] needs gcd(n1,n2) = 1."""
+from .words import GRAMMAR, Word, WordSyntaxError, parse_word
 
 # Faults of the input; any other exception is a library bug and propagates.
 DOMAIN_ERRORS = (

@@ -1,10 +1,11 @@
 """Almost-toric base diagrams and their moves.
 
 A diagram is a finite set of nodes in the plane.  Each node sits on a line
-through the origin (its eigenline), carries the unipotent monodromy fixing
-that line, and a branch cut along the eigenline: ``cut_sign * direction``
-is the direction of the cut ray, which either avoids the origin or passes
-through it.  Directions are stored sign-canonically (first nonzero
+through the origin (its eigenline) and carries a branch cut along it:
+``cut_sign * direction`` is the direction of the cut ray, which either
+avoids the origin or passes through it.  The node's monodromy, the
+unipotent map fixing the eigenline, is computed from the direction when it
+is used.  Directions are stored sign-canonically (first nonzero
 coordinate positive) so that equal geometric data serializes identically.
 
 ``diagram`` places one node at each point j*n, 1 <= j <= m_n, of a surface
@@ -80,7 +81,10 @@ class Node:
     position: Point
     direction: Vec
     cut_sign: int
-    monodromy: Mat
+
+    @property
+    def monodromy(self) -> Mat:
+        return monodromy_for(self.direction)
 
     def cut_vector(self) -> Vec:
         return (self.cut_sign * self.direction[0], self.cut_sign * self.direction[1])
@@ -94,7 +98,7 @@ def make_node(position: Point, direction: Vec, cut_sign: int) -> Node:
     direction, flip = canonical_direction(direction)
     if pos[0] * direction[1] - pos[1] * direction[0] != 0:
         raise OffEigenlineError(f"position {shown(pos)} not on line through {shown(direction)}")
-    return Node(pos, direction, cut_sign * flip, monodromy_for(direction))
+    return Node(pos, direction, cut_sign * flip)
 
 
 @dataclass(frozen=True)

@@ -329,12 +329,10 @@ def pl_inverse(p: PLMap) -> PLMap:
 def pl_elementary(n: Vec = (0, 1)) -> PLMap:
     """Tropicalization of the elementary map at ray n.
 
-    For n = (0, 1): identity on the closed right half-plane, the shear
-    (1,0;-1,1) on the left, so (-1, 0) goes to (-1, 1).  For general n,
-    the conjugate by the canonical complement matrix.
+    c^-1 * SHEAR_LEFT_UP * c on the sector [n, -n) and the identity on
+    [-n, n), where c is the canonical complement of n.  For n = (0, 1), c
+    is the identity: the shear (1,0;-1,1) on the left half-plane, so
+    (-1, 0) goes to (-1, 1).
     """
-    base = _canonical([((0, 1), SHEAR_LEFT_UP), ((0, -1), MAT_ID)])
-    if n == (0, 1):
-        return base
     c = complement_matrix(n)
-    return pl_compose(PLMap.linear(mat_inv(c)), pl_compose(base, PLMap.linear(c)))
+    return _canonical([(n, mat_mul(mat_inv(c), mat_mul(SHEAR_LEFT_UP, c))), (neg(n), MAT_ID)])

@@ -62,6 +62,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -976,6 +977,13 @@ class PolyParseError(ValueError):
     pass
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the int-to-text digit limit
+        raise PolyParseError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
+
+
 def parse_poly(text: str) -> Poly2:
     """The polynomial a text in the textual form stands for.
 
@@ -991,14 +999,14 @@ def parse_poly(text: str) -> Poly2:
         if m := _COEFF.fullmatch(factors[0]):
             whole, minus, numer, denom = m.groups()
             try:
-                c = Fraction(int(whole or numer) * (-1 if minus else 1), int(denom or 1))
+                c = Fraction(_int(whole or numer) * (-1 if minus else 1), _int(denom or "1"))
             except ZeroDivisionError:
                 raise PolyParseError("zero denominator in a coefficient") from None
             factors.pop(0)
         for factor in factors:
             if not (m := _POWER.fullmatch(factor)):
                 raise PolyParseError(f"malformed factor {factor!r}")
-            e = int(m[2] or 1)
+            e = _int(m[2] or "1")
             i, j = (i + e, j) if m[1] == "x" else (i, j + e)
         coeffs[(i, j)] = coeffs.get((i, j), 0) + c
     return Poly2(coeffs)

@@ -29,6 +29,7 @@ from .lattice import (
     Vec,
     angle_cmp,
     cross,
+    in_sector,
     is_primitive,
     mat_det,
     neg,
@@ -50,10 +51,8 @@ class RayAbsentError(DomainError, ValueError):
 
 # The most rays one ``insert_ray`` may add.  A corner blow-up adds the sum of
 # two adjacent rays, so a ray deep in a cone whose rays have entries near N
-# takes about N of them, and the loop is quadratic in the rays it adds.  On a
-# 2-core machine with CPython 3.11, one call adding 1000 rays takes about
-# 0.25 s, and ``resolve`` on one letter, which may insert four such rays, about
-# 1 s.
+# takes about N of them; each fan that many rays longer is a larger surface
+# for every later step of ``resolve`` to map and validate.
 RAY_BUDGET = 1000
 
 
@@ -282,27 +281,30 @@ def numeric_invariants(s: Surface) -> NumericInvariants:
 
 
 def insert_ray(s: Surface, v: Vec) -> Surface:
-    """Stellar-subdivide until v is a ray (corner blow-ups; new rays get m = 0)."""
+    """Stellar-subdivide until v is a ray (corner blow-ups; new rays get m = 0).
+
+    The rays added are the sums c = a + b of the cone (a, b) that holds v,
+    descending into (c, b) or (a, c), whichever holds v, until c = v.
+    """
     if not is_primitive(v):
         raise NonPrimitiveError(f"ray {v} is not primitive")
-    rays, m = list(s.rays), list(s.m)
-    added = 0
-    while v not in rays:
-        if added == RAY_BUDGET:
+    rays, k = s.rays, len(s.rays)
+    i = next(i for i in range(k) if in_sector(rays[i], rays[(i + 1) % k], v))
+    a, b = rays[i], rays[(i + 1) % k]
+    ccw: list[Vec] = []  # the added rays beside a, in ccw order
+    cw: list[Vec] = []  # the added rays beside b, in cw order
+    while a != v:
+        if len(ccw) + len(cw) == RAY_BUDGET:
             raise RayBudgetError(f"inserting ray {shown(v)} adds more than {RAY_BUDGET} rays")
-        added += 1
-        k = len(rays)
-        i = next(
-            i for i in range(k) if _in_cone(rays[i], rays[(i + 1) % k], v)
-        )
-        rays.insert(i + 1, vadd(rays[i], rays[(i + 1) % k]))
-        m.insert(i + 1, 0)
-    return Surface(tuple(rays), tuple(m))
-
-
-def _in_cone(a: Vec, b: Vec, v: Vec) -> bool:
-    """v strictly inside the smooth cone spanned by adjacent rays a, b."""
-    return cross(a, v) > 0 and cross(v, b) > 0
+        c = vadd(a, b)
+        if cross(c, v) >= 0:
+            ccw.append(c)
+            a = c
+        else:
+            cw.append(c)
+            b = c
+    added = tuple(ccw + cw[::-1])
+    return Surface(rays[: i + 1] + added + rays[i + 1 :], s.m[: i + 1] + (0,) * len(added) + s.m[i + 1 :])
 
 
 def interior_blowup(s: Surface, n: Vec) -> Surface:

@@ -11,12 +11,8 @@ boundary rays is by the *transpose* of the literal, so the parser stores
 ``Linear`` generators with the ray-action matrix (transposing once here keeps
 every downstream formula matrix-times-vector).
 
-Grammar (whitespace insignificant)::
-
-    word := term ("*" term)*
-    term := atom ("^" int)?                      at most MAX_POWER_LETTERS letters
-    atom := "E" | "E[" int "," int "]" | "A[" int "," int ";" int "," int "]"
-          | "P" | "r1" | "r2" | "r3" | "id" | "(" word ")"
+The text grammar is ``GRAMMAR`` below.  Whitespace may stand between any
+two tokens, and a power may expand to at most ``MAX_POWER_LETTERS`` letters.
 
 Named macros:
 
@@ -30,6 +26,8 @@ Named macros:
 from __future__ import annotations
 
 import re
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .lattice import (
@@ -147,44 +145,20 @@ class WordSyntaxError(ValueError):
 # The longest word a power in the grammar may expand to.
 MAX_POWER_LETTERS = 100_000
 
-_TOKEN = re.compile(r"\s*(E|A|P|r1|r2|r3|id|\[|\]|,|;|\*|\^|\(|\)|-?\d+)")
+GRAMMAR = """word grammar:
+  word := term ("*" term)*
+  term := atom ("^" int)?
+  atom := "E" | "E[n1,n2]" | "A[a,b;c,d]" | "P" | "r1" | "r2" | "r3" | "id" | "(" word ")"
+A[a,b;c,d] acts by (x, y) -> (x^a y^c, x^b y^d); E[n1,n2] needs gcd(n1,n2) = 1."""
 
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip() == "":
-                    break
-                raise WordSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            self.toks.append((m.group(1), m.start(1)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
-
-    def pos(self) -> int:
-        return self.toks[self.i][1] if self.i < len(self.toks) else -1
-
-    def take(self, expected: str | None = None) -> str:
-        if self.i >= len(self.toks):
-            raise WordSyntaxError("unexpected end of input", -1)
-        tok, pos = self.toks[self.i]
-        if expected is not None and tok != expected:
-            raise WordSyntaxError(f"expected {expected!r}, got {tok!r}", pos)
-        self.i += 1
-        return tok
-
-    def take_int(self) -> int:
-        tok = self.take()
-        try:
-            return int(tok)
-        except ValueError:
-            raise WordSyntaxError(f"expected integer, got {tok!r}", self.toks[self.i - 1][1])
+_INT = r"\s*(-?\d+)\s*"
+# One match per token: a whole E[n1,n2] or A[a,b;c,d] literal with its
+# integers, an integer, a name, a separator or parenthesis, or any other
+# character.  Whitespace matches nothing, so ``finditer`` skips it.
+_TOKEN = re.compile(
+    rf"(?P<literal>E\s*\[{_INT},{_INT}\]|A\s*\[{_INT},{_INT};{_INT},{_INT}\])"
+    r"|(?P<int>-?\d+)|\w+|[*^()]|(?P<other>\S)"
+)
 
 
 def _macro_words() -> dict[str, Word]:
@@ -197,90 +171,76 @@ def _macro_words() -> dict[str, Word]:
     return {"P": p, "r1": r1, "r2": r2, "r3": r3}
 
 
-_MACROS = _macro_words()
+# The letters of each named atom.
+_NAMED = {"E": E.letters, "id": (), **{name: w.letters for name, w in _macro_words().items()}}
 
 
-def _parse_atom(tk: _Tokens) -> Word:
-    t = tk.peek()
-    pos = tk.pos()
-    if t is None:
-        raise WordSyntaxError("unexpected end of input", -1)
-    if t == "(":
-        tk.take()
-        w = _parse_word(tk)
-        tk.take(")")
-        return w
-    if t == "id":
-        tk.take()
-        return Word()
-    if t in _MACROS:
-        tk.take()
-        return _MACROS[t]
-    if t == "E":
-        tk.take()
-        if tk.peek() == "[":
-            tk.take()
-            n1 = tk.take_int()
-            tk.take(",")
-            n2 = tk.take_int()
-            tk.take("]")
-            try:
-                return elementary((n1, n2))
-            except ValueError as exc:
-                raise WordSyntaxError(str(exc), pos) from exc
-        return E
-    if t == "A":
-        tk.take()
-        tk.take("[")
-        a = tk.take_int()
-        tk.take(",")
-        b = tk.take_int()
-        tk.take(";")
-        c = tk.take_int()
-        tk.take(",")
-        d = tk.take_int()
-        tk.take("]")
-        try:
-            return Word(((linear_from_literal(a, b, c, d), 1),))
-        except ValueError as exc:
-            raise WordSyntaxError(str(exc), pos) from exc
-    raise WordSyntaxError(f"unexpected token {t!r}", pos)
+def _unexpected(m: re.Match[str] | None, message: str) -> WordSyntaxError:
+    """The error for token ``m`` (None at the end of the text) where the grammar wants another."""
+    if m is None:
+        return WordSyntaxError("unexpected end of input", -1)
+    if m["other"] is not None:
+        message = "unexpected character"
+    return WordSyntaxError(f"{message} {m[0]!r}", m.start())
 
 
-def _parse_term(tk: _Tokens) -> Word:
-    w = _parse_atom(tk)
-    if tk.peek() == "^":
-        tk.take()
-        pos = tk.pos()
-        k = tk.take_int()
-        if len(w) * abs(k) > MAX_POWER_LETTERS:
-            raise WordSyntaxError(f"power has more than {MAX_POWER_LETTERS} letters", pos)
-        return w**k
-    return w
+def _to_int(m: re.Match[str], group: int | str) -> int:
+    try:
+        return int(m[group])
+    except ValueError:  # past the int-to-text digit limit
+        raise WordSyntaxError(f"integer has more than {sys.get_int_max_str_digits()} digits", m.start(group)) from None
 
 
-def _parse_word(tk: _Tokens) -> Word:
+def _literal(m: re.Match[str]) -> tuple[Letter, ...]:
+    """The letter of an ``E[n1,n2]`` or ``A[a,b;c,d]`` token."""
+    n = [_to_int(m, g) for g in range(2, 8) if m[g] is not None]
+    try:
+        return ((Elementary(tuple(n)) if len(n) == 2 else linear_from_literal(*n), 1),)
+    except ValueError as exc:
+        raise WordSyntaxError(str(exc), m.start()) from exc
+
+
+def _group(tokens: Iterator[re.Match[str]], close: str | None) -> Word:
+    """The word read up to ``close``: the ")" of a group, or None for the end of the text."""
     # One free reduction over all the terms' letters: reducing at each "*"
     # would re-reduce the whole prefix, quadratic in a long literal product.
-    letters = list(_parse_term(tk).letters)
-    while tk.peek() == "*":
-        tk.take()
-        letters += _parse_term(tk).letters
-    return Word(tuple(letters))
+    letters: list[Letter] = []
+    for m in tokens:
+        if m[0] == "(":
+            atom = _group(tokens, ")").letters
+        elif m["literal"] is not None:
+            atom = _literal(m)
+        elif m[0] in _NAMED:
+            atom = _NAMED[m[0]]
+        else:
+            raise _unexpected(m, "unexpected token")
+        m = next(tokens, None)
+        if m is not None and m[0] == "^":
+            m = next(tokens, None)
+            if m is None or m["int"] is None:
+                raise _unexpected(m, "expected integer, got")
+            k = _to_int(m, "int")
+            if len(atom) * abs(k) > MAX_POWER_LETTERS:
+                raise WordSyntaxError(f"power has more than {MAX_POWER_LETTERS} letters", m.start())
+            atom = (Word(atom) ** k).letters
+            m = next(tokens, None)
+        letters += atom
+        tok = m and m[0]  # None at the end of the text
+        if tok == close:
+            return Word(tuple(letters))
+        if tok != "*":
+            raise _unexpected(m, "trailing input" if close is None else "expected ')', got")
+    raise WordSyntaxError("unexpected end of input", -1)
 
 
 def parse_word(text: str) -> Word:
-    """Parse the grammar above into a freely reduced word."""
+    """Parse ``GRAMMAR`` into a freely reduced word."""
     if text.strip() == "":
         return Word()
-    tk = _Tokens(text)
     try:
-        w = _parse_word(tk)
-    except RecursionError:  # the parser recurses once per "("
-        raise WordSyntaxError("parentheses nested too deeply", tk.pos()) from None
-    if tk.peek() is not None:
-        raise WordSyntaxError(f"trailing input {tk.peek()!r}", tk.pos())
-    return w
+        return _group(_TOKEN.finditer(text), None)
+    except RecursionError:  # _group recurses once per "("
+        raise WordSyntaxError("parentheses nested too deeply", text.find("(")) from None
 
 
 def _letter_text(gen: Generator) -> str:

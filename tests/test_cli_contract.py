@@ -4,7 +4,8 @@
 
 Whatever the surface or diagram file, the words, the vector, the point and
 any extra arguments, ``cli.main`` exits 0, 1 or 2, and no exception other
-than argparse's ``SystemExit`` leaves it.  The surface and diagram files are valid, valid
+than argparse's ``SystemExit`` leaves it; a word command that exits 1
+prints nothing on stdout and one ``error:`` line on stderr.  The surface and diagram files are valid, valid
 with one part mutated, or hostile, some with ray entries whose products
 are past the int-to-text digit limit; a ``Surface`` validates itself when it
 is read, and the commands that consume it check nothing again.
@@ -99,12 +100,19 @@ def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("contract") / "input.json"
 
 
-def _exit_code(argv: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
-            return exc.code
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exit_code(argv: list[str]) -> int:
+    return _run(argv)[0]
 
 
 # A[N,...] and A[M,...] letters stay in explicit examples: ``insert_ray`` on the huge rays they
@@ -211,11 +219,17 @@ letters = st.one_of(
     st.tuples(small, small).map(lambda n: f"E[{n[0]},{n[1]}]"),
     st.tuples(small, small, small, small).map(lambda a: f"A[{a[0]},{a[1]};{a[2]},{a[3]}]"),
 )
-# At most 8 letters and no "^", so every word stays short; one letter may sit
-# in more levels of parentheses than the recursion limit allows.
+# Malformed literals and integers past the int-to-text digit limit.
+HUGE = "9" * 5000
+malformed = st.sampled_from(["E[1,", "E[1 2]", "A[1,1;0]", "A[1,1,0,1]", "E[]", "A", f"E[{HUGE},1]",
+                             f"A[1,0;0,{HUGE}]", HUGE, f"E^{HUGE}", f"E^-{HUGE}"])
+# At most 8 letters and no "^" but on a huge exponent, so every word stays
+# short; one letter may sit in more levels of parentheses than the recursion
+# limit allows.
 short_words = st.one_of(
     st.lists(letters, min_size=1, max_size=8).map("*".join),
-    st.text(alphabet="EAPr123[],;*()-x ", max_size=12),
+    st.lists(letters | malformed, min_size=1, max_size=4).map("*".join),
+    st.text(alphabet="EAPr123[],;*()-x \t", max_size=12),
     st.builds(lambda depth, letter: "(" * depth + letter + ")" * depth, st.integers(0, 3000), letters),
 )
 vectors = st.one_of(st.tuples(small, small).map(lambda v: f"{v[0]},{v[1]}"), st.text(alphabet="0123,-/ ", max_size=5))
@@ -242,7 +256,10 @@ def test_word_commands_exit_cleanly(command, word, word2, vector, point):
         argv.append(f"--vector={vector}")
     elif command == "eval":
         argv.append(f"--point={point}")
-    assert _exit_code(argv) in (0, 1, 2)
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2)
+    if code == 1:  # a domain error: no output, one error line
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- demo and verify -----------------------------------------------------------

@@ -345,7 +345,11 @@ def test_format_zero_and_constants():
 
 
 @pytest.mark.parametrize("text", ["(1/0)*x", "x^y", "x^-1", "(1/-2)*x", "", "x +", "+x", "2x", "x*2", "2*3",
-                                  "x y", "x*", "(1/2)x", "x^"])
+                                  "x y", "x*", "(1/2)x", "x^",
+                                  # integers past the int-to-text digit limit
+                                  pytest.param("9" * 5000, id="huge-coefficient"),
+                                  pytest.param("x^" + "9" * 5000, id="huge-exponent"),
+                                  pytest.param("(1/" + "9" * 5000 + ")*x", id="huge-denominator")])
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(PolyParseError):
         parse_poly(text)

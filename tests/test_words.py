@@ -153,3 +153,29 @@ def test_text_roundtrip_property(w):
 def test_power_text_roundtrip_property(w, k):
     assert parse_word(f"({word_to_text(w)})^{k}") == w**k
     assert parse_word(word_to_text(w**k)) == w**k
+
+
+def test_syntax_error_points_at_the_token_after_whitespace():
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("E^ x")
+    assert err.value.position == 3
+    assert "'x'" in str(err.value)
+
+
+BIG = "9" * 5000
+TOKENS = ["E", "A", "P", "r1", "r2", "r3", "id", "x", "_", "-", "[", "]", ",", ";", "*", "^", "(", ")",
+          "1", "-1", "0", "2", "١٢", BIG, " ", "\t", "\n", " ",
+          "E[1,0]", "E [ 2 , 1 ]", "A[0,1;1,0]", "A[1,\t1; 0,1]", "E[2,4]", "A[1,2;3,4]",
+          "E[1,", "A[1,1;0]", "E[" + BIG + ",1]", "A[1,0;0," + BIG + "]"]
+
+
+@given(st.lists(st.sampled_from(TOKENS), max_size=12).map("".join))
+def test_rejections_point_at_a_token(text):
+    try:
+        parse_word(text)
+    except WordSyntaxError as err:
+        assert err.position == -1 or not text[err.position].isspace()
+
+
+def test_nesting_costs_one_frame_per_level():
+    assert parse_word("(" * 400 + "E" + ")" * 400) == E
