@@ -279,9 +279,14 @@ def _lam_pow(base_num, base_den, k: int):
     if k < 0:
         base_num, base_den, k = base_den, base_num, -k
     num = den = {0: 1}
-    for _ in range(k):
-        num = univariate_mul(num, base_num)
-        den = univariate_mul(den, base_den)
+    while k:  # square and multiply: O(log k) products, and two for k = 1
+        if k & 1:
+            num = univariate_mul(num, base_num)
+            den = univariate_mul(den, base_den)
+        k >>= 1
+        if k:
+            base_num = univariate_mul(base_num, base_num)
+            base_den = univariate_mul(base_den, base_den)
     return num, den
 
 

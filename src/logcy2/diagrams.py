@@ -14,8 +14,8 @@ eigenline; a cut transfer flips a node's cut to the opposite ray and
 re-charts one open half-plane by the node's monodromy (the inverse
 monodromy when the cut leaves the origin, the monodromy itself when it
 returns, making the two transfers exactly inverse).  ``elementary_move``
-chains the slides and the transfer into the base-diagram mirror of an
-elementary transformation, and is tested against the surface pushforward.
+steps one line's nodes in one pass and transfers one cut: the base-diagram
+mirror of an elementary transformation, tested against the pushforward.
 """
 
 from __future__ import annotations
@@ -233,40 +233,40 @@ def _scaled(n: Vec, t: int) -> Point:
     return (Fraction(t * n[0]), Fraction(t * n[1]))
 
 
+def _step_line(d: BaseDiagram, n: Vec, step: int) -> BaseDiagram:
+    """Move each node at t*n to (t + step)*n, over the origin, as the slides of a standard line would."""
+    nodes = []
+    for node in d.nodes:
+        if node.position[0] * n[1] - node.position[1] * n[0] == 0:
+            t = _line_coordinate(node.position, n) + step
+            node = Node(_scaled(n, t or step), node.direction, node.cut_sign)  # t = 0 is the origin: step over it
+        nodes.append(node)
+    return BaseDiagram(tuple(nodes))
+
+
 def elementary_move(d: BaseDiagram, n: Vec) -> BaseDiagram:
     """The base-diagram mirror of the elementary transformation at ray n.
 
-    Slides the -n side outward (outermost first), slides the node at n
-    through the origin to -n, slides the n side inward (innermost first),
-    then transfers the cut of the node now at -n.  Matches
+    Steps the line's nodes once toward -n (the node at n over the origin)
+    and transfers the cut of the node now at -n.  Matches
     ``diagram(pushforward(E_n, s))`` whenever d = diagram(s) and the
     pushforward is regular.
     """
     require_primitive(n)
-    a, b = _line_profile(d, n)
+    a, _ = _line_profile(d, n)
     if a < 1:
         raise PreconditionFailedError(f"no node at {shown(n)} to move")
-    for j in range(b, 0, -1):
-        d = nodal_slide(d, d.node_at(_scaled(n, -j)), _scaled(n, -(j + 1)))
-    d = nodal_slide(d, d.node_at(_scaled(n, 1)), _scaled(n, -1))
-    for j in range(2, a + 1):
-        d = nodal_slide(d, d.node_at(_scaled(n, j)), _scaled(n, j - 1))
+    d = _step_line(d, n, -1)
     return cut_transfer(d, d.node_at(_scaled(n, -1)))
 
 
 def elementary_move_inverse(d: BaseDiagram, n: Vec) -> BaseDiagram:
     """Exact inverse of :func:`elementary_move` at the same ray."""
     require_primitive(n)
-    a, b = _line_profile(d, n)
+    _, b = _line_profile(d, n)
     if b < 1:
         raise PreconditionFailedError(f"no node at {shown(neg(n))} to move back")
-    d = cut_transfer(d, d.node_at(_scaled(n, -1)))
-    for j in range(a, 0, -1):
-        d = nodal_slide(d, d.node_at(_scaled(n, j)), _scaled(n, j + 1))
-    d = nodal_slide(d, d.node_at(_scaled(n, -1)), _scaled(n, 1))
-    for j in range(1, b):
-        d = nodal_slide(d, d.node_at(_scaled(n, -(j + 1))), _scaled(n, -j))
-    return d
+    return _step_line(cut_transfer(d, d.node_at(_scaled(n, -1))), n, 1)
 
 
 def visible_spheres(s: Surface) -> list[tuple[Vec, Vec]]:

@@ -320,8 +320,10 @@ def pl_inverse(p: PLMap) -> PLMap:
         return PLMap.linear(mat_inv(p.mats[0]))
     pairs = []
     k = len(p.rays)
+    # A det -1 piece maps its sector [r_i, r_i+1) onto the sector that starts at the image of r_i+1.
+    shift = 1 if mat_det(p.mats[0]) < 0 else 0
     for i in range(k):
-        image_ray = primitive_part(mat_vec(p.mats[i], p.rays[i]))
+        image_ray = primitive_part(mat_vec(p.mats[i], p.rays[(i + shift) % k]))
         pairs.append((image_ray, mat_inv(p.mats[i])))
     return _canonical(pairs)
 

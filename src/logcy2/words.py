@@ -116,7 +116,7 @@ class Word:
 
 def linear_from_literal(a: int, b: int, c: int, d: int) -> Linear:
     """Generator for the grammar literal A[a,b;c,d], i.e. (x,y) -> (x^a y^c, x^b y^d)."""
-    return Linear(mat_transpose(((a, b), (c, d))))
+    return Linear(mat_transpose(require_unimodular(((a, b), (c, d)))))  # an error names the literal as written
 
 
 def literal_of_linear(gen: Linear) -> tuple[int, int, int, int]:
@@ -176,12 +176,16 @@ _NAMED = {"E": E.letters, "id": (), **{name: w.letters for name, w in _macro_wor
 
 
 def _unexpected(m: re.Match[str] | None, message: str) -> WordSyntaxError:
-    """The error for token ``m`` (None at the end of the text) where the grammar wants another."""
+    """The error for token ``m`` (None at the end of the text) where the grammar wants another.
+
+    A token longer than 40 characters is quoted by its first 40 and "...".
+    """
     if m is None:
         return WordSyntaxError("unexpected end of input", -1)
     if m["other"] is not None:
         message = "unexpected character"
-    return WordSyntaxError(f"{message} {m[0]!r}", m.start())
+    tail = "..." if len(m[0]) > 40 else ""
+    return WordSyntaxError(f"{message} {m[0][:40]!r}{tail}", m.start())
 
 
 def _to_int(m: re.Match[str], group: int | str) -> int:

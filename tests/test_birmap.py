@@ -506,6 +506,22 @@ def test_boundary_limit_folds_in_the_contents(monkeypatch):
     assert (act.ray, act.coeff, act.exponent) == ((1, 1), 6, 1)
 
 
+def test_boundary_limit_raises_lambda_by_squaring(monkeypatch):
+    # A[2,1;1,1]^12 sends (1, 0) to (75025, 46368): lambda is raised to
+    # powers that large, which one product per power took 242788 products to do.
+    from logcy2 import birmap
+
+    calls = []
+    product = birmap.univariate_mul
+    monkeypatch.setattr(birmap, "univariate_mul", lambda a, b: calls.append(1) or product(a, b))
+    act = boundary_limit(parse_word("A[2,1;1,1]^12"), (1, 0))
+    assert act.ray == (75025, 46368) and act.exponent in (1, -1)
+    assert len(calls) < 200
+    calls.clear()
+    boundary_limit(parse_word("E"), (-1, 0))  # powers 1 and -1 need no squaring
+    assert len(calls) == 6  # two per power and two to combine them
+
+
 def test_lam_reduce_reads_a_monomial_ratio():
     # (-3/2 lam^2 + 3 lam^-1) / (lam^-1 - 2 lam^-4) is -3/2 lam^3.
     num = {2: Fraction(-3, 2), -1: 3}

@@ -206,6 +206,9 @@ diagram_texts = st.one_of(
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(diagram_texts, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
 @example('{"nodes": [{"position": ["1e10000000", "0"], "direction": [1, 0], "cut_sign": 1}]}', (1, 0))
+# 2000 nodes on one ray: the move relabels the line once, not one slide per node.
+@example(json.dumps({"nodes": [{"position": [str(t), "0"], "direction": [1, 0], "cut_sign": 1} for t in range(1, 2001)]}),
+         (1, 0))
 def test_atf_move_exits_cleanly(input_path, text, n):
     input_path.write_text(text, encoding="utf-8")
     assert _exit_code(["atf", "move", str(input_path), f"--elementary={n[0]},{n[1]}"]) in (0, 1, 2)

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -25,8 +26,8 @@ from logcy2.diagrams import (
     visible_spheres,
 )
 from logcy2.errors import DigitLimitError
-from logcy2.lattice import mat_vec
-from logcy2.sampling import random_elementary_setup, random_surface, random_unimodular
+from logcy2.lattice import mat_vec, neg, require_primitive
+from logcy2.sampling import random_elementary_setup, random_primitive, random_surface, random_unimodular
 from logcy2.surfaces import cubic_surface, interior_blowup, p1xp1, p2, pushforward
 from logcy2.words import Elementary, Linear, Word
 
@@ -193,6 +194,134 @@ def test_moves_preserve_node_count(srng):
         d = diagram(s)
         out = elementary_move(d, n)
         assert len(out.nodes) == len(d.nodes)
+
+
+# The moves as chains of nodal slides, one slide per node of the line: the
+# reference for the single relabelling in ``diagrams._step_line``.
+
+
+def _move_by_slides(d: BaseDiagram, n) -> BaseDiagram:
+    require_primitive(n)
+    a, b = diagrams._line_profile(d, n)
+    if a < 1:
+        raise PreconditionFailedError(f"no node at {diagrams.shown(n)} to move")
+    scaled = diagrams._scaled
+    for j in range(b, 0, -1):
+        d = nodal_slide(d, d.node_at(scaled(n, -j)), scaled(n, -(j + 1)))
+    d = nodal_slide(d, d.node_at(scaled(n, 1)), scaled(n, -1))
+    for j in range(2, a + 1):
+        d = nodal_slide(d, d.node_at(scaled(n, j)), scaled(n, j - 1))
+    return cut_transfer(d, d.node_at(scaled(n, -1)))
+
+
+def _move_inverse_by_slides(d: BaseDiagram, n) -> BaseDiagram:
+    require_primitive(n)
+    a, b = diagrams._line_profile(d, n)
+    if b < 1:
+        raise PreconditionFailedError(f"no node at {diagrams.shown(neg(n))} to move back")
+    scaled = diagrams._scaled
+    d = cut_transfer(d, d.node_at(scaled(n, -1)))
+    for j in range(a, 0, -1):
+        d = nodal_slide(d, d.node_at(scaled(n, j)), scaled(n, j + 1))
+    d = nodal_slide(d, d.node_at(scaled(n, -1)), scaled(n, 1))
+    for j in range(1, b):
+        d = nodal_slide(d, d.node_at(scaled(n, -(j + 1))), scaled(n, -j))
+    return d
+
+
+def _random_ray(rng: random.Random, d: BaseDiagram):
+    """Mostly a node's direction, either sign; sometimes any small primitive vector."""
+    if d.nodes and rng.random() < 0.8:
+        v = rng.choice(d.nodes).direction
+        return v if rng.random() < 0.5 else neg(v)
+    return random_primitive(rng, 3)
+
+
+def _random_diagram(rng: random.Random) -> BaseDiagram:
+    """A random surface's diagram after a few linear maps, cut transfers and moves."""
+    d = diagram(random_surface(rng, extra_rays=3, blowups=6))
+    for _ in range(rng.randint(0, 3)):
+        op = rng.random()
+        try:
+            if op < 0.2:
+                d = apply_linear(d, random_unimodular(rng))
+            elif op < 0.3 and d.nodes:
+                d = cut_transfer(d, rng.randrange(len(d.nodes)))
+            else:
+                d = rng.choice([_move_by_slides, _move_inverse_by_slides])(d, _random_ray(rng, d))
+        except PreconditionFailedError:
+            pass
+    return d
+
+
+def _outcome(move, d: BaseDiagram, n):
+    """The JSON of the moved diagram, or the type and text of what the move raised."""
+    try:
+        return to_json(move(d, n))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_moves_match_the_slide_chains(srng):
+    moved = 0
+    for _ in range(400):
+        d = _random_diagram(srng)
+        n = _random_ray(srng, d)
+        for move, reference in ((elementary_move, _move_by_slides), (elementary_move_inverse, _move_inverse_by_slides)):
+            got = _outcome(move, d, n)
+            assert got == _outcome(reference, d, n)
+            moved += isinstance(got, str)
+    assert moved >= 100  # the draws reach successful moves, not only preconditions
+
+
+def _line(a: int, b: int) -> BaseDiagram:
+    """a nodes at (1, 0), .., (a, 0) and b at (-1, 0), .., (-b, 0), cut away from the origin, plus two off the line."""
+    nodes = [make_node((F(t), F(0)), (1, 0), 1 if t > 0 else -1) for t in [*range(1, a + 1), *range(-b, 0)]]
+    nodes += [make_node((F(0), F(1)), (0, 1), 1), make_node((F(-1), F(-1)), (1, 1), -1)]
+    return BaseDiagram(tuple(nodes))
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (0, 1), (3, 2), (1, 7), (12, 9)])
+def test_moves_on_lines_match_the_slide_chains_and_round_trip(a, b):
+    d = _line(a, b)
+    for move, reference in ((elementary_move, _move_by_slides), (elementary_move_inverse, _move_inverse_by_slides)):
+        assert _outcome(move, d, (1, 0)) == _outcome(reference, d, (1, 0))
+        assert _outcome(move, d, (-1, 0)) == _outcome(reference, d, (-1, 0))
+    if a:
+        assert elementary_move_inverse(elementary_move(d, (1, 0)), (1, 0)) == d
+    if b:
+        assert elementary_move(elementary_move_inverse(d, (1, 0)), (1, 0)) == d
+
+
+def test_a_move_builds_two_diagrams_whatever_the_line(monkeypatch):
+    d = _line(50, 50)
+    built = []
+
+    def spy(nodes=()):
+        built.append(len(nodes))
+        return BaseDiagram(nodes)
+
+    monkeypatch.setattr(diagrams, "BaseDiagram", spy)
+    moved = elementary_move(d, (1, 0))
+    assert len(built) <= 2  # the slide chain builds a + b + 1 = 101
+    built.clear()
+    assert elementary_move_inverse(moved, (1, 0)) == d
+    assert len(built) <= 2
+
+
+def test_inverse_move_is_the_move_at_minus_n_recharted(srng):
+    both = 0
+    for _ in range(400):
+        d = _random_diagram(srng)
+        n = _random_ray(srng, d)
+        try:
+            want = apply_linear(elementary_move(d, neg(n)), monodromy_for(n))
+            got = elementary_move_inverse(d, n)
+        except PreconditionFailedError:
+            continue
+        assert got == want
+        both += 1
+    assert both >= 50
 
 
 def test_visible_spheres():

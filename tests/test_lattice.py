@@ -121,11 +121,15 @@ def test_compose_associates_pointwise(srng):
 
 def test_bijection_via_inverse(srng):
     m = pl_compose(pl_elementary((1, 1)), pl_compose(PLMap.linear(((1, 1), (0, 1))), pl_elementary()))
-    inv = pl_inverse(m)
-    for _ in range(100):
-        v = (srng.randint(-30, 30), srng.randint(-30, 30))
-        assert pl_apply(inv, pl_apply(m, v)) == v
-        assert pl_apply(m, pl_apply(inv, v)) == v
+    # The det -1 map sends each piece's sector onto one that starts at the image of its end ray.
+    swapped = pl_compose(PLMap.linear(((0, 1), (1, 0))), m)
+    assert pl_apply(pl_inverse(swapped), pl_apply(swapped, (1, 0))) == (1, 0)
+    for p in (m, swapped):
+        inv = pl_inverse(p)
+        for _ in range(100):
+            v = (srng.randint(-30, 30), srng.randint(-30, 30))
+            assert pl_apply(inv, pl_apply(p, v)) == v
+            assert pl_apply(p, pl_apply(inv, v)) == v
 
 
 def test_validate_catches_discontinuity():

@@ -95,8 +95,18 @@ def test_syntax_error_reports_position():
 
 
 def test_nonunimodular_literal_rejected():
-    with pytest.raises(WordSyntaxError):
+    with pytest.raises(WordSyntaxError) as err:
         parse_word("A[1,2;3,4]")
+    assert str(err.value) == "matrix ((1, 2), (3, 4)) has determinant -2 (at position 0)"  # as written
+
+
+def test_syntax_error_quotes_a_prefix_of_a_long_token():
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("x" * 100000)
+    assert str(err.value) == "unexpected token '" + "x" * 40 + "'... (at position 0)"
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word("E * *")
+    assert str(err.value) == "unexpected token '*' (at position 4)"
 
 
 def test_imprimitive_elementary_rejected():
