@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 
+from .errors import Value
 from .lattice import (
     MAT_ID,
     Mat,
@@ -67,17 +67,23 @@ class NonGenericArcError(ArithmeticError):
     """A boundary-limit leading coefficient failed to be a monomial in lambda."""
 
 
-@dataclass(frozen=True)
-class BirationalMap:
+class BirationalMap(Value):
     """A pair of reduced rational functions: the semantic group element.
 
-    ``steps``, which ``==`` and ``hash`` ignore, build the map from the
-    identity by ``polyrat.pullback``; None for a map given by f and g alone.
+    ``steps``, which ``==``, ``hash`` and ``repr`` ignore, build the map from
+    the identity by ``polyrat.pullback``; None for a map given by f and g alone.
     """
 
+    __slots__ = ("f", "g", "steps")
+    _fields = ("f", "g")
     f: RatFunc2
     g: RatFunc2
-    steps: tuple[Mat | int, ...] | None = field(default=None, compare=False, repr=False)
+    steps: tuple[Mat | int, ...] | None
+
+    def __init__(self, f: RatFunc2, g: RatFunc2, steps: tuple[Mat | int, ...] | None = None) -> None:
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "steps", steps)
 
     def __str__(self) -> str:
         return f"({self.f}, {self.g})"
@@ -229,10 +235,10 @@ def tropical_image(w: Word, v: Vec) -> Vec:
 # --- boundary limits ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryAction:
+class BoundaryAction(Value):
     """Image ray plus the induced boundary-coordinate map lambda -> c lambda^e."""
 
+    __slots__ = ("ray", "coeff", "exponent")
     ray: Vec
     coeff: Fraction
     exponent: int

@@ -8,43 +8,42 @@ is what the consistency checks exercise.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 
 from .diagrams import visible_spheres
+from .errors import Value
 from .surfaces import Surface, check_blowup_budget, numeric_invariants, toric_intersection_matrix
 
 
-@dataclass(frozen=True)
-class SheafOnException:
+class SheafOnException(Value):
     """Twisted sheaf on the j-th exceptional curve over boundary component i."""
 
+    __slots__ = ("ray_index", "blowup_index")
     ray_index: int  # 1-based, in the stored ccw ray order
     blowup_index: int  # 1-based, 1 <= j <= m_i
 
 
-@dataclass(frozen=True)
-class StructureSheaf:
-    pass
+class StructureSheaf(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LineBundle:
+class LineBundle(Value):
     """Pullback of the sum of the first ``prefix_length`` boundary divisors."""
 
+    __slots__ = ("prefix_length",)
     prefix_length: int
 
 
 ExceptionalItem = SheafOnException | StructureSheaf | LineBundle
 
 
-@dataclass(frozen=True)
-class Meridian:
+class Meridian(Value):
+    __slots__ = ("ray_index", "blowup_index")
     ray_index: int
     blowup_index: int
 
 
-@dataclass(frozen=True)
-class Longitude:
+class Longitude(Value):
+    __slots__ = ("index", "twist_vector")
     index: int
     twist_vector: tuple[int, ...]
 
@@ -86,8 +85,8 @@ def vanishing_cycles(s: Surface) -> list[VanishingCycleItem]:
     return items
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Value):
+    __slots__ = ("exceptional_count", "vanishing_count", "chi_y", "sphere_count", "expected_spheres")
     exceptional_count: int
     vanishing_count: int
     chi_y: int
@@ -107,11 +106,11 @@ def check_counts(s: Surface) -> CountReport:
     """Collection lengths against chi(Y); sphere count against sum of (m-1)+."""
     inv = numeric_invariants(s)
     return CountReport(
-        exceptional_count=len(exceptional_collection(s)),
-        vanishing_count=len(vanishing_cycles(s)),
-        chi_y=inv.chi_y,
-        sphere_count=len(visible_spheres(s)),
-        expected_spheres=sum(max(m - 1, 0) for m in s.m),
+        len(exceptional_collection(s)),
+        len(vanishing_cycles(s)),
+        inv.chi_y,
+        len(visible_spheres(s)),
+        sum(max(m - 1, 0) for m in s.m),
     )
 
 
@@ -125,7 +124,7 @@ _KIND = {
 
 
 def _item_dict(item) -> dict:
-    return {"kind": _KIND[type(item)], **asdict(item)}
+    return {"kind": _KIND[type(item)], **{name: getattr(item, name) for name in item.__slots__}}
 
 
 def collections_to_json(s: Surface) -> str:

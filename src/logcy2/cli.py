@@ -11,7 +11,6 @@ the library and propagates.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -163,7 +162,7 @@ def cmd_atf_move(args) -> int:
 
 def cmd_hms_counts(args) -> int:
     report = catalog.check_counts(_load_surface(args.file))
-    print(json.dumps({**dataclasses.asdict(report), "ok": report.ok}))
+    print(json.dumps({**{name: getattr(report, name) for name in report.__slots__}, "ok": report.ok}))
     return 0 if report.ok else 1
 
 

@@ -21,7 +21,6 @@ mirror of an elementary transformation, tested against the pushforward.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
@@ -36,7 +35,7 @@ from .lattice import (
     require_primitive,
     require_unimodular,
 )
-from .errors import DomainError, output, shown
+from .errors import DomainError, Value, output, shown
 from .surfaces import Surface, check_blowup_budget
 
 Point = tuple[Fraction, Fraction]
@@ -76,11 +75,19 @@ def canonical_direction(v: Vec) -> tuple[Vec, int]:
     return (-v[0], -v[1]), -1
 
 
-@dataclass(frozen=True, order=True)
-class Node:
+class Node(Value):
+    """Ordered by (position, direction, cut_sign), as ``BaseDiagram`` sorts its nodes."""
+
+    __slots__ = ("position", "direction", "cut_sign")
     position: Point
     direction: Vec
     cut_sign: int
+
+    def __lt__(self, other):  # with __le__, reflection gives > and >=
+        return self._key(self) < other._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self._key(self) <= other._key(other) if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def monodromy(self) -> Mat:
@@ -101,14 +108,14 @@ def make_node(position: Point, direction: Vec, cut_sign: int) -> Node:
     return Node(pos, direction, cut_sign * flip)
 
 
-@dataclass(frozen=True)
-class BaseDiagram:
+class BaseDiagram(Value):
     """Nodes, kept sorted so equal diagrams compare and serialize equal."""
 
-    nodes: tuple[Node, ...] = ()
+    __slots__ = ("nodes",)
+    nodes: tuple[Node, ...]
 
-    def __post_init__(self) -> None:
-        nodes = tuple(sorted(self.nodes))
+    def __init__(self, nodes: tuple[Node, ...] = ()) -> None:
+        nodes = tuple(sorted(nodes))
         positions = [n.position for n in nodes]
         if len(set(positions)) != len(positions):
             raise InvalidDiagramError("two nodes share a position")

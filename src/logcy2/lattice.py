@@ -13,10 +13,9 @@ carried to by a birational map of the torus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .errors import DomainError
+from .errors import DomainError, Value, cut
 
 Vec = tuple[int, int]
 Mat = tuple[tuple[int, int], tuple[int, int]]
@@ -44,7 +43,7 @@ def is_primitive(v: Vec) -> bool:
 
 def require_primitive(v: Vec) -> Vec:
     if not is_primitive(v):
-        raise NonPrimitiveError(f"vector {v} is not primitive")
+        raise NonPrimitiveError(f"vector {cut(v)} is not primitive")
     return v
 
 
@@ -80,7 +79,7 @@ def mat_det(m: Mat) -> int:
 
 def require_unimodular(m: Mat) -> Mat:
     if mat_det(m) not in (1, -1):
-        raise NonUnimodularError(f"matrix {m} has determinant {mat_det(m)}")
+        raise NonUnimodularError(f"matrix {cut(m)} has determinant {cut(mat_det(m))}")
     return m
 
 
@@ -99,7 +98,7 @@ def mat_inv(m: Mat) -> Mat:
     """Exact inverse of a unimodular matrix (1/det = det)."""
     d = mat_det(m)
     if d not in (1, -1):
-        raise NonUnimodularError(f"matrix {m} has determinant {d}")
+        raise NonUnimodularError(f"matrix {cut(m)} has determinant {cut(d)}")
     return ((m[1][1] * d, -m[0][1] * d), (-m[1][0] * d, m[0][0] * d))
 
 
@@ -187,8 +186,7 @@ def in_sector(a: Vec, b: Vec, v: Vec) -> bool:
     return kv < kb
 
 
-@dataclass(frozen=True)
-class PLMap:
+class PLMap(Value):
     """Piecewise-linear self-map of the plane.
 
     ``rays`` is a ccw-ordered tuple of primitive boundary rays; piece i is the
@@ -197,15 +195,18 @@ class PLMap:
     Continuity: consecutive matrices agree on the shared boundary ray.
     """
 
+    __slots__ = ("rays", "mats")
     rays: tuple[Vec, ...]
     mats: tuple[Mat, ...]
 
-    def __post_init__(self) -> None:
-        if self.rays:
-            if len(self.rays) < 2 or len(self.rays) != len(self.mats):
+    def __init__(self, rays: tuple[Vec, ...], mats: tuple[Mat, ...]) -> None:
+        if rays:
+            if len(rays) < 2 or len(rays) != len(mats):
                 raise ValueError("piece count mismatch")
-        elif len(self.mats) != 1:
+        elif len(mats) != 1:
             raise ValueError("linear map must carry exactly one matrix")
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "mats", mats)
 
     @staticmethod
     def linear(m: Mat) -> "PLMap":

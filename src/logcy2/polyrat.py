@@ -63,10 +63,9 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, shown
+from .errors import DomainError, Value, shown
 
 Term = tuple[int, int]
 
@@ -556,14 +555,14 @@ class PoleAtPointError(DomainError, ZeroDivisionError):
     pass
 
 
-@dataclass(frozen=True)
-class RatFunc2:
+class RatFunc2(Value):
     """Reduced fraction of bivariate polynomials, denominator grlex-monic.
 
     Use :func:`normalize` (or the arithmetic operators) to construct values;
     the constructor trusts its inputs.
     """
 
+    __slots__ = ("num", "den")
     num: Poly2
     den: Poly2
 

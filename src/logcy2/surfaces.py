@@ -19,11 +19,10 @@ that exists is valid, so no operation validates its arguments again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .birmap import letter_trop
-from .errors import DomainError, output, shown
+from .errors import DomainError, Value, output, shown
 from .lattice import (
     NonPrimitiveError,
     Vec,
@@ -85,20 +84,20 @@ class NotRegularError(DomainError, ValueError):
         self.ray = ray
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(Value):
     """Fan rays (ccw, starting at the lexicographically least ray) plus multiplicities.
 
     A surface validates itself once, when it is constructed, after rotating
     its rays: ``InvalidSurfaceError`` lists every violation ``validate`` finds.
     """
 
+    __slots__ = ("rays", "m")
     rays: tuple[Vec, ...]
     m: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        rays = tuple(tuple(r) for r in self.rays)
-        m = tuple(self.m)
+    def __init__(self, rays: tuple[Vec, ...], m: tuple[int, ...]) -> None:
+        rays = tuple(tuple(r) for r in rays)
+        m = tuple(m)
         if rays and len(rays) == len(m):
             start = rays.index(min(rays))
             rays = rays[start:] + rays[:start]

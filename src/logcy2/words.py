@@ -28,8 +28,8 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from .errors import Value
 from .lattice import (
     Mat,
     Vec,
@@ -40,18 +40,17 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(Value):
     """Monomial map with ray action by ``mat`` (mat applies to column vectors)."""
 
+    __slots__ = ("mat",)
     mat: Mat
 
-    def __post_init__(self) -> None:
-        require_unimodular(self.mat)
+    def __init__(self, mat: Mat) -> None:
+        object.__setattr__(self, "mat", require_unimodular(mat))
 
 
-@dataclass(frozen=True)
-class Elementary:
+class Elementary(Value):
     """Elementary transformation at the primitive ray ``n``.
 
     ``Elementary((0, 1))`` is the basic cluster map E; general n is its
@@ -59,10 +58,11 @@ class Elementary:
     blow-up from ray n to ray -n.
     """
 
+    __slots__ = ("n",)
     n: Vec
 
-    def __post_init__(self) -> None:
-        require_primitive(self.n)
+    def __init__(self, n: Vec) -> None:
+        object.__setattr__(self, "n", require_primitive(n))
 
 
 Generator = Linear | Elementary
@@ -75,15 +75,15 @@ def _inverse_letter(letter: Letter) -> Letter:
     return (gen, -e)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """Freely reduced word; adjacent (g, +1)(g, -1) pairs cancel on construction."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+    letters: tuple[Letter, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, letters: tuple[Letter, ...] = ()) -> None:
         reduced: list[Letter] = []
-        for gen, e in self.letters:
+        for gen, e in letters:
             if e not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {e}")
             if reduced and reduced[-1][0] == gen and reduced[-1][1] == -e:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from logcy2.lattice import (
     MAT_ID,
     NonPrimitiveError,
+    NonUnimodularError,
     PLMap,
     complement_matrix,
     cross,
@@ -18,6 +20,8 @@ from logcy2.lattice import (
     pl_elementary,
     pl_inverse,
     pl_validate,
+    require_primitive,
+    require_unimodular,
 )
 
 primitive_vectors = st.tuples(
@@ -40,6 +44,17 @@ def test_complement_rejects_imprimitive():
     with pytest.raises(NonPrimitiveError):
         complement_matrix((0, 0))
 
+
+
+def test_errors_quote_integers_past_the_digit_limit_by_a_stand_in():
+    huge = 10**5000  # str() refuses it
+    stand_in = f"<a value with an integer of more than {sys.get_int_max_str_digits()} digits>"
+    with pytest.raises(NonPrimitiveError) as err:
+        require_primitive((huge, 0))
+    assert str(err.value) == f"vector ({stand_in}, 0) is not primitive"
+    with pytest.raises(NonUnimodularError) as err:
+        require_unimodular(((huge, 0), (0, 1)))
+    assert str(err.value) == f"matrix (({stand_in}, 0), (0, 1)) has determinant {stand_in}"
 
 @given(primitive_vectors)
 def test_complement_property(n):

@@ -1,4 +1,4 @@
-"""The lazy package namespace, each check in a fresh interpreter.
+"""The lazy package namespace and what an import loads, each check in a fresh interpreter.
 
 Every check runs with ``PYTHONDONTWRITEBYTECODE=1``, as a cold start does,
 both plain and under ``python -O``; the scripts raise ``SystemExit`` rather
@@ -75,6 +75,17 @@ if logcy2.__version__ != "0.1.0":
     raise SystemExit(f"__version__ is {logcy2.__version__}")
 """,
 }
+
+# The value classes are plain ``__slots__`` classes: neither the CLI nor the
+# word path pays for importing ``dataclasses`` and, through it, ``inspect``.
+for name, statement in (("cli", "import logcy2.cli"), ("realize", "from logcy2 import realize")):
+    CHECKS[f"{name}_loads_neither_dataclasses_nor_inspect"] = f"""
+import sys
+{statement}
+heavy = sorted({{"dataclasses", "inspect"}} & set(sys.modules))
+if heavy:
+    raise SystemExit(f"{statement} loaded {{heavy}}")
+"""
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

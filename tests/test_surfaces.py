@@ -533,8 +533,8 @@ def _spy_validate(monkeypatch) -> tuple[list[Surface], list[Surface]]:
         return real(s)
 
     class Recorded(Surface):
-        def __post_init__(self) -> None:
-            super().__post_init__()
+        def __init__(self, rays, m) -> None:
+            super().__init__(rays, m)
             created.append(self)
 
     monkeypatch.setattr(surfaces, "validate", spy)

@@ -64,14 +64,14 @@ def test_literal_product_is_reduced_once(monkeypatch):
     # A long product reduces its letters in one pass, not once per "*".
     text = "*".join(["E", "E[1,0]"] * 1000)
     reduced = []
-    post_init = Word.__post_init__
+    init = Word.__init__
 
-    def spy(self):
-        reduced.append(len(self.letters))
-        post_init(self)
+    def spy(self, letters=()):
+        reduced.append(len(letters))
+        init(self, letters)
 
     with monkeypatch.context() as mp:
-        mp.setattr(Word, "__post_init__", spy)
+        mp.setattr(Word, "__init__", spy)
         w = parse_word(text)
     assert sum(reduced) <= 3 * 2000
     assert w == parse_word("(E*E[1,0])^1000")
@@ -107,6 +107,20 @@ def test_syntax_error_quotes_a_prefix_of_a_long_token():
     with pytest.raises(WordSyntaxError) as err:
         parse_word("E * *")
     assert str(err.value) == "unexpected token '*' (at position 4)"
+
+
+def test_literal_errors_cut_long_integers():
+    # An integer of a bad literal is quoted as a long token is: its first 40 characters and "...".
+    nines = "9" * 4000
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(f"E[{nines},3]")
+    assert str(err.value) == f"vector ({'9' * 40}..., 3) is not primitive (at position 0)"
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(f"A[1,0;0,-{nines}]")
+    assert str(err.value) == f"matrix ((1, 0), (0, -{'9' * 39}...)) has determinant -{'9' * 39}... (at position 0)"
+    with pytest.raises(WordSyntaxError) as err:
+        parse_word(f"E[{3 * 10**39},3]")  # 40 digits: quoted in full
+    assert str(err.value) == f"vector ({3 * 10**39}, 3) is not primitive (at position 0)"
 
 
 def test_imprimitive_elementary_rejected():
