@@ -348,7 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if [] in vars(args).values():  # argparse before 3.12 reads "--opt=--" as [] and skips the option's type
+        parser.error("an option value cannot be '--'")
     try:
         return args.func(args)
     except WordSyntaxError as err:

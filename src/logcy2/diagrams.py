@@ -35,7 +35,7 @@ from .lattice import (
     require_primitive,
     require_unimodular,
 )
-from .errors import DomainError, Value, output, shown
+from .errors import DomainError, Value, cut, output
 from .surfaces import Surface, check_blowup_budget
 
 Point = tuple[Fraction, Fraction]
@@ -101,10 +101,10 @@ def make_node(position: Point, direction: Vec, cut_sign: int) -> Node:
     """Build a node, canonicalizing the direction sign."""
     pos = (Fraction(position[0]), Fraction(position[1]))
     if cut_sign not in (1, -1):
-        raise InvalidDiagramError(f"cut_sign must be +-1, got {cut_sign}")
+        raise InvalidDiagramError(f"cut_sign must be +-1, got {cut(cut_sign)}")
     direction, flip = canonical_direction(direction)
     if pos[0] * direction[1] - pos[1] * direction[0] != 0:
-        raise OffEigenlineError(f"position {shown(pos)} not on line through {shown(direction)}")
+        raise OffEigenlineError(f"position {cut(pos)} not on line through {cut(direction)}")
     return Node(pos, direction, cut_sign * flip)
 
 
@@ -126,7 +126,7 @@ class BaseDiagram(Value):
         for i, n in enumerate(self.nodes):
             if n.position == pos:
                 return i
-        raise PreconditionFailedError(f"no node at {shown(pos)}")
+        raise PreconditionFailedError(f"no node at {cut(pos)}")
 
 
 def diagram(s: Surface) -> BaseDiagram:
@@ -161,7 +161,7 @@ def nodal_slide(d: BaseDiagram, index: int, target: Point) -> BaseDiagram:
     tgt = (Fraction(target[0]), Fraction(target[1]))
     dx, dy = node.direction
     if tgt[0] * dy - tgt[1] * dx != 0:
-        raise OffEigenlineError(f"target {shown(tgt)} off the line through {shown(node.direction)}")
+        raise OffEigenlineError(f"target {cut(tgt)} off the line through {cut(node.direction)}")
     if tgt == (0, 0):
         raise BlockedError("cannot park a node on the origin")
     lo, hi = sorted([_line_coordinate(node.position, node.direction), _line_coordinate(tgt, node.direction)])
@@ -224,15 +224,15 @@ def _line_profile(d: BaseDiagram, n: Vec) -> tuple[int, int]:
             u = node.cut_vector()
             if node.position[0] * u[0] + node.position[1] * u[1] <= 0:
                 raise PreconditionFailedError(
-                    f"node at {shown(node.position)} has its cut toward the origin"
+                    f"node at {cut(node.position)} has its cut toward the origin"
                 )
             ts.append(t)
     plus = sorted(t for t in ts if t > 0)
     minus = sorted(-t for t in ts if t < 0)
     if plus != [Fraction(j) for j in range(1, len(plus) + 1)]:
-        raise PreconditionFailedError(f"nodes on ray {shown(n)} not at consecutive multiples: {shown(plus)}")
+        raise PreconditionFailedError(f"nodes on ray {cut(n)} not at consecutive multiples: {cut(plus)}")
     if minus != [Fraction(j) for j in range(1, len(minus) + 1)]:
-        raise PreconditionFailedError(f"nodes on ray {shown(neg(n))} not at consecutive multiples")
+        raise PreconditionFailedError(f"nodes on ray {cut(neg(n))} not at consecutive multiples")
     return len(plus), len(minus)
 
 
@@ -262,7 +262,7 @@ def elementary_move(d: BaseDiagram, n: Vec) -> BaseDiagram:
     require_primitive(n)
     a, _ = _line_profile(d, n)
     if a < 1:
-        raise PreconditionFailedError(f"no node at {shown(n)} to move")
+        raise PreconditionFailedError(f"no node at {cut(n)} to move")
     d = _step_line(d, n, -1)
     return cut_transfer(d, d.node_at(_scaled(n, -1)))
 
@@ -272,7 +272,7 @@ def elementary_move_inverse(d: BaseDiagram, n: Vec) -> BaseDiagram:
     require_primitive(n)
     _, b = _line_profile(d, n)
     if b < 1:
-        raise PreconditionFailedError(f"no node at {shown(neg(n))} to move back")
+        raise PreconditionFailedError(f"no node at {cut(neg(n))} to move back")
     return _step_line(cut_transfer(d, d.node_at(_scaled(n, -1))), n, 1)
 
 

@@ -10,6 +10,7 @@ Python refuses to write an integer of more than
 """
 
 import sys
+from fractions import Fraction
 from operator import attrgetter
 
 
@@ -33,9 +34,13 @@ def shown(value) -> str:
 
 
 def cut(value) -> str:
-    """``shown(value)``, each integer in it, inside tuples too, cut to its first 40 characters and "..."."""
-    if isinstance(value, tuple):
-        return f"({', '.join(map(cut, value))})"
+    """``shown(value)`` with each integer in it, inside tuples, lists and fractions too, cut to 40 characters and "..."."""
+    if isinstance(value, (tuple, list)):
+        # Each item as the container writes it: a fraction as Fraction(p, q).
+        items = ", ".join(
+            f"Fraction({cut(x.numerator)}, {cut(x.denominator)})" if isinstance(x, Fraction) else cut(x) for x in value
+        )
+        return f"[{items}]" if isinstance(value, list) else f"({items})"
     try:
         text = str(value)
     except ValueError:

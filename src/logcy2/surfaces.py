@@ -7,9 +7,9 @@ boundary component.  Corner blow-ups insert rays with multiplicity zero and
 do not change the interior; interior blow-ups increment a multiplicity.
 
 ``pushforward`` transports a surface along a word when every letter is
-regular; ``resolve`` makes one pass over the word, augmenting the starting
-surface (ray insertions and interior blow-ups pulled back through the applied
-suffix) and the surface reached so far alike until the whole word is regular.
+regular; ``resolve`` makes one pass over the word, augmenting the starting fan
+and the fan reached so far alike until the whole word is regular.  Both push
+plain rays and multiplicities, and build, so validate, only what they return.
 
 Validation: a ``Surface`` validates itself once, when it is constructed,
 and raises ``InvalidSurfaceError`` if it breaks an invariant.  Every surface
@@ -22,7 +22,7 @@ import json
 from typing import NamedTuple
 
 from .birmap import letter_trop
-from .errors import DomainError, Value, output, shown
+from .errors import DomainError, Value, cut, output
 from .lattice import (
     NonPrimitiveError,
     Vec,
@@ -170,12 +170,12 @@ def validate(s: Surface) -> list[str]:
         out.append(f"{len(s.m)} multiplicities for {k} rays")
     for r in s.rays:
         if not is_primitive(r):
-            out.append(f"ray {shown(r)} is not primitive")
+            out.append(f"ray {cut(r)} is not primitive")
     if len(set(s.rays)) != k:
         out.append("rays are not pairwise distinct")
     for mm in s.m:
         if type(mm) is not int or mm < 0:
-            out.append(f"multiplicity {mm} is not a nonnegative integer")
+            out.append(f"multiplicity {cut(mm)} is not a nonnegative integer")
     if out:
         return out
     descents = 0
@@ -183,7 +183,7 @@ def validate(s: Surface) -> list[str]:
         a, b = s.rays[i], s.rays[(i + 1) % k]
         d = cross(a, b)
         if d != 1:
-            out.append(f"det({shown(a)}, {shown(b)}) = {shown(d)}, expected 1")
+            out.append(f"det({cut(a)}, {cut(b)}) = {cut(d)}, expected 1")
         if angle_cmp(a, b) > 0:
             descents += 1
     if not out and descents != 1:
@@ -285,107 +285,121 @@ def insert_ray(s: Surface, v: Vec) -> Surface:
     The rays added are the sums c = a + b of the cone (a, b) that holds v,
     descending into (c, b) or (a, c), whichever holds v, until c = v.
     """
+    return Surface(*_insert(s.rays, s.m, v))
+
+
+def _insert(rays: tuple[Vec, ...], m: tuple[int, ...] | list[int], v: Vec) -> tuple[tuple[Vec, ...], list[int]]:
+    """``insert_ray`` on plain rays and multiplicities."""
     if not is_primitive(v):
-        raise NonPrimitiveError(f"ray {v} is not primitive")
-    rays, k = s.rays, len(s.rays)
-    i = next(i for i in range(k) if in_sector(rays[i], rays[(i + 1) % k], v))
-    a, b = rays[i], rays[(i + 1) % k]
+        raise NonPrimitiveError(f"ray {cut(v)} is not primitive")
+    i, a, b = next((i, a, b) for i, (a, b) in enumerate(zip(rays, rays[1:] + rays[:1])) if in_sector(a, b, v))
     ccw: list[Vec] = []  # the added rays beside a, in ccw order
     cw: list[Vec] = []  # the added rays beside b, in cw order
     while a != v:
         if len(ccw) + len(cw) == RAY_BUDGET:
-            raise RayBudgetError(f"inserting ray {shown(v)} adds more than {RAY_BUDGET} rays")
+            raise RayBudgetError(f"inserting ray {cut(v)} adds more than {RAY_BUDGET} rays")
         c = vadd(a, b)
         if cross(c, v) >= 0:
-            ccw.append(c)
-            a = c
+            ccw.append(a := c)
         else:
-            cw.append(c)
-            b = c
+            cw.append(b := c)
     added = tuple(ccw + cw[::-1])
-    return Surface(rays[: i + 1] + added + rays[i + 1 :], s.m[: i + 1] + (0,) * len(added) + s.m[i + 1 :])
+    return rays[: i + 1] + added + rays[i + 1 :], [*m[: i + 1], *(0,) * len(added), *m[i + 1 :]]
 
 
 def interior_blowup(s: Surface, n: Vec) -> Surface:
     if n not in s.rays:
         raise RayAbsentError(f"ray {n} not in fan; insert it first")
-    i = s.rays.index(n)
     m = list(s.m)
-    m[i] += 1
+    m[s.rays.index(n)] += 1
     return Surface(s.rays, tuple(m))
 
 
 def leq(s: Surface, t: Surface) -> bool:
     """The blow-up partial order: t dominates s."""
-    return all(r in t.rays for r in s.rays) and all(
-        ms <= t.multiplicity(r) for r, ms in zip(s.rays, s.m)
-    )
+    return all(r in t.rays for r in s.rays) and all(ms <= t.multiplicity(r) for r, ms in zip(s.rays, s.m))
 
 
-def _push_letter(letter: Letter, s: Surface, applied: int) -> Surface:
+def _fault(letter: Letter, rays: tuple[Vec, ...], m: list[int]) -> tuple[str, Vec] | None:
+    """Why ``letter`` is not regular on the fan (rays, m): a reason and a ray; None if it is."""
+    gen, e = letter
+    if isinstance(gen, Elementary):
+        for needed in (gen.n, neg(gen.n)):
+            if needed not in rays:
+                return "missing ray", needed
+        src = gen.n if e == 1 else neg(gen.n)
+        if m[rays.index(src)] < 1:
+            return "zero multiplicity", src
+    return None
+
+
+def _push(letter: Letter, rays: tuple[Vec, ...], m: list[int]) -> tuple[tuple[Vec, ...], list[int]]:
+    """The fan (rays, m) pushed along a letter that is regular on it.
+
+    The letter's tropicalization keeps the cyclic order of the rays, reversed
+    if it reverses orientation, and its break rays are fan rays: from the
+    first break ray on, piece j maps the run of rays up to break ray j + 1.
+    """
     gen, e = letter
     trop = letter_trop(letter)
-    if isinstance(gen, Elementary):
-        n = gen.n
-        for needed in (n, neg(n)):
-            if needed not in s.rays:
-                raise NotRegularError("missing ray", applied, needed)
-        src = n if e == 1 else neg(n)
-        if s.multiplicity(src) < 1:
-            raise NotRegularError("zero multiplicity", applied, src)
-    # A letter's tropicalization is a PL homeomorphism, so it keeps the
-    # cyclic order of the rays, reversed when it reverses orientation;
-    # Surface rotates the result to its canonical start.
-    rays = tuple(pl_apply(trop, r) for r in s.rays)
-    m = list(s.m)
+    if trop.rays:
+        start = rays.index(trop.rays[0])
+        rays, m = rays[start:] + rays[:start], m[start:] + m[:start]
+    ends = [0, *[rays.index(r) for r in trop.rays[1:]], len(rays)]
+    runs = zip(trop.mats, [rays[i:j] for i, j in zip(ends, ends[1:])])
+    rays = tuple((p * x + q * y, u * x + t * y) for ((p, q), (u, t)), run in runs for x, y in run)
     if mat_det(trop.mats[0]) < 0:
         rays, m = rays[::-1], m[::-1]
     if isinstance(gen, Elementary):
         src = gen.n if e == 1 else neg(gen.n)
-        dst = neg(src)
         m[rays.index(src)] -= 1
-        m[rays.index(dst)] += 1
-    return Surface(rays, tuple(m))
+        m[rays.index(neg(src))] += 1
+    return rays, m
 
 
 def pushforward(w: Word, s: Surface) -> Surface:
     """Transport s along w (letters applied right to left); NotRegular on failure."""
-    current = s
+    rays, m = s.rays, list(s.m)
     for applied, letter in enumerate(reversed(w.letters)):
-        current = _push_letter(letter, current, applied)
-    return current
+        if fault := _fault(letter, rays, m):
+            raise NotRegularError(fault[0], applied, fault[1])
+        rays, m = _push(letter, rays, m)
+    return Surface(rays, tuple(m))
 
 
 def resolve(w: Word, s0: Surface) -> Surface:
     """A surface above s0 on which every prefix of w is regular.
 
-    The push keeps ``current``, the candidate transported through the letters
-    applied so far.  When a letter fails, the offending ray is pulled back
-    through the inverse tropicalization of that suffix and grafted onto the
-    candidate (ray insertion or one extra interior blow-up); the same
-    augmentation at the ray itself goes on ``current``, and the letter is
-    retried there.  The applied letters are linear on every cone, so the two
-    augmentations commute with the push.  A letter fails at most three times
-    (missing n, missing -n, zero multiplicity), so the run makes at most
-    4 * len(w) letter pushes.
+    Two fans ride along as plain rays and multiplicities: the candidate, and
+    the current fan, the candidate pushed through the letters applied so far.
+    A ray at which a letter fails on the current fan is pulled back through
+    the applied suffix and grafted onto the candidate (ray insertion or one
+    more interior blow-up), and at the ray itself onto the current fan; the
+    applied letters are linear on every cone, so both commute with the push.
+    A letter fails at most three times (missing n, missing -n, zero
+    multiplicity).  Only the final candidate becomes a ``Surface``.
     """
-    candidate = current = s0
-    for applied, letter in enumerate(reversed(w.letters)):
+    letters = w.letters
+    inverses = [letter_trop((gen, -e)) for gen, e in letters]
+    cand_rays, cand_m, rays, m = s0.rays, list(s0.m), s0.rays, list(s0.m)
+    for applied, letter in enumerate(reversed(letters)):
         for _ in range(4):
-            try:
-                current = _push_letter(letter, current, applied)
+            if not (fault := _fault(letter, rays, m)):
                 break
-            except NotRegularError as err:
-                r0 = err.ray
-                for gen, e in w.letters[len(w.letters) - applied:]:
-                    r0 = pl_apply(letter_trop((gen, -e)), r0)
-                if err.reason == "missing ray":
-                    candidate, current = insert_ray(candidate, r0), insert_ray(current, err.ray)
-                else:
-                    candidate, current = interior_blowup(candidate, r0), interior_blowup(current, err.ray)
+            reason, ray = fault
+            r0 = ray
+            for inverse in inverses[len(letters) - applied :]:
+                r0 = pl_apply(inverse, r0)
+            if reason == "missing ray":
+                cand_rays, cand_m = _insert(cand_rays, cand_m, r0)
+                rays, m = _insert(rays, m, ray)
+            else:
+                cand_m[cand_rays.index(r0)] += 1
+                m[rays.index(ray)] += 1
         else:
             raise AssertionError(f"letter {applied} failed a fourth time in resolve")
-    return candidate
+        rays, m = _push(letter, rays, m)
+    return Surface(cand_rays, tuple(cand_m))
 
 
 # --- serialization ------------------------------------------------------------

@@ -275,6 +275,21 @@ def test_surface_message_past_the_digit_limit_exits_1(capsys, tmp_path):
     assert code == 1 and out == "" and _one_error_line(err) and "more than 1000 rays" in err
 
 
+def test_messages_quote_at_most_40_characters_of_an_integer(capsys, tmp_path):
+    big = str(3 * 10**3999)  # within the digit limit, so its full text could be quoted
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"rays": [[{big}, 3], [0, 1], [-1, -1]], "m": [0, 0, 0]}}')
+    code, out, err = run(capsys, "surface", "validate", str(path))
+    assert code == 1 and err == "" and f"violation: ray ({big[:40]}..., 3) is not primitive" in out.splitlines()
+    assert max(map(len, out.splitlines())) < 200
+    path.write_text('{"nodes": []}')
+    code, out, err = run(capsys, "atf", "move", str(path), f"--elementary={big},1")
+    assert code == 1 and out == "" and err == f"error: no node at ({big[:40]}..., 1) to move\n"
+    path.write_text(f'{{"nodes": [{{"position": [1, 0], "direction": [1, 0], "cut_sign": {big}}}]}}')
+    code, out, err = run(capsys, "atf", "move", str(path), "--elementary=1,0")
+    assert code == 1 and out == "" and err == f"error: cut_sign must be +-1, got {big[:40]}...\n"
+
+
 def test_evaluation_past_the_bit_budget_exits_1(capsys):
     # A[2,1;1,1]^30 realizes to x^2504730781961 y^1548008755920.
     start = time.perf_counter()

@@ -268,6 +268,8 @@ points = st.one_of(
 @example("realize", f"E[{N},1]*E[1,{N}]", "id", "1,0", "0,0")
 @example("realize", f"E[{N},1]", "id", "1,0", "0,0")
 @example("equal", "E", "(" * 2000 + "E" + ")" * 2000, "1,0", "0,0")
+@example("trop", "E", "id", "--", "0,0")
+@example("eval", "E", "id", "1,0", "--")
 def test_word_commands_exit_cleanly(command, word, word2, vector, point):
     argv = ["word", command, word]
     if command == "equal":

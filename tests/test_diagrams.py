@@ -204,7 +204,7 @@ def _move_by_slides(d: BaseDiagram, n) -> BaseDiagram:
     require_primitive(n)
     a, b = diagrams._line_profile(d, n)
     if a < 1:
-        raise PreconditionFailedError(f"no node at {diagrams.shown(n)} to move")
+        raise PreconditionFailedError(f"no node at {diagrams.cut(n)} to move")
     scaled = diagrams._scaled
     for j in range(b, 0, -1):
         d = nodal_slide(d, d.node_at(scaled(n, -j)), scaled(n, -(j + 1)))
@@ -218,7 +218,7 @@ def _move_inverse_by_slides(d: BaseDiagram, n) -> BaseDiagram:
     require_primitive(n)
     a, b = diagrams._line_profile(d, n)
     if b < 1:
-        raise PreconditionFailedError(f"no node at {diagrams.shown(neg(n))} to move back")
+        raise PreconditionFailedError(f"no node at {diagrams.cut(neg(n))} to move back")
     scaled = diagrams._scaled
     d = cut_transfer(d, d.node_at(scaled(n, -1)))
     for j in range(a, 0, -1):

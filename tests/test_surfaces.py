@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logcy2.errors import DigitLimitError
-from logcy2.lattice import NonPrimitiveError, angle_cmp, neg, pl_apply
+from logcy2.lattice import NonPrimitiveError, angle_cmp, mat_det, neg, pl_apply
 from logcy2 import surfaces
-from logcy2.birmap import tropical_image, tropicalize
+from logcy2.birmap import letter_trop, tropical_image, tropicalize
 from logcy2.catalog import check_counts
 from logcy2.diagrams import diagram, visible_spheres
 from logcy2.sampling import random_letter, random_surface, random_word
@@ -18,6 +18,7 @@ from logcy2.surfaces import (
     InvalidSurfaceError,
     NotRegularError,
     RayAbsentError,
+    RayBudgetError,
     Surface,
     _negative_definite,
     boundary_intersection_matrix,
@@ -328,16 +329,26 @@ def _resolve_by_restarting(w: Word, s0: Surface) -> tuple[Surface, list[tuple[in
     raise AssertionError("reference resolve failed to terminate")
 
 
-def _spy_push_letter(monkeypatch) -> list[tuple[int, Surface]]:
-    """Record (applied, surface) for every _push_letter call resolve makes."""
-    calls = []
-    push = surfaces._push_letter
+def _spy_push(monkeypatch) -> list[tuple[int, Surface]]:
+    """Record (applied, fan as a Surface) each time resolve tries a letter.
 
-    def spy(letter, s, applied):
-        calls.append((applied, s))
-        return push(letter, s, applied)
+    resolve checks a letter with ``_fault`` before each augmentation and once
+    more before it pushes the letter with ``_push``; ``applied`` counts the
+    pushes made so far.
+    """
+    calls, pushes = [], []
+    fault, push = surfaces._fault, surfaces._push
 
-    monkeypatch.setattr(surfaces, "_push_letter", spy)
+    def fault_spy(letter, rays, m):
+        calls.append((len(pushes), Surface(rays, tuple(m))))
+        return fault(letter, rays, m)
+
+    def push_spy(letter, rays, m):
+        pushes.append(letter)
+        return push(letter, rays, m)
+
+    monkeypatch.setattr(surfaces, "_fault", fault_spy)
+    monkeypatch.setattr(surfaces, "_push", push_spy)
     return calls
 
 
@@ -352,12 +363,12 @@ def test_resolve_matches_restarting_reference(srng, monkeypatch):
             w = w * flip * Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3))))
         s0 = random_surface(srng)
         with monkeypatch.context() as mp:
-            calls = _spy_push_letter(mp)
+            calls = _spy_push(mp)
             got = resolve(w, s0)
         want, steps = _resolve_by_restarting(w, s0)
         assert got == want
-        # A call at the same applied count as the one before it is the retry
-        # after an augmentation; it receives the augmented current surface.
+        # A try at the same applied count as the one before it is the retry
+        # after an augmentation; it sees the augmented current fan.
         retries = [after for before, after in zip(calls, calls[1:]) if before[0] == after[0]]
         assert [applied for applied, _ in retries] == [applied for applied, _ in steps]
         for (applied, current), (_, candidate) in zip(retries, steps):
@@ -367,12 +378,103 @@ def test_resolve_matches_restarting_reference(srng, monkeypatch):
 
 def test_resolve_pushes_each_letter_plus_each_augmentation_once(monkeypatch):
     w = parse_word("(E*E[1,0])^200")
-    calls = _spy_push_letter(monkeypatch)
+    calls = _spy_push(monkeypatch)
     r = resolve(w, p2())
     augmentations = len(r.rays) - 3 + r.total_m()
     assert len(calls) == len(w.letters) + augmentations == 400 + 402
     per_letter = Counter(applied for applied, _ in calls)
     assert max(per_letter.values()) <= 4
+
+
+def _push_letter_reference(letter, s: Surface, applied: int) -> Surface:
+    """Reference push of one letter: the whole fan through ``pl_apply``, one validated Surface per letter."""
+    gen, e = letter
+    trop = letter_trop(letter)
+    if isinstance(gen, Elementary):
+        n = gen.n
+        for needed in (n, neg(n)):
+            if needed not in s.rays:
+                raise NotRegularError("missing ray", applied, needed)
+        src = n if e == 1 else neg(n)
+        if s.multiplicity(src) < 1:
+            raise NotRegularError("zero multiplicity", applied, src)
+    rays = tuple(pl_apply(trop, r) for r in s.rays)
+    m = list(s.m)
+    if mat_det(trop.mats[0]) < 0:
+        rays, m = rays[::-1], m[::-1]
+    if isinstance(gen, Elementary):
+        src = gen.n if e == 1 else neg(gen.n)
+        m[rays.index(src)] -= 1
+        m[rays.index(neg(src))] += 1
+    return Surface(rays, tuple(m))
+
+
+def _pushforward_reference(w: Word, s: Surface) -> Surface:
+    for applied, letter in enumerate(reversed(w.letters)):
+        s = _push_letter_reference(letter, s, applied)
+    return s
+
+
+def _resolve_reference(w: Word, s0: Surface) -> Surface:
+    """Reference resolve: candidate and current kept as Surfaces, a failure raised and caught."""
+    candidate = current = s0
+    for applied, letter in enumerate(reversed(w.letters)):
+        for _ in range(4):
+            try:
+                current = _push_letter_reference(letter, current, applied)
+                break
+            except NotRegularError as err:
+                r0 = err.ray
+                for gen, e in w.letters[len(w.letters) - applied:]:
+                    r0 = pl_apply(letter_trop((gen, -e)), r0)
+                if err.reason == "missing ray":
+                    candidate, current = insert_ray(candidate, r0), insert_ray(current, err.ray)
+                else:
+                    candidate, current = interior_blowup(candidate, r0), interior_blowup(current, err.ray)
+        else:
+            raise AssertionError(f"letter {applied} failed a fourth time in resolve")
+    return candidate
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the class, text and fields of the domain error it raises."""
+    try:
+        return call(*args)
+    except NotRegularError as err:
+        return NotRegularError, str(err), err.reason, err.applied_count, err.ray
+    except RayBudgetError as err:
+        return RayBudgetError, str(err)
+
+
+def test_push_matches_the_surface_per_letter_reference(srng):
+    flip = parse_word("A[0,1;1,0]")  # det -1: reverses the cyclic order
+    irregular = 0
+    for i in range(150):
+        w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 8))))
+        if i % 2:
+            w = w * flip * Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3))))
+        s0 = random_surface(srng)
+        s = resolve(w, s0)
+        assert s == _resolve_reference(w, s0)
+        assert pushforward(w, s) == _pushforward_reference(w, s)
+        got = _outcome(pushforward, w, s0)
+        assert got == _outcome(_pushforward_reference, w, s0)
+        irregular += isinstance(got, tuple)
+    assert irregular > 30  # the error fields were compared, not only results
+
+
+def test_resolve_hits_the_ray_budget_where_the_reference_does(srng):
+    # Inserting (0, -1), E's missing ray, into the cone of (-1 - n, -1) and
+    # (1, 0) takes n + 1 corner blow-ups.
+    budget = surfaces.RAY_BUDGET
+    raised = 0
+    for n in range(budget - 6, budget + 6):
+        s0 = Surface(((1, 0), (n, 1), (-1 - n, -1)), (0, 0, 0))
+        w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3)))) * parse_word("E")
+        got = _outcome(resolve, w, s0)
+        assert got == _outcome(_resolve_reference, w, s0)
+        raised += isinstance(got, tuple) and got[0] is RayBudgetError
+    assert 0 < raised < 12
 
 
 def test_group_action_consistency():
