@@ -20,10 +20,10 @@ out exactly.  Only a hand-built inner map without steps goes through
 against; each coordinate is one call and nothing is kept between them.
 
 ``boundary_limit`` computes the induced map between boundary components:
-substituting the arc x = lambda^p t^n1, y = lambda^q t^n2 (with p n2 - q n1
-= 1, so lambda is the boundary coordinate; the distinguished point sits at
-lambda = -1) and extracting leading terms in t yields the image ray together
-with the coordinate action lambda -> c lambda^(+-1).
+on the arc x = lambda^p t^n1, y = lambda^q t^n2 (with p n2 - q n1 = 1, so
+lambda is the boundary coordinate; the distinguished point sits at lambda =
+-1), ``polyrat.arc_limit`` reads the leading order in t: the image ray and
+the coordinate action lambda -> c lambda^(+-1).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .lattice import (
     require_primitive,
     require_unimodular,
 )
-from .polyrat import Poly2, RatFunc2, dlog_ratio, pullback, substitute, univariate_mul
+from .polyrat import RatFunc2, arc_limit, dlog_ratio, pullback, substitute
 from .words import Elementary, Generator, Letter, Linear, Word, generator_determinant
 
 
@@ -164,8 +164,7 @@ def equal(w1: Word, w2: Word) -> bool:
     a and b are: the longest common prefix and then suffix of the two
     reduced words cancel, and only the differing middles are realized.
     Subwords of reduced words are reduced, so a middle is never longer
-    than its word.  Words with nothing in common are realized whole, so
-    cached words keep hitting.
+    than its word.
     """
     a, b = w1.letters, w2.letters
     short = min(len(a), len(b))
@@ -175,8 +174,6 @@ def equal(w1: Word, w2: Word) -> bool:
     j = 0
     while j < short - i and a[-1 - j] == b[-1 - j]:
         j += 1
-    if i == j == 0:
-        return realize(w1) == realize(w2)
     a, b = a[i : len(a) - j], b[i : len(b) - j]
     if not a and not b:
         return True
@@ -251,51 +248,6 @@ class BoundaryAction(Value):
         return self.apply(Fraction(-1)) == Fraction(-1)
 
 
-LPoly = dict[tuple[int, int], int]  # Laurent polynomial in (lambda, t)
-
-
-def _arc_substitute(p: Poly2, pexp: int, qexp: int, n: Vec) -> LPoly:
-    out: LPoly = {}
-    for (i, j), c in p.terms.items():
-        key = (pexp * i + qexp * j, n[0] * i + n[1] * j)
-        if key in out:
-            raise AssertionError(f"arc exponents collide at {key}; the exponent map must be unimodular")
-        out[key] = c
-    return out
-
-
-def _leading(lp: LPoly) -> tuple[int, dict[int, int]]:
-    """(t-order, coefficient Laurent polynomial in lambda)."""
-    t0 = min(e[1] for e in lp)
-    return t0, {e[0]: c for e, c in lp.items() if e[1] == t0}
-
-
-def _lam_reduce(num: dict[int, int], den: dict[int, int]) -> tuple[Fraction, int] | None:
-    """(c, e) if the Laurent fraction num/den in lambda equals c*lambda^e, else None.
-
-    Only the leading terms can give c and e, and num == c*lambda^e*den decides.
-    """
-    e = max(num) - max(den)
-    c = Fraction(num[max(num)]) / den[max(den)]
-    return (c, e) if num == {k + e: c * v for k, v in den.items()} else None
-
-
-def _lam_pow(base_num, base_den, k: int):
-    """(num, den) of (base_num/base_den)^k for k of either sign."""
-    if k < 0:
-        base_num, base_den, k = base_den, base_num, -k
-    num = den = {0: 1}
-    while k:  # square and multiply: O(log k) products, and two for k = 1
-        if k & 1:
-            num = univariate_mul(num, base_num)
-            den = univariate_mul(den, base_den)
-        k >>= 1
-        if k:
-            base_num = univariate_mul(base_num, base_num)
-            base_den = univariate_mul(base_den, base_den)
-    return num, den
-
-
 def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     """Leading-order image of the boundary arc at ray n.
 
@@ -306,30 +258,17 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     require_primitive(n)
     m = realize(w)
     cc, dd = complement_matrix(n)[1]
-    pexp, qexp = dd, -cc  # x = lam^p t^n1, y = lam^q t^n2, with p n2 - q n1 = 1
-
-    def leading_pair(r: RatFunc2) -> tuple[int, dict[int, int], dict[int, int]]:
-        tn, ln = _leading(_arc_substitute(r.num, pexp, qexp, n))
-        td, ld = _leading(_arc_substitute(r.den, pexp, qexp, n))
-        return tn - td, ln, ld
-
-    a, fnum, fden = leading_pair(m.f)
-    b, gnum, gden = leading_pair(m.g)
-    ray = (a, b)
-    if math.gcd(a, b) != 1:
+    # x = lam^p t^n1, y = lam^q t^n2, with p n2 - q n1 = 1.
+    ray, action = arc_limit(m.f, m.g, ((dd, n[0]), (-cc, n[1])))
+    if math.gcd(*ray) != 1:
         raise NonGenericArcError(f"image exponents {ray} of {w} at {n} are imprimitive")
     if ray != pl_apply(tropicalize(w), n):
         raise AssertionError("boundary limit disagrees with tropicalization")
-    # lambda' equals the transverse monomial x'^{b} y'^{-a} at leading order.
-    # The leading pairs come from the integer terms; the sides' contents
-    # scale the result by one constant.
-    fn, fd = _lam_pow(fnum, fden, b)
-    gn, gd = _lam_pow(gnum, gden, -a)
-    result = _lam_reduce(univariate_mul(fn, gn), univariate_mul(fd, gd))
+    # On the image ray (a, b), lambda' is the transverse monomial x'^b y'^-a at leading order.
+    result = action()
     if result is None:
         raise NonGenericArcError(f"boundary action of {w} at {n} is not monomial")
     coeff, expo = result
-    coeff *= Fraction(m.f.num.content, m.f.den.content) ** b * Fraction(m.g.num.content, m.g.den.content) ** -a
     if expo not in (1, -1):
         raise NonGenericArcError(f"boundary action of {w} at {n} has degree {expo}")
     return BoundaryAction(ray, coeff, expo)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-from .diagrams import visible_spheres
 from .errors import Value
 from .surfaces import Surface, check_blowup_budget, numeric_invariants, toric_intersection_matrix
 
@@ -103,15 +102,15 @@ class CountReport(Value):
 
 
 def check_counts(s: Surface) -> CountReport:
-    """Collection lengths against chi(Y); sphere count against sum of (m-1)+."""
-    inv = numeric_invariants(s)
-    return CountReport(
-        len(exceptional_collection(s)),
-        len(vanishing_cycles(s)),
-        inv.chi_y,
-        len(visible_spheres(s)),
-        sum(max(m - 1, 0) for m in s.m),
-    )
+    """Collection lengths against chi(Y); sphere count against sum of (m-1)+.
+
+    Counted without building an item: both collections hold one item per
+    blow-up and k more, and ``diagrams.visible_spheres`` m - 1 per ray.
+    """
+    check_blowup_budget(s)
+    length = len(s.rays) + s.total_m()
+    spheres = sum(max(m - 1, 0) for m in s.m)
+    return CountReport(length, length, numeric_invariants(s).chi_y, spheres, spheres)
 
 
 _KIND = {

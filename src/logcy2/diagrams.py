@@ -318,7 +318,7 @@ def from_json(text: str) -> BaseDiagram:
     nodes = []
     for item in data["nodes"]:
         if not isinstance(item, dict) or set(item) != {"position", "direction", "cut_sign"}:
-            raise InvalidDiagramError(f"bad node record: {item}")
+            raise InvalidDiagramError(f"bad node record: {cut(item)}")
         position, direction, cut_sign = item["position"], item["direction"], item["cut_sign"]
         if (
             not isinstance(position, list)
@@ -328,14 +328,14 @@ def from_json(text: str) -> BaseDiagram:
             or not all(type(x) is int for x in (*direction, cut_sign))
             or not all(type(x) in (int, str) for x in position)
         ):
-            raise InvalidDiagramError(f"bad node record: {item}")
+            raise InvalidDiagramError(f"bad node record: {cut(item)}")
         try:
             # Fraction("1e10000000") would build 10^(10^7).
             if any(type(x) is str and "e" in x.lower() for x in position):
                 raise ValueError("exponent notation is not accepted")
             point = (Fraction(position[0]), Fraction(position[1]))
         except (TypeError, ValueError, ArithmeticError) as exc:
-            raise InvalidDiagramError(f"bad position {position}: {exc}") from exc
+            raise InvalidDiagramError(f"bad position {cut(position)}: {cut(exc)}") from exc
         try:
             nodes.append(make_node(point, (direction[0], direction[1]), cut_sign))
         except (NonPrimitiveError, OffEigenlineError) as exc:

@@ -6,9 +6,10 @@ A ``DomainError`` is a fault of the input: the CLI turns each one into exit
 Python refuses to write an integer of more than
 ``sys.get_int_max_str_digits()`` digits as text and raises ``ValueError``;
 ``shown`` meets that limit in error messages, ``output`` in results, and
-``cut`` bounds the integers quoted in a message.
+``cut`` bounds the integers, items and nesting quoted in a message.
 """
 
+import itertools
 import sys
 from fractions import Fraction
 from operator import attrgetter
@@ -33,19 +34,39 @@ def shown(value) -> str:
         return f"<a value with an integer of more than {sys.get_int_max_str_digits()} digits>"
 
 
-def cut(value) -> str:
-    """``shown(value)`` with each integer in it, inside tuples, lists and fractions too, cut to 40 characters and "..."."""
-    if isinstance(value, (tuple, list)):
-        # Each item as the container writes it: a fraction as Fraction(p, q).
-        items = ", ".join(
-            f"Fraction({cut(x.numerator)}, {cut(x.denominator)})" if isinstance(x, Fraction) else cut(x) for x in value
-        )
-        return f"[{items}]" if isinstance(value, list) else f"({items})"
+CUT_ITEMS = 5  # items of a container that a quote shows before "..."
+
+
+def cut(value, depth: int = 3) -> str:
+    """``shown(value)`` bounded for an error message.
+
+    Each integer in it, inside tuples, lists, dicts and fractions too, is cut
+    to 40 characters and "...", each container to its first ``CUT_ITEMS``
+    items and "...", and a container nested ``depth`` deep to "...".
+    """
+    if isinstance(value, (tuple, list, dict)):
+        if not depth:
+            return "..."
+        if isinstance(value, dict):
+            head = itertools.islice(value.items(), CUT_ITEMS)
+            items = [f"{_cut_item(k, depth)}: {_cut_item(v, depth)}" for k, v in head]
+        else:
+            items = [_cut_item(x, depth) for x in value[:CUT_ITEMS]]
+        text = ", ".join(items + ["..."] * (len(value) > CUT_ITEMS))
+        brackets = "[]" if isinstance(value, list) else "{}" if isinstance(value, dict) else "()"
+        return f"{brackets[0]}{text}{brackets[1]}"
     try:
         text = str(value)
     except ValueError:
         return shown(value)
     return text if len(text) <= 40 else f"{text[:40]}..."
+
+
+def _cut_item(x, depth: int) -> str:
+    """An item as its container writes it, cut: a fraction as Fraction(p, q), a string quoted."""
+    if isinstance(x, Fraction):
+        return f"Fraction({cut(x.numerator)}, {cut(x.denominator)})"
+    return cut(repr(x) if isinstance(x, str) else x, depth - 1)
 
 
 def output(render, *args):

@@ -34,6 +34,9 @@ E = (x, y (1 + x)^-1) with no substitution and no gcd: the only common
 factors such a step can create are monomials and powers of 1 + x, and its
 kernel divides them out exactly (see "pullbacks through the generators");
 an E-step that would build more than ``TERM_BUDGET`` terms raises first.
+``arc_limit`` reads the leading order in t of a pair of fractions on a
+boundary arc x = lam^p t^n1, y = lam^q t^n2 from each side's lowest t-row,
+raised with ``_Powers`` and multiplied with ``_ip_mul``.
 ``leading_term``, ``constant_value`` and ``evaluate`` return Fractions;
 ``evaluate`` refuses powers of more than ``EVAL_BIT_BUDGET`` bits in all.
 Negative powers never appear: monomial maps with negative exponents are
@@ -65,7 +68,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, Value, shown
+from .errors import DomainError, Value, cut, shown
 
 Term = tuple[int, int]
 
@@ -233,20 +236,6 @@ _ONE = {(0, 0): 1}
 
 class InexactDivisionError(ArithmeticError):
     """An exact polynomial division left a nonzero remainder."""
-
-
-def univariate_mul(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    """Product in Z[t]."""
-    out: dict[int, int] = {}
-    for j1, c1 in p.items():
-        for j2, c2 in q.items():
-            t = j1 + j2
-            s = out.get(t, 0) + c1 * c2
-            if s:
-                out[t] = s
-            else:
-                out.pop(t, None)
-    return out
 
 
 def _ip_to_x(p: dict[Term, int]) -> dict[int, dict[int, int]]:
@@ -930,8 +919,49 @@ def evaluate(r: RatFunc2, point) -> Fraction:
         raise EvalBudgetError(f"an evaluation would build {shown(size)} bits of powers, over {EVAL_BIT_BUDGET}")
     dv = r.den.evaluate(a, b)
     if dv == 0:
-        raise PoleAtPointError(f"pole at ({a}, {b})")
+        raise PoleAtPointError(f"pole at ({cut(a)}, {cut(b)})")
     return r.num.evaluate(a, b) / dv
+
+
+# --- leading order on an arc ----------------------------------------------------
+
+
+def _arc_row(p: dict[Term, int], arc: tuple[Term, Term]) -> tuple[int, dict[Term, int]]:
+    """(t-order, lowest t-row) of p on the arc, the row an x-only dict {(k, 0): c} in lam, k of either sign."""
+    (lp, tp), (lq, tq) = arc
+    ts = [tp * i + tq * j for i, j in p]
+    t0 = min(ts)
+    return t0, {(lp * i + lq * j, 0): c for ((i, j), c), t in zip(p.items(), ts) if t == t0}
+
+
+def arc_limit(f: RatFunc2, g: RatFunc2, arc: tuple[Term, Term]):
+    """The leading order in t of (f, g) on the arc x = lam^p t^n1, y = lam^q t^n2.
+
+    ``arc`` is that monomial map's matrix ((p, n1), (q, n2)), of determinant
+    p n2 - q n1 = 1, so no two monomials of a side land on one: one pass
+    relabels each integer side (``_int_pair``, which folds in the contents)
+    and keeps its lowest t-row.  Returns the t-orders (a, b) of f and g, and
+    a function giving (c, e) with f^b g^-a = c lam^e + O(t), or None when
+    that coefficient is not a monomial in lam; only it raises rows to powers.
+    Z[lam^+-1] is a domain, so the lowest row of a product is the product
+    of the lowest rows.
+    """
+    (tfn, fn), (tfd, fd), (tgn, gn), (tgd, gd) = (_arc_row(p, arc) for p in (*_int_pair(f), *_int_pair(g)))
+    a, b = tfn - tfd, tgn - tgd
+
+    def action() -> tuple[Fraction, int] | None:
+        def power(top, bottom, k):  # (top / bottom)^k as a pair of rows
+            return (_Powers(top)[k], _Powers(bottom)[k]) if k >= 0 else (_Powers(bottom)[-k], _Powers(top)[-k])
+
+        (n1, d1), (n2, d2) = power(fn, fd, b), power(gn, gd, -a)
+        num, den = _ip_mul(n1, n2), _ip_mul(d1, d2)
+        (top, _), (bottom, _) = max(num), max(den)
+        e, nl, dl = top - bottom, num[(top, 0)], den[(bottom, 0)]
+        if len(num) != len(den) or any(num.get((k + e, 0), 0) * dl != c * nl for (k, _), c in den.items()):
+            return None
+        return Fraction(nl, dl), e
+
+    return (a, b), action
 
 
 # --- textual form -------------------------------------------------------------

@@ -18,7 +18,6 @@ from logcy2.birmap import (
     elementary_realization,
     equal,
     extend,
-    _lam_reduce,
     _letter_steps,
     letter_trop,
     monomial_map,
@@ -209,6 +208,14 @@ def test_equal_realizes_only_the_differing_middle(monkeypatch):
     assert not equal(E * w, w)  # E cancels w's leading E^-1; common suffix: id against E^-1
     assert sorted(lengths) == [0, 0, 1, 1]
     assert realize.cache_info().currsize == 3
+    # Nothing cancels between unrelated words, so each middle is its whole
+    # word and hits that word's cache entry: asked twice, each is realized once.
+    u, v = parse_word("E*A[0,-1;1,0]"), parse_word("E[1,0]^2")
+    before = realize.cache_info()
+    assert not equal(u, v) and not equal(u, v)
+    after = realize.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 2)
+    assert realize.cache_info().currsize == 5
 
 
 def test_oracle_soundness(srng):
@@ -509,32 +516,15 @@ def test_boundary_limit_folds_in_the_contents(monkeypatch):
 def test_boundary_limit_raises_lambda_by_squaring(monkeypatch):
     # A[2,1;1,1]^12 sends (1, 0) to (75025, 46368): lambda is raised to
     # powers that large, which one product per power took 242788 products to do.
-    from logcy2 import birmap
-
     calls = []
-    product = birmap.univariate_mul
-    monkeypatch.setattr(birmap, "univariate_mul", lambda a, b: calls.append(1) or product(a, b))
+    product = polyrat._ip_mul
+    monkeypatch.setattr(polyrat, "_ip_mul", lambda a, b: calls.append(1) or product(a, b))
     act = boundary_limit(parse_word("A[2,1;1,1]^12"), (1, 0))
     assert act.ray == (75025, 46368) and act.exponent in (1, -1)
     assert len(calls) < 200
     calls.clear()
     boundary_limit(parse_word("E"), (-1, 0))  # powers 1 and -1 need no squaring
-    assert len(calls) == 6  # two per power and two to combine them
-
-
-def test_lam_reduce_reads_a_monomial_ratio():
-    # (-3/2 lam^2 + 3 lam^-1) / (lam^-1 - 2 lam^-4) is -3/2 lam^3.
-    num = {2: Fraction(-3, 2), -1: 3}
-    den = {-1: 1, -4: -2}
-    assert _lam_reduce(num, den) == (Fraction(-3, 2), 3)
-    assert _lam_reduce({-2: 5}, {0: Fraction(1, 3)}) == (15, -2)
-
-
-def test_lam_reduce_rejects_a_non_monomial_ratio():
-    # (lam + 1) / (lam - 1): same leading terms, different tails.
-    assert _lam_reduce({1: 1, 0: 1}, {1: 1, 0: -1}) is None
-    # lam^2 + 1 over lam: the leading terms alone would say lam.
-    assert _lam_reduce({2: 1, 0: 1}, {1: 1}) is None
+    assert len(calls) == 2  # one product per side to combine them
 
 
 def test_boundary_limit_matches_tropicalization(srng):

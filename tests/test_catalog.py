@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from logcy2 import catalog
 from logcy2.catalog import (
     LineBundle,
     Longitude,
@@ -13,7 +14,7 @@ from logcy2.catalog import (
     exceptional_collection,
     vanishing_cycles,
 )
-from logcy2.diagrams import diagram
+from logcy2.diagrams import diagram, visible_spheres
 from logcy2.sampling import random_surface, random_word
 from logcy2.surfaces import (
     BLOWUP_BUDGET,
@@ -108,6 +109,19 @@ def test_counts_fuzz(srng):
         report = check_counts(s)
         assert report.ok
         assert report.chi_y == numeric_invariants(s).chi_y
+
+
+def test_counts_are_the_lengths_of_the_builders(srng, monkeypatch):
+    surfaces = [random_surface(srng, extra_rays=6, blowups=8) for _ in range(40)]
+    built = [
+        (len(exceptional_collection(s)), len(vanishing_cycles(s)), len(visible_spheres(s))) for s in surfaces
+    ]
+    # check_counts counts without building: the collections are never built.
+    for name in ("exceptional_collection", "vanishing_cycles"):
+        monkeypatch.setattr(catalog, name, lambda s, name=name: pytest.fail(f"check_counts called {name}"))
+    for s, lengths in zip(surfaces, built):
+        report = check_counts(s)
+        assert (report.exceptional_count, report.vanishing_count, report.sphere_count) == lengths
 
 
 def test_counts_invariant_under_pushforward(srng):

@@ -288,6 +288,40 @@ def test_messages_quote_at_most_40_characters_of_an_integer(capsys, tmp_path):
     path.write_text(f'{{"nodes": [{{"position": [1, 0], "direction": [1, 0], "cut_sign": {big}}}]}}')
     code, out, err = run(capsys, "atf", "move", str(path), "--elementary=1,0")
     assert code == 1 and out == "" and err == f"error: cut_sign must be +-1, got {big[:40]}...\n"
+    code, out, err = run(capsys, "word", "eval", "E", f"--point=-1,{big}")
+    assert code == 1 and out == "" and err == f"error: pole at (-1, {big[:40]}...)\n"
+
+
+def test_diagram_errors_quote_records_and_lines_cut(capsys, tmp_path):
+    # A node record with an extra key holding a 4000-digit integer, and a
+    # bad position string, are quoted with each integer and string cut.
+    big = 3 * 10**3999
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"nodes": [{"position": [1, 0], "direction": [1, 0], "cut_sign": 1, "extra": big}]}))
+    code, out, err = run(capsys, "atf", "move", str(path), "--elementary=1,0")
+    assert code == 1 and out == "" and _one_error_line(err) and len(err) < 200
+    assert err == (
+        "error: bad node record: {'position': [1, 0], 'direction': [1, 0], 'cut_sign': 1, "
+        f"'extra': {str(big)[:40]}...}}\n"
+    )
+    # Containers nested past three levels are quoted as "...".
+    path.write_text(json.dumps({"nodes": [{"position": [1, 0], "extra": [[[[[[1]]]]]] * 400}]}))
+    code, out, err = run(capsys, "atf", "move", str(path), "--elementary=1,0")
+    assert err == "error: bad node record: {'position': [1, 0], 'extra': [[...], [...], [...], [...], [...], ...]}\n"
+    path.write_text(json.dumps({"nodes": [{"position": ["1/" + "x" * 5000, 0], "direction": [1, 0], "cut_sign": 1}]}))
+    code, out, err = run(capsys, "atf", "move", str(path), "--elementary=1,0")
+    assert code == 1 and out == "" and _one_error_line(err) and len(err) < 200
+    assert err.startswith("error: bad position ['1/xxxxxxxx")
+    # 3000 nodes at 2, 4, .., 6000 times (1, 0) are not at consecutive
+    # multiples; the message quotes the first few line coordinates.
+    nodes = [{"position": [str(2 * t), "0"], "direction": [1, 0], "cut_sign": 1} for t in range(1, 3001)]
+    path.write_text(json.dumps({"nodes": nodes}))
+    code, out, err = run(capsys, "atf", "move", str(path), "--elementary=1,0")
+    assert code == 1 and out == "" and _one_error_line(err) and len(err) < 200
+    assert err == (
+        "error: nodes on ray (1, 0) not at consecutive multiples: [Fraction(2, 1), Fraction(4, 1), "
+        "Fraction(6, 1), Fraction(8, 1), Fraction(10, 1), ...]\n"
+    )
 
 
 def test_evaluation_past_the_bit_budget_exits_1(capsys):

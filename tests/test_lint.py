@@ -1,5 +1,5 @@
-"""Source checks on the library: safe under ``python -O``, no private reach-ins, every
-input fault a ``DomainError``."""
+"""Source checks on the library: safe under ``python -O``, no private reach-ins, no
+``Poly2`` internals outside ``polyrat``, every input fault a ``DomainError``."""
 
 import ast
 import importlib
@@ -194,6 +194,33 @@ def test_no_module_reaches_into_private_names():
         for item in _private_reach_ins(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert not found, f"private names used across modules: {found}"
+
+
+def _poly_internals(tree: ast.AST) -> list[str]:
+    """Every use of a ``.terms`` or ``.content`` attribute, the integer terms and the content of a ``Poly2``."""
+    found = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in ("terms", "content")]
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_poly_internals_check_sees_attribute_reads():
+    source = (
+        "def f(r, terms):\n"
+        "    content = r.num.content\n"
+        "    return r.num.terms, terms, content, r.content_of\n"
+    )
+    assert _poly_internals(ast.parse(source)) == ["2: r.num.content", "3: r.num.terms"]
+
+
+def test_only_polyrat_reads_poly_internals():
+    # The polynomial core has one home: every other module goes through
+    # polyrat's public functions, never through a Poly2's terms or content.
+    found = [
+        f"{path.name}:{item}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "polyrat.py"
+        for item in _poly_internals(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert not found, f"Poly2 internals read outside polyrat: {found}"
 
 
 def _unused_private_names(tree: ast.Module) -> list[str]:

@@ -13,6 +13,7 @@ from logcy2.polyrat import (
     PolyParseError,
     RatFunc2,
     ZeroDenominatorError,
+    arc_limit,
     dlog_ratio,
     evaluate,
     format_poly,
@@ -328,6 +329,44 @@ def test_evaluation_respects_substitution(srng):
             assert evaluate(composed, pt) == evaluate(e, inner)
         except PoleAtPointError:
             continue
+
+
+# --- leading order on an arc ----------------------------------------------------
+
+
+# On the arc x = lam, y = t (matrix ((1, 0), (0, 1))) with g = y, the ray is
+# (0, 1) for an f of t-order 0, and the action reads f's lowest rows in lam.
+ARC_X = ((1, 0), (0, 1))
+
+
+def test_arc_limit_reads_a_monomial_ratio():
+    # (-3/2 lam^2 + 3 lam^-1) / (lam^-1 - 2 lam^-4) is -3/2 lam^3; times
+    # lam^4 on both sides, and + y keeps the fraction from cancelling.
+    f = rf(parse_poly("(-3/2)*x^6 + 3*x^3 + y"), parse_poly("x^3 + (-2) + y"))
+    ray, action = arc_limit(f, RatFunc2.y(), ARC_X)
+    assert ray == (0, 1) and action() == (Fraction(-3, 2), 3)
+    # 5 lam^-2 over 1/3: the contents come in.
+    ray, action = arc_limit(rf(Poly2.const(5), X.scale(Fraction(1, 3)) * X), RatFunc2.y(), ARC_X)
+    assert ray == (0, 1) and action() == (15, -2)
+
+
+def test_arc_limit_rejects_a_non_monomial_ratio():
+    # (lam + 1) / (lam - 1): same leading terms, different tails.
+    assert arc_limit(rf(X + ONE, X - ONE), RatFunc2.y(), ARC_X)[1]() is None
+    # lam^2 + 1 over lam: the leading terms alone would say lam.
+    assert arc_limit(rf(X * X + ONE, X), RatFunc2.y(), ARC_X)[1]() is None
+
+
+def test_arc_limit_reads_the_orders_before_any_power(monkeypatch):
+    # On the arc x = lam^2 t^-3, y = lam t^-1 (determinant 1), x^5 + y has
+    # t-order -15 and row lam^10; its powers are built only by the action.
+    calls = []
+    product = polyrat._ip_mul
+    monkeypatch.setattr(polyrat, "_ip_mul", lambda a, b: calls.append(1) or product(a, b))
+    ray, action = arc_limit(rf(parse_poly("x^5 + y")), RatFunc2.x(), ((2, -3), (1, -1)))
+    assert ray == (-15, -3) and calls == []
+    # f^-3 x^15 = lam^-30 lam^30.
+    assert action() == (1, 0) and calls
 
 
 # --- textual form -----------------------------------------------------------------

@@ -157,8 +157,10 @@ def test_univariate_gcd_matches_sympy(a, b, h):
 
 
 def check_univariate_gcd(a, b, h):
-    # The gcd in Z[y] of two rows, integer content included.
-    p, q = polyrat.univariate_mul(a, h), polyrat.univariate_mul(b, h)
+    # The gcd in Z[y] of two rows, integer content included; the rows are
+    # built as products of x-only dicts.
+    x_only = lambda d: {(j, 0): c for j, c in d.items()}
+    p, q = ({j: c for (j, _), c in polyrat._ip_mul(x_only(u), x_only(h)).items()} for u in (a, b))
     g = polyrat._y_gcd([p, q])
     as_x = lambda d: Poly2({(i, 0): c for i, c in d.items()})
     expected = sympy.gcd(to_sympy(as_x(p)), to_sympy(as_x(q)))
