@@ -40,18 +40,16 @@ from .lattice import (
     PLMap,
     Vec,
     complement_matrix,
-    mat_det,
     mat_inv,
     mat_mul,
     pl_apply,
     pl_compose,
     pl_elementary,
-    pl_inverse,
     require_primitive,
     require_unimodular,
 )
 from .polyrat import RatFunc2, arc_limit, dlog_ratio, pullback, substitute
-from .words import Elementary, Generator, Letter, Linear, Word, generator_determinant
+from .words import Letter, Linear, Word, generator_determinant, ray_image
 
 
 # Entries kept by each word- and letter-keyed cache below; a long session
@@ -121,16 +119,9 @@ def monomial_map(mat: Mat) -> BirationalMap:
     return _pull(IDENTITY_MAP, [require_unimodular(mat)])
 
 
-def elementary_realization(n: Vec, exponent: int = 1, second_row: tuple[int, int] | None = None) -> BirationalMap:
-    """E[n]^exponent as a torus map, by the steps mat_inv(c), exponent, c for the complement c of n.
-
-    ``second_row`` overrides the canonical complement's second row, for
-    probing whether the conjugate depends on the complement choice; it must
-    satisfy c n1 + d n2 = 1.
-    """
-    c = complement_matrix(n) if second_row is None else ((n[1], -n[0]), second_row)
-    if mat_det(c) != 1:
-        raise ValueError(f"row {second_row} does not complement {n}")
+def elementary_realization(n: Vec, exponent: int = 1) -> BirationalMap:
+    """E[n]^exponent as a torus map, by the steps mat_inv(c), exponent, c for the complement c of n."""
+    c = complement_matrix(n)
     return _pull(IDENTITY_MAP, [mat_inv(c), exponent, c])
 
 
@@ -208,8 +199,7 @@ def letter_trop(letter: Letter) -> PLMap:
     gen, e = letter
     if isinstance(gen, Linear):
         return PLMap.linear(gen.mat if e == 1 else mat_inv(gen.mat))
-    base = pl_elementary(gen.n)
-    return base if e == 1 else pl_inverse(base)
+    return pl_elementary(gen.n, e)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -219,13 +209,13 @@ def tropicalize(w: Word) -> PLMap:
 
 
 def tropical_image(w: Word, v: Vec) -> Vec:
-    """``pl_apply(tropicalize(w), v)``, applying the letters one at a time.
+    """``pl_apply(tropicalize(w), v)``, moving v by ``ray_image`` one letter at a time.
 
     PL composition is exact, so this equals the image under the composite
     map; it never builds that map, whose piece count grows with the word.
     """
     for letter in reversed(w.letters):
-        v = pl_apply(letter_trop(letter), v)
+        v = ray_image(letter, v)
     return v
 
 

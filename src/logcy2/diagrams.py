@@ -5,8 +5,10 @@ through the origin (its eigenline) and carries a branch cut along it:
 ``cut_sign * direction`` is the direction of the cut ray, which either
 avoids the origin or passes through it.  The node's monodromy, the
 unipotent map fixing the eigenline, is computed from the direction when it
-is used.  Directions are stored sign-canonically (first nonzero
-coordinate positive) so that equal geometric data serializes identically.
+is used: ``lattice.elementary_shear(direction, -1)``, the inverse of the
+shear by which the elementary map at that direction moves rays.  Directions
+are stored sign-canonically (first nonzero coordinate positive) so that
+equal geometric data serializes identically.
 
 ``diagram`` places one node at each point j*n, 1 <= j <= m_n, of a surface
 datum, cut away from the origin.  Nodal slides move a node along its
@@ -27,9 +29,7 @@ from .lattice import (
     Mat,
     NonPrimitiveError,
     Vec,
-    complement_matrix,
-    mat_inv,
-    mat_mul,
+    elementary_shear,
     mat_vec,
     neg,
     require_primitive,
@@ -39,8 +39,6 @@ from .errors import DomainError, Value, cut, output
 from .surfaces import Surface, check_blowup_budget
 
 Point = tuple[Fraction, Fraction]
-
-MONODROMY_SHEAR: Mat = ((1, 0), (1, 1))
 
 
 class InvalidDiagramError(DomainError, ValueError):
@@ -62,9 +60,8 @@ class PreconditionFailedError(DomainError, ValueError):
 
 
 def monodromy_for(direction: Vec) -> Mat:
-    """The unipotent monodromy fixing the eigenline of ``direction`` pointwise."""
-    c = complement_matrix(direction)
-    return mat_mul(mat_inv(c), mat_mul(MONODROMY_SHEAR, c))
+    """The unipotent monodromy v -> v - cross(direction, v) direction, fixing the eigenline."""
+    return elementary_shear(require_primitive(direction), -1)
 
 
 def canonical_direction(v: Vec) -> tuple[Vec, int]:
@@ -196,12 +193,11 @@ def cut_transfer(d: BaseDiagram, index: int) -> BaseDiagram:
     node = d.nodes[index]
     u = node.cut_vector()
     through_origin = node.position[0] * u[0] + node.position[1] * u[1] < 0
-    if through_origin:
-        shear = mat_inv(node.monodromy)
-        side = 1  # cross(position, u) < 0
-    else:
-        shear = node.monodromy
-        side = -1  # cross(position, u) > 0
+    # A cut through the origin re-charts the nodes with cross(position, u) < 0
+    # by the inverse monodromy; the opposite transfer those with cross > 0 by
+    # the monodromy.
+    side = 1 if through_origin else -1
+    shear = elementary_shear(node.direction, side)
     new_nodes = []
     for j, other in enumerate(d.nodes):
         if j == index:

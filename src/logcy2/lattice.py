@@ -8,6 +8,11 @@ The main structured object is :class:`PLMap`, a piecewise-linear self-map
 of the plane: unimodular matrices on a fan of closed sectors, agreeing on
 shared boundary rays.  These record which boundary ray a boundary ray is
 carried to by a birational map of the torus.
+
+``elementary_shear(n, e)`` is the one shear these maps are made of: v goes
+to v + e cross(n, v) n.  The elementary map at n, to the power e, moves the
+rays strictly ccw of n by it and fixes the others (``pl_elementary``); the
+nodal monodromy along n is its e = -1 shear.
 """
 
 from __future__ import annotations
@@ -21,12 +26,6 @@ Vec = tuple[int, int]
 Mat = tuple[tuple[int, int], tuple[int, int]]
 
 MAT_ID: Mat = ((1, 0), (0, 1))
-
-# Shear fixing the vertical axis pointwise, pushing the left half-plane up:
-# (-1, 0) goes to (-1, 1).  This is the nontrivial piece of the
-# tropicalization of the elementary map E, and the inverse of the nodal
-# monodromy shear for direction (0, 1).
-SHEAR_LEFT_UP: Mat = ((1, 0), (-1, 1))
 
 
 class NonPrimitiveError(DomainError, ValueError):
@@ -71,6 +70,12 @@ def cross(u: Vec, v: Vec) -> int:
 def rot90(v: Vec) -> Vec:
     """Counterclockwise quarter turn."""
     return (-v[1], v[0])
+
+
+def elementary_shear(n: Vec, e: int) -> Mat:
+    """The matrix of v -> v + e cross(n, v) n, fixing the line of n pointwise."""
+    n1, n2 = n
+    return ((1 - e * n1 * n2, e * n1 * n1), (-e * n2 * n2, 1 + e * n1 * n2))
 
 
 def mat_det(m: Mat) -> int:
@@ -242,7 +247,8 @@ def pl_validate(p: PLMap) -> None:
         raise AssertionError(f"mixed determinant signs: {dets}")
     k = len(p.rays)
     for i in range(k):
-        require_primitive(p.rays[i])
+        if not is_primitive(p.rays[i]):
+            raise AssertionError(f"ray {cut(p.rays[i])} is not primitive")
         if angle_cmp(p.rays[i], p.rays[(i + 1) % k]) == 0:
             raise AssertionError("repeated ray")
         prev = p.mats[i - 1]
@@ -329,13 +335,11 @@ def pl_inverse(p: PLMap) -> PLMap:
     return _canonical(pairs)
 
 
-def pl_elementary(n: Vec = (0, 1)) -> PLMap:
-    """Tropicalization of the elementary map at ray n.
+def pl_elementary(n: Vec = (0, 1), e: int = 1) -> PLMap:
+    """Tropicalization of the elementary map at ray n, to the power e.
 
-    c^-1 * SHEAR_LEFT_UP * c on the sector [n, -n) and the identity on
-    [-n, n), where c is the canonical complement of n.  For n = (0, 1), c
-    is the identity: the shear (1,0;-1,1) on the left half-plane, so
-    (-1, 0) goes to (-1, 1).
+    ``elementary_shear(n, e)`` on the sector [n, -n) and the identity on
+    [-n, n).  For n = (0, 1) and e = 1: the shear (1,0;-1,1) on the left
+    half-plane, so (-1, 0) goes to (-1, 1).
     """
-    c = complement_matrix(n)
-    return _canonical([(n, mat_mul(mat_inv(c), mat_mul(SHEAR_LEFT_UP, c))), (neg(n), MAT_ID)])
+    return _canonical([(require_primitive(n), elementary_shear(n, e)), (neg(n), MAT_ID)])

@@ -10,6 +10,8 @@ do not change the interior; interior blow-ups increment a multiplicity.
 regular; ``resolve`` makes one pass over the word, augmenting the starting fan
 and the fan reached so far alike until the whole word is regular.  Both push
 plain rays and multiplicities, and build, so validate, only what they return.
+A letter moves each ray by ``words.ray_image``, its closed-form
+tropicalization, so this module needs neither ``birmap`` nor ``polyrat``.
 
 Validation: a ``Surface`` validates itself once, when it is constructed,
 and raises ``InvalidSurfaceError`` if it breaks an invariant.  Every surface
@@ -21,7 +23,6 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .birmap import letter_trop
 from .errors import DomainError, Value, cut, output
 from .lattice import (
     NonPrimitiveError,
@@ -30,12 +31,10 @@ from .lattice import (
     cross,
     in_sector,
     is_primitive,
-    mat_det,
     neg,
-    pl_apply,
     vadd,
 )
-from .words import Elementary, Letter, Word
+from .words import Elementary, Letter, Word, generator_determinant, ray_image
 
 
 class InvalidSurfaceError(DomainError, ValueError):
@@ -336,19 +335,12 @@ def _fault(letter: Letter, rays: tuple[Vec, ...], m: list[int]) -> tuple[str, Ve
 def _push(letter: Letter, rays: tuple[Vec, ...], m: list[int]) -> tuple[tuple[Vec, ...], list[int]]:
     """The fan (rays, m) pushed along a letter that is regular on it.
 
-    The letter's tropicalization keeps the cyclic order of the rays, reversed
-    if it reverses orientation, and its break rays are fan rays: from the
-    first break ray on, piece j maps the run of rays up to break ray j + 1.
+    Each ray moves by ``ray_image``.  The letter keeps the cyclic order of
+    the rays, reversed if it reverses orientation.
     """
     gen, e = letter
-    trop = letter_trop(letter)
-    if trop.rays:
-        start = rays.index(trop.rays[0])
-        rays, m = rays[start:] + rays[:start], m[start:] + m[:start]
-    ends = [0, *[rays.index(r) for r in trop.rays[1:]], len(rays)]
-    runs = zip(trop.mats, [rays[i:j] for i, j in zip(ends, ends[1:])])
-    rays = tuple((p * x + q * y, u * x + t * y) for ((p, q), (u, t)), run in runs for x, y in run)
-    if mat_det(trop.mats[0]) < 0:
+    rays, m = tuple(ray_image(letter, r) for r in rays), list(m)
+    if generator_determinant(gen) < 0:
         rays, m = rays[::-1], m[::-1]
     if isinstance(gen, Elementary):
         src = gen.n if e == 1 else neg(gen.n)
@@ -380,7 +372,6 @@ def resolve(w: Word, s0: Surface) -> Surface:
     multiplicity).  Only the final candidate becomes a ``Surface``.
     """
     letters = w.letters
-    inverses = [letter_trop((gen, -e)) for gen, e in letters]
     cand_rays, cand_m, rays, m = s0.rays, list(s0.m), s0.rays, list(s0.m)
     for applied, letter in enumerate(reversed(letters)):
         for _ in range(4):
@@ -388,8 +379,8 @@ def resolve(w: Word, s0: Surface) -> Surface:
                 break
             reason, ray = fault
             r0 = ray
-            for inverse in inverses[len(letters) - applied :]:
-                r0 = pl_apply(inverse, r0)
+            for gen, e in letters[len(letters) - applied :]:
+                r0 = ray_image((gen, -e), r0)
             if reason == "missing ray":
                 cand_rays, cand_m = _insert(cand_rays, cand_m, r0)
                 rays, m = _insert(rays, m, ray)

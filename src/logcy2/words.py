@@ -34,7 +34,9 @@ from .lattice import (
     Mat,
     Vec,
     mat_det,
+    mat_inv,
     mat_transpose,
+    mat_vec,
     require_primitive,
     require_unimodular,
 )
@@ -276,3 +278,17 @@ def word_to_text(w: Word) -> str:
 def generator_determinant(gen: Generator) -> int:
     """det of the linear part: +-1 for Linear, +1 for Elementary."""
     return mat_det(gen.mat) if isinstance(gen, Linear) else 1
+
+
+def ray_image(letter: Letter, v: Vec) -> Vec:
+    """The image of v under one letter's tropicalization.
+
+    A linear letter moves v by B^e.  E[n]^e fixes v when cross(n, v) <= 0
+    and sends it to v + e cross(n, v) n otherwise.
+    """
+    gen, e = letter
+    if isinstance(gen, Linear):
+        return mat_vec(gen.mat if e == 1 else mat_inv(gen.mat), v)
+    (n1, n2), (x, y) = gen.n, v
+    c = n1 * y - n2 * x
+    return v if c <= 0 else (x + e * c * n1, y + e * c * n2)

@@ -27,10 +27,10 @@ from logcy2.birmap import (
     volume_character,
 )
 from logcy2 import polyrat
-from logcy2.lattice import NonUnimodularError, mat_inv, pl_apply, pl_compose, pl_elementary, PLMap
+from logcy2.lattice import NonUnimodularError, complement_matrix, mat_inv, mat_mul, pl_apply, pl_compose, pl_elementary, PLMap
 from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, evaluate, normalize, substitute
-from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_word, realized_degree
-from logcy2.words import E, Elementary, Letter, Linear, Word, linear_from_literal, parse_word
+from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_unimodular, random_word, realized_degree
+from logcy2.words import E, Elementary, Letter, Linear, Word, linear_from_literal, parse_word, ray_image
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
@@ -381,14 +381,14 @@ def test_volume_character_multiplicative(srng):
 
 
 def test_elementary_realization_complement_independent(srng):
+    # Any complement (n2, -n1; c, d) of n conjugates E to the same map.
     for _ in range(25):
         n = random_primitive(srng, 4)
-        from logcy2.lattice import complement_matrix
-
         cc, dd = complement_matrix(n)[1]
         k = srng.randint(-3, 3)
-        alt = (cc + k * n[1], dd - k * n[0])
-        assert elementary_realization(n) == elementary_realization(n, second_row=alt)
+        alt = ((n[1], -n[0]), (cc + k * n[1], dd - k * n[0]))
+        conjugate = compose(compose(monomial_map(mat_inv(alt)), realize(E)), monomial_map(alt))
+        assert elementary_realization(n) == conjugate
 
 
 def test_elementary_realization_is_the_letter_power():
@@ -403,13 +403,6 @@ def test_monomial_map_rejects_a_singular_matrix():
     with pytest.raises(NonUnimodularError):
         monomial_map(((2, 0), (0, 1)))
     assert monomial_map(((0, 1), (1, 0))) == BirationalMap(RatFunc2.y(), RatFunc2.x())
-
-
-def test_elementary_realization_rejects_bad_row():
-    with pytest.raises(ValueError):
-        elementary_realization((0, 1), second_row=(1, 2))
-    with pytest.raises(ValueError):  # c n1 + d n2 = -1: unimodular, but not a complement
-        elementary_realization((0, 1), second_row=(0, -1))
 
 
 # --- tropicalization -------------------------------------------------------------
@@ -465,6 +458,27 @@ def test_tropical_image_matches_composite_map(srng):
         vectors += [(srng.randint(-9, 9), srng.randint(-9, 9)) for _ in range(10)]
         for v in vectors:
             assert tropical_image(w, v) == pl_apply(trop, v)
+
+
+def test_ray_image_is_the_letter_tropicalization(srng):
+    flip = ((0, 1), (1, 0))
+    for i in range(300):
+        bound = 10**30 if i % 3 == 2 else 50
+        kind = i % 4
+        if kind == 0:
+            gen = Linear(mat_mul(random_unimodular(srng), flip))  # det -1
+        elif kind == 1:
+            gen = Linear(mat_mul(((1, srng.randint(-bound, bound)), (0, 1)), random_unimodular(srng)))
+        else:
+            gen = Elementary(random_primitive(srng, bound))
+        letter = (gen, srng.choice([1, -1]))
+        trop = letter_trop(letter)
+        n = gen.n if isinstance(gen, Elementary) else random_primitive(srng, bound)
+        vectors = [(0, 0), (2 * n[0], -2 * n[1]), (3, 6), (n[0] - n[1], n[1] + n[0]), (n[0] + n[1], n[1] - n[0])]
+        vectors += [(k * n[0], k * n[1]) for k in range(-5, 6)]
+        vectors += [(srng.randint(-bound, bound), srng.randint(-bound, bound)) for _ in range(10)]
+        for v in vectors:
+            assert ray_image(letter, v) == pl_apply(trop, v), (letter, v)
 
 
 # --- caches -----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from logcy2.diagrams import (
     visible_spheres,
 )
 from logcy2.errors import DigitLimitError
-from logcy2.lattice import mat_vec, neg, require_primitive
+from logcy2.lattice import NonPrimitiveError, complement_matrix, mat_inv, mat_mul, mat_vec, neg, require_primitive
 from logcy2.sampling import random_elementary_setup, random_primitive, random_surface, random_unimodular
 from logcy2.surfaces import cubic_surface, interior_blowup, p1xp1, p2, pushforward
 from logcy2.words import Elementary, Linear, Word
@@ -59,6 +59,16 @@ def test_node_monodromy_fixes_direction():
         assert mat_vec(m, direction) == direction or mat_vec(m, direction) == tuple(
             -c for c in direction
         )
+
+
+def test_monodromy_is_the_complement_conjugate_of_the_basic_shear(srng):
+    # The monodromy along (0, 1), conjugated by the complement of the direction.
+    for bound in [50] * 40 + [10**30] * 20:
+        direction = random_primitive(srng, bound)
+        c = complement_matrix(direction)
+        assert monodromy_for(direction) == mat_mul(mat_inv(c), mat_mul(((1, 0), (1, 1)), c))
+    with pytest.raises(NonPrimitiveError):
+        monodromy_for((2, 0))
 
 
 def test_all_diagram_nodes_satisfy_eigen_invariant(srng):

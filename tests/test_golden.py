@@ -4,10 +4,12 @@ commands, checked in process.
 The pool digests and the canonical text they are taken of come from
 ``bench/``: ``bench/data/*.json`` holds the pools, ``bench/ops.py`` runs one
 operation and digests its output, and both are read here, never copied.
-The CLI digests are the sha256 of the whole stdout.
+The CLI digests are the sha256 of the whole stdout.  The last test checks
+that every name ``bench/tracer.py`` wraps in a traced run still exists.
 """
 
 import hashlib
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -17,14 +19,14 @@ from logcy2 import birmap, words
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_ops():
-    spec = importlib.util.spec_from_file_location("bench_ops", BENCH / "ops.py")
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-ops = _load_ops()
+ops = _load_bench("ops")
 
 
 def _pool(name: str):
@@ -99,3 +101,24 @@ def test_cli_commands_keep_their_stdout(monkeypatch):
         if (code, hashlib.sha256(out.encode()).hexdigest()) != (0, expected):
             moved.append(" ".join(argv))
     assert moved == [], f"stdout moved for: {moved}"
+
+
+def test_every_traced_name_resolves():
+    # The traced bench run wraps each name of ``tracer.WRAPPED`` in its layer
+    # module by ``getattr`` (a method in its class's own dict), and its
+    # cold-state guard reads the realize and tropicalize caches.
+    tracer = _load_bench("tracer")
+    missing = []
+    for layer, names in tracer.WRAPPED.items():
+        module = importlib.import_module(f"logcy2.{layer}")
+        for qual in names:
+            if "." in qual:
+                cls_name, attr = qual.split(".")
+                found = callable(vars(getattr(module, cls_name, object)).get(attr))
+            else:
+                found = callable(getattr(module, qual, None))
+            if not found:
+                missing.append(f"{layer}.{qual}")
+    assert missing == []
+    for fn in (birmap.realize, birmap.tropicalize):
+        assert callable(getattr(fn, "cache_info", None)), fn.__name__

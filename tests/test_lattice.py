@@ -11,8 +11,10 @@ from logcy2.lattice import (
     PLMap,
     complement_matrix,
     cross,
+    elementary_shear,
     in_sector,
     mat_det,
+    mat_inv,
     mat_mul,
     mat_vec,
     pl_apply,
@@ -23,6 +25,7 @@ from logcy2.lattice import (
     require_primitive,
     require_unimodular,
 )
+from logcy2.sampling import random_primitive
 
 primitive_vectors = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50)
@@ -100,6 +103,31 @@ def test_elementary_trop_examples():
     pl_validate(t)
 
 
+# The shear the elementary map at (0, 1) applies on the left half-plane, and
+# the nodal monodromy along (0, 1); at any other n both were once built by
+# conjugating these with the complement of n.
+SHEAR_LEFT_UP = ((1, 0), (-1, 1))
+MONODROMY_SHEAR = ((1, 0), (1, 1))
+
+
+def _conjugate_by_complement(n, m):
+    c = complement_matrix(n)
+    return mat_mul(mat_inv(c), mat_mul(m, c))
+
+
+def test_elementary_shear_is_the_complement_conjugate(srng):
+    half_plane = PLMap(((0, 1), (0, -1)), (SHEAR_LEFT_UP, MAT_ID))
+    for bound in [50] * 40 + [10**30] * 20:
+        n = random_primitive(srng, bound)
+        assert elementary_shear(n, 1) == _conjugate_by_complement(n, SHEAR_LEFT_UP)
+        assert elementary_shear(n, -1) == _conjugate_by_complement(n, MONODROMY_SHEAR)
+        c = complement_matrix(n)
+        reference = pl_compose(PLMap.linear(mat_inv(c)), pl_compose(half_plane, PLMap.linear(c)))
+        assert pl_elementary(n) == pl_elementary(n, 1) == reference
+        assert pl_elementary(n, -1) == pl_inverse(reference)
+        pl_validate(pl_elementary(n, -1))
+
+
 def test_compose_with_identity_is_canonical():
     t = pl_elementary()
     assert pl_compose(t, PLMap.identity()) == t
@@ -145,6 +173,12 @@ def test_bijection_via_inverse(srng):
             v = (srng.randint(-30, 30), srng.randint(-30, 30))
             assert pl_apply(inv, pl_apply(p, v)) == v
             assert pl_apply(p, pl_apply(inv, v)) == v
+
+
+def test_validate_raises_assertion_error_on_a_non_primitive_ray():
+    # A malformed map is a library fault, not an input fault: no NonPrimitiveError.
+    with pytest.raises(AssertionError, match="not primitive"):
+        pl_validate(PLMap(((2, 0), (0, 1)), (MAT_ID, MAT_ID)))
 
 
 def test_validate_catches_discontinuity():

@@ -74,6 +74,15 @@ if logcy2.surfaces.p2().total_m() != 0 or sys.modules.get("logcy2.surfaces") is 
 if logcy2.__version__ != "0.1.0":
     raise SystemExit(f"__version__ is {logcy2.__version__}")
 """,
+    # Surfaces move rays by ``words.ray_image``, so the surface side of the
+    # library never loads the rational-function algebra.
+    "diagrams_and_catalog_load_neither_birmap_nor_polyrat": f"""
+import sys
+import logcy2.diagrams, logcy2.catalog
+want = ["logcy2.catalog", "logcy2.diagrams", "logcy2.errors", "logcy2.lattice", "logcy2.surfaces", "logcy2.words"]
+if {LOADED} != want:
+    raise SystemExit(f"import logcy2.diagrams, logcy2.catalog loaded {{{LOADED}}}")
+""",
 }
 
 # The value classes are plain ``__slots__`` classes: neither the CLI nor the
