@@ -42,7 +42,6 @@ from .lattice import (
     complement_matrix,
     mat_inv,
     mat_mul,
-    pl_apply,
     pl_compose,
     pl_elementary,
     require_primitive,
@@ -252,7 +251,7 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     ray, action = arc_limit(m.f, m.g, ((dd, n[0]), (-cc, n[1])))
     if math.gcd(*ray) != 1:
         raise NonGenericArcError(f"image exponents {ray} of {w} at {n} are imprimitive")
-    if ray != pl_apply(tropicalize(w), n):
+    if ray != tropical_image(w, n):
         raise AssertionError("boundary limit disagrees with tropicalization")
     # On the image ray (a, b), lambda' is the transverse monomial x'^b y'^-a at leading order.
     result = action()

@@ -7,7 +7,8 @@ exact integer arithmetic.
 The main structured object is :class:`PLMap`, a piecewise-linear self-map
 of the plane: unimodular matrices on a fan of closed sectors, agreeing on
 shared boundary rays.  These record which boundary ray a boundary ray is
-carried to by a birational map of the torus.
+carried to by a birational map of the torus.  ``sector_index`` is the one
+cone search, for these maps and for fans: a bisection on angle.
 
 ``elementary_shear(n, e)`` is the one shear these maps are made of: v goes
 to v + e cross(n, v) n.  The elementary map at n, to the power e, moves the
@@ -173,22 +174,28 @@ def ccw_sorted(vecs: list[Vec]) -> list[Vec]:
     return sorted(vecs, key=cmp_to_key(angle_cmp))
 
 
-def in_sector(a: Vec, b: Vec, v: Vec) -> bool:
-    """True iff v lies in the closed-open sector [a, b) swept ccw from a to b.
+def sector_index(rays: tuple[Vec, ...], v: Vec) -> int:
+    """The i with v in [rays[i], rays[i+1]), cyclically, for ccw rays from any start.
 
-    a and b must be non-parallel-equal directions; v = 0 counts as inside.
+    v = 0 gives 0.  Directions are ranked from a = rays[0] by class (0 on a,
+    1 ccw of a, 2 on -a, 3 cw of a), then by a cross product within a class.
     """
     if v == (0, 0):
-        return True
-    # Position of a direction relative to a: 0 on a itself, 1 in the open
-    # half-plane ccw of a, 2 on -a, 3 in the other open half-plane.
-    c = a[0] * v[1] - a[1] * v[0]
-    kv = (1 if c > 0 else 3) if c else (0 if a[0] * v[0] + a[1] * v[1] > 0 else 2)
-    c = a[0] * b[1] - a[1] * b[0]
-    kb = (1 if c > 0 else 3) if c else (0 if a[0] * b[0] + a[1] * b[1] > 0 else 2)
-    if kv == kb and kv & 1:
-        return v[0] * b[1] - v[1] * b[0] > 0
-    return kv < kb
+        return 0
+    a0, a1 = rays[0]
+    c = a0 * v[1] - a1 * v[0]
+    kv = (1 if c > 0 else 3) if c else (0 if a0 * v[0] + a1 * v[1] > 0 else 2)
+    lo, hi = 0, len(rays)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        r0, r1 = rays[mid]
+        c = a0 * r1 - a1 * r0
+        kr = (1 if c > 0 else 3) if c else (0 if a0 * r0 + a1 * r1 > 0 else 2)
+        if kr < kv or (kr == kv and (not kr & 1 or r0 * v[1] - r1 * v[0] >= 0)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class PLMap(Value):
@@ -225,13 +232,7 @@ class PLMap(Value):
         return not self.rays
 
     def piece_index(self, v: Vec) -> int:
-        if not self.rays:
-            return 0
-        k = len(self.rays)
-        for i in range(k):
-            if in_sector(self.rays[i], self.rays[(i + 1) % k], v):
-                return i
-        raise AssertionError(f"sectors of {self} do not cover {v}")
+        return sector_index(self.rays, v) if self.rays else 0
 
     def matrix_at(self, v: Vec) -> Mat:
         return self.mats[self.piece_index(v)]
@@ -298,15 +299,11 @@ def pl_compose(p: PLMap, q: PLMap) -> PLMap:
         return PLMap.linear(mat_mul(p.mats[0], q.mats[0]))
     rays: list[Vec] = list(q.rays)
     # Preimages under q of p's breakpoints are the other potential breakpoints.
-    for r in p.rays:
-        if q.is_linear():
-            rays.append(primitive_part(mat_vec(mat_inv(q.mats[0]), r)))
-        else:
-            kq = len(q.rays)
-            for i in range(kq):
-                w = mat_vec(mat_inv(q.mats[i]), r)
-                if in_sector(q.rays[i], q.rays[(i + 1) % kq], w):
-                    rays.append(primitive_part(w))
+    for i, inv in enumerate(map(mat_inv, q.mats)):
+        for r in p.rays:
+            w = mat_vec(inv, r)
+            if q.piece_index(w) == i:
+                rays.append(primitive_part(w))
     unique: list[Vec] = []
     for r in ccw_sorted(rays):
         if not unique or angle_cmp(unique[-1], r) != 0:

@@ -29,9 +29,9 @@ from .lattice import (
     Vec,
     angle_cmp,
     cross,
-    in_sector,
     is_primitive,
     neg,
+    sector_index,
     vadd,
 )
 from .words import Elementary, Letter, Word, generator_determinant, ray_image
@@ -291,7 +291,8 @@ def _insert(rays: tuple[Vec, ...], m: tuple[int, ...] | list[int], v: Vec) -> tu
     """``insert_ray`` on plain rays and multiplicities."""
     if not is_primitive(v):
         raise NonPrimitiveError(f"ray {cut(v)} is not primitive")
-    i, a, b = next((i, a, b) for i, (a, b) in enumerate(zip(rays, rays[1:] + rays[:1])) if in_sector(a, b, v))
+    i = sector_index(rays, v)
+    a, b = rays[i], rays[(i + 1) % len(rays)]
     ccw: list[Vec] = []  # the added rays beside a, in ccw order
     cw: list[Vec] = []  # the added rays beside b, in cw order
     while a != v:

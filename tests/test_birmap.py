@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 import random
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from logcy2.birmap import (
     tropicalize,
     volume_character,
 )
-from logcy2 import polyrat
+from logcy2 import birmap, polyrat
 from logcy2.lattice import NonUnimodularError, complement_matrix, mat_inv, mat_mul, pl_apply, pl_compose, pl_elementary, PLMap
 from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, evaluate, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_unimodular, random_word, realized_degree
@@ -546,6 +548,32 @@ def test_boundary_limit_matches_tropicalization(srng):
         w = random_word(srng, 3)
         n = random_primitive(srng, 3)
         assert boundary_limit(w, n).ray == pl_apply(tropicalize(w), n)
+
+
+def test_boundary_limit_builds_no_pl_map(monkeypatch):
+    # The check against the tropicalization moves the one ray letter by letter.
+    pool = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data" / "words.json").read_text())
+    queries = [(parse_word(item["word"]), tuple(n)) for item in pool[::20] + pool[-1:] for n in item["rays"]]
+    expected = [pl_apply(tropicalize(w), n) for w, n in queries]
+
+    def refuse(*args):
+        raise AssertionError("boundary_limit built a PL map")
+
+    for target in ("birmap.tropicalize", "birmap.pl_compose", "lattice.pl_compose"):
+        monkeypatch.setattr(f"logcy2.{target}", refuse)
+    assert [boundary_limit(w, n).ray for w, n in queries] == expected
+
+
+def test_boundary_limit_refuses_a_ray_off_the_tropicalization(monkeypatch):
+    real = polyrat.arc_limit
+
+    def sheared(f, g, arc):  # (a, b) -> (a + b, b) keeps the ray primitive
+        (a, b), action = real(f, g, arc)
+        return (a + b, b), action
+
+    monkeypatch.setattr(birmap, "arc_limit", sheared)
+    with pytest.raises(AssertionError, match="boundary limit disagrees with tropicalization"):
+        boundary_limit(parse_word("E"), (-1, 0))
 
 
 def test_pl_data_do_not_decide_equality():

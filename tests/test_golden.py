@@ -4,17 +4,21 @@ commands, checked in process.
 The pool digests and the canonical text they are taken of come from
 ``bench/``: ``bench/data/*.json`` holds the pools, ``bench/ops.py`` runs one
 operation and digests its output, and both are read here, never copied.
-The CLI digests are the sha256 of the whole stdout.  The last test checks
-that every name ``bench/tracer.py`` wraps in a traced run still exists.
+The CLI digests are the sha256 of the whole stdout.  ``LIMITS`` records
+where the CLI refuses to answer.  The last test checks that every name
+``bench/tracer.py`` wraps in a traced run still exists.
 """
 
+import contextlib
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
+import sys
 from pathlib import Path
 
-from logcy2 import birmap, words
+from logcy2 import birmap, cli, words
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -101,6 +105,60 @@ def test_cli_commands_keep_their_stdout(monkeypatch):
         if (code, hashlib.sha256(out.encode()).hexdigest()) != (0, expected):
             moved.append(" ".join(argv))
     assert moved == [], f"stdout moved for: {moved}"
+
+
+# The limit frontier: argv, exit code, the exception class and the start of
+# the error line.  A change that lifts a limit moves its row to exit 0 (with
+# the answer, where it is known); one that adds a refusal adds a row.  An
+# "@name" argument is the file of LIMIT_FILES[name].
+LIMIT_FILES = {
+    "p2": {"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, 0, 0]},
+    "blown": {"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, 10_001, 0]},
+}
+R182 = "(r1*r2*r3)^2*P^5*(r1*r2)^7*P^-5*(r1*r2)^-7*(r1*r2*r3)^-2"
+LIMITS = [
+    # TERM_BUDGET.  The answers are false, true and true.
+    (["word", "equal", "(r1*r2*r3)^4", "id"], 1, "TermBudgetError", "a pullback through E^2 would build 31395 terms"),
+    (["word", "equal", "(r1*r2*r3)^3*P^5*(r1*r2*r3)^-3", "id"], 1, "TermBudgetError", "a pullback through E^-1 would build 17943"),
+    (["word", "equal", R182, "id"], 1, "TermBudgetError", "a pullback through E^2 would build 15433 terms"),
+    (["word", "eval", "(r1*r2*r3)^4", "--point", "2,1"], 1, "TermBudgetError", "a pullback through E^2 would build 31395"),
+    # PAIR_BUDGET
+    (["word", "character", "E^20*E[1,0]^20"], 1, "TermBudgetError", "dlog_ratio would visit 1692621 term pairs"),
+    # MAX_POWER_LETTERS, a usage error
+    (["word", "realize", "E^100001"], 2, "WordSyntaxError", "power has more than 100000 letters"),
+    # RAY_BUDGET: E[1,k] on P2 inserts the k rays (1, 1), .., (1, k)
+    (["surface", "resolve", "E[1,1001]", "@p2"], 1, "RayBudgetError", "inserting ray (1, 1001) adds more than 1000 rays"),
+    (["surface", "resolve", "E[1,1000]", "@p2"], 0, None, None),
+    # BLOWUP_BUDGET
+    (["hms", "counts", "@blown"], 1, "BlowupBudgetError", "more than 10000 interior blow-ups"),
+    # The int-to-text digit limit: the image of (1, 0) has about 5000 digits.
+    (["word", "trop", "A[2,1;1,1]^12000", "--vector", "1,0"], 1, "DigitLimitError", "an output integer has more than"),
+]
+
+
+class _Stderr(io.StringIO):
+    """Captured stderr that notes the exception being handled when the CLI writes to it."""
+
+    raised = None
+
+    def write(self, text):
+        self.raised = self.raised or sys.exc_info()[0]
+        return super().write(text)
+
+
+def test_limits_stay_where_recorded(tmp_path):
+    for name, data in LIMIT_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data), encoding="utf-8")
+    moved = []
+    for argv, code, error_class, error in LIMITS:
+        err = _Stderr()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            got = cli.main([str(tmp_path / f"{a[1:]}.json") if a.startswith("@") else a for a in argv])
+        raised = err.raised and err.raised.__name__
+        line = err.getvalue().partition("\n")[0]
+        if (got, raised) != (code, error_class) or not (line.startswith(f"error: {error}") if error else not line):
+            moved.append(f"{' '.join(argv)[:60]}: exit {got}, {raised}, {line[:80]!r}")
+    assert moved == [], f"{len(moved)} limits moved: {moved}"
 
 
 def test_every_traced_name_resolves():

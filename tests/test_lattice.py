@@ -2,17 +2,17 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from logcy2.lattice import (
     MAT_ID,
     NonPrimitiveError,
     NonUnimodularError,
     PLMap,
+    ccw_sorted,
     complement_matrix,
     cross,
     elementary_shear,
-    in_sector,
     mat_det,
     mat_inv,
     mat_mul,
@@ -24,6 +24,7 @@ from logcy2.lattice import (
     pl_validate,
     require_primitive,
     require_unimodular,
+    sector_index,
 )
 from logcy2.sampling import random_primitive
 
@@ -88,7 +89,40 @@ small_vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 @given(small_vectors, small_vectors, small_vectors)
 def test_in_sector_matches_reference(a, b, v):
-    assert in_sector(a, b, v) == _in_sector_by_keys(a, b, v)
+    # The two-ray fan (a, b): sector 0 is [a, b), sector 1 is [b, a).
+    assume(a != (0, 0) and b != (0, 0) and not (cross(a, b) == 0 and a[0] * b[0] + a[1] * b[1] > 0))
+    assert (sector_index((a, b), v) == 0) == _in_sector_by_keys(a, b, v)
+
+
+def _sector_by_scan(rays, v) -> int:
+    """Reference ``sector_index``: the first cyclic sector [rays[i], rays[i+1]) that holds v."""
+    k = len(rays)
+    return next(i for i in range(k) if _in_sector_by_keys(rays[i], rays[(i + 1) % k], v))
+
+
+def test_sector_index_matches_a_scan_in_every_rotation(srng):
+    for bound in [3] * 150 + [50] * 100 + [10**30] * 100:
+        fan = ccw_sorted(list({random_primitive(srng, bound) for _ in range(srng.randint(2, 12))}))
+        if len(fan) < 2:
+            continue
+        probes = fan + [(-x, -y) for x, y in fan] + [(0, 0)]
+        probes += [(srng.randint(-bound, bound), srng.randint(-bound, bound)) for _ in range(10)]
+        for start in range(len(fan)):
+            rays = tuple(fan[start:] + fan[:start])
+            for v in probes:
+                assert sector_index(rays, v) == _sector_by_scan(rays, v), (rays, v)
+
+
+def test_sector_index_on_opposite_rays():
+    for a in [(1, 0), (2, -3), (10**30, 1 - 10**30)]:
+        rays = (a, (-a[0], -a[1]))
+        assert sector_index(rays, a) == 0
+        assert sector_index(rays, (3 * a[0], 3 * a[1])) == 0
+        assert sector_index(rays, rays[1]) == 1
+        assert sector_index(rays, (-a[1], a[0])) == 0  # ccw of a
+        assert sector_index(rays, (a[1], -a[0])) == 1  # cw of a
+        assert sector_index(rays, (0, 0)) == 0
+        assert sector_index(rays[::-1], a) == 1
 
 
 def test_pl_identity():

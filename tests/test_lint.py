@@ -275,6 +275,42 @@ def test_no_module_keeps_an_unused_private_name():
     assert not found, f"private names their module never uses: {found}"
 
 
+def _unused_imports(tree: ast.AST) -> list[str]:
+    """Names a module imports, at any depth, and never reads; ``from __future__`` aside."""
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in sorted(imported.items(), key=lambda item: item[1]) if name not in used]
+
+
+def test_unused_import_check_sees_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import json as j\n"
+        "from .lattice import cross, in_sector\n"
+        "import logcy2.surfaces\n"
+        "def f(v):\n"
+        "    from .birmap import realize\n"
+        "    return cross(v, v), sys.argv, logcy2.surfaces.p2\n"
+    )
+    assert _unused_imports(ast.parse(source)) == ["2: os", "3: j", "4: in_sector", "7: realize"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A leftover import of a moved or deleted helper keeps a dependency
+    # between modules that the code no longer has.
+    found = [
+        f"{path.name}:{item}"
+        for path in sorted(SRC.glob("*.py"))
+        for item in _unused_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert not found, f"imported names never used: {found}"
+
+
 def _root_name_imports(tree: ast.AST, submodules: set[str]) -> list[str]:
     """Names a module imports from the package root that are not submodules.
 
