@@ -56,14 +56,6 @@ from .words import Letter, Linear, Word, generator_determinant, ray_image
 CACHE_SIZE = 1024
 
 
-class NotVolumePreservingError(ArithmeticError):
-    """The volume character came out non-constant or other than +-1; indicates an internal bug."""
-
-
-class NonGenericArcError(ArithmeticError):
-    """A boundary-limit leading coefficient failed to be a monomial in lambda."""
-
-
 class BirationalMap(Value):
     """A pair of reduced rational functions: the semantic group element.
 
@@ -176,14 +168,14 @@ def volume_character(w: Word) -> int:
     ``polyrat.dlog_ratio`` proves the realized map's dlog f ^ dlog g a
     constant multiple of dlog x ^ dlog y in exact integer arithmetic, or
     shows that it is not.  Every word must come out exactly +1 or -1;
-    anything else raises NotVolumePreservingError.
+    anything else is a bug and raises AssertionError.
     """
     m = realize(w)
     value = dlog_ratio(m.f, m.g)
     if value is None:
-        raise NotVolumePreservingError(f"character of {w} is non-constant")
+        raise AssertionError(f"character of {w} is non-constant")
     if value not in (1, -1):
-        raise NotVolumePreservingError(f"character of {w} is {value}")
+        raise AssertionError(f"character of {w} is {value}")
     return int(value)
 
 
@@ -250,14 +242,14 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     # x = lam^p t^n1, y = lam^q t^n2, with p n2 - q n1 = 1.
     ray, action = arc_limit(m.f, m.g, ((dd, n[0]), (-cc, n[1])))
     if math.gcd(*ray) != 1:
-        raise NonGenericArcError(f"image exponents {ray} of {w} at {n} are imprimitive")
+        raise AssertionError(f"image exponents {ray} of {w} at {n} are imprimitive")
     if ray != tropical_image(w, n):
         raise AssertionError("boundary limit disagrees with tropicalization")
     # On the image ray (a, b), lambda' is the transverse monomial x'^b y'^-a at leading order.
     result = action()
     if result is None:
-        raise NonGenericArcError(f"boundary action of {w} at {n} is not monomial")
+        raise AssertionError(f"boundary action of {w} at {n} is not monomial")
     coeff, expo = result
     if expo not in (1, -1):
-        raise NonGenericArcError(f"boundary action of {w} at {n} has degree {expo}")
+        raise AssertionError(f"boundary action of {w} at {n} has degree {expo}")
     return BoundaryAction(ray, coeff, expo)

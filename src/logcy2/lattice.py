@@ -116,7 +116,8 @@ def complement_matrix(n: Vec) -> Mat:
     """The canonical A in SL2(Z) with A n = (0, 1).
 
     First row is (n2, -n1); the second row (c, d) solves c n1 + d n2 = 1
-    with |c| minimal (ties broken by c >= 0, then |d| minimal, d >= 0).
+    with |c| minimal, c >= 0 on a tie: c is the inverse of n1 modulo |n2|
+    nearest 0 and d = (1 - c n1) / n2, or (n1, 0) when n2 = 0.
     """
     require_primitive(n)
     n1, n2 = n
@@ -124,33 +125,15 @@ def complement_matrix(n: Vec) -> Mat:
         # c is forced to 1/n1 = n1; d is free, pinned to 0.
         c, d = n1, 0
     else:
-        g, c0, d0 = _xgcd(n1, n2)
-        if g != 1:
-            raise AssertionError(f"gcd of the primitive vector {n} came out {g}")
-        # General solution: (c0 + k n2, d0 - k n1).  |c| is minimized within
-        # one step of k = -c0/n2, so scanning a small window suffices.
-        kf = -c0 // n2
-        candidates = [(c0 + k * n2, d0 - k * n1) for k in range(kf - 1, kf + 3)]
-        c, d = min(candidates, key=lambda cd: (abs(cd[0]), cd[0] < 0, abs(cd[1]), cd[1] < 0))
+        m = abs(n2)
+        c = pow(n1, -1, m)  # 0 when m = 1
+        if 2 * c > m:
+            c -= m
+        d = (1 - c * n1) // n2
     a = ((n2, -n1), (c, d))
     if mat_det(a) != 1 or mat_vec(a, n) != (0, 1):
         raise AssertionError(f"complement {a} of {n} is not in SL2(Z) with a n = (0, 1)")
     return a
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s a + t b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 # --- angular order ----------------------------------------------------------

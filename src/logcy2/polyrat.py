@@ -11,14 +11,16 @@ first, then x-degree).  That canonical form makes structural equality a
 valid equality test for rational functions, which is what the word-problem
 oracle relies on.
 
-GCDs run in integer arithmetic and return the cofactors with the gcd, from
-one exact division.  A monomial input settles the gcd at once; otherwise
-one heuristic gcd (GCDHEU) sets y, and then x, to xi >= 2 * min(height) + 29,
-calls itself on the images down to an integer gcd, and reads each level back
-in balanced base xi, verified by exact division; what it gives up on goes to
-one primitive pseudo-remainder sequence in x on the same term dicts, whose
-y-contents are gcds of x-only dicts by the same two routes.  Every other
-routine runs on the integer terms as well.
+GCDs run in integer arithmetic and return the cofactors with the gcd, each
+computed once.  A monomial input settles the gcd at once and its cofactors
+are exponent shifts; otherwise one heuristic gcd (GCDHEU) sets y, and then
+x, to xi >= 2 * min(height) + 29, calls itself on the images down to an
+integer gcd, and reads each level back in balanced base xi, verified by
+exact division, whose quotients are the cofactors; what it gives up on goes
+to one primitive pseudo-remainder sequence in x on the same term dicts,
+whose y-contents are gcds of x-only dicts by the same two routes, and its
+cofactors come from one exact division each.  Every other routine runs on
+the integer terms as well.
 By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
 ``normalize`` and the pullback kernels keep the terms primitive, so they
 only multiply or divide contents; sums, derivatives and the result of
@@ -382,22 +384,23 @@ def _balanced_digits(value: int, xi: int):
 # division to check it.  Lowering the starting point loses that guarantee.
 
 
-def _heugcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int] | None:
-    """Gcd of nonzero p, q in Z[x, y], content included, or None.
+def _heugcd(p: dict[Term, int], q: dict[Term, int]):
+    """(g, p/g, q/g) for nonzero p, q in Z[x, y], content included in g, or None.
 
     GCDHEU (Char, Geddes and Gonnet 1989).  Two constants give their integer
     gcd.  Otherwise the top variable, y if either side has a y and else x,
     is set to a large xi, the gcd of the two images comes from a call on
     them, and its values are read back in balanced base xi as coefficients
-    of that variable; the primitive candidate is checked by exact division.
-    Gives up after six attempts, or once xi is too tall for the y-degree.
+    of that variable; the primitive candidate is checked by exact division,
+    and the two quotients that prove it are the cofactors.  Gives up after
+    six attempts, or once xi is too tall for the y-degree.
     """
     c = math.gcd(*p.values(), *q.values())
+    f, g = (d if c == 1 else {t: a // c for t, a in d.items()} for d in (p, q))
     v = 1 if any(j for _, j in [*p, *q]) else 0
     deg = max(t[v] for t in [*p, *q])
     if not deg:
-        return {(0, 0): c}
-    f, g = (d if c == 1 else {t: a // c for t, a in d.items()} for d in (p, q))
+        return {(0, 0): c}, f, g
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(6):
         if v and xi.bit_length() * (1 + deg) > 60000:
@@ -405,13 +408,11 @@ def _heugcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int] | None:
         fe, ge = _image(f, v, xi), _image(g, v, xi)
         if fe and ge and (gamma := _heugcd(fe, ge)) is not None:
             h = _canonical({(i, k) if v else (k, i): d
-                            for (i, _), a in gamma.items() for k, d in _balanced_digits(a, xi) if d}).terms
+                            for (i, _), a in gamma[0].items() for k, d in _balanced_digits(a, xi) if d}).terms
             if h == _ONE:
-                return {(0, 0): c}
+                return {(0, 0): c}, f, g
             try:
-                _ip_divexact(f, h)
-                _ip_divexact(g, h)
-                return _ip_scale(h, c)
+                return _ip_scale(h, c), _ip_divexact(f, h), _ip_divexact(g, h)
             except InexactDivisionError:
                 pass
         xi = xi * 73794 // 27011 + 1
@@ -446,7 +447,8 @@ def _y_gcd(rows: list[dict[int, int]]) -> dict[int, int]:
         if not max(g):
             break
         a, b = {(j, 0): c for j, c in g.items()}, {(j, 0): c for j, c in row.items()}
-        g = {j: c for (j, _), c in (_heugcd(a, b) or _ip_prs_gcd(a, b)).items()}
+        h = _heugcd(a, b)
+        g = {j: c for (j, _), c in (h[0] if h else _ip_prs_gcd(a, b)).items()}
     return {0: math.gcd(*[c for row in rows for c in row.values()])} if not max(g) else g
 
 
@@ -488,9 +490,11 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
 
     g is primitive with a positive grlex-leading coefficient.  The routes,
     in order: a monomial input, whose coefficient is 1 since it is
-    primitive, settles g as a monomial at once; otherwise ``_heugcd``, and
-    what it gives up on goes to ``_ip_prs_gcd``, the one remainder sequence.
-    The cofactors come from one exact division.
+    primitive, settles g as a monomial at once and the cofactors are
+    exponent shifts; otherwise ``_heugcd`` gives the cofactors with g, from
+    the divisions that prove it, and what it gives up on goes to
+    ``_ip_prs_gcd``, the one remainder sequence, whose cofactors come from
+    one exact division each.
     """
     if not p or not q:
         return p or q, (_ONE if p else {}), (_ONE if q else {})
@@ -499,9 +503,13 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
         ((mi, mj),) = mono
         gi = min([mi] + [i for i, _ in other])
         gj = min([mj] + [j for _, j in other])
-        g = {(gi, gj): 1}
-    else:
-        g = _heugcd(p, q) or _ip_prs_gcd(p, q)
+        if not gi and not gj:
+            return _ONE, p, q
+        cp, cq = ({(i - gi, j - gj): c for (i, j), c in d.items()} for d in (p, q))
+        return {(gi, gj): 1}, cp, cq
+    if (heu := _heugcd(p, q)) is not None:
+        return heu
+    g = _ip_prs_gcd(p, q)
     if g == _ONE:
         return g, p, q
     return g, _ip_divexact(p, g), _ip_divexact(q, g)

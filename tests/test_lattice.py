@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -59,6 +60,45 @@ def test_errors_quote_integers_past_the_digit_limit_by_a_stand_in():
     with pytest.raises(NonUnimodularError) as err:
         require_unimodular(((huge, 0), (0, 1)))
     assert str(err.value) == f"matrix (({stand_in}, 0), (0, 1)) has determinant {stand_in}"
+
+def _complement_by_window(n):
+    """Reference complement: an extended gcd, then the |c|-minimal solution in a window."""
+    n1, n2 = n
+    if n2 == 0:
+        return ((n2, -n1), (n1, 0))
+    old_r, r = n1, n2
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    c0, d0 = old_s, old_t
+    kf = -c0 // n2
+    candidates = [(c0 + k * n2, d0 - k * n1) for k in range(kf - 1, kf + 3)]
+    c, d = min(candidates, key=lambda cd: (abs(cd[0]), cd[0] < 0, abs(cd[1]), cd[1] < 0))
+    return ((n2, -n1), (c, d))
+
+
+def test_complement_is_the_window_minimum_on_a_box():
+    box = range(-200, 201)
+    for n in ((a, b) for a in box for b in box if math.gcd(a, b) == 1):
+        assert complement_matrix(n) == _complement_by_window(n), n
+
+
+def test_complement_is_the_window_minimum_on_huge_entries():
+    rng = random.Random(20_000)
+    bound = 10**30
+    found = 0
+    while found < 20_000:
+        n = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if math.gcd(*n) == 1:
+            found += 1
+            assert complement_matrix(n) == _complement_by_window(n), n
+
 
 @given(primitive_vectors)
 def test_complement_property(n):

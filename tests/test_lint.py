@@ -365,8 +365,6 @@ NOT_DOMAIN_ERRORS = {
     "logcy2.polyrat.ZeroDenominatorError": "library API that no CLI command reaches",
     "logcy2.polyrat.IdenticallySingularError": "library API that no CLI command reaches",
     "logcy2.polyrat.PolyParseError": "library API that no CLI command reaches",
-    "logcy2.birmap.NotVolumePreservingError": "an internal invariant: raising it is a bug",
-    "logcy2.birmap.NonGenericArcError": "an internal invariant: raising it is a bug",
 }
 
 

@@ -186,6 +186,22 @@ def test_gcd_prs_fallback_settles_tall_coprime_pair(monkeypatch):
     assert results == [{(0, 0): 1}]
 
 
+def test_gcd_cofactors_take_no_second_division(monkeypatch):
+    # GCDHEU's proving divisions are the cofactors, and a monomial side
+    # gives them by exponent shifts with no division at all.
+    calls = []
+    divexact = polyrat._ip_divexact
+    monkeypatch.setattr(polyrat, "_ip_divexact", lambda p, d: calls.append(1) or divexact(p, d))
+    h = X + Y**2
+    heuristic = normalize(h * (X + ONE), h * (X - ONE))
+    assert len(calls) == 5
+    calls.clear()
+    monomial = normalize(X**3 * Y**2, X * Y + X**2 * Y.scale(3))
+    assert calls == []
+    assert heuristic == parse_ratfunc("(x + 1) / (x + (-1))")
+    assert monomial == parse_ratfunc("((1/3)*x^2*y) / (x + (1/3))")
+
+
 def test_divexact_rejects_inexact_division():
     with pytest.raises(InexactDivisionError):
         poly_divexact(X + ONE, X)
