@@ -24,8 +24,8 @@ _HOME = {
             "BirationalMap",
             "BoundaryAction",
             "boundary_limit",
+            "compose",
             "equal",
-            "extend",
             "realize",
             "tropical_image",
             "tropicalize",

@@ -10,9 +10,10 @@ elementary transformation at ray n is the conjugate of E by the canonical
 complement of n.  Words realize to reduced rational-function pairs, where
 structural equality of canonical forms decides the word problem.
 
-``realize`` (through ``extend``) and ``compose`` pull a map back through
-the inner map's ``polyrat.pullback`` steps and take no gcd.  A monomial map
-is an automorphism of Z[x^+-1, y^+-1] and E^e one of Z[x^+-1, y^+-1,
+The group law needs two operations: ``realize``, the one fold over the
+letters of a word, and ``compose``, the one product of two maps.  Both pull
+a map back through ``polyrat.pullback`` steps and take no gcd.  A monomial
+map is an automorphism of Z[x^+-1, y^+-1] and E^e one of Z[x^+-1, y^+-1,
 (1 + x)^-1], so a reduced fraction pulled back through a step can only gain
 monomials and powers of 1 + x as common factors, which the kernels divide
 out exactly.  Only a hand-built inner map without steps goes through
@@ -45,7 +46,6 @@ from .lattice import (
     pl_compose,
     pl_elementary,
     require_primitive,
-    require_unimodular,
 )
 from .polyrat import RatFunc2, arc_limit, dlog_ratio, pullback, substitute
 from .words import Letter, Linear, Word, generator_determinant, ray_image
@@ -105,20 +105,9 @@ def compose(outer: BirationalMap, inner: BirationalMap) -> BirationalMap:
     return BirationalMap(substitute(outer.f, inner.f, inner.g), substitute(outer.g, inner.f, inner.g))
 
 
-def monomial_map(mat: Mat) -> BirationalMap:
-    """The torus map acting on boundary rays by the unimodular ``mat``."""
-    return _pull(IDENTITY_MAP, [require_unimodular(mat)])
-
-
-def elementary_realization(n: Vec, exponent: int = 1) -> BirationalMap:
-    """E[n]^exponent as a torus map, by the steps mat_inv(c), exponent, c for the complement c of n."""
-    c = complement_matrix(n)
-    return _pull(IDENTITY_MAP, [mat_inv(c), exponent, c])
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def _letter_steps(letter: Letter) -> tuple[Mat | int, ...]:
-    """The ``polyrat.pullback`` steps of one letter: its matrix, or those of ``elementary_realization``."""
+    """The ``polyrat.pullback`` steps of one letter: its matrix, or mat_inv(c), e, c for the complement c of n."""
     gen, e = letter
     if isinstance(gen, Linear):
         return (gen.mat if e == 1 else mat_inv(gen.mat),)
@@ -126,17 +115,18 @@ def _letter_steps(letter: Letter) -> tuple[Mat | int, ...]:
     return (mat_inv(c), e, c)
 
 
-def extend(m: BirationalMap, w: Word) -> BirationalMap:
-    """m after realize(w): ``_pull`` through the letters of w in order; m itself for the empty word."""
-    if not w.letters:
-        return m
-    return _pull(m, (step for letter in w.letters for step in _letter_steps(letter)))
-
-
 @lru_cache(maxsize=CACHE_SIZE)
 def realize(w: Word) -> BirationalMap:
-    """l1 after ... after ln, as ``extend(IDENTITY_MAP, w)``."""
-    return extend(IDENTITY_MAP, w)
+    """l1 after ... after ln: ``IDENTITY_MAP`` pulled back through the letters' steps in order.
+
+    A linear letter A[B] is one monomial step and E[n]^e the steps
+    mat_inv(c), e, c for the complement c of n; ``_pull`` merges adjacent
+    steps, so a power of one E[n] costs one E-step.  The empty word gives
+    ``IDENTITY_MAP`` itself.
+    """
+    if not w.letters:
+        return IDENTITY_MAP
+    return _pull(IDENTITY_MAP, (step for letter in w.letters for step in _letter_steps(letter)))
 
 
 def equal(w1: Word, w2: Word) -> bool:

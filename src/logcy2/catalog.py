@@ -7,8 +7,6 @@ is what the consistency checks exercise.
 
 from __future__ import annotations
 
-import json
-
 from .errors import Value
 from .surfaces import Surface, check_blowup_budget, numeric_invariants, toric_intersection_matrix
 
@@ -112,25 +110,3 @@ def check_counts(s: Surface) -> CountReport:
     spheres = sum(max(m - 1, 0) for m in s.m)
     return CountReport(length, length, numeric_invariants(s).chi_y, spheres, spheres)
 
-
-_KIND = {
-    SheafOnException: "sheaf_on_exception",
-    StructureSheaf: "structure_sheaf",
-    LineBundle: "line_bundle",
-    Meridian: "meridian",
-    Longitude: "longitude",
-}
-
-
-def _item_dict(item) -> dict:
-    return {"kind": _KIND[type(item)], **{name: getattr(item, name) for name in item.__slots__}}
-
-
-def collections_to_json(s: Surface) -> str:
-    """Both ordered catalogs as one JSON document."""
-    return json.dumps(
-        {
-            "exceptional_collection": [_item_dict(i) for i in exceptional_collection(s)],
-            "vanishing_cycles": [_item_dict(i) for i in vanishing_cycles(s)],
-        }
-    )

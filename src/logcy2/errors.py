@@ -5,8 +5,8 @@ A ``DomainError`` is a fault of the input: the CLI turns each one into exit
 1 with one ``error:`` line, and any other exception is a library bug.
 Python refuses to write an integer of more than
 ``sys.get_int_max_str_digits()`` digits as text and raises ``ValueError``;
-``shown`` meets that limit in error messages, ``output`` in results, and
-``cut`` bounds the integers, items and nesting quoted in a message.
+``cut`` meets that limit in error messages and bounds the integers, items
+and nesting quoted in them, and ``output`` meets it in results.
 """
 
 import itertools
@@ -26,23 +26,17 @@ class DigitLimitError(DomainError, ValueError):
         super().__init__(f"an output integer has more than {sys.get_int_max_str_digits()} digits")
 
 
-def shown(value) -> str:
-    """``str(value)`` for an error message; a stand-in if it holds an integer past the int-to-text digit limit."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"<a value with an integer of more than {sys.get_int_max_str_digits()} digits>"
-
-
 CUT_ITEMS = 5  # items of a container that a quote shows before "..."
 
 
 def cut(value, depth: int = 3) -> str:
-    """``shown(value)`` bounded for an error message.
+    """``str(value)`` bounded for an error message.
 
     Each integer in it, inside tuples, lists, dicts and fractions too, is cut
     to 40 characters and "...", each container to its first ``CUT_ITEMS``
-    items and "...", and a container nested ``depth`` deep to "...".
+    items and "...", and a container nested ``depth`` deep to "...".  A
+    value whose text would hold an integer past the int-to-text digit limit
+    is quoted by a stand-in.
     """
     if isinstance(value, (tuple, list, dict)):
         if not depth:
@@ -58,7 +52,7 @@ def cut(value, depth: int = 3) -> str:
     try:
         text = str(value)
     except ValueError:
-        return shown(value)
+        return f"<a value with an integer of more than {sys.get_int_max_str_digits()} digits>"
     return text if len(text) <= 40 else f"{text[:40]}..."
 
 

@@ -262,10 +262,6 @@ def _canonical(pairs: list[tuple[Vec, Mat]]) -> PLMap:
     kept = [i for i in range(k) if pairs[i - 1][1] != pairs[i][1]]
     if not kept:
         return PLMap.linear(pairs[0][1])
-    if len(kept) == 1:
-        # A single surviving breakpoint cannot bound a sector; this only
-        # happens if all matrices were equal, handled above.
-        raise AssertionError("degenerate piece structure")
     return PLMap(tuple(pairs[i][0] for i in kept), tuple(pairs[i][1] for i in kept))
 
 

@@ -70,7 +70,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DomainError, Value, cut, shown
+from .errors import DomainError, Value, cut
 
 Term = tuple[int, int]
 
@@ -794,7 +794,7 @@ def elementary_pullback(num: dict[Term, int], den: dict[Term, int], e: int):
     # Row j is rebuilt with len(b) - e j - k coefficients, zeros included.
     size = max(sum(len(b) - e * j - k for j, (_, b) in side.items()) for side in rows)
     if size > TERM_BUDGET:
-        raise TermBudgetError(f"a pullback through E^{e} would build {shown(size)} terms, over {TERM_BUDGET}")
+        raise TermBudgetError(f"a pullback through E^{e} would build {cut(size)} terms, over {TERM_BUDGET}")
     out = []
     for side in rows:
         terms = {}
@@ -924,7 +924,7 @@ def evaluate(r: RatFunc2, point) -> Fraction:
     ha, hb = (max(v.numerator.bit_length(), 1) + v.denominator.bit_length() - 2 for v in (a, b))
     size = sum(i * ha + j * hb for p in (r.num, r.den) for i, j in p.terms)
     if size > EVAL_BIT_BUDGET:
-        raise EvalBudgetError(f"an evaluation would build {shown(size)} bits of powers, over {EVAL_BIT_BUDGET}")
+        raise EvalBudgetError(f"an evaluation would build {cut(size)} bits of powers, over {EVAL_BIT_BUDGET}")
     dv = r.den.evaluate(a, b)
     if dv == 0:
         raise PoleAtPointError(f"pole at ({cut(a)}, {cut(b)})")
@@ -1042,7 +1042,8 @@ def parse_poly(text: str) -> Poly2:
             factors.pop(0)
         for factor in factors:
             if not (m := _POWER.fullmatch(factor)):
-                raise PolyParseError(f"malformed factor {factor!r}")
+                tail = "..." if len(factor) > 40 else ""
+                raise PolyParseError(f"malformed factor {factor[:40]!r}{tail}")
             e = _int(m[2] or "1")
             i, j = (i + e, j) if m[1] == "x" else (i, j + e)
         coeffs[(i, j)] = coeffs.get((i, j), 0) + c

@@ -77,7 +77,7 @@ class NotRegularError(DomainError, ValueError):
     """
 
     def __init__(self, reason: str, applied_count: int, ray: Vec):
-        super().__init__(f"{reason} at ray {ray} after {applied_count} letters")
+        super().__init__(f"{reason} at ray {cut(ray)} after {applied_count} letters")
         self.reason = reason
         self.applied_count = applied_count
         self.ray = ray
@@ -109,7 +109,7 @@ class Surface(Value):
         try:
             return self.m[self.rays.index(ray)]
         except ValueError:
-            raise RayAbsentError(f"ray {ray} not in fan") from None
+            raise RayAbsentError(f"ray {cut(ray)} not in fan") from None
 
     def total_m(self) -> int:
         return sum(self.m)
@@ -309,7 +309,7 @@ def _insert(rays: tuple[Vec, ...], m: tuple[int, ...] | list[int], v: Vec) -> tu
 
 def interior_blowup(s: Surface, n: Vec) -> Surface:
     if n not in s.rays:
-        raise RayAbsentError(f"ray {n} not in fan; insert it first")
+        raise RayAbsentError(f"ray {cut(n)} not in fan; insert it first")
     m = list(s.m)
     m[s.rays.index(n)] += 1
     return Surface(s.rays, tuple(m))

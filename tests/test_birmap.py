@@ -16,22 +16,19 @@ from logcy2.birmap import (
     boundary_limit,
     character_from_letters,
     compose,
-    elementary_realization,
     equal,
-    extend,
     _letter_steps,
     letter_trop,
-    monomial_map,
     realize,
     tropical_image,
     tropicalize,
     volume_character,
 )
 from logcy2 import birmap, polyrat
-from logcy2.lattice import NonUnimodularError, complement_matrix, mat_inv, mat_mul, pl_apply, pl_compose, pl_elementary, PLMap
+from logcy2.lattice import complement_matrix, mat_inv, mat_mul, pl_apply, pl_compose, pl_elementary, PLMap
 from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, evaluate, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_unimodular, random_word, realized_degree
-from logcy2.words import E, Elementary, Letter, Linear, Word, linear_from_literal, parse_word, ray_image
+from logcy2.words import E, Elementary, Letter, Linear, Word, elementary, linear, linear_from_literal, parse_word, ray_image
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
@@ -60,11 +57,8 @@ def test_realize_conjugated_elementary():
 
 
 def letter_map(letter: Letter) -> BirationalMap:
-    """One letter's map, from the public constructors."""
-    gen, e = letter
-    if isinstance(gen, Linear):
-        return monomial_map(gen.mat if e == 1 else mat_inv(gen.mat))
-    return elementary_realization(gen.n, e)
+    """One letter's map: the one-letter word realized."""
+    return realize(Word((letter,)))
 
 
 def coordinates_only(m: BirationalMap) -> BirationalMap:
@@ -135,15 +129,16 @@ def test_realize_folds_from_the_first_letter(monkeypatch):
     assert calls == []
 
 
-def test_extend_is_compose_after_realize(srng):
+def test_compose_pulls_back_any_outer_map_as_substitution_would(srng):
+    # Outer maps with fractional contents and a constant coordinate too.
     x2 = normalize(Poly2({(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 3)}), Poly2({(0, 1): 3, (1, 1): 1}))
     maps = [realize(parse_word(t)) for t in ("r1", "P", "E^-2*E[1,1]")]
     maps += [BirationalMap(x2, RatFunc2.const(Fraction(5, 7))), BirationalMap(RatFunc2.const(0), x2)]
     for m in maps:
         for w in [random_word(srng, 3) for _ in range(6)] + [Word()]:
-            got, want = extend(m, w), compose(m, coordinates_only(realize(w)))
+            got, want = compose(m, realize(w)), compose(m, coordinates_only(realize(w)))
             assert got == want and str(got) == str(want), str(w)
-    assert extend(maps[0], Word()) is maps[0]
+    assert compose(maps[0], realize(Word())) == maps[0]
 
 
 def test_equal_trivial_and_pentagon():
@@ -388,22 +383,8 @@ def test_elementary_realization_complement_independent(srng):
         cc, dd = complement_matrix(n)[1]
         k = srng.randint(-3, 3)
         alt = ((n[1], -n[0]), (cc + k * n[1], dd - k * n[0]))
-        conjugate = compose(compose(monomial_map(mat_inv(alt)), realize(E)), monomial_map(alt))
-        assert elementary_realization(n) == conjugate
-
-
-def test_elementary_realization_is_the_letter_power():
-    for n in [(0, 1), (1, 0), (0, -1), (1, 1), (-1, 2), (2, -3), (3, 4)]:
-        for e in range(-3, 4):
-            m = elementary_realization(n, e)
-            assert m == realize(Word(((Elementary(n), 1 if e > 0 else -1),)) ** abs(e)), (n, e)
-    assert elementary_realization((1, 2), 0) == IDENTITY_MAP
-
-
-def test_monomial_map_rejects_a_singular_matrix():
-    with pytest.raises(NonUnimodularError):
-        monomial_map(((2, 0), (0, 1)))
-    assert monomial_map(((0, 1), (1, 0))) == BirationalMap(RatFunc2.y(), RatFunc2.x())
+        conjugate = compose(compose(realize(linear(mat_inv(alt))), realize(E)), realize(linear(alt)))
+        assert realize(elementary(n)) == conjugate
 
 
 # --- tropicalization -------------------------------------------------------------

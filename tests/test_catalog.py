@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from logcy2 import catalog
@@ -10,7 +8,6 @@ from logcy2.catalog import (
     SheafOnException,
     StructureSheaf,
     check_counts,
-    collections_to_json,
     exceptional_collection,
     vanishing_cycles,
 )
@@ -144,13 +141,3 @@ def test_blowups_past_the_budget_build_nothing():
         with pytest.raises(BlowupBudgetError):
             build(past)
 
-
-def test_json_dump_shape():
-    data = json.loads(collections_to_json(p2((1, 0, 0))))
-    assert set(data) == {"exceptional_collection", "vanishing_cycles"}
-    assert data["exceptional_collection"][0] == {
-        "kind": "sheaf_on_exception",
-        "ray_index": 2,
-        "blowup_index": 1,
-    }
-    assert len(data["vanishing_cycles"]) == 4

@@ -290,6 +290,16 @@ def test_messages_quote_at_most_40_characters_of_an_integer(capsys, tmp_path):
     assert code == 1 and out == "" and err == f"error: cut_sign must be +-1, got {big[:40]}...\n"
     code, out, err = run(capsys, "word", "eval", "E", f"--point=-1,{big}")
     assert code == 1 and out == "" and err == f"error: pole at (-1, {big[:40]}...)\n"
+    # The letter, the term budget and the evaluation budget quote an integer
+    # that grows with the input.
+    nines = "9" * 4000
+    path.write_text(to_json(surfaces.p2()))
+    code, out, err = run(capsys, "surface", "pushforward", f"E[{nines},1]", str(path))
+    assert code == 1 and out == "" and err == f"error: missing ray at ray ({nines[:40]}..., 1) after 0 letters\n"
+    code, out, err = run(capsys, "word", "realize", f"E[{nines},1]")
+    assert code == 1 and out == "" and _one_error_line(err) and len(err) < 200 and "... terms, over " in err
+    code, out, err = run(capsys, "word", "eval", f"A[{nines},1;-1,0]", "--point=3,1")
+    assert code == 1 and out == "" and _one_error_line(err) and len(err) < 200 and "... bits of powers" in err
 
 
 def test_diagram_errors_quote_records_and_lines_cut(capsys, tmp_path):

@@ -16,13 +16,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "logcy2"
 OPTIMIZED_CHECKS = """
 import sys
 from logcy2 import polyrat
-from logcy2.birmap import IDENTITY_MAP, BirationalMap, compose, elementary_realization, monomial_map, realize
-from logcy2.lattice import MAT_ID, PLMap, mat_inv, pl_validate
+from logcy2.birmap import IDENTITY_MAP, BirationalMap, compose, realize
+from logcy2.lattice import MAT_ID, PLMap, pl_validate
 from logcy2.polyrat import (
     InexactDivisionError, Poly2, RatFunc2, dlog_ratio, normalize, parse_poly, parse_ratfunc, poly_divexact,
 )
 from logcy2.surfaces import InvalidSurfaceError, Surface
-from logcy2.words import Linear, parse_word
+from logcy2.words import Word, parse_word
 
 if not sys.flags.optimize:
     raise SystemExit("not running under -O")
@@ -67,15 +67,12 @@ for inner in (r3, BirationalMap(r3.f, r3.g)):
         " / (x^3 + 2*x^2*y + x*y^2), (y) / (x^2 + 2*x*y + y^2))"
     ):
         raise SystemExit(f"r1 after r3 gave {text} with inner steps {inner.steps}")
-# realize runs the pullback kernels; a fold of compose by substitution gives
-# the same text.
+# realize runs the pullback kernels; a fold of compose by substitution into
+# the one-letter words' maps gives the same text.
 w = parse_word("E^-3*E[1,0]^2*A[0,1;1,0]")
 folded = IDENTITY_MAP
-for gen, e in w.letters:
-    if isinstance(gen, Linear):
-        m = monomial_map(gen.mat if e == 1 else mat_inv(gen.mat))
-    else:
-        m = elementary_realization(gen.n, e)
+for letter in w.letters:
+    m = realize(Word((letter,)))
     folded = compose(folded, BirationalMap(m.f, m.g))
 if str(realize(w)) != str(folded):
     raise SystemExit(f"realize gave {realize(w)}, the compose fold {folded}")
@@ -273,6 +270,76 @@ def test_no_module_keeps_an_unused_private_name():
         for item in _unused_private_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert not found, f"private names their module never uses: {found}"
+
+
+# Public functions and classes that no package code refers to and the
+# package root does not export, each with the reason it stays.
+KEPT_PUBLIC_NAMES = {
+    "logcy2.polyrat.poly_gcd": "the benchmark tracer wraps it; the tests check it against sympy",
+    "logcy2.polyrat.poly_divexact": "the benchmark tracer wraps it; the tests check it against sympy",
+    "logcy2.surfaces.hirzebruch1": "the benchmark records and the acceptance tests build surfaces with it",
+    "logcy2.lattice.pl_validate": "the tests check PL maps with it, also under python -O",
+    "logcy2.polyrat.parse_ratfunc": "the tests read README's rational-function text form back with it",
+    "logcy2.sampling.random_elementary_setup": "the acceptance and diagram tests sample moves with it",
+}
+
+
+def _public_names_without_caller(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
+    """Module-level public functions and classes that no other definition refers to and that are not exported.
+
+    A reference is a name or an attribute read anywhere in the package,
+    outside the definition's own body.
+    """
+    defined = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[f"{module}.{node.name}"] = node
+    readers: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    readers.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(top)
+    return [
+        qualified for qualified, node in defined.items()
+        if node.name not in exported and all(top is node for top in readers.get(node.name, []))
+    ]
+
+
+def test_public_name_check_sees_names_no_other_definition_reads():
+    trees = {
+        "m.a": ast.parse(
+            "def used(): pass\n"
+            "def exported(): pass\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "class Lonely:\n"
+            "    def method(self):\n"
+            "        return Lonely\n"
+            "def _private(): pass\n"
+            "CONSTANT = used()\n"
+        ),
+        "m.b": ast.parse("from . import a\ndef reader():\n    return a.used, exported_elsewhere\n"),
+    }
+    assert _public_names_without_caller(trees, {"exported"}) == ["m.a.recursive", "m.a.Lonely", "m.b.reader"]
+
+
+def test_every_public_name_has_a_caller_or_is_exported_or_listed():
+    # A public helper that no module calls and the package root does not
+    # export is dead code unless something outside the package reads it.
+    import logcy2
+
+    trees = {
+        f"logcy2.{path.stem}": ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    found = _public_names_without_caller(trees, set(logcy2._HOME))
+    unlisted = [name for name in found if name not in KEPT_PUBLIC_NAMES]
+    assert not unlisted, f"public names without a caller, an export or a listed reason: {unlisted}"
+    stale = [name for name in KEPT_PUBLIC_NAMES if name not in found]
+    assert not stale, f"listed names that are gone, exported or called: {stale}"
 
 
 def _unused_imports(tree: ast.AST) -> list[str]:

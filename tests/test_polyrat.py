@@ -410,6 +410,15 @@ def test_parse_rejects_malformed_text(text):
         parse_poly(text)
 
 
+def test_malformed_factor_is_quoted_by_its_first_40_characters():
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("x*" + "z" * 100000)
+    assert str(err.value) == f"malformed factor {'z' * 40!r}..."
+    with pytest.raises(PolyParseError) as err:
+        parse_poly("x*" + "z" * 40)
+    assert str(err.value) == f"malformed factor {'z' * 40!r}"
+
+
 def test_parse_ignores_surrounding_whitespace():
     assert parse_poly("x ") == X
     assert parse_poly(" x + 1\t") == X + ONE

@@ -18,8 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from logcy2 import polyrat
-from logcy2.birmap import IDENTITY_MAP, BirationalMap, compose, elementary_realization, monomial_map, realize
-from logcy2.lattice import mat_inv
+from logcy2.birmap import IDENTITY_MAP, BirationalMap, compose, realize
 from logcy2.polyrat import (
     IdenticallySingularError,
     Poly2,
@@ -435,18 +434,11 @@ def test_inexact_synthetic_division_raises():
     assert polyrat._times_one_plus_x([1, 0, -1], -1) == [1, 1]
 
 
-def letter_map(letter) -> BirationalMap:
-    gen, e = letter
-    if isinstance(gen, Linear):
-        return monomial_map(gen.mat if e == 1 else mat_inv(gen.mat))
-    return elementary_realization(gen.n, e)
-
-
 def compose_fold(w: Word) -> BirationalMap:
-    """The letter maps substituted one by one: each inner map goes in without its steps."""
+    """The one-letter words' maps substituted one by one: each inner map goes in without its steps."""
     acc = IDENTITY_MAP
     for letter in w.letters:
-        m = letter_map(letter)
+        m = realize(Word((letter,)))
         acc = compose(acc, BirationalMap(m.f, m.g))
     return acc
 

@@ -146,6 +146,16 @@ def test_interior_blowup():
         interior_blowup(p2(), (0, -1))
 
 
+def test_absent_ray_messages_quote_at_most_40_characters_of_an_integer():
+    big = 10**3000
+    with pytest.raises(RayAbsentError) as err:
+        interior_blowup(p2(), (big, 1))
+    assert str(err.value) == f"ray ({str(big)[:40]}..., 1) not in fan; insert it first"
+    with pytest.raises(RayAbsentError) as err:
+        p2().multiplicity((big, 1))
+    assert str(err.value) == f"ray ({str(big)[:40]}..., 1) not in fan"
+
+
 def test_cubic_by_repeated_blowups():
     s = p2()
     for ray in s.rays:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from logcy2.birmap import IDENTITY_MAP, BirationalMap, BoundaryAction, elementary_realization, realize
+from logcy2.birmap import IDENTITY_MAP, BirationalMap, BoundaryAction, compose, realize
 from logcy2.catalog import CountReport, LineBundle, Longitude, Meridian, SheafOnException, StructureSheaf
 from logcy2.diagrams import BaseDiagram, Node, make_node
 from logcy2.lattice import PLMap, pl_elementary
@@ -24,7 +24,7 @@ VALUES = {
            "Word(letters=((Elementary(n=(0, 1)), 1), (Linear(mat=((0, 1), (1, 0))), 1)))"),
     PLMap: (pl_elementary, "PLMap(rays=((0, 1), (0, -1)), mats=(((1, 0), (-1, 1)), ((1, 0), (0, 1))))"),
     RatFunc2: (RatFunc2.x, "RatFunc2('x')"),
-    BirationalMap: (lambda: elementary_realization((0, 1)),
+    BirationalMap: (lambda: compose(IDENTITY_MAP, realize(parse_word("E"))),  # a new map on each call
                     "BirationalMap(f=RatFunc2('x'), g=RatFunc2('(y) / (x + 1)'))"),
     BoundaryAction: (lambda: BoundaryAction((1, 0), F(-1), 1),
                      "BoundaryAction(ray=(1, 0), coeff=Fraction(-1, 1), exponent=1)"),
