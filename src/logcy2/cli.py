@@ -1,5 +1,9 @@
 """Command-line surface over the word algebra, surfaces, diagrams and catalogs.
 
+``COMMANDS`` is the one table of commands, and ``build_parser`` registers
+them all by one loop over it: ``{group: (help, {subcommand: (help, handler,
+positional names, {option flag: add_argument keywords})})}``.
+
 Exit codes: 0 on success; 1 on every ``errors.DomainError`` (non-regular
 words, poles, budgets, output past the digit limit, invalid input files)
 and on unreadable input files, each with one ``error:`` line on stderr, and
@@ -97,10 +101,8 @@ def cmd_word_eval(args) -> int:
 
 
 def cmd_surface_validate(args) -> int:
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        surfaces.from_json(text)
+        _load_surface(args.file)
     except InvalidSurfaceError as err:
         for v in err.violations:
             print(f"violation: {v}")
@@ -111,14 +113,14 @@ def cmd_surface_validate(args) -> int:
 
 def cmd_surface_invariants(args) -> int:
     inv = surfaces.numeric_invariants(_load_surface(args.file))
-    print(json.dumps(inv._asdict()))
+    print(output(json.dumps, inv._asdict()))
     return 0
 
 
 def cmd_surface_intersections(args) -> int:
     s = _load_surface(args.file)
     mat, negdef = surfaces.boundary_intersection_matrix(s)
-    print(json.dumps({
+    print(output(json.dumps, {
         "self_intersections": list(surfaces.toric_self_intersections(s)),
         "matrix": [list(row) for row in mat],
         "negative_definite": negdef,
@@ -144,10 +146,12 @@ def cmd_surface_resolve(args) -> int:
 
 def cmd_atf_diagram(args) -> int:
     d = diagrams.diagram(_load_surface(args.file))
-    print(diagrams.to_json(d))
-    if args.svg:
+    text = diagrams.to_json(d)
+    if args.svg:  # written before the print, so a failure prints nothing
+        svg = diagrams.render_svg(d)
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(diagrams.render_svg(d))
+            fh.write(svg)
+    print(text)
     return 0
 
 
@@ -162,7 +166,7 @@ def cmd_atf_move(args) -> int:
 
 def cmd_hms_counts(args) -> int:
     report = catalog.check_counts(_load_surface(args.file))
-    print(json.dumps({**{name: getattr(report, name) for name in report.__slots__}, "ok": report.ok}))
+    print(output(json.dumps, {**{name: getattr(report, name) for name in report.__slots__}, "ok": report.ok}))
     return 0
 
 
@@ -259,9 +263,43 @@ def cmd_verify_relations(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+COMMANDS = {
+    "word": ("word algebra", {
+        "equal": ("decide equality of two words", cmd_word_equal, "word1 word2", {}),
+        "realize": ("print the rational-map pair", cmd_word_realize, "word", {}),
+        "character": ("print the volume character", cmd_word_character, "word", {}),
+        "trop": ("apply the tropicalization to a vector", cmd_word_trop, "word",
+                 {"--vector": dict(required=True, metavar="a,b", type=_parse_int_pair)}),
+        "eval": ("evaluate the map at an exact point", cmd_word_eval, "word",
+                 {"--point": dict(required=True, metavar="p,q", type=_parse_fraction_pair)}),
+    }),
+    "surface": ("toric surface data", {
+        "validate": ("list the violations of a surface file", cmd_surface_validate, "file", {}),
+        "invariants": ("numeric invariants of a surface file", cmd_surface_invariants, "file", {}),
+        "intersections": ("boundary intersection matrix of a surface file", cmd_surface_intersections, "file", {}),
+        "pushforward": ("push a surface file forward along a word", cmd_surface_pushforward, "word file", {}),
+        "resolve": ("resolve a word on a surface file", cmd_surface_resolve, "word file", {}),
+    }),
+    "atf": ("almost-toric base diagrams", {
+        "diagram": ("base diagram of a surface file", cmd_atf_diagram, "file", {"--svg": dict(metavar="OUT.svg")}),
+        "move": ("elementary move on a diagram file", cmd_atf_move, "file",
+                 {"--elementary": dict(required=True, metavar="a,b", type=_parse_int_pair)}),
+    }),
+    "hms": ("mirror bookkeeping", {
+        "counts": ("collection count checks for a surface file", cmd_hms_counts, "file", {}),
+    }),
+    "demo": ("worked demonstrations", {
+        "cubic": ("the open cubic surface and its reflections", cmd_demo_cubic, "", {}),
+    }),
+    "verify": ("relation checks", {
+        "relations": ("pentagon and conjugation relations", cmd_verify_relations, "", {}),
+    }),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built on the first call and then shared.
+    """The CLI's argument parser, built from ``COMMANDS`` on the first call and then shared.
 
     ``parse_args`` reads the parser and never changes it, so ``main`` can
     reuse one parser for every call in a process.
@@ -273,77 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=GRAMMAR,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    word = sub.add_parser("word", help="word algebra").add_subparsers(
-        dest="subcommand", required=True
-    )
-    eq = word.add_parser("equal", help="decide equality of two words")
-    eq.add_argument("word1")
-    eq.add_argument("word2")
-    eq.set_defaults(func=cmd_word_equal)
-    re_ = word.add_parser("realize", help="print the rational-map pair")
-    re_.add_argument("word")
-    re_.set_defaults(func=cmd_word_realize)
-    ch = word.add_parser("character", help="print the volume character")
-    ch.add_argument("word")
-    ch.set_defaults(func=cmd_word_character)
-    tr = word.add_parser("trop", help="apply the tropicalization to a vector")
-    tr.add_argument("word")
-    tr.add_argument("--vector", required=True, metavar="a,b", type=_parse_int_pair)
-    tr.set_defaults(func=cmd_word_trop)
-    ev = word.add_parser("eval", help="evaluate the map at an exact point")
-    ev.add_argument("word")
-    ev.add_argument("--point", required=True, metavar="p,q", type=_parse_fraction_pair)
-    ev.set_defaults(func=cmd_word_eval)
-
-    surf = sub.add_parser("surface", help="toric surface data").add_subparsers(
-        dest="subcommand", required=True
-    )
-    for name, func, with_word in (
-        ("validate", cmd_surface_validate, False),
-        ("invariants", cmd_surface_invariants, False),
-        ("intersections", cmd_surface_intersections, False),
-        ("pushforward", cmd_surface_pushforward, True),
-        ("resolve", cmd_surface_resolve, True),
-    ):
-        sp = surf.add_parser(name)
-        if with_word:
-            sp.add_argument("word")
-        sp.add_argument("file")
-        sp.set_defaults(func=func)
-
-    atf = sub.add_parser("atf", help="almost-toric base diagrams").add_subparsers(
-        dest="subcommand", required=True
-    )
-    dg = atf.add_parser("diagram", help="base diagram of a surface file")
-    dg.add_argument("file")
-    dg.add_argument("--svg", metavar="OUT.svg")
-    dg.set_defaults(func=cmd_atf_diagram)
-    mv = atf.add_parser("move", help="elementary move on a diagram file")
-    mv.add_argument("file")
-    mv.add_argument("--elementary", required=True, metavar="a,b", type=_parse_int_pair)
-    mv.set_defaults(func=cmd_atf_move)
-
-    hms = sub.add_parser("hms", help="mirror bookkeeping").add_subparsers(
-        dest="subcommand", required=True
-    )
-    ct = hms.add_parser("counts", help="collection count checks for a surface file")
-    ct.add_argument("file")
-    ct.set_defaults(func=cmd_hms_counts)
-
-    demo = sub.add_parser("demo", help="worked demonstrations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    cu = demo.add_parser("cubic", help="the open cubic surface and its reflections")
-    cu.set_defaults(func=cmd_demo_cubic)
-
-    verify = sub.add_parser("verify", help="relation checks").add_subparsers(
-        dest="subcommand", required=True
-    )
-    rel = verify.add_parser("relations", help="pentagon and conjugation relations")
-    rel.set_defaults(func=cmd_verify_relations)
-
+    groups = parser.add_subparsers(dest="command", required=True)
+    for group, (group_help, subcommands) in COMMANDS.items():
+        commands = groups.add_parser(group, help=group_help).add_subparsers(dest="subcommand", required=True)
+        for name, (command_help, func, positionals, options) in subcommands.items():
+            command = commands.add_parser(name, help=command_help)
+            for positional in positionals.split():
+                command.add_argument(positional)
+            for flag, keywords in options.items():
+                command.add_argument(flag, **keywords)
+            command.set_defaults(func=func)
     return parser
 
 

@@ -356,7 +356,14 @@ def _fmt(x: Fraction) -> str:
 
 
 def render_svg(d: BaseDiagram) -> str:
-    """Deterministic SVG: origin dot, x node markers, dashed cuts, solid eigenlines."""
+    """Deterministic SVG: origin dot, x node markers, dashed cuts, solid eigenlines.
+
+    A coordinate past the int-to-text digit limit raises ``DigitLimitError``.
+    """
+    return output(_svg, d)
+
+
+def _svg(d: BaseDiagram) -> str:
     xs = [Fraction(0)] + [n.position[0] for n in d.nodes]
     ys = [Fraction(0)] + [n.position[1] for n in d.nodes]
     pad = Fraction(1)

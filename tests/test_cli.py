@@ -218,6 +218,24 @@ def test_output_past_the_digit_limit_exits_1(capsys, tmp_path):
     path.write_text(json.dumps({"rays": [[1, 0], [n, 1], [-1 - n, -1]], "m": [0, 10, 0]}))
     code, out, err = run(capsys, "atf", "diagram", str(path))  # a node at 10 * (n, 1)
     assert code == 1 and out == "" and _one_error_line(err)
+    # Valid files whose results hold an integer one digit past the limit.
+    big = 10 ** sys.get_int_max_str_digits() - 1
+    cases = [
+        (["surface", "invariants"], {"rays": [[1, 0], [0, 1], [-1, -1]], "m": [big, big, 0]}),  # total_m = 2 big
+        (["surface", "intersections"], {"rays": [[1, 0], [0, 1], [-1, big], [0, -1]], "m": [0, 1, 0, 0]}),  # -big - 1
+        (["atf", "diagram", f"--svg={tmp_path / 'out.svg'}"],  # the view is big + 1 wide
+         {"rays": [[1, 0], [big - 1, 1], [-big, -1]], "m": [0, 1, 0]}),
+    ]
+    for argv, data in cases:
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 1 and out == "" and _one_error_line(err), argv
+
+
+def test_diagram_svg_that_cannot_be_written_prints_nothing(capsys, tmp_path, cubic_file):
+    code, out, err = run(capsys, "atf", "diagram", cubic_file, "--svg", str(tmp_path))  # a directory
+    assert code == 1 and out == "" and _one_error_line(err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cubic.json"]
 
 
 @pytest.mark.parametrize("exponent", [1, 2999])

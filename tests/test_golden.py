@@ -1,10 +1,11 @@
-"""Recorded output digests of the benchmark's input pools and of three CLI
-commands, checked in process.
+"""Recorded output digests of the benchmark's input pools, of three CLI
+commands and of the CLI's help texts, checked in process.
 
 The pool digests and the canonical text they are taken of come from
 ``bench/``: ``bench/data/*.json`` holds the pools, ``bench/ops.py`` runs one
 operation and digests its output, and both are read here, never copied.
-The CLI digests are the sha256 of the whole stdout.  ``LIMITS`` records
+The CLI digests are the sha256 of the whole stdout, and the help digests
+that of the exit code, stdout and stderr.  ``LIMITS`` records
 where the CLI refuses to answer.  The last test checks that every name
 ``bench/tracer.py`` wraps in a traced run still exists.
 """
@@ -105,6 +106,55 @@ def test_cli_commands_keep_their_stdout(monkeypatch):
         if (code, hashlib.sha256(out.encode()).hexdigest()) != (0, expected):
             moved.append(" ".join(argv))
     assert moved == [], f"stdout moved for: {moved}"
+
+
+# The sha256 of the exit code, stdout and stderr of each help text and of
+# five usage errors, at a terminal 80 columns wide.
+HELP_SHA256 = {
+    ("--help",): "1b053c02a8d0d8ce3e05f16e9eda522d620acc48e7b235c05fff5f8cc8c69cf1",
+    ("word", "--help"): "ce54453584ee749b7281b29b46f68830f7f35cd8e9aa30c2652a75b109b5b156",
+    ("surface", "--help"): "ef6c59b938e5636a6b945d58bf19b508b74c56f107b5ebd37a922d4a1c20b12c",
+    ("atf", "--help"): "7a6ef4d860b567262119d6cdde638b1ecb7c7f1a7d9fcc61bea38516565a43df",
+    ("hms", "--help"): "5f1e782c3fdc8afad138d30057c1bc8c67c4b2415c52c8a4057c926323ac4bf2",
+    ("demo", "--help"): "ca2a0f489bfa857074d5ab2a5dbef0ea83905a0272023602bf7b7218a711c13e",
+    ("verify", "--help"): "d429bc9ef1934c50fef84bfe8a83ac47355ba339273d27f7dfa75caf23b8ead7",
+    ("word", "equal", "--help"): "7a7f608e02a57b349ea50840a706ce0904b9b8ca1f26ec7c54103d926a6fc8d0",
+    ("word", "realize", "--help"): "07628ec5f4f3eb86e5fc94d10d463cbececa9bafb6a28b841a830d7065d21c2f",
+    ("word", "character", "--help"): "a42915229ce3e61c651e841c99374754f489828d011c50395c1e147c83c35ae4",
+    ("word", "trop", "--help"): "6f9ac658808d3fccc1a91839cfa7ad93d416689cdc6d88651d891bfce02810cb",
+    ("word", "eval", "--help"): "a721a0aa618261a4f38bcc1c5d8600ae56912fb2c5c78e01e6f5eeb0cf3bc2d5",
+    ("surface", "validate", "--help"): "5c6da4287d25aa1c5ed2aa6ed006516da87f432c3801e6171ebca02b0f7b2d88",
+    ("surface", "invariants", "--help"): "eef3ff6e9594e0006a52b8a299f651c26d28dc5d8492a388cd7b0ebde18a396f",
+    ("surface", "intersections", "--help"): "57d14af999b2418b71db24c7d945f04277a92b9b5803883b172e8de28eb37d8b",
+    ("surface", "pushforward", "--help"): "dfd1a2808b50e1f9b9150d5d0268ae3c5012a25404cef387a5e01ace37383640",
+    ("surface", "resolve", "--help"): "4c0584db27a5a0f10c0a87399a5cd6325d383a826c2673f6434d8c0a5b4ebb2c",
+    ("atf", "diagram", "--help"): "a319bb634610d0f5d45ba3bb91d6bc4d74fc28fa728b21c852f1592da6285626",
+    ("atf", "move", "--help"): "12aaf857af1b4c7fc6d884ba4131271af38c65b6bf90fedaa361e022aa575348",
+    ("hms", "counts", "--help"): "9cfffc922f020db32ae90ad7165ff75e27685aec0965d684d49c3a21acee4802",
+    ("demo", "cubic", "--help"): "873fa82ad40252b0333de2a403f2f0eddedfcfb2f20d3f1a8171cf995ee72ea6",
+    ("verify", "relations", "--help"): "4456859ddedb4aeb284e8e75b280eaf8a40fa9dc38f5c6170e73d564815ce66a",
+    (): "a3368fb3d5cc29d772936b3fe7edf9528d4990aa7c6501ece93f3f49e4004e10",
+    ("word",): "8b3f5b81b68ff1c5cb1a2699edd28e40cf644556d9a58618905b7213c7f67939",
+    ("frobnicate",): "47d527ae1cd75eb8270a73b266042fe4249f3293117ef02f4167fbd926e547f8",
+    ("word", "trop", "E"): "3f2c77410c83aae60c15732bdb777f4c32c6aac4c734cd2b83dcc6d73ab7ffed",
+    ("word", "eval", "E", "--point", "x"): "b96e9bb9056be6e5c7db64501c73541a887938984c251d1e6252b0b3648e1f78",
+}
+
+
+def test_help_and_usage_errors_keep_their_text(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    moved = []
+    for argv, expected in HELP_SHA256.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        text = f"{code}\n{out.getvalue()}\0{err.getvalue()}"
+        if hashlib.sha256(text.encode()).hexdigest() != expected:
+            moved.append(" ".join(argv))
+    assert moved == [], f"help or usage text moved for: {moved}"
 
 
 # The limit frontier: argv, exit code, the exception class and the start of

@@ -1,5 +1,6 @@
 """Source checks on the library: safe under ``python -O``, no private reach-ins, no
-``Poly2`` internals outside ``polyrat``, every input fault a ``DomainError``."""
+``Poly2`` internals outside ``polyrat``, every JSON result behind the digit-limit
+guard, every input fault a ``DomainError``."""
 
 import ast
 import importlib
@@ -376,6 +377,54 @@ def test_no_module_imports_a_name_it_never_uses():
         for item in _unused_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert not found, f"imported names never used: {found}"
+
+
+def _unguarded_json_dumps(tree: ast.Module) -> list[str]:
+    """References to ``json.dumps`` outside the guard of ``errors.output``, by their definition.
+
+    A guarded reference is an argument of an ``output(...)`` call, as in
+    ``output(json.dumps, x)``, or sits in a lambda passed to it; a
+    ``json.dumps(x)`` passed as an argument runs before the guard does.
+    """
+    guarded = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "output":
+            for arg in call.args:
+                guarded.update(map(id, ast.walk(arg) if isinstance(arg, ast.Lambda) else [arg]))
+    return [
+        f"{node.lineno}: {getattr(top, 'name', '<module>')}"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "dumps"
+        and isinstance(node.value, ast.Name) and node.value.id == "json" and id(node) not in guarded
+    ]
+
+
+def test_unguarded_json_check_tells_a_guarded_render_from_a_bare_one():
+    source = (
+        "import json\n"
+        "def bare(x):\n"
+        "    print(json.dumps(x))\n"
+        "def passed(x):\n"
+        "    print(output(json.dumps, x))\n"
+        "def wrapped(x):\n"
+        "    return output(lambda: json.dumps([str(x)]))\n"
+        "def early(x):\n"
+        "    return output(str, json.dumps(x))\n"
+        "RENDER = json.dumps\n"
+    )
+    assert _unguarded_json_dumps(ast.parse(source)) == ["3: bare", "9: early", "10: <module>"]
+
+
+def test_every_json_result_passes_the_digit_limit_guard():
+    # json.dumps of an integer past the int-to-text digit limit raises a bare
+    # ValueError, which the CLI would let out as a traceback.
+    found = [
+        f"{path.name}:{item}"
+        for path in sorted(SRC.glob("*.py"))
+        for item in _unguarded_json_dumps(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert not found, f"json.dumps outside output(...): {found}"
 
 
 def _root_name_imports(tree: ast.AST, submodules: set[str]) -> list[str]:
