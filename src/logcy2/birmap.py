@@ -230,16 +230,15 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     m = realize(w)
     cc, dd = complement_matrix(n)[1]
     # x = lam^p t^n1, y = lam^q t^n2, with p n2 - q n1 = 1.
+    # On the image ray (a, b), lambda' is the transverse monomial x'^b y'^-a at leading order.
     ray, action = arc_limit(m.f, m.g, ((dd, n[0]), (-cc, n[1])))
     if math.gcd(*ray) != 1:
         raise AssertionError(f"image exponents {ray} of {w} at {n} are imprimitive")
     if ray != tropical_image(w, n):
         raise AssertionError("boundary limit disagrees with tropicalization")
-    # On the image ray (a, b), lambda' is the transverse monomial x'^b y'^-a at leading order.
-    result = action()
-    if result is None:
+    if action is None:
         raise AssertionError(f"boundary action of {w} at {n} is not monomial")
-    coeff, expo = result
+    coeff, expo = action
     if expo not in (1, -1):
         raise AssertionError(f"boundary action of {w} at {n} has degree {expo}")
     return BoundaryAction(ray, coeff, expo)

@@ -89,7 +89,7 @@ class Poly2:
     mutated.
     """
 
-    __slots__ = ("terms", "content", "_hash")
+    __slots__ = ("terms", "content")
 
     def __init__(self, terms: dict[Term, int | Fraction] | None = None):
         clean: dict[Term, Fraction] = {}
@@ -101,7 +101,7 @@ class Poly2:
                 clean[(i, j)] = c
         m = math.lcm(*[c.denominator for c in clean.values()])
         p = _canonical({t: c.numerator * (m // c.denominator) for t, c in clean.items()}, Fraction(1, m))
-        self.terms, self.content, self._hash = p.terms, p.content, None
+        self.terms, self.content = p.terms, p.content
 
     @staticmethod
     def _raw(terms: dict[Term, int], content: int | Fraction) -> "Poly2":
@@ -109,7 +109,6 @@ class Poly2:
         p = object.__new__(Poly2)
         p.terms = terms
         p.content = content.numerator if content.denominator == 1 else content  # an int when integral
-        p._hash = None
         return p
 
     # Construction helpers.
@@ -164,21 +163,13 @@ class Poly2:
         return isinstance(other, Poly2) and self.content == other.content and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.content, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.content, frozenset(self.terms.items())))
 
     # Arithmetic.  Products, powers and exact quotients of primitive dicts
     # with positive leading coefficients are again such dicts (Gauss's
     # lemma), so only sums and derivatives take a content gcd.
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        if self.content == other.content:
-            # Both grlex-leading coefficients are positive, so the sum's is too.
-            out = self.terms.copy()
-            _ip_add_scaled(out, other.terms, 1)
-            c = math.gcd(*out.values())
-            return Poly2._raw(out if c == 1 else {t: v // c for t, v in out.items()}, self.content * c)
         m = math.lcm(self.content.denominator, other.content.denominator)
         out = {}
         for p in (self, other):
@@ -453,7 +444,7 @@ def _y_gcd(rows: list[dict[int, int]]) -> dict[int, int]:
 
 
 def _ip_prs_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
-    """Gcd in Z[x, y] by a primitive pseudo-remainder sequence in x.
+    """Gcd of nonzero p, q in Z[x, y] by a primitive pseudo-remainder sequence in x.
 
     The y-content of a polynomial is the gcd in Z[y] of its x-coefficients,
     taken by ``_y_gcd``.  Each side is divided by its y-content with
@@ -469,20 +460,18 @@ def _ip_prs_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
         c = _y_gcd(list(_ip_to_x(d).values()))
         return c, _ip_divexact(d, {(0, j): a for j, a in c.items()})
 
-    r = p or q
-    if p and q:
-        (cp, f), (cq, g) = primitive(p), primitive(q)
-        if max(i for i, _ in f) < max(i for i, _ in g):
-            f, g = g, f
-        while g and (dg := max(i for i, _ in g)):
-            lg = {(0, j): c for (i, j), c in g.items() if i == dg}
-            while f and (df := max(i for i, _ in f)) >= dg:
-                lf = {(df - dg, j): c for (i, j), c in f.items() if i == df}
-                f = dict(_ip_mul(lg, f))
-                _ip_add_scaled(f, _ip_mul(lf, g), -1)
-            f, g = g, (primitive(f)[1] if f else {})
-        r = _ip_mul(_ONE if g else f, {(0, j): c for j, c in _y_gcd([cp, cq]).items()})
-    return {t: -c for t, c in r.items()} if r and r[_grlex_max(r)] < 0 else r
+    (cp, f), (cq, g) = primitive(p), primitive(q)
+    if max(i for i, _ in f) < max(i for i, _ in g):
+        f, g = g, f
+    while g and (dg := max(i for i, _ in g)):
+        lg = {(0, j): c for (i, j), c in g.items() if i == dg}
+        while f and (df := max(i for i, _ in f)) >= dg:
+            lf = {(df - dg, j): c for (i, j), c in f.items() if i == df}
+            f = dict(_ip_mul(lg, f))
+            _ip_add_scaled(f, _ip_mul(lf, g), -1)
+        f, g = g, (primitive(f)[1] if f else {})
+    r = _ip_mul(_ONE if g else f, {(0, j): c for j, c in _y_gcd([cp, cq]).items()})
+    return {t: -c for t, c in r.items()} if r[_grlex_max(r)] < 0 else r
 
 
 def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
@@ -503,8 +492,6 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
         ((mi, mj),) = mono
         gi = min([mi] + [i for i, _ in other])
         gj = min([mj] + [j for _, j in other])
-        if not gi and not gj:
-            return _ONE, p, q
         cp, cq = ({(i - gi, j - gj): c for (i, j), c in d.items()} for d in (p, q))
         return {(gi, gj): 1}, cp, cq
     if (heu := _heugcd(p, q)) is not None:
@@ -622,10 +609,8 @@ def normalize(num: Poly2, den: Poly2) -> RatFunc2:
         raise ZeroDenominatorError("denominator is identically zero")
     if num.is_zero():
         return RatFunc2(Poly2.zero(), Poly2.const(1))
-    g, ip, iq = _ip_gcd(num.terms, den.terms)
+    _, ip, iq = _ip_gcd(num.terms, den.terms)
     lc = iq[_grlex_max(iq)]
-    if g == _ONE and den.content * lc == 1:
-        return RatFunc2(num, den)
     return RatFunc2(Poly2._raw(ip, Fraction(num.content, den.content * lc)), Poly2._raw(iq, Fraction(1, lc)))
 
 
@@ -949,27 +934,23 @@ def arc_limit(f: RatFunc2, g: RatFunc2, arc: tuple[Term, Term]):
     p n2 - q n1 = 1, so no two monomials of a side land on one: one pass
     relabels each integer side (``_int_pair``, which folds in the contents)
     and keeps its lowest t-row.  Returns the t-orders (a, b) of f and g, and
-    a function giving (c, e) with f^b g^-a = c lam^e + O(t), or None when
-    that coefficient is not a monomial in lam; only it raises rows to powers.
-    Z[lam^+-1] is a domain, so the lowest row of a product is the product
-    of the lowest rows.
+    (c, e) with f^b g^-a = c lam^e + O(t), or None when that coefficient is
+    not a monomial in lam.  Z[lam^+-1] is a domain, so the lowest row of a
+    product is the product of the lowest rows.
     """
     (tfn, fn), (tfd, fd), (tgn, gn), (tgd, gd) = (_arc_row(p, arc) for p in (*_int_pair(f), *_int_pair(g)))
     a, b = tfn - tfd, tgn - tgd
 
-    def action() -> tuple[Fraction, int] | None:
-        def power(top, bottom, k):  # (top / bottom)^k as a pair of rows
-            return (_Powers(top)[k], _Powers(bottom)[k]) if k >= 0 else (_Powers(bottom)[-k], _Powers(top)[-k])
+    def power(top, bottom, k):  # (top / bottom)^k as a pair of rows
+        return (_Powers(top)[k], _Powers(bottom)[k]) if k >= 0 else (_Powers(bottom)[-k], _Powers(top)[-k])
 
-        (n1, d1), (n2, d2) = power(fn, fd, b), power(gn, gd, -a)
-        num, den = _ip_mul(n1, n2), _ip_mul(d1, d2)
-        (top, _), (bottom, _) = max(num), max(den)
-        e, nl, dl = top - bottom, num[(top, 0)], den[(bottom, 0)]
-        if len(num) != len(den) or any(num.get((k + e, 0), 0) * dl != c * nl for (k, _), c in den.items()):
-            return None
-        return Fraction(nl, dl), e
-
-    return (a, b), action
+    (n1, d1), (n2, d2) = power(fn, fd, b), power(gn, gd, -a)
+    num, den = _ip_mul(n1, n2), _ip_mul(d1, d2)
+    (top, _), (bottom, _) = max(num), max(den)
+    e, nl, dl = top - bottom, num[(top, 0)], den[(bottom, 0)]
+    if len(num) != len(den) or any(num.get((k + e, 0), 0) * dl != c * nl for (k, _), c in den.items()):
+        return (a, b), None
+    return (a, b), (Fraction(nl, dl), e)
 
 
 # --- textual form -------------------------------------------------------------

@@ -556,6 +556,21 @@ def test_boundary_limit_refuses_a_ray_off_the_tropicalization(monkeypatch):
         boundary_limit(parse_word("E"), (-1, 0))
 
 
+# E sends (-1, 0) to (-1, 1) with action (1, 1).  Each stand-in result
+# breaks one check and every later one, so the first message pins the order:
+# primitive ray, tropicalization, monomial action, degree +-1.
+@pytest.mark.parametrize("result, message", [
+    (((-2, 2), None), r"image exponents \(-2, 2\) of E at \(-1, 0\) are imprimitive"),
+    (((0, 1), None), "boundary limit disagrees with tropicalization"),
+    (((-1, 1), None), r"boundary action of E at \(-1, 0\) is not monomial"),
+    (((-1, 1), (-1, 2)), r"boundary action of E at \(-1, 0\) has degree 2"),
+])
+def test_boundary_limit_checks_in_order(monkeypatch, result, message):
+    monkeypatch.setattr(birmap, "arc_limit", lambda f, g, arc: result)
+    with pytest.raises(AssertionError, match=message):
+        boundary_limit(parse_word("E"), (-1, 0))
+
+
 def test_pl_data_do_not_decide_equality():
     # The tropicalization and the boundary actions of this word are those of
     # the identity, yet the map is not: equal may not answer true from them.

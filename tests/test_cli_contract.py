@@ -143,7 +143,7 @@ SURFACE_COMMANDS = ["surface validate", "surface invariants", "surface intersect
                     "surface resolve", "hms counts", "atf diagram"]
 
 
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(SURFACE_COMMANDS), surface_texts, words)
 @example("surface resolve", "[" * 100000, "E")
 @example("surface validate", '{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [' + "1" * 5000 + ", 0, 0]}", "E")
@@ -221,7 +221,7 @@ diagram_texts = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
 @given(diagram_texts, st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
 @example('{"nodes": [{"position": ["1e10000000", "0"], "direction": [1, 0], "cut_sign": 1}]}', (1, 0))
 # 2000 nodes on one ray: the move relabels the line once, not one slide per node.
@@ -260,7 +260,7 @@ points = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["realize", "equal", "character", "trop", "eval"]), short_words, short_words, vectors, points)
 @example("eval", "E", "id", "1,0", "-1,1")
 @example("equal", "E[2,2]", "A[1,1;1,1]", "1,0", "0,0")
@@ -292,7 +292,7 @@ arguments = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["demo", "verify"]), arguments)
 @example("demo", ["cubic"])
 @example("verify", ["relations"])

@@ -359,30 +359,23 @@ def test_arc_limit_reads_a_monomial_ratio():
     # (-3/2 lam^2 + 3 lam^-1) / (lam^-1 - 2 lam^-4) is -3/2 lam^3; times
     # lam^4 on both sides, and + y keeps the fraction from cancelling.
     f = rf(parse_poly("(-3/2)*x^6 + 3*x^3 + y"), parse_poly("x^3 + (-2) + y"))
-    ray, action = arc_limit(f, RatFunc2.y(), ARC_X)
-    assert ray == (0, 1) and action() == (Fraction(-3, 2), 3)
+    assert arc_limit(f, RatFunc2.y(), ARC_X) == ((0, 1), (Fraction(-3, 2), 3))
     # 5 lam^-2 over 1/3: the contents come in.
-    ray, action = arc_limit(rf(Poly2.const(5), X.scale(Fraction(1, 3)) * X), RatFunc2.y(), ARC_X)
-    assert ray == (0, 1) and action() == (15, -2)
+    assert arc_limit(rf(Poly2.const(5), X.scale(Fraction(1, 3)) * X), RatFunc2.y(), ARC_X) == ((0, 1), (15, -2))
 
 
 def test_arc_limit_rejects_a_non_monomial_ratio():
     # (lam + 1) / (lam - 1): same leading terms, different tails.
-    assert arc_limit(rf(X + ONE, X - ONE), RatFunc2.y(), ARC_X)[1]() is None
+    assert arc_limit(rf(X + ONE, X - ONE), RatFunc2.y(), ARC_X) == ((0, 1), None)
     # lam^2 + 1 over lam: the leading terms alone would say lam.
-    assert arc_limit(rf(X * X + ONE, X), RatFunc2.y(), ARC_X)[1]() is None
+    assert arc_limit(rf(X * X + ONE, X), RatFunc2.y(), ARC_X) == ((0, 1), None)
 
 
-def test_arc_limit_reads_the_orders_before_any_power(monkeypatch):
+def test_arc_limit_reads_the_orders_from_the_lowest_rows():
     # On the arc x = lam^2 t^-3, y = lam t^-1 (determinant 1), x^5 + y has
-    # t-order -15 and row lam^10; its powers are built only by the action.
-    calls = []
-    product = polyrat._ip_mul
-    monkeypatch.setattr(polyrat, "_ip_mul", lambda a, b: calls.append(1) or product(a, b))
-    ray, action = arc_limit(rf(parse_poly("x^5 + y")), RatFunc2.x(), ((2, -3), (1, -1)))
-    assert ray == (-15, -3) and calls == []
+    # t-order -15 and row lam^10, and x has t-order -3 and row lam^2;
     # f^-3 x^15 = lam^-30 lam^30.
-    assert action() == (1, 0) and calls
+    assert arc_limit(rf(parse_poly("x^5 + y")), RatFunc2.x(), ((2, -3), (1, -1))) == ((-15, -3), (1, 0))
 
 
 # --- textual form -----------------------------------------------------------------

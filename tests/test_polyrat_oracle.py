@@ -38,7 +38,8 @@ from logcy2.words import Elementary, Linear, Word, parse_word
 sympy = pytest.importorskip("sympy")
 
 SX, SY = sympy.symbols("x y")
-ORACLE = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+QXY, FX, FY = sympy.polys.fields.field("x,y", sympy.QQ)
+ORACLE = settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 
 
 def polys(max_deg: int = 3, max_terms: int = 4, integral: bool = False):
@@ -255,14 +256,23 @@ def test_integer_product_by_one_is_the_other_factor(p):
 # --- dlog ratio ------------------------------------------------------------------
 
 
+def to_field(r: RatFunc2):
+    """r as an element of sympy's field Q(x, y), kept reduced by its own gcds."""
+    num, den = ({m: sympy.QQ(p.content * c) for m, c in p.terms.items()} for p in (r.num, r.den))
+    return QXY(QXY.ring(num)) / QXY(QXY.ring(den))
+
+
 def sympy_dlog_ratio(f: RatFunc2, g: RatFunc2):
     """(x y / (f g)) (f_x g_y - f_y g_x) as a Fraction when sympy finds it constant."""
-    sf, sg = to_sympy(f.num) / to_sympy(f.den), to_sympy(g.num) / to_sympy(g.den)
-    if sf == 0 or sg == 0:
+    sf, sg = to_field(f), to_field(g)
+    if not sf or not sg:
         return None
-    jac = sympy.diff(sf, SX) * sympy.diff(sg, SY) - sympy.diff(sf, SY) * sympy.diff(sg, SX)
-    ratio = sympy.cancel(SX * SY * jac / (sf * sg))
-    return Fraction(int(ratio.p), int(ratio.q)) if ratio.is_Rational else None
+    jac = sf.diff(FX) * sg.diff(FY) - sf.diff(FY) * sg.diff(FX)
+    ratio = FX * FY * jac / (sf * sg)
+    if not (ratio.numer.is_ground and ratio.denom.is_ground):
+        return None
+    c = ratio.numer.LC / ratio.denom.LC
+    return Fraction(int(c.numerator), int(c.denominator))
 
 
 def monomial_ratfunc(a: int, b: int) -> RatFunc2:
@@ -459,7 +469,7 @@ def powered_words():
     return words.filter(lambda w: all(realized_degree(Word(w.letters[:n])) <= 60 for n in range(1, len(w) + 1)))
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(powered_words())
 @example(parse_word("E^12*A[0,1;1,0]*E^-7"))
 @example(parse_word("E^-12*E[1,0]^12"))

@@ -629,7 +629,7 @@ hostile_data = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.one_of(valid_data, mutated_data(), hostile_data))
 def test_validate_matches_reference_diagnostic(data):
     assert _violations(*data) == _validate_reference(*data)
