@@ -12,18 +12,12 @@ valid equality test for rational functions, which is what the word-problem
 oracle relies on.
 
 GCDs run in integer arithmetic and return the cofactors with the gcd, each
-computed once.  A monomial input settles the gcd at once and its cofactors
-are exponent shifts; otherwise one heuristic gcd (GCDHEU) sets y, and then
-x, to xi >= 2 * min(height) + 29, calls itself on the images down to an
-integer gcd, and reads each level back in balanced base xi, verified by
-exact division, whose quotients are the cofactors; what it gives up on goes
-to one primitive pseudo-remainder sequence in x on the same term dicts,
-whose y-contents are gcds of x-only dicts by the same two routes, and its
-cofactors come from one exact division each.  Every other routine runs on
-the integer terms as well.
+computed once: a monomial shortcut, then one heuristic gcd (GCDHEU), then
+one primitive pseudo-remainder sequence in x (see ``_ip_gcd``).  Every
+other routine runs on the integer terms as well.
 By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
-``normalize`` and the pullback kernels keep the terms primitive, so they
-only multiply or divide contents; sums, derivatives and the result of
+``normalize`` and ``pullback`` keep the terms primitive, so they only
+multiply or divide contents; sums, derivatives and the result of
 ``substitute`` take one content gcd.  A product with a one-term factor
 shifts and scales the other factor, and a factor 1 returns the other one as
 it stands.  ``substitute`` is the plain reference route for a composition:
@@ -32,10 +26,9 @@ it clears denominators, expands, takes one ``normalize`` and keeps no state.
 whether dlog f ^ dlog g is a constant multiple of dlog x ^ dlog y; a pass
 over more than ``PAIR_BUDGET`` pairs raises first.
 ``pullback`` pulls a fraction back through monomial maps and powers of
-E = (x, y (1 + x)^-1) with no substitution and no gcd: the only common
-factors such a step can create are monomials and powers of 1 + x, and its
-kernel divides them out exactly (see "pullbacks through the generators");
-an E-step that would build more than ``TERM_BUDGET`` terms raises first.
+E = (x, y (1 + x)^-1) with no substitution and no gcd, on y-rows of its
+integer sides (see "pullbacks through the generators"); an E-step that
+would build more than ``TERM_BUDGET`` terms raises first.
 ``arc_limit`` reads the leading order in t of a pair of fractions on a
 boundary arc x = lam^p t^n1, y = lam^q t^n2 from each side's lowest t-row,
 raised with ``_Powers`` and multiplied with ``_ip_mul``.
@@ -62,6 +55,7 @@ exponent, and repeated monomials, whose coefficients it sums.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -668,18 +662,21 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
 
 # --- pullbacks through the generators ----------------------------------------
 #
-# A monomial map with matrix B, (x, y) -> (x^B11 y^B12, x^B21 y^B22), is an
-# automorphism of Z[x^+-1, y^+-1], and E^e = (x, y (1 + x)^-e) one of
-# Z[x^+-1, y^+-1, (1 + x)^-1].  Pulling a reduced fraction num/den back
-# through either keeps num and den coprime in that ring, so over Q[x, y]
-# the only common factors they can gain are monomials and, for E^e, powers
-# of 1 + x.  Each kernel removes exactly those, and no gcd is taken.  Both
-# steps only relabel exponents and multiply or divide rows by powers of the
-# primitive 1 + x, so by Gauss's lemma each side stays primitive; only the
-# sign of its grlex-leading coefficient can change.  ``pullback`` runs the
-# kernels on the terms dicts as they stand and, once on exit, fixes the signs
-# and sets the two contents so the denominator is grlex-monic.
+# A monomial map (x, y) -> (x^B11 y^B12, x^B21 y^B22) is an automorphism of
+# Z[x^+-1, y^+-1], and E^e = (x, y (1 + x)^-e) one of Z[x^+-1, y^+-1,
+# (1 + x)^-1], so a reduced num/den pulled back through either can only gain
+# common monomials and, for E^e, powers of 1 + x; each step divides exactly
+# those out, with no gcd.  ``pullback`` holds each side as rows (j, lo, b),
+# b[t] = (-1)^i c for the coefficient c of x^i y^j, i = lo + t: in these
+# signs a product by 1 + x is b[t] - b[t - 1], and a quotient a running sum,
+# exact when its last entry is 0.  Row ends are nonzero and stay so, and a
+# linear form in the exponents peaks at an end, so shifts and leading
+# coefficients are read there.  By Gauss's lemma each side stays primitive;
+# the exit applies the last matrix, the shift and the sign in one pass per
+# side and sets the contents so the denominator is grlex-monic.
 
+
+_MAT_ID = ((1, 0), (0, 1))
 
 # The most terms one side of an E-step may build.  (r1*r2*r3)^3 needs 11925;
 # (r1*r2*r3)^4 would need 216401 and (r1*r2*r3)^5 ran out of memory.
@@ -690,62 +687,62 @@ class TermBudgetError(DomainError, ArithmeticError):
     """A pullback or ``dlog_ratio`` would go over ``TERM_BUDGET`` or ``PAIR_BUDGET``."""
 
 
-def monomial_pullback(num: dict[Term, int], den: dict[Term, int], mat: tuple[Term, Term]):
-    """num/den pulled back through the monomial map with matrix ``mat``.
+def _monomial_step(sides, mat: tuple[Term, Term]):
+    """Both sides, terms dicts or rows, pulled back through the monomial map ``mat``, as rows.
 
-    x^i y^j becomes x^(B11 i + B21 j) y^(B12 i + B22 j).  The relabelled
-    pair is a reduced pair of Laurent polynomials, so one shift by the
-    smallest x- and y-exponents over both sides clears the negative
-    exponents and removes the only common factor a reduced num/den can gain.
+    x^i y^j becomes x^(B11 i + B21 j) y^(B12 i + B22 j), then both sides
+    shift by the least exponents, the new rows' lowest ends; an odd x-shift
+    flips every alternating sign.
     """
     (a, b), (c, d) = mat
-    num = {(a * i + c * j, b * i + d * j): v for (i, j), v in num.items()}
-    den = {(a * i + c * j, b * i + d * j): v for (i, j), v in den.items()}
-    keys = [*num, *den]
-    si = min(i for i, _ in keys)
-    sj = min(j for _, j in keys)
-    if si or sj:
-        num = {(i - si, j - sj): v for (i, j), v in num.items()}
-        den = {(i - si, j - sj): v for (i, j), v in den.items()}
-    return num, den
-
-
-def _alternating_rows(p: dict[Term, int]) -> dict[int, tuple[int, list[int]]]:
-    """{j: (lo, b)} with b[t] = (-1)^i c for the coefficient c of x^i y^j, i = lo + t.
-
-    In these signs a product by 1 + x is a difference, b[t] - b[t - 1], and a
-    quotient by 1 + x a running sum, exact when the whole sum is 0.
-    """
-    by_j: dict[int, dict[int, int]] = {}
-    for (i, j), c in p.items():
-        row = by_j.get(j)
-        if row is None:
-            row = by_j[j] = {}
-        row[i] = -c if i & 1 else c
-    out = {}
-    for j, row in by_j.items():
-        lo = min(row)
-        b = [0] * (max(row) - lo + 1)
-        for i, c in row.items():
-            b[i - lo] = c
-        out[j] = (lo, b)
-    return out
+    grouped = []
+    for side in sides:
+        g: dict[int, dict[int, int]] = collections.defaultdict(dict)
+        if isinstance(side, dict):
+            for (i, j), v in side.items():
+                i2 = a * i + c * j
+                g[b * i + d * j][i2] = -v if i2 & 1 else v
+        else:
+            for j, lo, row in side:
+                cj, dj = c * j, d * j
+                for i, v in enumerate(row, lo):
+                    if v:
+                        i2 = a * i + cj
+                        g[b * i + dj][i2] = -v if (i ^ i2) & 1 else v
+        grouped.append([(j, min(row), row) for j, row in g.items()])
+    si = min(lo for side in grouped for _, lo, _ in side)
+    sj = min(j for side in grouped for j, _, _ in side)
+    sign = -1 if si & 1 else 1
+    return [[(j - sj, lo - si, [sign * row.get(i, 0) for i in range(lo, max(row) + 1)])
+             for j, lo, row in side] for side in grouped]
 
 
 def _one_plus_x_valuation(b: list[int], cap: int) -> int:
-    """How many times 1 + x divides the row b (alternating signs), counting up to ``cap``."""
+    """How many times 1 + x divides the row b, counting up to ``cap``: one running sum per division."""
     v = 0
-    while v < cap and not sum(b):
-        b = list(itertools.accumulate(b))
-        b.pop()
+    while v < cap and not (b := list(itertools.accumulate(b))).pop():
         v += 1
     return v
 
 
+def _binomial_row(t: int) -> tuple[int, ...]:
+    """(-1)^k C(t, k) for k = 0..t, the row of (1 + x)^t, by C(t, k + 1) = C(t, k) (t - k) / (k + 1)."""
+    a = [1]
+    for k in range(t):
+        a.append(-a[-1] * (t - k) // (k + 1))
+    return tuple(a)
+
+
 def _times_one_plus_x(b: list[int], t: int) -> list[int]:
-    """The row b (alternating signs) times (1 + x)^t; for t < 0 an exact synthetic division."""
-    for _ in range(t):
-        b = list(map(operator.sub, [*b, 0], [0, *b]))
+    """The row b times (1 + x)^t: one convolution for t > 0, an exact synthetic division for t < 0."""
+    if t > 0:
+        a = _binomial_row(t)
+        out = [0] * (len(b) + t)
+        for s, c in enumerate(b):
+            if c:
+                for k, v in enumerate(a, s):
+                    out[k] += c * v
+        return out
     for _ in range(-t):
         b = list(itertools.accumulate(b))
         if b.pop():
@@ -753,63 +750,66 @@ def _times_one_plus_x(b: list[int], t: int) -> list[int]:
     return b
 
 
-def elementary_pullback(num: dict[Term, int], den: dict[Term, int], e: int):
-    """num/den pulled back through E^e = (x, y (1 + x)^-e), for a reduced num/den.
+def _elementary_step(sides, e: int):
+    """Both sides' rows pulled back through E^e, for a reduced num/den.
 
-    Row j, the coefficient R_j(x) of y^j, becomes y^j (1 + x)^(-e j) R_j.
-    With v the (1 + x)-valuation, k = min over both sides and all rows of
-    v(R_j) - e j, and each row is rebuilt as y^j (1 + x)^(-e j - k) R_j:
-    that is both sides times (1 + x)^-k, which leaves the fraction's value
-    alone and makes the smallest valuation over both sides 0.  Every
-    exponent -e j - k is at least -v(R_j), so a negative one is an exact
-    synthetic division at x = -1.  The rows keep their y-degrees and lowest
-    x-degrees, so no monomial factor is gained.
+    Row j, R_j(x) y^j, becomes (1 + x)^(-e j - k) R_j y^j, with k the least
+    v(R_j) - e j over both sides for the (1 + x)-valuation v: both sides
+    times (1 + x)^-k, which leaves the least valuation 0.  As -e j - k is at
+    least -v(R_j) every division is exact, and as each row keeps its y- and
+    lowest x-degree no monomial is gained.
     """
-    rows = (_alternating_rows(num), _alternating_rows(den))
-    # Rows in increasing -e j: once -e j reaches k, no later row lowers it,
-    # and a row's valuation is only counted as far as it could.  k starts
-    # above the first row's -e j + v, as v is below the row's length, and is
-    # an integer, as -e j can be past float range.
-    by_base = sorted(((-e * j, b) for side in rows for j, (_, b) in side.items()), key=operator.itemgetter(0))
+    # Rows in increasing -e j: once -e j reaches k no later row lowers it, so
+    # a valuation is only counted as far as it could matter.  k starts above
+    # the first row's -e j + v and stays an int: -e j can be past float range.
+    by_base = sorted(((-e * j, b) for side in sides for j, _, b in side), key=operator.itemgetter(0))
     k = by_base[0][0] + len(by_base[0][1])
     for base, b in by_base:
         if base >= k:
             break
-        k = min(k, base + _one_plus_x_valuation(b, k - base))
+        k = base + _one_plus_x_valuation(b, k - base)
     # Row j is rebuilt with len(b) - e j - k coefficients, zeros included.
-    size = max(sum(len(b) - e * j - k for j, (_, b) in side.items()) for side in rows)
+    size = max(sum(len(b) - e * j - k for j, _, b in side) for side in sides)
     if size > TERM_BUDGET:
         raise TermBudgetError(f"a pullback through E^{e} would build {cut(size)} terms, over {TERM_BUDGET}")
-    out = []
-    for side in rows:
-        terms = {}
-        for j, (lo, b) in side.items():
-            b = _times_one_plus_x(b, -e * j - k)
-            terms.update({(i, j): -c if i & 1 else c for i, c in enumerate(b, lo) if c})
-        out.append(terms)
-    return out[0], out[1]
+    return [[(j, lo, _times_one_plus_x(b, -e * j - k)) for j, lo, b in side] for side in sides]
 
 
 def pullback(r: RatFunc2, steps: list[int | tuple[Term, Term]]) -> RatFunc2:
     """r pulled back through each step in turn, in canonical form.
 
-    A step is an int e, for E^e (``elementary_pullback``), or a 2x2 integer
-    matrix, for the monomial map (``monomial_pullback``).  The kernels run on
-    the primitive terms dicts, and the contents only come back in on the way
-    out, where they make the denominator grlex-monic (see above).
+    A step is an int e, for E^e, or a 2x2 integer matrix, for the monomial
+    map.  The first matrix, or the identity, turns the terms dicts into
+    rows, and the exit applies the last one (see above).
     """
     if r.num.is_zero():
         return r
-    num, den = r.num.terms, r.den.terms
+    steps = list(steps)
+    last = steps.pop() if steps and not isinstance(steps[-1], int) else _MAT_ID
+    if not steps or isinstance(steps[0], int):
+        steps.insert(0, _MAT_ID)
+    sides = [r.num.terms, r.den.terms]
     for step in steps:
-        if isinstance(step, int):
-            num, den = elementary_pullback(num, den, step)
-        else:
-            num, den = monomial_pullback(num, den, step)
-    ln, ld = num[_grlex_max(num)], den[_grlex_max(den)]
+        sides = _elementary_step(sides, step) if isinstance(step, int) else _monomial_step(sides, step)
+    (a, b), (c, d) = last
+    ends = [[(i, j, -row[s] if i & 1 else row[s])
+             for j, lo, row in side for s, i in ((0, lo), (-1, lo + len(row) - 1))]
+            for side in sides]
+    si = min([a * i + c * j for side in ends for i, j, _ in side])
+    sj = min([b * i + d * j for side in ends for i, j, _ in side])
+    # The grlex-leading coefficient of each side, from its row ends.
+    ln, ld = [max([((a + b) * i + (c + d) * j, a * i + c * j, v) for i, j, v in side])[2] for side in ends]
+    # A side whose leading coefficient is negative flips its signs into its content.
+    num, den = {}, {}
+    for out, side, flip in ((num, sides[0], ln < 0), (den, sides[1], ld < 0)):
+        for j, lo, row in side:
+            ci, cj = c * j - si, d * j - sj
+            for i, v in enumerate(row, lo):
+                if v:
+                    out[a * i + ci, b * i + cj] = -v if (i ^ flip) & 1 else v
     sn, sd = (1 if ln > 0 else -1), (1 if ld > 0 else -1)
-    return RatFunc2(Poly2._raw(_ip_scale(num, sn), Fraction(sn * r.num.content, r.den.content * ld)),
-                    Poly2._raw(_ip_scale(den, sd), Fraction(1, sd * ld)))
+    return RatFunc2(Poly2._raw(num, Fraction(sn * r.num.content, r.den.content * ld)),
+                    Poly2._raw(den, Fraction(1, sd * ld)))
 
 
 def partial_derivative(r: RatFunc2, var: str) -> RatFunc2:

@@ -95,6 +95,9 @@ CLI_SHA256 = {
     ("demo", "cubic"): "47d232bd332bbed85230946e094881dd78cf1397edbb703cac50288e92ca0c97",
     ("verify", "relations"): "5cc09b29609662c04e155ff5b440b38f65909936575c02482095bb841be729dd",
     ("word", "realize", "(r1*r2*r3)^3"): "09bac70282d539b782260d0e871f331d10ed5e24fd23ef7bbab39570a89d4d85",
+    # Tall powers of E: y goes to y / (1 + x)^8000 and y (1 + x)^8000, one binomial row each.
+    ("word", "realize", "E^8000"): "30cd0b934524f71bb394c799673538362ec620b85eb450ca4524b12adc129794",
+    ("word", "realize", "E^-8000"): "bd509f3f2cfdd413e80110036211c6bf71fc53b0f347a44f276620feccc0396e",
 }
 
 

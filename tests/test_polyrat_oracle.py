@@ -5,10 +5,11 @@ Each gcd route of ``polyrat._ip_gcd`` gets inputs that reach it: a monomial
 side for the shortcut, a shared factor of positive degree in both variables
 and coprime pairs for the two-level GCDHEU, and for the remainder sequence
 one explicit input whose coefficients are too tall for GCDHEU plus random
-pairs with GCDHEU made to give up, in two variables and in one.  The
-two pullback kernels, which take no gcd, are checked against sympy's
-``cancel`` of the substituted fraction, and ``realize``, which runs on them,
-against a fold of ``compose``.
+pairs with GCDHEU made to give up, in two variables and in one.
+``pullback``, which takes no gcd, is checked against sympy's ``cancel`` of
+the substituted fraction, its row kernel ``_times_one_plus_x`` against
+``sympy.Poly`` products and exact quotients, and ``realize``, which runs on
+``pullback``, against a fold of ``compose``.
 """
 
 import math
@@ -24,8 +25,6 @@ from logcy2.polyrat import (
     Poly2,
     RatFunc2,
     dlog_ratio,
-    elementary_pullback,
-    monomial_pullback,
     normalize,
     poly_divexact,
     poly_gcd,
@@ -401,40 +400,50 @@ UNIMODULAR = st.sampled_from([((1, 0), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 
                               ((1, -2), (0, 1)), ((2, 1), (1, 1)), ((0, -1), (1, -1)), ((-3, 2), (-2, 1))])
 
 
+def sympy_step(expr, step):
+    """expr pulled back through one step: E^e for an int e, else the monomial map of a matrix."""
+    if isinstance(step, int):
+        return expr.subs({SY: SY * (1 + SX) ** -step})
+    (a, b), (c, d) = step
+    return expr.subs({SX: SX**a * SY**b, SY: SX**c * SY**d}, simultaneous=True)
+
+
 @ORACLE
 @given(reduced_fractions(), UNIMODULAR)
 def test_monomial_pullback_matches_cancel(r, mat):
-    (a, b), (c, d) = mat
-    point = {SX: SX**a * SY**b, SY: SX**c * SY**d}
-    assert pullback(r, [mat]) == canonical(sympy_ratfunc(r).subs(point, simultaneous=True))
+    assert pullback(r, [mat]) == canonical(sympy_step(sympy_ratfunc(r), mat))
 
 
 @ORACLE
 @given(reduced_fractions(), st.integers(-4, 4).filter(bool))
 def test_elementary_pullback_matches_cancel(r, e):
-    point = {SY: SY * (1 + SX) ** -e}
-    assert pullback(r, [e]) == canonical(sympy_ratfunc(r).subs(point, simultaneous=True))
+    assert pullback(r, [e]) == canonical(sympy_step(sympy_ratfunc(r), e))
 
 
 @ORACLE
 @given(reduced_fractions(), st.lists(st.one_of(UNIMODULAR, st.integers(-3, 3).filter(bool)), max_size=3))
 def test_kernels_keep_integer_pairs_reduced(r, steps):
-    # On integer sides the kernels return a pair with no common
-    # factor at all, which pullback then only scales.
-    num, den = polyrat._int_pair(r)
-    for step in steps:
-        num, den = (elementary_pullback if isinstance(step, int) else monomial_pullback)(num, den, step)
-    assert all(isinstance(c, int) for c in [*num.values(), *den.values()])
-    assert polyrat._ip_gcd(Poly2(num).terms, Poly2(den).terms)[0] == {(0, 0): 1}
-    assert pullback(r, steps) == normalize(Poly2(num), Poly2(den))
+    # After every prefix of the steps, pullback gives primitive integer
+    # sides with no common factor at all, so normalize leaves it as it is,
+    # and its value is sympy's substitution step by step.
+    expr = sympy_ratfunc(r)
+    for n in range(len(steps) + 1):
+        p = pullback(r, steps[:n])
+        assert all(isinstance(c, int) for c in [*p.num.terms.values(), *p.den.terms.values()])
+        assert polyrat._ip_gcd(p.num.terms, p.den.terms)[0] == {(0, 0): 1}
+        assert p == normalize(p.num, p.den)
+        assert p == canonical(expr)
+        if n < len(steps):
+            expr = sympy.cancel(sympy_step(expr, steps[n]))
 
 
 def test_elementary_pullback_cancels_a_high_power_of_one_plus_x():
-    # y / (1 + x)^12 pulled back through E^-12 is y, and through E^12 gains
-    # twelve more powers.
-    r = normalize(Poly2.y(), ONE_PLUS_X**12)
-    assert pullback(r, [-12]) == RatFunc2.y()
-    assert pullback(r, [12]) == normalize(Poly2.y(), ONE_PLUS_X**24)
+    # y / (1 + x)^k pulled back through E^-k is y, and through E^k gains
+    # k more powers.
+    for k in (12, 500):
+        r = normalize(Poly2.y(), ONE_PLUS_X**k)
+        assert pullback(r, [-k]) == RatFunc2.y()
+        assert pullback(r, [k]) == normalize(Poly2.y(), ONE_PLUS_X ** (2 * k))
 
 
 def test_inexact_synthetic_division_raises():
@@ -442,6 +451,25 @@ def test_inexact_synthetic_division_raises():
     with pytest.raises(polyrat.InexactDivisionError):
         polyrat._times_one_plus_x([1, -2], -1)
     assert polyrat._times_one_plus_x([1, 0, -1], -1) == [1, 1]
+
+
+def alternating_row(poly) -> list[int]:
+    """The coefficients c_i of a sympy polynomial in x, as the row (-1)^i c_i from i = 0."""
+    return [-int(c) if i & 1 else int(c) for i, c in enumerate(reversed(poly.all_coeffs()))]
+
+
+@ORACLE
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=40).filter(lambda b: b[0] and b[-1]),
+       st.integers(-64, 64))
+def test_times_one_plus_x_matches_sympy(b, t):
+    # The row b times (1 + x)^t: a product for t >= 0, and for t < 0 the
+    # exact quotient of b (1 + x)^-t, which gives b back.
+    poly = sympy.Poly(sum((-c if i & 1 else c) * SX**i for i, c in enumerate(b)), SX)
+    power = sympy.Poly((1 + SX) ** abs(t), SX)
+    if t >= 0:
+        assert polyrat._times_one_plus_x(b, t) == alternating_row(poly * power)
+    else:
+        assert polyrat._times_one_plus_x(alternating_row(poly * power), t) == b
 
 
 def compose_fold(w: Word) -> BirationalMap:
