@@ -12,9 +12,10 @@ valid equality test for rational functions, which is what the word-problem
 oracle relies on.
 
 GCDs run in integer arithmetic and return the cofactors with the gcd, each
-computed once: a monomial shortcut, then one heuristic gcd (GCDHEU), then
-one primitive pseudo-remainder sequence in x (see ``_ip_gcd``).  Every
-other routine runs on the integer terms as well.
+computed once, by one of two routes (see ``_ip_gcd``): a monomial shortcut,
+or the heuristic gcd GCDHEU, which raises its evaluation point until its
+candidate divides both sides.  Every other routine runs on the integer
+terms as well.
 By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
 ``normalize`` and ``pullback`` keep the terms primitive, so they only
 multiply or divide contents; sums, derivatives and the result of
@@ -225,14 +226,6 @@ class InexactDivisionError(ArithmeticError):
     """An exact polynomial division left a nonzero remainder."""
 
 
-def _ip_to_x(p: dict[Term, int]) -> dict[int, dict[int, int]]:
-    """{i: the coefficient of x^i in p, a ypoly}."""
-    out: dict[int, dict[int, int]] = {}
-    for (i, j), c in p.items():
-        out.setdefault(i, {})[j] = c
-    return out
-
-
 def _grlex_max(p: dict[Term, int]) -> Term:
     return max(p, key=lambda t: (t[0] + t[1], t[0]))
 
@@ -367,18 +360,29 @@ def _balanced_digits(value: int, xi: int):
 # in either variable, has |G(xi)| > xi / 2 and its value never fits in one
 # balanced digit.  A candidate equal to 1 is then the true gcd, with no
 # division to check it.  Lowering the starting point loses that guarantee.
+#
+# The loop that raises xi always ends.  Write f = G * F and g = G * H, with
+# F and H coprime; no integer divides both, as the content c is out.  Once
+# xi is past the roots of Res_x(F, H)(y), the gcd of the images is G(xi)
+# times an integer d, and d divides every x-coefficient of F(x, xi) and
+# H(x, xi).  Those coefficient polynomials have no common factor, so by
+# Bezout d divides one fixed nonzero integer N; in one variable
+# N = Res(F, H).  So once xi > 2 * N * |G|, with |G| G's largest
+# coefficient, the balanced digits of d * G(xi) are exact, the candidate
+# is G, and its divisions succeed.
 
 
 def _heugcd(p: dict[Term, int], q: dict[Term, int]):
-    """(g, p/g, q/g) for nonzero p, q in Z[x, y], content included in g, or None.
+    """(g, p/g, q/g) for nonzero p, q in Z[x, y], content included in g.
 
     GCDHEU (Char, Geddes and Gonnet 1989).  Two constants give their integer
     gcd.  Otherwise the top variable, y if either side has a y and else x,
     is set to a large xi, the gcd of the two images comes from a call on
     them, and its values are read back in balanced base xi as coefficients
     of that variable; the primitive candidate is checked by exact division,
-    and the two quotients that prove it are the cofactors.  Gives up after
-    six attempts, or once xi is too tall for the y-degree.
+    and the two quotients that prove it are the cofactors.  A candidate that
+    fails, or an image that vanishes, raises xi and tries again, until a
+    candidate divides both sides (see the comment above).
     """
     c = math.gcd(*p.values(), *q.values())
     f, g = (d if c == 1 else {t: a // c for t, a in d.items()} for d in (p, q))
@@ -386,22 +390,27 @@ def _heugcd(p: dict[Term, int], q: dict[Term, int]):
     deg = max(t[v] for t in [*p, *q])
     if not deg:
         return {(0, 0): c}, f, g
+    # The side of lower degree in the evaluated variable is divided first:
+    # its quotient is shorter, so a wrong candidate fails there in fewer
+    # steps, where the other side's division may run its full length
+    # before a remainder shows.
+    first = int(max(t[v] for t in g) < deg)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
-    for _ in range(6):
-        if v and xi.bit_length() * (1 + deg) > 60000:
-            return None
+    while True:
         fe, ge = _image(f, v, xi), _image(g, v, xi)
-        if fe and ge and (gamma := _heugcd(fe, ge)) is not None:
+        if fe and ge:
+            gamma = _heugcd(fe, ge)[0]
             h = _canonical({(i, k) if v else (k, i): d
-                            for (i, _), a in gamma[0].items() for k, d in _balanced_digits(a, xi) if d}).terms
+                            for (i, _), a in gamma.items() for k, d in _balanced_digits(a, xi) if d}).terms
             if h == _ONE:
                 return {(0, 0): c}, f, g
             try:
-                return _ip_scale(h, c), _ip_divexact(f, h), _ip_divexact(g, h)
+                cofactors = {k: _ip_divexact((f, g)[k], h) for k in (first, 1 - first)}
             except InexactDivisionError:
                 pass
+            else:
+                return _ip_scale(h, c), cofactors[0], cofactors[1]
         xi = xi * 73794 // 27011 + 1
-    return None
 
 
 def _image(p: dict[Term, int], v: int, xi: int) -> dict[Term, int]:
@@ -419,65 +428,15 @@ def _image(p: dict[Term, int], v: int, xi: int) -> dict[Term, int]:
     return out
 
 
-def _y_gcd(rows: list[dict[int, int]]) -> dict[int, int]:
-    """Gcd in Z[y] of nonzero rows.
-
-    ``_heugcd``, or ``_ip_prs_gcd`` where it gives up, folds over the rows as
-    x-only dicts {(j, 0): c} until the gcd is a constant; from then on, or
-    when the first row is a constant, it is the integer gcd of every
-    coefficient, taken with no further call.
-    """
-    g = rows[0]
-    for row in rows[1:]:
-        if not max(g):
-            break
-        a, b = {(j, 0): c for j, c in g.items()}, {(j, 0): c for j, c in row.items()}
-        h = _heugcd(a, b)
-        g = {j: c for (j, _), c in (h[0] if h else _ip_prs_gcd(a, b)).items()}
-    return {0: math.gcd(*[c for row in rows for c in row.values()])} if not max(g) else g
-
-
-def _ip_prs_gcd(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
-    """Gcd of nonzero p, q in Z[x, y] by a primitive pseudo-remainder sequence in x.
-
-    The y-content of a polynomial is the gcd in Z[y] of its x-coefficients,
-    taken by ``_y_gcd``.  Each side is divided by its y-content with
-    ``_ip_divexact``, each pseudo-remainder is built with ``_ip_mul`` and
-    divided by its own y-content in the same way, and the gcd is the gcd of
-    the two contents times the last nonzero remainder, with a positive
-    grlex-leading coefficient.  ``_y_gcd`` calls back here on x-only dicts
-    {(i, 0): c}: their y-contents are integer constants, which it takes with
-    no further call, so the recursion stops after one level.
-    """
-
-    def primitive(d: dict[Term, int]) -> tuple[dict[int, int], dict[Term, int]]:
-        c = _y_gcd(list(_ip_to_x(d).values()))
-        return c, _ip_divexact(d, {(0, j): a for j, a in c.items()})
-
-    (cp, f), (cq, g) = primitive(p), primitive(q)
-    if max(i for i, _ in f) < max(i for i, _ in g):
-        f, g = g, f
-    while g and (dg := max(i for i, _ in g)):
-        lg = {(0, j): c for (i, j), c in g.items() if i == dg}
-        while f and (df := max(i for i, _ in f)) >= dg:
-            lf = {(df - dg, j): c for (i, j), c in f.items() if i == df}
-            f = dict(_ip_mul(lg, f))
-            _ip_add_scaled(f, _ip_mul(lf, g), -1)
-        f, g = g, (primitive(f)[1] if f else {})
-    r = _ip_mul(_ONE if g else f, {(0, j): c for j, c in _y_gcd([cp, cq]).items()})
-    return {t: -c for t, c in r.items()} if r[_grlex_max(r)] < 0 else r
-
-
 def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
     """(g, p/g, q/g) for primitive p, q in Z[x, y].
 
-    g is primitive with a positive grlex-leading coefficient.  The routes,
-    in order: a monomial input, whose coefficient is 1 since it is
-    primitive, settles g as a monomial at once and the cofactors are
-    exponent shifts; otherwise ``_heugcd`` gives the cofactors with g, from
-    the divisions that prove it, and what it gives up on goes to
-    ``_ip_prs_gcd``, the one remainder sequence, whose cofactors come from
-    one exact division each.
+    g is primitive with a positive grlex-leading coefficient.  A zero side
+    makes the other side the gcd.  Otherwise there are two routes: a
+    monomial input, whose coefficient is 1 since it is primitive, settles g
+    as a monomial at once and the cofactors are exponent shifts; every
+    other pair goes to ``_heugcd``, which gives the cofactors with g, from
+    the divisions that prove it.
     """
     if not p or not q:
         return p or q, (_ONE if p else {}), (_ONE if q else {})
@@ -488,12 +447,7 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
         gj = min([mj] + [j for _, j in other])
         cp, cq = ({(i - gi, j - gj): c for (i, j), c in d.items()} for d in (p, q))
         return {(gi, gj): 1}, cp, cq
-    if (heu := _heugcd(p, q)) is not None:
-        return heu
-    g = _ip_prs_gcd(p, q)
-    if g == _ONE:
-        return g, p, q
-    return g, _ip_divexact(p, g), _ip_divexact(q, g)
+    return _heugcd(p, q)
 
 
 def _int_pair(r: RatFunc2) -> tuple[dict[Term, int], dict[Term, int]]:

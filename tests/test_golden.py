@@ -6,8 +6,9 @@ The pool digests and the canonical text they are taken of come from
 operation and digests its output, and both are read here, never copied.
 The CLI digests are the sha256 of the whole stdout, and the help digests
 that of the exit code, stdout and stderr.  ``LIMITS`` records
-where the CLI refuses to answer.  The last test checks that every name
-``bench/tracer.py`` wraps in a traced run still exists.
+where the CLI refuses to answer.  The last two tests check that every name
+``bench/tracer.py`` wraps in a traced run still exists, and that
+``bench/smoke.py`` runs every workload, untraced and traced, to its end.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import importlib
 import importlib.util
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -233,3 +235,12 @@ def test_every_traced_name_resolves():
     assert missing == []
     for fn in (birmap.realize, birmap.tropicalize):
         assert callable(getattr(fn, "cache_info", None)), fn.__name__
+
+
+def test_bench_smoke_run_passes():
+    # Every workload at a tiny size, untraced and traced, in a fresh process,
+    # so a library change that breaks a bench run fails here.
+    result = subprocess.run([sys.executable, str(BENCH / "smoke.py")], cwd=BENCH.parent,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.splitlines()[-1] == "smoke: ok"

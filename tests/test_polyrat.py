@@ -167,23 +167,14 @@ def test_divexact_roundtrip(srng):
         assert poly_divexact(p * q, q) == p
 
 
-def test_gcd_prs_fallback_settles_tall_coprime_pair(monkeypatch):
-    # Heights past the heuristic's size limit send the pair to the
-    # remainder sequence, which must find the gcd 1 there.
-    results = []
-    prs = polyrat._ip_prs_gcd
-
-    def prs_spy(p, q):
-        results.append(prs(p, q))
-        return results[-1]
-
-    monkeypatch.setattr(polyrat, "_ip_prs_gcd", prs_spy)
+def test_gcd_settles_tall_coprime_pair():
+    # Heights of thousands of digits: GCDHEU, which takes every pair without
+    # a monomial side, must find the gcd 1 there.
     tall = 3**20000
     h = Poly2({(1, 1): 1, (1, 0): tall, (0, 0): 1})
     p = h * Poly2({(1, 0): 1, (0, 1): 2, (0, 0): 3})
     q = (h + ONE) * Poly2({(1, 0): 2, (0, 1): 1, (0, 0): 5})
     assert poly_gcd(p, q) == ONE
-    assert results == [{(0, 0): 1}]
 
 
 def test_gcd_cofactors_take_no_second_division(monkeypatch):

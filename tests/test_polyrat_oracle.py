@@ -1,18 +1,19 @@
 """Differential tests of the polynomial core against sympy.
 
 sympy is a test-only oracle: the module is skipped where it is missing.
-Each gcd route of ``polyrat._ip_gcd`` gets inputs that reach it: a monomial
-side for the shortcut, a shared factor of positive degree in both variables
-and coprime pairs for the two-level GCDHEU, and for the remainder sequence
-one explicit input whose coefficients are too tall for GCDHEU plus random
-pairs with GCDHEU made to give up, in two variables and in one.
+Both gcd routes of ``polyrat._ip_gcd`` get inputs that reach them: a
+monomial side for the shortcut; for the two-level GCDHEU, a shared factor
+of positive degree in both variables, coprime pairs, gcds in one variable,
+and inputs whose heights or degrees make it raise its evaluation point many
+times: coefficients of thousands of digits, a seeded pair of high y-degree,
+and a tall product of cyclotomic factors of x^210 - 1.
 ``pullback``, which takes no gcd, is checked against sympy's ``cancel`` of
 the substituted fraction, its row kernel ``_times_one_plus_x`` against
 ``sympy.Poly`` products and exact quotients, and ``realize``, which runs on
 ``pullback``, against a fold of ``compose``.
 """
 
-import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,8 @@ def test_gcd_heuristic_candidate_has_no_zero_digits():
 
 @ORACLE
 @given(polys(3, 4, integral=True), polys(3, 4, integral=True))
+# (y - 31)(x + 1) vanishes at GCDHEU's first evaluation point y = 31.
+@example(Poly2({(1, 1): 1, (1, 0): -31, (0, 1): 1, (0, 0): -31}), Poly2({(1, 0): 1, (0, 1): 1}))
 def test_gcd_of_coprime_pair_returns_the_inputs_as_cofactors(a, b):
     assume(sympy.gcd(to_sympy(a), to_sympy(b)) == 1)
     p, q = a.terms, b.terms
@@ -152,62 +155,66 @@ def univariates():
 @ORACLE
 @given(univariates(), univariates(), univariates())
 def test_univariate_gcd_matches_sympy(a, b, h):
-    check_univariate_gcd(a, b, h)
-
-
-def check_univariate_gcd(a, b, h):
-    # The gcd in Z[y] of two rows, integer content included; the rows are
-    # built as products of x-only dicts.
+    # Two x-only dicts, built as products: ``_ip_gcd`` on their primitive
+    # parts, and ``_heugcd`` on the dicts as they stand, integer content
+    # included.
     x_only = lambda d: {(j, 0): c for j, c in d.items()}
-    p, q = ({j: c for (j, _), c in polyrat._ip_mul(x_only(u), x_only(h)).items()} for u in (a, b))
-    g = polyrat._y_gcd([p, q])
-    as_x = lambda d: Poly2({(i, 0): c for i, c in d.items()})
-    expected = sympy.gcd(to_sympy(as_x(p)), to_sympy(as_x(q)))
-    assert as_x(g) == from_sympy(expected if sympy.Poly(expected, SX).LC() > 0 else -expected)
+    p, q = (polyrat._ip_mul(x_only(u), x_only(h)) for u in (a, b))
+    expected = sympy.Poly(sympy.gcd(to_sympy(Poly2(p)), to_sympy(Poly2(q))), SX)
+    expected = from_sympy((expected if expected.LC() > 0 else -expected).as_expr())
+    pp, pq = Poly2(p).terms, Poly2(q).terms
+    g, cp, cq = polyrat._ip_gcd(pp, pq)
+    assert g == expected.terms
+    assert polyrat._ip_mul(g, cp) == pp and polyrat._ip_mul(g, cq) == pq
+    assert Poly2(polyrat._heugcd(p, q)[0]) == expected
 
 
-def test_gcd_prs_fallback_matches_sympy(monkeypatch):
-    calls = []
-    original = polyrat._ip_prs_gcd
-
-    def spy(p, q):
-        calls.append(1)
-        return original(p, q)
-
-    monkeypatch.setattr(polyrat, "_ip_prs_gcd", spy)
-    tall = 3**20000  # heights past the heuristic's size limit
+def test_gcd_of_tall_pair_matches_sympy():
+    tall = 3**20000  # heights of thousands of digits
     h = Poly2({(1, 1): 1, (1, 0): tall, (0, 0): 1})
     p = h * Poly2({(1, 0): 1, (0, 1): 2, (0, 0): 3})
     q = h * Poly2({(1, 0): 2, (0, 1): 1, (0, 0): 5})
     ours = poly_gcd(p, q)
-    assert calls, "the remainder sequence did not run"
     assert ours == h
     assert same_up_to_scalar(ours, from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))))
     assert normalize(p, q) == canonical(to_sympy(p) / to_sympy(q))
 
 
-@ORACLE
-@given(polys(2, 3, integral=True), polys(2, 3, integral=True), shared_factors())
-def test_gcd_forced_remainder_sequence_matches_sympy(a, b, h):
-    # GCDHEU gives up on every pair, so the remainder sequence decides, and
-    # it also takes the gcd of each y-content on x-only dicts.
-    p, q = (a * h).terms, (b * h).terms
-    expected = from_sympy(sympy.gcd(to_sympy(a * h), to_sympy(b * h)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyrat, "_heugcd", lambda p, q: None)
+def sympy_poly(p: dict) -> "sympy.Poly":
+    return sympy.Poly.from_dict(p, SX, SY, domain="ZZ")
+
+
+def test_gcd_of_seeded_pair_of_high_y_degree_matches_sympy():
+    # A shared factor of positive degree in both variables, with inputs of
+    # y-degree 29 and coefficients of about 2000 bits: the bits of GCDHEU's
+    # first evaluation point times 1 + y-degree exceed 60000, the size at
+    # which GCDHEU used to give up.
+    rng = random.Random(7)
+    g, a, b = (Poly2({(rng.randint(0, 2), rng.randint(0, 15)): rng.choice((-1, 1)) * rng.getrandbits(1000)
+                      for _ in range(12)}).terms for _ in range(3))
+    p, q = polyrat._ip_mul(g, a), polyrat._ip_mul(g, b)
+    deg = max(j for _, j in [*p, *q])
+    xi = 2 * min(max(map(abs, p.values())), max(map(abs, q.values()))) + 29
+    assert xi.bit_length() * (1 + deg) > 60000
+    got, cp, cq = polyrat._ip_gcd(p, q)
+    expected = sympy_poly(p).gcd(sympy_poly(q))
+    assert got == {m: int(c) for m, c in expected.as_dict().items()}
+    assert got == g and cp == a and cq == b
+
+
+def test_gcd_of_cyclotomic_product_matches_sympy():
+    # x^210 - 1 against the tallest of the 2^16 - 1 products of its
+    # cyclotomic factors, in x and in y: the gcd is that product, whose
+    # height makes GCDHEU raise its evaluation point seven times before its
+    # digits are exact.
+    factor = sympy.prod(sympy.cyclotomic_poly(d, SX) for d in (1, 6, 10, 14, 15, 21, 35, 210))
+    tall = {(i, 0): int(c) for (i,), c in sympy.Poly(factor, SX).as_dict().items()}
+    assert max(map(abs, tall.values())) == 10188
+    for swap in (lambda d: d, lambda d: {(j, i): c for (i, j), c in d.items()}):
+        p, q = swap({(210, 0): 1, (0, 0): -1}), swap(tall)
         g, cp, cq = polyrat._ip_gcd(p, q)
-    assert same_up_to_scalar(Poly2(g), expected)
-    assert math.gcd(*g.values()) == 1 and g[max(g, key=lambda t: (t[0] + t[1], t[0]))] > 0
-    assert polyrat._ip_mul(g, cp) == p and polyrat._ip_mul(g, cq) == q
-
-
-@ORACLE
-@given(univariates(), univariates(), univariates())
-def test_univariate_gcd_forced_remainder_sequence_matches_sympy(a, b, h):
-    # GCDHEU gives up, so the remainder sequence decides on the x-only dicts.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyrat, "_heugcd", lambda p, q: None)
-        check_univariate_gcd(a, b, h)
+        assert g == q and cq == {(0, 0): 1} and polyrat._ip_mul(g, cp) == p
+        assert g == {m: int(c) for m, c in sympy_poly(p).gcd(sympy_poly(q)).as_dict().items()}
 
 
 # --- one-term products -----------------------------------------------------------
