@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import birmap, catalog, diagrams, sampling, surfaces
-from .errors import DomainError, output
+from .errors import DomainError, output, rationals
 from .polyrat import Poly2, RatFunc2, evaluate, normalize
 from .surfaces import InvalidSurfaceError, Surface, cubic_surface
 from .words import GRAMMAR, Word, WordSyntaxError, parse_word
@@ -47,9 +47,7 @@ def _parse_fraction_pair(text: str) -> tuple[Fraction, Fraction]:
     """argparse type for 'p,q'; a malformed value is a usage error (exit 2)."""
     try:
         p, q = text.split(",")
-        if "e" in text.lower():  # Fraction("1e10000000") would build 10^(10^7)
-            raise ValueError(text)
-        return Fraction(p), Fraction(q)
+        return rationals(p, q)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected two rationals 'p,q', got {text!r}") from None
 
@@ -57,11 +55,6 @@ def _parse_fraction_pair(text: str) -> tuple[Fraction, Fraction]:
 def _load_surface(path: str) -> Surface:
     with open(path, encoding="utf-8") as fh:
         return surfaces.from_json(fh.read())
-
-
-def _load_diagram(path: str) -> diagrams.BaseDiagram:
-    with open(path, encoding="utf-8") as fh:
-        return diagrams.from_json(fh.read())
 
 
 # --- word subcommands ---------------------------------------------------------
@@ -156,7 +149,8 @@ def cmd_atf_diagram(args) -> int:
 
 
 def cmd_atf_move(args) -> int:
-    d = _load_diagram(args.file)
+    with open(args.file, encoding="utf-8") as fh:
+        d = diagrams.from_json(fh.read())
     print(diagrams.to_json(diagrams.elementary_move(d, args.elementary)))
     return 0
 

@@ -35,7 +35,7 @@ from .lattice import (
     require_primitive,
     require_unimodular,
 )
-from .errors import DomainError, Value, cut, output
+from .errors import DomainError, Value, cut, output, rationals
 from .surfaces import Surface, check_blowup_budget
 
 Point = tuple[Fraction, Fraction]
@@ -326,10 +326,7 @@ def from_json(text: str) -> BaseDiagram:
         ):
             raise InvalidDiagramError(f"bad node record: {cut(item)}")
         try:
-            # Fraction("1e10000000") would build 10^(10^7).
-            if any(type(x) is str and "e" in x.lower() for x in position):
-                raise ValueError("exponent notation is not accepted")
-            point = (Fraction(position[0]), Fraction(position[1]))
+            point = rationals(*position)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise InvalidDiagramError(f"bad position {cut(position)}: {cut(exc)}") from exc
         try:

@@ -1,5 +1,5 @@
-"""Whose fault an exception is, decided in one place, digit-safe text, and
-the immutable base of the package's value classes.
+"""Whose fault an exception is, decided in one place, digit-safe text,
+rationals read from text, and the immutable base of the value classes.
 
 A ``DomainError`` is a fault of the input: the CLI turns each one into exit
 1 with one ``error:`` line, and any other exception is a library bug.
@@ -61,6 +61,14 @@ def _cut_item(x, depth: int) -> str:
     if isinstance(x, Fraction):
         return f"Fraction({cut(x.numerator)}, {cut(x.denominator)})"
     return cut(repr(x) if isinstance(x, str) else x, depth - 1)
+
+
+def rationals(*values) -> tuple[Fraction, ...]:
+    """Each value as a ``Fraction``; text in exponent notation raises ``ValueError``, since
+    ``Fraction("1e10000000")`` would build 10^(10^7)."""
+    if any(isinstance(x, str) and "e" in x.lower() for x in values):
+        raise ValueError("exponent notation is not accepted")
+    return tuple(map(Fraction, values))
 
 
 def output(render, *args):

@@ -13,16 +13,13 @@ are past the int-to-text digit limit; a ``Surface`` validates itself when it
 is read, and the commands that consume it check nothing again.
 """
 
-import contextlib
-import io
 import json
 import random
 
-import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from cli_cases import run_cli
 from logcy2 import diagrams
-from logcy2.cli import main
 from logcy2.sampling import random_surface
 from logcy2.surfaces import p2, to_json
 
@@ -97,35 +94,15 @@ surface_texts = st.one_of(
 )
 
 
-@pytest.fixture(scope="module")
-def input_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("contract") / "input.json"
-
-
-def _run(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``cli.main(argv)``."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse: usage errors exit 2, --help exits 0
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def _exit_code(argv: list[str]) -> int:
-    return _run(argv)[0]
-
-
 # The one command that exits 1 after a report on stdout and nothing on
 # stderr: ``surface validate`` lists the violations.  ``hms counts`` exits 0
 # after its report, so an exit 1 from it is a domain error.
 REPORTS = {"surface validate"}
 
 
-def _check_exit(command: str, argv: list[str]) -> None:
+def _check_exit(command: str, argv: list[str], files: dict[str, str] | None = None) -> None:
     """``command`` run with ``argv`` exits 0, 1 or 2; exit 1 is a report or the one-line domain error."""
-    code, out, err = _run(argv)
+    code, out, err, _ = run_cli(argv, files)
     assert code in (0, 1, 2)
     if code == 1 and command in REPORTS and err == "":
         assert out != ""
@@ -157,10 +134,9 @@ SURFACE_COMMANDS = ["surface validate", "surface invariants", "surface intersect
 @example("hms counts", NEAR_LIMIT_FAN, "E")
 @example("atf diagram", NEAR_LIMIT_FAN, "E")
 @example("surface resolve", to_json(p2()), f"E*A[{M},1;-1,0]^2")
-def test_surface_commands_exit_cleanly(input_path, command, text, word):
-    input_path.write_text(text, encoding="utf-8")
+def test_surface_commands_exit_cleanly(command, text, word):
     with_word = command in ("surface pushforward", "surface resolve")
-    _check_exit(command, command.split() + ([word] if with_word else []) + [str(input_path)])
+    _check_exit(command, command.split() + ([word] if with_word else []) + ["@input.json"], {"input.json": text})
 
 
 # --- atf move ----------------------------------------------------------------
@@ -227,9 +203,8 @@ diagram_texts = st.one_of(
 # 2000 nodes on one ray: the move relabels the line once, not one slide per node.
 @example(json.dumps({"nodes": [{"position": [str(t), "0"], "direction": [1, 0], "cut_sign": 1} for t in range(1, 2001)]}),
          (1, 0))
-def test_atf_move_exits_cleanly(input_path, text, n):
-    input_path.write_text(text, encoding="utf-8")
-    _check_exit("atf move", ["atf", "move", str(input_path), f"--elementary={n[0]},{n[1]}"])
+def test_atf_move_exits_cleanly(text, n):
+    _check_exit("atf move", ["atf", "move", "@input.json", f"--elementary={n[0]},{n[1]}"], {"input.json": text})
 
 
 # --- word commands -----------------------------------------------------------
@@ -299,4 +274,4 @@ arguments = st.lists(
 @example("demo", ["cubic", "relations"])
 @example("verify", [])
 def test_demo_and_verify_exit_cleanly(command, args):
-    assert _exit_code([command, *args]) in (0, 1, 2)
+    assert run_cli([command, *args]).exit in (0, 1, 2)
