@@ -47,14 +47,6 @@ def require_primitive(v: Vec) -> Vec:
     return v
 
 
-def primitive_part(v: Vec) -> Vec:
-    """v divided by the gcd of its entries (v must be nonzero)."""
-    g = math.gcd(v[0], v[1])
-    if g == 0:
-        raise NonPrimitiveError("zero vector has no primitive part")
-    return (v[0] // g, v[1] // g)
-
-
 def neg(v: Vec) -> Vec:
     return (-v[0], -v[1])
 
@@ -277,12 +269,13 @@ def pl_compose(p: PLMap, q: PLMap) -> PLMap:
     if p.is_linear() and q.is_linear():
         return PLMap.linear(mat_mul(p.mats[0], q.mats[0]))
     rays: list[Vec] = list(q.rays)
-    # Preimages under q of p's breakpoints are the other potential breakpoints.
+    # Preimages under q of p's breakpoints, primitive as q's pieces are
+    # unimodular, are the other potential breakpoints.
     for i, inv in enumerate(map(mat_inv, q.mats)):
         for r in p.rays:
             w = mat_vec(inv, r)
             if q.piece_index(w) == i:
-                rays.append(primitive_part(w))
+                rays.append(w)
     unique: list[Vec] = []
     for r in ccw_sorted(rays):
         if not unique or angle_cmp(unique[-1], r) != 0:
@@ -303,11 +296,11 @@ def pl_inverse(p: PLMap) -> PLMap:
         return PLMap.linear(mat_inv(p.mats[0]))
     pairs = []
     k = len(p.rays)
-    # A det -1 piece maps its sector [r_i, r_i+1) onto the sector that starts at the image of r_i+1.
+    # A det -1 piece maps its sector [r_i, r_i+1) onto the sector that starts at the image of r_i+1;
+    # a unimodular image of a primitive ray is primitive.
     shift = 1 if mat_det(p.mats[0]) < 0 else 0
     for i in range(k):
-        image_ray = primitive_part(mat_vec(p.mats[i], p.rays[(i + shift) % k]))
-        pairs.append((image_ray, mat_inv(p.mats[i])))
+        pairs.append((mat_vec(p.mats[i], p.rays[(i + shift) % k]), mat_inv(p.mats[i])))
     return _canonical(pairs)
 
 

@@ -60,7 +60,6 @@ import collections
 import heapq
 import itertools
 import math
-import operator
 import re
 import sys
 from fractions import Fraction
@@ -671,12 +670,13 @@ def _monomial_step(sides, mat: tuple[Term, Term]):
              for j, lo, row in side] for side in grouped]
 
 
-def _one_plus_x_valuation(b: list[int], cap: int) -> int:
-    """How many times 1 + x divides the row b, counting up to ``cap``: one running sum per division."""
+def _one_plus_x_quotient(b: list[int], cap: int) -> tuple[int, list[int]]:
+    """(v, b / (1 + x)^v), v the times 1 + x divides the row b up to ``cap``: one running sum each."""
     v = 0
-    while v < cap and not (b := list(itertools.accumulate(b))).pop():
+    while v < cap and not (q := list(itertools.accumulate(b))).pop():
+        b = q
         v += 1
-    return v
+    return v, b
 
 
 def _binomial_row(t: int) -> tuple[int, ...]:
@@ -688,20 +688,18 @@ def _binomial_row(t: int) -> tuple[int, ...]:
 
 
 def _times_one_plus_x(b: list[int], t: int) -> list[int]:
-    """The row b times (1 + x)^t: one convolution for t > 0, an exact synthetic division for t < 0."""
-    if t > 0:
-        a = _binomial_row(t)
-        out = [0] * (len(b) + t)
-        for s, c in enumerate(b):
-            if c:
-                for k, v in enumerate(a, s):
-                    out[k] += c * v
-        return out
-    for _ in range(-t):
-        b = list(itertools.accumulate(b))
-        if b.pop():
-            raise InexactDivisionError("1 + x does not divide the row")
-    return b
+    """The row b times (1 + x)^t: b itself for t = 0, else one convolution with the binomial row."""
+    if t < 0:
+        raise AssertionError(f"negative power {cut(t)} of 1 + x")
+    if not t:
+        return b
+    a = _binomial_row(t)
+    out = [0] * (len(b) + t)
+    for s, c in enumerate(b):
+        if c:
+            for k, v in enumerate(a, s):
+                out[k] += c * v
+    return out
 
 
 def _elementary_step(sides, e: int):
@@ -709,24 +707,29 @@ def _elementary_step(sides, e: int):
 
     Row j, R_j(x) y^j, becomes (1 + x)^(-e j - k) R_j y^j, with k the least
     v(R_j) - e j over both sides for the (1 + x)-valuation v: both sides
-    times (1 + x)^-k, which leaves the least valuation 0.  As -e j - k is at
-    least -v(R_j) every division is exact, and as each row keeps its y- and
-    lowest x-degree no monomial is gained.
+    times (1 + x)^-k, which leaves the least valuation 0.  Counting v_j
+    keeps Q_j = R_j / (1 + x)^v_j, times (1 + x)^(v_j - e j - k) after.
+    No monomial is gained, as each row keeps its y- and lowest x-degree.
     """
-    # Rows in increasing -e j: once -e j reaches k no later row lowers it, so
-    # a valuation is only counted as far as it could matter.  k starts above
-    # the first row's -e j + v and stays an int: -e j can be past float range.
-    by_base = sorted(((-e * j, b) for side in sides for j, _, b in side), key=operator.itemgetter(0))
-    k = by_base[0][0] + len(by_base[0][1])
-    for base, b in by_base:
-        if base >= k:
-            break
-        k = base + _one_plus_x_valuation(b, k - base)
-    # Row j is rebuilt with len(b) - e j - k coefficients, zeros included.
+    # Rows in increasing -e j, each counted up to the running k + e j: a row
+    # below that cap lowers k to v_j - e j, one at it has v_j - e j = k then,
+    # and one with -e j >= k is not counted, so v_j - e j >= the final k.  k
+    # starts at the least len(R_j) - 1 - e j: a row has fewer powers of 1 + x
+    # than terms.
+    rows = [(-e * j, b) for side in sides for j, _, b in side]
+    k = min(base + len(b) - 1 for base, b in rows)
+    found = [None] * len(rows)
+    for base, n in sorted((base, n) for n, (base, _) in enumerate(rows)):
+        v, _ = found[n] = _one_plus_x_quotient(rows[n][1], k - base)
+        if base + v < k:
+            k = base + v
+    # Row j is rebuilt with len(R_j) - e j - k coefficients, zeros included.
     size = max(sum(len(b) - e * j - k for j, _, b in side) for side in sides)
     if size > TERM_BUDGET:
         raise TermBudgetError(f"a pullback through E^{e} would build {cut(size)} terms, over {TERM_BUDGET}")
-    return [[(j, lo, _times_one_plus_x(b, -e * j - k)) for j, lo, b in side] for side in sides]
+    quotients = iter(found)  # zip stops at each side's end
+    return [[(j, lo, _times_one_plus_x(q, v - e * j - k)) for (j, lo, _), (v, q) in zip(side, quotients)]
+            for side in sides]
 
 
 def pullback(r: RatFunc2, steps: list[int | tuple[Term, Term]]) -> RatFunc2:

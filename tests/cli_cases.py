@@ -148,7 +148,7 @@ HUGE_BLOWUP = _surface([[1, 0], [0, 1], [-1, -1]], [0, 10**40, 0])
 
 
 GROUPS = {
-    # The full stdout of three commands and of two tall powers of E.
+    # The full stdout of three commands and of three words with tall powers of E.
     "stdout": [
         Case(["demo", "cubic"], 0, Sha256("47d232bd332bbed85230946e094881dd78cf1397edbb703cac50288e92ca0c97")),
         Case(["verify", "relations"],
@@ -160,6 +160,9 @@ GROUPS = {
              0, Sha256("30cd0b934524f71bb394c799673538362ec620b85eb450ca4524b12adc129794")),
         Case(["word", "realize", "E^-8000"],
              0, Sha256("bd509f3f2cfdd413e80110036211c6bf71fc53b0f347a44f276620feccc0396e")),
+        # The last E^-1 step divides no row by 1 + x more than once: k starts at 1.
+        Case(["word", "realize", "E^4000*A[1,1;0,1]*E^-1"],
+             0, Sha256("3f86bc214e3884eb64bd904bbfbfbd3b5b4e069f1f425bcf721c50e0ef107017")),
     ],
     # Each help text and five usage errors, at a terminal 80 columns wide.
     "help": [

@@ -326,6 +326,19 @@ def test_term_budget_stops_realize_and_compose_before_building(monkeypatch):
     realize.cache_clear()
 
 
+@pytest.mark.parametrize("word", ["E^4000*A[1,1;0,1]*E^-1", "E^-4000*A[1,1;0,1]*E"])
+def test_elementary_step_counts_only_valuations_that_can_matter(monkeypatch, word):
+    # The last E^+-1 step meets rows of up to 4001 terms; k starts at 1 there,
+    # the least len(R_j) - 1 - e j, so no row is divided by 1 + x more than once.
+    caps = []
+    quotient = polyrat._one_plus_x_quotient
+    monkeypatch.setattr(polyrat, "_one_plus_x_quotient", lambda b, cap: caps.append(cap) or quotient(b, cap))
+    realize.cache_clear()
+    realize(parse_word(word))
+    realize.cache_clear()
+    assert caps and max(caps) == 1
+
+
 def test_conjugation_identity_holds_as_stated():
     lhs = parse_word("A[-1,0;0,1] * E * A[-1,0;0,1]")
     rhs = parse_word("A[1,1;0,1] * E")

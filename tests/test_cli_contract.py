@@ -18,7 +18,7 @@ import random
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from cli_cases import run_cli
+from cli_cases import M, N, NEAR_LIMIT_FAN, run_cli
 from logcy2 import diagrams
 from logcy2.sampling import random_surface
 from logcy2.surfaces import p2, to_json
@@ -110,12 +110,8 @@ def _check_exit(command: str, argv: list[str], files: dict[str, str] | None = No
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
-# A[N,...] and A[M,...] letters stay in explicit examples: ``insert_ray`` on the huge rays they
-# make is slow.
-N = "9" * 4000
-M = "9" * 2500
-NEAR_LIMIT_FAN = f'{{"rays": [[{N}, 1], [1, {N}], [-1, -1]], "m": [0, 0, 0]}}'
-
+# A[N,...] and A[M,...] letters (``cli_cases.N`` and ``M``) stay in explicit examples below:
+# ``insert_ray`` on the huge rays they make is slow.
 SURFACE_COMMANDS = ["surface validate", "surface invariants", "surface intersections", "surface pushforward",
                     "surface resolve", "hms counts", "atf diagram"]
 
@@ -128,11 +124,11 @@ SURFACE_COMMANDS = ["surface validate", "surface invariants", "surface intersect
 @example("surface pushforward", to_json(random_surface(random.Random(0))), "--help")
 @example("hms counts", to_json(random_surface(random.Random(0))), "E")
 @example("atf diagram", '{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, 10000000, 0]}', "E")
-@example("surface validate", NEAR_LIMIT_FAN, "E")
-@example("surface invariants", NEAR_LIMIT_FAN, "E")
-@example("surface intersections", NEAR_LIMIT_FAN, "E")
-@example("hms counts", NEAR_LIMIT_FAN, "E")
-@example("atf diagram", NEAR_LIMIT_FAN, "E")
+@example("surface validate", NEAR_LIMIT_FAN["s.json"], "E")
+@example("surface invariants", NEAR_LIMIT_FAN["s.json"], "E")
+@example("surface intersections", NEAR_LIMIT_FAN["s.json"], "E")
+@example("hms counts", NEAR_LIMIT_FAN["s.json"], "E")
+@example("atf diagram", NEAR_LIMIT_FAN["s.json"], "E")
 @example("surface resolve", to_json(p2()), f"E*A[{M},1;-1,0]^2")
 def test_surface_commands_exit_cleanly(command, text, word):
     with_word = command in ("surface pushforward", "surface resolve")

@@ -223,6 +223,24 @@ def test_substitute_identically_singular():
         substitute(r, rf(X), rf(X))
 
 
+@pytest.mark.parametrize("e", [-1, 1])
+@pytest.mark.parametrize("tall_first", [False, True])
+def test_elementary_step_stops_counting_once_k_is_fixed(monkeypatch, e, tall_first):
+    # Through E^e, (p y^a + (1 + x)^3000 y^b) / (q y^a) with b = a - e is
+    # (p y^a + (1 + x)^3001 y^b) / (q y^a).  p and q are nonzero at x = -1,
+    # so their rows fix k and the tall row is not divided at all, in
+    # whichever order the rows come.
+    a, b = max(e, 0), max(-e, 0)
+    p, q = (ONE + X**3000) * Y**a, (Poly2.const(2) + X**3000) * Y**a
+    tall = {t: Poly2._raw({(i, b): abs(c) for i, c in enumerate(polyrat._binomial_row(t))}, 1) for t in (3000, 3001)}
+    found = []
+    quotient = polyrat._one_plus_x_quotient
+    monkeypatch.setattr(polyrat, "_one_plus_x_quotient", lambda row, cap: found.append(quotient(row, cap)) or found[-1])
+    num = tall[3000] + p if tall_first else p + tall[3000]
+    assert pullback(rf(num, q), [e]) == rf(p + tall[3001], q)
+    assert len(found) == 3 and all(v == 0 for v, _ in found)
+
+
 # --- derivatives ----------------------------------------------------------------
 
 

@@ -8,9 +8,10 @@ and inputs whose heights or degrees make it raise its evaluation point many
 times: coefficients of thousands of digits, a seeded pair of high y-degree,
 and a tall product of cyclotomic factors of x^210 - 1.
 ``pullback``, which takes no gcd, is checked against sympy's ``cancel`` of
-the substituted fraction, its row kernel ``_times_one_plus_x`` against
-``sympy.Poly`` products and exact quotients, and ``realize``, which runs on
-``pullback``, against a fold of ``compose``.
+the substituted fraction, its row kernels ``_times_one_plus_x`` and
+``_one_plus_x_quotient`` against ``sympy.Poly`` products, multiplicities
+and exact quotients, and ``realize``, which runs on ``pullback``, against a
+fold of ``compose``.
 """
 
 import random
@@ -453,11 +454,12 @@ def test_elementary_pullback_cancels_a_high_power_of_one_plus_x():
         assert pullback(r, [k]) == normalize(Poly2.y(), ONE_PLUS_X ** (2 * k))
 
 
-def test_inexact_synthetic_division_raises():
-    # 1 + 2x (signs alternate: [1, -2]) is not divisible by 1 + x.
-    with pytest.raises(polyrat.InexactDivisionError):
-        polyrat._times_one_plus_x([1, -2], -1)
-    assert polyrat._times_one_plus_x([1, 0, -1], -1) == [1, 1]
+def test_times_one_plus_x_refuses_a_negative_power():
+    # Division is _one_plus_x_quotient's job; a negative power is a bug.
+    with pytest.raises(AssertionError):
+        polyrat._times_one_plus_x([1, 0, -1], -1)
+    row = [1, -2]
+    assert polyrat._times_one_plus_x(row, 0) is row
 
 
 def alternating_row(poly) -> list[int]:
@@ -465,18 +467,33 @@ def alternating_row(poly) -> list[int]:
     return [-int(c) if i & 1 else int(c) for i, c in enumerate(reversed(poly.all_coeffs()))]
 
 
+ROWS = st.lists(st.integers(-9, 9), min_size=1, max_size=40).filter(lambda b: b[0] and b[-1])
+
+
 @ORACLE
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=40).filter(lambda b: b[0] and b[-1]),
-       st.integers(-64, 64))
+@given(ROWS, st.integers(0, 64))
 def test_times_one_plus_x_matches_sympy(b, t):
-    # The row b times (1 + x)^t: a product for t >= 0, and for t < 0 the
-    # exact quotient of b (1 + x)^-t, which gives b back.
     poly = sympy.Poly(sum((-c if i & 1 else c) * SX**i for i, c in enumerate(b)), SX)
-    power = sympy.Poly((1 + SX) ** abs(t), SX)
-    if t >= 0:
-        assert polyrat._times_one_plus_x(b, t) == alternating_row(poly * power)
-    else:
-        assert polyrat._times_one_plus_x(alternating_row(poly * power), t) == b
+    power = sympy.Poly((1 + SX) ** t, SX)
+    assert polyrat._times_one_plus_x(b, t) == alternating_row(poly * power)
+
+
+@ORACLE
+@given(ROWS, st.integers(0, 12), st.integers(-2, 3))
+@example([1, -2], 0, 1)  # 1 + 2x: 1 + x does not divide it
+def test_one_plus_x_quotient_matches_sympy(b, t, slack):
+    # b (1 + x)^t, whose multiplicity m of x = -1 is t plus b's own, counted
+    # up to a cap from below m to above it: the count is min(cap, m), and the
+    # quotient sympy's.
+    row = polyrat._times_one_plus_x(b, t)
+    poly = sympy.Poly(sum((-c if i & 1 else c) * SX**i for i, c in enumerate(row)), SX)
+    m = dict(sympy.factor_list(poly)[1]).get(sympy.Poly(SX + 1, SX), 0)
+    cap = m + slack
+    v, q = polyrat._one_plus_x_quotient(row, cap)
+    assert v == max(0, min(cap, m))
+    assert q == alternating_row(sympy.div(poly, sympy.Poly((1 + SX) ** v, SX))[0])
+    if not v:
+        assert q is row
 
 
 def compose_fold(w: Word) -> BirationalMap:
