@@ -16,9 +16,9 @@ a map back through ``polyrat.pullback`` steps and take no gcd.  A monomial
 map is an automorphism of Z[x^+-1, y^+-1] and E^e one of Z[x^+-1, y^+-1,
 (1 + x)^-1], so a reduced fraction pulled back through a step can only gain
 monomials and powers of 1 + x as common factors, which the kernels divide
-out exactly.  Only a hand-built inner map without steps goes through
-``polyrat.substitute``, the plain reference route the pullbacks are tested
-against; each coordinate is one call and nothing is kept between them.
+out exactly.  A map given by f and g alone has no steps, so ``compose``
+refuses it as the inner map (it still serves as the outer one); composing
+into it is ``polyrat.substitute``, one call per coordinate.
 
 ``boundary_limit`` computes the induced map between boundary components:
 on the arc x = lambda^p t^n1, y = lambda^q t^n2 (with p n2 - q n1 = 1, so
@@ -47,7 +47,7 @@ from .lattice import (
     pl_elementary,
     require_primitive,
 )
-from .polyrat import RatFunc2, arc_limit, dlog_ratio, pullback, substitute
+from .polyrat import RatFunc2, arc_limit, dlog_ratio, pullback
 from .words import Letter, Linear, Word, generator_determinant, ray_image
 
 
@@ -99,10 +99,14 @@ def _pull(m: BirationalMap, steps: Iterable[Mat | int]) -> BirationalMap:
 
 
 def compose(outer: BirationalMap, inner: BirationalMap) -> BirationalMap:
-    """outer after inner: pulled back through inner's steps, or substituted when inner has none."""
-    if inner.steps is not None:
-        return _pull(outer, inner.steps)
-    return BirationalMap(substitute(outer.f, inner.f, inner.g), substitute(outer.g, inner.f, inner.g))
+    """outer after inner: outer pulled back through inner's steps.
+
+    An inner map given by f and g alone raises ValueError; substitute into
+    it with ``polyrat.substitute``, one call per coordinate.
+    """
+    if inner.steps is None:
+        raise ValueError("inner map has no steps; compose into a map given by f and g with polyrat.substitute")
+    return _pull(outer, inner.steps)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

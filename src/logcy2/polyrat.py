@@ -21,8 +21,9 @@ By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
 multiply or divide contents; sums, derivatives and the result of
 ``substitute`` take one content gcd.  A product with a one-term factor
 shifts and scales the other factor, and a factor 1 returns the other one as
-it stands.  ``substitute`` is the plain reference route for a composition:
-it clears denominators, expands, takes one ``normalize`` and keeps no state.
+it stands.  ``substitute`` composes into a map given by formulas, and is
+the reference the pullbacks are tested against: it clears denominators,
+expands, takes one ``normalize`` and keeps no state.
 ``dlog_ratio`` decides exactly, in two integer passes over term pairs,
 whether dlog f ^ dlog g is a constant multiple of dlog x ^ dlog y; a pass
 over more than ``PAIR_BUDGET`` pairs raises first.
@@ -303,8 +304,6 @@ def _ip_divexact(p: dict[Term, int], d: dict[Term, int]) -> dict[Term, int]:
     """
     if not d:
         raise ZeroDivisionError("division by the zero polynomial")
-    if not p:
-        return {}
     base = 1 + max(i + j for i, j in [*p, *d])
     dk = {(i + j) * base + i: c for (i, j), c in d.items()}
     lead = max(dk)
@@ -466,8 +465,6 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
 
 def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
     """Exact quotient p/d; raises InexactDivisionError when d does not divide p."""
-    if d.is_zero():
-        raise ZeroDivisionError
     return Poly2._raw(_ip_divexact(p.terms, d.terms), Fraction(p.content, d.content))
 
 
@@ -476,10 +473,6 @@ def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
 
 class ZeroDenominatorError(ZeroDivisionError):
     pass
-
-
-class IdenticallySingularError(ZeroDivisionError):
-    """Substitution produced an identically vanishing denominator."""
 
 
 class PoleAtPointError(DomainError, ZeroDivisionError):
@@ -584,7 +577,9 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
 
     Both sides of r(f, g) are multiplied by fd^dx gd^dy, with dx and dy r's
     degrees in x and y, so each becomes a polynomial; terms are grouped by
-    x-exponent, so one large product is taken per distinct exponent.
+    x-exponent, so one large product is taken per distinct exponent.  A
+    denominator that vanishes identically reaches ``normalize``, which raises
+    ZeroDenominatorError.
     """
     if r.num.is_zero():
         return RatFunc2(Poly2.zero(), Poly2.const(1))
@@ -607,10 +602,7 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
             _ip_add_scaled(total, _ip_mul(fn[i], _ip_mul(fd[dx - i], inner)), 1)
         return total
 
-    num, den = cleared(rn), cleared(rd)
-    if not den:
-        raise IdenticallySingularError("denominator vanishes identically under substitution")
-    return normalize(_canonical(num), _canonical(den))
+    return normalize(_canonical(cleared(rn)), _canonical(cleared(rd)))
 
 
 # --- pullbacks through the generators ----------------------------------------

@@ -27,7 +27,6 @@ from .errors import DomainError, Value, cut, output
 from .lattice import (
     NonPrimitiveError,
     Vec,
-    angle_cmp,
     cross,
     is_primitive,
     neg,
@@ -145,7 +144,7 @@ def validate(s: Surface) -> list[str]:
     determinant of 1 already makes both rays primitive and turns ccw by less
     than pi, so the fan winds once exactly when one step goes from y < 0 to
     y >= 0, and then its rays are distinct.  Any other surface gets the full
-    list of violations below.
+    list of violations below, which counts windings by the same steps.
     """
     rays, m = s.rays, s.m
     k = len(rays)
@@ -177,16 +176,15 @@ def validate(s: Surface) -> list[str]:
             out.append(f"multiplicity {cut(mm)} is not a nonnegative integer")
     if out:
         return out
-    descents = 0
+    ups = 0
     for i in range(k):
         a, b = s.rays[i], s.rays[(i + 1) % k]
         d = cross(a, b)
         if d != 1:
             out.append(f"det({cut(a)}, {cut(b)}) = {cut(d)}, expected 1")
-        if angle_cmp(a, b) > 0:
-            descents += 1
-    if not out and descents != 1:
-        out.append(f"rays wind {descents} times around the origin")
+        ups += a[1] < 0 <= b[1]
+    if not out and ups != 1:
+        out.append(f"rays wind {ups} times around the origin")
     return out
 
 

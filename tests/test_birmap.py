@@ -62,15 +62,20 @@ def letter_map(letter: Letter) -> BirationalMap:
 
 
 def coordinates_only(m: BirationalMap) -> BirationalMap:
-    """m without its steps, so ``compose`` takes it as inner by substitution."""
+    """m without its steps, as a map given by f and g alone: ``compose`` takes it only as outer."""
     return BirationalMap(m.f, m.g)
+
+
+def substituted(outer: BirationalMap, inner: BirationalMap) -> BirationalMap:
+    """outer after inner by ``substitute``, one call per coordinate: the reference for ``compose``."""
+    return BirationalMap(substitute(outer.f, inner.f, inner.g), substitute(outer.g, inner.f, inner.g))
 
 
 def _realize_right_fold(w: Word) -> BirationalMap:
     """An earlier fold: letter after accumulated map, from the identity, by substitution."""
-    acc = coordinates_only(IDENTITY_MAP)
+    acc = IDENTITY_MAP
     for letter in reversed(w.letters):
-        acc = compose(letter_map(letter), acc)
+        acc = substituted(letter_map(letter), acc)
     return acc
 
 
@@ -120,8 +125,7 @@ def test_realize_folds_from_the_first_letter(monkeypatch):
 
         return record
 
-    for target in ("birmap.compose", "birmap.substitute",
-                   "polyrat.substitute", "polyrat.normalize", "polyrat._ip_gcd"):
+    for target in ("birmap.compose", "polyrat.substitute", "polyrat.normalize", "polyrat._ip_gcd"):
         monkeypatch.setattr(f"logcy2.{target}", spy(target))
     assert realize(w) == expected and str(realize(w)) == str(expected)
     assert realize(one_letter) == first
@@ -136,7 +140,7 @@ def test_compose_pulls_back_any_outer_map_as_substitution_would(srng):
     maps += [BirationalMap(x2, RatFunc2.const(Fraction(5, 7))), BirationalMap(RatFunc2.const(0), x2)]
     for m in maps:
         for w in [random_word(srng, 3) for _ in range(6)] + [Word()]:
-            got, want = compose(m, realize(w)), compose(m, coordinates_only(realize(w)))
+            got, want = compose(m, realize(w)), substituted(m, realize(w))
             assert got == want and str(got) == str(want), str(w)
     assert compose(maps[0], realize(Word())) == maps[0]
 
@@ -223,30 +227,22 @@ def test_oracle_soundness(srng):
 def test_realize_is_homomorphism(srng):
     for _ in range(15):
         w1, w2 = random_word(srng, 2), random_word(srng, 2)
-        assert realize(w1 * w2) == compose(realize(w1), coordinates_only(realize(w2)))
+        assert realize(w1 * w2) == substituted(realize(w1), realize(w2))
 
 
-def test_compose_substitutes_exactly_twice(monkeypatch):
-    # One substitute per coordinate, both into the inner map's own f and g:
-    # the benchmark traces substitute, and each call is the reference route
-    # that the pullback tests compare against.
-    outer, inner = realize(parse_word("r1")), coordinates_only(realize(parse_word("r3")))
-    calls = []
-
-    def spy(r, f, g):
-        calls.append((r, f, g))
-        return substitute(r, f, g)
-
-    monkeypatch.setattr("logcy2.birmap.substitute", spy)
-    compose(outer, inner)
-    assert [r for r, _, _ in calls] == [outer.f, outer.g]
-    assert all(f is inner.f and g is inner.g for _, f, g in calls)
+def test_compose_takes_a_map_without_steps_only_as_outer():
+    outer, inner = realize(parse_word("r1")), realize(parse_word("r3"))
+    with pytest.raises(ValueError, match="polyrat.substitute"):
+        compose(outer, coordinates_only(inner))
+    got = compose(coordinates_only(outer), inner)
+    assert got == substituted(outer, inner) and str(got) == str(substituted(outer, inner))
+    assert got.steps is None
 
 
 def test_compose_is_safe_across_threads():
-    # Threads compose into different inner maps at once, with a thread switch
-    # every microsecond; no call may see another call's inner map.
-    maps = [coordinates_only(realize(parse_word(t))) for t in ("r1", "r2", "r3", "E", "P", "r1*r2")]
+    # Threads compose realized maps at once, with a thread switch every
+    # microsecond; no call may see another call's inner map.
+    maps = [realize(parse_word(t)) for t in ("r1", "r2", "r3", "E", "P", "r1*r2")]
     expected = {(a, b): compose(outer, inner) for a, outer in enumerate(maps) for b, inner in enumerate(maps)}
     wrong = []
 
@@ -280,7 +276,7 @@ def test_compose_pulls_back_through_steps_as_substitution_would():
         for key in level:
             outer, inner = maps[key[:-1]], refl[int(key[-1]) - 1]
             maps[key] = m = compose(outer, inner)
-            assert str(m) == str(compose(outer, coordinates_only(inner))), key
+            assert str(m) == str(substituted(outer, inner)), key
             assert m.steps == outer.steps + inner.steps, key
             assert m == realize(parse_word("*".join(f"r{i}" for i in key))), key
     assert len(maps) == 94
@@ -288,12 +284,12 @@ def test_compose_pulls_back_through_steps_as_substitution_would():
 
 def test_compose_of_realized_maps_takes_no_substitution_or_gcd(monkeypatch):
     outer, inner = realize(parse_word("r1*r2")), realize(parse_word(MACRO_17))
-    expected = compose(outer, coordinates_only(inner))
+    expected = substituted(outer, inner)
 
     def refuse(*args):
         raise AssertionError("compose substituted or took a gcd")
 
-    for target in ("birmap.substitute", "polyrat.substitute", "polyrat.normalize", "polyrat._ip_gcd"):
+    for target in ("polyrat.substitute", "polyrat.normalize", "polyrat._ip_gcd"):
         monkeypatch.setattr(f"logcy2.{target}", refuse)
     got = compose(outer, inner)
     assert got == expected and str(got) == str(expected)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from logcy2 import polyrat
 from logcy2.polyrat import (
-    IdenticallySingularError,
     InexactDivisionError,
     PoleAtPointError,
     Poly2,
@@ -200,6 +199,16 @@ def test_divexact_rejects_inexact_division():
         poly_divexact(ONE, X)
 
 
+def test_divexact_and_gcd_with_a_zero_side():
+    zero = Poly2.zero()
+    assert poly_divexact(zero, X + ONE) == zero
+    with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
+        poly_divexact(X + ONE, zero)
+    p = Poly2({(1, 0): 2, (0, 1): 4})
+    assert poly_gcd(zero, p) == poly_gcd(p, zero) == X + Y.scale(2)
+    assert poly_gcd(zero, zero) == zero
+
+
 # --- substitute ----------------------------------------------------------------
 
 
@@ -219,7 +228,7 @@ def test_substitute_monomial():
 
 def test_substitute_identically_singular():
     r = rf(ONE, X - Y)
-    with pytest.raises(IdenticallySingularError):
+    with pytest.raises(ZeroDenominatorError):
         substitute(r, rf(X), rf(X))
 
 

@@ -317,6 +317,34 @@ def test_resolve_soundness(srng):
         assert current == pushforward(w, s)
 
 
+def _removals(s0: Surface, s: Surface):
+    """(rays, m) for s less one interior blow-up, or less one m = 0 ray, that s has above s0."""
+    below = dict(zip(s0.rays, s0.m))
+    for i, (r, mm) in enumerate(zip(s.rays, s.m)):
+        if mm > below.get(r, 0):
+            yield s.rays, s.m[:i] + (mm - 1,) + s.m[i + 1 :]
+        elif r not in below:
+            yield s.rays[:i] + s.rays[i + 1 :], s.m[:i] + s.m[i + 1 :]
+
+
+def test_resolve_is_locally_minimal(srng):
+    # Taking back one augmentation of resolve leaves some letter irregular;
+    # a ray removal that breaks the fan gives no surface and is skipped.
+    checked = 0
+    for _ in range(100):
+        w = random_word(srng, 8)
+        for s0 in (p2(), cubic_surface(), random_surface(srng)):
+            for rays, m in _removals(s0, resolve(w, s0)):
+                try:
+                    smaller = Surface(rays, m)
+                except InvalidSurfaceError:
+                    continue
+                checked += 1
+                with pytest.raises(NotRegularError):
+                    pushforward(w, smaller)
+    assert checked >= 400
+
+
 def _resolve_by_restarting(w: Word, s0: Surface) -> tuple[Surface, list[tuple[int, Surface]]]:
     """Reference resolve: restart the push from the first letter after every augmentation.
 
