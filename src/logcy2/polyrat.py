@@ -24,9 +24,10 @@ shifts and scales the other factor, and a factor 1 returns the other one as
 it stands.  ``substitute`` composes into a map given by formulas, and is
 the reference the pullbacks are tested against: it clears denominators,
 expands, takes one ``normalize`` and keeps no state.
-``dlog_ratio`` decides exactly, in two integer passes over term pairs,
-whether dlog f ^ dlog g is a constant multiple of dlog x ^ dlog y; a pass
-over more than ``PAIR_BUDGET`` pairs raises first.
+``dlog_ratio`` decides exactly whether dlog f ^ dlog g is a constant
+multiple of dlog x ^ dlog y, in one integer pass over term pairs or, for
+dense sides, in 13 products of Kronecker-packed ints; over ``PAIR_BUDGET``
+pairs it raises first.
 ``pullback`` pulls a fraction back through monomial maps and powers of
 E = (x, y (1 + x)^-1) with no substitution and no gcd, on y-rows of its
 integer sides (see "pullbacks through the generators"); an E-step that
@@ -306,11 +307,17 @@ def _ip_divexact(p: dict[Term, int], d: dict[Term, int]) -> dict[Term, int]:
         raise ZeroDivisionError("division by the zero polynomial")
     base = 1 + max(i + j for i, j in [*p, *d])
     dk = {(i + j) * base + i: c for (i, j), c in d.items()}
+    r = {(i + j) * base + i: c for (i, j), c in p.items()}
+    # The grlex-lowest term of p is that of d times that of the quotient.
+    if r:
+        k, low = min(r), min(dk)
+        (deg, i), (low_deg, low_i) = divmod(k, base), divmod(low, base)
+        if r[k] % dk[low] or i < low_i or deg - i < low_deg - low_i:
+            raise InexactDivisionError("inexact division in Z[x, y]")
     lead = max(dk)
     lc = dk.pop(lead)
     lead_deg, lead_i = divmod(lead, base)
     rest = list(dk.items())
-    r = {(i + j) * base + i: c for (i, j), c in p.items()}
     heap = [-k for k in r]
     heapq.heapify(heap)
     out: dict[int, int] = {}
@@ -791,54 +798,119 @@ def _euler_parts(num: dict[Term, int], den: dict[Term, int], base: int) -> dict[
     return out
 
 
-# The most term pairs one pass of ``dlog_ratio`` may visit, at about 1.3 us a
-# pair (CPython 3.11).  (r1*r2*r3)^2 needs 621045; the 6-letter
-# P*r3*r2*r1*E[0,1]*E[-3,2] would need 12.9 million, 19 s.
+def _dlog_pairs(sides) -> Fraction | None:
+    """Fraction(c) if D = 0, else None, by one pass over the term pairs (see ``dlog_ratio``)."""
+    # The x-degree of every product monomial stays below base, so keys add.
+    base = 1 + sum(max(i for i, _ in p) for p in sides)
+    fp, gp = _euler_parts(sides[0], sides[1], base), _euler_parts(sides[2], sides[3], base)
+    # The leading parts come from the leading pairs alone: vx / v and vy / v
+    # are their exponent differences.
+    (v, px, py), (w, qx, qy) = fp[max(fp)], gp[max(gp)]
+    c = (px * qy - py * qx) // (v * w)
+    gl = [(k, *e) for k, e in gp.items()]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for k1, (v, px, py) in fp.items():
+        e = c * v
+        for k2, w, qx, qy in gl:
+            k = k1 + k2
+            acc[k] = get(k, 0) + px * qy - py * qx - e * w
+    return None if any(acc.values()) else Fraction(c)
+
+
+def _packing(sides):
+    """(boxes (i0, i1, j0, j1), nx, nb, bits of F G), with B = 8 nb >= 2 + bitlen(e^2 N).
+
+    e is above every exponent and N is the sides' L1 norms multiplied: a
+    term pair weighs at most e in Px or Py and |c| <= 2 e^2, so |D| < 4 e^2 N
+    and a weighted side is at most e N.
+    """
+    boxes = [(min(xs), max(xs), min(ys), max(ys)) for xs, ys in (zip(*p) for p in sides)]
+    e = 1 + max(max(b[1], b[3]) for b in boxes)
+    nb = ((e * e * math.prod(sum(map(abs, p.values())) for p in sides)).bit_length() + 9) // 8
+    nx = 1 + sum(b[1] - b[0] for b in boxes)
+    return boxes, nx, nb, 8 * nb * nx * (1 + sum(b[3] - b[2] for b in boxes))
+
+
+def _dlog_packed(sides, boxes, nx: int, nb: int) -> Fraction | None:
+    """``_dlog_pairs`` by 13 products of packed ints.
+
+    Each side / x^i0 y^j0 and its copies weighted by i and by j are packed
+    at x = 2^(8 nb), y = x^nx; a slot holds its coefficient plus half its
+    range, and the offsets come off after.
+    """
+    half = 1 << (8 * nb - 1)
+    packed = []
+    for p, (i0, i1, j0, j1) in zip(sides, boxes):
+        fill = half.to_bytes(nb, "little") * (i1 - i0 + 1 + nx * (j1 - j0))
+        b0, bx, by = bufs = [bytearray(fill) for _ in range(3)]
+        for (i, j), v in p.items():
+            s = (i - i0 + nx * (j - j0)) * nb
+            b0[s : s + nb] = (v + half).to_bytes(nb, "little")
+            bx[s : s + nb] = (v * i + half).to_bytes(nb, "little")
+            by[s : s + nb] = (v * j + half).to_bytes(nb, "little")
+        zero = int.from_bytes(fill, "little")
+        packed.append([int.from_bytes(b, "little") - zero for b in bufs])
+    (v, px, py), (w, qx, qy) = ((a * b, ax * b - a * bx, ay * b - a * by)
+                                for (a, ax, ay), (b, bx, by) in (packed[:2], packed[2:]))
+    (a, b), (a2, b2), (p, q), (p2, q2) = map(_grlex_max, sides)
+    c = (a - a2) * (q - q2) - (b - b2) * (p - p2)
+    return None if px * qy - py * qx != c * v * w else Fraction(c)
+
+
+def _support_size(p: dict[Term, int], q: dict[Term, int]) -> int:
+    """The number of monomials that the term pairs of p q reach."""
+    base = 1 + max(j for _, j in p) + max(j for _, j in q)
+    kq = [i * base + j for i, j in q]
+    keys: set[int] = set()
+    for i, j in p:
+        keys.update(map((i * base + j).__add__, kq))
+    return len(keys)
+
+
+# The most term pairs the pair loop of ``dlog_ratio`` may visit, at about
+# 0.6 us a pair (CPython 3.11): max(|fn| |fd|, |gn| |gd|), then
+# |supp F| |supp G|.  (r1*r2*r3)^2 needs 621045; P*r3*r2*r1*E[0,1]*E[-3,2]
+# would need 12.9 million, refused in about 0.1 s.  Packing wins over
+# PACK_PAIRS pairs while F G packs into at most 4 bits a pair.
 PAIR_BUDGET = 1_000_000
+PACK_PAIRS = 1000
 
 
 def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
     """c with dlog f ^ dlog g = c dlog x ^ dlog y, or None when no constant c does.
 
-    With Dx = x d/dx, F = fn fd, Px = Dx(fn) fd - fn Dx(fd), Py alike, and G,
-    Qx, Qy from g, the claim is Px Qy - Py Qx = c F G.  c = n / d is read at
-    the grlex-leading monomial of F G, and one pass over the term pairs then
-    proves d (Px Qy - Py Qx) = n F G in Z[x, y].  f and g need not be
-    reduced; a zero f or g gives None.
+    With Dx = x d/dx, F = fn fd, Px = Dx(fn) fd - fn Dx(fd), Py alike, and
+    G, Qx, Qy from g, the claim is D = Px Qy - Py Qx - c F G = 0 in Z[x, y].
+    Only the grlex-leading terms of the four sides reach the top monomial of
+    F G, so c is the determinant of their exponent differences fn - fd and
+    gn - gd.  ``_dlog_pairs`` visits the term pairs; ``_dlog_packed``, for
+    dense sides (see ``PACK_PAIRS``), shifts each side by its least
+    exponents, which divides D by a monomial, and evaluates D at x = 2^B,
+    y = 2^(B nx), nx above its x-degree, so each monomial has its own B-bit
+    slot.  B is above |D| (``_packing``), so the lowest nonzero coefficient
+    is no multiple of 2^B: D packs to 0 only when D = 0.  f and g need not
+    be reduced; a zero f or g gives None.
     """
     if not f.den or not g.den:
         raise ZeroDenominatorError("denominator is identically zero")
     if not f.num or not g.num:
         return None
     # Constants have dlog 0, so the contents drop out.
-    fn, fd, gn, gd = f.num.terms, f.den.terms, g.num.terms, g.den.terms
-    # The x-degree of every product monomial stays below base, so keys add.
-    base = 1 + sum(max(i for i, _ in p) for p in (fn, fd, gn, gd))
-    pairs = max(len(fn) * len(fd), len(gn) * len(gd))
-    if pairs <= PAIR_BUDGET:
-        fp, gp = _euler_parts(fn, fd, base), _euler_parts(gn, gd, base)
-        pairs = len(fp) * len(gp)
+    sides = fn, fd, gn, gd = f.num.terms, f.den.terms, g.num.terms, g.den.terms
+    nf, ng = len(fn) * len(fd), len(gn) * len(gd)
+    pairs = nf * ng
     if pairs > PAIR_BUDGET:
-        raise TermBudgetError(f"dlog_ratio would visit {pairs} term pairs, over {PAIR_BUDGET}")
-    lf = max(k for k, e in fp.items() if e[0])
-    lg = max(k for k, e in gp.items() if e[0])
-    top = lf + lg
-    n = 0
-    for k, (_, px, py) in fp.items():
-        q = gp.get(top - k)
-        if q is not None:
-            n += px * q[2] - py * q[1]
-    c = Fraction(n, fp[lf][0] * gp[lg][0])
-    n, d = c.numerator, c.denominator
-    gl = [(k, v, qx, qy) for k, (v, qx, qy) in gp.items()]
-    acc: dict[int, int] = {}
-    get = acc.get
-    for k1, (v, px, py) in fp.items():
-        a, b, e = d * px, d * py, n * v
-        for k2, w, qx, qy in gl:
-            k = k1 + k2
-            acc[k] = get(k, 0) + a * qy - b * qx - e * w
-    return None if any(acc.values()) else c
+        pairs = max(nf, ng)
+        if pairs <= PAIR_BUDGET:
+            pairs = _support_size(fn, fd) * _support_size(gn, gd)
+        if pairs > PAIR_BUDGET:
+            raise TermBudgetError(f"dlog_ratio would visit {pairs} term pairs, over {PAIR_BUDGET}")
+    if pairs > PACK_PAIRS:
+        *packing, bits = _packing(sides)
+        if bits <= 4 * pairs:
+            return _dlog_packed(sides, *packing)
+    return _dlog_pairs(sides)
 
 
 # The most bits the powers built by one ``evaluate`` may take in total, a^i

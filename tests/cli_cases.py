@@ -284,6 +284,12 @@ GROUPS = {
     ],
     "word_character": [
         Case(["word", "character", "A[-1,0;0,1]"], 0, "-1\n"),
+        # dlog_ratio packs the dense sides of the heaviest -1 word of the
+        # benchmark pool, and keeps the pair loop for exponents near 10^12
+        # and for the spread sides of the last word.
+        Case(["word", "character", "E*E[-2,-1]*E*A[2,1;1,0]^-1*E"], 0, "-1\n"),
+        Case(["word", "character", "E*A[2,1;1,1]^30"], 0, "+1\n"),
+        Case(["word", "character", "E*A[5,2;2,1]^3*E*A[1,1;0,1]"], 0, "+1\n"),
     ],
     "word_trop": [
         Case(["word", "trop", "E", "--vector=-1,0"], 0, "-1,1\n"),

@@ -84,13 +84,24 @@ for letter in w.letters:
     folded = BirationalMap(substitute(folded.f, m.f, m.g), substitute(folded.g, m.f, m.g))
 if str(realize(w)) != str(folded):
     raise SystemExit(f"realize gave {realize(w)}, the substitution fold {folded}")
-# The second pass of dlog_ratio decides both: (x^2, y) scales the form by
-# 2 and (x + 1, y) by a non-constant.
+# dlog_ratio reads c off the leading terms and proves it on the term pairs:
+# (x^2, y) scales the form by 2 and (x + 1, y) by a non-constant.
 x2, y = RatFunc2.from_poly(parse_poly("x^2")), RatFunc2.y()
 if dlog_ratio(x2, y) != 2:
     raise SystemExit(f"dlog_ratio(x^2, y) gave {dlog_ratio(x2, y)}")
 if dlog_ratio(RatFunc2.from_poly(parse_poly("x + 1")), y) is not None:
     raise SystemExit("dlog_ratio(x + 1, y) gave a constant")
+# Dense sides are proved by packed products instead: the heaviest -1 word of
+# the benchmark pool, and the same map with f times 1 + x + y.
+packed, packed_route = [], polyrat._dlog_packed
+polyrat._dlog_packed = lambda *a: packed.append(1) or packed_route(*a)
+m = realize(parse_word("E*E[-2,-1]*E*A[2,1;1,0]^-1*E"))
+for f, want in ((m.f, -1), (RatFunc2(m.f.num * parse_poly("1 + x + y"), m.f.den), None)):
+    if dlog_ratio(f, m.g) != want:
+        raise SystemExit(f"dlog_ratio of a dense pair gave {dlog_ratio(f, m.g)}, not {want}")
+if len(packed) != 2:
+    raise SystemExit(f"dlog_ratio packed {len(packed)} of 2 dense pairs")
+polyrat._dlog_packed = packed_route
 # validate's accept pass passes neither a determinant-2 pair nor seven
 # distinct rays with every adjacent determinant 1 that wind twice, so
 # constructing either surface raises.

@@ -1,10 +1,13 @@
+import heapq
 import math
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from logcy2 import polyrat
+from logcy2.birmap import realize
 from logcy2.polyrat import (
     InexactDivisionError,
     PoleAtPointError,
@@ -26,6 +29,8 @@ from logcy2.polyrat import (
     pullback,
     substitute,
 )
+from logcy2.sampling import random_word
+from logcy2.words import parse_word
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
@@ -199,6 +204,27 @@ def test_divexact_rejects_inexact_division():
         poly_divexact(ONE, X)
 
 
+def test_divexact_rejects_a_wrong_lowest_term_before_the_heap(monkeypatch):
+    # The grlex-lowest term of p is that of d times that of p / d, so a
+    # divisor whose lowest term does not divide p's raises with no term taken
+    # off the heap: 3 does not divide 1, and neither x nor y divides 1.
+    pops = []
+    monkeypatch.setattr(polyrat, "heapq", types.SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush, heappop=lambda h: pops.append(1) or heapq.heappop(h)))
+    p = ((X + ONE) ** 6).terms
+    for d in (X + Poly2.const(3), X * X + X, X + Y):
+        with pytest.raises(InexactDivisionError):
+            polyrat._ip_divexact(p, d.terms)
+        assert pops == [], d
+    # A divisor that passes the check is still divided out term by term.
+    with pytest.raises(InexactDivisionError):
+        polyrat._ip_divexact(p, (X * X + ONE).terms)
+    assert pops
+    pops.clear()
+    assert polyrat._ip_divexact(p, (X + ONE).terms) == ((X + ONE) ** 5).terms
+    assert len(pops) >= 6
+
+
 def test_divexact_and_gcd_with_a_zero_side():
     zero = Poly2.zero()
     assert poly_divexact(zero, X + ONE) == zero
@@ -310,6 +336,51 @@ def test_dlog_ratio_matches_quotient_rule_jacobian(srng):
         assert got == jacobian_dlog_ratio(f, g), (f, g)
         seen.add("none" if got is None else "unit" if got in (1, -1) else "zero" if got == 0 else "other")
     assert seen == {"none", "unit", "zero", "other"}
+
+
+HEAVY = "E*E[-2,-1]*E*A[2,1;1,0]^-1*E"  # the heaviest -1 word of the benchmark pool
+
+
+def test_dlog_routes_agree(srng, monkeypatch):
+    # Realized maps give +-1; f (1 + x + y) gives no constant; (f, f) gives 0;
+    # (f^2, g) and (g, f^2) give +-2.  dlog_ratio takes each route at least
+    # once, and both routes, called directly, give its answer.
+    pairs_route, packed_route = polyrat._dlog_pairs, polyrat._dlog_packed
+    taken = []
+    monkeypatch.setattr(polyrat, "_dlog_pairs", lambda *a: taken.append("pairs") or pairs_route(*a))
+    monkeypatch.setattr(polyrat, "_dlog_packed", lambda *a: taken.append("packed") or packed_route(*a))
+    words = [random_word(srng, 8) for _ in range(12)] + [parse_word(HEAVY), parse_word("E")]
+    seen = set()
+    for k, w in enumerate(words):
+        m = realize(w)
+        f, g = m.f, m.g
+        cases = [(f, g), (RatFunc2(f.num * (ONE + X + Y), f.den), g), (f, f)]
+        if k < 4 or k == len(words) - 1:
+            f2 = RatFunc2(f.num * f.num, f.den * f.den)
+            cases += [(f2, g), (g, f2)]
+        for a, b in cases:
+            want = dlog_ratio(a, b)
+            sides = a.num.terms, a.den.terms, b.num.terms, b.den.terms
+            assert pairs_route(sides) == want, (w, a, b)
+            assert packed_route(sides, *polyrat._packing(sides)[:3]) == want, (w, a, b)
+            seen.add(want)
+    assert seen >= {None, 0, 1, -1, 2, -2}
+    assert {"pairs", "packed"} <= set(taken)
+
+
+def test_dlog_ratio_packs_dense_sides_only(monkeypatch):
+    # Small sides, exponents near 10^12 and sides spread so far that their
+    # packed F G would have more than 4 bits a pair keep the pair loop, so
+    # packing never builds ints far larger than the loop's work.
+    packed = []
+    packed_route = polyrat._dlog_packed
+    monkeypatch.setattr(polyrat, "_dlog_packed", lambda *a: packed.append(1) or packed_route(*a))
+    for text, want, times in ((HEAVY, -1, 1), ("A[-1,0;0,1]", -1, 0), ("E*A[2,1;1,1]^30", 1, 0),
+                              ("E*A[5,2;2,1]^3*E*A[1,1;0,1]", 1, 0)):
+        m = realize(parse_word(text))
+        packed.clear()
+        assert dlog_ratio(m.f, m.g) == want
+        assert len(packed) == times, text
 
 
 def test_mixed_partials_commute(srng):
