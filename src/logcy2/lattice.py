@@ -243,13 +243,16 @@ def pl_apply(p: PLMap, v: Vec) -> Vec:
     return mat_vec(p.matrix_at(v), v)
 
 
-def _canonical(pairs: list[tuple[Vec, Mat]]) -> PLMap:
-    """Build a PLMap from (boundary ray, matrix-of-following-sector) pairs.
+# Sorts (ray, matrix) pairs ccw from (1, 0) by their rays.
+_BY_RAY = cmp_to_key(lambda p, q: angle_cmp(p[0], q[0]))
 
-    Merges sectors with equal matrices and rotates the ray list so it starts
-    at the angularly least ray, making structural equality canonical.
+
+def _canonical(pairs: list[tuple[Vec, Mat]]) -> PLMap:
+    """Build a PLMap from (boundary ray, matrix-of-following-sector) pairs in ccw order from (1, 0).
+
+    Merges sectors with equal matrices; the ray list then starts at the
+    angularly least ray, making structural equality canonical.
     """
-    pairs = sorted(pairs, key=cmp_to_key(lambda p, q: angle_cmp(p[0], q[0])))
     k = len(pairs)
     kept = [i for i in range(k) if pairs[i - 1][1] != pairs[i][1]]
     if not kept:
@@ -301,7 +304,7 @@ def pl_inverse(p: PLMap) -> PLMap:
     shift = 1 if mat_det(p.mats[0]) < 0 else 0
     for i in range(k):
         pairs.append((mat_vec(p.mats[i], p.rays[(i + shift) % k]), mat_inv(p.mats[i])))
-    return _canonical(pairs)
+    return _canonical(sorted(pairs, key=_BY_RAY))
 
 
 def pl_elementary(n: Vec = (0, 1), e: int = 1) -> PLMap:
@@ -311,4 +314,4 @@ def pl_elementary(n: Vec = (0, 1), e: int = 1) -> PLMap:
     [-n, n).  For n = (0, 1) and e = 1: the shear (1,0;-1,1) on the left
     half-plane, so (-1, 0) goes to (-1, 1).
     """
-    return _canonical([(require_primitive(n), elementary_shear(n, e)), (neg(n), MAT_ID)])
+    return _canonical(sorted([(require_primitive(n), elementary_shear(n, e)), (neg(n), MAT_ID)], key=_BY_RAY))

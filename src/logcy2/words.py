@@ -208,8 +208,9 @@ def _literal(m: re.Match[str]) -> tuple[Letter, ...]:
 
 def _group(tokens: Iterator[re.Match[str]], close: str | None) -> Word:
     """The word read up to ``close``: the ")" of a group, or None for the end of the text."""
-    # One free reduction over all the terms' letters: reducing at each "*"
-    # would re-reduce the whole prefix, quadratic in a long literal product.
+    # One free reduction over all the terms' letters, powers included:
+    # reducing at each "*" would re-reduce the whole prefix, quadratic in a
+    # long literal product.
     letters: list[Letter] = []
     for m in tokens:
         if m[0] == "(":
@@ -228,7 +229,10 @@ def _group(tokens: Iterator[re.Match[str]], close: str | None) -> Word:
             k = _to_int(m, "int")
             if len(atom) * abs(k) > MAX_POWER_LETTERS:
                 raise WordSyntaxError(f"power has more than {MAX_POWER_LETTERS} letters", m.start())
-            atom = (Word(atom) ** k).letters
+            if atom:  # () * k overflows for k past sys.maxsize; an empty atom stays empty
+                if k < 0:
+                    atom, k = tuple(map(_inverse_letter, reversed(atom))), -k
+                atom *= k
             m = next(tokens, None)
         letters += atom
         tok = m and m[0]  # None at the end of the text

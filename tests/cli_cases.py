@@ -12,9 +12,8 @@ each row; a row whose value moves is a change to the CLI's contract.
 
 ``GROUPS`` names each group of rows by what it pins, and ``CASES`` is every
 row.  Every row runs under ``ENV``.  ``tests/test_golden.py::test_cli_case``
-checks each row, and the tests of ``tests/test_cli.py`` named after a group
-check that group's rows again.  This module defines no test, so a runner
-outside pytest can load it by path.
+checks each row.  This module defines no test, so a runner outside pytest
+can load it by path.
 
 To add a row, put its argv and files in the group it belongs to, run it
 once with ``run_cli`` under ``ENV``, and write down what it did.

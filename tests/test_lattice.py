@@ -249,6 +249,19 @@ def test_bijection_via_inverse(srng):
             assert pl_apply(p, pl_apply(inv, v)) == v
 
 
+def test_inverse_is_canonical(srng):
+    # The inverse's rays are the images of p's, in p's order turned by p's
+    # pieces (and reversed by a det -1 map), so pl_inverse must sort them.
+    flip = PLMap.linear(((0, 1), (1, 0)))
+    for _ in range(40):
+        p = flip if srng.random() < 0.5 else PLMap.identity()
+        for _ in range(srng.randint(1, 4)):
+            p = pl_compose(p, pl_elementary(random_primitive(srng, 3), srng.choice((1, -1))))
+        inv = pl_inverse(p)
+        pl_validate(inv)
+        assert pl_inverse(inv) == p
+
+
 def test_validate_raises_assertion_error_on_a_non_primitive_ray():
     # A malformed map is a library fault, not an input fault: no NonPrimitiveError.
     with pytest.raises(AssertionError, match="not primitive"):

@@ -197,6 +197,20 @@ def test_gcd_cofactors_take_no_second_division(monkeypatch):
     assert monomial == parse_ratfunc("((1/3)*x^2*y) / (x + (1/3))")
 
 
+def test_monomial_gcd_route_keeps_huge_degrees_off_gcdheu(monkeypatch):
+    # GCDHEU's images run Horner's rule over every degree of the evaluated
+    # variable, and realized monomial maps reach degrees near 10^12, so a
+    # monomial side must never get there.
+    m = realize(parse_word("A[2,1;1,1]^30"))
+
+    def refuse(p, q):
+        raise AssertionError("GCDHEU on a monomial side")
+
+    monkeypatch.setattr(polyrat, "_heugcd", refuse)
+    assert str(m.f + RatFunc2.x()) == "x^2504730781961*y^1548008755920 + x"
+    assert str(normalize(Poly2.monomial(10**12, 1), Y + ONE)) == "(x^1000000000000*y) / (y + 1)"
+
+
 def test_divexact_rejects_inexact_division():
     with pytest.raises(InexactDivisionError):
         poly_divexact(X + ONE, X)
