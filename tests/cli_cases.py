@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 from logcy2 import cli
 
-# The seed reaches ``demo cubic`` and ``verify relations``; argparse wraps
-# help and usage text to the terminal width.
+# The seed reaches ``verify relations`` (``demo cubic`` reads none); argparse
+# wraps help and usage text to the terminal width.
 ENV = {"LOGCY2_SEED": "42", "COLUMNS": "80"}
 
 

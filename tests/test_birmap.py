@@ -99,7 +99,7 @@ def _one_letter_words() -> list[Word]:
 
 def test_realize_and_tropicalize_match_right_fold_reference(srng):
     words = [random_word(srng, 5) for _ in range(30)]
-    words += [parse_word(t) for t in ("P", "r1", "r2", "r3", MACRO_17, "id")]
+    words += [parse_word(t) for t in ("P", "r1", "r2", "r3", MACRO_17, "E^-3*E[1,0]^2*A[0,1;1,0]", "id")]
     words += _one_letter_words()
     for w in words:
         got, want = realize(w), _realize_right_fold(w)
@@ -237,6 +237,12 @@ def test_compose_takes_a_map_without_steps_only_as_outer():
     got = compose(coordinates_only(outer), inner)
     assert got == substituted(outer, inner) and str(got) == str(substituted(outer, inner))
     assert got.steps is None
+    # r1 after r3 has one text on both routes: compose pulls r1 back through
+    # r3's steps, and substitute, once per coordinate, runs the one-term
+    # product path.
+    text = ("((x^4 + 4*x^3*y + 6*x^2*y^2 + 4*x*y^3 + y^4 + 2*x^2*y + 4*x*y^2 + 2*y^3 + y^2)"
+            " / (x^3 + 2*x^2*y + x*y^2), (y) / (x^2 + 2*x*y + y^2))")
+    assert str(compose(outer, inner)) == text and str(substituted(outer, inner)) == text
 
 
 def test_compose_is_safe_across_threads():

@@ -18,7 +18,7 @@ import random
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from cli_cases import M, N, NEAR_LIMIT_FAN, run_cli
+from cli_cases import M, N, run_cli
 from logcy2 import diagrams
 from logcy2.sampling import random_surface
 from logcy2.surfaces import p2, to_json
@@ -124,11 +124,6 @@ SURFACE_COMMANDS = ["surface validate", "surface invariants", "surface intersect
 @example("surface pushforward", to_json(random_surface(random.Random(0))), "--help")
 @example("hms counts", to_json(random_surface(random.Random(0))), "E")
 @example("atf diagram", '{"rays": [[1, 0], [0, 1], [-1, -1]], "m": [0, 10000000, 0]}', "E")
-@example("surface validate", NEAR_LIMIT_FAN["s.json"], "E")
-@example("surface invariants", NEAR_LIMIT_FAN["s.json"], "E")
-@example("surface intersections", NEAR_LIMIT_FAN["s.json"], "E")
-@example("hms counts", NEAR_LIMIT_FAN["s.json"], "E")
-@example("atf diagram", NEAR_LIMIT_FAN["s.json"], "E")
 @example("surface resolve", to_json(p2()), f"E*A[{M},1;-1,0]^2")
 def test_surface_commands_exit_cleanly(command, text, word):
     with_word = command in ("surface pushforward", "surface resolve")
@@ -233,12 +228,8 @@ points = st.one_of(
 
 @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["realize", "equal", "character", "trop", "eval"]), short_words, short_words, vectors, points)
-@example("eval", "E", "id", "1,0", "-1,1")
 @example("equal", "E[2,2]", "A[1,1;1,1]", "1,0", "0,0")
 @example("eval", f"A[{N},1;-1,0]^3", "id", "1,0", "2,1")
-@example("realize", f"A[{N},1;-1,0]^3*E", "id", "1,0", "0,0")
-@example("realize", f"E[{N},1]*E[1,{N}]", "id", "1,0", "0,0")
-@example("realize", f"E[{N},1]", "id", "1,0", "0,0")
 @example("equal", "E", "(" * 2000 + "E" + ")" * 2000, "1,0", "0,0")
 @example("trop", "E", "id", "--", "0,0")
 @example("eval", "E", "id", "1,0", "--")
@@ -265,7 +256,6 @@ arguments = st.lists(
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["demo", "verify"]), arguments)
-@example("demo", ["cubic"])
 @example("verify", ["relations"])
 @example("demo", ["cubic", "relations"])
 @example("verify", [])

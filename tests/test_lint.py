@@ -4,157 +4,88 @@ guard, every input fault a ``DomainError``."""
 
 import ast
 import importlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from logcy2.errors import DomainError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "logcy2"
 
-# Run under ``python -O``; every check raises SystemExit, none is an assert.
-OPTIMIZED_CHECKS = """
-import sys
-from logcy2 import polyrat
-from logcy2.birmap import IDENTITY_MAP, BirationalMap, compose, realize
-from logcy2.lattice import MAT_ID, PLMap, pl_validate
-from logcy2.polyrat import (
-    InexactDivisionError, Poly2, RatFunc2, dlog_ratio, normalize, parse_poly, parse_ratfunc, poly_divexact,
-    substitute,
-)
-from logcy2.surfaces import InvalidSurfaceError, Surface
-from logcy2.words import Word, parse_word
-
-if not sys.flags.optimize:
-    raise SystemExit("not running under -O")
-try:
-    poly_divexact(Poly2.x() + Poly2.const(1), Poly2.x())
-except InexactDivisionError:
-    pass
-else:
-    raise SystemExit("poly_divexact(x + 1, x) did not raise")
-# The E-step's product kernel only multiplies: a negative power of 1 + x is a bug.
-try:
-    polyrat._times_one_plus_x([1, 0, -1], -1)
-except AssertionError:
-    pass
-else:
-    raise SystemExit("a negative power of 1 + x did not raise")
-try:
-    pl_validate(PLMap(((0, 1), (0, -1)), (((1, 1), (0, 1)), MAT_ID)))
-except AssertionError:
-    pass
-else:
-    raise SystemExit("pl_validate passed a discontinuous map")
-text = str(normalize(parse_poly("x^2 + x*y + x + y"), parse_poly("2*x^2 + (-2)*x*y + 2*x + (-2)*y")))
-if text != "((1/2)*x + (1/2)*y) / (x + (-1)*y)":
-    raise SystemExit(f"normalize gave {text}")
-# A numerator whose content is not an integer prints content times each term
-# and reads back to the same fraction.
-r = normalize(parse_poly("(1/2)*x + (3/2)*y"), parse_poly("(1/3)*x + 1"))
-if str(r) != "((3/2)*x + (9/2)*y) / (x + 3)":
-    raise SystemExit(f"normalize gave {r}")
-if parse_ratfunc(str(r)) != r:
-    raise SystemExit(f"{r} did not read back to itself")
-# r1 after r3 gives one text on both routes: compose pulls r1 back through
-# r3's steps, and substitute, once per coordinate, runs the one-term product
-# path.  compose refuses an inner map without steps.
-r1, r3 = realize(parse_word("r1")), realize(parse_word("r3"))
-routes = {"compose": compose(r1, r3),
-          "substitute": BirationalMap(substitute(r1.f, r3.f, r3.g), substitute(r1.g, r3.f, r3.g))}
-for route, m in routes.items():
-    if str(m) != (
-        "((x^4 + 4*x^3*y + 6*x^2*y^2 + 4*x*y^3 + y^4 + 2*x^2*y + 4*x*y^2 + 2*y^3 + y^2)"
-        " / (x^3 + 2*x^2*y + x*y^2), (y) / (x^2 + 2*x*y + y^2))"
-    ):
-        raise SystemExit(f"r1 after r3 gave {m} by {route}")
-try:
-    compose(r1, BirationalMap(r3.f, r3.g))
-except ValueError:
-    pass
-else:
-    raise SystemExit("compose took an inner map without steps")
-# realize runs the pullback kernels; a fold by substitution into the
-# one-letter words' maps gives the same text.
-w = parse_word("E^-3*E[1,0]^2*A[0,1;1,0]")
-folded = IDENTITY_MAP
-for letter in w.letters:
-    m = realize(Word((letter,)))
-    folded = BirationalMap(substitute(folded.f, m.f, m.g), substitute(folded.g, m.f, m.g))
-if str(realize(w)) != str(folded):
-    raise SystemExit(f"realize gave {realize(w)}, the substitution fold {folded}")
-# dlog_ratio reads c off the leading terms and proves it on the term pairs:
-# (x^2, y) scales the form by 2 and (x + 1, y) by a non-constant.
-x2, y = RatFunc2.from_poly(parse_poly("x^2")), RatFunc2.y()
-if dlog_ratio(x2, y) != 2:
-    raise SystemExit(f"dlog_ratio(x^2, y) gave {dlog_ratio(x2, y)}")
-if dlog_ratio(RatFunc2.from_poly(parse_poly("x + 1")), y) is not None:
-    raise SystemExit("dlog_ratio(x + 1, y) gave a constant")
-# Dense sides are proved by packed products instead: the heaviest -1 word of
-# the benchmark pool, and the same map with f times 1 + x + y.
-packed, packed_route = [], polyrat._dlog_packed
-polyrat._dlog_packed = lambda *a: packed.append(1) or packed_route(*a)
-m = realize(parse_word("E*E[-2,-1]*E*A[2,1;1,0]^-1*E"))
-for f, want in ((m.f, -1), (RatFunc2(m.f.num * parse_poly("1 + x + y"), m.f.den), None)):
-    if dlog_ratio(f, m.g) != want:
-        raise SystemExit(f"dlog_ratio of a dense pair gave {dlog_ratio(f, m.g)}, not {want}")
-if len(packed) != 2:
-    raise SystemExit(f"dlog_ratio packed {len(packed)} of 2 dense pairs")
-polyrat._dlog_packed = packed_route
-# validate's accept pass passes neither a determinant-2 pair nor seven
-# distinct rays with every adjacent determinant 1 that wind twice, so
-# constructing either surface raises.
-bad_det = (((1, 0), (0, 1), (-2, -1)), (0, 0, 0))
-twice = (((1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1)), (0,) * 7)
-for data, expected in (
-    (bad_det, ["det((0, 1), (-2, -1)) = 2, expected 1"]),
-    (twice, ["rays wind 2 times around the origin"]),
-):
-    try:
-        Surface(*data)
-    except InvalidSurfaceError as err:
-        if err.violations != expected:
-            raise SystemExit(f"Surface{data} raised {err.violations}")
-    else:
-        raise SystemExit(f"Surface{data} constructed")
-"""
+# Parsed once: every lint below runs over these trees, keyed by module name.
+SOURCES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in sorted(SRC.glob("*.py"))
+}
+SUBMODULES = set(SOURCES) - {"__init__"}
 
 
-def test_library_has_no_assert_statements():
-    # ``python -O`` strips assert statements, so an invariant check written
-    # as one silently stops running; the library raises explicitly instead.
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.Assert)
+def _found(lint, *args, skip: tuple[str, ...] = ()) -> list[str]:
+    """``lint(tree, *args)`` over every source but those in skip, each finding prefixed by its module."""
+    return [
+        f"{module}.py:{item}" for module, tree in SOURCES.items() if module not in skip for item in lint(tree, *args)
     ]
-    assert sorted(SRC.glob("*.py")), f"no sources under {SRC}"
-    assert not found, f"assert statements in the library: {found}"
+
+
+def _reads_sys_flags(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "sys" and any(alias.name == "flags" for alias in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == "flags"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+# ``python -O`` strips assert statements and code under ``__debug__`` and sets
+# ``sys.flags.optimize``; a library with none of them runs the same code with
+# or without it.  A ``global`` rebinds module state between calls, which the
+# library keeps only in its function caches.
+OPTIMIZE_HAZARDS = {
+    "assert": lambda node: isinstance(node, ast.Assert),
+    "global": lambda node: isinstance(node, ast.Global),
+    "__debug__": lambda node: (isinstance(node, ast.Name) and node.id == "__debug__"
+                               or isinstance(node, ast.Attribute) and node.attr == "__debug__"),
+    "sys.flags": _reads_sys_flags,
+}
+
+
+def _optimize_hazards(tree: ast.AST) -> list[str]:
+    """Every node of tree that one of ``OPTIMIZE_HAZARDS`` matches, by line and kind."""
+    found = [(node.lineno, kind) for node in ast.walk(tree) for kind, hit in OPTIMIZE_HAZARDS.items() if hit(node)]
+    return [f"{line}: {kind}" for line, kind in sorted(found)]
+
+
+def test_optimize_check_sees_every_form():
+    source = (
+        "import sys\n"
+        "from sys import argv, flags\n"
+        "def f(x):\n"
+        "    global CACHE\n"
+        "    assert x, 'x'\n"
+        "    if __debug__ or sys.flags.optimize or builtins.__debug__:\n"
+        "        return flags\n"
+        "    return sys.argv, x.flags, x.debug\n"
+    )
+    assert _optimize_hazards(ast.parse(source)) == [
+        "2: sys.flags", "4: global", "5: assert", "6: __debug__", "6: __debug__", "6: sys.flags",
+    ]
+
+
+def _library_hazards(*kinds: str) -> list[str]:
+    assert SUBMODULES, f"no sources under {SRC}"
+    return [item for item in _found(_optimize_hazards) if item.rsplit(": ", 1)[1] in kinds]
+
+
+# One rule, split by kind so a finding fails under the name of what it breaks; with every
+# kind covered, the regular suite runs each check that ``python -O`` would run.
+def test_library_has_no_assert_statements():
+    found = _library_hazards("assert")
+    assert not found, f"assert statements, which python -O strips: {found}"
 
 
 def test_library_has_no_global_statements():
-    # A ``global`` rebinds module state between calls; the library keeps
-    # state across calls only in its function caches.
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.Global)
-    ]
-    assert not found, f"global statements in the library: {found}"
+    found = _library_hazards("global")
+    assert not found, f"global statements: {found}"
 
 
 def test_library_checks_run_under_optimize():
-    pythonpath = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-    )
-    assert result.returncode == 0, result.stderr
+    found = _library_hazards("__debug__", "sys.flags")
+    assert not found, f"code python -O would strip or that reads its flags: {found}"
 
 
 def _is_private(name: str) -> bool:
@@ -204,11 +135,7 @@ def test_private_name_check_sees_both_forms():
 def test_no_module_reaches_into_private_names():
     # A module uses only the public names of its siblings, so each module's
     # private helpers can change without breaking another.
-    found = [
-        f"{path.name}:{item}"
-        for path in sorted(SRC.glob("*.py"))
-        for item in _private_reach_ins(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    ]
+    found = _found(_private_reach_ins)
     assert not found, f"private names used across modules: {found}"
 
 
@@ -230,12 +157,7 @@ def test_poly_internals_check_sees_attribute_reads():
 def test_only_polyrat_reads_poly_internals():
     # The polynomial core has one home: every other module goes through
     # polyrat's public functions, never through a Poly2's terms or content.
-    found = [
-        f"{path.name}:{item}"
-        for path in sorted(SRC.glob("*.py"))
-        if path.name != "polyrat.py"
-        for item in _poly_internals(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    ]
+    found = _found(_poly_internals, skip=("polyrat",))
     assert not found, f"Poly2 internals read outside polyrat: {found}"
 
 
@@ -283,11 +205,7 @@ def test_unused_private_name_check_sees_functions_classes_and_constants():
 def test_no_module_keeps_an_unused_private_name():
     # A private helper nothing in its own module calls is dead code: no
     # other module may reach it either (see the check above).
-    found = [
-        f"{path.name}:{item}"
-        for path in sorted(SRC.glob("*.py"))
-        for item in _unused_private_names(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    ]
+    found = _found(_unused_private_names)
     assert not found, f"private names their module never uses: {found}"
 
 
@@ -297,7 +215,7 @@ KEPT_PUBLIC_NAMES = {
     "logcy2.polyrat.poly_gcd": "the benchmark tracer wraps it; the tests check it against sympy",
     "logcy2.polyrat.poly_divexact": "the benchmark tracer wraps it; the tests check it against sympy",
     "logcy2.surfaces.hirzebruch1": "the benchmark records and the acceptance tests build surfaces with it",
-    "logcy2.lattice.pl_validate": "the tests check PL maps with it, also under python -O",
+    "logcy2.lattice.pl_validate": "the tests check PL maps with it",
     "logcy2.polyrat.parse_ratfunc": "the tests read README's rational-function text form back with it",
     "logcy2.sampling.random_elementary_setup": "the acceptance and diagram tests sample moves with it",
 }
@@ -349,11 +267,7 @@ def test_every_public_name_has_a_caller_or_is_exported_or_listed():
     # export is dead code unless something outside the package reads it.
     import logcy2
 
-    trees = {
-        f"logcy2.{path.stem}": ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != "__init__"
-    }
+    trees = {f"logcy2.{module}": SOURCES[module] for module in sorted(SUBMODULES)}
     found = _public_names_without_caller(trees, set(logcy2._HOME))
     unlisted = [name for name in found if name not in KEPT_PUBLIC_NAMES]
     assert not unlisted, f"public names without a caller, an export or a listed reason: {unlisted}"
@@ -389,11 +303,7 @@ def test_unused_import_check_sees_every_form():
 def test_no_module_imports_a_name_it_never_uses():
     # A leftover import of a moved or deleted helper keeps a dependency
     # between modules that the code no longer has.
-    found = [
-        f"{path.name}:{item}"
-        for path in sorted(SRC.glob("*.py"))
-        for item in _unused_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    ]
+    found = _found(_unused_imports)
     assert not found, f"imported names never used: {found}"
 
 
@@ -437,11 +347,7 @@ def test_unguarded_json_check_tells_a_guarded_render_from_a_bare_one():
 def test_every_json_result_passes_the_digit_limit_guard():
     # json.dumps of an integer past the int-to-text digit limit raises a bare
     # ValueError, which the CLI would let out as a traceback.
-    found = [
-        f"{path.name}:{item}"
-        for path in sorted(SRC.glob("*.py"))
-        for item in _unguarded_json_dumps(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    ]
+    found = _found(_unguarded_json_dumps)
     assert not found, f"json.dumps outside output(...): {found}"
 
 
@@ -475,12 +381,7 @@ def test_root_name_check_sees_both_forms():
 
 
 def test_no_module_imports_a_name_from_the_package_root():
-    submodules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
-    found = [
-        f"{path.name}:{item}"
-        for path in sorted(SRC.glob("*.py"))
-        for item in _root_name_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), submodules)
-    ]
+    found = _found(_root_name_imports, SUBMODULES)
     assert not found, f"names imported from the package root: {found}"
 
 
@@ -488,8 +389,7 @@ def test_lazy_table_matches_all():
     import logcy2
 
     assert sorted(logcy2._HOME) == logcy2.__all__
-    submodules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
-    assert set(logcy2._HOME.values()) <= submodules
+    assert set(logcy2._HOME.values()) <= SUBMODULES
 
 
 # The library's exception classes that are not a ``DomainError``, each with its reason.
@@ -546,8 +446,8 @@ def test_every_library_exception_is_a_domain_error_or_listed():
     # The CLI exits 1 on every DomainError, so a new exception class for a
     # fault of the input gets exit 1 without a second list to extend; any
     # other class has to be listed above with its reason.
-    for path in SRC.glob("*.py"):
-        importlib.import_module("logcy2" if path.stem == "__init__" else f"logcy2.{path.stem}")
+    for module in SUBMODULES:
+        importlib.import_module(f"logcy2.{module}")
     found = _non_domain_errors("logcy2.", NOT_DOMAIN_ERRORS)
     assert not found, f"exception classes neither a DomainError nor listed: {found}"
     classes = _exception_classes("logcy2.")

@@ -115,6 +115,19 @@ def test_normalize_cancels_common_factor():
     assert str(r) == "(x*y + y) / (x)"
 
 
+def test_normalize_prints_content_times_primitive_terms():
+    # A numerator whose content is not an integer prints content times each
+    # term, and each text reads back to the same fraction.
+    cases = [
+        ("x^2 + x*y + x + y", "2*x^2 + (-2)*x*y + 2*x + (-2)*y", "((1/2)*x + (1/2)*y) / (x + (-1)*y)"),
+        ("(1/2)*x + (3/2)*y", "(1/3)*x + 1", "((3/2)*x + (9/2)*y) / (x + 3)"),
+    ]
+    for num, den, text in cases:
+        r = normalize(parse_poly(num), parse_poly(den))
+        assert str(r) == text
+        assert parse_ratfunc(text) == r
+
+
 def test_normalize_already_reduced():
     assert normalize(X, ONE) == RatFunc2(X, ONE)
 
@@ -288,6 +301,14 @@ def test_elementary_step_stops_counting_once_k_is_fixed(monkeypatch, e, tall_fir
     num = tall[3000] + p if tall_first else p + tall[3000]
     assert pullback(rf(num, q), [e]) == rf(p + tall[3001], q)
     assert len(found) == 3 and all(v == 0 for v, _ in found)
+
+
+def test_times_one_plus_x_refuses_a_negative_power():
+    # Division is _one_plus_x_quotient's job; a negative power is a bug.
+    with pytest.raises(AssertionError):
+        polyrat._times_one_plus_x([1, 0, -1], -1)
+    row = [1, -2]
+    assert polyrat._times_one_plus_x(row, 0) is row
 
 
 # --- derivatives ----------------------------------------------------------------

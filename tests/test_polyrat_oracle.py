@@ -2,11 +2,12 @@
 
 sympy is a test-only oracle: the module is skipped where it is missing.
 Both gcd routes of ``polyrat._ip_gcd`` get inputs that reach them: a
-monomial side for the shortcut; for the two-level GCDHEU, a shared factor
-of positive degree in both variables, coprime pairs, gcds in one variable,
-and inputs whose heights or degrees make it raise its evaluation point many
-times: coefficients of thousands of digits, a seeded pair of high y-degree,
-and a tall product of cyclotomic factors of x^210 - 1.
+monomial side for the shortcut; for GCDHEU, which recurses on its images
+from y down to x, a shared factor of positive degree in both variables,
+coprime pairs, x-only pairs, and inputs whose heights or degrees make it
+raise its evaluation point many times: coefficients of thousands of
+digits, a seeded pair of high y-degree, and a tall product of cyclotomic
+factors of x^210 - 1.
 ``pullback``, which takes no gcd, is checked against sympy's ``cancel`` of
 the substituted fraction, its row kernels ``_times_one_plus_x`` and
 ``_one_plus_x_quotient`` against ``sympy.Poly`` products, multiplicities
@@ -155,7 +156,7 @@ def univariates():
 
 @ORACLE
 @given(univariates(), univariates(), univariates())
-def test_univariate_gcd_matches_sympy(a, b, h):
+def test_gcd_of_x_only_pair_matches_sympy(a, b, h):
     # Two x-only dicts, built as products: ``_ip_gcd`` on their primitive
     # parts, and ``_heugcd`` on the dicts as they stand, integer content
     # included.
@@ -434,14 +435,6 @@ def test_elementary_pullback_cancels_a_high_power_of_one_plus_x():
         r = normalize(Poly2.y(), ONE_PLUS_X**k)
         assert pullback(r, [-k]) == RatFunc2.y()
         assert pullback(r, [k]) == normalize(Poly2.y(), ONE_PLUS_X ** (2 * k))
-
-
-def test_times_one_plus_x_refuses_a_negative_power():
-    # Division is _one_plus_x_quotient's job; a negative power is a bug.
-    with pytest.raises(AssertionError):
-        polyrat._times_one_plus_x([1, 0, -1], -1)
-    row = [1, -2]
-    assert polyrat._times_one_plus_x(row, 0) is row
 
 
 def alternating_row(poly) -> list[int]:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logcy2.errors import DigitLimitError
-from logcy2.lattice import NonPrimitiveError, angle_cmp, mat_det, neg, pl_apply
+from logcy2.lattice import NonPrimitiveError, angle_cmp, cross, mat_det, neg, pl_apply, rot90
 from logcy2 import surfaces
-from logcy2.birmap import letter_trop, tropical_image, tropicalize
+from logcy2.birmap import letter_trop, realize, tropical_image, tropicalize
 from logcy2.catalog import check_counts
 from logcy2.diagrams import diagram, visible_spheres
 from logcy2.sampling import random_letter, random_surface, random_word
@@ -56,7 +56,7 @@ def _violations(rays, m) -> list[str]:
 
 
 def test_validate_flags_bad_determinant():
-    assert any("det" in v for v in _violations(((1, 0), (0, 1), (-2, -1)), (0, 0, 0)))
+    assert _violations(((1, 0), (0, 1), (-2, -1)), (0, 0, 0)) == ["det((0, 1), (-2, -1)) = 2, expected 1"]
 
 
 def test_validate_flags_incomplete_fan():
@@ -345,6 +345,68 @@ def test_resolve_is_locally_minimal(srng):
     assert checked >= 400
 
 
+def _hull(points) -> list[tuple[int, int]]:
+    """The vertices of the convex hull of points, ccw, none in the middle of an edge (monotone chain)."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross((out[-1][0] - out[-2][0], out[-1][1] - out[-2][1]),
+                                          (p[0] - out[-2][0], p[1] - out[-2][1])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts)) if len(pts) > 1 else pts
+
+
+def _newton_edges(terms: dict) -> list[tuple[tuple[int, int], list]]:
+    """(r, row) per edge of the Newton polygon of terms, r its inner primitive normal.
+
+    row[k] is the coefficient k lattice steps e along the edge from its
+    first vertex p, k = dot(t - p, e) / |e|^2, so the edge terms are
+    x^p times the polynomial in z = x^e[0] y^e[1] whose coefficients are
+    row.  A segment has two edges, one on each side.
+    """
+    dot = lambda u, v: u[0] * v[0] + u[1] * v[1]
+    hull = _hull(terms)
+    edges = []
+    for p, q in zip(hull, hull[1:] + hull[:1]):
+        steps = math.gcd(q[0] - p[0], q[1] - p[1])
+        e = ((q[0] - p[0]) // steps, (q[1] - p[1]) // steps)
+        r = rot90(e)  # the left of a ccw edge is inside
+        row = [0] * (steps + 1)
+        for t, c in terms.items():
+            if dot(r, t) == dot(r, p):
+                row[dot((t[0] - p[0], t[1] - p[1]), e) // dot(e, e)] = c
+        edges.append((r, row))
+    return edges
+
+
+def test_newton_edges_of_realized_maps_are_resolved_rays_with_binomial_terms(srng):
+    # For an edge of the Newton polygon of a side of realize(w), with inner
+    # normal r and z = x^r2 y^-r1 along it: (a) r is a ray of resolve(w, s0),
+    # and (b) the edge terms are c z^a (1 + z)^K, so the side's curve meets
+    # the boundary divisor D_r only at z = -1, the distinguished point.
+    edges = 0
+    for _ in range(600):
+        w = random_word(srng, 6)
+        m = realize(w)
+        normals = set()
+        for side in (m.f.num, m.f.den, m.g.num, m.g.den):
+            if len(side.terms) < 2:
+                continue
+            for r, row in _newton_edges(side.terms):
+                K = len(row) - 1
+                assert row == [row[0] * math.comb(K, k) for k in range(K + 1)], (str(w), r, row)
+                normals.add(r)
+                edges += 1
+        for s0 in (p2(), cubic_surface(), random_surface(srng)):
+            assert normals <= set(resolve(w, s0).rays), (str(w), s0, normals - set(resolve(w, s0).rays))
+    assert edges >= 1000
+
+
 def _resolve_by_restarting(w: Word, s0: Surface) -> tuple[Surface, list[tuple[int, Surface]]]:
     """Reference resolve: restart the push from the first letter after every augmentation.
 
@@ -612,6 +674,10 @@ def _validate_reference(rays, m) -> list[str]:
 
 # Seven distinct rays, every adjacent determinant 1, winding twice.
 WOUND_TWICE = ((1, 0), (0, 1), (-1, -1), (0, -1), (1, 1), (-1, 0), (-2, -1))
+
+
+def test_validate_flags_a_fan_that_winds_twice():
+    assert _violations(WOUND_TWICE, (0,) * 7) == ["rays wind 2 times around the origin"]
 
 
 valid_surfaces = st.integers(0, 2**32).map(
