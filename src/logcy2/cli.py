@@ -227,6 +227,7 @@ def cmd_demo_cubic(args) -> int:
 
 
 def cmd_verify_relations(args) -> int:
+    rng = sampling.rng_from_env()
     failures: list[str] = []
     p = parse_word("P")
     _check("P^5 = id", birmap.equal(p**5, Word()), failures)
@@ -237,7 +238,6 @@ def cmd_verify_relations(args) -> int:
         birmap.equal(parse_word("A[-1,0;0,1] * E * A[-1,0;0,1]"), parse_word("A[1,1;0,1] * E")),
         failures,
     )
-    rng = sampling.rng_from_env()
     pairs = [(sampling.random_word(rng, 3), sampling.random_word(rng, 3)) for _ in range(20)]
     ok = all(
         birmap.volume_character(w1 * w2)

@@ -148,13 +148,20 @@ def apply_linear(d: BaseDiagram, mat: Mat) -> BaseDiagram:
     return BaseDiagram(tuple(_transform_node(n, mat) for n in d.nodes))
 
 
+def _node(d: BaseDiagram, index: int) -> Node:
+    """Node ``index`` of d; an index outside ``range(len(d.nodes))`` is a domain error."""
+    if not 0 <= index < len(d.nodes):
+        raise PreconditionFailedError(f"no node {cut(index)} in a diagram of {len(d.nodes)} nodes")
+    return d.nodes[index]
+
+
 def nodal_slide(d: BaseDiagram, index: int, target: Point) -> BaseDiagram:
     """Move node ``index`` along its eigenline to ``target``.
 
     The open segment swept must contain no other node (passing through the
     origin is allowed; stopping on it is not).
     """
-    node = d.nodes[index]
+    node = _node(d, index)
     tgt = (Fraction(target[0]), Fraction(target[1]))
     dx, dy = node.direction
     if tgt[0] * dy - tgt[1] * dx != 0:
@@ -190,7 +197,7 @@ def cut_transfer(d: BaseDiagram, index: int) -> BaseDiagram:
     transfer applies the monodromy on the other half, so the two compose to
     the identity.
     """
-    node = d.nodes[index]
+    node = _node(d, index)
     u = node.cut_vector()
     through_origin = node.position[0] * u[0] + node.position[1] * u[1] < 0
     # A cut through the origin re-charts the nodes with cross(position, u) < 0

@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 
+from .errors import DomainError, cut
 from .lattice import Mat, Vec, mat_mul
 from .surfaces import Surface, insert_ray, interior_blowup, p1xp1, p2
 from .words import Elementary, Linear, Word
@@ -18,7 +20,15 @@ DEFAULT_SEED = 2024
 
 
 def seed_from_env() -> int:
-    return int(os.environ.get("LOGCY2_SEED", DEFAULT_SEED))
+    """LOGCY2_SEED as an integer, DEFAULT_SEED when unset; any other text is a domain error."""
+    text = os.environ.get("LOGCY2_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"LOGCY2_SEED is not an integer of at most {limit} digits: {cut(repr(text))}") from None
 
 
 def rng_from_env(offset: int = 0) -> random.Random:

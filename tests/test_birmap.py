@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from logcy2.birmap import (
     CACHE_SIZE,
@@ -106,6 +107,32 @@ def test_realize_and_tropicalize_match_right_fold_reference(srng):
         assert got == want and str(got) == str(want), str(w)
         got_trop, want_trop = tropicalize(w), _tropicalize_right_fold(w)
         assert got_trop == want_trop and str(got_trop) == str(want_trop), str(w)
+
+
+RAYS = [(0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 2), (2, 1)]
+LINEARS = [Linear(((0, 1), (1, 0))), Linear(((1, 1), (0, 1))), Linear(((0, -1), (1, -1))), Linear(((-1, 0), (0, 1)))]
+
+
+def powered_words():
+    """Products of up to four generator powers: E[n]^k with |k| <= 12, linear letters to +-2.
+
+    Every prefix stays within realized degree 60.
+    """
+    elementary = st.tuples(st.sampled_from(RAYS).map(Elementary), st.integers(-12, 12).filter(bool))
+    linear = st.tuples(st.sampled_from(LINEARS), st.sampled_from([1, -1, 2, -2]))
+    atom = st.one_of(elementary, linear).map(lambda gk: Word(((gk[0], 1 if gk[1] > 0 else -1),)) ** abs(gk[1]))
+    words = st.lists(atom, min_size=1, max_size=4).map(lambda ws: Word(tuple(l for w in ws for l in w.letters)))
+    return words.filter(lambda w: all(realized_degree(Word(w.letters[:n])) <= 60 for n in range(1, len(w) + 1)))
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(powered_words())
+@example(parse_word("E^12*A[0,1;1,0]*E^-7"))
+@example(parse_word("E^-12*E[1,0]^12"))
+@example(parse_word("E[1,1]^12*E[-1,0]^-3"))
+def test_realize_matches_right_fold_on_powered_words(w):
+    got, want = realize(w), _realize_right_fold(w)
+    assert got == want and str(got) == str(want)
 
 
 def test_realize_folds_from_the_first_letter(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,17 @@ def test_verify_relations():
     assert result.exit == 0
     assert "P^5 = id: pass" in result.stdout
     assert "FAIL" not in result.stdout
+
+
+@pytest.mark.parametrize(
+    "seed, quoted", [("abc", "'abc'"), ("9" * 5000, "'" + "9" * 39 + "...")], ids=["text", "5000_digits"]
+)
+def test_malformed_seed_exits_1_before_any_output(monkeypatch, seed, quoted):
+    monkeypatch.setenv("LOGCY2_SEED", seed)
+    result = run_cli(["verify", "relations"])
+    limit = sys.get_int_max_str_digits()
+    assert (result.exit, result.stdout) == (1, "")
+    assert result.stderr == f"error: LOGCY2_SEED is not an integer of at most {limit} digits: {quoted}\n"
 
 
 def test_exponent_notation_is_refused_at_once(cli_env, monkeypatch):

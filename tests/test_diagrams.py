@@ -114,6 +114,15 @@ def test_nodal_slide_origin_forbidden():
         nodal_slide(d, 0, (F(0), F(0)))
 
 
+def test_moves_refuse_an_index_outside_the_nodes():
+    d = diagram(p2((2, 0, 0)))  # nodes at (1, 0) and (2, 0)
+    for index in (-1, len(d.nodes)):  # -1 would otherwise name no node in the loops
+        with pytest.raises(PreconditionFailedError, match=f"^no node {index} in a diagram of 2 nodes$"):
+            nodal_slide(d, index, (F(3), F(0)))
+        with pytest.raises(PreconditionFailedError, match=f"^no node {index} in a diagram of 2 nodes$"):
+            cut_transfer(d, index)
+
+
 def test_cut_transfer_shears_other_half():
     nodes = (
         make_node((F(0), F(-1)), (0, 1), 1),  # cut points up, through the origin

@@ -549,21 +549,6 @@ def test_parse_sums_repeated_monomials():
     assert parse_poly("x + (-1)*x").is_zero()
 
 
-def test_poly_text_roundtrip(srng):
-    for _ in range(40):
-        p = random_poly(srng)
-        assert parse_poly(format_poly(p)) == p
-
-
-def test_ratfunc_text_roundtrip(srng):
-    for _ in range(30):
-        n, d = random_poly(srng), random_poly(srng)
-        if d.is_zero():
-            continue
-        r = normalize(n, d)
-        assert parse_ratfunc(format_ratfunc(r)) == r
-
-
 # Negative, integral and Fraction coefficients; an empty or all-zero dict is
 # the zero polynomial.
 coefficients = st.one_of(st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=12))

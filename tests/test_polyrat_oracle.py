@@ -11,8 +11,9 @@ factors of x^210 - 1.
 ``pullback``, which takes no gcd, is checked against sympy's ``cancel`` of
 the substituted fraction, its row kernels ``_times_one_plus_x`` and
 ``_one_plus_x_quotient`` against ``sympy.Poly`` products, multiplicities
-and exact quotients, and ``realize``, which runs on ``pullback``, against a
-fold of ``substitute``.
+and exact quotients.  ``realize``, which runs on ``pullback``, is checked
+against a fold of ``substitute`` in ``test_birmap.py``, where sympy is not
+needed.
 """
 
 import random
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from logcy2 import polyrat
-from logcy2.birmap import IDENTITY_MAP, BirationalMap, realize
+from logcy2.birmap import BirationalMap, realize
 from logcy2.polyrat import (
     Poly2,
     RatFunc2,
@@ -34,8 +35,7 @@ from logcy2.polyrat import (
     pullback,
     substitute,
 )
-from logcy2.sampling import realized_degree
-from logcy2.words import Elementary, Linear, Word, parse_word
+from logcy2.words import parse_word
 
 sympy = pytest.importorskip("sympy")
 
@@ -469,38 +469,3 @@ def test_one_plus_x_quotient_matches_sympy(b, t, slack):
     assert q == alternating_row(sympy.div(poly, sympy.Poly((1 + SX) ** v, SX))[0])
     if not v:
         assert q is row
-
-
-def compose_fold(w: Word) -> BirationalMap:
-    """The one-letter words' maps substituted one by one, the accumulated map after each."""
-    acc = IDENTITY_MAP
-    for letter in w.letters:
-        m = realize(Word((letter,)))
-        acc = BirationalMap(substitute(acc.f, m.f, m.g), substitute(acc.g, m.f, m.g))
-    return acc
-
-
-RAYS = [(0, 1), (1, 0), (0, -1), (-1, 0), (1, 1), (1, -1), (-1, 2), (2, 1)]
-LINEARS = [Linear(((0, 1), (1, 0))), Linear(((1, 1), (0, 1))), Linear(((0, -1), (1, -1))), Linear(((-1, 0), (0, 1)))]
-
-
-def powered_words():
-    """Products of up to four generator powers: E[n]^k with |k| <= 12, linear letters to +-2.
-
-    Every prefix stays within degree 60, so the reference fold stays fast.
-    """
-    elementary = st.tuples(st.sampled_from(RAYS).map(Elementary), st.integers(-12, 12).filter(bool))
-    linear = st.tuples(st.sampled_from(LINEARS), st.sampled_from([1, -1, 2, -2]))
-    atom = st.one_of(elementary, linear).map(lambda gk: Word(((gk[0], 1 if gk[1] > 0 else -1),)) ** abs(gk[1]))
-    words = st.lists(atom, min_size=1, max_size=4).map(lambda ws: Word(tuple(l for w in ws for l in w.letters)))
-    return words.filter(lambda w: all(realized_degree(Word(w.letters[:n])) <= 60 for n in range(1, len(w) + 1)))
-
-
-@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-@given(powered_words())
-@example(parse_word("E^12*A[0,1;1,0]*E^-7"))
-@example(parse_word("E^-12*E[1,0]^12"))
-@example(parse_word("E[1,1]^12*E[-1,0]^-3"))
-def test_realize_matches_compose_fold(w):
-    got, want = realize(w), compose_fold(w)
-    assert got == want and str(got) == str(want)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logcy2.errors import DigitLimitError
-from logcy2.lattice import NonPrimitiveError, angle_cmp, cross, mat_det, neg, pl_apply, rot90
+from logcy2.lattice import NonPrimitiveError, angle_cmp, cross, neg, pl_apply, rot90
 from logcy2 import surfaces
-from logcy2.birmap import letter_trop, realize, tropical_image, tropicalize
+from logcy2.birmap import letter_trop, realize, tropicalize
 from logcy2.catalog import check_counts
 from logcy2.diagrams import diagram, visible_spheres
 from logcy2.sampling import random_letter, random_surface, random_word
@@ -34,7 +34,6 @@ from logcy2.surfaces import (
     pushforward,
     resolve,
     to_json,
-    require_valid,
     toric_self_intersections,
     validate,
 )
@@ -235,37 +234,6 @@ def test_pushforward_monotone(srng):
         assert leq(ps, pt)
 
 
-def _pushforward_by_sorting(w: Word, s: Surface) -> Surface:
-    """Reference pushforward: map every ray, then sort the images by angle."""
-    for letter in reversed(w.letters):
-        gen, e = letter
-        trop = tropicalize(Word((letter,)))
-        mapped = sorted(
-            ((pl_apply(trop, r), mm) for r, mm in zip(s.rays, s.m)),
-            key=lambda pair: cmp_to_key(angle_cmp)(pair[0]),
-        )
-        rays = tuple(r for r, _ in mapped)
-        m = [mm for _, mm in mapped]
-        if isinstance(gen, Elementary):
-            src = gen.n if e == 1 else neg(gen.n)
-            m[rays.index(src)] -= 1
-            m[rays.index(neg(src))] += 1
-        s = require_valid(Surface(rays, tuple(m)))
-    return s
-
-
-def test_pushforward_matches_sorting_reference(srng):
-    flip = parse_word("A[0,1;1,0]")  # det -1: reverses the cyclic order
-    for i in range(40):
-        w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 6))))
-        if i % 2:
-            w = w * flip * Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3))))
-        s = resolve(w, random_surface(srng))
-        assert pushforward(w, s) == _pushforward_by_sorting(w, s)
-    s = p2((1, 2, 3))
-    assert pushforward(flip, s) == _pushforward_by_sorting(flip, s)
-
-
 def test_negative_definite_matches_sympy(srng):
     sympy = pytest.importorskip("sympy")
     verdicts, zero_minors = Counter(), 0
@@ -407,28 +375,6 @@ def test_newton_edges_of_realized_maps_are_resolved_rays_with_binomial_terms(srn
     assert edges >= 1000
 
 
-def _resolve_by_restarting(w: Word, s0: Surface) -> tuple[Surface, list[tuple[int, Surface]]]:
-    """Reference resolve: restart the push from the first letter after every augmentation.
-
-    Also returns, per augmentation, the number of letters applied before the
-    failure and the augmented candidate.
-    """
-    candidate, steps = require_valid(s0), []
-    for _ in range(3 * len(w.letters) + 2):
-        try:
-            pushforward(w, candidate)
-            return candidate, steps
-        except NotRegularError as err:
-            applied_word = Word(w.letters[len(w.letters) - err.applied_count:])
-            r0 = tropical_image(applied_word.inverse(), err.ray)
-            if err.reason == "missing ray":
-                candidate = insert_ray(candidate, r0)
-            else:
-                candidate = interior_blowup(candidate, r0)
-            steps.append((err.applied_count, candidate))
-    raise AssertionError("reference resolve failed to terminate")
-
-
 def _spy_push(monkeypatch) -> list[tuple[int, Surface]]:
     """Record (applied, fan as a Surface) each time resolve tries a letter.
 
@@ -452,30 +398,6 @@ def _spy_push(monkeypatch) -> list[tuple[int, Surface]]:
     return calls
 
 
-def test_resolve_matches_restarting_reference(srng, monkeypatch):
-    flip = parse_word("A[0,1;1,0]")  # det -1: reverses the cyclic order
-    for i in range(200):
-        if i % 4 == 3:
-            w = random_word(srng, 5)
-        else:
-            w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 6))))
-        if i % 2:
-            w = w * flip * Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3))))
-        s0 = random_surface(srng)
-        with monkeypatch.context() as mp:
-            calls = _spy_push(mp)
-            got = resolve(w, s0)
-        want, steps = _resolve_by_restarting(w, s0)
-        assert got == want
-        # A try at the same applied count as the one before it is the retry
-        # after an augmentation; it sees the augmented current fan.
-        retries = [after for before, after in zip(calls, calls[1:]) if before[0] == after[0]]
-        assert [applied for applied, _ in retries] == [applied for applied, _ in steps]
-        for (applied, current), (_, candidate) in zip(retries, steps):
-            suffix = Word(w.letters[len(w.letters) - applied:])
-            assert current == pushforward(suffix, candidate)
-
-
 def test_resolve_pushes_each_letter_plus_each_augmentation_once(monkeypatch):
     w = parse_word("(E*E[1,0])^200")
     calls = _spy_push(monkeypatch)
@@ -487,9 +409,12 @@ def test_resolve_pushes_each_letter_plus_each_augmentation_once(monkeypatch):
 
 
 def _push_letter_reference(letter, s: Surface, applied: int) -> Surface:
-    """Reference push of one letter: the whole fan through ``pl_apply``, one validated Surface per letter."""
+    """Reference push of one letter: every ray through ``pl_apply``, the images sorted by angle.
+
+    One validated Surface per letter; the order of the rays comes from the
+    sort, not from the letter's determinant.
+    """
     gen, e = letter
-    trop = letter_trop(letter)
     if isinstance(gen, Elementary):
         n = gen.n
         for needed in (n, neg(n)):
@@ -498,12 +423,14 @@ def _push_letter_reference(letter, s: Surface, applied: int) -> Surface:
         src = n if e == 1 else neg(n)
         if s.multiplicity(src) < 1:
             raise NotRegularError("zero multiplicity", applied, src)
-    rays = tuple(pl_apply(trop, r) for r in s.rays)
-    m = list(s.m)
-    if mat_det(trop.mats[0]) < 0:
-        rays, m = rays[::-1], m[::-1]
+    trop = letter_trop(letter)
+    mapped = sorted(
+        ((pl_apply(trop, r), mm) for r, mm in zip(s.rays, s.m)),
+        key=lambda pair: cmp_to_key(angle_cmp)(pair[0]),
+    )
+    rays = tuple(r for r, _ in mapped)
+    m = [mm for _, mm in mapped]
     if isinstance(gen, Elementary):
-        src = gen.n if e == 1 else neg(gen.n)
         m[rays.index(src)] -= 1
         m[rays.index(neg(src))] += 1
     return Surface(rays, tuple(m))
@@ -515,9 +442,14 @@ def _pushforward_reference(w: Word, s: Surface) -> Surface:
     return s
 
 
-def _resolve_reference(w: Word, s0: Surface) -> Surface:
-    """Reference resolve: candidate and current kept as Surfaces, a failure raised and caught."""
+def _resolve_reference(w: Word, s0: Surface) -> tuple[Surface, list[tuple[int, Surface]]]:
+    """Reference resolve: candidate and current kept as Surfaces, a failure raised and caught.
+
+    Also returns, per augmentation, the number of letters applied before the
+    failure and the augmented candidate.
+    """
     candidate = current = s0
+    steps = []
     for applied, letter in enumerate(reversed(w.letters)):
         for _ in range(4):
             try:
@@ -531,9 +463,10 @@ def _resolve_reference(w: Word, s0: Surface) -> Surface:
                     candidate, current = insert_ray(candidate, r0), insert_ray(current, err.ray)
                 else:
                     candidate, current = interior_blowup(candidate, r0), interior_blowup(current, err.ray)
+                steps.append((applied, candidate))
         else:
             raise AssertionError(f"letter {applied} failed a fourth time in resolve")
-    return candidate
+    return candidate, steps
 
 
 def _outcome(call, *args):
@@ -546,21 +479,38 @@ def _outcome(call, *args):
         return RayBudgetError, str(err)
 
 
-def test_push_matches_the_surface_per_letter_reference(srng):
+def test_push_matches_the_surface_per_letter_reference(srng, monkeypatch):
     flip = parse_word("A[0,1;1,0]")  # det -1: reverses the cyclic order
-    irregular = 0
-    for i in range(150):
-        w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 8))))
+    irregular = augmentations = 0
+    for i in range(200):
+        if i % 4 == 3:
+            w = random_word(srng, 5)
+        else:
+            w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 8))))
         if i % 2:
             w = w * flip * Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3))))
         s0 = random_surface(srng)
-        s = resolve(w, s0)
-        assert s == _resolve_reference(w, s0)
+        with monkeypatch.context() as mp:
+            calls = _spy_push(mp)
+            s = resolve(w, s0)
+        want, steps = _resolve_reference(w, s0)
+        assert s == want
+        # A try at the same applied count as the one before it is the retry
+        # after an augmentation; it sees the augmented current fan, which must
+        # be the augmented candidate pushed through the letters applied so far.
+        retries = [after for before, after in zip(calls, calls[1:]) if before[0] == after[0]]
+        assert [applied for applied, _ in retries] == [applied for applied, _ in steps]
+        for (applied, current), (_, candidate) in zip(retries, steps):
+            assert current == pushforward(Word(w.letters[len(w.letters) - applied:]), candidate)
+        augmentations += len(steps)
         assert pushforward(w, s) == _pushforward_reference(w, s)
         got = _outcome(pushforward, w, s0)
         assert got == _outcome(_pushforward_reference, w, s0)
         irregular += isinstance(got, tuple)
-    assert irregular > 30  # the error fields were compared, not only results
+    s = p2((1, 2, 3))
+    assert pushforward(flip, s) == _pushforward_reference(flip, s)
+    # error fields and augmentations were compared, not only results
+    assert irregular > 120 and augmentations > 600
 
 
 def test_resolve_hits_the_ray_budget_where_the_reference_does(srng):
@@ -572,7 +522,7 @@ def test_resolve_hits_the_ray_budget_where_the_reference_does(srng):
         s0 = Surface(((1, 0), (n, 1), (-1 - n, -1)), (0, 0, 0))
         w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3)))) * parse_word("E")
         got = _outcome(resolve, w, s0)
-        assert got == _outcome(_resolve_reference, w, s0)
+        assert got == _outcome(lambda *args: _resolve_reference(*args)[0], w, s0)
         raised += isinstance(got, tuple) and got[0] is RayBudgetError
     assert 0 < raised < 12
 

@@ -147,12 +147,6 @@ def test_inverse_is_involution(srng):
         assert (w * w.inverse()).is_empty()
 
 
-def test_text_roundtrip_random(srng):
-    for _ in range(30):
-        w = random_word(srng, 5)
-        assert parse_word(word_to_text(w)) == w
-
-
 primitive_vectors = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda v: math.gcd(*v) == 1)
 unimodular_literals = st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda m: abs(m[0] * m[3] - m[1] * m[2]) == 1)
 generators = st.one_of(
