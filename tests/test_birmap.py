@@ -80,6 +80,19 @@ def _realize_right_fold(w: Word) -> BirationalMap:
     return acc
 
 
+def _realize_left_fold(w: Word) -> BirationalMap:
+    """Accumulated map after letter, from the identity, by substitution.
+
+    Its intermediate maps are the word's prefixes; the right fold's are its
+    suffixes, and on long runs of one letter such as ``E[2,1]^-6`` it spends
+    seconds in ``substitute`` where this fold spends milliseconds.
+    """
+    acc = IDENTITY_MAP
+    for letter in w.letters:
+        acc = substituted(acc, letter_map(letter))
+    return acc
+
+
 def _tropicalize_right_fold(w: Word) -> PLMap:
     acc = PLMap.identity()
     for letter in reversed(w.letters):
@@ -116,7 +129,7 @@ LINEARS = [Linear(((0, 1), (1, 0))), Linear(((1, 1), (0, 1))), Linear(((0, -1), 
 def powered_words():
     """Products of up to four generator powers: E[n]^k with |k| <= 12, linear letters to +-2.
 
-    Every prefix stays within realized degree 60.
+    Every prefix stays within realized degree 60, so the left fold stays fast.
     """
     elementary = st.tuples(st.sampled_from(RAYS).map(Elementary), st.integers(-12, 12).filter(bool))
     linear = st.tuples(st.sampled_from(LINEARS), st.sampled_from([1, -1, 2, -2]))
@@ -130,8 +143,9 @@ def powered_words():
 @example(parse_word("E^12*A[0,1;1,0]*E^-7"))
 @example(parse_word("E^-12*E[1,0]^12"))
 @example(parse_word("E[1,1]^12*E[-1,0]^-3"))
-def test_realize_matches_right_fold_on_powered_words(w):
-    got, want = realize(w), _realize_right_fold(w)
+@example(parse_word("E[2,1]^-6*E^-1*A[-1,0;0,1]^2*A[0,1;-1,-1]^2"))
+def test_realize_matches_left_fold_on_powered_words(w):
+    got, want = realize(w), _realize_left_fold(w)
     assert got == want and str(got) == str(want)
 
 

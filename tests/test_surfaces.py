@@ -479,9 +479,9 @@ def _outcome(call, *args):
         return RayBudgetError, str(err)
 
 
-def test_push_matches_the_surface_per_letter_reference(srng, monkeypatch):
+def _transport_cases(srng):
+    """200 (word, surface) pairs: every 4th word ``random_word(srng, 5)``, every 2nd through a det -1 letter."""
     flip = parse_word("A[0,1;1,0]")  # det -1: reverses the cyclic order
-    irregular = augmentations = 0
     for i in range(200):
         if i % 4 == 3:
             w = random_word(srng, 5)
@@ -489,28 +489,47 @@ def test_push_matches_the_surface_per_letter_reference(srng, monkeypatch):
             w = Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 8))))
         if i % 2:
             w = w * flip * Word(tuple(random_letter(srng) for _ in range(srng.randint(0, 3))))
-        s0 = random_surface(srng)
+        yield w, random_surface(srng)
+
+
+def test_push_matches_the_surface_per_letter_reference(srng):
+    irregular = 0
+    for w, s0 in _transport_cases(srng):
+        got = _outcome(pushforward, w, s0)
+        assert got == _outcome(_pushforward_reference, w, s0)
+        irregular += isinstance(got, tuple)
+    assert irregular > 120  # the error fields were compared, not only results
+
+
+def test_pushforward_matches_sorting_reference(srng):
+    # _push_letter_reference orders the mapped rays by sorting them by angle
+    for w, s0 in _transport_cases(srng):
+        s = resolve(w, s0)
+        assert pushforward(w, s) == _pushforward_reference(w, s)
+    flip = parse_word("A[0,1;1,0]")
+    s = p2((1, 2, 3))
+    assert pushforward(flip, s) == _pushforward_reference(flip, s)
+
+
+def test_resolve_matches_restarting_reference(srng, monkeypatch):
+    # Restarting the push from the first letter after an augmentation reaches
+    # the failing letter with the augmented candidate pushed through the
+    # letters applied so far; resolve's current fan at each retry must be that.
+    augmentations = 0
+    for w, s0 in _transport_cases(srng):
         with monkeypatch.context() as mp:
             calls = _spy_push(mp)
             s = resolve(w, s0)
         want, steps = _resolve_reference(w, s0)
         assert s == want
         # A try at the same applied count as the one before it is the retry
-        # after an augmentation; it sees the augmented current fan, which must
-        # be the augmented candidate pushed through the letters applied so far.
+        # after an augmentation; it sees the augmented current fan.
         retries = [after for before, after in zip(calls, calls[1:]) if before[0] == after[0]]
         assert [applied for applied, _ in retries] == [applied for applied, _ in steps]
         for (applied, current), (_, candidate) in zip(retries, steps):
             assert current == pushforward(Word(w.letters[len(w.letters) - applied:]), candidate)
         augmentations += len(steps)
-        assert pushforward(w, s) == _pushforward_reference(w, s)
-        got = _outcome(pushforward, w, s0)
-        assert got == _outcome(_pushforward_reference, w, s0)
-        irregular += isinstance(got, tuple)
-    s = p2((1, 2, 3))
-    assert pushforward(flip, s) == _pushforward_reference(flip, s)
-    # error fields and augmentations were compared, not only results
-    assert irregular > 120 and augmentations > 600
+    assert augmentations > 600  # the augmentations were compared, not only results
 
 
 def test_resolve_hits_the_ray_budget_where_the_reference_does(srng):
