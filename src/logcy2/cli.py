@@ -43,7 +43,7 @@ def _parse_int_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected two integers 'a,b', got {text!r}") from None
 
 
-def _parse_fraction_pair(text: str) -> tuple[Fraction, Fraction]:
+def _parse_fraction_pair(text: str) -> tuple[int | Fraction, int | Fraction]:
     """argparse type for 'p,q'; a malformed value is a usage error (exit 2)."""
     try:
         p, q = text.split(",")

@@ -35,10 +35,13 @@ from .lattice import (
     require_primitive,
     require_unimodular,
 )
-from .errors import DomainError, Value, cut, output, rationals
+from .errors import DomainError, Value, cut, output, rational, rationals
 from .surfaces import Surface, check_blowup_budget
 
-Point = tuple[Fraction, Fraction]
+# A position: each coordinate an int when it is integral and a Fraction only
+# otherwise, on every path that makes one, so lattice diagrams never build a
+# Fraction.  The two forms of a value compare, hash and print alike.
+Point = tuple[int | Fraction, int | Fraction]
 
 
 class InvalidDiagramError(DomainError, ValueError):
@@ -96,7 +99,7 @@ class Node(Value):
 
 def make_node(position: Point, direction: Vec, cut_sign: int) -> Node:
     """Build a node, canonicalizing the direction sign."""
-    pos = (Fraction(position[0]), Fraction(position[1]))
+    pos = (rational(position[0]), rational(position[1]))
     if cut_sign not in (1, -1):
         raise InvalidDiagramError(f"cut_sign must be +-1, got {cut(cut_sign)}")
     direction, flip = canonical_direction(direction)
@@ -119,7 +122,7 @@ class BaseDiagram(Value):
         object.__setattr__(self, "nodes", nodes)
 
     def node_at(self, point: Point) -> int:
-        pos = (Fraction(point[0]), Fraction(point[1]))
+        pos = (rational(point[0]), rational(point[1]))
         for i, n in enumerate(self.nodes):
             if n.position == pos:
                 return i
@@ -131,10 +134,8 @@ def diagram(s: Surface) -> BaseDiagram:
     check_blowup_budget(s)
     nodes = []
     for ray, m in s.blown_up_rays():
-        for j in range(1, m + 1):
-            nodes.append(
-                make_node((Fraction(j * ray[0]), Fraction(j * ray[1])), ray, 1)
-            )
+        direction, flip = canonical_direction(ray)  # each j*ray lies on the line: make_node's checks hold
+        nodes += [Node((j * ray[0], j * ray[1]), direction, flip) for j in range(1, m + 1)]
     return BaseDiagram(tuple(nodes))
 
 
@@ -162,7 +163,7 @@ def nodal_slide(d: BaseDiagram, index: int, target: Point) -> BaseDiagram:
     origin is allowed; stopping on it is not).
     """
     node = _node(d, index)
-    tgt = (Fraction(target[0]), Fraction(target[1]))
+    tgt = (rational(target[0]), rational(target[1]))
     dx, dy = node.direction
     if tgt[0] * dy - tgt[1] * dx != 0:
         raise OffEigenlineError(f"target {cut(tgt)} off the line through {cut(node.direction)}")
@@ -182,11 +183,12 @@ def nodal_slide(d: BaseDiagram, index: int, target: Point) -> BaseDiagram:
     return BaseDiagram(tuple(moved if j == index else n for j, n in enumerate(d.nodes)))
 
 
-def _line_coordinate(pos: Point, direction: Vec) -> Fraction:
-    """The t with pos = t * direction, for pos on the line."""
-    if direction[0]:
-        return Fraction(pos[0], direction[0])
-    return Fraction(pos[1], direction[1])
+def _line_coordinate(pos: Point, direction: Vec) -> int | Fraction:
+    """The t with pos = t * direction, for pos on the line: an int when integral."""
+    p, q = (pos[0], direction[0]) if direction[0] else (pos[1], direction[1])
+    if type(p) is int and not p % q:
+        return p // q
+    return rational(Fraction(p, q))
 
 
 def cut_transfer(d: BaseDiagram, index: int) -> BaseDiagram:
@@ -232,15 +234,16 @@ def _line_profile(d: BaseDiagram, n: Vec) -> tuple[int, int]:
             ts.append(t)
     plus = sorted(t for t in ts if t > 0)
     minus = sorted(-t for t in ts if t < 0)
-    if plus != [Fraction(j) for j in range(1, len(plus) + 1)]:
-        raise PreconditionFailedError(f"nodes on ray {cut(n)} not at consecutive multiples: {cut(plus)}")
-    if minus != [Fraction(j) for j in range(1, len(minus) + 1)]:
+    if plus != list(range(1, len(plus) + 1)):
+        shown = [Fraction(t) for t in plus]  # quoted as Fraction(p, q), as this message always has
+        raise PreconditionFailedError(f"nodes on ray {cut(n)} not at consecutive multiples: {cut(shown)}")
+    if minus != list(range(1, len(minus) + 1)):
         raise PreconditionFailedError(f"nodes on ray {cut(neg(n))} not at consecutive multiples")
     return len(plus), len(minus)
 
 
 def _scaled(n: Vec, t: int) -> Point:
-    return (Fraction(t * n[0]), Fraction(t * n[1]))
+    return (t * n[0], t * n[1])
 
 
 def _step_line(d: BaseDiagram, n: Vec, step: int) -> BaseDiagram:
@@ -346,17 +349,19 @@ def from_json(text: str) -> BaseDiagram:
 # --- rendering ----------------------------------------------------------------
 
 
-def _fmt(x: Fraction) -> str:
-    """Deterministic fixed-point rendering with up to 6 decimals, no floats.
+def _fmt(n: int, d: int) -> str:
+    """n/d, for d > 0, in fixed point with up to 6 decimals, with no float and no Fraction.
 
-    x * 10^6 rounds half up, in integers: q + r/den with 0 <= r < den.
+    n/d * 10^6 rounds half up, in integers: q + r/d with 0 <= r < d.  Only
+    the value of the pair counts, so an unreduced pair reads as reduced.
     """
-    q, r = divmod(x.numerator * 10**6, x.denominator)
-    q += 2 * r >= x.denominator
+    q, r = divmod(n * 10**6, d)
+    q += 2 * r >= d
     sign = "-" if q < 0 else ""
     whole, frac = divmod(abs(q), 10**6)
-    text = f"{sign}{whole}.{frac:06d}".rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
+    if frac:
+        return f"{sign}{whole}.{frac:06d}".rstrip("0")
+    return f"{sign}{whole}" if whole else "0"
 
 
 def render_svg(d: BaseDiagram) -> str:
@@ -368,39 +373,48 @@ def render_svg(d: BaseDiagram) -> str:
 
 
 def _svg(d: BaseDiagram) -> str:
-    xs = [Fraction(0)] + [n.position[0] for n in d.nodes]
-    ys = [Fraction(0)] + [n.position[1] for n in d.nodes]
-    pad = Fraction(1)
-    min_x, max_x = min(xs) - pad, max(xs) + pad
-    min_y, max_y = min(ys) - pad, max(ys) + pad
-    # Flip the y axis: emit (x, -y) so the diagram reads with y upward.
-    view = (min_x, -max_y, max_x - min_x, max_y - min_y)
+    # Every number is an integer pair (numerator, denominator > 0) read off
+    # the coordinates (an int is n/1), and the y axis is flipped: (x, -y) is
+    # emitted, so the diagram reads with y upward.
+    xs = [0] + [n.position[0] for n in d.nodes]
+    ys = [0] + [n.position[1] for n in d.nodes]
+    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    # The view pads the nodes and the origin by 1 on each side.
+    left = _fmt(lo_x.numerator - lo_x.denominator, lo_x.denominator)
+    top = _fmt(-hi_y.numerator - hi_y.denominator, hi_y.denominator)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(view[0])} {_fmt(view[1])} {_fmt(view[2])} {_fmt(view[3])}">',
+        f'viewBox="{left} {top} {_fmt(*_span(lo_x, hi_x))} {_fmt(*_span(lo_y, hi_y))}">',
         '<circle cx="0" cy="0" r="0.08" fill="black"/>',
     ]
-    for n in d.nodes:
-        lines.append(
-            f'<line x1="0" y1="0" x2="{_fmt(n.position[0])}" y2="{_fmt(-n.position[1])}" '
-            f'stroke="black" stroke-width="0.03"/>'
-        )
-    for n in d.nodes:
-        px, py = n.position[0], -n.position[1]
+    ends = [(_fmt(x.numerator, x.denominator), _fmt(-y.numerator, y.denominator)) for x, y in zip(xs[1:], ys[1:])]
+    for px, py in ends:
+        lines.append(f'<line x1="0" y1="0" x2="{px}" y2="{py}" stroke="black" stroke-width="0.03"/>')
+    for n, (px, py) in zip(d.nodes, ends):
+        x, y = n.position
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        # The cut runs 3/5 along u, scaled to max|u| = 1: to (x, y) + 3u / (5m).
         u = n.cut_vector()
-        scale = Fraction(3, 5) / max(abs(u[0]), abs(u[1]))
-        cx, cy = n.position[0] + scale * u[0], n.position[1] + scale * u[1]
+        m5 = 5 * max(abs(u[0]), abs(u[1]))
+        cx = _fmt(m5 * xn + 3 * u[0] * xd, m5 * xd)
+        cy = _fmt(-m5 * yn - 3 * u[1] * yd, m5 * yd)
         lines.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(py)}" x2="{_fmt(cx)}" y2="{_fmt(-cy)}" '
+            f'<line x1="{px}" y1="{py}" x2="{cx}" y2="{cy}" '
             f'stroke="black" stroke-width="0.03" stroke-dasharray="0.12,0.08"/>'
         )
-        r = Fraction(15, 100)
-        for sx, sy in ((1, 1), (1, -1)):
-            lines.append(
-                f'<line x1="{_fmt(px - r * sx)}" y1="{_fmt(py - r * sy)}" '
-                f'x2="{_fmt(px + r * sx)}" y2="{_fmt(py + r * sy)}" '
-                f'stroke="black" stroke-width="0.05"/>'
-            )
+        # The marker's two strokes end at (x +- 15/100, -y +- 15/100).
+        x0, x1 = _fmt(100 * xn - 15 * xd, 100 * xd), _fmt(100 * xn + 15 * xd, 100 * xd)
+        y0, y1 = _fmt(-100 * yn - 15 * yd, 100 * yd), _fmt(-100 * yn + 15 * yd, 100 * yd)
+        for ya, yb in ((y0, y1), (y1, y0)):
+            lines.append(f'<line x1="{x0}" y1="{ya}" x2="{x1}" y2="{yb}" stroke="black" stroke-width="0.05"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def _span(lo: int | Fraction, hi: int | Fraction) -> tuple[int, int]:
+    """(hi + 1) - (lo - 1) as an integer pair."""
+    return (
+        hi.numerator * lo.denominator - lo.numerator * hi.denominator + 2 * hi.denominator * lo.denominator,
+        hi.denominator * lo.denominator,
+    )

@@ -63,12 +63,32 @@ def _cut_item(x, depth: int) -> str:
     return cut(repr(x) if isinstance(x, str) else x, depth - 1)
 
 
-def rationals(*values) -> tuple[Fraction, ...]:
-    """Each value as a ``Fraction``; text in exponent notation raises ``ValueError``, since
-    ``Fraction("1e10000000")`` would build 10^(10^7)."""
+def rational(x) -> int | Fraction:
+    """x as an exact rational: an ``int`` when it is integral, else a ``Fraction``.
+
+    Text is read by ``int`` first and by ``Fraction`` only when ``int`` refuses
+    it, so integer text never builds a ``Fraction``; both read the same value
+    wherever ``int`` accepts."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def rationals(*values) -> tuple[int | Fraction, ...]:
+    """Each value by ``rational``: an ``int`` when integral, else a ``Fraction``.
+
+    Text in exponent notation raises ``ValueError``, since ``Fraction("1e10000000")``
+    would build 10^(10^7); other text ``Fraction`` refuses raises what ``Fraction``
+    raises."""
     if any(isinstance(x, str) and "e" in x.lower() for x in values):
         raise ValueError("exponent notation is not accepted")
-    return tuple(map(Fraction, values))
+    return tuple(map(rational, values))
 
 
 def output(render, *args):

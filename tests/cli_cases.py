@@ -579,6 +579,13 @@ GROUPS = {
         Case(["atf", "move", "@d.json", "--elementary", "0,1"],
              1, "", "error: cut_sign must be +-1, got 2\n", "InvalidDiagramError",
              files={"d.json": b'{"nodes": [{"position": ["1", "0"], "direction": [1, 0], "cut_sign": 2}]}'}),
+        # Integral coordinates are quoted as ints.
+        Case(["atf", "move", "@d.json", "--elementary=0,-1"],
+             1, "", "error: position (1, 1) not on line through (1, 0)\n", "InvalidDiagramError",
+             files={"d.json": b'{"nodes": [{"position": ["1", "1"], "direction": [1, 0], "cut_sign": 1}]}'}),
+        Case(["atf", "move", "@d.json", "--elementary=-1,0"],
+             1, "", "error: node at (1, 0) has its cut toward the origin\n", "PreconditionFailedError",
+             files={"d.json": b'{"nodes": [{"position": ["1", "0"], "direction": [1, 0], "cut_sign": -1}]}'}),
     ],
     # Fraction("1e10000000") builds 10^(10^7): about 8 s, and a node there then
     # failed to format its own error message.  Integers, p/q and decimals are still read.

@@ -25,7 +25,7 @@ from logcy2.diagrams import (
     to_json,
     visible_spheres,
 )
-from logcy2.errors import DigitLimitError
+from logcy2.errors import DigitLimitError, rationals
 from logcy2.lattice import NonPrimitiveError, complement_matrix, mat_inv, mat_mul, mat_vec, neg, require_primitive
 from logcy2.sampling import random_elementary_setup, random_primitive, random_surface, random_unimodular
 from logcy2.surfaces import cubic_surface, interior_blowup, p1xp1, p2, pushforward
@@ -397,6 +397,44 @@ def test_json_rejects_malformed_input(text):
         from_json(text)
 
 
+def _read(parse, text):
+    """What ``parse(text)`` returns, or the class of the exception it raises."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+LIMIT = sys.get_int_max_str_digits()
+rational_texts = st.one_of(
+    st.integers().map(str),
+    st.tuples(st.integers(), st.integers(-5, 10**9)).map("{0[0]}/{0[1]}".format),
+    st.from_regex(r"\A[-+]?\d{0,6}\.?\d{0,6}\Z"),  # decimals, "1." and ".5" among them
+    st.from_regex(r"\A\s{0,2}[-+]?_?\d{1,4}(__?\d{1,3}){0,2}_?(/_?\d{1,4}(__?\d{1,3})?)?\s{0,2}\Z"),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=6),  # digits of any script
+    st.tuples(st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3), st.sampled_from(["/", "/0", "/٣", ".5"]))
+    .map("".join),
+    st.from_regex(r"\A-?\d{1,3}(\.\d{1,2})?[eE][-+]?\d{1,3}\Z"),  # exponent notation
+    st.sampled_from(["9" * (LIMIT + 1), f"1/{'9' * (LIMIT + 1)}", f"{'9' * LIMIT}/7", "-" + "1" * LIMIT]),
+    st.text("0123456789_/.-+ eE\t\u2003\x1c١", max_size=8),
+)
+
+
+@given(rational_texts)
+@example("\x1c5\x1c")  # whitespace that int refuses and Fraction strips
+@example("1/0")
+@example(" 1_0/4 ")
+def test_rationals_read_text_as_fraction_does(text):
+    got = _read(lambda t: rationals(t)[0], text)
+    if "e" in text.lower():
+        assert got is ValueError  # refused before Fraction could build 10^(10^7)
+        return
+    want = _read(Fraction, text)
+    assert got == want
+    if not isinstance(want, type):
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
 def test_svg_deterministic_and_structured():
     d = diagram(cubic_surface())
     svg1, svg2 = render_svg(d), render_svg(d)
@@ -423,13 +461,146 @@ def _fmt_by_fractions(x: Fraction) -> str:
 half_ties = st.integers(-(10**9), 10**9).map(lambda k: Fraction(2 * k + 1, 2 * 10**6))
 
 
-@given(st.one_of(st.fractions(max_denominator=10**8), half_ties))
-@example(Fraction(-1, 2 * 10**6))
-@example(Fraction(1, 2 * 10**6))
-@example(Fraction(-3, 10**7))
-@example(Fraction(0))
-def test_fmt_matches_fraction_rounding(x):
-    assert diagrams._fmt(x) == _fmt_by_fractions(x)
+@given(st.one_of(st.fractions(max_denominator=10**8), half_ties), st.integers(1, 10**9))
+@example(Fraction(-1, 2 * 10**6), 1)
+@example(Fraction(1, 2 * 10**6), 3)
+@example(Fraction(-3, 10**7), 7)
+@example(Fraction(0), 5)
+def test_fmt_matches_fraction_rounding(x, k):
+    # Only the value counts: the unreduced pair (k n, k d) reads as n / d.
+    assert diagrams._fmt(x.numerator, x.denominator) == _fmt_by_fractions(x)
+    assert diagrams._fmt(k * x.numerator, k * x.denominator) == _fmt_by_fractions(x)
+
+
+def _svg_by_fractions(d: BaseDiagram) -> str:
+    """Reference ``render_svg``: every number built as a ``Fraction`` and rounded by ``_fmt_by_fractions``."""
+    fmt = _fmt_by_fractions
+    xs = [Fraction(0)] + [Fraction(n.position[0]) for n in d.nodes]
+    ys = [Fraction(0)] + [Fraction(n.position[1]) for n in d.nodes]
+    pad = Fraction(1)
+    min_x, max_x = min(xs) - pad, max(xs) + pad
+    min_y, max_y = min(ys) - pad, max(ys) + pad
+    view = (min_x, -max_y, max_x - min_x, max_y - min_y)
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{fmt(view[0])} {fmt(view[1])} {fmt(view[2])} {fmt(view[3])}">',
+        '<circle cx="0" cy="0" r="0.08" fill="black"/>',
+    ]
+    for x, y in zip(xs[1:], ys[1:]):
+        lines.append(f'<line x1="0" y1="0" x2="{fmt(x)}" y2="{fmt(-y)}" stroke="black" stroke-width="0.03"/>')
+    for n, x, y in zip(d.nodes, xs[1:], ys[1:]):
+        px, py = x, -y
+        u = n.cut_vector()
+        scale = Fraction(3, 5) / max(abs(u[0]), abs(u[1]))
+        cx, cy = x + scale * u[0], y + scale * u[1]
+        lines.append(
+            f'<line x1="{fmt(px)}" y1="{fmt(py)}" x2="{fmt(cx)}" y2="{fmt(-cy)}" '
+            f'stroke="black" stroke-width="0.03" stroke-dasharray="0.12,0.08"/>'
+        )
+        r = Fraction(15, 100)
+        for sx, sy in ((1, 1), (1, -1)):
+            lines.append(
+                f'<line x1="{fmt(px - r * sx)}" y1="{fmt(py - r * sy)}" '
+                f'x2="{fmt(px + r * sx)}" y2="{fmt(py + r * sy)}" '
+                f'stroke="black" stroke-width="0.05"/>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def test_render_svg_matches_the_fraction_renderer_on_surfaces(srng):
+    for _ in range(40):
+        d = _random_diagram(srng)
+        assert render_svg(d) == _svg_by_fractions(d)
+
+
+@given(
+    st.integers(0, 2**32),
+    st.lists(st.one_of(st.fractions(max_denominator=10**7), half_ties), min_size=1, max_size=3),
+)
+@example(0, [Fraction(1, 2 * 10**6), Fraction(-1, 2 * 10**6)])
+@example(0, [Fraction(-3, 2 * 10**6), Fraction(9_999_999, 10**7)])
+def test_render_svg_matches_the_fraction_renderer_after_rational_slides(seed, targets):
+    """Nodes slid to rational line coordinates, ties at the seventh decimal among them."""
+    rng = random.Random(seed)
+    d = diagram(random_surface(rng, extra_rays=3, blowups=6))
+    for t in targets:
+        if not d.nodes or not t:
+            break
+        i = rng.randrange(len(d.nodes))
+        dx, dy = d.nodes[i].direction
+        try:
+            d = nodal_slide(d, i, (t * dx, t * dy))
+        except BlockedError:
+            continue
+    assert render_svg(d) == _svg_by_fractions(d)
+
+
+def test_render_svg_matches_the_fraction_renderer_at_the_digit_limit():
+    wide = 10**3999 + 7  # 4000 digits, within the limit
+    d = BaseDiagram((make_node((wide, 0), (1, 0), 1), make_node((Fraction(-1, wide), 1), (-1, wide), -1)))
+    assert render_svg(d) == _svg_by_fractions(d)
+    big = 10 ** sys.get_int_max_str_digits()
+    for past in ((big, 0), (Fraction(10 * big + 1, 3), 0)):
+        d = BaseDiagram((make_node(past, (1, 0), 1),))
+        with pytest.raises(DigitLimitError):
+            render_svg(d)
+        with pytest.raises(ValueError):
+            _svg_by_fractions(d)
+
+
+# Every position is stored with each coordinate an int when integral and a
+# Fraction only otherwise, whichever form it was given in.
+
+
+def _stored_exactly(d: BaseDiagram) -> bool:
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for n in d.nodes for c in n.position)
+
+
+def test_every_constructor_and_move_stores_integral_coordinates_as_int(srng):
+    moved = 0
+    for _ in range(120):
+        d = _random_diagram(srng)  # diagram, apply_linear, cut_transfer and nodal_slide
+        for t in (Fraction(srng.choice([-7, -3, 3, 7]), 2), Fraction(4 * srng.choice([-9, 9]), 4)):
+            if d.nodes:  # a slide to a half-integral, then to an integral Fraction line coordinate
+                i = srng.randrange(len(d.nodes))
+                dx, dy = d.nodes[i].direction
+                try:
+                    d = nodal_slide(d, i, (t * dx, t * dy))
+                except BlockedError:
+                    pass
+        out = [d, from_json(to_json(d)), *(cut_transfer(d, i) for i in range(len(d.nodes)))]
+        n = _random_ray(srng, d)
+        for move in (elementary_move, elementary_move_inverse):
+            try:
+                out.append(move(d, n))
+            except PreconditionFailedError:
+                continue
+            moved += 1
+        assert all(map(_stored_exactly, out))
+    assert moved >= 20
+    d = from_json('{"nodes": [{"position": ["4/2", "-1/2"], "direction": [-4, 1], "cut_sign": 1}]}')
+    assert _stored_exactly(d) and d.nodes[0].position == (2, Fraction(-1, 2))
+    assert make_node((Fraction(6, 3), Fraction(0)), (1, 0), 1).position == (2, 0)
+    assert _stored_exactly(BaseDiagram((make_node((Fraction(6, 3), Fraction(0)), (1, 0), 1),)))
+    assert diagrams._scaled((2, -3), -2) == (-4, 6) and {type(c) for c in diagrams._scaled((2, -3), -2)} == {int}
+    assert type(diagrams._line_coordinate((Fraction(-4), Fraction(6)), (2, -3))) is int
+    assert diagrams._line_coordinate((3, 0), (2, 0)) == Fraction(3, 2)
+
+
+def test_fraction_and_int_coordinates_give_one_diagram(srng):
+    for _ in range(30):
+        d = _random_diagram(srng)
+        as_fractions = [(tuple(map(Fraction, n.position)), n.direction, n.cut_sign) for n in d.nodes]
+        built = BaseDiagram(tuple(make_node(*args) for args in as_fractions))
+        raw = BaseDiagram(tuple(diagrams.Node(*args) for args in as_fractions))  # Fractions kept as given
+        for other in (built, raw):
+            assert other == d and hash(other) == hash(d)
+            assert other.nodes == d.nodes and sorted(reversed(other.nodes)) == list(d.nodes)
+            assert to_json(other) == to_json(d) and render_svg(other) == render_svg(d)
+        for i, (position, _, _) in enumerate(as_fractions):
+            assert d.node_at(position) == raw.node_at(d.nodes[i].position) == i
 
 
 def test_to_json_past_the_digit_limit_is_a_domain_error():

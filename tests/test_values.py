@@ -30,9 +30,9 @@ VALUES = {
                      "BoundaryAction(ray=(1, 0), coeff=Fraction(-1, 1), exponent=1)"),
     Surface: (lambda: p2((1, 0, 2)), "Surface(rays=((-1, -1), (1, 0), (0, 1)), m=(2, 1, 0))"),
     Node: (lambda: make_node((F(1, 2), F(0)), (1, 0), 1),
-           "Node(position=(Fraction(1, 2), Fraction(0, 1)), direction=(1, 0), cut_sign=1)"),
+           "Node(position=(Fraction(1, 2), 0), direction=(1, 0), cut_sign=1)"),
     BaseDiagram: (lambda: BaseDiagram((make_node((F(2), F(0)), (-1, 0), -1),)),
-                  "BaseDiagram(nodes=(Node(position=(Fraction(2, 1), Fraction(0, 1)), direction=(1, 0), cut_sign=1),))"),
+                  "BaseDiagram(nodes=(Node(position=(2, 0), direction=(1, 0), cut_sign=1),))"),
     SheafOnException: (lambda: SheafOnException(1, 2), "SheafOnException(ray_index=1, blowup_index=2)"),
     StructureSheaf: (StructureSheaf, "StructureSheaf()"),
     LineBundle: (lambda: LineBundle(3), "LineBundle(prefix_length=3)"),
