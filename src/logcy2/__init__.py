@@ -50,9 +50,7 @@ _HOME = {
     ),
     **dict.fromkeys(("check_counts", "exceptional_collection", "vanishing_cycles"), "catalog"),
     **dict.fromkeys(("PLMap", "complement_matrix", "pl_apply", "pl_compose", "pl_inverse"), "lattice"),
-    **dict.fromkeys(
-        ("Poly2", "RatFunc2", "evaluate", "normalize", "partial_derivative", "substitute"), "polyrat"
-    ),
+    **dict.fromkeys(("Poly2", "RatFunc2", "evaluate", "normalize", "substitute"), "polyrat"),
     **dict.fromkeys(
         (
             "NotRegularError",

@@ -18,12 +18,12 @@ candidate divides both sides.  Every other routine runs on the integer
 terms as well.
 By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
 ``normalize`` and ``pullback`` keep the terms primitive, so they only
-multiply or divide contents; sums, derivatives and the result of
-``substitute`` take one content gcd.  A product with a one-term factor
-shifts and scales the other factor, and a factor 1 returns the other one as
-it stands.  ``substitute`` composes into a map given by formulas, and is
-the reference the pullbacks are tested against: it clears denominators,
-expands, takes one ``normalize`` and keeps no state.
+multiply or divide contents; sums and the result of ``substitute`` take
+one content gcd.  A product with a one-term factor shifts and scales the
+other factor, and a factor 1 returns the other one as it stands.
+``substitute`` composes into a map given by formulas, and is the reference
+the pullbacks are tested against: it clears denominators, expands, takes
+one ``normalize`` and keeps no state.
 ``dlog_ratio`` decides exactly whether dlog f ^ dlog g is a constant
 multiple of dlog x ^ dlog y, in one integer pass over term pairs or, for
 dense sides, in 13 products of Kronecker-packed ints; over ``PAIR_BUDGET``
@@ -35,12 +35,12 @@ would build more than ``TERM_BUDGET`` terms raises first.
 ``arc_limit`` reads the leading order in t of a pair of fractions on a
 boundary arc x = lam^p t^n1, y = lam^q t^n2 from each side's lowest t-row,
 raised with ``_Powers`` and multiplied with ``_ip_mul``.
-``leading_term``, ``constant_value`` and ``evaluate`` return Fractions;
-``evaluate`` refuses powers of more than ``EVAL_BIT_BUDGET`` bits in all.
+``evaluate`` returns a Fraction and refuses powers of more than
+``EVAL_BIT_BUDGET`` bits in all.
 Negative powers never appear: monomial maps with negative exponents are
 represented with explicit denominators.
 
-Textual form (round-trip parseable):
+Textual form:
 
     poly     := "0" | term (" + " term)*          terms in descending grlex
     term     := coeff | coeff "*" factors | factors
@@ -51,9 +51,7 @@ Textual form (round-trip parseable):
 A positive integer coefficient prints bare, 1 is omitted before variables,
 anything negative or fractional is parenthesized: ``(-1)*x^2*y + 3*x``.
 A rational function prints as ``num`` when the denominator is 1, otherwise
-``(num) / (den)``.  "+" and "*" occur only as separators, so ``parse_poly``
-splits the text at them; it also reads whitespace between tokens, any
-exponent, and repeated monomials, whose coefficients it sums.
+``(num) / (den)``.
 """
 
 from __future__ import annotations
@@ -62,8 +60,6 @@ import collections
 import heapq
 import itertools
 import math
-import re
-import sys
 from fractions import Fraction
 
 from .errors import DomainError, Value, cut
@@ -134,21 +130,6 @@ class Poly2:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return Fraction(self.content)
-
-    def leading_term(self) -> tuple[Term, Fraction]:
-        """Greatest term in graded-lex order (total degree, then x-degree)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = _grlex_max(self.terms)
-        return key, Fraction(self.content * self.terms[key])
-
     def total_degree(self) -> int:
         return max((i + j for i, j in self.terms), default=-1)
 
@@ -163,7 +144,7 @@ class Poly2:
 
     # Arithmetic.  Products, powers and exact quotients of primitive dicts
     # with positive leading coefficients are again such dicts (Gauss's
-    # lemma), so only sums and derivatives take a content gcd.
+    # lemma), so only sums take a content gcd.
 
     def __add__(self, other: "Poly2") -> "Poly2":
         m = math.lcm(self.content.denominator, other.content.denominator)
@@ -189,17 +170,6 @@ class Poly2:
         if k < 0:
             raise ValueError("negative power of a polynomial")
         return Poly2._raw(_Powers(self.terms)[k], self.content**k)
-
-    def derivative(self, var: str) -> "Poly2":
-        if var not in ("x", "y"):
-            raise ValueError("var must be 'x' or 'y'")
-        out: dict[Term, int] = {}
-        for (i, j), c in self.terms.items():
-            if var == "x" and i:
-                out[(i - 1, j)] = c * i
-            elif var == "y" and j:
-                out[(i, j - 1)] = c * j
-        return _canonical(out, self.content)
 
     def evaluate(self, a, b) -> Fraction:
         a, b = Fraction(a), Fraction(b)
@@ -493,8 +463,8 @@ class PoleAtPointError(DomainError, ZeroDivisionError):
 class RatFunc2(Value):
     """Reduced fraction of bivariate polynomials, denominator grlex-monic.
 
-    Use :func:`normalize` (or the arithmetic operators) to construct values;
-    the constructor trusts its inputs.
+    Use :func:`normalize` to construct values; the constructor trusts its
+    inputs.
     """
 
     __slots__ = ("num", "den")
@@ -506,40 +476,12 @@ class RatFunc2(Value):
         return RatFunc2(p, Poly2.const(1))
 
     @staticmethod
-    def const(c) -> "RatFunc2":
-        return RatFunc2.from_poly(Poly2.const(c))
-
-    @staticmethod
     def x() -> "RatFunc2":
         return RatFunc2.from_poly(Poly2.x())
 
     @staticmethod
     def y() -> "RatFunc2":
         return RatFunc2.from_poly(Poly2.y())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self) -> Fraction:
-        return self.num.constant_value() / self.den.constant_value()
-
-    def __add__(self, other: "RatFunc2") -> "RatFunc2":
-        return normalize(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc2") -> "RatFunc2":
-        return normalize(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "RatFunc2") -> "RatFunc2":
-        return normalize(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc2") -> "RatFunc2":
-        return normalize(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "RatFunc2":
-        return RatFunc2(-self.num, self.den)
 
     def __str__(self) -> str:
         return format_ratfunc(self)
@@ -770,12 +712,6 @@ def pullback(r: RatFunc2, steps: list[int | tuple[Term, Term]]) -> RatFunc2:
     sn, sd = (1 if ln > 0 else -1), (1 if ld > 0 else -1)
     return RatFunc2(Poly2._raw(num, Fraction(sn * r.num.content, r.den.content * ld)),
                     Poly2._raw(den, Fraction(1, sd * ld)))
-
-
-def partial_derivative(r: RatFunc2, var: str) -> RatFunc2:
-    """Exact quotient-rule derivative."""
-    n, d = r.num, r.den
-    return normalize(n.derivative(var) * d - n * d.derivative(var), d * d)
 
 
 def _euler_parts(num: dict[Term, int], den: dict[Term, int], base: int) -> dict[int, list[int]]:
@@ -1009,56 +945,3 @@ def format_ratfunc(r: RatFunc2) -> str:
     if r.den == Poly2.const(1):
         return format_poly(r.num)
     return f"({format_poly(r.num)}) / ({format_poly(r.den)})"
-
-
-# The factors of a term: a coefficient, first in its term only, and powers.
-_COEFF = re.compile(r"\s*(?:(\d+)|\(\s*(-)?\s*(\d+)\s*(?:/\s*(\d+)\s*)?\))\s*")
-_POWER = re.compile(r"\s*([xy])\s*(?:\^\s*(\d+)\s*)?")
-
-
-class PolyParseError(ValueError):
-    pass
-
-
-def _int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # past the int-to-text digit limit
-        raise PolyParseError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
-
-
-def parse_poly(text: str) -> Poly2:
-    """The polynomial a text in the textual form stands for.
-
-    "+" and "*" occur in the grammar only between terms and between factors,
-    so the text is split at them.  Whitespace may stand between any two
-    tokens.  The terms' coefficients are summed per monomial and
-    canonicalized once, so a long polynomial parses in linear time.
-    """
-    coeffs: dict[Term, int | Fraction] = {}
-    for term in text.split("+"):
-        factors = term.split("*")
-        c, i, j = 1, 0, 0
-        if m := _COEFF.fullmatch(factors[0]):
-            whole, minus, numer, denom = m.groups()
-            try:
-                c = Fraction(_int(whole or numer) * (-1 if minus else 1), _int(denom or "1"))
-            except ZeroDivisionError:
-                raise PolyParseError("zero denominator in a coefficient") from None
-            factors.pop(0)
-        for factor in factors:
-            if not (m := _POWER.fullmatch(factor)):
-                tail = "..." if len(factor) > 40 else ""
-                raise PolyParseError(f"malformed factor {factor[:40]!r}{tail}")
-            e = _int(m[2] or "1")
-            i, j = (i + e, j) if m[1] == "x" else (i, j + e)
-        coeffs[(i, j)] = coeffs.get((i, j), 0) + c
-    return Poly2(coeffs)
-
-
-def parse_ratfunc(text: str) -> RatFunc2:
-    text = text.strip()
-    m = re.fullmatch(r"\((?P<num>.*)\)\s*/\s*\((?P<den>.*)\)", text, re.DOTALL)
-    if m:
-        return normalize(parse_poly(m.group("num")), parse_poly(m.group("den")))
-    return normalize(parse_poly(text), Poly2.const(1))

@@ -178,7 +178,7 @@ def test_compose_pulls_back_any_outer_map_as_substitution_would(srng):
     # Outer maps with fractional contents and a constant coordinate too.
     x2 = normalize(Poly2({(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 3)}), Poly2({(0, 1): 3, (1, 1): 1}))
     maps = [realize(parse_word(t)) for t in ("r1", "P", "E^-2*E[1,1]")]
-    maps += [BirationalMap(x2, RatFunc2.const(Fraction(5, 7))), BirationalMap(RatFunc2.const(0), x2)]
+    maps += [BirationalMap(x2, normalize(Poly2.const(Fraction(5, 7)), ONE)), BirationalMap(normalize(Poly2.zero(), ONE), x2)]
     for m in maps:
         for w in [random_word(srng, 3) for _ in range(6)] + [Word()]:
             got, want = compose(m, realize(w)), substituted(m, realize(w))

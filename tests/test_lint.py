@@ -216,7 +216,6 @@ KEPT_PUBLIC_NAMES = {
     "logcy2.polyrat.poly_divexact": "the benchmark tracer wraps it; the tests check it against sympy",
     "logcy2.surfaces.hirzebruch1": "the benchmark records and the acceptance tests build surfaces with it",
     "logcy2.lattice.pl_validate": "the tests check PL maps with it",
-    "logcy2.polyrat.parse_ratfunc": "the tests read README's rational-function text form back with it",
     "logcy2.sampling.random_elementary_setup": "the acceptance and diagram tests sample moves with it",
 }
 
@@ -397,7 +396,6 @@ NOT_DOMAIN_ERRORS = {
     "logcy2.words.WordSyntaxError": "a usage error: the CLI exits 2 and reprints the grammar",
     "logcy2.polyrat.InexactDivisionError": "library API that no CLI command reaches",
     "logcy2.polyrat.ZeroDenominatorError": "library API that no CLI command reaches",
-    "logcy2.polyrat.PolyParseError": "library API that no CLI command reaches",
 }
 
 

@@ -4,7 +4,6 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from logcy2 import polyrat
 from logcy2.birmap import realize
@@ -12,18 +11,13 @@ from logcy2.polyrat import (
     InexactDivisionError,
     PoleAtPointError,
     Poly2,
-    PolyParseError,
     RatFunc2,
     ZeroDenominatorError,
     arc_limit,
     dlog_ratio,
     evaluate,
     format_poly,
-    format_ratfunc,
     normalize,
-    parse_poly,
-    parse_ratfunc,
-    partial_derivative,
     poly_divexact,
     poly_gcd,
     pullback,
@@ -71,10 +65,11 @@ def test_every_result_is_content_times_primitive_terms(srng):
     flipped = pullback(rf(X - Y, ONE + X), [((0, 1), (1, 0))])  # x - y becomes y - x
     results = [
         h * Poly2.const(2), half * half * Poly2.const(4), h**2 * Poly2.const(4), h**0,
-        h + h, h - half, h.scale(2), (h * X).derivative("x"),
+        h + h, h - half, h.scale(2),
         r.num, r.den, f.num, f.den,
         substitute(f, r, f).num, substitute(f, r, f).den,
-        parse_poly("(4/2)*x + (1/2)*y + (-6/3)"), parse_poly("(-3/4)*x^2 + (9/2)*y"),
+        Poly2({(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): Fraction(-6, 3)}),
+        Poly2({(2, 0): Fraction(-3, 4), (0, 1): Fraction(9, 2)}),
         poly_gcd(h * X, h * Y), poly_divexact(h * (X - Y), X - Y), -h, -(X + ONE),
         pulled.num, pulled.den, flipped.num, flipped.den,
         Poly2.zero(), h - h, X.scale(0), h * Poly2.zero(), Poly2.zero() ** 2,
@@ -90,10 +85,6 @@ def test_every_result_is_content_times_primitive_terms(srng):
 
 
 def test_public_values_are_fractions():
-    assert type((X + ONE).leading_term()[1]) is Fraction
-    assert type(Poly2.const(3).constant_value()) is Fraction
-    assert type(Poly2.zero().constant_value()) is Fraction
-    assert type(RatFunc2.const(3).constant_value()) is Fraction
     assert type(evaluate(rf(X), (2, 3))) is Fraction
 
 
@@ -116,16 +107,15 @@ def test_normalize_cancels_common_factor():
 
 
 def test_normalize_prints_content_times_primitive_terms():
-    # A numerator whose content is not an integer prints content times each
-    # term, and each text reads back to the same fraction.
+    # A numerator whose content is not an integer prints content times each term.
     cases = [
-        ("x^2 + x*y + x + y", "2*x^2 + (-2)*x*y + 2*x + (-2)*y", "((1/2)*x + (1/2)*y) / (x + (-1)*y)"),
-        ("(1/2)*x + (3/2)*y", "(1/3)*x + 1", "((3/2)*x + (9/2)*y) / (x + 3)"),
+        ({(2, 0): 1, (1, 1): 1, (1, 0): 1, (0, 1): 1}, {(2, 0): 2, (1, 1): -2, (1, 0): 2, (0, 1): -2},
+         "((1/2)*x + (1/2)*y) / (x + (-1)*y)"),
+        ({(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)}, {(1, 0): Fraction(1, 3), (0, 0): 1},
+         "((3/2)*x + (9/2)*y) / (x + 3)"),
     ]
     for num, den, text in cases:
-        r = normalize(parse_poly(num), parse_poly(den))
-        assert str(r) == text
-        assert parse_ratfunc(text) == r
+        assert str(normalize(Poly2(num), Poly2(den))) == text
 
 
 def test_normalize_already_reduced():
@@ -138,8 +128,7 @@ def test_normalize_scaling():
 
 def test_normalize_monic_denominator():
     r = normalize(Y, X.scale(3) + ONE)
-    lead_coeff = r.den.leading_term()[1]
-    assert lead_coeff == 1
+    assert r.den == X + Poly2.const(Fraction(1, 3))
 
 
 def test_zero_denominator():
@@ -206,8 +195,8 @@ def test_gcd_cofactors_take_no_second_division(monkeypatch):
     calls.clear()
     monomial = normalize(X**3 * Y**2, X * Y + X**2 * Y.scale(3))
     assert calls == []
-    assert heuristic == parse_ratfunc("(x + 1) / (x + (-1))")
-    assert monomial == parse_ratfunc("((1/3)*x^2*y) / (x + (1/3))")
+    assert heuristic == normalize(Poly2({(1, 0): 1, (0, 0): 1}), Poly2({(1, 0): 1, (0, 0): -1}))
+    assert monomial == normalize(Poly2({(2, 1): Fraction(1, 3)}), Poly2({(1, 0): 1, (0, 0): Fraction(1, 3)}))
 
 
 def test_monomial_gcd_route_keeps_huge_degrees_off_gcdheu(monkeypatch):
@@ -220,7 +209,7 @@ def test_monomial_gcd_route_keeps_huge_degrees_off_gcdheu(monkeypatch):
         raise AssertionError("GCDHEU on a monomial side")
 
     monkeypatch.setattr(polyrat, "_heugcd", refuse)
-    assert str(m.f + RatFunc2.x()) == "x^2504730781961*y^1548008755920 + x"
+    assert str(normalize(m.f.num + X * m.f.den, m.f.den)) == "x^2504730781961*y^1548008755920 + x"
     assert str(normalize(Poly2.monomial(10**12, 1), Y + ONE)) == "(x^1000000000000*y) / (y + 1)"
 
 
@@ -311,27 +300,7 @@ def test_times_one_plus_x_refuses_a_negative_power():
     assert polyrat._times_one_plus_x(row, 0) is row
 
 
-# --- derivatives ----------------------------------------------------------------
-
-
-def test_partial_derivative_quotient_rule():
-    r = rf(Y, ONE + X)
-    assert partial_derivative(r, "x") == rf(-Y, (ONE + X) ** 2)
-
-
-def test_partial_derivative_trivial():
-    assert partial_derivative(rf(X), "y") == rf(Poly2.zero())
-    assert partial_derivative(rf(X * X), "x") == rf(X.scale(2))
-
-
-def jacobian_dlog_ratio(f: RatFunc2, g: RatFunc2):
-    """Reference for dlog_ratio: (x y / (f g)) (f_x g_y - f_y g_x) by the quotient rule."""
-    if f.is_zero() or g.is_zero():
-        return None
-    fx, fy = partial_derivative(f, "x"), partial_derivative(f, "y")
-    gx, gy = partial_derivative(g, "x"), partial_derivative(g, "y")
-    j = rf(X * Y) / (f * g) * (fx * gy - fy * gx)
-    return j.constant_value() if j.is_constant() else None
+# --- dlog ratio ------------------------------------------------------------------
 
 
 def test_dlog_ratio_examples():
@@ -347,30 +316,6 @@ def test_dlog_ratio_examples():
     assert dlog_ratio(rf(Poly2.zero()), rf(Y)) is None
     with pytest.raises(ZeroDenominatorError):
         dlog_ratio(RatFunc2(X, Poly2.zero()), rf(Y))
-
-
-def test_dlog_ratio_matches_quotient_rule_jacobian(srng):
-    # Fraction coefficients reach the denominator-clearing path.  A map
-    # g = c x^a y^b h(f), with f a monomial map, has dlog f ^ dlog g a
-    # constant multiple of dlog x ^ dlog y, so constants other than 0 and
-    # +-1 come up alongside the generic non-constant case.
-    seen = set()
-    for _ in range(60):
-        if srng.random() < 0.5:
-            f = rf(random_poly(srng), random_poly(srng) or ONE)
-            g = rf(random_poly(srng), random_poly(srng) or ONE)
-        else:
-            a, b, c, d = (srng.randint(-2, 2) for _ in range(4))
-            f = rf(X ** max(a, 0) * Y ** max(b, 0), X ** max(-a, 0) * Y ** max(-b, 0))
-            f = f * rf(Poly2.const(Fraction(srng.randint(1, 5), srng.randint(1, 3))))
-            g = rf(X ** max(c, 0) * Y ** max(d, 0), X ** max(-c, 0) * Y ** max(-d, 0))
-            h = random_poly(srng, 2, 3)
-            if h:
-                g = g * substitute(rf(h), f, f)
-        got = dlog_ratio(f, g)
-        assert got == jacobian_dlog_ratio(f, g), (f, g)
-        seen.add("none" if got is None else "unit" if got in (1, -1) else "zero" if got == 0 else "other")
-    assert seen == {"none", "unit", "zero", "other"}
 
 
 HEAVY = "E*E[-2,-1]*E*A[2,1;1,0]^-1*E"  # the heaviest -1 word of the benchmark pool
@@ -418,17 +363,6 @@ def test_dlog_ratio_packs_dense_sides_only(monkeypatch):
         assert len(packed) == times, text
 
 
-def test_mixed_partials_commute(srng):
-    for _ in range(15):
-        n, d = random_poly(srng), random_poly(srng)
-        if d.is_zero():
-            continue
-        r = normalize(n, d)
-        xy = partial_derivative(partial_derivative(r, "x"), "y")
-        yx = partial_derivative(partial_derivative(r, "y"), "x")
-        assert xy == yx
-
-
 # --- evaluation ------------------------------------------------------------------
 
 
@@ -440,22 +374,6 @@ def test_evaluate_examples():
 def test_evaluate_pole():
     with pytest.raises(PoleAtPointError):
         evaluate(rf(ONE, ONE + X), (-1, 0))
-
-
-def test_evaluation_is_ring_homomorphism(srng):
-    for _ in range(20):
-        polys = [random_poly(srng, 2, 3) for _ in range(4)]
-        if any(p.is_zero() for p in polys):
-            continue
-        a, b, c, d = polys
-        r1, r2 = normalize(a, b), normalize(c, d)
-        pt = (srng.randint(1, 5), srng.randint(1, 5))
-        try:
-            v1, v2 = evaluate(r1, pt), evaluate(r2, pt)
-            assert evaluate(r1 * r2, pt) == v1 * v2
-            assert evaluate(r1 + r2, pt) == v1 + v2
-        except PoleAtPointError:
-            continue
 
 
 def test_evaluation_respects_substitution(srng):
@@ -482,7 +400,7 @@ ARC_X = ((1, 0), (0, 1))
 def test_arc_limit_reads_a_monomial_ratio():
     # (-3/2 lam^2 + 3 lam^-1) / (lam^-1 - 2 lam^-4) is -3/2 lam^3; times
     # lam^4 on both sides, and + y keeps the fraction from cancelling.
-    f = rf(parse_poly("(-3/2)*x^6 + 3*x^3 + y"), parse_poly("x^3 + (-2) + y"))
+    f = rf(Poly2({(6, 0): Fraction(-3, 2), (3, 0): 3, (0, 1): 1}), Poly2({(3, 0): 1, (0, 0): -2, (0, 1): 1}))
     assert arc_limit(f, RatFunc2.y(), ARC_X) == ((0, 1), (Fraction(-3, 2), 3))
     # 5 lam^-2 over 1/3: the contents come in.
     assert arc_limit(rf(Poly2.const(5), X.scale(Fraction(1, 3)) * X), RatFunc2.y(), ARC_X) == ((0, 1), (15, -2))
@@ -499,7 +417,7 @@ def test_arc_limit_reads_the_orders_from_the_lowest_rows():
     # On the arc x = lam^2 t^-3, y = lam t^-1 (determinant 1), x^5 + y has
     # t-order -15 and row lam^10, and x has t-order -3 and row lam^2;
     # f^-3 x^15 = lam^-30 lam^30.
-    assert arc_limit(rf(parse_poly("x^5 + y")), RatFunc2.x(), ((2, -3), (1, -1))) == ((-15, -3), (1, 0))
+    assert arc_limit(rf(X**5 + Y), RatFunc2.x(), ((2, -3), (1, -1))) == ((-15, -3), (1, 0))
 
 
 # --- textual form -----------------------------------------------------------------
@@ -514,56 +432,3 @@ def test_format_zero_and_constants():
     assert format_poly(Poly2.zero()) == "0"
     assert format_poly(Poly2.const(Fraction(1, 2))) == "(1/2)"
     assert format_poly(ONE + X) == "x + 1"
-
-
-@pytest.mark.parametrize("text", ["(1/0)*x", "x^y", "x^-1", "(1/-2)*x", "", "x +", "+x", "2x", "x*2", "2*3",
-                                  "x y", "x*", "(1/2)x", "x^",
-                                  # integers past the int-to-text digit limit
-                                  pytest.param("9" * 5000, id="huge-coefficient"),
-                                  pytest.param("x^" + "9" * 5000, id="huge-exponent"),
-                                  pytest.param("(1/" + "9" * 5000 + ")*x", id="huge-denominator")])
-def test_parse_rejects_malformed_text(text):
-    with pytest.raises(PolyParseError):
-        parse_poly(text)
-
-
-def test_malformed_factor_is_quoted_by_its_first_40_characters():
-    with pytest.raises(PolyParseError) as err:
-        parse_poly("x*" + "z" * 100000)
-    assert str(err.value) == f"malformed factor {'z' * 40!r}..."
-    with pytest.raises(PolyParseError) as err:
-        parse_poly("x*" + "z" * 40)
-    assert str(err.value) == f"malformed factor {'z' * 40!r}"
-
-
-def test_parse_ignores_surrounding_whitespace():
-    assert parse_poly("x ") == X
-    assert parse_poly(" x + 1\t") == X + ONE
-    assert parse_ratfunc("(x + 1 ) / (y)") == rf(X + ONE, Y)
-    assert parse_poly(" ( - 3 / 4 ) * x ^ 2 * y ") == (X * X * Y).scale(Fraction(-3, 4))
-
-
-def test_parse_sums_repeated_monomials():
-    assert parse_poly("x*y + (1/2)*y*x + 1") == (X * Y).scale(Fraction(3, 2)) + ONE
-    assert parse_poly("x + 2*x + (-3)*x^1 + y") == Y
-    assert parse_poly("x + (-1)*x").is_zero()
-
-
-# Negative, integral and Fraction coefficients; an empty or all-zero dict is
-# the zero polynomial.
-coefficients = st.one_of(st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=12))
-polys = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), coefficients, max_size=6).map(Poly2)
-constants = coefficients.filter(bool).map(Poly2.const)
-
-
-@given(polys)
-def test_poly_text_roundtrip_property(p):
-    text = format_poly(p)
-    assert parse_poly(text) == p
-    assert (text == "0") == p.is_zero()
-
-
-@given(polys, st.one_of(constants, polys.filter(bool)))
-def test_ratfunc_text_roundtrip_property(n, d):
-    r = normalize(n, d)
-    assert parse_ratfunc(format_ratfunc(r)) == r

@@ -11,9 +11,12 @@ factors of x^210 - 1.
 ``pullback``, which takes no gcd, is checked against sympy's ``cancel`` of
 the substituted fraction, its row kernels ``_times_one_plus_x`` and
 ``_one_plus_x_quotient`` against ``sympy.Poly`` products, multiplicities
-and exact quotients.  ``realize``, which runs on ``pullback``, is checked
-against a fold of ``substitute`` in ``test_birmap.py``, where sympy is not
-needed.
+and exact quotients.  ``dlog_ratio`` is checked against sympy's
+derivatives in the field Q(x, y), ``evaluate`` against sympy's value of the
+same fraction, poles included, and sympy reads the text of ``format_poly``
+and ``format_ratfunc`` back to the same value.  ``realize``, which runs on
+``pullback``, is checked against a fold of ``substitute`` in
+``test_birmap.py``, where sympy is not needed.
 """
 
 import random
@@ -25,10 +28,14 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from logcy2 import polyrat
 from logcy2.birmap import BirationalMap, realize
 from logcy2.polyrat import (
+    PoleAtPointError,
     Poly2,
     RatFunc2,
     ZeroDenominatorError,
     dlog_ratio,
+    evaluate,
+    format_poly,
+    format_ratfunc,
     normalize,
     poly_divexact,
     poly_gcd,
@@ -36,12 +43,14 @@ from logcy2.polyrat import (
     substitute,
 )
 from logcy2.words import parse_word
+from test_polyrat import random_poly
 
 sympy = pytest.importorskip("sympy")
 
 SX, SY = sympy.symbols("x y")
 QXY, FX, FY = sympy.polys.fields.field("x,y", sympy.QQ)
 ORACLE = settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+ONE = Poly2.const(1)
 
 
 def polys(max_deg: int = 3, max_terms: int = 4, integral: bool = False):
@@ -66,16 +75,21 @@ def from_sympy(expr) -> Poly2:
     return Poly2({m: Fraction(int(c.p), int(c.q)) for m, c in poly.as_dict().items()})
 
 
+def leading_coefficient(p: Poly2) -> Fraction:
+    """The coefficient of p's greatest monomial in graded-lex order (total degree, then x-degree)."""
+    return Fraction(p.content * p.terms[max(p.terms, key=lambda t: (t[0] + t[1], t[0]))])
+
+
 def canonical(expr) -> RatFunc2:
     """sympy's reduced fraction, scaled so the denominator is grlex-monic."""
     num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
     num, den = from_sympy(num), from_sympy(den)
-    lc = den.leading_term()[1]
+    lc = leading_coefficient(den)
     return RatFunc2(num.scale(1 / lc), den.scale(1 / lc))
 
 
 def same_up_to_scalar(a: Poly2, b: Poly2) -> bool:
-    return a.scale(b.leading_term()[1]) == b.scale(a.leading_term()[1])
+    return a.scale(leading_coefficient(b)) == b.scale(leading_coefficient(a))
 
 
 # --- normalize --------------------------------------------------------------------
@@ -118,7 +132,7 @@ def test_gcd_heuristic_route_matches_sympy(a, b, h):
     ours = poly_gcd(p, q)
     assert same_up_to_scalar(ours, from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))))
     assert all(c.denominator == 1 for c in ours.terms.values())
-    assert ours.leading_term()[1] > 0
+    assert leading_coefficient(ours) > 0
 
 
 def test_gcd_heuristic_candidate_has_no_zero_digits():
@@ -283,8 +297,9 @@ def sympy_dlog_ratio(f: RatFunc2, g: RatFunc2):
     return Fraction(int(c.numerator), int(c.denominator))
 
 
-def monomial_ratfunc(a: int, b: int) -> RatFunc2:
-    return normalize(Poly2.monomial(max(a, 0), max(b, 0)), Poly2.monomial(max(-a, 0), max(-b, 0)))
+def times_monomial(a: int, b: int, num: Poly2, den: Poly2 = ONE) -> RatFunc2:
+    """x^a y^b num / den, for exponents of either sign, in one ``normalize``."""
+    return normalize(Poly2.monomial(max(a, 0), max(b, 0)) * num, Poly2.monomial(max(-a, 0), max(-b, 0)) * den)
 
 
 @ORACLE
@@ -293,11 +308,35 @@ def test_dlog_ratio_matches_sympy(p, q, h, exps):
     # A generic pair, and f = x^a y^b p with g = x^c y^d h(f, f), whose
     # ratio is the constant a d - b c whenever p has one term.
     a, b, c, d = exps
-    f = monomial_ratfunc(a, b) * normalize(p, Poly2.const(1))
-    g = monomial_ratfunc(c, d) * substitute(normalize(h, Poly2.const(1)), f, f)
+    f = times_monomial(a, b, p)
+    s = substitute(normalize(h, ONE), f, f)
+    g = times_monomial(c, d, s.num, s.den)
     pairs = [(normalize(p, q), normalize(h, p)), (f, g)]
     for f, g in pairs:
         assert dlog_ratio(f, g) == sympy_dlog_ratio(f, g)
+
+
+def test_dlog_ratio_matches_quotient_rule_jacobian(srng):
+    # Fraction coefficients reach the denominator-clearing path.  A map
+    # g = c x^a y^b h(f), with f a monomial map, has dlog f ^ dlog g a
+    # constant multiple of dlog x ^ dlog y, so constants other than 0 and
+    # +-1 come up alongside the generic non-constant case.
+    seen = set()
+    for _ in range(60):
+        if srng.random() < 0.5:
+            f = normalize(random_poly(srng), random_poly(srng) or ONE)
+            g = normalize(random_poly(srng), random_poly(srng) or ONE)
+        else:
+            a, b, c, d = (srng.randint(-2, 2) for _ in range(4))
+            f = times_monomial(a, b, Poly2.const(Fraction(srng.randint(1, 5), srng.randint(1, 3))))
+            g = times_monomial(c, d, ONE)
+            if h := random_poly(srng, 2, 3):
+                s = substitute(normalize(h, ONE), f, f)
+                g = times_monomial(c, d, s.num, s.den)
+        got = dlog_ratio(f, g)
+        assert got == sympy_dlog_ratio(f, g), (f, g)
+        seen.add("none" if got is None else "unit" if got in (1, -1) else "zero" if got == 0 else "other")
+    assert seen == {"none", "unit", "zero", "other"}
 
 
 # --- substitute into the letters' maps ------------------------------------------
@@ -469,3 +508,67 @@ def test_one_plus_x_quotient_matches_sympy(b, t, slack):
     assert q == alternating_row(sympy.div(poly, sympy.Poly((1 + SX) ** v, SX))[0])
     if not v:
         assert q is row
+
+
+# --- evaluation -------------------------------------------------------------------
+
+
+def test_evaluate_matches_sympy(srng):
+    # Random fractions at rational points whose coordinates are negative,
+    # fractional or zero.  In two cases of three a factor that vanishes at
+    # the point goes into the denominator alone, a pole, or into both sides,
+    # where it cancels.  sympy reduces num / den on its own, so a pole is
+    # expected exactly where its denominator vanishes.
+    seen = set()
+    for _ in range(60):
+        pt = [srng.choice((0, srng.randint(-4, -1), Fraction(srng.randint(-6, 6), srng.randint(2, 4))))
+              for _ in range(2)]
+        num, den = random_poly(srng, 2, 3), random_poly(srng, 2, 3) or ONE
+        vanishing = srng.choice((Poly2.x() - Poly2.const(pt[0]), Poly2.y() - Poly2.const(pt[1])))
+        k = srng.randrange(3)
+        if k:
+            den = den * vanishing
+        if k == 2:
+            num = num * vanishing
+        point = {s: sympy.Rational(v.numerator, v.denominator) for s, v in zip((SX, SY), pt)}
+        want_num, want_den = (e.subs(point) for e in sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den))))
+        r = normalize(num, den)
+        if want_den == 0:
+            with pytest.raises(PoleAtPointError):
+                evaluate(r, pt)
+            seen.add("pole")
+        else:
+            want = want_num / want_den
+            assert evaluate(r, pt) == Fraction(int(want.p), int(want.q)), (r, pt)
+            seen.add("value")
+        seen.update("zero" for v in pt if v == 0)
+        seen.update("negative" for v in pt if v < 0)
+        seen.update("fractional" for v in pt if v != int(v))
+    assert seen == {"pole", "value", "zero", "negative", "fractional"}
+
+
+# --- textual form -----------------------------------------------------------------
+
+
+# Negative, integral and Fraction coefficients; an empty or all-zero dict is
+# the zero polynomial.
+COEFFICIENTS = st.one_of(st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=12))
+ANY_POLYS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFFICIENTS, max_size=6).map(Poly2)
+
+
+def read_text(text: str):
+    """sympy's reading of the text form, with ``^`` written ``**``."""
+    return sympy.sympify(text.replace("^", "**"), locals={"x": SX, "y": SY})
+
+
+@given(ANY_POLYS)
+def test_poly_text_reads_back_in_sympy(p):
+    text = format_poly(p)
+    assert sympy.expand(read_text(text) - to_sympy(p)) == 0
+    assert (text == "0") == p.is_zero()
+
+
+@given(ANY_POLYS, st.one_of(COEFFICIENTS.filter(bool).map(Poly2.const), ANY_POLYS.filter(bool)))
+def test_ratfunc_text_reads_back_in_sympy(n, d):
+    r = normalize(n, d)
+    assert sympy.cancel(read_text(format_ratfunc(r)) - sympy_ratfunc(r)) == 0
