@@ -2,7 +2,11 @@
 
 ``COMMANDS`` is the one table of commands, and ``build_parser`` registers
 them all by one loop over it: ``{group: (help, {subcommand: (help, handler,
-positional names, {option flag: add_argument keywords})})}``.
+positional names, {option flag: add_argument keywords})})}``.  ``main``
+parses a leaf argv, one that starts with a group and one of its
+subcommands, with that subcommand's own parser, the one the nested parse
+would reach; it parses any other argv, and a leaf argv with arguments left
+over, with the whole parser, which reports them with its own usage line.
 
 Exit codes: 0 on success; 1 on every ``errors.DomainError`` (non-regular
 words, poles, budgets, output past the digit limit, invalid input files)
@@ -296,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built from ``COMMANDS`` on the first call and then shared.
 
     ``parse_args`` reads the parser and never changes it, so ``main`` can
-    reuse one parser for every call in a process.
+    reuse one parser for every call in a process.  The parser's ``_leaves``
+    maps each (group, subcommand) to the subcommand's parser, the very
+    object the nested parse reaches, which ``main`` parses a leaf argv with.
     """
     parser = argparse.ArgumentParser(
         prog="logcy2",
@@ -306,10 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     groups = parser.add_subparsers(dest="command", required=True)
+    parser._leaves = {}
     for group, (group_help, subcommands) in COMMANDS.items():
         commands = groups.add_parser(group, help=group_help).add_subparsers(dest="subcommand", required=True)
         for name, (command_help, func, positionals, options) in subcommands.items():
-            command = commands.add_parser(name, help=command_help)
+            command = parser._leaves[group, name] = commands.add_parser(name, help=command_help)
             for positional in positionals.split():
                 command.add_argument(positional)
             for flag, keywords in options.items():
@@ -320,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    leaf = parser._leaves.get(tuple(argv[:2]))
+    args, extras = leaf.parse_known_args(argv[2:]) if leaf else (None, None)
+    if args is None or extras:  # not a leaf argv, or arguments left over that the whole parser reports
+        args = parser.parse_args(argv)
     if [] in vars(args).values():  # argparse before 3.12 reads "--opt=--" as [] and skips the option's type
         parser.error("an option value cannot be '--'")
     try:

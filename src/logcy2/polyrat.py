@@ -127,9 +127,6 @@ class Poly2:
 
     # Structure.
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         return max((i + j for i, j in self.terms), default=-1)
 
@@ -498,9 +495,9 @@ def normalize(num: Poly2, den: Poly2) -> RatFunc2:
     denominator's leading coefficient only set the two new contents, which
     make the denominator grlex-monic.
     """
-    if den.is_zero():
+    if not den:
         raise ZeroDenominatorError("denominator is identically zero")
-    if num.is_zero():
+    if not num:
         return RatFunc2(Poly2.zero(), Poly2.const(1))
     _, ip, iq = _ip_gcd(num.terms, den.terms)
     lc = iq[_grlex_max(iq)]
@@ -534,7 +531,7 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     denominator that vanishes identically reaches ``normalize``, which raises
     ZeroDenominatorError.
     """
-    if r.num.is_zero():
+    if not r.num:
         return RatFunc2(Poly2.zero(), Poly2.const(1))
     # Each fraction's contents are folded into its integer sides, which
     # leaves its value alone.
@@ -684,7 +681,7 @@ def pullback(r: RatFunc2, steps: list[int | tuple[Term, Term]]) -> RatFunc2:
     map.  The first matrix, or the identity, turns the terms dicts into
     rows, and the exit applies the last one (see above).
     """
-    if r.num.is_zero():
+    if not r.num:
         return r
     steps = list(steps)
     last = steps.pop() if steps and not isinstance(steps[-1], int) else _MAT_ID
@@ -924,7 +921,7 @@ def _format_coeff(c: Fraction) -> str:
 
 
 def format_poly(p: Poly2) -> str:
-    if p.is_zero():
+    if not p:
         return "0"
     keys = sorted(p.terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
     parts = []

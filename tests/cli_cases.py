@@ -296,6 +296,12 @@ GROUPS = {
     "word_eval": [
         Case(["word", "eval", "E", "--point=2,3"], 0, "2,1\n"),
         Case(["word", "eval", "E", "--point=-1,1"], 1, "", "error: pole at (-1, 1)\n", "PoleAtPointError"),
+        # Negative fractional and zero coordinates.
+        Case(["word", "eval", "r1*E^40*r2", "--point=-2/3,5/7"],
+             0, "-134122826690795375002729750728123087576/25,9455962023710944623/5\n"),
+        Case(["word", "eval", "E^-40*r3", "--point=0,-5/7"], 0, "0,-7/5\n"),
+        Case(["word", "eval", "r1*E^40*r2", "--point=0,-5/7"],
+             1, "", "error: pole at (0, -5/7)\n", "PoleAtPointError"),
     ],
     "word_syntax_error_exits_2": [
         Case(["word", "realize", "E * *"],
@@ -355,6 +361,10 @@ GROUPS = {
              '{"exceptional_count": 9, "vanishing_count": 9, "chi_y": 9, "sphere_count": 3, '
              '"expected_spheres": 3, "ok": true}\n',
              files=CUBIC),
+    ],
+    "atf_diagram": [
+        Case(["atf", "diagram", "@pxp.json"],
+             0, '{"nodes": [{"position": ["0", "1"], "direction": [0, 1], "cut_sign": 1}]}\n', files=PXP),
     ],
     # An integer one digit short of the limit is read back as it is; the results hold one past it.
     "output_past_the_digit_limit_exits_1": [
@@ -539,6 +549,25 @@ GROUPS = {
              2, "",
              "usage: logcy2 [-h] {word,surface,atf,hms,demo,verify} ...\n"
              "logcy2: error: unrecognized arguments: --bogus\n"),
+    ],
+    # The edges of a subcommand's argument list: an option value "--",
+    # arguments left over after the subcommand's own, and "--" before a
+    # positional.  Left-over arguments and "--" values are reported with the
+    # top-level usage line.
+    "usage": [
+        Case(["word", "trop", "E", "--vector=--"],
+             2, "",
+             "usage: logcy2 [-h] {word,surface,atf,hms,demo,verify} ...\n"
+             "logcy2: error: an option value cannot be '--'\n"),
+        Case(["word", "realize", "E", "extra"],
+             2, "",
+             "usage: logcy2 [-h] {word,surface,atf,hms,demo,verify} ...\n"
+             "logcy2: error: unrecognized arguments: extra\n"),
+        Case(["word", "realize", "E", "--", "--vector"],
+             2, "",
+             "usage: logcy2 [-h] {word,surface,atf,hms,demo,verify} ...\n"
+             "logcy2: error: unrecognized arguments: --vector\n"),
+        Case(["word", "realize", "--", "E"], 0, "(x, (y) / (x + 1))\n"),
     ],
     "missing_file_is_domain_error": [
         Case(["surface", "invariants", "/nonexistent/s.json"],

@@ -1,10 +1,11 @@
+import argparse
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
-from cli_cases import CUBIC, GROUPS, PXP, check, run_cli
+from cli_cases import CASES, CUBIC, GROUPS, PXP, check, run_cli
 from logcy2 import surfaces
 from logcy2.birmap import tropicalize
 from logcy2.cli import build_parser, main
@@ -138,3 +139,36 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
     assert run_cli(["atf", "diagram", "@pxp.json"], PXP) == first
     assert not svg.exists()  # --svg from an earlier call does not carry over
     assert run_cli(["word", "trop", "E", "--vector=-1,0"]) == trop
+
+
+def test_leaf_parser_reads_each_leaf_row_as_the_whole_parser_does():
+    # The nested parse alone sets ``command`` and ``subcommand``; every other
+    # field, ``func`` among them, comes from the same leaf parser either way.
+    parser = build_parser()
+    seen = set()
+    for case in CASES:
+        key = tuple(case.argv[:2])
+        if case.exit == 0 and key in parser._leaves and "--help" not in case.argv:
+            leaf, extras = parser._leaves[key].parse_known_args(case.argv[2:])
+            whole = vars(parser.parse_args(case.argv))
+            assert extras == []
+            assert (whole.pop("command"), whole.pop("subcommand")) == key
+            assert vars(leaf) == whole, case.argv
+            seen.add(key)
+    assert seen == set(parser._leaves)
+
+
+def test_main_runs_the_whole_parser_only_off_the_leaf_path(monkeypatch):
+    parser = build_parser()
+    calls = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(self, args=None, namespace=None):
+        calls.append((self, args))
+        return real(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert run_cli(["word", "realize", "E"]).exit == 0
+    assert calls == []
+    assert run_cli(["word", "realize", "E", "--bogus"]).exit == 2
+    assert calls == [(parser, ["word", "realize", "E", "--bogus"])]

@@ -76,7 +76,7 @@ def test_every_result_is_content_times_primitive_terms(srng):
     ]
     for _ in range(20):
         n, d = random_poly(srng), random_poly(srng)
-        if d.is_zero():
+        if not d:
             continue
         r = normalize(n, d)
         results += [n * d, n**3, r.num, r.den, substitute(r, r, r).num, substitute(r, r, r).den]
@@ -139,7 +139,7 @@ def test_zero_denominator():
 def test_normalize_idempotent(srng):
     for _ in range(30):
         n, d = random_poly(srng), random_poly(srng)
-        if d.is_zero():
+        if not d:
             continue
         r = normalize(n, d)
         again = normalize(r.num, r.den)
@@ -150,7 +150,7 @@ def test_equality_matches_cross_multiplication(srng):
     for _ in range(30):
         n1, d1 = random_poly(srng), random_poly(srng)
         n2, d2 = random_poly(srng), random_poly(srng)
-        if d1.is_zero() or d2.is_zero():
+        if not d1 or not d2:
             continue
         r1, r2 = normalize(n1, d1), normalize(n2, d2)
         assert (r1 == r2) == (n1 * d2 == n2 * d1)
@@ -168,7 +168,7 @@ def test_gcd_of_built_product():
 def test_divexact_roundtrip(srng):
     for _ in range(20):
         p, q = random_poly(srng, 2, 3), random_poly(srng, 2, 3)
-        if p.is_zero() or q.is_zero():
+        if not p or not q:
             continue
         assert poly_divexact(p * q, q) == p
 
@@ -374,6 +374,15 @@ def test_evaluate_examples():
 def test_evaluate_pole():
     with pytest.raises(PoleAtPointError):
         evaluate(rf(ONE, ONE + X), (-1, 0))
+
+
+def test_evaluate_one_tall_power_beside_many_short_ones():
+    # y^N + x + ... + x^M: the one power of y is as tall as the budget's
+    # count of it, and sits beside M short powers of x.
+    n, m = 20000, 300
+    p = rf(Poly2({(0, n): 1, **{(i, 0): 1 for i in range(1, m + 1)}}))
+    assert evaluate(p, (2, Fraction(1, 3))) == Fraction(1, 3**n) + 2 ** (m + 1) - 2
+    assert evaluate(p, (Fraction(-1, 2), 0)) == sum(Fraction(-1, 2) ** i for i in range(1, m + 1))
 
 
 def test_evaluation_respects_substitution(srng):

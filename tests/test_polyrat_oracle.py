@@ -544,7 +544,8 @@ def test_evaluate_matches_sympy(srng):
         seen.update("zero" for v in pt if v == 0)
         seen.update("negative" for v in pt if v < 0)
         seen.update("fractional" for v in pt if v != int(v))
-    assert seen == {"pole", "value", "zero", "negative", "fractional"}
+        seen.update("negative fractional" for v in pt if v < 0 and v != int(v))
+    assert seen == {"pole", "value", "zero", "negative", "fractional", "negative fractional"}
 
 
 # --- textual form -----------------------------------------------------------------
@@ -565,7 +566,7 @@ def read_text(text: str):
 def test_poly_text_reads_back_in_sympy(p):
     text = format_poly(p)
     assert sympy.expand(read_text(text) - to_sympy(p)) == 0
-    assert (text == "0") == p.is_zero()
+    assert (text == "0") == (not p)
 
 
 @given(ANY_POLYS, st.one_of(COEFFICIENTS.filter(bool).map(Poly2.const), ANY_POLYS.filter(bool)))
