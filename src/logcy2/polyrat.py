@@ -29,9 +29,8 @@ multiple of dlog x ^ dlog y, in one integer pass over term pairs or, for
 dense sides, in 13 products of Kronecker-packed ints; over ``PAIR_BUDGET``
 pairs it raises first.
 ``pullback`` pulls a fraction back through monomial maps and powers of
-E = (x, y (1 + x)^-1) with no substitution and no gcd, on y-rows of its
-integer sides (see "pullbacks through the generators"); an E-step that
-would build more than ``TERM_BUDGET`` terms raises first.
+E = (x, y (1 + x)^-1), one plain pass a step on y-rows, with no gcd; an
+E-step that would build over ``TERM_BUDGET`` terms raises first.
 ``arc_limit`` reads the leading order in t of a pair of fractions on a
 boundary arc x = lam^p t^n1, y = lam^q t^n2 from each side's lowest t-row,
 raised with ``_Powers`` and multiplied with ``_ip_mul``.
@@ -56,7 +55,6 @@ A rational function prints as ``num`` when the denominator is 1, otherwise
 
 from __future__ import annotations
 
-import collections
 import heapq
 import itertools
 import math
@@ -560,15 +558,14 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
 # A monomial map (x, y) -> (x^B11 y^B12, x^B21 y^B22) is an automorphism of
 # Z[x^+-1, y^+-1], and E^e = (x, y (1 + x)^-e) one of Z[x^+-1, y^+-1,
 # (1 + x)^-1], so a reduced num/den pulled back through either can only gain
-# common monomials and, for E^e, powers of 1 + x; each step divides exactly
-# those out, with no gcd.  ``pullback`` holds each side as rows (j, lo, b),
-# b[t] = (-1)^i c for the coefficient c of x^i y^j, i = lo + t: in these
-# signs a product by 1 + x is b[t] - b[t - 1], and a quotient a running sum,
-# exact when its last entry is 0.  Row ends are nonzero and stay so, and a
-# linear form in the exponents peaks at an end, so shifts and leading
-# coefficients are read there.  By Gauss's lemma each side stays primitive;
-# the exit applies the last matrix, the shift and the sign in one pass per
-# side and sets the contents so the denominator is grlex-monic.
+# common monomials and, for E^e, powers of 1 + x, which the E-steps and the
+# exit divide out with no gcd.  ``pullback`` holds each side as rows
+# (j, lo, b), b[t] = (-1)^i c for the coefficient c of x^i y^j, i = lo + t:
+# in these signs a product by 1 + x is b[t] - b[t - 1], and a quotient a
+# running sum, exact when its last entry is 0; each side stays primitive
+# (Gauss).  Row ends are nonzero and stay so, and a linear form in the
+# exponents peaks at an end, so the exit reads the shift and both leading
+# coefficients there in one pass, then steps along each row by (B11, B12).
 
 
 _MAT_ID = ((1, 0), (0, 1))
@@ -585,31 +582,30 @@ class TermBudgetError(DomainError, ArithmeticError):
 def _monomial_step(sides, mat: tuple[Term, Term]):
     """Both sides, terms dicts or rows, pulled back through the monomial map ``mat``, as rows.
 
-    x^i y^j becomes x^(B11 i + B21 j) y^(B12 i + B22 j), then both sides
-    shift by the least exponents, the new rows' lowest ends; an odd x-shift
-    flips every alternating sign.
+    x^i y^j becomes x^(B11 i + B21 j) y^(B12 i + B22 j), grouped in plain dicts by the new
+    y-exponent; each dense row is built once and keeps its exponents, negative ones too.
     """
     (a, b), (c, d) = mat
-    grouped = []
-    for side in sides:
-        g: dict[int, dict[int, int]] = collections.defaultdict(dict)
+    built = [[], []]
+    for side, rows in zip(sides, built):
+        g = {}
         if isinstance(side, dict):
             for (i, j), v in side.items():
                 i2 = a * i + c * j
-                g[b * i + d * j][i2] = -v if i2 & 1 else v
+                g.setdefault(b * i + d * j, {})[i2] = -v if i2 & 1 else v
         else:
             for j, lo, row in side:
-                cj, dj = c * j, d * j
                 for i, v in enumerate(row, lo):
                     if v:
-                        i2 = a * i + cj
-                        g[b * i + dj][i2] = -v if (i ^ i2) & 1 else v
-        grouped.append([(j, min(row), row) for j, row in g.items()])
-    si = min(lo for side in grouped for _, lo, _ in side)
-    sj = min(j for side in grouped for j, _, _ in side)
-    sign = -1 if si & 1 else 1
-    return [[(j - sj, lo - si, [sign * row.get(i, 0) for i in range(lo, max(row) + 1)])
-             for j, lo, row in side] for side in grouped]
+                        i2 = a * i + c * j
+                        g.setdefault(b * i + d * j, {})[i2] = -v if (i ^ i2) & 1 else v
+        for j, row in g.items():
+            lo = min(row)
+            dense = [0] * (max(row) - lo + 1)
+            for i, v in row.items():
+                dense[i - lo] = v
+            rows.append((j, lo, dense))
+    return built
 
 
 def _one_plus_x_quotient(b: list[int], cap: int) -> tuple[int, list[int]]:
@@ -647,25 +643,24 @@ def _times_one_plus_x(b: list[int], t: int) -> list[int]:
 def _elementary_step(sides, e: int):
     """Both sides' rows pulled back through E^e, for a reduced num/den.
 
-    Row j, R_j(x) y^j, becomes (1 + x)^(-e j - k) R_j y^j, with k the least
-    v(R_j) - e j over both sides for the (1 + x)-valuation v: both sides
-    times (1 + x)^-k, which leaves the least valuation 0.  Counting v_j
-    keeps Q_j = R_j / (1 + x)^v_j, times (1 + x)^(v_j - e j - k) after.
-    No monomial is gained, as each row keeps its y- and lowest x-degree.
+    Row j, R_j(x) y^j, becomes (1 + x)^(v_j - e j - k) Q_j y^j for Q_j = R_j / (1 + x)^v_j,
+    with k the least v(R_j) - e j over both sides for the (1 + x)-valuation v.  One loop
+    reads the bases -e j and k's start, the least len(R_j) - 1 - e j, as a row has fewer
+    powers of 1 + x than terms.  Rows in increasing base then count v_j up to the running
+    k + e j: a row below that cap lowers k to v_j - e j, one at it has v_j - e j = k then,
+    and one with -e j >= k is not counted, so every v_j - e j >= the final k.
     """
-    # Rows in increasing -e j, each counted up to the running k + e j: a row
-    # below that cap lowers k to v_j - e j, one at it has v_j - e j = k then,
-    # and one with -e j >= k is not counted, so v_j - e j >= the final k.  k
-    # starts at the least len(R_j) - 1 - e j: a row has fewer powers of 1 + x
-    # than terms.
-    rows = [(-e * j, b) for side in sides for j, _, b in side]
-    k = min(base + len(b) - 1 for base, b in rows)
+    rows, k = [], math.inf
+    for j, _, b in itertools.chain(*sides):
+        rows.append((-e * j, len(rows), b))
+        if len(b) - 1 - e * j < k:
+            k = len(b) - 1 - e * j
+    rows.sort()
     found = [None] * len(rows)
-    for base, n in sorted((base, n) for n, (base, _) in enumerate(rows)):
-        v, _ = found[n] = _one_plus_x_quotient(rows[n][1], k - base)
+    for base, n, b in rows:
+        v, _ = found[n] = _one_plus_x_quotient(b, k - base)
         if base + v < k:
             k = base + v
-    # Row j is rebuilt with len(R_j) - e j - k coefficients, zeros included.
     size = max(sum(len(b) - e * j - k for j, _, b in side) for side in sides)
     if size > TERM_BUDGET:
         raise TermBudgetError(f"a pullback through E^{e} would build {cut(size)} terms, over {TERM_BUDGET}")
@@ -677,38 +672,42 @@ def _elementary_step(sides, e: int):
 def pullback(r: RatFunc2, steps: list[int | tuple[Term, Term]]) -> RatFunc2:
     """r pulled back through each step in turn, in canonical form.
 
-    A step is an int e, for E^e, or a 2x2 integer matrix, for the monomial
-    map.  The first matrix, or the identity, turns the terms dicts into
-    rows, and the exit applies the last one (see above).
+    A step is an int e, for E^e, or a 2x2 integer matrix, for the monomial map; the first
+    matrix, or the identity, turns the terms dicts into rows, and the last is the exit.
     """
     if not r.num:
         return r
     steps = list(steps)
     last = steps.pop() if steps and not isinstance(steps[-1], int) else _MAT_ID
-    if not steps or isinstance(steps[0], int):
-        steps.insert(0, _MAT_ID)
-    sides = [r.num.terms, r.den.terms]
+    first = steps.pop(0) if steps and not isinstance(steps[0], int) else _MAT_ID
+    sides = _monomial_step([r.num.terms, r.den.terms], first)
     for step in steps:
         sides = _elementary_step(sides, step) if isinstance(step, int) else _monomial_step(sides, step)
     (a, b), (c, d) = last
-    ends = [[(i, j, -row[s] if i & 1 else row[s])
-             for j, lo, row in side for s, i in ((0, lo), (-1, lo + len(row) - 1))]
-            for side in sides]
-    si = min([a * i + c * j for side in ends for i, j, _ in side])
-    sj = min([b * i + d * j for side in ends for i, j, _ in side])
-    # The grlex-leading coefficient of each side, from its row ends.
-    ln, ld = [max([((a + b) * i + (c + d) * j, a * i + c * j, v) for i, j, v in side])[2] for side in ends]
-    # A side whose leading coefficient is negative flips its signs into its content.
-    num, den = {}, {}
-    for out, side, flip in ((num, sides[0], ln < 0), (den, sides[1], ld < 0)):
+    si, sj, leads = math.inf, math.inf, []
+    for side in sides:
+        top = (-math.inf, 0)
         for j, lo, row in side:
-            ci, cj = c * j - si, d * j - sj
-            for i, v in enumerate(row, lo):
+            for i, v in ((lo, row[0]), (lo + len(row) - 1, row[-1])):
+                i2, j2 = a * i + c * j, b * i + d * j
+                if i2 < si:
+                    si = i2
+                if j2 < sj:
+                    sj = j2
+                if (i2 + j2, i2) > top:
+                    top, lead = (i2 + j2, i2), -v if i & 1 else v
+        leads.append(lead)
+    num, den = {}, {}
+    for out, side, lead in zip((num, den), sides, leads):
+        for j, lo, row in side:
+            i2, j2, flip = a * lo + c * j - si, b * lo + d * j - sj, (lo & 1) ^ (lead < 0)
+            for v in row:
                 if v:
-                    out[a * i + ci, b * i + cj] = -v if (i ^ flip) & 1 else v
-    sn, sd = (1 if ln > 0 else -1), (1 if ld > 0 else -1)
-    return RatFunc2(Poly2._raw(num, Fraction(sn * r.num.content, r.den.content * ld)),
-                    Poly2._raw(den, Fraction(1, sd * ld)))
+                    out[i2, j2] = -v if flip else v
+                i2, j2, flip = i2 + a, j2 + b, flip ^ 1
+    ln, ld = leads
+    return RatFunc2(Poly2._raw(num, Fraction(r.num.content if ln > 0 else -r.num.content, r.den.content * ld)),
+                    Poly2._raw(den, Fraction(1, abs(ld))))
 
 
 def _euler_parts(num: dict[Term, int], den: dict[Term, int], base: int) -> dict[int, list[int]]:

@@ -300,6 +300,62 @@ def test_times_one_plus_x_refuses_a_negative_power():
     assert polyrat._times_one_plus_x(row, 0) is row
 
 
+# --- pullback, one branch of its three passes at a time ------------------------------
+
+ID, SWAP, INVERT_X, SHEAR = ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((1, 1), (0, 1))
+
+
+def test_pullback_through_an_odd_x_shift():
+    # x -> 1/x leaves x-exponents down to -1, an odd shift, from the terms dicts,
+    # from the rows after E^-1, and on the way into an E-step.
+    r = rf(Y + X.scale(3), X + Poly2.const(2))
+    assert pullback(rf(ONE + X.scale(3), X + Poly2.const(2)), [INVERT_X, ID]) == rf(X + Poly2.const(3), ONE + X.scale(2))
+    got = pullback(r, [-1, INVERT_X, ID])
+    assert got == rf(X * Y + Y + Poly2.const(3), ONE + X.scale(2))
+    assert got.num.content == Fraction(1, 2) and got.num.terms == {(1, 1): 1, (0, 1): 1, (0, 0): 3}
+    assert pullback(r, [INVERT_X, 1, ID]) == rf(X * Y + X.scale(3) + Poly2.const(3), (ONE + X) * (ONE + X.scale(2)))
+
+
+def test_exit_through_a_det_minus_one_matrix_with_a_y_shift():
+    # (x, y) -> (x, x / y): (1 + y) / (x - y) pulled back through E is
+    # (x y + x + y) / (x (x y + y - 1)).
+    got = pullback(rf(ONE + Y, X - Y), [1, ((1, 0), (1, -1))])
+    assert got == rf(X * Y + X + Y, X * (X * Y + Y - ONE))
+    assert got.den.terms == {(2, 1): 1, (1, 1): 1, (1, 0): -1} and got.den.content == 1
+
+
+def test_exit_skips_interior_zeros_of_a_row():
+    assert pullback(rf(ONE + X * X), [SHEAR]) == rf(ONE + X * X * Y * Y)
+    # Through E, (x^3 + 1) / y gains one power of 1 + x: the row x^4 + x^3 + x + 1 has no x^2.
+    got = pullback(rf(ONE + X**3, Y), [1])
+    assert got.num.terms == {(0, 0): 1, (1, 0): 1, (3, 0): 1, (4, 0): 1} and got.den.terms == {(0, 1): 1}
+
+
+def test_exit_flips_a_negative_leading_coefficient_into_the_content():
+    num = pullback(rf(X - Y), [SWAP])  # y - x
+    assert (num.num.content, num.num.terms, num.den) == (-1, {(1, 0): 1, (0, 1): -1}, ONE)
+    den = pullback(rf(ONE, X - Y), [SWAP])  # 1 / (y - x) = -1 / (x - y)
+    assert (den.num.content, den.num.terms) == (-1, {(0, 0): 1})
+    assert (den.den.content, den.den.terms) == (1, {(1, 0): 1, (0, 1): -1})
+    assert str(num) == "(-1)*x + y" and str(den) == "((-1)) / (x + (-1)*y)"
+
+
+def test_pullback_of_one_term_sides():
+    r = rf(X * Y * Y, Poly2.const(3))
+    assert pullback(r, [SHEAR]) == rf(X * Y**3, Poly2.const(3))
+    assert pullback(r, [2, SHEAR]) == rf(X * Y**3, Poly2.const(3) * (ONE + X * Y) ** 4)
+
+
+@pytest.mark.parametrize("e, expected", [(1, rf(Y * Y, X * (ONE + X) ** 2)), (-1, rf(Y * Y * (ONE + X) ** 2, X))])
+def test_elementary_step_where_every_row_cap_is_at_most_zero(monkeypatch, e, expected):
+    # One-term rows: k starts at the least -e j, so no row may be divided.
+    caps = []
+    quotient = polyrat._one_plus_x_quotient
+    monkeypatch.setattr(polyrat, "_one_plus_x_quotient", lambda b, cap: caps.append(cap) or quotient(b, cap))
+    assert pullback(rf(Y * Y, X), [e]) == expected
+    assert sorted(caps) == [-2, 0]
+
+
 # --- dlog ratio ------------------------------------------------------------------
 
 
