@@ -7,8 +7,9 @@ exact integer arithmetic.
 The main structured object is :class:`PLMap`, a piecewise-linear self-map
 of the plane: unimodular matrices on a fan of closed sectors, agreeing on
 shared boundary rays.  These record which boundary ray a boundary ray is
-carried to by a birational map of the torus.  ``sector_index`` is the one
-cone search, for these maps and for fans: a bisection on angle.
+carried to by a birational map of the torus.  ``sector_index``, a bisection
+on angle, is the one angular order: the cone search for these maps and fans,
+and where each constructor puts a ray, so no ray list is ever sorted.
 
 ``elementary_shear(n, e)`` is the one shear these maps are made of: v goes
 to v + e cross(n, v) n.  The elementary map at n, to the power e, moves the
@@ -19,7 +20,6 @@ nodal monodromy along n is its e = -1 shear.
 from __future__ import annotations
 
 import math
-from functools import cmp_to_key
 
 from .errors import DomainError, Value, cut
 
@@ -130,25 +130,6 @@ def complement_matrix(n: Vec) -> Mat:
 
 # --- angular order ----------------------------------------------------------
 
-def _half(v: Vec) -> int:
-    """0 for angles in [0, pi), 1 for [pi, 2pi), measured from (1, 0)."""
-    x, y = v
-    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-
-def angle_cmp(u: Vec, v: Vec) -> int:
-    """Compare directions counterclockwise from (1, 0).  0 iff parallel, same side."""
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = cross(u, v)
-    return 0 if c == 0 else (-1 if c > 0 else 1)
-
-
-def ccw_sorted(vecs: list[Vec]) -> list[Vec]:
-    return sorted(vecs, key=cmp_to_key(angle_cmp))
-
-
 def sector_index(rays: tuple[Vec, ...], v: Vec) -> int:
     """The i with v in [rays[i], rays[i+1]), cyclically, for ccw rays from any start.
 
@@ -221,21 +202,18 @@ def pl_validate(p: PLMap) -> None:
     dets = {mat_det(m) for m in p.mats}
     if not (dets <= {1} or dets <= {-1}):
         raise AssertionError(f"mixed determinant signs: {dets}")
-    k = len(p.rays)
+    rays = p.rays
+    k = len(rays)
     for i in range(k):
-        if not is_primitive(p.rays[i]):
-            raise AssertionError(f"ray {cut(p.rays[i])} is not primitive")
-        if angle_cmp(p.rays[i], p.rays[(i + 1) % k]) == 0:
+        if not is_primitive(rays[i]):
+            raise AssertionError(f"ray {cut(rays[i])} is not primitive")
+        if rays[i] == rays[(i + 1) % k]:
             raise AssertionError("repeated ray")
-        prev = p.mats[i - 1]
-        here = p.mats[i]
-        if mat_vec(prev, p.rays[i]) != mat_vec(here, p.rays[i]):
-            raise AssertionError(f"discontinuous at ray {p.rays[i]}")
-    if k:
-        order = ccw_sorted(list(p.rays))
-        start = order.index(p.rays[0])
-        if list(p.rays) != order[start:] + order[:start]:
-            raise AssertionError("rays not ccw")
+        if mat_vec(p.mats[i - 1], rays[i]) != mat_vec(p.mats[i], rays[i]):
+            raise AssertionError(f"discontinuous at ray {rays[i]}")
+    # Rays run ccw and wind once iff exactly one sector [rays[i-1], rays[i]) holds (1, 0).
+    if k and sum(sector_index((rays[i - 1], rays[i]), (1, 0)) == 0 for i in range(k)) != 1:
+        raise AssertionError("rays not ccw")
 
 
 def pl_apply(p: PLMap, v: Vec) -> Vec:
@@ -243,21 +221,21 @@ def pl_apply(p: PLMap, v: Vec) -> Vec:
     return mat_vec(p.matrix_at(v), v)
 
 
-# Sorts (ray, matrix) pairs ccw from (1, 0) by their rays.
-_BY_RAY = cmp_to_key(lambda p, q: angle_cmp(p[0], q[0]))
-
-
 def _canonical(pairs: list[tuple[Vec, Mat]]) -> PLMap:
-    """Build a PLMap from (boundary ray, matrix-of-following-sector) pairs in ccw order from (1, 0).
+    """Build a PLMap from (boundary ray, matrix-of-following-sector) pairs in ccw order from any start.
 
-    Merges sectors with equal matrices; the ray list then starts at the
-    angularly least ray, making structural equality canonical.
+    Merges sectors with equal matrices, then turns the ray list to start at
+    the first ray at or ccw after (1, 0), the angularly least, found by
+    ``sector_index``: structural equality is then canonical.
     """
-    k = len(pairs)
-    kept = [i for i in range(k) if pairs[i - 1][1] != pairs[i][1]]
+    kept = [pair for i, pair in enumerate(pairs) if pairs[i - 1][1] != pair[1]]
     if not kept:
         return PLMap.linear(pairs[0][1])
-    return PLMap(tuple(pairs[i][0] for i in kept), tuple(pairs[i][1] for i in kept))
+    rays, mats = zip(*kept)
+    s = sector_index(rays, (1, 0))
+    if rays[s] != (1, 0):
+        s += 1
+    return PLMap(rays[s:] + rays[:s], mats[s:] + mats[:s])
 
 
 def _sector_probe(a: Vec, b: Vec) -> Vec:
@@ -273,23 +251,21 @@ def pl_compose(p: PLMap, q: PLMap) -> PLMap:
         return PLMap.linear(mat_mul(p.mats[0], q.mats[0]))
     rays: list[Vec] = list(q.rays)
     # Preimages under q of p's breakpoints, primitive as q's pieces are
-    # unimodular, are the other potential breakpoints.
+    # unimodular, are the other potential breakpoints.  Each goes in after the
+    # ray that starts its sector, unless it is that ray, so the list stays ccw.
     for i, inv in enumerate(map(mat_inv, q.mats)):
         for r in p.rays:
             w = mat_vec(inv, r)
             if q.piece_index(w) == i:
-                rays.append(w)
-    unique: list[Vec] = []
-    for r in ccw_sorted(rays):
-        if not unique or angle_cmp(unique[-1], r) != 0:
-            unique.append(r)
+                j = sector_index(rays, w) if rays else -1
+                if j < 0 or rays[j] != w:
+                    rays.insert(j + 1, w)
     pairs = []
-    k = len(unique)
+    k = len(rays)
     for i in range(k):
-        t = _sector_probe(unique[i], unique[(i + 1) % k])
+        t = _sector_probe(rays[i], rays[(i + 1) % k])
         mq = q.matrix_at(t)
-        m = mat_mul(p.matrix_at(mat_vec(mq, t)), mq)
-        pairs.append((unique[i], m))
+        pairs.append((rays[i], mat_mul(p.matrix_at(mat_vec(mq, t)), mq)))
     return _canonical(pairs)
 
 
@@ -299,12 +275,12 @@ def pl_inverse(p: PLMap) -> PLMap:
         return PLMap.linear(mat_inv(p.mats[0]))
     pairs = []
     k = len(p.rays)
-    # A det -1 piece maps its sector [r_i, r_i+1) onto the sector that starts at the image of r_i+1;
-    # a unimodular image of a primitive ray is primitive.
+    # A det -1 piece maps its sector [r_i, r_i+1) onto the sector that starts at the image of r_i+1,
+    # so the images run cw and are reversed; a unimodular image of a primitive ray is primitive.
     shift = 1 if mat_det(p.mats[0]) < 0 else 0
     for i in range(k):
         pairs.append((mat_vec(p.mats[i], p.rays[(i + shift) % k]), mat_inv(p.mats[i])))
-    return _canonical(sorted(pairs, key=_BY_RAY))
+    return _canonical(pairs[::-1] if shift else pairs)
 
 
 def pl_elementary(n: Vec = (0, 1), e: int = 1) -> PLMap:
@@ -314,4 +290,4 @@ def pl_elementary(n: Vec = (0, 1), e: int = 1) -> PLMap:
     [-n, n).  For n = (0, 1) and e = 1: the shear (1,0;-1,1) on the left
     half-plane, so (-1, 0) goes to (-1, 1).
     """
-    return _canonical(sorted([(require_primitive(n), elementary_shear(n, e)), (neg(n), MAT_ID)], key=_BY_RAY))
+    return _canonical([(require_primitive(n), elementary_shear(n, e)), (neg(n), MAT_ID)])

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -10,7 +11,6 @@ from logcy2.lattice import (
     NonPrimitiveError,
     NonUnimodularError,
     PLMap,
-    ccw_sorted,
     complement_matrix,
     cross,
     elementary_shear,
@@ -27,7 +27,28 @@ from logcy2.lattice import (
     require_unimodular,
     sector_index,
 )
-from logcy2.sampling import random_primitive
+from logcy2.birmap import tropicalize
+from logcy2.sampling import random_letter, random_primitive
+from logcy2.words import Word
+
+def _half(v) -> int:
+    """0 for angles in [0, pi), 1 for [pi, 2pi), measured from (1, 0)."""
+    x, y = v
+    return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+
+
+def angle_cmp(u, v) -> int:
+    """Reference angular order: compare directions ccw from (1, 0).  0 iff parallel, same side."""
+    hu, hv = _half(u), _half(v)
+    if hu != hv:
+        return -1 if hu < hv else 1
+    c = cross(u, v)
+    return 0 if c == 0 else (-1 if c > 0 else 1)
+
+
+def ccw_sorted(vecs: list) -> list:
+    return sorted(vecs, key=cmp_to_key(angle_cmp))
+
 
 primitive_vectors = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50)
@@ -251,7 +272,8 @@ def test_bijection_via_inverse(srng):
 
 def test_inverse_is_canonical(srng):
     # The inverse's rays are the images of p's, in p's order turned by p's
-    # pieces (and reversed by a det -1 map), so pl_inverse must sort them.
+    # pieces and run cw by a det -1 map: pl_inverse reverses those, and the
+    # inverse must still start at its angularly least ray.
     flip = PLMap.linear(((0, 1), (1, 0)))
     for _ in range(40):
         p = flip if srng.random() < 0.5 else PLMap.identity()
@@ -260,6 +282,26 @@ def test_inverse_is_canonical(srng):
         inv = pl_inverse(p)
         pl_validate(inv)
         assert pl_inverse(inv) == p
+
+
+def _in_reference_order(p: PLMap) -> bool:
+    """p's rays are distinct and ascend ccw from (1, 0), so they start at the angularly least ray."""
+    rays = list(p.rays)
+    return len(set(rays)) == len(rays) and rays == ccw_sorted(rays)
+
+
+def test_every_constructor_lists_its_rays_in_the_reference_order(srng):
+    flip = PLMap.linear(((0, 1), (1, 0)))
+    # (1, 0) puts a ray on the axis; (2, 3) and (-3, -1) put none there.
+    maps = [pl_elementary(n, e) for n in ((1, 0), (-1, 0), (0, -1), (2, 3), (-3, -1)) for e in (1, -1)]
+    maps += [pl_elementary(random_primitive(srng, 50), srng.choice((1, -1))) for _ in range(40)]
+    for _ in range(80):
+        t = tropicalize(Word(tuple(random_letter(srng) for _ in range(srng.randint(1, 6)))))
+        p = pl_compose(flip, t)  # the determinant sign opposite to t's
+        maps += [t, p, pl_inverse(t), pl_inverse(p), pl_compose(srng.choice(maps), t)]
+    assert {mat_det(m.mats[0]) for m in maps if not m.is_linear()} == {1, -1}
+    for m in maps:
+        assert _in_reference_order(m), m
 
 
 def test_validate_raises_assertion_error_on_a_non_primitive_ray():
@@ -272,3 +314,17 @@ def test_validate_catches_discontinuity():
     broken = PLMap(((0, 1), (0, -1)), (((1, 1), (0, 1)), MAT_ID))
     with pytest.raises(AssertionError):
         pl_validate(broken)
+
+
+@pytest.mark.parametrize(
+    "rays, message",
+    [
+        (((1, 0), (1, 0), (0, 1)), "repeated ray"),
+        (((1, 0), (0, -1), (-1, 0), (0, 1)), "rays not ccw"),
+        # Eight distinct rays that wind twice around the origin.
+        (((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)), "rays not ccw"),
+    ],
+)
+def test_validate_catches_misordered_rays(rays, message):
+    with pytest.raises(AssertionError, match=message):
+        pl_validate(PLMap(rays, (MAT_ID,) * len(rays)))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logcy2.errors import DigitLimitError
-from logcy2.lattice import NonPrimitiveError, angle_cmp, cross, neg, pl_apply, rot90
+from logcy2.lattice import NonPrimitiveError, cross, neg, pl_apply, rot90
 from logcy2 import surfaces
 from logcy2.birmap import letter_trop, realize, tropicalize
 from logcy2.catalog import check_counts
@@ -38,6 +38,7 @@ from logcy2.surfaces import (
     validate,
 )
 from logcy2.words import Elementary, Word, parse_word
+from test_lattice import angle_cmp
 
 
 def test_validate_plane_with_any_multiplicities():
