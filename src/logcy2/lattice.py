@@ -60,11 +60,6 @@ def cross(u: Vec, v: Vec) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def rot90(v: Vec) -> Vec:
-    """Counterclockwise quarter turn."""
-    return (-v[1], v[0])
-
-
 def elementary_shear(n: Vec, e: int) -> Mat:
     """The matrix of v -> v + e cross(n, v) n, fixing the line of n pointwise."""
     n1, n2 = n
@@ -238,13 +233,6 @@ def _canonical(pairs: list[tuple[Vec, Mat]]) -> PLMap:
     return PLMap(rays[s:] + rays[:s], mats[s:] + mats[:s])
 
 
-def _sector_probe(a: Vec, b: Vec) -> Vec:
-    """An integer direction strictly inside the sector [a, b)."""
-    if cross(a, b) > 0:
-        return vadd(a, b)
-    return rot90(a)
-
-
 def pl_compose(p: PLMap, q: PLMap) -> PLMap:
     """The composite p after q, with sectors refined and then re-merged."""
     if p.is_linear() and q.is_linear():
@@ -262,10 +250,12 @@ def pl_compose(p: PLMap, q: PLMap) -> PLMap:
                     rays.insert(j + 1, w)
     pairs = []
     k = len(rays)
+    # q is linear on each refined sector [rays[i], rays[i+1]) and p on its image, which
+    # starts ccw at the image of rays[i], or at that of rays[i+1] when det -1 runs it cw.
+    shift = 1 if mat_det(q.mats[0]) < 0 else 0
     for i in range(k):
-        t = _sector_probe(rays[i], rays[(i + 1) % k])
-        mq = q.matrix_at(t)
-        pairs.append((rays[i], mat_mul(p.matrix_at(mat_vec(mq, t)), mq)))
+        mq = q.matrix_at(rays[i])
+        pairs.append((rays[i], mat_mul(p.matrix_at(mat_vec(mq, rays[(i + shift) % k])), mq)))
     return _canonical(pairs)
 
 

@@ -558,8 +558,8 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
 # A monomial map (x, y) -> (x^B11 y^B12, x^B21 y^B22) is an automorphism of
 # Z[x^+-1, y^+-1], and E^e = (x, y (1 + x)^-e) one of Z[x^+-1, y^+-1,
 # (1 + x)^-1], so a reduced num/den pulled back through either can only gain
-# common monomials and, for E^e, powers of 1 + x, which the E-steps and the
-# exit divide out with no gcd.  ``pullback`` holds each side as rows
+# common monomials and, for E^e, powers of 1 + x, which each E-step's row loop
+# and the exit divide out with no gcd.  ``pullback`` holds each side as rows
 # (j, lo, b), b[t] = (-1)^i c for the coefficient c of x^i y^j, i = lo + t:
 # in these signs a product by 1 + x is b[t] - b[t - 1], and a quotient a
 # running sum, exact when its last entry is 0; each side stays primitive
@@ -608,15 +608,6 @@ def _monomial_step(sides, mat: tuple[Term, Term]):
     return built
 
 
-def _one_plus_x_quotient(b: list[int], cap: int) -> tuple[int, list[int]]:
-    """(v, b / (1 + x)^v), v the times 1 + x divides the row b up to ``cap``: one running sum each."""
-    v = 0
-    while v < cap and not (q := list(itertools.accumulate(b))).pop():
-        b = q
-        v += 1
-    return v, b
-
-
 def _binomial_row(t: int) -> tuple[int, ...]:
     """(-1)^k C(t, k) for k = 0..t, the row of (1 + x)^t, by C(t, k + 1) = C(t, k) (t - k) / (k + 1)."""
     a = [1]
@@ -646,9 +637,9 @@ def _elementary_step(sides, e: int):
     Row j, R_j(x) y^j, becomes (1 + x)^(v_j - e j - k) Q_j y^j for Q_j = R_j / (1 + x)^v_j,
     with k the least v(R_j) - e j over both sides for the (1 + x)-valuation v.  One loop
     reads the bases -e j and k's start, the least len(R_j) - 1 - e j, as a row has fewer
-    powers of 1 + x than terms.  Rows in increasing base then count v_j up to the running
-    k + e j: a row below that cap lowers k to v_j - e j, one at it has v_j - e j = k then,
-    and one with -e j >= k is not counted, so every v_j - e j >= the final k.
+    powers of 1 + x than terms.  Rows in increasing base then take one running sum a power
+    while -e j + v_j < k: a row that stops below k lowers k to v_j - e j, one that reaches
+    k stops there, and one with -e j >= k takes no sum, so every v_j - e j >= the final k.
     """
     rows, k = [], math.inf
     for j, _, b in itertools.chain(*sides):
@@ -658,7 +649,10 @@ def _elementary_step(sides, e: int):
     rows.sort()
     found = [None] * len(rows)
     for base, n, b in rows:
-        v, _ = found[n] = _one_plus_x_quotient(b, k - base)
+        v = 0
+        while base + v < k and not (q := list(itertools.accumulate(b))).pop():
+            b, v = q, v + 1
+        found[n] = v, b
         if base + v < k:
             k = base + v
     size = max(sum(len(b) - e * j - k for j, _, b in side) for side in sides)

@@ -30,6 +30,7 @@ from logcy2.lattice import complement_matrix, mat_inv, mat_mul, pl_apply, pl_com
 from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, evaluate, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_unimodular, random_word, realized_degree
 from logcy2.words import E, Elementary, Letter, Linear, Word, elementary, linear, linear_from_literal, parse_word, ray_image
+from test_polyrat import running_sums
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
@@ -372,14 +373,13 @@ def test_term_budget_stops_realize_and_compose_before_building(monkeypatch):
 @pytest.mark.parametrize("word", ["E^4000*A[1,1;0,1]*E^-1", "E^-4000*A[1,1;0,1]*E"])
 def test_elementary_step_counts_only_valuations_that_can_matter(monkeypatch, word):
     # The last E^+-1 step meets rows of up to 4001 terms; k starts at 1 there,
-    # the least len(R_j) - 1 - e j, so no row is divided by 1 + x more than once.
-    caps = []
-    quotient = polyrat._one_plus_x_quotient
-    monkeypatch.setattr(polyrat, "_one_plus_x_quotient", lambda b, cap: caps.append(cap) or quotient(b, cap))
+    # the least len(R_j) - 1 - e j, so the one row that can lower it is summed
+    # once, and no row is divided by 1 + x twice.
+    sums = running_sums(monkeypatch)
     realize.cache_clear()
     realize(parse_word(word))
     realize.cache_clear()
-    assert caps and max(caps) == 1
+    assert sums == [4001]
 
 
 def test_conjugation_identity_holds_as_stated():

@@ -28,7 +28,7 @@ from logcy2.lattice import (
     sector_index,
 )
 from logcy2.birmap import tropicalize
-from logcy2.sampling import random_letter, random_primitive
+from logcy2.sampling import random_letter, random_primitive, random_unimodular
 from logcy2.words import Word
 
 def _half(v) -> int:
@@ -255,6 +255,23 @@ def test_compose_associates_pointwise(srng):
         pq = pl_compose(p, q)
         v = (srng.randint(-20, 20), srng.randint(-20, 20))
         assert pl_apply(pq, v) == pl_apply(p, pl_apply(q, v))
+
+
+def test_compose_after_a_non_linear_det_minus_one_map(srng):
+    # The library only composes after one letter, so its q is never a non-linear map of
+    # determinant -1: here q is a flip after a random elementary t or before it, and p an
+    # elementary map, turned by a random unimodular matrix of either sign.
+    flip = PLMap.linear(((0, 1), (1, 0)))
+    for _ in range(60):
+        t = pl_elementary(random_primitive(srng, 3), srng.choice((1, -1, 2)))
+        p = pl_compose(PLMap.linear(random_unimodular(srng)), pl_elementary(random_primitive(srng, 3), srng.choice((1, -1))))
+        for q in (pl_compose(flip, t), pl_compose(t, flip)):
+            assert mat_det(q.mats[0]) == -1 and not q.is_linear()
+            pq = pl_compose(p, q)
+            pl_validate(pq)
+            probes = [(srng.randint(-20, 20), srng.randint(-20, 20)) for _ in range(20)]
+            for v in probes + list(q.rays) + list(pq.rays):
+                assert pl_apply(pq, v) == pl_apply(p, pl_apply(q, v)), (p, q, v)
 
 
 def test_bijection_via_inverse(srng):

@@ -9,14 +9,14 @@ raise its evaluation point many times: coefficients of thousands of
 digits, a seeded pair of high y-degree, and a tall product of cyclotomic
 factors of x^210 - 1.
 ``pullback``, which takes no gcd, is checked against sympy's ``cancel`` of
-the substituted fraction, its row kernels ``_times_one_plus_x`` and
-``_one_plus_x_quotient`` against ``sympy.Poly`` products, multiplicities
-and exact quotients.  ``dlog_ratio`` is checked against sympy's
-derivatives in the field Q(x, y), ``evaluate`` against sympy's value of the
-same fraction, poles included, and sympy reads the text of ``format_poly``
-and ``format_ratfunc`` back to the same value.  ``realize``, which runs on
-``pullback``, is checked against a fold of ``substitute`` in
-``test_birmap.py``, where sympy is not needed.
+the substituted fraction, its row kernel ``_times_one_plus_x`` against
+``sympy.Poly`` products, and the powers of 1 + x an E-step divides out
+against sympy's multiplicities, capped by a denominator.  ``dlog_ratio`` is
+checked against sympy's derivatives in the field Q(x, y), ``evaluate``
+against sympy's value of the same fraction, poles included, and sympy
+reads the text of ``format_poly`` and ``format_ratfunc`` back to the same
+value.  ``realize``, which runs on ``pullback``, is checked against a fold
+of ``substitute`` in ``test_birmap.py``, where sympy is not needed.
 """
 
 import random
@@ -495,19 +495,18 @@ def test_times_one_plus_x_matches_sympy(b, t):
 @ORACLE
 @given(ROWS, st.integers(0, 12), st.integers(-2, 3))
 @example([1, -2], 0, 1)  # 1 + 2x: 1 + x does not divide it
+@example([1], 3, -2)  # (1 + x)^3 / y: the cap 1 stops the count below m = 3
 def test_one_plus_x_quotient_matches_sympy(b, t, slack):
-    # b (1 + x)^t, whose multiplicity m of x = -1 is t plus b's own, counted
-    # up to a cap from below m to above it: the count is min(cap, m), and the
-    # quotient sympy's.
+    # R = b (1 + x)^t, whose multiplicity m of x = -1 is t plus b's own.
+    # Through E^-1, R / y^j is R / ((1 + x)^j y^j): the denominator's row caps
+    # the count at j, from below m to above it, so the E-step divides R by
+    # (1 + x)^min(m, j), and the reduced fraction is sympy's.
     row = polyrat._times_one_plus_x(b, t)
-    poly = sympy.Poly(sum((-c if i & 1 else c) * SX**i for i, c in enumerate(row)), SX)
-    m = dict(sympy.factor_list(poly)[1]).get(sympy.Poly(SX + 1, SX), 0)
-    cap = m + slack
-    v, q = polyrat._one_plus_x_quotient(row, cap)
-    assert v == max(0, min(cap, m))
-    assert q == alternating_row(sympy.div(poly, sympy.Poly((1 + SX) ** v, SX))[0])
-    if not v:
-        assert q is row
+    poly = sum((-c if i & 1 else c) * SX**i for i, c in enumerate(row))
+    m = dict(sympy.factor_list(sympy.Poly(poly, SX))[1]).get(sympy.Poly(SX + 1, SX), 0)
+    j = max(m + slack, 0)
+    r = normalize(Poly2({(i, 0): -c if i & 1 else c for i, c in enumerate(row)}), Poly2.y() ** j)
+    assert pullback(r, [-1]) == canonical(poly / ((1 + SX) ** j * SY**j))
 
 
 # --- evaluation -------------------------------------------------------------------

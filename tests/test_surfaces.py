@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logcy2.errors import DigitLimitError
-from logcy2.lattice import NonPrimitiveError, cross, neg, pl_apply, rot90
+from logcy2.lattice import NonPrimitiveError, cross, neg, pl_apply
 from logcy2 import surfaces
 from logcy2.birmap import letter_trop, realize, tropicalize
 from logcy2.catalog import check_counts
@@ -344,7 +344,7 @@ def _newton_edges(terms: dict) -> list[tuple[tuple[int, int], list]]:
     for p, q in zip(hull, hull[1:] + hull[:1]):
         steps = math.gcd(q[0] - p[0], q[1] - p[1])
         e = ((q[0] - p[0]) // steps, (q[1] - p[1]) // steps)
-        r = rot90(e)  # the left of a ccw edge is inside
+        r = (-e[1], e[0])  # e turned a quarter ccw: the left of a ccw edge is inside
         row = [0] * (steps + 1)
         for t, c in terms.items():
             if dot(r, t) == dot(r, p):
