@@ -12,13 +12,15 @@ structural equality of canonical forms decides the word problem.
 
 The group law needs two operations: ``realize``, the one fold over the
 letters of a word, and ``compose``, the one product of two maps.  Both pull
-a map back through ``polyrat.pullback`` steps and take no gcd.  A monomial
-map is an automorphism of Z[x^+-1, y^+-1] and E^e one of Z[x^+-1, y^+-1,
-(1 + x)^-1], so a reduced fraction pulled back through a step can only gain
-monomials and powers of 1 + x as common factors, which the kernels divide
-out exactly.  A map given by f and g alone has no steps, so ``compose``
-refuses it as the inner map (it still serves as the outer one); composing
-into it is ``polyrat.substitute``, one call per coordinate.
+a map's two fractions back through ``polyrat.pullback`` steps in one call,
+which pulls a denominator they share back once wherever it can, and take
+no gcd.  A monomial map is an automorphism of Z[x^+-1, y^+-1] and E^e one
+of Z[x^+-1, y^+-1, (1 + x)^-1], so a reduced fraction pulled back through
+a step can only gain monomials and powers of 1 + x as common factors,
+which the kernels divide out exactly.  A map given by f and g alone has
+no steps, so ``compose`` refuses it as the inner map (it still serves as
+the outer one); composing into it is ``polyrat.substitute``, one call per
+coordinate.
 
 ``boundary_limit`` computes the induced map between boundary components:
 on the arc x = lambda^p t^n1, y = lambda^q t^n2 (with p n2 - q n1 = 1, so
@@ -94,8 +96,8 @@ def _pull(m: BirationalMap, steps: Iterable[Mat | int]) -> BirationalMap:
             step = prev + step if isinstance(step, int) else mat_mul(prev, step)
         if step != 0 and step != MAT_ID:
             merged.append(step)
-    return BirationalMap(pullback(m.f, merged), pullback(m.g, merged),
-                         None if m.steps is None else m.steps + tuple(merged))
+    f, g = pullback((m.f, m.g), merged)
+    return BirationalMap(f, g, None if m.steps is None else m.steps + tuple(merged))
 
 
 def compose(outer: BirationalMap, inner: BirationalMap) -> BirationalMap:

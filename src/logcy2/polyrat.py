@@ -28,9 +28,10 @@ one ``normalize`` and keeps no state.
 multiple of dlog x ^ dlog y, in one integer pass over term pairs or, for
 dense sides, in 13 products of Kronecker-packed ints; over ``PAIR_BUDGET``
 pairs it raises first.
-``pullback`` pulls a fraction back through monomial maps and powers of
-E = (x, y (1 + x)^-1), one plain pass a step on y-rows, with no gcd; an
-E-step that would build over ``TERM_BUDGET`` terms raises first.
+``pullback`` pulls a map's fractions back through monomial maps and powers
+of E = (x, y (1 + x)^-1), one plain pass a step on y-rows, with no gcd; an
+E-step that would build over ``TERM_BUDGET`` terms raises first.  A fraction
+reuses the rows a shared denominator of more than one term got before it.
 ``arc_limit`` reads the leading order in t of a pair of fractions on a
 boundary arc x = lam^p t^n1, y = lam^q t^n2 from each side's lowest t-row,
 raised with ``_Powers`` and multiplied with ``_ip_mul``.
@@ -617,11 +618,9 @@ def _binomial_row(t: int) -> tuple[int, ...]:
 
 
 def _times_one_plus_x(b: list[int], t: int) -> list[int]:
-    """The row b times (1 + x)^t: b itself for t = 0, else one convolution with the binomial row."""
+    """The row b times (1 + x)^t, t >= 0, by one convolution with the binomial row."""
     if t < 0:
         raise AssertionError(f"negative power {cut(t)} of 1 + x")
-    if not t:
-        return b
     a = _binomial_row(t)
     out = [0] * (len(b) + t)
     for s, c in enumerate(b):
@@ -631,7 +630,7 @@ def _times_one_plus_x(b: list[int], t: int) -> list[int]:
     return out
 
 
-def _elementary_step(sides, e: int):
+def _elementary_step(sides, e: int, den=()):
     """Both sides' rows pulled back through E^e, for a reduced num/den.
 
     Row j, R_j(x) y^j, becomes (1 + x)^(v_j - e j - k) Q_j y^j for Q_j = R_j / (1 + x)^v_j,
@@ -640,6 +639,8 @@ def _elementary_step(sides, e: int):
     powers of 1 + x than terms.  Rows in increasing base then take one running sum a power
     while -e j + v_j < k: a row that stops below k lowers k to v_j - e j, one that reaches
     k stops there, and one with -e j >= k takes no sum, so every v_j - e j >= the final k.
+    A quotient whose power is 0 is kept as it is.  The denominator comes back empty when ``den``,
+    its rows after this step in the pass before, has its first row -e j - k terms longer.
     """
     rows, k = [], math.inf
     for j, _, b in itertools.chain(*sides):
@@ -658,50 +659,73 @@ def _elementary_step(sides, e: int):
     size = max(sum(len(b) - e * j - k for j, _, b in side) for side in sides)
     if size > TERM_BUDGET:
         raise TermBudgetError(f"a pullback through E^{e} would build {cut(size)} terms, over {TERM_BUDGET}")
+    if den and len(den[0][2]) - len(sides[1][0][2]) == -e * sides[1][0][0] - k:
+        sides = [sides[0], ()]
     quotients = iter(found)  # zip stops at each side's end
-    return [[(j, lo, _times_one_plus_x(q, v - e * j - k)) for (j, lo, _), (v, q) in zip(side, quotients)]
-            for side in sides]
+    return [[(j, lo, q if v == e * j + k else _times_one_plus_x(q, v - e * j - k))
+             for (j, lo, _), (v, q) in zip(side, quotients)] for side in sides]
 
 
-def pullback(r: RatFunc2, steps: list[int | tuple[Term, Term]]) -> RatFunc2:
-    """r pulled back through each step in turn, in canonical form.
+def pullback(rs: tuple[RatFunc2, ...], steps: list[int | tuple[Term, Term]]) -> list[RatFunc2]:
+    """Each fraction of rs pulled back through each step in turn, in canonical form.
 
     A step is an int e, for E^e, or a 2x2 integer matrix, for the monomial map; the first
-    matrix, or the identity, turns the terms dicts into rows, and the last is the exit.
+    matrix, or the identity, turns the terms dicts into rows, and the last is the exit.  The
+    fractions run in turn.  A pass keeps a denominator of more than one term after each stage;
+    the next, while its denominator is still those rows, takes them at every monomial step, at
+    an E-step with the same k and at the exit with the same shift (the sign is the rows' own).
     """
-    if not r.num:
-        return r
     steps = list(steps)
     last = steps.pop() if steps and not isinstance(steps[-1], int) else _MAT_ID
     first = steps.pop(0) if steps and not isinstance(steps[0], int) else _MAT_ID
-    sides = _monomial_step([r.num.terms, r.den.terms], first)
-    for step in steps:
-        sides = _elementary_step(sides, step) if isinstance(step, int) else _monomial_step(sides, step)
     (a, b), (c, d) = last
-    si, sj, leads = math.inf, math.inf, []
-    for side in sides:
-        top = (-math.inf, 0)
-        for j, lo, row in side:
-            for i, v in ((lo, row[0]), (lo + len(row) - 1, row[-1])):
-                i2, j2 = a * i + c * j, b * i + d * j
-                if i2 < si:
-                    si = i2
-                if j2 < sj:
-                    sj = j2
-                if (i2 + j2, i2) > top:
-                    top, lead = (i2 + j2, i2), -v if i & 1 else v
-        leads.append(lead)
-    num, den = {}, {}
-    for out, side, lead in zip((num, den), sides, leads):
-        for j, lo, row in side:
-            i2, j2, flip = a * lo + c * j - si, b * lo + d * j - sj, (lo & 1) ^ (lead < 0)
-            for v in row:
-                if v:
-                    out[i2, j2] = -v if flip else v
-                i2, j2, flip = i2 + a, j2 + b, flip ^ 1
-    ln, ld = leads
-    return RatFunc2(Poly2._raw(num, Fraction(r.num.content if ln > 0 else -r.num.content, r.den.content * ld)),
-                    Poly2._raw(den, Fraction(1, abs(ld))))
+    pulled, trace = [], []
+    for r in rs:
+        if not r.num:
+            pulled.append(r)
+            continue
+        prior = trace if trace and r.den.terms == trace[0] else None
+        trace = [r.den.terms] if len(r.den.terms) > 1 else []  # a pass with nothing to share keeps no rows
+        sides = [r.num.terms, prior[0] if prior else r.den.terms]
+        if not trace:
+            for step in [first, *steps]:
+                sides = (_elementary_step if isinstance(step, int) else _monomial_step)(sides, step)
+        else:
+            for n, step in enumerate([first, *steps]):
+                den = prior[n + 1] if prior and sides[1] is prior[n] else ()
+                sides = (_elementary_step(sides, step, den) if isinstance(step, int)
+                         else _monomial_step([sides[0], ()] if den else sides, step))
+                if not sides[1]:  # the denominator is the pass before's
+                    sides[1] = den
+                trace.append(sides[1])
+        si, sj, leads = math.inf, math.inf, []
+        for side in sides:
+            top = (-math.inf, 0)
+            for j, lo, row in side:
+                for i, v in ((lo, row[0]), (lo + len(row) - 1, row[-1])):
+                    i2, j2 = a * i + c * j, b * i + d * j
+                    if i2 < si:
+                        si = i2
+                    if j2 < sj:
+                        sj = j2
+                    if (i2 + j2, i2) > top:
+                        top, lead = (i2 + j2, i2), -v if i & 1 else v
+            leads.append(lead)
+        keep = prior and sides[1] is prior[-2] and prior[-1][0] == (si, sj)
+        num, den = {}, {}
+        for out, side, lead in zip((num, den), sides[:1] if keep else sides, leads):
+            for j, lo, row in side:
+                i2, j2, flip = a * lo + c * j - si, b * lo + d * j - sj, (lo & 1) ^ (lead < 0)
+                for v in row:
+                    if v:
+                        out[i2, j2] = -v if flip else v
+                    i2, j2, flip = i2 + a, j2 + b, flip ^ 1
+        ln, ld = leads
+        den = prior[-1][1] if keep else Poly2._raw(den, Fraction(1, abs(ld)))
+        trace.append(((si, sj), den))
+        pulled.append(RatFunc2(Poly2._raw(num, Fraction(r.num.content if ln > 0 else -r.num.content,
+                                                        r.den.content * ld)), den))
+    return pulled
 
 
 def _euler_parts(num: dict[Term, int], den: dict[Term, int], base: int) -> dict[int, list[int]]:

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from logcy2.lattice import complement_matrix, mat_inv, mat_mul, pl_apply, pl_com
 from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, evaluate, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_unimodular, random_word, realized_degree
 from logcy2.words import E, Elementary, Letter, Linear, Word, elementary, linear, linear_from_literal, parse_word, ray_image
-from test_polyrat import running_sums
+from test_polyrat import pull_one, running_sums
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
@@ -353,21 +354,52 @@ def test_steps_stay_out_of_equality_and_hash():
     assert IDENTITY_MAP.steps == ()
 
 
+def multiplied_rows(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """Each row the E-step multiplies by a power of 1 + x, with that power, as ``_times_one_plus_x`` gets it."""
+    rows = []
+    times = polyrat._times_one_plus_x
+    monkeypatch.setattr(polyrat, "_times_one_plus_x", lambda b, t: rows.append((tuple(b), t)) or times(b, t))
+    return rows
+
+
 def test_term_budget_stops_realize_and_compose_before_building(monkeypatch):
     monkeypatch.setattr("logcy2.polyrat.TERM_BUDGET", 50)
+    rows = multiplied_rows(monkeypatch)
     realize.cache_clear()
+    # The spy sees the one row that gets a positive power under this budget:
+    # y's denominator 1, times (1 + x)^49; x's rows and y's own get (1 + x)^0.
     assert realize(E**49).g == normalize(Y, (ONE + X) ** 49)
+    assert rows == [((1,), 49)]
     half = realize(E**25)
-    # Only the x-coordinate's rows, multiplied by (1 + x)^0, get built.
-    powers = []
-    times = polyrat._times_one_plus_x
-    monkeypatch.setattr(polyrat, "_times_one_plus_x", lambda b, t: powers.append(t) or times(b, t))
+    rows.clear()
     with pytest.raises(TermBudgetError, match="E\\^50 would build 51 terms"):
         realize(E**50)
     with pytest.raises(TermBudgetError):
         compose(half, half)
-    assert powers and not any(powers)
+    # No row gets a positive power of 1 + x before either raise.
+    assert rows == []
     realize.cache_clear()
+
+
+def test_compose_convolves_a_shared_denominator_once_per_e_step(monkeypatch):
+    # r3*r1 has one denominator for both coordinates, and r3 takes one E-step.
+    # There y's numerator rows get (1 + x)^0, so each row y's pass would
+    # multiply alone is a denominator row, and in compose x's pass has
+    # multiplied it already: the denominator is convolved once, not twice.
+    outer, inner = realize(parse_word("r3*r1")), realize(parse_word("r3"))
+    assert outer.f.den == outer.g.den and sum(isinstance(step, int) for step in inner.steps) == 1
+    rows = multiplied_rows(monkeypatch)
+    got = compose(outer, inner)
+    joint = Counter(rows)
+    rows.clear()
+    f = pull_one(outer.f, inner.steps)
+    alone_f = Counter(rows)
+    rows.clear()
+    g = pull_one(outer.g, inner.steps)
+    alone_g = Counter(rows)
+    assert (got.f, got.g) == (f, g) and got.g.den is got.f.den
+    assert alone_g and alone_g <= alone_f
+    assert joint == alone_f
 
 
 @pytest.mark.parametrize("word", ["E^4000*A[1,1;0,1]*E^-1", "E^-4000*A[1,1;0,1]*E"])

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import math
 import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from logcy2.polyrat import (
     PoleAtPointError,
     Poly2,
     RatFunc2,
+    TermBudgetError,
     ZeroDenominatorError,
     arc_limit,
     dlog_ratio,
@@ -32,6 +34,12 @@ X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
 def rf(num, den=ONE):
     return normalize(num, den)
+
+
+def pull_one(r: RatFunc2, steps) -> RatFunc2:
+    """r alone through ``pullback``: the per-coordinate pullback, which shares no rows, and the reference for a map's."""
+    [pulled] = pullback((r,), steps)
+    return pulled
 
 
 def random_poly(rng, deg=3, terms=4):
@@ -62,8 +70,8 @@ def test_every_result_is_content_times_primitive_terms(srng):
     h = X.scale(Fraction(1, 2)) + Y.scale(Fraction(3, 2))
     r = normalize(h, X.scale(Fraction(1, 3)))
     f = normalize(h * Poly2.const(2), ONE + Y)
-    pulled = pullback(r, [1, ((0, 1), (1, 0)), -2])
-    flipped = pullback(rf(X - Y, ONE + X), [((0, 1), (1, 0))])  # x - y becomes y - x
+    pulled = pull_one(r, [1, ((0, 1), (1, 0)), -2])
+    flipped = pull_one(rf(X - Y, ONE + X), [((0, 1), (1, 0))])  # x - y becomes y - x
     results = [
         h * Poly2.const(2), half * half * Poly2.const(4), h**2 * Poly2.const(4), h**0,
         h + h, h - half, h.scale(2),
@@ -295,7 +303,7 @@ def test_elementary_step_stops_counting_once_k_is_fixed(monkeypatch, e, tall_fir
     tall = {t: Poly2._raw({(i, b): abs(c) for i, c in enumerate(polyrat._binomial_row(t))}, 1) for t in (3000, 3001)}
     num = tall[3000] + p if tall_first else p + tall[3000]
     sums = running_sums(monkeypatch)
-    assert pullback(rf(num, q), [e]) == rf(p + tall[3001], q)
+    assert pull_one(rf(num, q), [e]) == rf(p + tall[3001], q)
     assert sums == [3001]
 
 
@@ -303,8 +311,11 @@ def test_times_one_plus_x_refuses_a_negative_power():
     # The E-step divides by 1 + x with running sums, so a negative power here is a bug.
     with pytest.raises(AssertionError):
         polyrat._times_one_plus_x([1, 0, -1], -1)
+    # The E-step keeps a row whose power is 0 and never calls this with t = 0
+    # (test_term_budget_stops_realize_and_compose_before_building counts the
+    # rows it gets); (1 + x)^0 still multiplies a row to an equal one.
     row = [1, -2]
-    assert polyrat._times_one_plus_x(row, 0) is row
+    assert polyrat._times_one_plus_x(row, 0) == row
 
 
 # --- pullback, one branch of its three passes at a time ------------------------------
@@ -316,32 +327,32 @@ def test_pullback_through_an_odd_x_shift():
     # x -> 1/x leaves x-exponents down to -1, an odd shift, from the terms dicts,
     # from the rows after E^-1, and on the way into an E-step.
     r = rf(Y + X.scale(3), X + Poly2.const(2))
-    assert pullback(rf(ONE + X.scale(3), X + Poly2.const(2)), [INVERT_X, ID]) == rf(X + Poly2.const(3), ONE + X.scale(2))
-    got = pullback(r, [-1, INVERT_X, ID])
+    assert pull_one(rf(ONE + X.scale(3), X + Poly2.const(2)), [INVERT_X, ID]) == rf(X + Poly2.const(3), ONE + X.scale(2))
+    got = pull_one(r, [-1, INVERT_X, ID])
     assert got == rf(X * Y + Y + Poly2.const(3), ONE + X.scale(2))
     assert got.num.content == Fraction(1, 2) and got.num.terms == {(1, 1): 1, (0, 1): 1, (0, 0): 3}
-    assert pullback(r, [INVERT_X, 1, ID]) == rf(X * Y + X.scale(3) + Poly2.const(3), (ONE + X) * (ONE + X.scale(2)))
+    assert pull_one(r, [INVERT_X, 1, ID]) == rf(X * Y + X.scale(3) + Poly2.const(3), (ONE + X) * (ONE + X.scale(2)))
 
 
 def test_exit_through_a_det_minus_one_matrix_with_a_y_shift():
     # (x, y) -> (x, x / y): (1 + y) / (x - y) pulled back through E is
     # (x y + x + y) / (x (x y + y - 1)).
-    got = pullback(rf(ONE + Y, X - Y), [1, ((1, 0), (1, -1))])
+    got = pull_one(rf(ONE + Y, X - Y), [1, ((1, 0), (1, -1))])
     assert got == rf(X * Y + X + Y, X * (X * Y + Y - ONE))
     assert got.den.terms == {(2, 1): 1, (1, 1): 1, (1, 0): -1} and got.den.content == 1
 
 
 def test_exit_skips_interior_zeros_of_a_row():
-    assert pullback(rf(ONE + X * X), [SHEAR]) == rf(ONE + X * X * Y * Y)
+    assert pull_one(rf(ONE + X * X), [SHEAR]) == rf(ONE + X * X * Y * Y)
     # Through E, (x^3 + 1) / y gains one power of 1 + x: the row x^4 + x^3 + x + 1 has no x^2.
-    got = pullback(rf(ONE + X**3, Y), [1])
+    got = pull_one(rf(ONE + X**3, Y), [1])
     assert got.num.terms == {(0, 0): 1, (1, 0): 1, (3, 0): 1, (4, 0): 1} and got.den.terms == {(0, 1): 1}
 
 
 def test_exit_flips_a_negative_leading_coefficient_into_the_content():
-    num = pullback(rf(X - Y), [SWAP])  # y - x
+    num = pull_one(rf(X - Y), [SWAP])  # y - x
     assert (num.num.content, num.num.terms, num.den) == (-1, {(1, 0): 1, (0, 1): -1}, ONE)
-    den = pullback(rf(ONE, X - Y), [SWAP])  # 1 / (y - x) = -1 / (x - y)
+    den = pull_one(rf(ONE, X - Y), [SWAP])  # 1 / (y - x) = -1 / (x - y)
     assert (den.num.content, den.num.terms) == (-1, {(0, 0): 1})
     assert (den.den.content, den.den.terms) == (1, {(1, 0): 1, (0, 1): -1})
     assert str(num) == "(-1)*x + y" and str(den) == "((-1)) / (x + (-1)*y)"
@@ -349,8 +360,8 @@ def test_exit_flips_a_negative_leading_coefficient_into_the_content():
 
 def test_pullback_of_one_term_sides():
     r = rf(X * Y * Y, Poly2.const(3))
-    assert pullback(r, [SHEAR]) == rf(X * Y**3, Poly2.const(3))
-    assert pullback(r, [2, SHEAR]) == rf(X * Y**3, Poly2.const(3) * (ONE + X * Y) ** 4)
+    assert pull_one(r, [SHEAR]) == rf(X * Y**3, Poly2.const(3))
+    assert pull_one(r, [2, SHEAR]) == rf(X * Y**3, Poly2.const(3) * (ONE + X * Y) ** 4)
 
 
 @pytest.mark.parametrize("e, expected", [(1, rf(Y * Y, X * (ONE + X) ** 2)), (-1, rf(Y * Y * (ONE + X) ** 2, X))])
@@ -358,8 +369,110 @@ def test_elementary_step_where_every_row_cap_is_at_most_zero(monkeypatch, e, exp
     # One-term rows: k starts at the least -e j, so no row may be divided,
     # and none is summed.
     sums = running_sums(monkeypatch)
-    assert pullback(rf(Y * Y, X), [e]) == expected
+    assert pull_one(rf(Y * Y, X), [e]) == expected
     assert sums == []
+
+
+# --- a map's fractions pulled back together ----------------------------------------
+
+
+def e_step_offers(monkeypatch) -> list[bool | None]:
+    """Per E-step, in order: None when it was offered no denominator, else whether it took the one offered."""
+    offers = []
+    step = polyrat._elementary_step
+
+    def spy(sides, e, den=()):
+        built = step(sides, e, den)
+        offers.append(not built[1] if den else None)
+        return built
+
+    monkeypatch.setattr(polyrat, "_elementary_step", spy)
+    return offers
+
+
+def assert_same_as_one_at_a_time(rs, steps) -> list[RatFunc2]:
+    """``pullback`` of rs together, checked against the reference field by field; returns it."""
+    got = pullback(rs, steps)
+    expected = [pull_one(r, steps) for r in rs]
+    assert got == expected
+    assert [(p.num.content, p.num.terms, p.den.content, p.den.terms) for p in got] == [
+        (p.num.content, p.num.terms, p.den.content, p.den.terms) for p in expected]
+    return got
+
+
+def test_pullback_of_a_shared_denominator_matches_one_fraction_at_a_time(srng, monkeypatch):
+    # Pairs with one denominator, whose sides carry powers of 1 + x and y, through random
+    # steps: the sharing of a denominator of more than one term lasts to the end, ends at an
+    # E-step whose k differs, or ends at the exit, whose shift differs; all three happen,
+    # and every result is the reference's.
+    offers = e_step_offers(monkeypatch)
+    steps_pool = [ID, SWAP, INVERT_X, SHEAR, ((1, -2), (0, 1)), ((0, -1), (1, -1)), -3, -2, -1, 1, 2, 3]
+    ends = Counter()
+    for _ in range(400):
+        den = (random_poly(srng, 2, 3) * (ONE + X) ** srng.randint(0, 2) if srng.random() < 0.9
+               else Poly2.monomial(srng.randint(0, 2), srng.randint(0, 2), srng.randint(1, 5)))
+        nums = [random_poly(srng, 2, 3) * (ONE + X) ** srng.randint(0, 2) * Y ** srng.randint(0, 2) for _ in "fg"]
+        if not den or not all(nums):
+            continue
+        rs = tuple(rf(num, den) for num in nums)
+        if rs[0].den != rs[1].den:
+            continue
+        offers.clear()
+        got = assert_same_as_one_at_a_time(rs, [srng.choice(steps_pool) for _ in range(srng.randint(1, 4))])
+        if len(rs[0].den.terms) == 1:  # nothing worth sharing: no pass keeps rows or offers them
+            assert offers == [None] * len(offers)
+            ends["one term"] += 1
+        elif got[1].den is got[0].den:
+            ends["kept"] += 1
+        elif False in offers:
+            ends["E-step"] += 1
+        else:
+            ends["exit"] += 1
+    assert min(ends["kept"], ends["E-step"], ends["exit"], ends["one term"]) >= 5, ends
+
+
+def test_shared_denominator_is_rebuilt_where_k_differs(monkeypatch):
+    # Through E, 1 / (1 + x) stays as it is at k = 0, and y / (1 + x) gains a power at k = -1.
+    offers = e_step_offers(monkeypatch)
+    got = assert_same_as_one_at_a_time((rf(ONE, ONE + X), rf(Y, ONE + X)), [1])
+    assert got == [rf(ONE, ONE + X), rf(Y, (ONE + X) ** 2)]
+    assert offers == [None, False, None, None]  # together, then the reference's two passes
+
+
+def test_shared_denominator_at_the_exit():
+    # x -> 1/x shifts x-exponents by the least one over both sides: -1 for 1 / (1 + x),
+    # -2 for x^2 / (1 + x), so the second denominator is rebuilt.
+    got = assert_same_as_one_at_a_time((rf(ONE, ONE + X), rf(X * X, ONE + X)), [INVERT_X])
+    assert got == [rf(X, X + ONE), rf(ONE, X * X + X)]
+    # Numerators whose leading coefficients differ in sign leave the denominator shared:
+    # its own leading coefficient is read from its own rows.
+    den = ONE + X + Y
+    got = assert_same_as_one_at_a_time((rf(X - Y, den), rf(Y - X, den)), [1, SWAP])
+    assert got[0].num.content == -got[1].num.content and got[1].den is got[0].den
+
+
+def test_pullback_passes_a_zero_numerator_through():
+    zero = rf(Poly2.zero())
+    for rs in [(zero, rf(Y, ONE + X)), (rf(X, ONE + X), zero), (zero, zero)]:
+        got = assert_same_as_one_at_a_time(rs, [1, SWAP, -2])
+        assert [p is r for p, r in zip(got, rs)] == [r is zero for r in rs]
+
+
+def test_pullback_of_a_map_raises_the_first_fraction_error_first(monkeypatch):
+    monkeypatch.setattr(polyrat, "TERM_BUDGET", 20)
+    rs = (rf(X, ONE + X), rf(Y, ONE + X))  # one denominator of two terms
+    # y / (1 + x) would go over at E^30, the first step, and x / (1 + x) only at E^40,
+    # after the swap: the first fraction's error wins, as one at a time.
+    with pytest.raises(TermBudgetError, match=r"E\^30 would build 32 terms"):
+        pull_one(rs[1], [30, SWAP, 40])
+    with pytest.raises(TermBudgetError, match=r"E\^40 would build 42 terms"):
+        pull_one(rs[0], [30, SWAP, 40])
+    with pytest.raises(TermBudgetError, match=r"E\^40 would build 42 terms"):
+        pullback(rs, [30, SWAP, 40])
+    # Only y / (1 + x) goes over.
+    assert pull_one(rs[0], [30]) == rs[0]
+    with pytest.raises(TermBudgetError, match=r"E\^30 would build 32 terms"):
+        pullback(rs, [30])
 
 
 # --- dlog ratio ------------------------------------------------------------------

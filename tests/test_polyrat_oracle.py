@@ -8,8 +8,9 @@ coprime pairs, x-only pairs, and inputs whose heights or degrees make it
 raise its evaluation point many times: coefficients of thousands of
 digits, a seeded pair of high y-degree, and a tall product of cyclotomic
 factors of x^210 - 1.
-``pullback``, which takes no gcd, is checked against sympy's ``cancel`` of
-the substituted fraction, its row kernel ``_times_one_plus_x`` against
+``pullback``, which takes no gcd, is checked one fraction at a time (the
+reference for a map's fractions pulled back together, in ``test_polyrat.py``)
+against sympy's ``cancel`` of the substituted fraction, its row kernel ``_times_one_plus_x`` against
 ``sympy.Poly`` products, and the powers of 1 + x an E-step divides out
 against sympy's multiplicities, capped by a denominator.  ``dlog_ratio`` is
 checked against sympy's derivatives in the field Q(x, y), ``evaluate``
@@ -39,11 +40,10 @@ from logcy2.polyrat import (
     normalize,
     poly_divexact,
     poly_gcd,
-    pullback,
     substitute,
 )
 from logcy2.words import parse_word
-from test_polyrat import random_poly
+from test_polyrat import pull_one, random_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -441,13 +441,13 @@ def sympy_step(expr, step):
 @ORACLE
 @given(reduced_fractions(), UNIMODULAR)
 def test_monomial_pullback_matches_cancel(r, mat):
-    assert pullback(r, [mat]) == canonical(sympy_step(sympy_ratfunc(r), mat))
+    assert pull_one(r, [mat]) == canonical(sympy_step(sympy_ratfunc(r), mat))
 
 
 @ORACLE
 @given(reduced_fractions(), st.integers(-4, 4).filter(bool))
 def test_elementary_pullback_matches_cancel(r, e):
-    assert pullback(r, [e]) == canonical(sympy_step(sympy_ratfunc(r), e))
+    assert pull_one(r, [e]) == canonical(sympy_step(sympy_ratfunc(r), e))
 
 
 @ORACLE
@@ -458,7 +458,7 @@ def test_kernels_keep_integer_pairs_reduced(r, steps):
     # and its value is sympy's substitution step by step.
     expr = sympy_ratfunc(r)
     for n in range(len(steps) + 1):
-        p = pullback(r, steps[:n])
+        p = pull_one(r, steps[:n])
         assert all(isinstance(c, int) for c in [*p.num.terms.values(), *p.den.terms.values()])
         assert polyrat._ip_gcd(p.num.terms, p.den.terms)[0] == {(0, 0): 1}
         assert p == normalize(p.num, p.den)
@@ -472,8 +472,8 @@ def test_elementary_pullback_cancels_a_high_power_of_one_plus_x():
     # k more powers.
     for k in (12, 500):
         r = normalize(Poly2.y(), ONE_PLUS_X**k)
-        assert pullback(r, [-k]) == RatFunc2.y()
-        assert pullback(r, [k]) == normalize(Poly2.y(), ONE_PLUS_X ** (2 * k))
+        assert pull_one(r, [-k]) == RatFunc2.y()
+        assert pull_one(r, [k]) == normalize(Poly2.y(), ONE_PLUS_X ** (2 * k))
 
 
 def alternating_row(poly) -> list[int]:
@@ -506,7 +506,7 @@ def test_one_plus_x_quotient_matches_sympy(b, t, slack):
     m = dict(sympy.factor_list(sympy.Poly(poly, SX))[1]).get(sympy.Poly(SX + 1, SX), 0)
     j = max(m + slack, 0)
     r = normalize(Poly2({(i, 0): -c if i & 1 else c for i, c in enumerate(row)}), Poly2.y() ** j)
-    assert pullback(r, [-1]) == canonical(poly / ((1 + SX) ** j * SY**j))
+    assert pull_one(r, [-1]) == canonical(poly / ((1 + SX) ** j * SY**j))
 
 
 # --- evaluation -------------------------------------------------------------------

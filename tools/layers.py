@@ -1,0 +1,103 @@
+"""In-process timings of library layers: the median of repeated runs, each with a sha256 of its outputs.
+
+    python3 tools/layers.py [--tree DIR]
+
+Run it from the repository root.  It imports the library from ``DIR/src``
+and reads ``DIR/bench/data`` (default: this checkout), and writes no file.
+Layers:
+
+- ``compose``: the 93 alternating words in r1, r2 and r3 of
+  ``bench/data/reflections.json``, shortest first, each one
+  ``birmap.compose`` of its prefix's map with its last letter's map, as
+  ``demo cubic`` and the ``reflection_enum`` workload build them;
+- ``realize``: ``parse_word`` and ``birmap.realize`` over the 3603 texts of
+  ``bench/data/words.json``, each word then its equal and its unequal
+  partner, with ``realize``'s cache cleared before each repetition.
+
+Each layer runs ``REPS`` times, after a garbage collection each time, and
+a repetition hashes ``str`` of every map it built, in order, with sha256.
+Each layer prints one JSON line: the tree, the layer, the number of
+operations, the repetitions, the median and quartiles of a repetition's
+wall time in ms, the sha256, and whether every repetition gave the same one.
+To compare two trees, run it on each in turn, several times, alternating.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import os
+import statistics
+import sys
+import time
+
+
+def compose_layer(data: str):
+    """The compose layer: a function building and hashing the 93 reflection maps, and their count."""
+    from logcy2 import birmap, words
+
+    with open(os.path.join(data, "reflections.json"), encoding="utf-8") as fh:
+        keys = sorted(json.load(fh), key=lambda key: (len(key), key))
+    refl = [birmap.realize(words.parse_word(f"r{i}")) for i in (1, 2, 3)]
+
+    def run() -> str:
+        maps, h = {"": birmap.IDENTITY_MAP}, hashlib.sha256()
+        for key in keys:
+            maps[key] = birmap.compose(maps[key[:-1]], refl[int(key[-1]) - 1])
+            h.update(f"{maps[key]}\n".encode())
+        return h.hexdigest()
+
+    return run, len(keys)
+
+
+def realize_layer(data: str):
+    """The realize layer: a function realizing and hashing the words.json texts from cold caches, and their count."""
+    from logcy2 import birmap, words
+
+    with open(os.path.join(data, "words.json"), encoding="utf-8") as fh:
+        texts = [item[part] for item in json.load(fh) for part in ("word", "equal_partner", "unequal_partner")]
+
+    def run() -> str:
+        birmap.realize.cache_clear()
+        h = hashlib.sha256()
+        for text in texts:
+            h.update(f"{birmap.realize(words.parse_word(text))}\n".encode())
+        return h.hexdigest()
+
+    return run, len(texts)
+
+
+LAYERS = {"compose": compose_layer, "realize": realize_layer}
+REPS = 20
+
+
+def measure(run, reps: int) -> tuple[list[float], set[str]]:
+    """reps wall times of run() in ms, each after a garbage collection, and the hashes it returned."""
+    times, hashes = [], set()
+    for _ in range(reps):
+        gc.collect()
+        start = time.perf_counter()
+        hashes.add(run())
+        times.append((time.perf_counter() - start) * 1e3)
+    return times, hashes
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--tree", default=".", help="checkout whose src/ and bench/data to use (default: .)")
+    args = parser.parse_args()
+    tree = os.path.abspath(args.tree)
+    sys.path.insert(0, os.path.join(tree, "src"))
+    for name, layer in LAYERS.items():
+        run, count = layer(os.path.join(tree, "bench", "data"))
+        times, hashes = measure(run, REPS)
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+        print(json.dumps({"tree": tree, "layer": name, "operations": count, "reps": REPS,
+                          "median_ms": round(median, 2), "q1_ms": round(q1, 2), "q3_ms": round(q3, 2),
+                          "sha256": min(hashes), "stable": len(hashes) == 1}))
+
+
+if __name__ == "__main__":
+    main()
