@@ -639,8 +639,8 @@ def _elementary_step(sides, e: int, den=()):
     powers of 1 + x than terms.  Rows in increasing base then take one running sum a power
     while -e j + v_j < k: a row that stops below k lowers k to v_j - e j, one that reaches
     k stops there, and one with -e j >= k takes no sum, so every v_j - e j >= the final k.
-    A quotient whose power is 0 is kept as it is.  The denominator comes back empty when ``den``,
-    its rows after this step in the pass before, has its first row -e j - k terms longer.
+    The denominator comes back empty if ``den``, the pass before's after this step, is -e j - k
+    terms longer in its first row.  A quotient whose power is 0 is kept as it is.
     """
     rows, k = [], math.inf
     for j, _, b in itertools.chain(*sides):
@@ -671,32 +671,28 @@ def pullback(rs: tuple[RatFunc2, ...], steps: list[int | tuple[Term, Term]]) -> 
 
     A step is an int e, for E^e, or a 2x2 integer matrix, for the monomial map; the first
     matrix, or the identity, turns the terms dicts into rows, and the last is the exit.  The
-    fractions run in turn.  A pass keeps a denominator of more than one term after each stage;
-    the next, while its denominator is still those rows, takes them at every monomial step, at
-    an E-step with the same k and at the exit with the same shift (the sign is the rows' own).
+    fractions run in turn; a pass whose denominator of more than one term is the next one's keeps
+    its rows at each stage until that pass ends, which takes them while its denominator is still
+    those rows: at monomial steps, at an E-step of equal k and at an exit of equal shift.
     """
     steps = list(steps)
     last = steps.pop() if steps and not isinstance(steps[-1], int) else _MAT_ID
     first = steps.pop(0) if steps and not isinstance(steps[0], int) else _MAT_ID
     (a, b), (c, d) = last
-    pulled, trace = [], []
-    for r in rs:
+    pulled, trace = [], None
+    for r, nxt in zip(rs, (*rs[1:], None)):
+        prior, trace = trace, None
         if not r.num:
             pulled.append(r)
             continue
-        prior = trace if trace and r.den.terms == trace[0] else None
-        trace = [r.den.terms] if len(r.den.terms) > 1 else []  # a pass with nothing to share keeps no rows
+        trace = [r.den.terms] if nxt and len(r.den.terms) > 1 and nxt.den.terms == r.den.terms else None
         sides = [r.num.terms, prior[0] if prior else r.den.terms]
-        if not trace:
-            for step in [first, *steps]:
-                sides = (_elementary_step if isinstance(step, int) else _monomial_step)(sides, step)
-        else:
-            for n, step in enumerate([first, *steps]):
-                den = prior[n + 1] if prior and sides[1] is prior[n] else ()
-                sides = (_elementary_step(sides, step, den) if isinstance(step, int)
-                         else _monomial_step([sides[0], ()] if den else sides, step))
-                if not sides[1]:  # the denominator is the pass before's
-                    sides[1] = den
+        for n, step in enumerate([first, *steps]):
+            den = prior[n + 1] if prior and sides[1] is prior[n] else ()
+            sides = (_elementary_step(sides, step, den) if isinstance(step, int)
+                     else _monomial_step([sides[0], ()] if den else sides, step))
+            sides[1] = sides[1] or den  # an empty denominator is the pass before's
+            if trace:
                 trace.append(sides[1])
         si, sj, leads = math.inf, math.inf, []
         for side in sides:
@@ -722,7 +718,8 @@ def pullback(rs: tuple[RatFunc2, ...], steps: list[int | tuple[Term, Term]]) -> 
                     i2, j2, flip = i2 + a, j2 + b, flip ^ 1
         ln, ld = leads
         den = prior[-1][1] if keep else Poly2._raw(den, Fraction(1, abs(ld)))
-        trace.append(((si, sj), den))
+        if trace:
+            trace.append(((si, sj), den))
         pulled.append(RatFunc2(Poly2._raw(num, Fraction(r.num.content if ln > 0 else -r.num.content,
                                                         r.den.content * ld)), den))
     return pulled
