@@ -14,16 +14,17 @@ oracle relies on.
 GCDs run in integer arithmetic and return the cofactors with the gcd, each
 computed once, by one of two routes (see ``_ip_gcd``): a monomial shortcut,
 or the heuristic gcd GCDHEU, which raises its evaluation point until its
-candidate divides both sides.  Every other routine runs on the integer
-terms as well.
+candidate divides one side and then the other.  No library caller reaches
+GCDHEU or the exact division behind it, so both keep their plain form.
+Every other routine runs on the integer terms as well.
 By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
 ``normalize`` and ``pullback`` keep the terms primitive, so they only
 multiply or divide contents; sums and the result of ``substitute`` take
 one content gcd.  A product with a one-term factor shifts and scales the
 other factor, and a factor 1 returns the other one as it stands.
 ``substitute`` composes into a map given by formulas, and is the reference
-the pullbacks are tested against: it clears denominators, expands, takes
-one ``normalize`` and keeps no state.
+the pullbacks are tested against: it clears denominators, expands each
+term of r on its own, takes one ``normalize`` and keeps no state.
 ``dlog_ratio`` decides exactly whether dlog f ^ dlog g is a constant
 multiple of dlog x ^ dlog y, in one integer pass over term pairs or, for
 dense sides, in 13 products of Kronecker-packed ints; over ``PAIR_BUDGET``
@@ -274,12 +275,6 @@ def _ip_divexact(p: dict[Term, int], d: dict[Term, int]) -> dict[Term, int]:
     base = 1 + max(i + j for i, j in [*p, *d])
     dk = {(i + j) * base + i: c for (i, j), c in d.items()}
     r = {(i + j) * base + i: c for (i, j), c in p.items()}
-    # The grlex-lowest term of p is that of d times that of the quotient.
-    if r:
-        k, low = min(r), min(dk)
-        (deg, i), (low_deg, low_i) = divmod(k, base), divmod(low, base)
-        if r[k] % dk[low] or i < low_i or deg - i < low_deg - low_i:
-            raise InexactDivisionError("inexact division in Z[x, y]")
     lead = max(dk)
     lc = dk.pop(lead)
     lead_deg, lead_i = divmod(lead, base)
@@ -350,10 +345,11 @@ def _heugcd(p: dict[Term, int], q: dict[Term, int]):
     gcd.  Otherwise the top variable, y if either side has a y and else x,
     is set to a large xi, the gcd of the two images comes from a call on
     them, and its values are read back in balanced base xi as coefficients
-    of that variable; the primitive candidate is checked by exact division,
-    and the two quotients that prove it are the cofactors.  A candidate that
-    fails, or an image that vanishes, raises xi and tries again, until a
-    candidate divides both sides (see the comment above).
+    of that variable; the primitive candidate is checked by exact division
+    of p and then of q, and the two quotients that prove it are the
+    cofactors.  A candidate that fails, or an image that vanishes, raises xi
+    and tries again, until a candidate divides both sides (see the comment
+    above).
     """
     c = math.gcd(*p.values(), *q.values())
     f, g = (d if c == 1 else {t: a // c for t, a in d.items()} for d in (p, q))
@@ -361,11 +357,6 @@ def _heugcd(p: dict[Term, int], q: dict[Term, int]):
     deg = max(t[v] for t in [*p, *q])
     if not deg:
         return {(0, 0): c}, f, g
-    # The side of lower degree in the evaluated variable is divided first:
-    # its quotient is shorter, so a wrong candidate fails there in fewer
-    # steps, where the other side's division may run its full length
-    # before a remainder shows.
-    first = int(max(t[v] for t in g) < deg)
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     while True:
         fe, ge = _image(f, v, xi), _image(g, v, xi)
@@ -376,11 +367,9 @@ def _heugcd(p: dict[Term, int], q: dict[Term, int]):
             if h == _ONE:
                 return {(0, 0): c}, f, g
             try:
-                cofactors = {k: _ip_divexact((f, g)[k], h) for k in (first, 1 - first)}
+                return _ip_scale(h, c), _ip_divexact(f, h), _ip_divexact(g, h)
             except InexactDivisionError:
                 pass
-            else:
-                return _ip_scale(h, c), cofactors[0], cofactors[1]
         xi = xi * 73794 // 27011 + 1
 
 
@@ -403,7 +392,8 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
     """(g, p/g, q/g) for primitive p, q in Z[x, y].
 
     g is primitive with a positive grlex-leading coefficient.  A zero side
-    makes the other side the gcd.  Otherwise there are two routes: a
+    makes the other side the gcd, so ``normalize`` of a zero numerator gets
+    the canonical 0/1 from here.  Otherwise there are two routes: a
     monomial input, whose coefficient is 1 since it is primitive, settles g
     as a monomial at once and the cofactors are exponent shifts; every
     other pair goes to ``_heugcd``, which gives the cofactors with g, from
@@ -496,8 +486,6 @@ def normalize(num: Poly2, den: Poly2) -> RatFunc2:
     """
     if not den:
         raise ZeroDenominatorError("denominator is identically zero")
-    if not num:
-        return RatFunc2(Poly2.zero(), Poly2.const(1))
     _, ip, iq = _ip_gcd(num.terms, den.terms)
     lc = iq[_grlex_max(iq)]
     return RatFunc2(Poly2._raw(ip, Fraction(num.content, den.content * lc)), Poly2._raw(iq, Fraction(1, lc)))
@@ -525,10 +513,10 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     """r(f, g) in canonical form.
 
     Both sides of r(f, g) are multiplied by fd^dx gd^dy, with dx and dy r's
-    degrees in x and y, so each becomes a polynomial; terms are grouped by
-    x-exponent, so one large product is taken per distinct exponent.  A
-    denominator that vanishes identically reaches ``normalize``, which raises
-    ZeroDenominatorError.
+    degrees in x and y, so each term c x^i y^j becomes the polynomial
+    c fn^i fd^(dx - i) gn^j gd^(dy - j).  A zero r gives 0 at once; any other
+    r whose denominator vanishes identically reaches ``normalize``, which
+    raises ZeroDenominatorError.
     """
     if not r.num:
         return RatFunc2(Poly2.zero(), Poly2.const(1))
@@ -539,19 +527,14 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     gn, gd = map(_Powers, _int_pair(g))
     dx = max(i for i, _ in [*rn, *rd])
     dy = max(j for _, j in [*rn, *rd])
-    # The y-factor of each y-exponent of r, shared by both sides.
-    gy = {j: _ip_mul(gn[j], gd[dy - j]) for j in {j for _, j in [*rn, *rd]}}
 
-    def cleared(p: dict[Term, int]) -> dict[Term, int]:
-        by_i: dict[int, dict[Term, int]] = {}
-        for (i, j), c in p.items():
-            _ip_add_scaled(by_i.setdefault(i, {}), gy[j], c)
+    def cleared(p: dict[Term, int]) -> Poly2:
         total: dict[Term, int] = {}
-        for i, inner in by_i.items():
-            _ip_add_scaled(total, _ip_mul(fn[i], _ip_mul(fd[dx - i], inner)), 1)
-        return total
+        for (i, j), c in p.items():
+            _ip_add_scaled(total, _ip_mul(fn[i], _ip_mul(fd[dx - i], _ip_mul(gn[j], gd[dy - j]))), c)
+        return _canonical(total)
 
-    return normalize(_canonical(cleared(rn)), _canonical(cleared(rd)))
+    return normalize(cleared(rn), cleared(rd))
 
 
 # --- pullbacks through the generators ----------------------------------------
@@ -749,15 +732,11 @@ def _euler_parts(num: dict[Term, int], den: dict[Term, int], base: int) -> dict[
     return out
 
 
-def _dlog_pairs(sides) -> Fraction | None:
+def _dlog_pairs(sides, c: int) -> Fraction | None:
     """Fraction(c) if D = 0, else None, by one pass over the term pairs (see ``dlog_ratio``)."""
     # The x-degree of every product monomial stays below base, so keys add.
     base = 1 + sum(max(i for i, _ in p) for p in sides)
     fp, gp = _euler_parts(sides[0], sides[1], base), _euler_parts(sides[2], sides[3], base)
-    # The leading parts come from the leading pairs alone: vx / v and vy / v
-    # are their exponent differences.
-    (v, px, py), (w, qx, qy) = fp[max(fp)], gp[max(gp)]
-    c = (px * qy - py * qx) // (v * w)
     gl = [(k, *e) for k, e in gp.items()]
     acc: dict[int, int] = {}
     get = acc.get
@@ -783,7 +762,7 @@ def _packing(sides):
     return boxes, nx, nb, 8 * nb * nx * (1 + sum(b[3] - b[2] for b in boxes))
 
 
-def _dlog_packed(sides, boxes, nx: int, nb: int) -> Fraction | None:
+def _dlog_packed(sides, c: int, boxes, nx: int, nb: int) -> Fraction | None:
     """``_dlog_pairs`` by 13 products of packed ints.
 
     Each side / x^i0 y^j0 and its copies weighted by i and by j are packed
@@ -804,8 +783,6 @@ def _dlog_packed(sides, boxes, nx: int, nb: int) -> Fraction | None:
         packed.append([int.from_bytes(b, "little") - zero for b in bufs])
     (v, px, py), (w, qx, qy) = ((a * b, ax * b - a * bx, ay * b - a * by)
                                 for (a, ax, ay), (b, bx, by) in (packed[:2], packed[2:]))
-    (a, b), (a2, b2), (p, q), (p2, q2) = map(_grlex_max, sides)
-    c = (a - a2) * (q - q2) - (b - b2) * (p - p2)
     return None if px * qy - py * qx != c * v * w else Fraction(c)
 
 
@@ -835,13 +812,13 @@ def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
     G, Qx, Qy from g, the claim is D = Px Qy - Py Qx - c F G = 0 in Z[x, y].
     Only the grlex-leading terms of the four sides reach the top monomial of
     F G, so c is the determinant of their exponent differences fn - fd and
-    gn - gd.  ``_dlog_pairs`` visits the term pairs; ``_dlog_packed``, for
-    dense sides (see ``PACK_PAIRS``), shifts each side by its least
-    exponents, which divides D by a monomial, and evaluates D at x = 2^B,
-    y = 2^(B nx), nx above its x-degree, so each monomial has its own B-bit
-    slot.  B is above |D| (``_packing``), so the lowest nonzero coefficient
-    is no multiple of 2^B: D packs to 0 only when D = 0.  f and g need not
-    be reduced; a zero f or g gives None.
+    gn - gd, taken once for either route.  ``_dlog_pairs`` visits the term
+    pairs; ``_dlog_packed``, for dense sides (see ``PACK_PAIRS``), shifts
+    each side by its least exponents, which divides D by a monomial, and
+    evaluates D at x = 2^B, y = 2^(B nx), nx above its x-degree, so each
+    monomial has its own B-bit slot.  B is above |D| (``_packing``), so the
+    lowest nonzero coefficient is no multiple of 2^B: D packs to 0 only when
+    D = 0.  f and g need not be reduced; a zero f or g gives None.
     """
     if not f.den or not g.den:
         raise ZeroDenominatorError("denominator is identically zero")
@@ -857,11 +834,13 @@ def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
             pairs = _support_size(fn, fd) * _support_size(gn, gd)
         if pairs > PAIR_BUDGET:
             raise TermBudgetError(f"dlog_ratio would visit {pairs} term pairs, over {PAIR_BUDGET}")
+    (a, b), (a2, b2), (p, q), (p2, q2) = map(_grlex_max, sides)
+    c = (a - a2) * (q - q2) - (b - b2) * (p - p2)
     if pairs > PACK_PAIRS:
         *packing, bits = _packing(sides)
         if bits <= 4 * pairs:
-            return _dlog_packed(sides, *packing)
-    return _dlog_pairs(sides)
+            return _dlog_packed(sides, c, *packing)
+    return _dlog_pairs(sides, c)
 
 
 # The most bits the powers built by one ``evaluate`` may take in total, a^i

@@ -387,8 +387,16 @@ def small_ratfuncs():
     return st.builds(normalize, polys(2, 3), polys(2, 2))
 
 
+# Terms of r that share an x-exponent, then terms that share a y-exponent.
+SHARED_X = normalize(Poly2({(1, 0): 1, (1, 1): 2, (1, 2): -3}), Poly2({(2, 1): 1, (2, 0): 5, (0, 0): 1}))
+SHARED_Y = normalize(Poly2({(0, 1): 3, (1, 1): 1, (2, 1): -2}), Poly2({(1, 2): 1, (2, 0): 1, (0, 0): 4}))
+
+
 @ORACLE
 @given(small_ratfuncs(), small_ratfuncs(), small_ratfuncs())
+@example(SHARED_X, normalize(Poly2({(1, 0): 1, (0, 0): 1}), Poly2.y()), normalize(Poly2({(1, 1): 2}), Poly2({(1, 0): 1, (0, 2): 1})))
+@example(SHARED_Y, normalize(Poly2({(0, 1): 1}), Poly2({(1, 0): 1, (0, 0): -1})), normalize(Poly2({(2, 0): 1, (0, 1): 1}), ONE))
+@example(SHARED_X, SHARED_Y, SHARED_X)
 def test_substitute_matches_subs_then_cancel(r, f, g):
     point = {SX: to_sympy(f.num) / to_sympy(f.den), SY: to_sympy(g.num) / to_sympy(g.den)}
     den = sympy.cancel(to_sympy(r.den).subs(point, simultaneous=True))

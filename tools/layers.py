@@ -12,13 +12,17 @@ Layers:
   ``demo cubic`` and the ``reflection_enum`` workload build them;
 - ``realize``: ``parse_word`` and ``birmap.realize`` over the 3603 texts of
   ``bench/data/words.json``, each word then its equal and its unequal
-  partner, with ``realize``'s cache cleared before each repetition.
+  partner, with ``realize``'s cache cleared before each repetition;
+- ``dlog_ratio``: ``polyrat.dlog_ratio(m.f, m.g)`` for the maps m of those
+  3603 texts, realized once before timing starts.
 
 Each layer runs ``REPS`` times, after a garbage collection each time, and
-a repetition hashes ``str`` of every map it built, in order, with sha256.
-Each layer prints one JSON line: the tree, the layer, the number of
-operations, the repetitions, the median and quartiles of a repetition's
-wall time in ms, the sha256, and whether every repetition gave the same one.
+a repetition hashes ``str`` of every map or verdict it built, in order, with
+sha256.  Each layer prints one JSON line: the tree, the layer, the number
+of operations, the repetitions, the median and quartiles of a repetition's
+wall time in ms, the sha256, and whether every repetition gave the same
+one.  The ``dlog_ratio`` line also gives ``routes``, how many inputs take
+the pair loop and how many the packed route, counted in one untimed pass.
 To compare two trees, run it on each in turn, several times, alternating.
 """
 
@@ -49,15 +53,14 @@ def compose_layer(data: str):
             h.update(f"{maps[key]}\n".encode())
         return h.hexdigest()
 
-    return run, len(keys)
+    return run, len(keys), {}
 
 
 def realize_layer(data: str):
     """The realize layer: a function realizing and hashing the words.json texts from cold caches, and their count."""
     from logcy2 import birmap, words
 
-    with open(os.path.join(data, "words.json"), encoding="utf-8") as fh:
-        texts = [item[part] for item in json.load(fh) for part in ("word", "equal_partner", "unequal_partner")]
+    texts = word_texts(data)
 
     def run() -> str:
         birmap.realize.cache_clear()
@@ -66,10 +69,46 @@ def realize_layer(data: str):
             h.update(f"{birmap.realize(words.parse_word(text))}\n".encode())
         return h.hexdigest()
 
-    return run, len(texts)
+    return run, len(texts), {}
 
 
-LAYERS = {"compose": compose_layer, "realize": realize_layer}
+def word_texts(data: str) -> list[str]:
+    """The 3603 texts of words.json: each word, then its equal and its unequal partner."""
+    with open(os.path.join(data, "words.json"), encoding="utf-8") as fh:
+        return [item[part] for item in json.load(fh) for part in ("word", "equal_partner", "unequal_partner")]
+
+
+def dlog_layer(data: str):
+    """The dlog_ratio layer: a function deciding and hashing dlog_ratio of the realized word maps, their count, and the routes taken."""
+    from logcy2 import birmap, polyrat, words
+
+    maps = [birmap.realize(words.parse_word(text)) for text in word_texts(data)]
+
+    def run() -> str:
+        h = hashlib.sha256()
+        for m in maps:
+            h.update(f"{polyrat.dlog_ratio(m.f, m.g)}\n".encode())
+        return h.hexdigest()
+
+    routes = {"pairs": 0, "packed": 0}
+    kept = polyrat._dlog_pairs, polyrat._dlog_packed
+
+    def counted(name, route):
+        def call(*args):
+            routes[name] += 1
+            return route(*args)
+
+        return call
+
+    polyrat._dlog_pairs, polyrat._dlog_packed = counted("pairs", kept[0]), counted("packed", kept[1])
+    try:
+        run()
+    finally:
+        polyrat._dlog_pairs, polyrat._dlog_packed = kept
+    return run, len(maps), {"routes": routes}
+
+
+LAYERS = {"compose": compose_layer, "realize": realize_layer, "dlog_ratio": dlog_layer}
 REPS = 20
 
 
@@ -91,12 +130,12 @@ def main() -> None:
     tree = os.path.abspath(args.tree)
     sys.path.insert(0, os.path.join(tree, "src"))
     for name, layer in LAYERS.items():
-        run, count = layer(os.path.join(tree, "bench", "data"))
+        run, count, extra = layer(os.path.join(tree, "bench", "data"))
         times, hashes = measure(run, REPS)
         q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
         print(json.dumps({"tree": tree, "layer": name, "operations": count, "reps": REPS,
                           "median_ms": round(median, 2), "q1_ms": round(q1, 2), "q3_ms": round(q3, 2),
-                          "sha256": min(hashes), "stable": len(hashes) == 1}))
+                          "sha256": min(hashes), "stable": len(hashes) == 1, **extra}))
 
 
 if __name__ == "__main__":
