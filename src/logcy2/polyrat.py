@@ -14,8 +14,8 @@ oracle relies on.
 GCDs run in integer arithmetic and return the cofactors with the gcd, each
 computed once, by one of two routes (see ``_ip_gcd``): a monomial shortcut,
 or the heuristic gcd GCDHEU, which raises its evaluation point until its
-candidate divides one side and then the other.  No library caller reaches
-GCDHEU or the exact division behind it, so both keep their plain form.
+candidate divides one side and then the other.  No library path takes a
+gcd, so GCDHEU and the exact division behind it keep their plain form.
 Every other routine runs on the integer terms as well.
 By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
 ``normalize`` and ``pullback`` keep the terms primitive, so they only
@@ -35,7 +35,7 @@ E-step that would build over ``TERM_BUDGET`` terms raises first.  A fraction
 reuses the rows a shared denominator of more than one term got before it.
 ``arc_limit`` reads the leading order in t of a pair of fractions on a
 boundary arc x = lam^p t^n1, y = lam^q t^n2 from each side's lowest t-row,
-raised with ``_Powers`` and multiplied with ``_ip_mul``.
+raised with ``_ip_pow``'s square-and-multiply and multiplied with ``_ip_mul``.
 ``evaluate`` returns a Fraction and refuses powers of more than
 ``EVAL_BIT_BUDGET`` bits in all.
 Negative powers never appear: monomial maps with negative exponents are
@@ -166,11 +166,7 @@ class Poly2:
     def __pow__(self, k: int) -> "Poly2":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        return Poly2._raw(_Powers(self.terms)[k], self.content**k)
-
-    def evaluate(self, a, b) -> Fraction:
-        a, b = Fraction(a), Fraction(b)
-        return self.content * sum((c * a**i * b**j for (i, j), c in self.terms.items()), Fraction(0))
+        return Poly2._raw(_ip_pow(self.terms, k), self.content**k)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -249,6 +245,15 @@ def _ip_mul(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
     return {divmod(k, base): c for k, c in out.items() if c}
+
+
+def _ip_pow(p: dict[Term, int], k: int) -> dict[Term, int]:
+    """p^k for k >= 0 by square-and-multiply; p^1 is p itself, with no product."""
+    if k < 2:
+        return p if k else _ONE
+    half = _ip_pow(p, k // 2)
+    square = _ip_mul(half, half)
+    return _ip_mul(square, p) if k % 2 else square
 
 
 def _ip_add_scaled(acc: dict[Term, int], p: dict[Term, int], c: int) -> None:
@@ -449,8 +454,8 @@ class PoleAtPointError(DomainError, ZeroDivisionError):
 class RatFunc2(Value):
     """Reduced fraction of bivariate polynomials, denominator grlex-monic.
 
-    Use :func:`normalize` to construct values; the constructor trusts its
-    inputs.
+    The constructor trusts its inputs; :func:`normalize` reduces any
+    fraction first.
     """
 
     __slots__ = ("num", "den")
@@ -491,24 +496,6 @@ def normalize(num: Poly2, den: Poly2) -> RatFunc2:
     return RatFunc2(Poly2._raw(ip, Fraction(num.content, den.content * lc)), Poly2._raw(iq, Fraction(1, lc)))
 
 
-class _Powers:
-    """Lazy powers of an integer polynomial, square-and-multiply with memoization.
-
-    Monomial words drive exponents into the hundreds; computing only the
-    requested powers keeps composition cost proportional to the sparse data.
-    """
-
-    def __init__(self, base: dict[Term, int]):
-        self.cache = {0: _ONE, 1: base}
-
-    def __getitem__(self, k: int) -> dict[Term, int]:
-        if k not in self.cache:
-            half = self[k // 2]
-            square = _ip_mul(half, half)
-            self.cache[k] = square if k % 2 == 0 else _ip_mul(square, self.cache[1])
-        return self.cache[k]
-
-
 def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     """r(f, g) in canonical form.
 
@@ -523,10 +510,11 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     # Each fraction's contents are folded into its integer sides, which
     # leaves its value alone.
     rn, rd = _int_pair(r)
-    fn, fd = map(_Powers, _int_pair(f))
-    gn, gd = map(_Powers, _int_pair(g))
     dx = max(i for i, _ in [*rn, *rd])
     dy = max(j for _, j in [*rn, *rd])
+    # p^0 ... p^top, one running product per base.
+    fn, fd = (list(itertools.accumulate(itertools.repeat(p, dx), _ip_mul, initial=_ONE)) for p in _int_pair(f))
+    gn, gd = (list(itertools.accumulate(itertools.repeat(p, dy), _ip_mul, initial=_ONE)) for p in _int_pair(g))
 
     def cleared(p: dict[Term, int]) -> Poly2:
         total: dict[Term, int] = {}
@@ -799,10 +787,9 @@ def _support_size(p: dict[Term, int], q: dict[Term, int]) -> int:
 # The most term pairs the pair loop of ``dlog_ratio`` may visit, at about
 # 0.6 us a pair (CPython 3.11): max(|fn| |fd|, |gn| |gd|), then
 # |supp F| |supp G|.  (r1*r2*r3)^2 needs 621045; P*r3*r2*r1*E[0,1]*E[-3,2]
-# would need 12.9 million, refused in about 0.1 s.  Packing wins over
-# PACK_PAIRS pairs while F G packs into at most 4 bits a pair.
+# would need 12.9 million, refused in about 0.1 s.  Packing wins while F G
+# packs into at most 4 bits a pair, which also bounds the ints it builds.
 PAIR_BUDGET = 1_000_000
-PACK_PAIRS = 1000
 
 
 def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
@@ -813,12 +800,13 @@ def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
     Only the grlex-leading terms of the four sides reach the top monomial of
     F G, so c is the determinant of their exponent differences fn - fd and
     gn - gd, taken once for either route.  ``_dlog_pairs`` visits the term
-    pairs; ``_dlog_packed``, for dense sides (see ``PACK_PAIRS``), shifts
-    each side by its least exponents, which divides D by a monomial, and
-    evaluates D at x = 2^B, y = 2^(B nx), nx above its x-degree, so each
-    monomial has its own B-bit slot.  B is above |D| (``_packing``), so the
-    lowest nonzero coefficient is no multiple of 2^B: D packs to 0 only when
-    D = 0.  f and g need not be reduced; a zero f or g gives None.
+    pairs; ``_dlog_packed``, for dense sides (F G packs into at most 4 bits
+    a pair), shifts each side by its least exponents, which divides D by a
+    monomial, and evaluates D at x = 2^B, y = 2^(B nx), nx above its
+    x-degree, so each monomial has its own B-bit slot.  B is above |D|
+    (``_packing``), so the lowest nonzero coefficient is no multiple of
+    2^B: D packs to 0 only when D = 0.  f and g need not be reduced; a zero
+    f or g gives None.
     """
     if not f.den or not g.den:
         raise ZeroDenominatorError("denominator is identically zero")
@@ -836,10 +824,9 @@ def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
             raise TermBudgetError(f"dlog_ratio would visit {pairs} term pairs, over {PAIR_BUDGET}")
     (a, b), (a2, b2), (p, q), (p2, q2) = map(_grlex_max, sides)
     c = (a - a2) * (q - q2) - (b - b2) * (p - p2)
-    if pairs > PACK_PAIRS:
-        *packing, bits = _packing(sides)
-        if bits <= 4 * pairs:
-            return _dlog_packed(sides, c, *packing)
+    *packing, bits = _packing(sides)
+    if bits <= 4 * pairs:
+        return _dlog_packed(sides, c, *packing)
     return _dlog_pairs(sides, c)
 
 
@@ -861,10 +848,15 @@ def evaluate(r: RatFunc2, point) -> Fraction:
     size = sum(i * ha + j * hb for p in (r.num, r.den) for i, j in p.terms)
     if size > EVAL_BIT_BUDGET:
         raise EvalBudgetError(f"an evaluation would build {cut(size)} bits of powers, over {EVAL_BIT_BUDGET}")
-    dv = r.den.evaluate(a, b)
+    dv = _value(r.den, a, b)
     if dv == 0:
         raise PoleAtPointError(f"pole at ({cut(a)}, {cut(b)})")
-    return r.num.evaluate(a, b) / dv
+    return _value(r.num, a, b) / dv
+
+
+def _value(p: Poly2, a: Fraction, b: Fraction) -> Fraction:
+    """p at (a, b), with no budget: only ``evaluate`` calls it, once it has checked the budget."""
+    return p.content * sum((c * a**i * b**j for (i, j), c in p.terms.items()), Fraction(0))
 
 
 # --- leading order on an arc ----------------------------------------------------
@@ -893,7 +885,7 @@ def arc_limit(f: RatFunc2, g: RatFunc2, arc: tuple[Term, Term]):
     a, b = tfn - tfd, tgn - tgd
 
     def power(top, bottom, k):  # (top / bottom)^k as a pair of rows
-        return (_Powers(top)[k], _Powers(bottom)[k]) if k >= 0 else (_Powers(bottom)[-k], _Powers(top)[-k])
+        return (_ip_pow(top, k), _ip_pow(bottom, k)) if k >= 0 else (_ip_pow(bottom, -k), _ip_pow(top, -k))
 
     (n1, d1), (n2, d2) = power(fn, fd, b), power(gn, gd, -a)
     num, den = _ip_mul(n1, n2), _ip_mul(d1, d2)

@@ -232,34 +232,39 @@ def boundary_intersection_matrix(s: Surface) -> tuple[tuple[tuple[int, ...], ...
     """Intersection matrix of the boundary components, and negative-definiteness.
 
     ``toric_intersection_matrix`` with m_i subtracted on the diagonal; the
-    verdict comes from exact leading principal minors.
+    boundary is a cycle of curves, so the verdict reads only that diagonal.
     """
     mat = tuple(
         tuple(v - s.m[i] if i == j else v for j, v in enumerate(row))
         for i, row in enumerate(toric_intersection_matrix(s))
     )
-    return mat, _negative_definite(mat)
+    return mat, _negative_definite(tuple(row[i] for i, row in enumerate(mat)))
 
 
-def _negative_definite(mat: tuple[tuple[int, ...], ...]) -> bool:
-    """Sylvester's criterion, (-1)^i D_i > 0 for every leading minor D_i, in one pass.
+def _continuants(diag):
+    """Continuants T(d_0), T(d_0, d_1), ...: T(d_0 ... d_i) = d_i T(d_0 ... d_(i-1)) - T(d_0 ... d_(i-2)), T() = 1."""
+    before, t = 0, 1
+    for d in diag:
+        before, t = t, d * t - before
+        yield t
 
-    Fraction-free Bareiss elimination without row swaps leaves the leading
-    minor D_i as pivot i, and every entry it writes is a minor of the input,
-    so each division by the previous pivot is exact.  A zero pivot is a zero
-    minor, which already fails the criterion, so no row swap is ever needed.
+
+def _negative_definite(diag: tuple[int, ...]) -> bool:
+    """Sylvester's criterion, (-1)^i D_i > 0 for every leading minor D_i, on a cycle form.
+
+    The form has the k >= 3 entries of ``diag`` on its diagonal and 1 for
+    each pair of cyclically adjacent indices.  Its leading minors D_1 ...
+    D_(k-1) are the continuants T(d_0 ... d_(i-1)), and the first one of the
+    wrong sign ends the pass.  The two corner entries reach only the whole
+    determinant, D_k = T(d_0 ... d_(k-1)) - T(d_1 ... d_(k-2)) + 2 (-1)^(k+1).
     """
-    a = [list(row) for row in mat]
-    prev = 1
-    for i, row_i in enumerate(a):
-        pivot = row_i[i]
-        if (pivot if i % 2 else -pivot) <= 0:
+    k = len(diag)
+    for i, minor in enumerate(_continuants(diag)):
+        if i == k - 1:
+            *_, inner = _continuants(diag[1:-1])
+            minor -= inner + 2 * (-1) ** k
+        if (minor if i % 2 else -minor) <= 0:
             return False
-        for row in a[i + 1:]:
-            r = row[i]
-            for j in range(i + 1, len(a)):
-                row[j] = (row[j] * pivot - r * row_i[j]) // prev
-        prev = pivot
     return True
 
 

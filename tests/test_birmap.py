@@ -31,6 +31,7 @@ from logcy2.lattice import complement_matrix, mat_inv, mat_mul, pl_apply, pl_com
 from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, evaluate, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_unimodular, random_word, realized_degree
 from logcy2.words import E, Elementary, Letter, Linear, Word, elementary, linear, linear_from_literal, parse_word, ray_image
+from cli_cases import run_cli
 from test_polyrat import pull_one, running_sums
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
@@ -630,6 +631,44 @@ def test_boundary_limit_builds_no_pl_map(monkeypatch):
     for target in ("birmap.tropicalize", "birmap.pl_compose", "lattice.pl_compose"):
         monkeypatch.setattr(f"logcy2.{target}", refuse)
     assert [boundary_limit(w, n).ray for w, n in queries] == expected
+
+
+def test_library_takes_no_gcd(monkeypatch, cli_env, srng):
+    # ``pullback`` keeps every fraction reduced by construction, so no library
+    # path needs a gcd, an exact division or a substitution: not the CLI's
+    # demo and check, not the reflection composes, not the word queries.
+    calls = []
+
+    def spy(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        return call
+
+    for target in ("_ip_gcd", "_ip_divexact", "substitute"):
+        monkeypatch.setattr(polyrat, target, spy(target, getattr(polyrat, target)))
+    realize.cache_clear()
+    tropicalize.cache_clear()
+    for argv in (["demo", "cubic"], ["verify", "relations"]):
+        assert run_cli(argv).exit == 0
+    refl = [realize(parse_word(f"r{i}")) for i in (1, 2, 3)]
+    maps, level = {"": IDENTITY_MAP}, [""]
+    for _ in range(5):
+        level = [key + i for key in level for i in "123" if not key.endswith(i)]
+        for key in level:
+            maps[key] = compose(maps[key[:-1]], refl[int(key[-1]) - 1])
+    assert len(maps) == 94
+    pool = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data" / "words.json").read_text())
+    for item in srng.sample(pool, 60):
+        w, rays = parse_word(item["word"]), [tuple(n) for n in item["rays"]]
+        realize(w)
+        volume_character(w)
+        trop = tropicalize(w)
+        assert [boundary_limit(w, n).ray for n in rays] == [pl_apply(trop, n) for n in rays]
+        assert equal(w, parse_word(item["equal_partner"]))
+        assert not equal(w, parse_word(item["unequal_partner"]))
+    assert calls == []
 
 
 def test_boundary_limit_refuses_a_ray_off_the_tropicalization(monkeypatch):

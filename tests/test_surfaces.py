@@ -239,23 +239,27 @@ def test_negative_definite_matches_sympy(srng):
     sympy = pytest.importorskip("sympy")
     verdicts, zero_minors = Counter(), 0
     for _ in range(150):
-        n = srng.randint(1, 8)
         if srng.random() < 0.5:
-            bound = srng.choice([1, 2, 9, 10**6])
-            rows = [[srng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-            rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            k, bound = srng.randint(3, 12), srng.choice([1, 2, 9, 10**6])
+            diag = tuple(srng.randint(-2 * bound, bound) for _ in range(k))
+            rows = [[diag[i] if i == j else int((i - j) % k in (1, k - 1)) for j in range(k)] for i in range(k)]
         else:
-            # -B^T B for an r x n matrix B: negative definite when B has rank n,
-            # and every leading minor larger than B's rank is 0.
-            bound = srng.choice([1, 2, 9, 350])
-            b = [[srng.randint(-bound, bound) for _ in range(n)] for _ in range(srng.randint(1, n + 1))]
-            rows = [[-sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+            rows, _ = boundary_intersection_matrix(random_surface(srng, 3, 24))
+            k, diag = len(rows), tuple(rows[i][i] for i in range(len(rows)))
         m = sympy.Matrix(rows)
-        zero_minors += any(m[:i, :i].det() == 0 for i in range(1, n + 1))
-        verdict = _negative_definite(tuple(map(tuple, rows)))
+        zero_minors += any(m[:i, :i].det() == 0 for i in range(1, k + 1))
+        verdict = _negative_definite(diag)
         assert verdict is m.is_negative_definite
         verdicts[verdict] += 1
     assert verdicts[True] > 10 and verdicts[False] > 10 and zero_minors > 10
+
+
+def test_negative_definite_on_a_long_cycle():
+    # A cycle of -2 curves is semidefinite (the all-ones vector squares to 0);
+    # one -3 in it makes it definite.
+    assert not _negative_definite((-2,) * 2000)
+    assert _negative_definite((-2,) * 1999 + (-3,))
+    assert _negative_definite((-3,) + (-2,) * 1999)
 
 
 def test_resolve_identity_and_elementary():

@@ -14,7 +14,12 @@ Layers:
   ``bench/data/words.json``, each word then its equal and its unequal
   partner, with ``realize``'s cache cleared before each repetition;
 - ``dlog_ratio``: ``polyrat.dlog_ratio(m.f, m.g)`` for the maps m of those
-  3603 texts, realized once before timing starts.
+  3603 texts, realized once before timing starts;
+- ``boundary_limit``: ``birmap.boundary_limit(w, n)`` for the 1201 words w
+  of ``bench/data/words.json`` at each of their recorded rays n, hashing
+  the ray, coefficient and exponent of each action.  The maps are realized
+  before timing starts, and ``birmap.realize`` reads them from a dict while
+  the layer runs, because its cache holds only 1024 words.
 
 Each layer runs ``REPS`` times, after a garbage collection each time, and
 a repetition hashes ``str`` of every map or verdict it built, in order, with
@@ -108,7 +113,31 @@ def dlog_layer(data: str):
     return run, len(maps), {"routes": routes}
 
 
-LAYERS = {"compose": compose_layer, "realize": realize_layer, "dlog_ratio": dlog_layer}
+def boundary_limit_layer(data: str):
+    """The boundary_limit layer: a function taking and hashing the limits of the words.json words at their rays, and their count."""
+    from logcy2 import birmap, words
+
+    with open(os.path.join(data, "words.json"), encoding="utf-8") as fh:
+        queries = [(words.parse_word(item["word"]), [tuple(n) for n in item["rays"]]) for item in json.load(fh)]
+    maps = {w: birmap.realize(w) for w, _ in queries}
+
+    def run() -> str:
+        h, kept = hashlib.sha256(), birmap.realize
+        birmap.realize = maps.__getitem__
+        try:
+            for w, rays in queries:
+                for n in rays:
+                    act = birmap.boundary_limit(w, n)
+                    h.update(f"{act.ray} {act.coeff} {act.exponent}\n".encode())
+        finally:
+            birmap.realize = kept
+        return h.hexdigest()
+
+    return run, sum(len(rays) for _, rays in queries), {}
+
+
+LAYERS = {"compose": compose_layer, "realize": realize_layer, "dlog_ratio": dlog_layer,
+          "boundary_limit": boundary_limit_layer}
 REPS = 20
 
 
