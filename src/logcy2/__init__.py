@@ -55,7 +55,7 @@ _HOME = {
         (
             "NotRegularError",
             "Surface",
-            "boundary_intersection_matrix",
+            "boundary_form",
             "cubic_surface",
             "insert_ray",
             "interior_blowup",

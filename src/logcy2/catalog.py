@@ -8,7 +8,7 @@ is what the consistency checks exercise.
 from __future__ import annotations
 
 from .errors import Value
-from .surfaces import Surface, check_blowup_budget, numeric_invariants, toric_intersection_matrix
+from .surfaces import Surface, check_blowup_budget, cycle_row, numeric_invariants, toric_self_intersections
 
 
 class SheafOnException(Value):
@@ -67,9 +67,10 @@ def vanishing_cycles(s: Surface) -> list[VanishingCycleItem]:
 
     Longitude ``ell`` carries the twist vector whose i-th entry is the product
     of boundary component i with the sum of the first ``ell`` components.
+    The toric pairing is symmetric, so its column ``ell`` is ``cycle_row``.
     """
     check_blowup_budget(s)
-    pairing = toric_intersection_matrix(s)
+    selfints = toric_self_intersections(s)
     k = len(s.rays)
     items: list[VanishingCycleItem] = []
     for i in range(k, 0, -1):
@@ -78,7 +79,7 @@ def vanishing_cycles(s: Surface) -> list[VanishingCycleItem]:
     twists = (0,) * k
     for ell in range(k):
         items.append(Longitude(ell, twists))
-        twists = tuple(t + row[ell] for t, row in zip(twists, pairing))
+        twists = tuple(t + p for t, p in zip(twists, cycle_row(selfints, ell)))
     return items
 
 

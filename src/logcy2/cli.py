@@ -115,14 +115,17 @@ def cmd_surface_invariants(args) -> int:
 
 
 def cmd_surface_intersections(args) -> int:
+    # Written one row at a time: only the self-intersections and the diagonal
+    # can pass the digit limit, so they are rendered before the first byte.
     s = _load_surface(args.file)
-    mat, negdef = surfaces.boundary_intersection_matrix(s)
-    print(output(json.dumps, {
-        "self_intersections": list(surfaces.toric_self_intersections(s)),
-        "matrix": [list(row) for row in mat],
-        "negative_definite": negdef,
-        "all_m_above_two": all(m > 2 for m in s.m),
-    }))
+    diag, negdef = surfaces.boundary_form(s)
+    head, cells = output(lambda: (json.dumps(list(surfaces.toric_self_intersections(s))), [str(d) for d in diag]))
+    write = sys.stdout.write
+    write(f'{{"self_intersections": {head}, "matrix": [')
+    for i in range(len(cells)):
+        write(f'{", " if i else ""}[{", ".join(surfaces.cycle_row(cells, i, "0", "1"))}]')
+    tail = {"negative_definite": negdef, "all_m_above_two": all(m > 2 for m in s.m)}
+    write(f"], {output(json.dumps, tail)[1:]}\n")
     return 0
 
 

@@ -214,31 +214,25 @@ def toric_self_intersections(s: Surface) -> tuple[int, ...]:
     return tuple(out)
 
 
-def toric_intersection_matrix(s: Surface) -> tuple[tuple[int, ...], ...]:
-    """Intersection matrix of the toric boundary components, before the blow-ups.
+def boundary_form(s: Surface) -> tuple[tuple[int, ...], bool]:
+    """The boundary's intersection form as its diagonal d_i = a_i - m_i, and whether it is negative definite.
 
-    Diagonal a_i, off-diagonal 1 for cyclically adjacent rays.
+    The boundary is a cycle of curves, so the diagonal fixes the form:
+    ``cycle_row`` gives its rows, and the verdict reads the diagonal alone.
     """
-    selfints = toric_self_intersections(s)
-    k = len(s.rays)
-    mat = [[0] * k for _ in range(k)]
-    for i in range(k):
-        mat[i][i] = selfints[i]
-        mat[i][(i + 1) % k] = mat[(i + 1) % k][i] = 1
-    return tuple(tuple(row) for row in mat)
+    diag = tuple(a - m for a, m in zip(toric_self_intersections(s), s.m))
+    return diag, _negative_definite(diag)
 
 
-def boundary_intersection_matrix(s: Surface) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Intersection matrix of the boundary components, and negative-definiteness.
+def cycle_row(diag, i: int, zero=0, one=1) -> list:
+    """Row i, also column i, of the form of a cycle of k >= 3 curves with diagonal ``diag``.
 
-    ``toric_intersection_matrix`` with m_i subtracted on the diagonal; the
-    boundary is a cycle of curves, so the verdict reads only that diagonal.
-    """
-    mat = tuple(
-        tuple(v - s.m[i] if i == j else v for j, v in enumerate(row))
-        for i, row in enumerate(toric_intersection_matrix(s))
-    )
-    return mat, _negative_definite(tuple(row[i] for i, row in enumerate(mat)))
+    ``diag[i]`` at i, ``one`` at i - 1 and i + 1 mod k, ``zero`` elsewhere;
+    "0" and "1" give the row as text cells."""
+    row = [zero] * len(diag)
+    row[i - 1] = row[(i + 1) % len(diag)] = one
+    row[i] = diag[i]
+    return row
 
 
 def _continuants(diag):

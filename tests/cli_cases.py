@@ -266,6 +266,10 @@ GROUPS = {
         # The int-to-text digit limit: the image of (1, 0) has about 5000 digits.
         Case(["word", "trop", "A[2,1;1,1]^12000", "--vector", "1,0"],
              1, "", FirstLine("error: an output integer has more than"), "DigitLimitError"),
+        # The diagonal entry a - m = -1 - (10^LIMIT - 1) is past the limit; the self-intersections are short.
+        Case(["surface", "intersections", "@s.json"],
+             1, "", FirstLine("error: an output integer has more than"), "DigitLimitError",
+             files=_surface([[1, 0], [0, 1], [-1, 1], [0, -1]], [0, 10**LIMIT - 1, 0, 0])),
     ],
     "word_equal_pentagon": [
         Case(["word", "equal", "P^5", "id"], 0, "true\n"),

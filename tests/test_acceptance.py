@@ -36,7 +36,7 @@ from logcy2.sampling import (
     rng_from_env,
 )
 from logcy2.surfaces import (
-    boundary_intersection_matrix,
+    boundary_form,
     cubic_surface,
     hirzebruch1,
     leq,
@@ -49,6 +49,7 @@ from logcy2.surfaces import (
     toric_self_intersections,
 )
 from logcy2.words import Elementary, Linear, Word, parse_word
+from test_surfaces import boundary_intersection_matrix
 
 
 @contextmanager
@@ -195,9 +196,9 @@ def test_08_intersection_theory():
         by_ray = dict(zip(f1.rays, toric_self_intersections(f1)))
         assert by_ray == {(1, 0): 0, (0, 1): -1, (-1, 1): 0, (0, -1): 1}
         _, negdef = boundary_intersection_matrix(p2((4, 3, 3)))
-        assert negdef
+        assert negdef and boundary_form(p2((4, 3, 3)))[1]
         _, negdef = boundary_intersection_matrix(p2((3, 3, 3)))
-        assert not negdef
+        assert not negdef and not boundary_form(p2((3, 3, 3)))[1]
 
 
 def test_09_count_checks():

@@ -24,8 +24,8 @@ from logcy2.surfaces import (
     p2,
     pushforward,
     resolve,
-    toric_intersection_matrix,
 )
+from test_surfaces import toric_intersection_matrix
 
 
 def test_collection_lengths():

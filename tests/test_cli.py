@@ -1,6 +1,9 @@
 import argparse
+import contextlib
+import hashlib
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -123,6 +126,39 @@ def test_word_trop_builds_no_composite_map():
     assert tropicalize.cache_info().currsize == before
     assert result.exit == 0
     assert result.stdout.strip() == "{},{}".format(*pl_apply(tropicalize(w), (1, 0)))
+
+
+class _HashingSink:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self) -> None:
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode())
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_surface_intersections_holds_one_row_at_a_time(tmp_path):
+    # The 803-ray fan's stdout is 1.9 MB, and its dense matrix as Python
+    # lists about 15 MiB; rows written one at a time peak far below either.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"rays": [[1, j] for j in range(801)] + [[0, 1], [-1, -1]], "m": [3] * 803}))
+    build_parser()
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["surface", "intersections", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.sha256.hexdigest() == "13d02e7617939fb8f1fbb596ba623b6e8b081bd16fae5e47995318e99c3b4042"
+    assert peak < 2 * 2**20, f"peak {peak} bytes"
 
 
 def test_parser_is_built_once():

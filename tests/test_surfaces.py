@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -7,6 +8,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cli_cases import run_cli
 from logcy2.errors import DigitLimitError
 from logcy2.lattice import NonPrimitiveError, cross, neg, pl_apply
 from logcy2 import surfaces
@@ -21,8 +23,9 @@ from logcy2.surfaces import (
     RayBudgetError,
     Surface,
     _negative_definite,
-    boundary_intersection_matrix,
+    boundary_form,
     cubic_surface,
+    cycle_row,
     from_json,
     hirzebruch1,
     insert_ray,
@@ -71,23 +74,76 @@ def test_self_intersections_examples():
     assert by_ray == {(1, 0): 0, (0, 1): -1, (-1, 1): 0, (0, -1): 1}
 
 
+def toric_intersection_matrix(s: Surface) -> tuple[tuple[int, ...], ...]:
+    """Reference: the dense intersection matrix of the toric boundary components, before the blow-ups.
+
+    Diagonal a_i, off-diagonal 1 for cyclically adjacent rays.
+    """
+    selfints = toric_self_intersections(s)
+    k = len(s.rays)
+    mat = [[0] * k for _ in range(k)]
+    for i in range(k):
+        mat[i][i] = selfints[i]
+        mat[i][(i + 1) % k] = mat[(i + 1) % k][i] = 1
+    return tuple(tuple(row) for row in mat)
+
+
+def boundary_intersection_matrix(s: Surface) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Reference: the dense intersection matrix of the boundary components, and negative-definiteness.
+
+    ``toric_intersection_matrix`` with m_i subtracted on the diagonal, and
+    the verdict on that diagonal.
+    """
+    mat = tuple(
+        tuple(v - s.m[i] if i == j else v for j, v in enumerate(row))
+        for i, row in enumerate(toric_intersection_matrix(s))
+    )
+    return mat, _negative_definite(tuple(row[i] for i, row in enumerate(mat)))
+
+
 def test_intersection_matrix_negative_definite_case():
     mat, negdef = boundary_intersection_matrix(p2((4, 3, 3)))
     diag = sorted(mat[i][i] for i in range(3))
     assert diag == [-3, -2, -2]
     assert all(mat[i][j] == 1 for i in range(3) for j in range(3) if i != j)
     assert negdef
+    assert boundary_form(p2((4, 3, 3))) == (tuple(mat[i][i] for i in range(3)), True)
 
 
 def test_intersection_matrix_degenerate_cycle():
     _, negdef = boundary_intersection_matrix(p2((3, 3, 3)))
     assert not negdef
+    assert boundary_form(p2((3, 3, 3))) == ((-2, -2, -2), False)
 
 
 def test_intersection_matrix_p1xp1_indefinite():
     mat, negdef = boundary_intersection_matrix(p1xp1())
     assert [mat[i][i] for i in range(4)] == [0, 0, 0, 0]
     assert not negdef
+    assert boundary_form(p1xp1()) == ((0, 0, 0, 0), False)
+
+
+def _dense_intersections(s: Surface) -> str:
+    """Reference: the stdout of ``surface intersections``, one ``json.dumps`` of the dense matrix."""
+    mat, negdef = boundary_intersection_matrix(s)
+    return json.dumps({
+        "self_intersections": list(toric_self_intersections(s)),
+        "matrix": [list(row) for row in mat],
+        "negative_definite": negdef,
+        "all_m_above_two": all(m > 2 for m in s.m),
+    }) + "\n"
+
+
+def test_cycle_form_matches_the_dense_reference(srng):
+    # p2 and p1xp1 fix k = 3 and k = 4 among the draws.
+    draws = [p2((4, 3, 3)), p1xp1()] + [random_surface(srng, srng.choice([0, 3, 12]), 12) for _ in range(40)]
+    for s in draws:
+        mat, negdef = boundary_intersection_matrix(s)
+        diag, verdict = boundary_form(s)
+        assert [cycle_row(diag, i) for i in range(len(diag))] == [list(row) for row in mat]
+        assert verdict is negdef
+        got = run_cli(["surface", "intersections", "@s.json"], {"s.json": to_json(s)})
+        assert got == (0, _dense_intersections(s), "", None)
 
 
 def test_numeric_invariants_examples():
