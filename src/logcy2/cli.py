@@ -204,7 +204,7 @@ def cmd_demo_cubic(args) -> int:
     failures: list[str] = []
     xi = cubic_surface()
     print(f"surface: {surfaces.to_json(xi)}")
-    # Each fraction is reduced with a grlex-monic denominator: canonical, so no gcd.
+    # Each fraction is reduced, with a denominator that leads with 1 in grlex: canonical, so no gcd.
     x, y, one = Poly2.x(), Poly2.y(), Poly2.const(1)
     expected = {
         "r1": birmap.BirationalMap(RatFunc2((one + y) ** 2, x), RatFunc2.y()),

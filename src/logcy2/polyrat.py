@@ -1,27 +1,22 @@
-"""Exact sparse bivariate polynomials and rational functions over Q.
+"""Exact sparse bivariate polynomials over Z and their fractions.
 
-A polynomial is one rational content times a primitive integer polynomial:
-a map from exponent pairs (i, j), both nonnegative, to nonzero ints with gcd
-1 and a positive graded-lexicographic leading coefficient.  The content is
-an int when it is integral; the zero polynomial is the empty map with
-content 0.
-A rational function is a reduced fraction of two such polynomials whose
-denominator is monic in the graded-lexicographic leading term (total degree
-first, then x-degree).  That canonical form makes structural equality a
-valid equality test for rational functions, which is what the word-problem
-oracle relies on.
+A polynomial is a map from exponent pairs (i, j), both nonnegative, to
+nonzero ints; the zero polynomial is the empty map.
+A rational function is a fraction of two such polynomials with no common
+factor in Z[x, y], integer content included, whose denominator has a
+positive coefficient at its graded-lexicographic leading term (total degree
+first, then x-degree).  That canonical form, which is canonical over Q as
+well, makes structural equality a valid equality test for rational
+functions, which is what the word-problem oracle relies on.
 
 GCDs run in integer arithmetic and return the cofactors with the gcd, each
 computed once, by one of two routes (see ``_ip_gcd``): a monomial shortcut,
 or the heuristic gcd GCDHEU, which raises its evaluation point until its
 candidate divides one side and then the other.  No library path takes a
 gcd, so GCDHEU and the exact division behind it keep their plain form.
-Every other routine runs on the integer terms as well.
-By Gauss's lemma products, powers, exact quotients, the gcd cofactors in
-``normalize`` and ``pullback`` keep the terms primitive, so they only
-multiply or divide contents; sums and the result of ``substitute`` take
-one content gcd.  A product with a one-term factor shifts and scales the
-other factor, and a factor 1 returns the other one as it stands.
+``normalize`` divides the cofactors by their joint integer content.  A
+product with a one-term factor shifts and scales the other factor, and a
+factor 1 returns the other one as it stands.
 ``substitute`` composes into a map given by formulas, and is the reference
 the pullbacks are tested against: it clears denominators, expands each
 term of r on its own, takes one ``normalize`` and keeps no state.
@@ -47,10 +42,10 @@ Textual form:
     term     := coeff | coeff "*" factors | factors
     factors  := varpow ("*" varpow)*
     varpow   := ("x" | "y") ("^" digits)?         exponent >= 2 when printed
-    coeff    := digits | "(" "-"? digits ("/" digits)? ")"
+    coeff    := digits | "(" "-" digits ")"
 
-A positive integer coefficient prints bare, 1 is omitted before variables,
-anything negative or fractional is parenthesized: ``(-1)*x^2*y + 3*x``.
+A positive coefficient prints bare, 1 is omitted before variables, and a
+negative one is parenthesized: ``(-1)*x^2*y + 3*x``.
 A rational function prints as ``num`` when the denominator is 1, otherwise
 ``(num) / (den)``.
 """
@@ -71,36 +66,32 @@ Term = tuple[int, int]
 
 
 class Poly2:
-    """Sparse bivariate polynomial over Q, stored as ``content * terms``.
+    """Sparse bivariate polynomial over Z, stored as its ``terms``.
 
-    ``terms`` maps (i, j) to a nonzero ``int``; the dict is primitive (its
-    coefficients have gcd 1) with a positive grlex-leading coefficient, so
-    the integer routines below run on it as it stands.  ``content`` is one
-    nonzero rational, an ``int`` when it is integral; the zero polynomial is
-    ``{}`` with content 0.  The dict is shared, not copied, and must not be
-    mutated.
+    ``terms`` maps (i, j), both nonnegative, to a nonzero ``int``; the zero
+    polynomial is ``{}``.  A coefficient that is not an ``int`` (a bool, a
+    ``Fraction``, a float or text) raises ``TypeError``.  The dict is
+    shared, not copied, and must not be mutated.
     """
 
-    __slots__ = ("terms", "content")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Term, int | Fraction] | None = None):
-        clean: dict[Term, Fraction] = {}
+    def __init__(self, terms: dict[Term, int] | None = None):
+        clean: dict[Term, int] = {}
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term {(i, j)}")
-            c = Fraction(c)
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} of term {(i, j)} is not an int")
             if c:
                 clean[(i, j)] = c
-        m = math.lcm(*[c.denominator for c in clean.values()])
-        p = _canonical({t: c.numerator * (m // c.denominator) for t, c in clean.items()}, Fraction(1, m))
-        self.terms, self.content = p.terms, p.content
+        self.terms = clean
 
     @staticmethod
-    def _raw(terms: dict[Term, int], content: int | Fraction) -> "Poly2":
-        """Internal constructor: terms already primitive with a positive leading coefficient."""
+    def _raw(terms: dict[Term, int]) -> "Poly2":
+        """Internal constructor: terms already int and zero-free."""
         p = object.__new__(Poly2)
         p.terms = terms
-        p.content = content.numerator if content.denominator == 1 else content  # an int when integral
         return p
 
     # Construction helpers.
@@ -110,11 +101,11 @@ class Poly2:
         return Poly2()
 
     @staticmethod
-    def const(c) -> "Poly2":
+    def const(c: int) -> "Poly2":
         return Poly2({(0, 0): c})
 
     @staticmethod
-    def monomial(i: int, j: int, c=1) -> "Poly2":
+    def monomial(i: int, j: int, c: int = 1) -> "Poly2":
         return Poly2({(i, j): c})
 
     @staticmethod
@@ -134,39 +125,25 @@ class Poly2:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.content == other.content and self.terms == other.terms
+        return isinstance(other, Poly2) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.content, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
-    # Arithmetic.  Products, powers and exact quotients of primitive dicts
-    # with positive leading coefficients are again such dicts (Gauss's
-    # lemma), so only sums take a content gcd.
+    # Arithmetic.
 
     def __add__(self, other: "Poly2") -> "Poly2":
-        m = math.lcm(self.content.denominator, other.content.denominator)
-        out = {}
-        for p in (self, other):
-            _ip_add_scaled(out, p.terms, p.content.numerator * (m // p.content.denominator))
-        return _canonical(out, Fraction(1, m))
-
-    def __neg__(self) -> "Poly2":
-        return Poly2._raw(self.terms, -self.content)
-
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
+        out = dict(self.terms)
+        _ip_add_scaled(out, other.terms, 1)
+        return Poly2._raw(out)
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        return Poly2._raw(_ip_mul(self.terms, other.terms), self.content * other.content)
-
-    def scale(self, c) -> "Poly2":
-        c = Fraction(c)
-        return Poly2._raw(self.terms if c else {}, self.content * c)
+        return Poly2._raw(_ip_mul(self.terms, other.terms))
 
     def __pow__(self, k: int) -> "Poly2":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        return Poly2._raw(_ip_pow(self.terms, k), self.content**k)
+        return Poly2._raw(_ip_pow(self.terms, k))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -194,23 +171,15 @@ def _grlex_max(p: dict[Term, int]) -> Term:
     return max(p, key=lambda t: (t[0] + t[1], t[0]))
 
 
-def _canonical(p: dict[Term, int], factor: int | Fraction = 1) -> Poly2:
-    """The Poly2 factor * p, for a zero-free p and a nonzero rational factor.
+def _primitive(*sides: dict[Term, int]) -> list[dict[Term, int]]:
+    """The sides over their joint integer content, signed so the last side's grlex-leading coefficient is positive.
 
-    p is divided by its integer content, signed so that the grlex-leading
-    coefficient is positive, and what it is divided by goes into ``content``.
+    A side that is already so is returned as it stands; zero sides stay ``{}``.
     """
-    if not p:
-        return Poly2._raw({}, 0)
-    c = math.gcd(*p.values())
-    if p[_grlex_max(p)] < 0:
+    c = math.gcd(*(v for p in sides for v in p.values()))
+    if sides[-1] and sides[-1][_grlex_max(sides[-1])] < 0:
         c = -c
-    return Poly2._raw(p if c == 1 else {t: v // c for t, v in p.items()}, factor * c)
-
-
-def _ip_scale(p: dict[Term, int], c: int) -> dict[Term, int]:
-    """c * p for a nonzero int c; p itself when c is 1."""
-    return p if c == 1 else {t: v * c for t, v in p.items()}
+    return [p if c == 1 else {t: v // c for t, v in p.items()} for p in sides]
 
 
 def _ip_mul(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
@@ -367,12 +336,12 @@ def _heugcd(p: dict[Term, int], q: dict[Term, int]):
         fe, ge = _image(f, v, xi), _image(g, v, xi)
         if fe and ge:
             gamma = _heugcd(fe, ge)[0]
-            h = _canonical({(i, k) if v else (k, i): d
-                            for (i, _), a in gamma.items() for k, d in _balanced_digits(a, xi) if d}).terms
+            [h] = _primitive({(i, k) if v else (k, i): d
+                              for (i, _), a in gamma.items() for k, d in _balanced_digits(a, xi) if d})
             if h == _ONE:
                 return {(0, 0): c}, f, g
             try:
-                return _ip_scale(h, c), _ip_divexact(f, h), _ip_divexact(g, h)
+                return {t: w * c for t, w in h.items()}, _ip_divexact(f, h), _ip_divexact(g, h)
             except InexactDivisionError:
                 pass
         xi = xi * 73794 // 27011 + 1
@@ -394,13 +363,13 @@ def _image(p: dict[Term, int], v: int, xi: int) -> dict[Term, int]:
 
 
 def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
-    """(g, p/g, q/g) for primitive p, q in Z[x, y].
+    """(g, p/g, q/g) for p, q in Z[x, y], with g times each cofactor exactly its side.
 
-    g is primitive with a positive grlex-leading coefficient.  A zero side
-    makes the other side the gcd, so ``normalize`` of a zero numerator gets
-    the canonical 0/1 from here.  Otherwise there are two routes: a
-    monomial input, whose coefficient is 1 since it is primitive, settles g
-    as a monomial at once and the cofactors are exponent shifts; every
+    The cofactors have no common factor of positive degree; an integer
+    content they share is left to the caller.  A zero side makes the other
+    side g, so ``normalize`` of a zero numerator gets 0/1 from here.
+    Otherwise there are two routes: a monomial side settles g as a monomial
+    with coefficient 1 at once, and the cofactors are exponent shifts; every
     other pair goes to ``_heugcd``, which gives the cofactors with g, from
     the divisions that prove it.  The monomial route is not only a shortcut:
     ``_image`` runs Horner's rule over every degree of the evaluated
@@ -420,24 +389,14 @@ def _ip_gcd(p: dict[Term, int], q: dict[Term, int]):
     return _heugcd(p, q)
 
 
-def _int_pair(r: RatFunc2) -> tuple[dict[Term, int], dict[Term, int]]:
-    """(a * num.terms, b * den.terms): integer sides of r, with a / b the ratio of r's contents.
-
-    When the ratio is 1 the terms dicts themselves are returned, not copies.
-    """
-    c = Fraction(r.num.content, r.den.content)
-    return _ip_scale(r.num.terms, c.numerator), _ip_scale(r.den.terms, c.denominator)
-
-
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
-    """Gcd up to units, returned primitive over Z with positive leading coeff."""
-    g = _ip_gcd(p.terms, q.terms)[0]
-    return Poly2._raw(g, 1 if g else 0)
+    """Gcd up to units: primitive in Z[x, y] with a positive grlex-leading coefficient, 0 for two zeros."""
+    return Poly2._raw(*_primitive(_ip_gcd(p.terms, q.terms)[0]))
 
 
 def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
-    """Exact quotient p/d; raises InexactDivisionError when d does not divide p."""
-    return Poly2._raw(_ip_divexact(p.terms, d.terms), Fraction(p.content, d.content))
+    """Exact quotient p/d in Z[x, y]; raises InexactDivisionError when d does not divide p there."""
+    return Poly2._raw(_ip_divexact(p.terms, d.terms))
 
 
 # --- RatFunc2 ----------------------------------------------------------------
@@ -452,8 +411,10 @@ class PoleAtPointError(DomainError, ZeroDivisionError):
 
 
 class RatFunc2(Value):
-    """Reduced fraction of bivariate polynomials, denominator grlex-monic.
+    """Reduced fraction of integer bivariate polynomials.
 
+    Canonical: num and den have no common factor in Z[x, y], integer
+    content included, and den has a positive grlex-leading coefficient.
     The constructor trusts its inputs; :func:`normalize` reduces any
     fraction first.
     """
@@ -484,16 +445,14 @@ class RatFunc2(Value):
 def normalize(num: Poly2, den: Poly2) -> RatFunc2:
     """Reduced canonical fraction num/den.
 
-    The gcd and its cofactors come from the two primitive terms dicts in
-    one call; the cofactors are primitive again, so the contents and the
-    denominator's leading coefficient only set the two new contents, which
-    make the denominator grlex-monic.
+    The gcd cofactors of the two terms dicts come from one call, and are
+    divided by their joint integer content, signed by the denominator's
+    grlex-leading coefficient.
     """
     if not den:
         raise ZeroDenominatorError("denominator is identically zero")
     _, ip, iq = _ip_gcd(num.terms, den.terms)
-    lc = iq[_grlex_max(iq)]
-    return RatFunc2(Poly2._raw(ip, Fraction(num.content, den.content * lc)), Poly2._raw(iq, Fraction(1, lc)))
+    return RatFunc2(*map(Poly2._raw, _primitive(ip, iq)))
 
 
 def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
@@ -507,20 +466,20 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
     """
     if not r.num:
         return RatFunc2(Poly2.zero(), Poly2.const(1))
-    # Each fraction's contents are folded into its integer sides, which
-    # leaves its value alone.
-    rn, rd = _int_pair(r)
+    rn, rd = r.num.terms, r.den.terms
     dx = max(i for i, _ in [*rn, *rd])
     dy = max(j for _, j in [*rn, *rd])
     # p^0 ... p^top, one running product per base.
-    fn, fd = (list(itertools.accumulate(itertools.repeat(p, dx), _ip_mul, initial=_ONE)) for p in _int_pair(f))
-    gn, gd = (list(itertools.accumulate(itertools.repeat(p, dy), _ip_mul, initial=_ONE)) for p in _int_pair(g))
+    fn, fd = (list(itertools.accumulate(itertools.repeat(p.terms, dx), _ip_mul, initial=_ONE))
+              for p in (f.num, f.den))
+    gn, gd = (list(itertools.accumulate(itertools.repeat(p.terms, dy), _ip_mul, initial=_ONE))
+              for p in (g.num, g.den))
 
     def cleared(p: dict[Term, int]) -> Poly2:
         total: dict[Term, int] = {}
         for (i, j), c in p.items():
             _ip_add_scaled(total, _ip_mul(fn[i], _ip_mul(fd[dx - i], _ip_mul(gn[j], gd[dy - j]))), c)
-        return _canonical(total)
+        return Poly2._raw(total)
 
     return normalize(cleared(rn), cleared(rd))
 
@@ -534,10 +493,11 @@ def substitute(r: RatFunc2, f: RatFunc2, g: RatFunc2) -> RatFunc2:
 # and the exit divide out with no gcd.  ``pullback`` holds each side as rows
 # (j, lo, b), b[t] = (-1)^i c for the coefficient c of x^i y^j, i = lo + t:
 # in these signs a product by 1 + x is b[t] - b[t - 1], and a quotient a
-# running sum, exact when its last entry is 0; each side stays primitive
-# (Gauss).  Row ends are nonzero and stay so, and a linear form in the
-# exponents peaks at an end, so the exit reads the shift and both leading
-# coefficients there in one pass, then steps along each row by (B11, B12).
+# running sum, exact when its last entry is 0; each side keeps its integer
+# content (Gauss).  Row ends are nonzero and stay so, and a linear form in the
+# exponents peaks at an end, so the exit reads the shift and the denominator's
+# leading coefficient there in one pass, then steps along each row by (B11, B12),
+# negating both sides when that coefficient is negative.
 
 
 _MAT_ID = ((1, 0), (0, 1))
@@ -665,8 +625,8 @@ def pullback(rs: tuple[RatFunc2, ...], steps: list[int | tuple[Term, Term]]) -> 
             sides[1] = sides[1] or den  # an empty denominator is the pass before's
             if trace:
                 trace.append(sides[1])
-        si, sj, leads = math.inf, math.inf, []
-        for side in sides:
+        si = sj = math.inf
+        for side in sides:  # the denominator's comes last, so ``lead`` ends as its leading coefficient
             top = (-math.inf, 0)
             for j, lo, row in side:
                 for i, v in ((lo, row[0]), (lo + len(row) - 1, row[-1])):
@@ -677,22 +637,19 @@ def pullback(rs: tuple[RatFunc2, ...], steps: list[int | tuple[Term, Term]]) -> 
                         sj = j2
                     if (i2 + j2, i2) > top:
                         top, lead = (i2 + j2, i2), -v if i & 1 else v
-            leads.append(lead)
         keep = prior and sides[1] is prior[-2] and prior[-1][0] == (si, sj)
-        num, den = {}, {}
-        for out, side, lead in zip((num, den), sides[:1] if keep else sides, leads):
+        num, den, negate = {}, {}, lead < 0
+        for out, side in zip((num, den), sides[:1] if keep else sides):
             for j, lo, row in side:
-                i2, j2, flip = a * lo + c * j - si, b * lo + d * j - sj, (lo & 1) ^ (lead < 0)
+                i2, j2, flip = a * lo + c * j - si, b * lo + d * j - sj, (lo & 1) ^ negate
                 for v in row:
                     if v:
                         out[i2, j2] = -v if flip else v
                     i2, j2, flip = i2 + a, j2 + b, flip ^ 1
-        ln, ld = leads
-        den = prior[-1][1] if keep else Poly2._raw(den, Fraction(1, abs(ld)))
+        den = prior[-1][1] if keep else Poly2._raw(den)
         if trace:
             trace.append(((si, sj), den))
-        pulled.append(RatFunc2(Poly2._raw(num, Fraction(r.num.content if ln > 0 else -r.num.content,
-                                                        r.den.content * ld)), den))
+        pulled.append(RatFunc2(Poly2._raw(num), den))
     return pulled
 
 
@@ -812,7 +769,6 @@ def dlog_ratio(f: RatFunc2, g: RatFunc2) -> Fraction | None:
         raise ZeroDenominatorError("denominator is identically zero")
     if not f.num or not g.num:
         return None
-    # Constants have dlog 0, so the contents drop out.
     sides = fn, fd, gn, gd = f.num.terms, f.den.terms, g.num.terms, g.den.terms
     nf, ng = len(fn) * len(fd), len(gn) * len(gd)
     pairs = nf * ng
@@ -856,7 +812,7 @@ def evaluate(r: RatFunc2, point) -> Fraction:
 
 def _value(p: Poly2, a: Fraction, b: Fraction) -> Fraction:
     """p at (a, b), with no budget: only ``evaluate`` calls it, once it has checked the budget."""
-    return p.content * sum((c * a**i * b**j for (i, j), c in p.terms.items()), Fraction(0))
+    return sum((c * a**i * b**j for (i, j), c in p.terms.items()), Fraction(0))
 
 
 # --- leading order on an arc ----------------------------------------------------
@@ -875,13 +831,12 @@ def arc_limit(f: RatFunc2, g: RatFunc2, arc: tuple[Term, Term]):
 
     ``arc`` is that monomial map's matrix ((p, n1), (q, n2)), of determinant
     p n2 - q n1 = 1, so no two monomials of a side land on one: one pass
-    relabels each integer side (``_int_pair``, which folds in the contents)
-    and keeps its lowest t-row.  Returns the t-orders (a, b) of f and g, and
-    (c, e) with f^b g^-a = c lam^e + O(t), or None when that coefficient is
-    not a monomial in lam.  Z[lam^+-1] is a domain, so the lowest row of a
+    relabels each side and keeps its lowest t-row.  Returns the t-orders
+    (a, b) of f and g, and (c, e) with f^b g^-a = c lam^e + O(t), or None
+    when that coefficient is not a monomial in lam.  Z[lam^+-1] is a domain, so the lowest row of a
     product is the product of the lowest rows.
     """
-    (tfn, fn), (tfd, fd), (tgn, gn), (tgd, gd) = (_arc_row(p, arc) for p in (*_int_pair(f), *_int_pair(g)))
+    (tfn, fn), (tfd, fd), (tgn, gn), (tgd, gd) = (_arc_row(p.terms, arc) for p in (f.num, f.den, g.num, g.den))
     a, b = tfn - tfd, tgn - tgd
 
     def power(top, bottom, k):  # (top / bottom)^k as a pair of rows
@@ -899,31 +854,25 @@ def arc_limit(f: RatFunc2, g: RatFunc2, arc: tuple[Term, Term]):
 # --- textual form -------------------------------------------------------------
 
 
-def _format_coeff(c: Fraction) -> str:
-    if c.denominator == 1 and c >= 0:
-        return str(c.numerator)
-    return f"({c})"
-
-
 def format_poly(p: Poly2) -> str:
     if not p:
         return "0"
     keys = sorted(p.terms, key=lambda t: (t[0] + t[1], t[0]), reverse=True)
     parts = []
     for i, j in keys:
-        c = p.content * p.terms[(i, j)]
+        c = p.terms[(i, j)]
         factors = []
         if i:
             factors.append("x" if i == 1 else f"x^{i}")
         if j:
             factors.append("y" if j == 1 else f"y^{j}")
         if not factors or c != 1:
-            factors.insert(0, _format_coeff(c))
+            factors.insert(0, str(c) if c > 0 else f"({c})")
         parts.append("*".join(factors))
     return " + ".join(parts)
 
 
 def format_ratfunc(r: RatFunc2) -> str:
-    if r.den == Poly2.const(1):
+    if r.den.terms == _ONE:
         return format_poly(r.num)
     return f"({format_poly(r.num)}) / ({format_poly(r.den)})"

@@ -178,10 +178,11 @@ def test_realize_folds_from_the_first_letter(monkeypatch):
 
 
 def test_compose_pulls_back_any_outer_map_as_substitution_would(srng):
-    # Outer maps with fractional contents and a constant coordinate too.
-    x2 = normalize(Poly2({(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 3)}), Poly2({(0, 1): 3, (1, 1): 1}))
+    # Outer maps whose sides have integer contents other than 1, and a
+    # constant coordinate too: x2 is (x / 2 - 1 / 3) / (3 y + x y).
+    x2 = normalize(Poly2({(1, 0): 3, (0, 0): -2}), Poly2({(0, 1): 18, (1, 1): 6}))
     maps = [realize(parse_word(t)) for t in ("r1", "P", "E^-2*E[1,1]")]
-    maps += [BirationalMap(x2, normalize(Poly2.const(Fraction(5, 7)), ONE)), BirationalMap(normalize(Poly2.zero(), ONE), x2)]
+    maps += [BirationalMap(x2, normalize(Poly2.const(5), Poly2.const(7))), BirationalMap(normalize(Poly2.zero(), ONE), x2)]
     for m in maps:
         for w in [random_word(srng, 3) for _ in range(6)] + [Word()]:
             got, want = compose(m, realize(w)), substituted(m, realize(w))
@@ -589,10 +590,11 @@ def test_boundary_limit_elementary_moved_ray():
 
 
 def test_boundary_limit_folds_in_the_contents(monkeypatch):
-    # Realized words have contents 1, so a stand-in map x' = 2x, y' = y/3
-    # shows the fold: at n = (1, 1) the ray stays (1, 1), and
-    # lambda' = x' / y' = 6 x / y, which is 6 lambda on the arc.
-    scaled = BirationalMap(normalize(X.scale(2), ONE), normalize(Y, Poly2.const(3)))
+    # Realized words have primitive sides, so a stand-in map x' = 2x,
+    # y' = y/3 shows the fold of the integer contents: at n = (1, 1) the ray
+    # stays (1, 1), and lambda' = x' / y' = 6 x / y, which is 6 lambda on
+    # the arc.
+    scaled = BirationalMap(normalize(Poly2.monomial(1, 0, 2), ONE), normalize(Y, Poly2.const(3)))
     monkeypatch.setattr("logcy2.birmap.realize", lambda w: scaled)
     act = boundary_limit(Word(), (1, 1))
     assert (act.ray, act.coeff, act.exponent) == ((1, 1), 6, 1)
@@ -669,6 +671,30 @@ def test_library_takes_no_gcd(monkeypatch, cli_env, srng):
         assert equal(w, parse_word(item["equal_partner"]))
         assert not equal(w, parse_word(item["unequal_partner"]))
     assert calls == []
+
+
+def test_library_maps_have_primitive_sides_and_a_denominator_leading_1(srng):
+    # Monomial relabelling, products by (1 + x)^t and exact quotients by
+    # 1 + x keep each side primitive (Gauss's lemma), and from x / 1 and
+    # y / 1 they keep every grlex-leading coefficient at +-1.  So no library
+    # map has a content to print, and the canonical form prints each one as
+    # a form with a monic denominator would.
+    pool = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data" / "words.json").read_text())
+    texts = [item[part] for item in srng.sample(pool, 120) for part in ("word", "equal_partner", "unequal_partner")]
+    maps = [realize(parse_word(t)) for t in texts] + [realize(random_word(srng, 12)) for _ in range(300)]
+    refl = [realize(parse_word(f"r{i}")) for i in (1, 2, 3)]
+    composed, level = {"": IDENTITY_MAP}, [""]
+    for _ in range(5):
+        level = [key + i for key in level for i in "123" if not key.endswith(i)]
+        for key in level:
+            composed[key] = compose(composed[key[:-1]], refl[int(key[-1]) - 1])
+    assert len(composed) == 94
+    maps += list(composed.values())
+    for m in maps:
+        for r in (m.f, m.g):
+            for side in (r.num.terms, r.den.terms):
+                assert all(type(c) is int for c in side.values()) and math.gcd(*side.values()) == 1, str(m)
+            assert r.den.terms[max(r.den.terms, key=lambda t: (t[0] + t[1], t[0]))] == 1, str(m)
 
 
 def test_boundary_limit_refuses_a_ray_off_the_tropicalization(monkeypatch):

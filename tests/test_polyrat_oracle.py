@@ -20,6 +20,7 @@ value.  ``realize``, which runs on ``pullback``, is checked against a fold
 of ``substitute`` in ``test_birmap.py``, where sympy is not needed.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from logcy2.polyrat import (
     substitute,
 )
 from logcy2.words import parse_word
-from test_polyrat import pull_one, random_poly
+from test_polyrat import cleared, grlex_lead, pull_one, random_poly, random_sides, sides
 
 sympy = pytest.importorskip("sympy")
 
@@ -53,59 +54,73 @@ ORACLE = settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 ONE = Poly2.const(1)
 
 
-def polys(max_deg: int = 3, max_terms: int = 4, integral: bool = False):
-    coeffs = (st.integers(-6, 6) if integral
-              else st.fractions(min_value=-6, max_value=6, max_denominator=4))
+RATIONAL = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def rationals(max_deg: int = 3, max_terms: int = 4):
+    """Nonzero polynomials with rational coefficients, as ``cleared`` gives them: (N, m) for N / m."""
     monos = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
-    return st.dictionaries(monos, coeffs, min_size=1, max_size=max_terms).map(Poly2).filter(bool)
+    return st.dictionaries(monos, RATIONAL, min_size=1, max_size=max_terms).map(cleared).filter(lambda p: bool(p[0]))
+
+
+def polys(max_deg: int = 3, max_terms: int = 4, integral: bool = False):
+    """Nonzero polynomials in Z[x, y]: integer coefficients, or else the N of ``rationals``."""
+    if not integral:
+        return rationals(max_deg, max_terms).map(lambda p: p[0])
+    monos = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
+    return st.dictionaries(monos, st.integers(-6, 6), min_size=1, max_size=max_terms).map(Poly2).filter(bool)
+
+
+def rational_monomials(max_deg: int = 3):
+    """Monomials with a nonzero rational coefficient, as ``cleared`` gives them."""
+    return st.builds(lambda i, j, c: cleared({(i, j): c}), st.integers(0, max_deg), st.integers(0, max_deg),
+                     RATIONAL.filter(bool))
 
 
 def monomials(max_deg: int = 3):
-    return st.builds(Poly2.monomial, st.integers(0, max_deg), st.integers(0, max_deg),
-                     st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool))
+    """The N of ``rational_monomials``: monomials with a nonzero integer coefficient."""
+    return rational_monomials(max_deg).map(lambda p: p[0])
 
 
 def to_sympy(p: Poly2):
-    content = sympy.Rational(p.content.numerator, p.content.denominator)
-    return content * sum((c * SX**i * SY**j for (i, j), c in p.terms.items()), sympy.Integer(0))
+    return sum((c * SX**i * SY**j for (i, j), c in p.terms.items()), sympy.Integer(0))
 
 
 def from_sympy(expr) -> Poly2:
-    poly = sympy.Poly(expr, SX, SY, domain="QQ")
-    return Poly2({m: Fraction(int(c.p), int(c.q)) for m, c in poly.as_dict().items()})
-
-
-def leading_coefficient(p: Poly2) -> Fraction:
-    """The coefficient of p's greatest monomial in graded-lex order (total degree, then x-degree)."""
-    return Fraction(p.content * p.terms[max(p.terms, key=lambda t: (t[0] + t[1], t[0]))])
+    poly = sympy.Poly(expr, SX, SY, domain="ZZ")
+    return Poly2({m: int(c) for m, c in poly.as_dict().items()})
 
 
 def canonical(expr) -> RatFunc2:
-    """sympy's reduced fraction, scaled so the denominator is grlex-monic."""
-    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
-    num, den = from_sympy(num), from_sympy(den)
-    lc = leading_coefficient(den)
-    return RatFunc2(num.scale(1 / lc), den.scale(1 / lc))
+    """sympy's reduced fraction as integer sides with no common content and a denominator leading positive in grlex."""
+    num, den = (sympy.Poly(e, SX, SY, domain="QQ") for e in sympy.fraction(sympy.cancel(sympy.together(expr))))
+    num, den = (n.terms for n in sides(*(cleared({m: Fraction(int(c.p), int(c.q)) for m, c in e.as_dict().items()})
+                                         for e in (num, den))))
+    c = math.gcd(*num.values(), *den.values()) * (1 if grlex_lead(den) > 0 else -1)
+    return RatFunc2(*(Poly2({m: v // c for m, v in e.items()}) for e in (num, den)))
 
 
 def same_up_to_scalar(a: Poly2, b: Poly2) -> bool:
-    return a.scale(leading_coefficient(b)) == b.scale(leading_coefficient(a))
+    return a * Poly2.const(grlex_lead(b.terms)) == b * Poly2.const(grlex_lead(a.terms))
 
 
 # --- normalize --------------------------------------------------------------------
 
 
 @ORACLE
-@given(polys(), polys(), polys(2, 3))
+@given(rationals(), rationals(), polys(2, 3))
 def test_normalize_matches_cancel(p, q, h):
+    p, q = sides(p, q)
     assert normalize(p * h, q * h) == canonical(to_sympy(p) / to_sympy(q))
 
 
 @ORACLE
-@given(polys(), monomials(), polys(2, 3))
+@given(rationals(), rational_monomials(), polys(2, 3))
 def test_normalize_matches_cancel_monomial_side(p, m, h):
-    assert normalize(p, m) == canonical(to_sympy(p) / to_sympy(m))
-    assert normalize(m * h, p * h) == canonical(to_sympy(m) / to_sympy(p))
+    num, den = sides(p, m)
+    assert normalize(num, den) == canonical(to_sympy(num) / to_sympy(den))
+    num, den = sides(m, p)
+    assert normalize(num * h, den * h) == canonical(to_sympy(num) / to_sympy(den))
 
 
 # --- gcd routes -------------------------------------------------------------------
@@ -131,8 +146,8 @@ def test_gcd_heuristic_route_matches_sympy(a, b, h):
     p, q = a * h, b * h
     ours = poly_gcd(p, q)
     assert same_up_to_scalar(ours, from_sympy(sympy.gcd(to_sympy(p), to_sympy(q))))
-    assert all(c.denominator == 1 for c in ours.terms.values())
-    assert leading_coefficient(ours) > 0
+    assert all(type(c) is int for c in ours.terms.values())
+    assert grlex_lead(ours.terms) > 0
 
 
 def test_gcd_heuristic_candidate_has_no_zero_digits():
@@ -177,12 +192,12 @@ def test_gcd_of_x_only_pair_matches_sympy(a, b, h):
     x_only = lambda d: {(j, 0): c for j, c in d.items()}
     p, q = (polyrat._ip_mul(x_only(u), x_only(h)) for u in (a, b))
     expected = sympy.Poly(sympy.gcd(to_sympy(Poly2(p)), to_sympy(Poly2(q))), SX)
-    expected = from_sympy((expected if expected.LC() > 0 else -expected).as_expr())
-    pp, pq = Poly2(p).terms, Poly2(q).terms
+    expected = expected if expected.LC() > 0 else -expected
+    pp, pq = (polyrat._primitive(d)[0] for d in (p, q))
     g, cp, cq = polyrat._ip_gcd(pp, pq)
-    assert g == expected.terms
+    assert g == from_sympy(expected.primitive()[1].as_expr()).terms
     assert polyrat._ip_mul(g, cp) == pp and polyrat._ip_mul(g, cq) == pq
-    assert Poly2(polyrat._heugcd(p, q)[0]) == expected
+    assert polyrat._heugcd(p, q)[0] == from_sympy(expected.as_expr()).terms
 
 
 def test_gcd_of_tall_pair_matches_sympy():
@@ -206,8 +221,8 @@ def test_gcd_of_seeded_pair_of_high_y_degree_matches_sympy():
     # first evaluation point times 1 + y-degree exceed 60000, the size at
     # which GCDHEU used to give up.
     rng = random.Random(7)
-    g, a, b = (Poly2({(rng.randint(0, 2), rng.randint(0, 15)): rng.choice((-1, 1)) * rng.getrandbits(1000)
-                      for _ in range(12)}).terms for _ in range(3))
+    g, a, b = (polyrat._primitive({(rng.randint(0, 2), rng.randint(0, 15)): rng.choice((-1, 1)) * rng.getrandbits(1000)
+                                   for _ in range(12)})[0] for _ in range(3))
     p, q = polyrat._ip_mul(g, a), polyrat._ip_mul(g, b)
     deg = max(j for _, j in [*p, *q])
     xi = 2 * min(max(map(abs, p.values())), max(map(abs, q.values()))) + 29
@@ -237,7 +252,7 @@ def test_gcd_of_cyclotomic_product_matches_sympy():
 
 
 def one_term_factors():
-    """The constant 1, monomials with coefficient 1 or -1, and Fraction monomials."""
+    """The constant 1, monomials with coefficient 1 or -1, and the integer N of rational monomials."""
     return st.one_of(
         st.just(Poly2.const(1)),
         st.builds(Poly2.monomial, st.integers(0, 3), st.integers(0, 3), st.sampled_from([1, -1])),
@@ -280,7 +295,7 @@ def test_integer_product_by_one_is_the_other_factor(p):
 
 def to_field(r: RatFunc2):
     """r as an element of sympy's field Q(x, y), kept reduced by its own gcds."""
-    num, den = ({m: sympy.QQ(p.content * c) for m, c in p.terms.items()} for p in (r.num, r.den))
+    num, den = ({m: sympy.QQ(c) for m, c in p.terms.items()} for p in (r.num, r.den))
     return QXY(QXY.ring(num)) / QXY(QXY.ring(den))
 
 
@@ -303,35 +318,35 @@ def times_monomial(a: int, b: int, num: Poly2, den: Poly2 = ONE) -> RatFunc2:
 
 
 @ORACLE
-@given(polys(2, 3), polys(2, 3), polys(2, 3), st.tuples(*[st.integers(-2, 2)] * 4))
+@given(rationals(2, 3), rationals(2, 3), rationals(2, 3), st.tuples(*[st.integers(-2, 2)] * 4))
 def test_dlog_ratio_matches_sympy(p, q, h, exps):
     # A generic pair, and f = x^a y^b p with g = x^c y^d h(f, f), whose
     # ratio is the constant a d - b c whenever p has one term.
     a, b, c, d = exps
-    f = times_monomial(a, b, p)
-    s = substitute(normalize(h, ONE), f, f)
+    f = times_monomial(a, b, p[0], Poly2.const(p[1]))
+    s = substitute(normalize(h[0], Poly2.const(h[1])), f, f)
     g = times_monomial(c, d, s.num, s.den)
-    pairs = [(normalize(p, q), normalize(h, p)), (f, g)]
+    pairs = [(normalize(*sides(p, q)), normalize(*sides(h, p))), (f, g)]
     for f, g in pairs:
         assert dlog_ratio(f, g) == sympy_dlog_ratio(f, g)
 
 
 def test_dlog_ratio_matches_quotient_rule_jacobian(srng):
-    # Fraction coefficients reach the denominator-clearing path.  A map
-    # g = c x^a y^b h(f), with f a monomial map, has dlog f ^ dlog g a
-    # constant multiple of dlog x ^ dlog y, so constants other than 0 and
-    # +-1 come up alongside the generic non-constant case.
+    # Sides with integer contents other than 1.  A map g = c x^a y^b h(f),
+    # with f a monomial map, has dlog f ^ dlog g a constant multiple of
+    # dlog x ^ dlog y, so constants other than 0 and +-1 come up alongside
+    # the generic non-constant case.
     seen = set()
     for _ in range(60):
         if srng.random() < 0.5:
-            f = normalize(random_poly(srng), random_poly(srng) or ONE)
-            g = normalize(random_poly(srng), random_poly(srng) or ONE)
+            f = normalize(*random_sides(srng))
+            g = normalize(*random_sides(srng))
         else:
             a, b, c, d = (srng.randint(-2, 2) for _ in range(4))
-            f = times_monomial(a, b, Poly2.const(Fraction(srng.randint(1, 5), srng.randint(1, 3))))
+            f = times_monomial(a, b, Poly2.const(srng.randint(1, 5)), Poly2.const(srng.randint(1, 3)))
             g = times_monomial(c, d, ONE)
-            if h := random_poly(srng, 2, 3):
-                s = substitute(normalize(h, ONE), f, f)
+            if (h := random_poly(srng, 2, 3))[0]:
+                s = substitute(normalize(h[0], Poly2.const(h[1])), f, f)
                 g = times_monomial(c, d, s.num, s.den)
         got = dlog_ratio(f, g)
         assert got == sympy_dlog_ratio(f, g), (f, g)
@@ -346,7 +361,7 @@ def rebuilt(m: BirationalMap) -> BirationalMap:
     """A map equal to m made of new objects, down to the terms dicts."""
 
     def copy(r: RatFunc2) -> RatFunc2:
-        return RatFunc2(Poly2(dict(r.num.terms)).scale(r.num.content), Poly2(dict(r.den.terms)).scale(r.den.content))
+        return RatFunc2(Poly2(dict(r.num.terms)), Poly2(dict(r.den.terms)))
 
     return BirationalMap(copy(m.f), copy(m.g))
 
@@ -384,7 +399,7 @@ def test_divexact_matches_sympy_quotient(p, d):
 
 
 def small_ratfuncs():
-    return st.builds(normalize, polys(2, 3), polys(2, 2))
+    return st.builds(lambda p, q: normalize(*sides(p, q)), rationals(2, 3), rationals(2, 2))
 
 
 # Terms of r that share an x-exponent, then terms that share a y-exponent.
@@ -414,16 +429,18 @@ ONE_PLUS_X = Poly2({(0, 0): 1, (1, 0): 1})
 
 
 def reduced_fractions():
-    """Reduced fractions with Fraction coefficients, constant sides and (1 + x)-powers.
+    """Reduced fractions of rational polynomials, constant sides and (1 + x)-powers.
 
-    A side is a constant or a random polynomial; each side is multiplied by
-    (1 + x)^a y^b, so valuations up to 6 on either side are common.
+    A side is a rational constant or a random rational polynomial; each side
+    is multiplied by (1 + x)^a y^b, so valuations up to 6 on either side are
+    common.  The fraction's integer sides carry the constants.
     """
-    constants = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool).map(Poly2.const)
-    side = st.one_of(polys(2, 4), constants)
+    constants = RATIONAL.filter(bool).map(lambda c: cleared({(0, 0): c}))
+    side = st.one_of(rationals(2, 4), constants)
     powers = st.tuples(st.integers(0, 6), st.integers(0, 2))
 
     def build(p, q, pa, qa):
+        p, q = sides(p, q)
         return normalize(p * ONE_PLUS_X ** pa[0] * Poly2.monomial(0, pa[1]),
                          q * ONE_PLUS_X ** qa[0] * Poly2.monomial(0, qa[1]))
 
@@ -530,13 +547,16 @@ def test_evaluate_matches_sympy(srng):
     for _ in range(60):
         pt = [srng.choice((0, srng.randint(-4, -1), Fraction(srng.randint(-6, 6), srng.randint(2, 4))))
               for _ in range(2)]
-        num, den = random_poly(srng, 2, 3), random_poly(srng, 2, 3) or ONE
-        vanishing = srng.choice((Poly2.x() - Poly2.const(pt[0]), Poly2.y() - Poly2.const(pt[1])))
+        num, den = random_sides(srng, 2, 3)
+        # x - c or y - c, for a coordinate c = p / q of the point, as (q x - p) / q.
+        axis, c = srng.choice(((0, pt[0]), (1, pt[1])))
+        p, q = Fraction(c).as_integer_ratio()
+        vanishing = Poly2({(1 - axis, axis): q, (0, 0): -p})
         k = srng.randrange(3)
         if k:
-            den = den * vanishing
+            num, den = num * Poly2.const(q), den * vanishing
         if k == 2:
-            num = num * vanishing
+            num, den = num * vanishing, den * Poly2.const(q)
         point = {s: sympy.Rational(v.numerator, v.denominator) for s, v in zip((SX, SY), pt)}
         want_num, want_den = (e.subs(point) for e in sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den))))
         r = normalize(num, den)
@@ -558,10 +578,10 @@ def test_evaluate_matches_sympy(srng):
 # --- textual form -----------------------------------------------------------------
 
 
-# Negative, integral and Fraction coefficients; an empty or all-zero dict is
-# the zero polynomial.
+# Negative, integral and rational coefficients, as ``cleared`` gives them;
+# an empty or all-zero dict is the zero polynomial.
 COEFFICIENTS = st.one_of(st.integers(-50, 50), st.fractions(min_value=-20, max_value=20, max_denominator=12))
-ANY_POLYS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFFICIENTS, max_size=6).map(Poly2)
+ANY_RATIONALS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), COEFFICIENTS, max_size=6).map(cleared)
 
 
 def read_text(text: str):
@@ -569,14 +589,16 @@ def read_text(text: str):
     return sympy.sympify(text.replace("^", "**"), locals={"x": SX, "y": SY})
 
 
-@given(ANY_POLYS)
+@given(ANY_RATIONALS)
 def test_poly_text_reads_back_in_sympy(p):
+    p, _ = p
     text = format_poly(p)
     assert sympy.expand(read_text(text) - to_sympy(p)) == 0
     assert (text == "0") == (not p)
 
 
-@given(ANY_POLYS, st.one_of(COEFFICIENTS.filter(bool).map(Poly2.const), ANY_POLYS.filter(bool)))
+@given(ANY_RATIONALS, st.one_of(COEFFICIENTS.filter(bool).map(lambda c: cleared({(0, 0): c})),
+                               ANY_RATIONALS.filter(lambda d: bool(d[0]))))
 def test_ratfunc_text_reads_back_in_sympy(n, d):
-    r = normalize(n, d)
+    r = normalize(*sides(n, d))
     assert sympy.cancel(read_text(format_ratfunc(r)) - sympy_ratfunc(r)) == 0

@@ -15,6 +15,8 @@ Layers:
   partner, with ``realize``'s cache cleared before each repetition;
 - ``dlog_ratio``: ``polyrat.dlog_ratio(m.f, m.g)`` for the maps m of those
   3603 texts, realized once before timing starts;
+- ``format``: ``str`` of those 3603 maps, realized before timing starts,
+  which is ``polyrat.format_poly`` on each side;
 - ``boundary_limit``: ``birmap.boundary_limit(w, n)`` for the 1201 words w
   of ``bench/data/words.json`` at each of their recorded rays n, hashing
   the ray, coefficient and exponent of each action.  The maps are realized
@@ -83,11 +85,18 @@ def word_texts(data: str) -> list[str]:
         return [item[part] for item in json.load(fh) for part in ("word", "equal_partner", "unequal_partner")]
 
 
+def word_maps(data: str) -> list:
+    """The realized maps of the 3603 texts of words.json, in order."""
+    from logcy2 import birmap, words
+
+    return [birmap.realize(words.parse_word(text)) for text in word_texts(data)]
+
+
 def dlog_layer(data: str):
     """The dlog_ratio layer: a function deciding and hashing dlog_ratio of the realized word maps, their count, and the routes taken."""
-    from logcy2 import birmap, polyrat, words
+    from logcy2 import polyrat
 
-    maps = [birmap.realize(words.parse_word(text)) for text in word_texts(data)]
+    maps = word_maps(data)
 
     def run() -> str:
         h = hashlib.sha256()
@@ -111,6 +120,19 @@ def dlog_layer(data: str):
     finally:
         polyrat._dlog_pairs, polyrat._dlog_packed = kept
     return run, len(maps), {"routes": routes}
+
+
+def format_layer(data: str):
+    """The format layer: a function printing and hashing the realized word maps, and their count."""
+    maps = word_maps(data)
+
+    def run() -> str:
+        h = hashlib.sha256()
+        for m in maps:
+            h.update(f"{m}\n".encode())
+        return h.hexdigest()
+
+    return run, len(maps), {}
 
 
 def boundary_limit_layer(data: str):
@@ -137,7 +159,7 @@ def boundary_limit_layer(data: str):
 
 
 LAYERS = {"compose": compose_layer, "realize": realize_layer, "dlog_ratio": dlog_layer,
-          "boundary_limit": boundary_limit_layer}
+          "format": format_layer, "boundary_limit": boundary_limit_layer}
 REPS = 20
 
 
