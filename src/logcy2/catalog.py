@@ -68,6 +68,10 @@ def vanishing_cycles(s: Surface) -> list[VanishingCycleItem]:
     Longitude ``ell`` carries the twist vector whose i-th entry is the product
     of boundary component i with the sum of the first ``ell`` components.
     The toric pairing is symmetric, so its column ``ell`` is ``cycle_row``.
+    The result holds k twist vectors of k integers each, k^2 in all, and
+    ``BLOWUP_BUDGET`` bounds the blow-ups, not k: on a fan of 3203 rays it
+    takes about 0.66 s and a 79 MiB ``tracemalloc`` peak.  No CLI command
+    builds it; ``hms counts`` counts without it (``check_counts``).
     """
     check_blowup_budget(s)
     selfints = toric_self_intersections(s)

@@ -210,7 +210,7 @@ def cut_transfer(d: BaseDiagram, index: int) -> BaseDiagram:
     new_nodes = []
     for j, other in enumerate(d.nodes):
         if j == index:
-            new_nodes.append(make_node(other.position, other.direction, -other.cut_sign))
+            new_nodes.append(Node(other.position, other.direction, -other.cut_sign))  # already canonical
             continue
         c = other.position[0] * u[1] - other.position[1] * u[0]
         if side * c < 0:
@@ -349,14 +349,15 @@ def from_json(text: str) -> BaseDiagram:
 # --- rendering ----------------------------------------------------------------
 
 
-def _fmt(n: int, d: int) -> str:
-    """n/d, for d > 0, in fixed point with up to 6 decimals, with no float and no Fraction.
+def _fmt(x: int | Fraction, a: int, b: int) -> str:
+    """x + a/b, for b > 0, in fixed point with up to 6 decimals, with no float and no new Fraction.
 
-    n/d * 10^6 rounds half up, in integers: q + r/d with 0 <= r < d.  Only
-    the value of the pair counts, so an unreduced pair reads as reduced.
+    x + a/b is the unreduced pair n/d = (x.numerator * b + a * x.denominator)
+    / (x.denominator * b), and n/d * 10^6 rounds half up, in integers, to the
+    floor of (2 n 10^6 + d) / 2d.  Only the value of the pair counts.
     """
-    q, r = divmod(n * 10**6, d)
-    q += 2 * r >= d
+    d = x.denominator * b
+    q = ((x.numerator * b + a * x.denominator) * 2 * 10**6 + d) // (2 * d)
     sign = "-" if q < 0 else ""
     whole, frac = divmod(abs(q), 10**6)
     if frac:
@@ -373,48 +374,34 @@ def render_svg(d: BaseDiagram) -> str:
 
 
 def _svg(d: BaseDiagram) -> str:
-    # Every number is an integer pair (numerator, denominator > 0) read off
-    # the coordinates (an int is n/1), and the y axis is flipped: (x, -y) is
-    # emitted, so the diagram reads with y upward.
+    # The y axis is flipped: (x, -y) is emitted, so the diagram reads with y
+    # upward.  Every number is written by _fmt as a coordinate plus a rational
+    # offset.
     xs = [0] + [n.position[0] for n in d.nodes]
-    ys = [0] + [n.position[1] for n in d.nodes]
-    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    ys = [0] + [-n.position[1] for n in d.nodes]
+    lo_x, lo_y = min(xs), min(ys)
     # The view pads the nodes and the origin by 1 on each side.
-    left = _fmt(lo_x.numerator - lo_x.denominator, lo_x.denominator)
-    top = _fmt(-hi_y.numerator - hi_y.denominator, hi_y.denominator)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{left} {top} {_fmt(*_span(lo_x, hi_x))} {_fmt(*_span(lo_y, hi_y))}">',
+        f'viewBox="{_fmt(lo_x, -1, 1)} {_fmt(lo_y, -1, 1)} {_fmt(max(xs) - lo_x, 2, 1)} {_fmt(max(ys) - lo_y, 2, 1)}">',
         '<circle cx="0" cy="0" r="0.08" fill="black"/>',
     ]
-    ends = [(_fmt(x.numerator, x.denominator), _fmt(-y.numerator, y.denominator)) for x, y in zip(xs[1:], ys[1:])]
+    ends = [(_fmt(x, 0, 1), _fmt(y, 0, 1)) for x, y in zip(xs[1:], ys[1:])]
     for px, py in ends:
         lines.append(f'<line x1="0" y1="0" x2="{px}" y2="{py}" stroke="black" stroke-width="0.03"/>')
-    for n, (px, py) in zip(d.nodes, ends):
-        x, y = n.position
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        # The cut runs 3/5 along u, scaled to max|u| = 1: to (x, y) + 3u / (5m).
+    for n, x, y, (px, py) in zip(d.nodes, xs[1:], ys[1:], ends):
+        # The cut runs 3/5 along u, scaled to max|u| = 1: to (x, y) + 3u / (5m),
+        # with u's y flipped too.
         u = n.cut_vector()
         m5 = 5 * max(abs(u[0]), abs(u[1]))
-        cx = _fmt(m5 * xn + 3 * u[0] * xd, m5 * xd)
-        cy = _fmt(-m5 * yn - 3 * u[1] * yd, m5 * yd)
         lines.append(
-            f'<line x1="{px}" y1="{py}" x2="{cx}" y2="{cy}" '
+            f'<line x1="{px}" y1="{py}" x2="{_fmt(x, 3 * u[0], m5)}" y2="{_fmt(y, -3 * u[1], m5)}" '
             f'stroke="black" stroke-width="0.03" stroke-dasharray="0.12,0.08"/>'
         )
-        # The marker's two strokes end at (x +- 15/100, -y +- 15/100).
-        x0, x1 = _fmt(100 * xn - 15 * xd, 100 * xd), _fmt(100 * xn + 15 * xd, 100 * xd)
-        y0, y1 = _fmt(-100 * yn - 15 * yd, 100 * yd), _fmt(-100 * yn + 15 * yd, 100 * yd)
+        # The marker's two strokes end at (x +- 15/100, y +- 15/100).
+        x0, x1, y0, y1 = _fmt(x, -15, 100), _fmt(x, 15, 100), _fmt(y, -15, 100), _fmt(y, 15, 100)
         for ya, yb in ((y0, y1), (y1, y0)):
             lines.append(f'<line x1="{x0}" y1="{ya}" x2="{x1}" y2="{yb}" stroke="black" stroke-width="0.05"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _span(lo: int | Fraction, hi: int | Fraction) -> tuple[int, int]:
-    """(hi + 1) - (lo - 1) as an integer pair."""
-    return (
-        hi.numerator * lo.denominator - lo.numerator * hi.denominator + 2 * hi.denominator * lo.denominator,
-        hi.denominator * lo.denominator,
-    )

@@ -461,15 +461,23 @@ def _fmt_by_fractions(x: Fraction) -> str:
 half_ties = st.integers(-(10**9), 10**9).map(lambda k: Fraction(2 * k + 1, 2 * 10**6))
 
 
-@given(st.one_of(st.fractions(max_denominator=10**8), half_ties), st.integers(1, 10**9))
-@example(Fraction(-1, 2 * 10**6), 1)
-@example(Fraction(1, 2 * 10**6), 3)
-@example(Fraction(-3, 10**7), 7)
-@example(Fraction(0), 5)
-def test_fmt_matches_fraction_rounding(x, k):
-    # Only the value counts: the unreduced pair (k n, k d) reads as n / d.
-    assert diagrams._fmt(x.numerator, x.denominator) == _fmt_by_fractions(x)
-    assert diagrams._fmt(k * x.numerator, k * x.denominator) == _fmt_by_fractions(x)
+@given(
+    st.one_of(st.fractions(max_denominator=10**8), half_ties),
+    st.integers(-(10**9), 10**9),
+    st.integers(1, 10**9),
+)
+@example(Fraction(-1, 2 * 10**6), 0, 1)
+@example(Fraction(1, 2 * 10**6), 0, 3)
+@example(Fraction(-3, 10**7), 0, 7)
+@example(Fraction(0), 0, 5)
+@example(Fraction(7, 3), -15, 100)  # a negative offset
+@example(Fraction(1, 2 * 10**6), 6, 6)  # a pair with a common factor: x + 1, unreduced
+@example(Fraction(0), 3, 2 * 10**6)  # a half-tie from the offset alone
+def test_fmt_matches_fraction_rounding(x, a, b):
+    # _fmt writes x + a/b from the unreduced pair; only its value counts.
+    assert diagrams._fmt(x, a, b) == _fmt_by_fractions(x + Fraction(a, b))
+    if x.denominator == 1:
+        assert diagrams._fmt(int(x), a, b) == _fmt_by_fractions(x + Fraction(a, b))
 
 
 def _svg_by_fractions(d: BaseDiagram) -> str:

@@ -21,7 +21,17 @@ Layers:
   of ``bench/data/words.json`` at each of their recorded rays n, hashing
   the ray, coefficient and exponent of each action.  The maps are realized
   before timing starts, and ``birmap.realize`` reads them from a dict while
-  the layer runs, because its cache holds only 1024 words.
+  the layer runs, because its cache holds only 1024 words;
+- ``tropicalize``: ``birmap.tropicalize`` over the 3603 texts of
+  ``bench/data/words.json``, parsed before timing starts, with
+  ``tropicalize``'s cache cleared before each repetition, hashing the rays
+  and matrices of every map;
+- ``tropicalize_k30`` and ``tropicalize_k60``: ``birmap.tropicalize`` of
+  the long word ``(E*E[1,0]*E[2,1]*E[-1,3])^k``, parsed before timing
+  starts, from a cold cache, hashed the same way;
+- ``svg``: ``diagrams.render_svg`` of the diagrams of the 220 surface files
+  and the 100 diagram files of ``bench/data/cli.json``, parsed and built
+  before timing starts, hashing the SVG texts.
 
 Each layer runs ``REPS`` times, after a garbage collection each time, and
 a repetition hashes ``str`` of every map or verdict it built, in order, with
@@ -158,8 +168,51 @@ def boundary_limit_layer(data: str):
     return run, sum(len(rays) for _, rays in queries), {}
 
 
+def tropicalize_layer(texts: list[str]):
+    """A function tropicalizing and hashing the words of texts from a cold cache, and their count."""
+    from logcy2 import birmap, words
+
+    ws = [words.parse_word(text) for text in texts]
+
+    def run() -> str:
+        birmap.tropicalize.cache_clear()
+        h = hashlib.sha256()
+        for w in ws:
+            m = birmap.tropicalize(w)
+            h.update(f"{m.rays} {m.mats}\n".encode())
+        return h.hexdigest()
+
+    return run, len(ws), {}
+
+
+def long_word_layer(k: int):
+    """The tropicalize layer of ``(E*E[1,0]*E[2,1]*E[-1,3])^k`` alone."""
+    return lambda data: tropicalize_layer([f"(E*E[1,0]*E[2,1]*E[-1,3])^{k}"])
+
+
+def svg_layer(data: str):
+    """The svg layer: a function rendering and hashing the diagrams of the cli.json files, and their count."""
+    from logcy2 import diagrams, surfaces
+
+    with open(os.path.join(data, "cli.json"), encoding="utf-8") as fh:
+        files = json.load(fh)["files"]
+    # A surface file's name starts with "s", a diagram file's with "d".
+    ds = [diagrams.diagram(surfaces.from_json(text)) if name[0] == "s" else diagrams.from_json(text)
+          for name, text in files.items()]
+
+    def run() -> str:
+        h = hashlib.sha256()
+        for d in ds:
+            h.update(diagrams.render_svg(d).encode())
+        return h.hexdigest()
+
+    return run, len(ds), {}
+
+
 LAYERS = {"compose": compose_layer, "realize": realize_layer, "dlog_ratio": dlog_layer,
-          "format": format_layer, "boundary_limit": boundary_limit_layer}
+          "format": format_layer, "boundary_limit": boundary_limit_layer,
+          "tropicalize": lambda data: tropicalize_layer(word_texts(data)),
+          "tropicalize_k30": long_word_layer(30), "tropicalize_k60": long_word_layer(60), "svg": svg_layer}
 REPS = 20
 
 

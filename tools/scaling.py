@@ -9,16 +9,19 @@ input is the fan of the rays (1, j), j = 0 ... N, then (0, 1) and (-1, -1),
 every multiplicity 3, at 803, 1603 and 3203 rays, written to a temporary
 directory that is removed on exit.  The commands are the fan-file family:
 every ``surface`` command (``pushforward`` along the linear letter
-``A[0,-1;1,0]``, ``resolve`` of ``E``), ``hms counts`` and ``atf diagram``.
+``A[0,-1;1,0]``, ``resolve`` of ``E``), ``hms counts``, ``atf diagram`` and
+``atf diagram --svg``, which writes its SVG file into that directory, where
+every child runs; the file is read and removed after each run.
 
 Each command runs ``--reps`` times at each size, each time in a fresh
 process, waited for with ``os.wait4``, which gives that child's own
 resource usage.  A run records its wall time, the child's peak RSS
 (``ru_maxrss``), the bytes and sha256 of its stdout, read as it is written,
-and its exit code.  For each command and size, the median wall time and
-peak RSS over the runs; for each command, the exponent of a least-squares
-line through log(metric) against log(rays), for wall time, peak RSS and
-stdout bytes.  It prints one JSON line per command and size and one per
+its exit code, and the bytes and sha256 of the SVG file it wrote, if any.
+For each command and size, the median wall time and peak RSS over the
+runs; for each command, the exponent of a least-squares line through
+log(metric) against log(rays), for wall time, peak RSS, stdout bytes and
+SVG bytes.  It prints one JSON line per command and size and one per
 fit, and writes everything, every run included, to ``--out`` when given,
 with a sha256 of the library's source files in place of the tree's path.
 Wall time and RSS depend on the machine and its load: compare two trees
@@ -40,6 +43,7 @@ import tempfile
 import time
 
 SIZES = (803, 1603, 3203)
+SVG = "diagram.svg"
 COMMANDS = {
     "surface validate": ["surface", "validate"],
     "surface invariants": ["surface", "invariants"],
@@ -48,6 +52,7 @@ COMMANDS = {
     "surface resolve": ["surface", "resolve", "E"],
     "hms counts": ["hms", "counts"],
     "atf diagram": ["atf", "diagram"],
+    "atf diagram --svg": ["atf", "diagram", "--svg", SVG],
 }
 
 
@@ -56,11 +61,11 @@ def fan(rays: int) -> str:
     return json.dumps({"rays": [[1, j] for j in range(rays - 2)] + [[0, 1], [-1, -1]], "m": [3] * rays})
 
 
-def run_once(argv: list[str], env: dict[str, str]) -> dict:
-    """One fresh ``logcy2.cli`` process: wall time, peak RSS, stdout bytes and sha256, exit code."""
+def run_once(argv: list[str], env: dict[str, str], cwd: str) -> dict:
+    """One fresh ``logcy2.cli`` process in cwd: wall time, peak RSS, stdout bytes and sha256, exit code, SVG file."""
     digest, size = hashlib.sha256(), 0
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "logcy2.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "logcy2.cli", *argv], env=env, cwd=cwd,
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     with proc.stdout:
         while chunk := proc.stdout.read(1 << 16):
@@ -69,8 +74,15 @@ def run_once(argv: list[str], env: dict[str, str]) -> dict:
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"wall_s": round(wall, 4), "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),
-            "stdout_bytes": size, "stdout_sha256": digest.hexdigest(), "exit": proc.returncode}
+    run = {"wall_s": round(wall, 4), "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),
+           "stdout_bytes": size, "stdout_sha256": digest.hexdigest(), "exit": proc.returncode}
+    svg = os.path.join(cwd, SVG)
+    if os.path.exists(svg):
+        with open(svg, "rb") as fh:
+            data = fh.read()
+        os.remove(svg)
+        run.update(svg_bytes=len(data), svg_sha256=hashlib.sha256(data).hexdigest())
+    return run
 
 
 def source_digest(tree: str) -> str:
@@ -109,17 +121,22 @@ def main() -> None:
                 fh.write(fan(n))
         for name, argv in COMMANDS.items():
             for n in SIZES:
-                done = [run_once([*argv, paths[n]], env) for _ in range(args.reps)]
+                done = [run_once([*argv, paths[n]], env, tmp) for _ in range(args.reps)]
                 runs += [{"command": name, "rays": n, **r} for r in done]
                 row = {"command": name, "rays": n, "exit": sorted({r["exit"] for r in done}),
                        "wall_s": statistics.median(r["wall_s"] for r in done),
                        "peak_rss_mib": statistics.median(r["peak_rss_mib"] for r in done),
                        "stdout_bytes": done[0]["stdout_bytes"],
                        "stdout_sha256": sorted({r["stdout_sha256"] for r in done})}
+                if "svg_bytes" in done[0]:
+                    row.update(svg_bytes=done[0]["svg_bytes"],
+                               svg_sha256=sorted({r.get("svg_sha256", "") for r in done}))
                 print(json.dumps(row), flush=True)
                 rows.append(row)
-            fit = {"command": name, **{f"exponent_{metric}": exponent(SIZES, [r[metric] for r in rows[-len(SIZES):]])
-                                       for metric in ("wall_s", "peak_rss_mib", "stdout_bytes")}}
+            last = rows[-len(SIZES):]
+            fit = {"command": name, **{f"exponent_{metric}": exponent(SIZES, [r[metric] for r in last])
+                                       for metric in ("wall_s", "peak_rss_mib", "stdout_bytes", "svg_bytes")
+                                       if all(metric in r for r in last)}}
             print(json.dumps(fit), flush=True)
             fits.append(fit)
     if args.out:
