@@ -12,11 +12,11 @@ functions, which is what the word-problem oracle relies on.
 GCDs run in integer arithmetic and return the cofactors with the gcd, each
 computed once, by one of two routes (see ``_ip_gcd``): a monomial shortcut,
 or the heuristic gcd GCDHEU, which raises its evaluation point until its
-candidate divides one side and then the other.  No library path takes a
-gcd, so GCDHEU and the exact division behind it keep their plain form.
-``normalize`` divides the cofactors by their joint integer content.  A
-product with a one-term factor shifts and scales the other factor, and a
-factor 1 returns the other one as it stands.
+candidate divides one side and then the other by grlex long division.  No
+library path takes a gcd, so GCDHEU and that division keep their plain form.
+``normalize`` divides the cofactors by their joint integer content.  The
+product is a schoolbook loop over term pairs, and a factor 1 returns the
+other one as it stands; ints that key monomials appear only in ``dlog_ratio``.
 ``substitute`` composes into a map given by formulas, and is the reference
 the pullbacks are tested against: it clears denominators, expands each
 term of r on its own, takes one ``normalize`` and keeps no state.
@@ -52,7 +52,6 @@ A rational function prints as ``num`` when the denominator is 1, otherwise
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -156,7 +155,6 @@ class Poly2:
 #
 # The product, gcd, exact division and substitution work on plain dicts
 # with int coefficients, which is what the terms of a Poly2 are:
-#   ypoly:  dict[j -> int]       an element of Z[y]
 #   ipoly:  dict[(i, j) -> int]  an element of Z[x, y]
 
 
@@ -183,37 +181,22 @@ def _primitive(*sides: dict[Term, int]) -> list[dict[Term, int]]:
 
 
 def _ip_mul(p: dict[Term, int], q: dict[Term, int]) -> dict[Term, int]:
-    """Product in Z[x, y].
+    """Product in Z[x, y], one term pair at a time, with cancelled terms dropped.
 
-    When either factor has one term, the other factor's exponents are
-    shifted and its coefficients scaled, and a factor equal to 1 gives the
-    other factor back as it stands, so the result may be an argument's own
-    dict; like every terms dict here, it is shared and never mutated.
-    Otherwise a monomial (i, j) is keyed by the int i * base + j, with base
-    above every y-degree of the product, so the key of a product is the sum
-    of the keys and no tuple is built per term pair.
+    A factor 1 gives the other factor back as it stands, so the result may be
+    an argument's own dict, shared and never mutated like every terms dict.
     """
-    if not p or not q:
-        return {}
     if q == _ONE:
         return p
     if p == _ONE:
         return q
-    if len(q) == 1:
-        p, q = q, p
-    if len(p) == 1:
-        [((a, b), c)] = p.items()
-        return {(i + a, j + b): c * v for (i, j), v in q.items()}
-    base = 1 + max(j for _, j in p) + max(j for _, j in q)
-    b = [(i * base + j, c) for (i, j), c in q.items()]
-    out: dict[int, int] = {}
+    out: dict[Term, int] = {}
     get = out.get
-    for (i, j), c1 in p.items():
-        k1 = i * base + j
-        for k2, c2 in b:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return {divmod(k, base): c for k, c in out.items() if c}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            t = (i1 + i2, j1 + j2)
+            out[t] = get(t, 0) + c1 * c2
+    return {t: c for t, c in out.items() if c}
 
 
 def _ip_pow(p: dict[Term, int], k: int) -> dict[Term, int]:
@@ -236,50 +219,22 @@ def _ip_add_scaled(acc: dict[Term, int], p: dict[Term, int], c: int) -> None:
 
 
 def _ip_divexact(p: dict[Term, int], d: dict[Term, int]) -> dict[Term, int]:
-    """Exact quotient p/d in Z[x, y]; raises InexactDivisionError otherwise.
+    """Exact quotient p/d in Z[x, y] by grlex long division; raises InexactDivisionError otherwise.
 
-    The remainder's grlex-leading term comes off a max-heap of its
-    monomials, and entries whose term has since cancelled are skipped when
-    popped.  A monomial (i, j) is keyed by the int (i + j) * base + i, with
-    base above every total degree involved, so integer order is grlex order
-    and the key of a product is the sum of the keys.
+    Each step takes the remainder's grlex-leading term over d's and
+    subtracts that quotient term times d, which cancels the leading term.
     """
     if not d:
         raise ZeroDivisionError("division by the zero polynomial")
-    base = 1 + max(i + j for i, j in [*p, *d])
-    dk = {(i + j) * base + i: c for (i, j), c in d.items()}
-    r = {(i + j) * base + i: c for (i, j), c in p.items()}
-    lead = max(dk)
-    lc = dk.pop(lead)
-    lead_deg, lead_i = divmod(lead, base)
-    rest = list(dk.items())
-    heap = [-k for k in r]
-    heapq.heapify(heap)
-    out: dict[int, int] = {}
-    while heap:
-        k = -heapq.heappop(heap)
-        c = r.pop(k, 0)
-        if not c:
-            continue
-        qc, rem = divmod(c, lc)
-        deg, i = divmod(k, base)
-        if rem or i < lead_i or deg - i < lead_deg - lead_i:
+    (li, lj), r, out = _grlex_max(d), dict(p), {}
+    while r:
+        i, j = _grlex_max(r)
+        qc, rem = divmod(r[(i, j)], d[(li, lj)])
+        if rem or i < li or j < lj:
             raise InexactDivisionError("inexact division in Z[x, y]")
-        k -= lead
-        out[k] = qc
-        for kd, cd in rest:
-            t = k + kd
-            v = r.get(t)
-            if v is None:
-                r[t] = -qc * cd
-                heapq.heappush(heap, -t)
-            else:
-                v -= qc * cd
-                if v:
-                    r[t] = v
-                else:
-                    del r[t]
-    return {(k % base, k // base - k % base): c for k, c in out.items()}
+        out[(i - li, j - lj)] = qc
+        _ip_add_scaled(r, {(a + i - li, b + j - lj): c for (a, b), c in d.items()}, -qc)
+    return out
 
 
 def _balanced_digits(value: int, xi: int):
@@ -657,7 +612,8 @@ def _euler_parts(num: dict[Term, int], den: dict[Term, int], base: int) -> dict[
     """{key: [v, vx, vy]}: v = num den, vx = Dx(num) den - num Dx(den), vy alike.
 
     A term pair c1 x^i1 y^j1, c2 x^i2 y^j2 adds c1 c2, c1 c2 (i1 - i2) and
-    c1 c2 (j1 - j2); (i, j) is keyed (i + j) * base + i, as in ``_ip_divexact``.
+    c1 c2 (j1 - j2); (i, j) is keyed by the int (i + j) * base + i, and keys
+    add as monomials multiply while every x-degree stays below base.
     """
     dl = [(i, j, (i + j) * base + i, c) for (i, j), c in den.items()]
     out: dict[int, list[int]] = {}

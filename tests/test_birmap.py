@@ -557,8 +557,9 @@ def test_ray_image_is_the_letter_tropicalization(srng):
 
 
 def test_word_caches_are_bounded():
-    for cached in (realize, tropicalize, _letter_steps, letter_trop):
+    for cached in (realize, _letter_steps, letter_trop):
         assert cached.cache_info().maxsize == CACHE_SIZE
+    assert tropicalize.cache_info().maxsize == 0
     k = math.isqrt(CACHE_SIZE) + 2  # k * k distinct two-letter words
     for a in range(k):
         for b in range(k):

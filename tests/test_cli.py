@@ -121,9 +121,9 @@ def test_word_trop_builds_no_composite_map():
     text = "(E * A[0,-1;1,0])^60"
     w = parse_word(text)
     assert len(w) == 120
-    before = tropicalize.cache_info().currsize
+    before = tropicalize.cache_info().misses
     result = run_cli(["word", "trop", text, "--vector", "1,0"])
-    assert tropicalize.cache_info().currsize == before
+    assert tropicalize.cache_info().misses == before
     assert result.exit == 0
     assert result.stdout.strip() == "{},{}".format(*pl_apply(tropicalize(w), (1, 0)))
 

@@ -32,6 +32,11 @@ Layers:
 - ``svg``: ``diagrams.render_svg`` of the diagrams of the 220 surface files
   and the 100 diagram files of ``bench/data/cli.json``, parsed and built
   before timing starts, hashing the SVG texts.
+- ``substitute``: ``polyrat.substitute`` of each coordinate of r1, r2 and
+  r3 into each of the 21 maps of words of at most three letters of
+  ``bench/data/reflections.json``, built by ``compose`` before timing
+  starts: 126 calls, the one layer that runs the general product and,
+  through ``normalize``, GCDHEU and its exact division.
 
 Each layer runs ``REPS`` times, after a garbage collection each time, and
 a repetition hashes ``str`` of every map or verdict it built, in order, with
@@ -57,11 +62,9 @@ import time
 
 def compose_layer(data: str):
     """The compose layer: a function building and hashing the 93 reflection maps, and their count."""
-    from logcy2 import birmap, words
+    from logcy2 import birmap
 
-    with open(os.path.join(data, "reflections.json"), encoding="utf-8") as fh:
-        keys = sorted(json.load(fh), key=lambda key: (len(key), key))
-    refl = [birmap.realize(words.parse_word(f"r{i}")) for i in (1, 2, 3)]
+    keys, refl = reflection_maps(data)
 
     def run() -> str:
         maps, h = {"": birmap.IDENTITY_MAP}, hashlib.sha256()
@@ -100,6 +103,34 @@ def word_maps(data: str) -> list:
     from logcy2 import birmap, words
 
     return [birmap.realize(words.parse_word(text)) for text in word_texts(data)]
+
+
+def reflection_maps(data: str) -> tuple[list[str], list]:
+    """The reflection words of reflections.json, shortest first, and the maps of r1, r2 and r3."""
+    from logcy2 import birmap, words
+
+    with open(os.path.join(data, "reflections.json"), encoding="utf-8") as fh:
+        keys = sorted(json.load(fh), key=lambda key: (len(key), key))
+    return keys, [birmap.realize(words.parse_word(f"r{i}")) for i in (1, 2, 3)]
+
+
+def substitute_layer(data: str):
+    """The substitute layer: a function substituting each reflection's coordinates into the short reflection maps and hashing the results, and their count."""
+    from logcy2 import birmap, polyrat
+
+    keys, refl = reflection_maps(data)
+    maps = {"": birmap.IDENTITY_MAP}
+    for key in (key for key in keys if len(key) <= 3):
+        maps[key] = birmap.compose(maps[key[:-1]], refl[int(key[-1]) - 1])
+    calls = [(c, m.f, m.g) for key, m in maps.items() if key for r in refl for c in (r.f, r.g)]
+
+    def run() -> str:
+        h = hashlib.sha256()
+        for args in calls:
+            h.update(f"{polyrat.substitute(*args)}\n".encode())
+        return h.hexdigest()
+
+    return run, len(calls), {}
 
 
 def dlog_layer(data: str):
@@ -212,7 +243,8 @@ def svg_layer(data: str):
 LAYERS = {"compose": compose_layer, "realize": realize_layer, "dlog_ratio": dlog_layer,
           "format": format_layer, "boundary_limit": boundary_limit_layer,
           "tropicalize": lambda data: tropicalize_layer(word_texts(data)),
-          "tropicalize_k30": long_word_layer(30), "tropicalize_k60": long_word_layer(60), "svg": svg_layer}
+          "tropicalize_k30": long_word_layer(30), "tropicalize_k60": long_word_layer(60), "svg": svg_layer,
+          "substitute": substitute_layer}
 REPS = 20
 
 
