@@ -31,7 +31,6 @@ the coordinate action lambda -> c lambda^(+-1).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -43,6 +42,7 @@ from .lattice import (
     PLMap,
     Vec,
     complement_matrix,
+    is_primitive,
     mat_inv,
     mat_mul,
     pl_compose,
@@ -243,7 +243,7 @@ def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
     # x = lam^p t^n1, y = lam^q t^n2, with p n2 - q n1 = 1.
     # On the image ray (a, b), lambda' is the transverse monomial x'^b y'^-a at leading order.
     ray, action = arc_limit(m.f, m.g, ((dd, n[0]), (-cc, n[1])))
-    if math.gcd(*ray) != 1:
+    if not is_primitive(ray):
         raise AssertionError(f"image exponents {ray} of {w} at {n} are imprimitive")
     if ray != tropical_image(w, n):
         raise AssertionError("boundary limit disagrees with tropicalization")

@@ -22,7 +22,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import birmap, catalog, diagrams, sampling, surfaces
 from .errors import DomainError, output, rationals
@@ -38,22 +37,17 @@ DOMAIN_ERRORS = (
 )
 
 
-def _parse_int_pair(text: str) -> tuple[int, int]:
-    """argparse type for 'a,b'; a malformed value is a usage error (exit 2)."""
+def _pair(text: str, read, what: str) -> tuple:
+    """argparse type for a pair 'a,b' read by ``read(a, b)``; a malformed value is a usage error (exit 2)."""
     try:
         a, b = text.split(",")
-        return int(a), int(b)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two integers 'a,b', got {text!r}") from None
-
-
-def _parse_fraction_pair(text: str) -> tuple[int | Fraction, int | Fraction]:
-    """argparse type for 'p,q'; a malformed value is a usage error (exit 2)."""
-    try:
-        p, q = text.split(",")
-        return rationals(p, q)
+        return read(a, b)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected two rationals 'p,q', got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected two {what}, got {text!r}") from None
+
+
+_int_pair = functools.partial(_pair, read=lambda a, b: (int(a), int(b)), what="integers 'a,b'")
+_fraction_pair = functools.partial(_pair, read=rationals, what="rationals 'p,q'")
 
 
 def _load_surface(path: str) -> Surface:
@@ -271,9 +265,9 @@ COMMANDS = {
         "realize": ("print the rational-map pair", cmd_word_realize, "word", {}),
         "character": ("print the volume character", cmd_word_character, "word", {}),
         "trop": ("apply the tropicalization to a vector", cmd_word_trop, "word",
-                 {"--vector": dict(required=True, metavar="a,b", type=_parse_int_pair)}),
+                 {"--vector": dict(required=True, metavar="a,b", type=_int_pair)}),
         "eval": ("evaluate the map at an exact point", cmd_word_eval, "word",
-                 {"--point": dict(required=True, metavar="p,q", type=_parse_fraction_pair)}),
+                 {"--point": dict(required=True, metavar="p,q", type=_fraction_pair)}),
     }),
     "surface": ("toric surface data", {
         "validate": ("list the violations of a surface file", cmd_surface_validate, "file", {}),
@@ -285,7 +279,7 @@ COMMANDS = {
     "atf": ("almost-toric base diagrams", {
         "diagram": ("base diagram of a surface file", cmd_atf_diagram, "file", {"--svg": dict(metavar="OUT.svg")}),
         "move": ("elementary move on a diagram file", cmd_atf_move, "file",
-                 {"--elementary": dict(required=True, metavar="a,b", type=_parse_int_pair)}),
+                 {"--elementary": dict(required=True, metavar="a,b", type=_int_pair)}),
     }),
     "hms": ("mirror bookkeeping", {
         "counts": ("collection count checks for a surface file", cmd_hms_counts, "file", {}),

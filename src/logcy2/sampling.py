@@ -6,13 +6,12 @@ seed comes from the LOGCY2_SEED environment variable so runs reproduce.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 import sys
 
 from .errors import DomainError, cut
-from .lattice import Mat, Vec, mat_mul
+from .lattice import Mat, Vec, is_primitive, mat_mul
 from .surfaces import Surface, insert_ray, interior_blowup, p1xp1, p2
 from .words import Elementary, Linear, Word
 
@@ -38,7 +37,7 @@ def rng_from_env(offset: int = 0) -> random.Random:
 def random_primitive(rng: random.Random, bound: int = 4) -> Vec:
     while True:
         v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
-        if v != (0, 0) and math.gcd(v[0], v[1]) == 1:
+        if is_primitive(v):
             return v
 
 

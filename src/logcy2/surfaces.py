@@ -67,6 +67,17 @@ class BlowupBudgetError(DomainError, ValueError):
     """A surface has more interior blow-ups than ``BLOWUP_BUDGET``."""
 
 
+# The most ``ray_image`` calls one ``pushforward`` or ``resolve`` may make:
+# about 2 s on a 2-core machine with CPython 3.11, twice the calls of
+# resolving (E*E[1,0])^800 on P2, whose fan grows with the word, so that
+# its cost grows with the square of the word's length.
+RAY_IMAGE_BUDGET = 4_000_000
+
+
+class RayImageBudgetError(DomainError, ValueError):
+    """A transport would make more than ``RAY_IMAGE_BUDGET`` ray images."""
+
+
 class NotRegularError(DomainError, ValueError):
     """A word letter failed its regularity precondition on a surface.
 
@@ -347,8 +358,15 @@ def _push(letter: Letter, rays: tuple[Vec, ...], m: list[int]) -> tuple[tuple[Ve
     return rays, m
 
 
+def _check_images(made: int, left: int, rays: int) -> None:
+    """Refuse a transport that made ``made`` ray images and has ``left`` letters for a fan of ``rays`` rays or more."""
+    if made + left * rays > RAY_IMAGE_BUDGET:
+        raise RayImageBudgetError(f"transport past {RAY_IMAGE_BUDGET} ray images: {left} letters left on {rays} rays")
+
+
 def pushforward(w: Word, s: Surface) -> Surface:
     """Transport s along w (letters applied right to left); NotRegular on failure."""
+    _check_images(0, len(w), len(s.rays))  # the fan keeps its size, so one check bounds every letter
     rays, m = s.rays, list(s.m)
     for applied, letter in enumerate(reversed(w.letters)):
         if fault := _fault(letter, rays, m):
@@ -371,7 +389,9 @@ def resolve(w: Word, s0: Surface) -> Surface:
     """
     letters = w.letters
     cand_rays, cand_m, rays, m = s0.rays, list(s0.m), s0.rays, list(s0.m)
+    made = 0  # ray images so far
     for applied, letter in enumerate(reversed(letters)):
+        _check_images(made, len(letters) - applied, len(rays))
         for _ in range(4):
             if not (fault := _fault(letter, rays, m)):
                 break
@@ -379,6 +399,7 @@ def resolve(w: Word, s0: Surface) -> Surface:
             r0 = ray
             for gen, e in letters[len(letters) - applied :]:
                 r0 = ray_image((gen, -e), r0)
+            made += applied
             if reason == "missing ray":
                 cand_rays, cand_m = _insert(cand_rays, cand_m, r0)
                 rays, m = _insert(rays, m, ray)
@@ -388,6 +409,7 @@ def resolve(w: Word, s0: Surface) -> Surface:
         else:
             raise AssertionError(f"letter {applied} failed a fourth time in resolve")
         rays, m = _push(letter, rays, m)
+        made += len(rays)
     return Surface(cand_rays, tuple(cand_m))
 
 
@@ -415,4 +437,4 @@ def from_json(text: str) -> Surface:
         or not all(type(x) is int for x in m)
     ):
         raise InvalidSurfaceError(["rays must be integer pairs and m a list of integers"])
-    return Surface(tuple((r[0], r[1]) for r in rays), tuple(m))
+    return Surface(rays, m)

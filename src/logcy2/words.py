@@ -25,6 +25,7 @@ Named macros:
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from collections.abc import Iterator
@@ -72,9 +73,11 @@ Generator = Linear | Elementary
 Letter = tuple[Generator, int]
 
 
-def _inverse_letter(letter: Letter) -> Letter:
-    gen, e = letter
-    return (gen, -e)
+def _power(letters: tuple[Letter, ...], k: int) -> tuple[Letter, ...]:
+    """The letters of the k-th power of the word ``letters``, unreduced; k < 0 inverts first."""
+    if k < 0:
+        letters, k = tuple((gen, -e) for gen, e in reversed(letters)), -k
+    return letters * k if letters else ()  # () * k overflows for k past sys.maxsize
 
 
 class Word(Value):
@@ -98,13 +101,11 @@ class Word(Value):
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple(_inverse_letter(l) for l in reversed(self.letters)))
+        return self ** -1
 
     def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
         # One free-reduction pass over the k-fold concatenation.
-        return Word(self.letters * k) if self.letters else self
+        return Word(_power(self.letters, k))
 
     def is_empty(self) -> bool:
         return not self.letters
@@ -127,10 +128,6 @@ def literal_of_linear(gen: Linear) -> tuple[int, int, int, int]:
 
 
 E = Word(((Elementary((0, 1)), 1),))
-
-
-def elementary(n: Vec) -> Word:
-    return Word(((Elementary(n), 1),))
 
 
 def linear(mat: Mat) -> Word:
@@ -229,10 +226,7 @@ def _group(tokens: Iterator[re.Match[str]], close: str | None) -> Word:
             k = _to_int(m, "int")
             if len(atom) * abs(k) > MAX_POWER_LETTERS:
                 raise WordSyntaxError(f"power has more than {MAX_POWER_LETTERS} letters", m.start())
-            if atom:  # () * k overflows for k past sys.maxsize; an empty atom stays empty
-                if k < 0:
-                    atom, k = tuple(map(_inverse_letter, reversed(atom))), -k
-                atom *= k
+            atom = _power(atom, k)
             m = next(tokens, None)
         letters += atom
         tok = m and m[0]  # None at the end of the text
@@ -264,19 +258,8 @@ def word_to_text(w: Word) -> str:
     """Render a word; adjacent equal letters group into powers.  Round-trips."""
     if w.is_empty():
         return "id"
-    parts = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        gen, e = letters[i]
-        j = i
-        while j < len(letters) and letters[j] == (gen, e):
-            j += 1
-        run = (j - i) * e
-        base = _letter_text(gen)
-        parts.append(base if run == 1 else f"{base}^{run}")
-        i = j
-    return " * ".join(parts)
+    runs = ((_letter_text(gen), len(list(run)) * e) for (gen, e), run in itertools.groupby(w.letters))
+    return " * ".join(base if k == 1 else f"{base}^{k}" for base, k in runs)
 
 
 def generator_determinant(gen: Generator) -> int:

@@ -259,6 +259,14 @@ GROUPS = {
              files=P2),
         Case(["surface", "resolve", "E[1,1000]", "@p2.json"],
              0, Sha256("ae1060eaddf682614c2869be5122ab3d7b69ec570f538bf55e799b6d39bcdc4b"), files=P2),
+        # RAY_IMAGE_BUDGET: the fan grows with the word, so resolve stops early; the
+        # fan (1, j), j = 0 ... 1000, with (0, 1) and (-1, -1) keeps its 1003 rays.
+        Case(["surface", "resolve", "(E*E[1,0])^50000", "@p2.json"],
+             1, "", FirstLine("error: transport past 4000000 ray images"), "RayImageBudgetError",
+             files=P2),
+        Case(["surface", "pushforward", "A[0,-1;1,0]^3989", "@s.json"],
+             1, "", FirstLine("error: transport past 4000000 ray images: 3989 letters left on 1003 rays"),
+             "RayImageBudgetError", files=_surface([[1, j] for j in range(1001)] + [[0, 1], [-1, -1]], [0] * 1003)),
         # BLOWUP_BUDGET
         Case(["hms", "counts", "@s.json"],
              1, "", FirstLine("error: more than 10000 interior blow-ups"), "BlowupBudgetError",

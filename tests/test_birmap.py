@@ -30,7 +30,7 @@ from logcy2 import birmap, polyrat
 from logcy2.lattice import complement_matrix, mat_inv, mat_mul, pl_apply, pl_compose, pl_elementary, PLMap
 from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, evaluate, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_unimodular, random_word, realized_degree
-from logcy2.words import E, Elementary, Letter, Linear, Word, elementary, linear, linear_from_literal, parse_word, ray_image
+from logcy2.words import E, Elementary, Letter, Linear, Word, linear, linear_from_literal, parse_word, ray_image
 from cli_cases import run_cli
 from test_polyrat import pull_one, running_sums
 
@@ -474,7 +474,7 @@ def test_elementary_realization_complement_independent(srng):
         k = srng.randint(-3, 3)
         alt = ((n[1], -n[0]), (cc + k * n[1], dd - k * n[0]))
         conjugate = compose(compose(realize(linear(mat_inv(alt))), realize(E)), realize(linear(alt)))
-        assert realize(elementary(n)) == conjugate
+        assert realize(Word(((Elementary(n), 1),))) == conjugate
 
 
 # --- tropicalization -------------------------------------------------------------

@@ -220,11 +220,41 @@ KEPT_PUBLIC_NAMES = {
 }
 
 
+def _import_bindings(module: str, tree: ast.Module) -> dict[str, str]:
+    """The local names the imports of ``module``, at any depth, bind, each to the qualified name it reaches."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                bound[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the package node.level - 1 levels above module's own
+                package = module.rsplit(".", node.level)[0]
+                base = f"{package}.{base}" if base else package
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return bound
+
+
+def _reached(node: ast.AST, module: str, bound: dict[str, str]) -> str | None:
+    """The qualified name a name, or an attribute chain on one, reaches: an import's target, else a global of module."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id, f"{module}.{node.id}")
+    if isinstance(node, ast.Attribute) and (base := _reached(node.value, module, bound)):
+        return f"{base}.{node.attr}"
+    return None
+
+
 def _public_names_without_caller(trees: dict[str, ast.Module], exported: set[str]) -> list[str]:
     """Module-level public functions and classes that no other definition refers to and that are not exported.
 
-    A reference is a name or an attribute read anywhere in the package,
-    outside the definition's own body.
+    A reference reaches the definition through a binding, outside the
+    definition's own body: a name in its own module, a name imported from
+    its home module, or the attribute ``home.name`` on the imported home
+    module.  A name or attribute that only spells the same word, such as
+    ``args.name``, is not one.
     """
     defined = {}
     for module, tree in trees.items():
@@ -232,14 +262,15 @@ def _public_names_without_caller(trees: dict[str, ast.Module], exported: set[str
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined[f"{module}.{node.name}"] = node
     readers: dict[str, list[ast.AST]] = {}
-    for tree in trees.values():
+    for module, tree in trees.items():
+        bound = _import_bindings(module, tree)
         for top in tree.body:
             for node in ast.walk(top):
-                if isinstance(node, (ast.Name, ast.Attribute)):
-                    readers.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(top)
+                if isinstance(node, (ast.Name, ast.Attribute)) and (qualified := _reached(node, module, bound)):
+                    readers.setdefault(qualified, []).append(top)
     return [
         qualified for qualified, node in defined.items()
-        if node.name not in exported and all(top is node for top in readers.get(node.name, []))
+        if node.name not in exported and all(top is node for top in readers.get(qualified, []))
     ]
 
 
@@ -259,6 +290,22 @@ def test_public_name_check_sees_names_no_other_definition_reads():
         "m.b": ast.parse("from . import a\ndef reader():\n    return a.used, exported_elsewhere\n"),
     }
     assert _public_names_without_caller(trees, {"exported"}) == ["m.a.recursive", "m.a.Lonely", "m.b.reader"]
+
+
+def test_public_name_check_reads_references_not_names():
+    # The decoy reads attributes and locals that only spell a definition's
+    # name; of the four, only linear and power are reached through a binding.
+    trees = {
+        "m.words": ast.parse("def elementary(n): pass\ndef linear(m): pass\ndef power(w): pass\ndef inverse(w): pass"),
+        "m.cli": ast.parse(
+            "from . import words\n"
+            "from .words import linear as lin\n"
+            "def move(args, elementary):\n"
+            "    return args.elementary, elementary, lin, words.power, other.inverse, words.lin\n"
+        ),
+        "m.tools": ast.parse("import m.words\ndef run():\n    return m.words.power, m.inverse\n"),
+    }
+    assert _public_names_without_caller(trees, {"move", "run"}) == ["m.words.elementary", "m.words.inverse"]
 
 
 def test_every_public_name_has_a_caller_or_is_exported_or_listed():

@@ -1,10 +1,11 @@
 """In-process timings of library layers: the median of repeated runs, each with a sha256 of its outputs.
 
-    python3 tools/layers.py [--tree DIR]
+    python3 tools/layers.py [--tree DIR] [LAYER ...]
 
 Run it from the repository root.  It imports the library from ``DIR/src``
 and reads ``DIR/bench/data`` (default: this checkout), and writes no file.
-Layers:
+It runs the layers named, in the order given, or every layer when none is
+named; an unknown name is a usage error (exit 2).  Layers:
 
 - ``compose``: the 93 alternating words in r1, r2 and r3 of
   ``bench/data/reflections.json``, shortest first, each one
@@ -262,11 +263,15 @@ def measure(run, reps: int) -> tuple[list[float], set[str]]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", default=".", help="checkout whose src/ and bench/data to use (default: .)")
+    parser.add_argument("layers", nargs="*", metavar="LAYER", help="layer to run (default: every layer)")
     args = parser.parse_args()
+    unknown = [name for name in args.layers if name not in LAYERS]
+    if unknown:  # not by choices=, which argparse before 3.12 checks against an empty list too
+        parser.error(f"unknown layer {unknown[0]!r}; the layers are {', '.join(LAYERS)}")
     tree = os.path.abspath(args.tree)
     sys.path.insert(0, os.path.join(tree, "src"))
-    for name, layer in LAYERS.items():
-        run, count, extra = layer(os.path.join(tree, "bench", "data"))
+    for name in args.layers or LAYERS:
+        run, count, extra = LAYERS[name](os.path.join(tree, "bench", "data"))
         times, hashes = measure(run, REPS)
         q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
         print(json.dumps({"tree": tree, "layer": name, "operations": count, "reps": REPS,
