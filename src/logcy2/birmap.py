@@ -22,11 +22,11 @@ no steps, so ``compose`` refuses it as the inner map (it still serves as
 the outer one); composing into it is ``polyrat.substitute``, one call per
 coordinate.
 
-``boundary_limit`` computes the induced map between boundary components:
-on the arc x = lambda^p t^n1, y = lambda^q t^n2 (with p n2 - q n1 = 1, so
-lambda is the boundary coordinate; the distinguished point sits at lambda =
--1), ``polyrat.arc_limit`` reads the leading order in t: the image ray and
-the coordinate action lambda -> c lambda^(+-1).
+``boundary_limit`` computes the induced map between boundary components
+letter by letter, as ``tropical_image`` moves the ray: the component at n
+carries lambda = x^n2 y^-n1 (the distinguished point sits at lambda = -1),
+a linear letter of ray matrix M sends lambda to lambda^det M, and E[n]^e
+restricts to lambda -> lambda at every ray.
 """
 
 from __future__ import annotations
@@ -42,14 +42,13 @@ from .lattice import (
     PLMap,
     Vec,
     complement_matrix,
-    is_primitive,
     mat_inv,
     mat_mul,
     pl_compose,
     pl_elementary,
     require_primitive,
 )
-from .polyrat import RatFunc2, arc_limit, dlog_ratio, pullback
+from .polyrat import RatFunc2, dlog_ratio, pullback
 from .words import Letter, Linear, Word, generator_determinant, ray_image
 
 
@@ -231,25 +230,13 @@ class BoundaryAction(Value):
 
 
 def boundary_limit(w: Word, n: Vec) -> BoundaryAction:
-    """Leading-order image of the boundary arc at ray n.
+    """The image ray of n and the induced action lambda -> lambda^+-1, read off the letters.
 
-    The returned ray always agrees with the tropicalization; the coordinate
-    action is exact and, for every group element, fixes the distinguished
-    point lambda = -1 whenever it has coefficient 1.
+    A linear letter of ray matrix M sends lambda to lambda^det M, because
+    M^T J M = det(M) J for J = ((0, 1), (-1, 0)), and E[n]^e sends lambda
+    to lambda at every ray, so the restrictions compose to coefficient 1 and
+    the product of the determinants as exponent: every group element fixes
+    the distinguished point.
     """
     require_primitive(n)
-    m = realize(w)
-    cc, dd = complement_matrix(n)[1]
-    # x = lam^p t^n1, y = lam^q t^n2, with p n2 - q n1 = 1.
-    # On the image ray (a, b), lambda' is the transverse monomial x'^b y'^-a at leading order.
-    ray, action = arc_limit(m.f, m.g, ((dd, n[0]), (-cc, n[1])))
-    if not is_primitive(ray):
-        raise AssertionError(f"image exponents {ray} of {w} at {n} are imprimitive")
-    if ray != tropical_image(w, n):
-        raise AssertionError("boundary limit disagrees with tropicalization")
-    if action is None:
-        raise AssertionError(f"boundary action of {w} at {n} is not monomial")
-    coeff, expo = action
-    if expo not in (1, -1):
-        raise AssertionError(f"boundary action of {w} at {n} has degree {expo}")
-    return BoundaryAction(ray, coeff, expo)
+    return BoundaryAction(tropical_image(w, n), Fraction(1), character_from_letters(w))

@@ -28,9 +28,6 @@ pairs it raises first.
 of E = (x, y (1 + x)^-1), one plain pass a step on y-rows, with no gcd; an
 E-step that would build over ``TERM_BUDGET`` terms raises first.  A fraction
 reuses the rows a shared denominator of more than one term got before it.
-``arc_limit`` reads the leading order in t of a pair of fractions on a
-boundary arc x = lam^p t^n1, y = lam^q t^n2 from each side's lowest t-row,
-raised with ``_ip_pow``'s square-and-multiply and multiplied with ``_ip_mul``.
 ``evaluate`` returns a Fraction and refuses powers of more than
 ``EVAL_BIT_BUDGET`` bits in all.
 Negative powers never appear: monomial maps with negative exponents are
@@ -769,42 +766,6 @@ def evaluate(r: RatFunc2, point) -> Fraction:
 def _value(p: Poly2, a: Fraction, b: Fraction) -> Fraction:
     """p at (a, b), with no budget: only ``evaluate`` calls it, once it has checked the budget."""
     return sum((c * a**i * b**j for (i, j), c in p.terms.items()), Fraction(0))
-
-
-# --- leading order on an arc ----------------------------------------------------
-
-
-def _arc_row(p: dict[Term, int], arc: tuple[Term, Term]) -> tuple[int, dict[Term, int]]:
-    """(t-order, lowest t-row) of p on the arc, the row an x-only dict {(k, 0): c} in lam, k of either sign."""
-    (lp, tp), (lq, tq) = arc
-    ts = [tp * i + tq * j for i, j in p]
-    t0 = min(ts)
-    return t0, {(lp * i + lq * j, 0): c for ((i, j), c), t in zip(p.items(), ts) if t == t0}
-
-
-def arc_limit(f: RatFunc2, g: RatFunc2, arc: tuple[Term, Term]):
-    """The leading order in t of (f, g) on the arc x = lam^p t^n1, y = lam^q t^n2.
-
-    ``arc`` is that monomial map's matrix ((p, n1), (q, n2)), of determinant
-    p n2 - q n1 = 1, so no two monomials of a side land on one: one pass
-    relabels each side and keeps its lowest t-row.  Returns the t-orders
-    (a, b) of f and g, and (c, e) with f^b g^-a = c lam^e + O(t), or None
-    when that coefficient is not a monomial in lam.  Z[lam^+-1] is a domain, so the lowest row of a
-    product is the product of the lowest rows.
-    """
-    (tfn, fn), (tfd, fd), (tgn, gn), (tgd, gd) = (_arc_row(p.terms, arc) for p in (f.num, f.den, g.num, g.den))
-    a, b = tfn - tfd, tgn - tgd
-
-    def power(top, bottom, k):  # (top / bottom)^k as a pair of rows
-        return (_ip_pow(top, k), _ip_pow(bottom, k)) if k >= 0 else (_ip_pow(bottom, -k), _ip_pow(top, -k))
-
-    (n1, d1), (n2, d2) = power(fn, fd, b), power(gn, gd, -a)
-    num, den = _ip_mul(n1, n2), _ip_mul(d1, d2)
-    (top, _), (bottom, _) = max(num), max(den)
-    e, nl, dl = top - bottom, num[(top, 0)], den[(bottom, 0)]
-    if len(num) != len(den) or any(num.get((k + e, 0), 0) * dl != c * nl for (k, _), c in den.items()):
-        return (a, b), None
-    return (a, b), (Fraction(nl, dl), e)
 
 
 # --- textual form -------------------------------------------------------------

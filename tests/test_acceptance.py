@@ -19,6 +19,7 @@ import pytest
 
 from logcy2 import birmap, catalog, diagrams, surfaces
 from logcy2.birmap import (
+    BoundaryAction,
     boundary_limit,
     equal,
     realize,
@@ -49,6 +50,7 @@ from logcy2.surfaces import (
     toric_self_intersections,
 )
 from logcy2.words import Elementary, Linear, Word, parse_word
+from test_birmap import reference_action
 from test_surfaces import boundary_intersection_matrix
 
 
@@ -166,11 +168,15 @@ def test_06_tropical_functoriality_and_limits():
             parse_word("A[-1,0;0,1]"),
             parse_word("A[1,1;0,1]"),
         ]
+        # The actions come from the realized maps through the sympy reference:
+        # ``boundary_limit`` reads them off the letters, where coefficient 1
+        # holds by construction.
         rays = [random_primitive(rng, 4) for _ in range(20)]
         for g in generators:
             for n in rays:
-                act = boundary_limit(g, n)
-                assert act.apply(Fraction(-1)) == Fraction(-1)
+                ray, coeff, expo = reference_action(g, n)
+                assert coeff * Fraction(-1) ** expo == Fraction(-1)
+                assert boundary_limit(g, n) == BoundaryAction(ray, coeff, expo)
 
 
 def test_07_resolution_soundness():

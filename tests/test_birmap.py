@@ -26,13 +26,13 @@ from logcy2.birmap import (
     tropicalize,
     volume_character,
 )
-from logcy2 import birmap, polyrat
+from logcy2 import polyrat
 from logcy2.lattice import complement_matrix, mat_inv, mat_mul, pl_apply, pl_compose, pl_elementary, PLMap
 from logcy2.polyrat import Poly2, RatFunc2, TermBudgetError, evaluate, normalize, substitute
 from logcy2.sampling import DEGREE_CAP, random_letter, random_primitive, random_unimodular, random_word, realized_degree
 from logcy2.words import E, Elementary, Letter, Linear, Word, linear, linear_from_literal, parse_word, ray_image
 from cli_cases import run_cli
-from test_polyrat import pull_one, running_sums
+from test_polyrat import arc_limit, pull_one, running_sums
 
 X, Y, ONE = Poly2.x(), Poly2.y(), Poly2.const(1)
 
@@ -590,31 +590,6 @@ def test_boundary_limit_elementary_moved_ray():
     assert act.apply(Fraction(-1)) == -1
 
 
-def test_boundary_limit_folds_in_the_contents(monkeypatch):
-    # Realized words have primitive sides, so a stand-in map x' = 2x,
-    # y' = y/3 shows the fold of the integer contents: at n = (1, 1) the ray
-    # stays (1, 1), and lambda' = x' / y' = 6 x / y, which is 6 lambda on
-    # the arc.
-    scaled = BirationalMap(normalize(Poly2.monomial(1, 0, 2), ONE), normalize(Y, Poly2.const(3)))
-    monkeypatch.setattr("logcy2.birmap.realize", lambda w: scaled)
-    act = boundary_limit(Word(), (1, 1))
-    assert (act.ray, act.coeff, act.exponent) == ((1, 1), 6, 1)
-
-
-def test_boundary_limit_raises_lambda_by_squaring(monkeypatch):
-    # A[2,1;1,1]^12 sends (1, 0) to (75025, 46368): lambda is raised to
-    # powers that large, which one product per power took 242788 products to do.
-    calls = []
-    product = polyrat._ip_mul
-    monkeypatch.setattr(polyrat, "_ip_mul", lambda a, b: calls.append(1) or product(a, b))
-    act = boundary_limit(parse_word("A[2,1;1,1]^12"), (1, 0))
-    assert act.ray == (75025, 46368) and act.exponent in (1, -1)
-    assert len(calls) < 200
-    calls.clear()
-    boundary_limit(parse_word("E"), (-1, 0))  # powers 1 and -1 need no squaring
-    assert len(calls) == 2  # one product per side to combine them
-
-
 def test_boundary_limit_matches_tropicalization(srng):
     for _ in range(25):
         w = random_word(srng, 3)
@@ -634,6 +609,50 @@ def test_boundary_limit_builds_no_pl_map(monkeypatch):
     for target in ("birmap.tropicalize", "birmap.pl_compose", "lattice.pl_compose"):
         monkeypatch.setattr(f"logcy2.{target}", refuse)
     assert [boundary_limit(w, n).ray for w, n in queries] == expected
+
+
+# The word of ``test_pl_data_do_not_decide_equality``, whose tropicalization
+# and boundary actions are those of the identity.
+PL_IDENTITY_WORD = "E[1,0]^-1*E^-1*E[1,0]*E^-1*A[1,-1;0,1]*E[1,0]^-1*E*E[1,0]*A[1,-1;0,1]^-1*E"
+
+
+def reference_action(w: Word, n) -> tuple:
+    """(ray, coefficient, exponent) of w at n, read off ``realize(w)`` on the boundary arc by the sympy reference."""
+    # x = lam^p t^n1, y = lam^q t^n2 with p n2 - q n1 = 1; on the image ray
+    # (a, b), the boundary coordinate is x'^b y'^-a at leading order.
+    cc, dd = complement_matrix(n)[1]
+    m = realize(w)
+    ray, action = arc_limit(m.f, m.g, ((dd, n[0]), (-cc, n[1])))
+    assert action is not None, f"the action of {w} at {n} is not a monomial"
+    return (ray, *action)
+
+
+def test_boundary_limit_matches_the_sympy_reference(srng):
+    pool = json.loads((Path(__file__).resolve().parent.parent / "bench" / "data" / "words.json").read_text())
+    queries = [(parse_word(item["word"]), tuple(n)) for item in srng.sample(pool, 300) for n in item["rays"]]
+    queries += [(random_word(srng, 12), random_primitive(srng, 9)) for _ in range(300)]
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (2, -3), (-5, 7)]
+    for text in ("A[2,1;1,1]^12", "E^300", "A[1,0;0,-1]*E^20*A[1,0;0,-1]*E^-19", "(r1*r2*r3)^2", PL_IDENTITY_WORD):
+        queries += [(parse_word(text), n) for n in rays]
+    for w, n in queries:
+        act = boundary_limit(w, n)
+        assert (act.ray, act.coeff, act.exponent) == reference_action(w, n), (str(w), n)
+
+
+def test_boundary_limit_answers_past_the_term_budget(monkeypatch):
+    # The action is read off the letters, so a word whose realization
+    # exceeds ``polyrat.TERM_BUDGET`` still has one, and nothing is realized.
+    w = parse_word("(r1*r2*r3)^4")
+    with pytest.raises(TermBudgetError):
+        realize(w)
+
+    def refuse(*args):
+        raise AssertionError("boundary_limit realized the word")
+
+    for target in ("birmap.realize", "birmap.pullback", "polyrat.pullback"):
+        monkeypatch.setattr(f"logcy2.{target}", refuse)
+    act = boundary_limit(w, (1, 0))
+    assert (act.ray, act.coeff, act.exponent) == ((-89, -34), 1, 1)
 
 
 def test_library_takes_no_gcd(monkeypatch, cli_env, srng):
@@ -698,37 +717,10 @@ def test_library_maps_have_primitive_sides_and_a_denominator_leading_1(srng):
             assert r.den.terms[max(r.den.terms, key=lambda t: (t[0] + t[1], t[0]))] == 1, str(m)
 
 
-def test_boundary_limit_refuses_a_ray_off_the_tropicalization(monkeypatch):
-    real = polyrat.arc_limit
-
-    def sheared(f, g, arc):  # (a, b) -> (a + b, b) keeps the ray primitive
-        (a, b), action = real(f, g, arc)
-        return (a + b, b), action
-
-    monkeypatch.setattr(birmap, "arc_limit", sheared)
-    with pytest.raises(AssertionError, match="boundary limit disagrees with tropicalization"):
-        boundary_limit(parse_word("E"), (-1, 0))
-
-
-# E sends (-1, 0) to (-1, 1) with action (1, 1).  Each stand-in result
-# breaks one check and every later one, so the first message pins the order:
-# primitive ray, tropicalization, monomial action, degree +-1.
-@pytest.mark.parametrize("result, message", [
-    (((-2, 2), None), r"image exponents \(-2, 2\) of E at \(-1, 0\) are imprimitive"),
-    (((0, 1), None), "boundary limit disagrees with tropicalization"),
-    (((-1, 1), None), r"boundary action of E at \(-1, 0\) is not monomial"),
-    (((-1, 1), (-1, 2)), r"boundary action of E at \(-1, 0\) has degree 2"),
-])
-def test_boundary_limit_checks_in_order(monkeypatch, result, message):
-    monkeypatch.setattr(birmap, "arc_limit", lambda f, g, arc: result)
-    with pytest.raises(AssertionError, match=message):
-        boundary_limit(parse_word("E"), (-1, 0))
-
-
 def test_pl_data_do_not_decide_equality():
     # The tropicalization and the boundary actions of this word are those of
     # the identity, yet the map is not: equal may not answer true from them.
-    w = parse_word("E[1,0]^-1*E^-1*E[1,0]*E^-1*A[1,-1;0,1]*E[1,0]^-1*E*E[1,0]*A[1,-1;0,1]^-1*E")
+    w = parse_word(PL_IDENTITY_WORD)
     assert tropicalize(w) == PLMap.identity()
     rays = [(a, b) for a in range(-5, 6) for b in range(-5, 6) if math.gcd(a, b) == 1]
     assert len(rays) == 80

@@ -63,7 +63,8 @@ def test_surface_cli_pool_keeps_its_digests(tmp_path):
 
 def test_word_pool_keeps_its_digests():
     # The digest covers the realized map, the tropical images and every
-    # boundary limit; no CLI command reaches ``boundary_limit``.
+    # boundary limit, which ``boundary_limit`` reads off the letters, not off
+    # the map; no CLI command reaches it.
     pool = _pool("words.json")
     moved = []
     for item in pool:

@@ -15,7 +15,6 @@ from logcy2.polyrat import (
     RatFunc2,
     TermBudgetError,
     ZeroDenominatorError,
-    arc_limit,
     dlog_ratio,
     evaluate,
     format_poly,
@@ -613,6 +612,46 @@ def test_evaluation_respects_substitution(srng):
 
 
 # --- leading order on an arc ----------------------------------------------------
+
+
+def arc_limit(f: RatFunc2, g: RatFunc2, arc):
+    """The leading order in t of (f, g) on the arc x = lam^p t^n1, y = lam^q t^n2, read with sympy.
+
+    ``arc`` is that monomial map's matrix ((p, n1), (q, n2)), of determinant
+    p n2 - q n1 = 1, so no two monomials of a side land on one.  Each side's
+    lowest t-row is lam^s times a ``sympy.Poly`` in lam with a nonzero
+    constant term; the t-orders of f and g are (a, b), each row of
+    f^b g^-a goes to the top or the bottom by the sign of its power, and
+    the quotient must be one term.  Returns (a, b) with (c, e) such that
+    f^b g^-a = c lam^e + O(t), or with None when it leads with no monomial.
+    The library reads the boundary action off the letters instead
+    (``birmap.boundary_limit``); this is the tests' independent reference.
+    """
+    sympy = pytest.importorskip("sympy")
+    lam = sympy.Symbol("lam")
+    (lp, tp), (lq, tq) = arc
+
+    def row(p: Poly2):  # (t-order, s, the lowest t-row over lam^s)
+        ts = {(i, j): tp * i + tq * j for i, j in p.terms}
+        t0 = min(ts.values())
+        ks = {lp * i + lq * j: p.terms[i, j] for (i, j), t in ts.items() if t == t0}
+        s = min(ks)
+        return t0, s, sympy.Poly.from_dict({(k - s,): c for k, c in ks.items()}, lam, domain=sympy.QQ)
+
+    (tfn, sfn, fn), (tfd, sfd, fd), (tgn, sgn, gn), (tgd, sgd, gd) = map(row, (f.num, f.den, g.num, g.den))
+    a, b = tfn - tfd, tgn - tgd
+    top = bottom = sympy.Poly(1, lam, domain=sympy.QQ)
+    e = 0
+    for num, s, den, r, k in ((fn, sfn, fd, sfd, b), (gn, sgn, gd, sgd, -a)):
+        e += k * (s - r)
+        if k < 0:
+            num, den, k = den, num, -k
+        top, bottom = top * num**k, bottom * den**k
+    quotient, rest = top.div(bottom)
+    if not rest.is_zero or len(quotient.terms()) != 1:
+        return (a, b), None
+    [((d,), c)] = quotient.terms()
+    return (a, b), (Fraction(int(c.p), int(c.q)), e + d)
 
 
 # On the arc x = lam, y = t (matrix ((1, 0), (0, 1))) with g = y, the ray is
